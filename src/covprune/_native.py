@@ -1,0 +1,103 @@
+"""Build and load the compiled approx sweep (`_sweep.c`) on first use.
+
+The library is compiled with the C compiler Python itself was built
+with and cached under `$XDG_CACHE_HOME/covprune/` (default
+`~/.cache/covprune/`), named by a hash of the source, the compiler
+command and the flags, so an edited source or another compiler gets a
+fresh build.  When that directory cannot be written the library is built
+in a private temporary directory for this process only.  When there is
+no compiler or the build fails, `load_sweep` returns None and approx
+runs the Python `CoverageTree` sweep instead.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_sweep.c")
+FLAGS = ("-O2", "-shared", "-fPIC")
+
+
+def compiler() -> list[str]:
+    """The compiler command Python was built with, else plain `cc`."""
+    return shlex.split(sysconfig.get_config_var("CC") or "") or ["cc"]
+
+
+def cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join("~", ".cache")
+    return Path(base).expanduser() / "covprune"
+
+
+def library_name(cc: list[str]) -> str:
+    key = hashlib.sha256(SOURCE.read_bytes())
+    key.update("\0".join([*cc, *FLAGS]).encode())
+    return f"sweep-{key.hexdigest()[:16]}.so"
+
+
+def _compile(cc: list[str], target: Path) -> bool:
+    """Compile into a temporary name beside `target`, then move it there
+    in one step, so concurrent first runs never load a partial file.
+    Raises OSError when the directory cannot be written."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
+    os.close(fd)
+    try:
+        try:
+            done = subprocess.run([*cc, *FLAGS, "-o", tmp, str(SOURCE)],
+                                  stdin=subprocess.DEVNULL, capture_output=True)
+        except OSError:
+            return False  # no such compiler
+        if done.returncode != 0:
+            return False
+        os.replace(tmp, target)
+        return True
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+    n = ctypes.c_int64
+    lib.covprune_sweep.argtypes = [n, n, i64, n, i64, i64, n, i64, i64, i64, u8, i64]
+    lib.covprune_sweep.restype = None
+    return lib
+
+
+def _open(cc: list[str], directory: Path, name: str) -> ctypes.CDLL | None:
+    target = directory / name
+    if not target.exists() and not _compile(cc, target):
+        return None
+    return _declare(ctypes.CDLL(str(target)))
+
+
+def build(directory: Path, cc: list[str]) -> ctypes.CDLL | None:
+    """Load the library cached in `directory`, compiling it if absent."""
+    try:
+        name = library_name(cc)
+        try:
+            return _open(cc, directory, name)
+        except OSError:
+            pass  # cache not writable, or the cached file does not load
+        with tempfile.TemporaryDirectory(prefix="covprune-") as private:
+            # the loaded mapping outlives the file, so the directory can go
+            return _open(cc, Path(private), name)
+    except OSError:
+        return None
+
+
+@functools.cache
+def load_sweep() -> ctypes.CDLL | None:
+    """The compiled sweep library for this process, or None."""
+    return build(cache_dir(), compiler())

@@ -9,13 +9,20 @@ would need every surviving interval across it to be crucial, which is
 impossible, so the result always satisfies the cap.  The achieved
 minimum coverage is at least min(mincov of the input, floor(k/2)),
 hence at least floor(k/2)/k times the exact optimum.
+
+The sweep runs as one compiled C loop (`_sweep.c`, loaded by
+`_native`) when a C compiler is available, and otherwise over the
+Python `CoverageTree`, which stays the reference it is tested against.
+Both make the same decisions and count the same work.
 """
 
 from __future__ import annotations
 
-from .intervals import IntervalSet, coverage_profile, mincov_over
+import numpy as np
+
+from .coverage_tree import CoverageTree
+from .intervals import IntervalSet
 from .solution import Solution
-from .coverage_tree import build_tree
 
 
 def is_expendable(current_mincov: int, k: int) -> bool:
@@ -32,35 +39,97 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     argument needs post-deletion coverage to stay at or above floor(k/2)
     at the moment of deletion.  Ties in start order break by ascending
     end, then input index, so runs are reproducible.
+
+    `work` counts `tree_nodes_touched`, `candidates` (reads whose span
+    had max > k when visited), `blocked_crucial` (candidates kept
+    because their span's min was <= floor(k/2)) and `native_sweep`
+    (1 when the compiled sweep ran).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not intervals.items:
-        return Solution((), 0, 0, "approx", {"tree_nodes_touched": 0})
+    n = len(intervals)
+    work = {"tree_nodes_touched": 0, "candidates": 0, "blocked_crucial": 0,
+            "native_sweep": 0}
+    if not n:
+        return Solution((), 0, 0, "approx", work)
 
-    tree = build_tree(intervals)
-    order = sorted((iv.start, iv.end, i) for i, iv in enumerate(intervals))
-    deleted = [False] * len(intervals)
-    query = tree.range_query
-    shrink = tree.range_decrement
-    for start, end, i in order:
-        mn, mx = query(start, end)
-        if mx > k and is_expendable(mn, k):
-            shrink(start, end)
-            deleted[i] = True
+    # coordinates reach 2**64 - 1, beyond int64
+    starts = np.fromiter((iv.start for iv in intervals), np.uint64, n)
+    ends = np.fromiter((iv.end for iv in intervals), np.uint64, n)
+    delims = np.unique(np.concatenate((starts, ends)))
+    lo = np.searchsorted(delims, starts)
+    hi = np.searchsorted(delims, ends)
+    cov = _segment_cov(lo, hi, len(delims))
+    if cov.max() <= k:
+        # removals never help: keeping everything is already optimal
+        return Solution(tuple(range(n)), int(cov.min()), int(cov.max()), "approx", work)
 
-    kept = tuple(i for i in range(len(intervals)) if not deleted[i])
-    span = intervals.span
-    if kept:
-        sub = intervals.subset(kept)
-        mx_after = max(coverage_profile(sub).segment_cov)
-        mn_after = mincov_over(sub, span.start, span.end)
+    # equals sorted((start, end, i))
+    order = np.lexsort((np.arange(n), ends, starts))
+    # imported on first use: the loader's own imports would slow every CLI start
+    from ._native import load_sweep
+    lib = load_sweep()
+    if lib is None:
+        deleted, counts = _sweep_python(intervals, order, delims, cov, k)
     else:
-        mx_after = 0
-        mn_after = 0
+        deleted, counts = _sweep_native(lib, order, lo, hi, cov, k)
+        work["native_sweep"] = 1
+    work["tree_nodes_touched"], work["candidates"], work["blocked_crucial"] = counts
+
+    # recount the kept reads from scratch, never from the tree's state
+    keep = ~deleted
+    after = _segment_cov(lo[keep], hi[keep], len(delims))
+    mx_after = int(after.max())
     if mx_after > k:
         raise AssertionError(
             f"pruned set still has maxcov {mx_after} > k={k}; "
             "lazy propagation is corrupt")
-    return Solution(kept, mn_after, mx_after, "approx",
-                    {"tree_nodes_touched": tree.nodes_touched})
+    return Solution(tuple(np.flatnonzero(keep).tolist()), int(after.min()), mx_after,
+                    "approx", work)
+
+
+def _segment_cov(lo, hi, ndelims: int):
+    """Coverage of each segment between consecutive delimiters by the
+    reads spanning delimiter indices [lo, hi); gaps count as 0."""
+    delta = np.bincount(lo, minlength=ndelims) - np.bincount(hi, minlength=ndelims)
+    return np.cumsum(delta[:-1])
+
+
+def _sweep_python(intervals: IntervalSet, order, delims, cov, k: int):
+    """The reference sweep over `CoverageTree`; returns the deleted mask
+    in input order and (nodes touched, candidates, blocked)."""
+    tree = CoverageTree(delims.tolist(), cov.tolist())
+    query = tree.range_query
+    shrink = tree.range_decrement
+    items = intervals.items
+    deleted = [False] * len(items)
+    candidates = blocked = 0
+    for i in order.tolist():
+        iv = items[i]
+        mn, mx = query(iv.start, iv.end)
+        if mx > k:
+            candidates += 1
+            if is_expendable(mn, k):
+                shrink(iv.start, iv.end)
+                deleted[i] = True
+            else:
+                blocked += 1
+    return np.array(deleted), (tree.nodes_touched, candidates, blocked)
+
+
+def _sweep_native(lib, order, lo, hi, cov, k: int):
+    """The same sweep as `_sweep_python`, run by `covprune_sweep` in C."""
+    nseg = len(cov)
+    lo = np.ascontiguousarray(lo[order], dtype=np.int64)
+    hi = np.ascontiguousarray(hi[order], dtype=np.int64)
+    if not (lo.min() >= 0 and (lo < hi).all() and hi.max() <= nseg):
+        raise ValueError("segment range outside the coverage tree")
+    cap = 1 << (nseg - 1).bit_length()
+    mn, mx, bal = (np.empty(2 * cap, np.int64) for _ in range(3))
+    swept = np.zeros(len(lo), np.uint8)
+    counts = np.zeros(3, np.int64)
+    lib.covprune_sweep(nseg, cap, np.ascontiguousarray(cov, dtype=np.int64),
+                       len(lo), lo, hi, k, mn, mx, bal, swept, counts)
+    deleted = np.empty(len(lo), bool)
+    deleted[order] = swept.astype(bool)
+    return deleted, tuple(counts.tolist())

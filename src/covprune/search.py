@@ -9,6 +9,7 @@ decision solves.
 
 from __future__ import annotations
 
+from .approx import approx_prune
 from .intervals import IntervalSet, maxcov, mincov_span
 from .solution import Solution, score_subset
 from . import flow
@@ -83,11 +84,11 @@ def solve_exact(intervals: IntervalSet, k: int,
         # every probe up to t = k succeeded
         return _finish(best, work)
     if best is None:
-        # even t = 1 failed: any subset obeying the cap is optimal
-        sol0 = flow.decide(intervals, k, 0, warm_start=warm)
-        work["flow_solves"] += 1
-        work["augmentations"] += sol0.work["augmentations"]
-        return _finish(sol0, work)
+        # even t = 1 failed, so OPT = 0 and any subset obeying the cap is
+        # optimal; approx's keeps reads wherever the cap allows, while the
+        # warm-started t = 0 flow witness keeps none
+        kept = approx_prune(intervals, k).kept
+        return _finish(score_subset(intervals, kept, method), work)
 
     # binary search on (lo, hi): invariant lo feasible, hi infeasible
     while hi - lo > 1:

@@ -38,3 +38,9 @@ def count_cover(pairs, p: int) -> int:
 interval_pairs = st.lists(
     st.tuples(st.integers(0, 40), st.integers(1, 12)).map(lambda t: (t[0], t[0] + t[1])),
     min_size=1, max_size=10)
+
+
+def pytest_report_header(config):
+    from covprune._native import load_sweep
+    backend = "compiled C sweep" if load_sweep() else "Python CoverageTree (no C compiler)"
+    return f"covprune approx backend: {backend}"

@@ -43,6 +43,24 @@ def test_nothing_deleted_when_under_cap(demo):
     assert sol.kept == tuple(range(6))
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_no_sweep_at_or_under_cap(k):
+    # a gap in the middle: mincov 0, maxcov 3
+    s = iset([(0, 10), (0, 10), (0, 10), (20, 30), (20, 30)])
+    sol = approx_prune(s, k)
+    assert sol.kept == tuple(range(5))
+    assert (sol.achieved_mincov, sol.achieved_maxcov) == (0, 3)
+    assert sol.work == {"tree_nodes_touched": 0, "candidates": 0,
+                        "blocked_crucial": 0, "native_sweep": 0}
+
+
+def test_candidate_counters(demo):
+    # visits B,A,D,E,C,F at k = 3: B, D and E are deleted; A is blocked,
+    # its span reaching coverage 1 once B is gone; C and F are under the cap
+    work = approx_prune(demo, 3).work
+    assert (work["candidates"], work["blocked_crucial"]) == (4, 1)
+
+
 def test_empty_and_bad_k():
     assert approx_prune(IntervalSet(()), 3).kept == ()
     with pytest.raises(ValueError):

@@ -92,6 +92,25 @@ def test_solve_empty_file(tmp_path, capsys):
     assert json.loads(err.strip())["mincov"] == 0
 
 
+@pytest.mark.parametrize("engine", ["generic", "tailored"])
+@pytest.mark.parametrize("text, k, kept", [
+    # a gap makes mincov 0; maxcov 3 > k forces pruning
+    ("0 10\n0 10\n0 10\n20 30\n20 30\n", 2, 4),
+    # no gap, but t = 1 is infeasible under k = 1
+    ("0 10\n5 15\n", 1, 1),
+], ids=["gap", "no-gap"])
+def test_solve_keeps_reads_when_opt_is_zero(tmp_path, capsys, engine, text, k, kept):
+    path = tmp_path / "reads.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", str(path), "--k", str(k), "--engine", engine)
+    assert code == 0
+    record = json.loads(err.strip())
+    assert len(out.splitlines()) == record["kept"] == kept
+    assert record["mincov"] == 0
+    assert record["maxcov_after"] <= k
+    assert record["method"] == f"exact-{engine}"
+
+
 def test_approx_subcommand(demo_file, capsys):
     code, out, err = run(capsys, "approx", demo_file, "--k", "3")
     assert code == 0
