@@ -1,17 +1,19 @@
 """Command-line interface.
 
-Subcommands: decide, solve, approx, stats, oracle, bench.  Kept
-intervals go to stdout in the input format and order; per-chromosome
-solver statistics go to stderr or to --stats FILE as JSON lines with a
-fixed schema.  Exit codes: 0 success/feasible, 1 decide found no
-solution, 2 usage or parse error.
+Subcommands: decide, solve, approx, stats, oracle.  `decide` and `solve`
+run the one exact engine, whose flow solves warm-start from the backbone
+flow.  Kept intervals go to stdout in the input format and order;
+per-chromosome solver statistics go to stderr or to --stats FILE as JSON
+lines with a fixed schema, each written and flushed as its chromosome
+finishes.  Exit codes: 0 success/feasible, 1 decide found no solution,
+2 usage or parse error, 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import sys
 import time
 
@@ -22,16 +24,6 @@ from .solution import Solution
 
 STATS_SCHEMA = "covprune.stats/1"
 COVERAGE_SCHEMA = "covprune.coverage/1"
-
-
-def pick_engine(engine: str, n: int, k: int) -> str:
-    """Resolve engine 'auto': warm starts win while k stays well below
-    n / log2(n); past that the generic solver's bound takes over."""
-    if engine != "auto":
-        return engine
-    if n <= 1:
-        return "tailored"
-    return "tailored" if k <= n / max(1.0, math.log2(n)) else "generic"
 
 
 def _stats_line(chrom, n, kept, mincov, maxcov_before, maxcov_after,
@@ -53,31 +45,16 @@ def _stats_line(chrom, n, kept, mincov, maxcov_before, maxcov_after,
     return json.dumps(record)
 
 
-class _StatsSink:
-    def __init__(self, path: str | None):
-        self.path = path
-        self.lines: list[str] = []
-
-    def add(self, line: str) -> None:
-        self.lines.append(line)
-
-    def flush(self) -> None:
-        text = "".join(line + "\n" for line in self.lines)
-        if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stderr.write(text)
-
-
 def _emit_kept(instance: io.InstanceFile, kept_record_indices: set[int]) -> None:
     for idx, rec in enumerate(instance.records):
         if idx in kept_record_indices:
             print(io.format_record(rec, instance.fmt))
 
 
-def _solve_instance(instance: io.InstanceFile, solver, sink: _StatsSink) -> tuple[set[int], bool]:
-    """Run `solver(chrom, intervals)` per chromosome, in name order.
+def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[set[int], bool]:
+    """Run `solver(chrom, intervals)` per chromosome, in name order,
+    writing and flushing each chromosome's stats line to `out` as soon
+    as it finishes, so a later failure keeps the lines already written.
 
     Returns the kept record indices (file order) and whether every
     chromosome was feasible.
@@ -95,14 +72,16 @@ def _solve_instance(instance: io.InstanceFile, solver, sink: _StatsSink) -> tupl
         wall = time.perf_counter() - t0
         if sol is None:
             all_feasible = False
-            sink.add(_stats_line(chrom, len(ivs), 0, 0, before, 0,
-                                 "infeasible", False, {}, wall))
-            continue
-        for i in sol.kept:
-            kept_records.add(record_indices[i])
-        sink.add(_stats_line(chrom, len(ivs), sol.num_kept, sol.achieved_mincov,
-                             before, sol.achieved_maxcov, sol.method, True,
-                             sol.work, wall))
+            line = _stats_line(chrom, len(ivs), 0, 0, before, 0,
+                               "infeasible", False, {}, wall)
+        else:
+            for i in sol.kept:
+                kept_records.add(record_indices[i])
+            line = _stats_line(chrom, len(ivs), sol.num_kept, sol.achieved_mincov,
+                               before, sol.achieved_maxcov, sol.method, True,
+                               sol.work, wall)
+        out.write(line + "\n")
+        out.flush()
     return kept_records, all_feasible
 
 
@@ -110,60 +89,43 @@ def _load(args) -> io.InstanceFile:
     return io.read_instance(args.input, args.format)
 
 
-def cmd_decide(args) -> int:
+def _run(args, solver) -> int:
+    """Parse the input, solve it per chromosome and print the kept lines
+    when every chromosome was feasible.  The --stats file is opened only
+    once the input has parsed, so a parse error writes no file."""
     instance = _load(args)
-    if args.t < 0:
-        raise ValueError(f"t must be >= 0, got {args.t}")
-    sink = _StatsSink(args.stats)
-
-    def solver(chrom, ivs: IntervalSet) -> Solution | None:
-        engine = pick_engine(args.engine, len(ivs), args.k)
-        if not ivs.items:
-            # nothing to prune; every floor holds vacuously
-            return Solution((), 0, 0, f"exact-{engine}", {})
-        return flow.decide(ivs, args.k, args.t, warm_start=engine == "tailored")
-
-    kept, feasible = _solve_instance(instance, solver, sink)
+    with (open(args.stats, "w", encoding="utf-8") if args.stats
+          else contextlib.nullcontext(sys.stderr)) as out:
+        kept, feasible = _solve_instance(instance, solver, out)
     if feasible:
         _emit_kept(instance, kept)
-    sink.flush()
     return 0 if feasible else 1
 
 
+def cmd_decide(args) -> int:
+    if args.t < 0:
+        raise ValueError(f"t must be >= 0, got {args.t}")
+
+    def solver(chrom, ivs: IntervalSet) -> Solution | None:
+        if not ivs.items:
+            # nothing to prune; every floor holds vacuously
+            return Solution((), 0, 0, "exact-tailored", {})
+        return flow.decide(ivs, args.k, args.t)
+
+    return _run(args, solver)
+
+
 def cmd_solve(args) -> int:
-    instance = _load(args)
-    sink = _StatsSink(args.stats)
-
-    def solver(chrom, ivs: IntervalSet) -> Solution:
-        engine = pick_engine(args.engine, len(ivs), args.k)
-        return search.solve_exact(ivs, args.k, engine)
-
-    kept, _ = _solve_instance(instance, solver, sink)
-    _emit_kept(instance, kept)
-    sink.flush()
-    return 0
+    return _run(args, lambda chrom, ivs: search.solve_exact(ivs, args.k))
 
 
 def cmd_approx(args) -> int:
-    instance = _load(args)
-    sink = _StatsSink(args.stats)
-    kept, _ = _solve_instance(instance, lambda chrom, ivs: approx_prune(ivs, args.k), sink)
-    _emit_kept(instance, kept)
-    sink.flush()
-    return 0
+    return _run(args, lambda chrom, ivs: approx_prune(ivs, args.k))
 
 
 def cmd_oracle(args) -> int:
-    instance = _load(args)
-    sink = _StatsSink(args.stats)
-
-    def solver(chrom, ivs: IntervalSet) -> Solution:
-        return oracle.brute_force_opt(ivs, args.k, limit=args.limit, force=args.force)
-
-    kept, _ = _solve_instance(instance, solver, sink)
-    _emit_kept(instance, kept)
-    sink.flush()
-    return 0
+    return _run(args, lambda chrom, ivs: oracle.brute_force_opt(
+        ivs, args.k, limit=args.limit, force=args.force))
 
 
 def cmd_stats(args) -> int:
@@ -188,33 +150,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    known = {"generic", "tailored", "approx", "oracle"}
-    bad = set(engines) - known
-    if bad:
-        raise ValueError(f"unknown engines: {sorted(bad)}")
-    ivs = io.generate_instance(args.n, args.span, args.seed)
-    profile = coverage_profile(ivs)
-    print(f"# n={args.n} k={args.k} seed={args.seed} span={args.span} "
-          f"mincov={min(profile.segment_cov)} maxcov={max(profile.segment_cov)}")
-    header = f"{'method':<16}{'mincov':>8}{'maxcov':>8}{'kept':>10}{'time_s':>10}  work"
-    print(header)
-    for engine in engines:
-        t0 = time.perf_counter()
-        if engine == "approx":
-            sol = approx_prune(ivs, args.k)
-        elif engine == "oracle":
-            sol = oracle.brute_force_opt(ivs, args.k)
-        else:
-            sol = search.solve_exact(ivs, args.k, engine)
-        wall = time.perf_counter() - t0
-        work = " ".join(f"{key}={value}" for key, value in sorted(sol.work.items()))
-        print(f"{sol.method:<16}{sol.achieved_mincov:>8}{sol.achieved_maxcov:>8}"
-              f"{sol.num_kept:>10}{wall:>10.3f}  {work}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covprune",
@@ -235,12 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="is there a subset with maxcov <= k and mincov >= t?")
     add_io(p)
     p.add_argument("--t", type=int, required=True, help="coverage floor (>= 0)")
-    p.add_argument("--engine", choices=("generic", "tailored", "auto"), default="auto")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("solve", help="maximize mincov subject to maxcov <= k (exact)")
     add_io(p)
-    p.add_argument("--engine", choices=("generic", "tailored", "auto"), default="auto")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("approx", help="fast approximate pruning (ratio k/floor(k/2))")
@@ -258,16 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="run even past the size limit")
     p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("bench", help="generate a random instance and compare methods")
-    p.add_argument("--n", type=int, required=True, help="number of intervals")
-    p.add_argument("--k", type=int, required=True, help="coverage cap")
-    p.add_argument("--seed", type=int, default=1, help="RNG seed (default %(default)s)")
-    p.add_argument("--span", type=int, default=1_000_000,
-                   help="coordinate span of the instance (default %(default)s)")
-    p.add_argument("--engines", default="generic,tailored,approx",
-                   help="comma-separated: generic,tailored,approx,oracle")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -286,6 +209,10 @@ def main(argv=None) -> int:
     except (io.ParseError, ValueError, OSError) as exc:
         print(f"covprune: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a failed self-check or a bug: never let it read as exit 1, "infeasible"
+        print(f"covprune: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -97,6 +97,23 @@ class CoverageProfile:
             return 0
         return self.segment_cov[bisect_right(self.delimiters, p) - 1]
 
+    def min_over(self, start: int, end: int) -> int:
+        """Minimum coverage over an arbitrary window [start, end).
+
+        Points of the window not covered by any interval count as 0, so
+        subsets of a larger set can be scored against the original span.
+        """
+        if start >= end:
+            raise ValueError(f"empty window [{start}, {end})")
+        if not self.delimiters:
+            return 0
+        lo, hi = self.delimiters[0], self.delimiters[-1]
+        if start < lo or end > hi:
+            return 0
+        jl = bisect_right(self.delimiters, start) - 1
+        jr = bisect_right(self.delimiters, end - 1) - 1
+        return min(self.segment_cov[jl:jr + 1])
+
 
 def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
     """Compute the exact coverage step function by an endpoint sweep."""
@@ -138,19 +155,6 @@ def mincov_span(intervals: IntervalSet) -> int:
 
 
 def mincov_over(intervals: IntervalSet, start: int, end: int) -> int:
-    """Minimum coverage over an arbitrary window [start, end).
-
-    Points of the window not covered by any interval count as 0, so
-    subsets of a larger set can be scored against the original span.
-    """
-    if start >= end:
-        raise ValueError(f"empty window [{start}, {end})")
-    profile = coverage_profile(intervals)
-    if not profile.delimiters:
-        return 0
-    lo, hi = profile.delimiters[0], profile.delimiters[-1]
-    if start < lo or end > hi:
-        return 0
-    jl = bisect_right(profile.delimiters, start) - 1
-    jr = bisect_right(profile.delimiters, end - 1) - 1
-    return min(profile.segment_cov[jl:jr + 1])
+    """Minimum coverage over an arbitrary window [start, end); see
+    `CoverageProfile.min_over`."""
+    return coverage_profile(intervals).min_over(start, end)

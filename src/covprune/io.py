@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .intervals import Interval, IntervalSet
+from .intervals import MAX_COORD, Interval, IntervalSet
 
 
 class ParseError(ValueError):
@@ -61,6 +61,8 @@ def _parse_coord(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"{what} {token!r} is not an integer") from None
     if value < 0:
         raise ParseError(line_no, f"{what} {value} is negative")
+    if value > MAX_COORD:
+        raise ParseError(line_no, f"{what} {value} exceeds the largest coordinate {MAX_COORD}")
     return value
 
 

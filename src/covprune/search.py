@@ -4,17 +4,20 @@ maxcov <= k exists, found by doubling followed by binary search.
 Feasibility is monotone in t (any witness for t also witnesses every
 smaller t), so probing t = 1, 2, 4, ... up to the first infeasible value
 brackets the optimum and binary search pins it down with O(log OPT)
-decision solves.
+decision solves.  Every probe is one `flow.decide` call, which
+warm-starts from the backbone flow and so needs at most t augmentations;
+the cold-start flow (`decide(..., warm_start=False)`) is kept only as
+the reference the tests check this engine against.
 """
 
 from __future__ import annotations
 
 from .approx import approx_prune
-from .intervals import IntervalSet, maxcov, mincov_span
+from .intervals import IntervalSet, coverage_profile, mincov_span
 from .solution import Solution, score_subset
 from . import flow
 
-ENGINES = ("generic", "tailored")
+METHOD = "exact-tailored"
 
 
 def opt_upper_bound(intervals: IntervalSet, k: int) -> int:
@@ -29,37 +32,32 @@ def opt_upper_bound(intervals: IntervalSet, k: int) -> int:
     return min(k, mincov_span(intervals))
 
 
-def solve_exact(intervals: IntervalSet, k: int,
-                engine: str = "tailored") -> Solution:
+def solve_exact(intervals: IntervalSet, k: int) -> Solution:
     """Maximize mincov over subsets with maxcov <= k.
 
-    engine="tailored" warm-starts every flow solve from the backbone
-    flow (at most t augmentations each); engine="generic" runs plain
-    breadth-first augmentation from zero.  Both return the same optimum;
-    witness subsets may differ.
+    Every flow solve warm-starts from the backbone flow, so it needs at
+    most t augmentations.  The method label is "exact-tailored".
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    method = f"exact-{engine}"
-    warm = engine == "tailored"
     work = {"flow_solves": 0, "augmentations": 0, "probes": 0}
 
     if not intervals.items:
-        return Solution((), 0, 0, method, work)
-    if maxcov(intervals) <= k:
+        return Solution((), 0, 0, METHOD, work)
+    cov = coverage_profile(intervals).segment_cov
+    if max(cov) <= k:
         # removals never help: keeping everything is already optimal
-        return score_subset(intervals, range(len(intervals)), method, work)
+        return score_subset(intervals, range(len(intervals)), METHOD, work)
 
-    bound = opt_upper_bound(intervals, k)
+    # opt_upper_bound, read off the profile already built
+    bound = min(k, min(cov))
 
     def probe(t: int) -> Solution | None:
         work["probes"] += 1
         if t > bound:
             # provably infeasible, no flow needed
             return None
-        sol = flow.decide(intervals, k, t, warm_start=warm)
+        sol = flow.decide(intervals, k, t)
         work["flow_solves"] += 1
         if sol is not None:
             work["augmentations"] += sol.work["augmentations"]
@@ -88,7 +86,7 @@ def solve_exact(intervals: IntervalSet, k: int,
         # optimal; approx's keeps reads wherever the cap allows, while the
         # warm-started t = 0 flow witness keeps none
         kept = approx_prune(intervals, k).kept
-        return _finish(score_subset(intervals, kept, method), work)
+        return _finish(score_subset(intervals, kept, METHOD), work)
 
     # binary search on (lo, hi): invariant lo feasible, hi infeasible
     while hi - lo > 1:

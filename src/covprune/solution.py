@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intervals import IntervalSet, coverage_profile, mincov_over
+from .intervals import IntervalSet, coverage_profile
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def score_subset(intervals: IntervalSet, kept, method: str,
         mn = 0
         mx = 0
     else:
-        sub = intervals.subset(kept)
-        mx = max(coverage_profile(sub).segment_cov, default=0)
-        mn = mincov_over(sub, span.start, span.end)
+        profile = coverage_profile(intervals.subset(kept))
+        mx = max(profile.segment_cov, default=0)
+        mn = profile.min_over(span.start, span.end)
     return Solution(kept, mn, mx, method, dict(work or {}))

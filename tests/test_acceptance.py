@@ -47,9 +47,12 @@ def test_criterion_2_oracle_equivalence_exact():
         s = random_instance(rng, rng.randint(1, 14), max_coord=40, max_len=12)
         k = rng.randint(1, 5)
         opt = brute_force_opt(s, k).achieved_mincov
-        assert solve_exact(s, k, "generic").achieved_mincov == opt
-        assert solve_exact(s, k, "tailored").achieved_mincov == opt
-    ok("2 oracle equivalence, 500 instances, both engines")
+        assert solve_exact(s, k).achieved_mincov == opt
+        # the cold-start reference flow agrees with the oracle on its own
+        assert decide(s, k, opt, warm_start=False) is not None
+        if opt < k:
+            assert decide(s, k, opt + 1, warm_start=False) is None
+    ok("2 oracle equivalence, 500 instances, exact search and cold-start flow")
 
 
 def test_criterion_3_engine_agreement_and_augmentation_bound():
@@ -155,7 +158,7 @@ def test_criterion_8_performance_smoke():
     assert sol.work["tree_nodes_touched"] <= 64 * n * math.log2(n)
 
     t0 = time.perf_counter()
-    exact = solve_exact(s, k, "tailored")
+    exact = solve_exact(s, k)
     solve_elapsed = time.perf_counter() - t0
     assert solve_elapsed <= 60.0, f"tailored solve took {solve_elapsed:.2f}s"
     assert exact.achieved_maxcov <= k

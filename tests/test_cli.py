@@ -1,9 +1,9 @@
 import json
-import re
 
 import pytest
 
-from covprune.cli import main, pick_engine
+from covprune import cli
+from covprune.cli import main
 
 from conftest import DEMO_PAIRS
 
@@ -52,9 +52,11 @@ def test_decide_usage_errors(demo_file, capsys):
 def test_parse_error_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 5\n5 5\n")
-    code, _, err = run(capsys, "solve", str(bad), "--k", "2")
+    stats = tmp_path / "stats.jsonl"
+    code, _, err = run(capsys, "solve", str(bad), "--k", "2", "--stats", str(stats))
     assert code == 2
     assert "line 2" in err
+    assert not stats.exists()  # a parse error writes no stats file
 
 
 def test_missing_file(capsys):
@@ -92,23 +94,22 @@ def test_solve_empty_file(tmp_path, capsys):
     assert json.loads(err.strip())["mincov"] == 0
 
 
-@pytest.mark.parametrize("engine", ["generic", "tailored"])
 @pytest.mark.parametrize("text, k, kept", [
     # a gap makes mincov 0; maxcov 3 > k forces pruning
     ("0 10\n0 10\n0 10\n20 30\n20 30\n", 2, 4),
     # no gap, but t = 1 is infeasible under k = 1
     ("0 10\n5 15\n", 1, 1),
 ], ids=["gap", "no-gap"])
-def test_solve_keeps_reads_when_opt_is_zero(tmp_path, capsys, engine, text, k, kept):
+def test_solve_keeps_reads_when_opt_is_zero(tmp_path, capsys, text, k, kept):
     path = tmp_path / "reads.txt"
     path.write_text(text)
-    code, out, err = run(capsys, "solve", str(path), "--k", str(k), "--engine", engine)
+    code, out, err = run(capsys, "solve", str(path), "--k", str(k))
     assert code == 0
     record = json.loads(err.strip())
     assert len(out.splitlines()) == record["kept"] == kept
     assert record["mincov"] == 0
     assert record["maxcov_after"] <= k
-    assert record["method"] == f"exact-{engine}"
+    assert record["method"] == "exact-tailored"
 
 
 def test_approx_subcommand(demo_file, capsys):
@@ -181,32 +182,42 @@ def test_keep_everything_round_trips(demo_file, capsys):
     assert got == list(DEMO_PAIRS)
 
 
-def test_bench_deterministic(capsys):
-    code, out1, _ = run(capsys, "bench", "--n", "40", "--k", "3", "--seed", "5",
-                        "--span", "200")
-    assert code == 0
-    code, out2, _ = run(capsys, "bench", "--n", "40", "--k", "3", "--seed", "5",
-                        "--span", "200")
-    assert code == 0
-
-    def strip_times(text):
-        return [[t for t in ln.split() if not re.fullmatch(r"\d+\.\d+", t)]
-                for ln in text.splitlines()]
-
-    # wall times differ between runs; everything else must not
-    assert strip_times(out1) == strip_times(out2)
-    assert "exact-generic" in out1 and "exact-tailored" in out1 and "approx" in out1
+def test_engine_option_is_gone(demo_file, capsys):
+    code, _, err = run(capsys, "solve", demo_file, "--k", "3", "--engine", "tailored")
+    assert code == 2 and "--engine" in err
 
 
-def test_bench_rejects_unknown_engine(capsys):
-    code, _, err = run(capsys, "bench", "--n", "10", "--k", "2",
-                       "--engines", "quantum")
-    assert code == 2 and "unknown engines" in err
+def test_internal_error_exits_3_and_keeps_finished_stats(tmp_path, capsys, monkeypatch):
+    bed = tmp_path / "reads.bed"
+    bed.write_text("".join(f"chrA\t{s}\t{e}\n" for s, e in DEMO_PAIRS)
+                   + "chrB\t0\t10\n" * 4)
+    stats = tmp_path / "stats.jsonl"
+    real = cli.approx_prune
+    calls = []
+
+    def failing(ivs, k):
+        calls.append(k)
+        if len(calls) == 2:
+            raise AssertionError("self-check failed")
+        return real(ivs, k)
+
+    monkeypatch.setattr(cli, "approx_prune", failing)
+    code, out, err = run(capsys, "approx", str(bed), "--k", "3", "--stats", str(stats))
+    assert code == 3
+    assert out == ""
+    assert err == "covprune: internal error: AssertionError: self-check failed\n"
+    records = [json.loads(ln) for ln in stats.read_text().splitlines()]
+    assert [r["chrom"] for r in records] == ["chrA"]
+    assert records[0]["method"] == "approx"
 
 
-def test_pick_engine_regimes():
-    assert pick_engine("generic", 10, 2) == "generic"
-    assert pick_engine("tailored", 10, 9) == "tailored"
-    # k well under n/log2(n) favors the warm start
-    assert pick_engine("auto", 1024, 5) == "tailored"
-    assert pick_engine("auto", 1024, 500) == "generic"
+@pytest.mark.parametrize("end, code", [(2**64 - 1, 0), (2**64, 2)], ids=["max", "over-max"])
+def test_coordinate_cap(tmp_path, capsys, end, code):
+    path = tmp_path / "reads.txt"
+    path.write_text(f"0 {end}\n")
+    got, out, err = run(capsys, "approx", str(path), "--k", "1")
+    assert got == code
+    if code == 0:
+        assert out == f"0\t{end}\n"
+    else:
+        assert out == "" and "line 1" in err

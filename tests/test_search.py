@@ -9,13 +9,16 @@ from conftest import iset, random_instance
 
 
 def test_solve_demo_both_engines(demo):
-    for engine in ("generic", "tailored"):
-        sol = solve_exact(demo, 3, engine)
-        assert sol.achieved_mincov == 2
-        assert sol.achieved_maxcov <= 3
-        sub = demo.subset(sol.kept)
-        assert maxcov(sub) <= 3
-        assert mincov_over(sub, 0, 10) == 2
+    sol = solve_exact(demo, 3)
+    assert sol.achieved_mincov == 2
+    assert sol.achieved_maxcov <= 3
+    assert sol.method == "exact-tailored"
+    sub = demo.subset(sol.kept)
+    assert maxcov(sub) <= 3
+    assert mincov_over(sub, 0, 10) == 2
+    # the cold-start reference flow puts the threshold at the same place
+    assert decide(demo, 3, 2, warm_start=False) is not None
+    assert decide(demo, 3, 3, warm_start=False) is None
 
 
 def test_solve_demo_probe_sequence(demo):
@@ -53,8 +56,6 @@ def test_solve_empty():
 def test_solve_rejects_bad_args(demo):
     with pytest.raises(ValueError):
         solve_exact(demo, 0)
-    with pytest.raises(ValueError):
-        solve_exact(demo, 3, "simplex")
 
 
 def test_opt_upper_bound(demo):
@@ -70,12 +71,16 @@ def test_engines_agree_and_match_oracle():
     for _ in range(60):
         s = random_instance(rng, rng.randint(0, 12), max_coord=30, max_len=10)
         k = rng.randint(1, 5)
-        generic = solve_exact(s, k, "generic")
-        tailored = solve_exact(s, k, "tailored")
+        tailored = solve_exact(s, k)
         exact = brute_force_opt(s, k)
-        assert generic.achieved_mincov == tailored.achieved_mincov == exact.achieved_mincov
-        assert generic.achieved_maxcov <= k
+        assert tailored.achieved_mincov == exact.achieved_mincov
         assert tailored.achieved_maxcov <= k
+        if s.items:
+            # the cold-start reference flow also reaches the oracle's optimum
+            cold = decide(s, k, exact.achieved_mincov, warm_start=False)
+            assert cold is not None
+            assert cold.achieved_mincov >= exact.achieved_mincov
+            assert cold.achieved_maxcov <= k
 
 
 def test_opt_is_the_feasibility_threshold():
