@@ -1,13 +1,15 @@
-"""Build and load the compiled approx sweep (`_sweep.c`) on first use.
+"""Build and load the compiled kernels on first use.
 
-The library is compiled with the C compiler Python itself was built
-with and cached under `$XDG_CACHE_HOME/covprune/` (default
-`~/.cache/covprune/`), named by a hash of the source, the compiler
-command and the flags, so an edited source or another compiler gets a
-fresh build.  When that directory cannot be written the library is built
-in a private temporary directory for this process only.  When there is
-no compiler or the build fails, `load_sweep` returns None and approx
-runs the Python `CoverageTree` sweep instead.
+One library holds two kernels: the approx sweep (`_sweep.c`) and the
+exact solver's max-flow (`_flow.c`).  It is compiled with the C compiler
+Python itself was built with and cached under `$XDG_CACHE_HOME/covprune/`
+(default `~/.cache/covprune/`), named by a hash of the sources, the
+compiler command and the flags, so an edited source or another compiler
+gets a fresh build.  When that directory cannot be written the library
+is built in a private temporary directory for this process only.  When
+there is no compiler or the build fails, `load_library` returns None:
+approx then runs the Python `CoverageTree` sweep and the exact solver
+the Python `max_flow_augmenting`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCE = Path(__file__).with_name("_sweep.c")
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("_sweep.c", "_flow.c"))
 FLAGS = ("-O2", "-shared", "-fPIC")
 
 
@@ -39,9 +41,11 @@ def cache_dir() -> Path:
 
 
 def library_name(cc: list[str]) -> str:
-    key = hashlib.sha256(SOURCE.read_bytes())
+    key = hashlib.sha256()
+    for source in SOURCES:
+        key.update(source.read_bytes())
     key.update("\0".join([*cc, *FLAGS]).encode())
-    return f"sweep-{key.hexdigest()[:16]}.so"
+    return f"covprune-{key.hexdigest()[:16]}.so"
 
 
 def _compile(cc: list[str], target: Path) -> bool:
@@ -53,7 +57,7 @@ def _compile(cc: list[str], target: Path) -> bool:
     os.close(fd)
     try:
         try:
-            done = subprocess.run([*cc, *FLAGS, "-o", tmp, str(SOURCE)],
+            done = subprocess.run([*cc, *FLAGS, "-o", tmp, *map(str, SOURCES)],
                                   stdin=subprocess.DEVNULL, capture_output=True)
         except OSError:
             return False  # no such compiler
@@ -72,6 +76,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     n = ctypes.c_int64
     lib.covprune_sweep.argtypes = [n, n, i64, n, i64, i64, n, i64, i64, i64, u8, i64]
     lib.covprune_sweep.restype = None
+    lib.covprune_max_flow.argtypes = [n, n, n, i64, i64, i64, i64, i64, i64]
+    lib.covprune_max_flow.restype = n
     return lib
 
 
@@ -98,6 +104,6 @@ def build(directory: Path, cc: list[str]) -> ctypes.CDLL | None:
 
 
 @functools.cache
-def load_sweep() -> ctypes.CDLL | None:
-    """The compiled sweep library for this process, or None."""
+def load_library() -> ctypes.CDLL | None:
+    """The compiled library for this process, or None."""
     return build(cache_dir(), compiler())

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coverage_tree import CoverageTree
-from .intervals import IntervalSet
+from .intervals import IntervalSet, compress, segment_cov
 from .solution import Solution
 
 
@@ -53,22 +53,17 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     if not n:
         return Solution((), 0, 0, "approx", work)
 
-    # coordinates reach 2**64 - 1, beyond int64
-    starts = np.fromiter((iv.start for iv in intervals), np.uint64, n)
-    ends = np.fromiter((iv.end for iv in intervals), np.uint64, n)
-    delims = np.unique(np.concatenate((starts, ends)))
-    lo = np.searchsorted(delims, starts)
-    hi = np.searchsorted(delims, ends)
-    cov = _segment_cov(lo, hi, len(delims))
+    delims, lo, hi = compress(intervals)
+    cov = segment_cov(lo, hi, len(delims))
     if cov.max() <= k:
         # removals never help: keeping everything is already optimal
         return Solution(tuple(range(n)), int(cov.min()), int(cov.max()), "approx", work)
 
-    # equals sorted((start, end, i))
-    order = np.lexsort((np.arange(n), ends, starts))
+    # equals sorted((start, end, i)): lo and hi order reads as their coordinates do
+    order = np.lexsort((np.arange(n), hi, lo))
     # imported on first use: the loader's own imports would slow every CLI start
-    from ._native import load_sweep
-    lib = load_sweep()
+    from ._native import load_library
+    lib = load_library()
     if lib is None:
         deleted, counts = _sweep_python(intervals, order, delims, cov, k)
     else:
@@ -78,7 +73,7 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
 
     # recount the kept reads from scratch, never from the tree's state
     keep = ~deleted
-    after = _segment_cov(lo[keep], hi[keep], len(delims))
+    after = segment_cov(lo[keep], hi[keep], len(delims))
     mx_after = int(after.max())
     if mx_after > k:
         raise AssertionError(
@@ -86,13 +81,6 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
             "lazy propagation is corrupt")
     return Solution(tuple(np.flatnonzero(keep).tolist()), int(after.min()), mx_after,
                     "approx", work)
-
-
-def _segment_cov(lo, hi, ndelims: int):
-    """Coverage of each segment between consecutive delimiters by the
-    reads spanning delimiter indices [lo, hi); gaps count as 0."""
-    delta = np.bincount(lo, minlength=ndelims) - np.bincount(hi, minlength=ndelims)
-    return np.cumsum(delta[:-1])
 
 
 def _sweep_python(intervals: IntervalSet, order, delims, cov, k: int):

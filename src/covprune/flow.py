@@ -9,6 +9,14 @@ with maxcov <= k and mincov >= t over the span exists exactly when the
 max-flow value is k, and the kept intervals are the interval arcs that
 carry flow 1: an interior backbone arc then carries k minus the kept
 coverage of its segment, so its capacity k - t forces coverage >= t.
+
+`build_network`, `_Residual` and `max_flow_augmenting` are the Python
+reference.  The exact solver runs on a `Chain` instead: the same
+network with its adjacency built once per interval set, whose
+warm-started probes run the same augmenting-path loop compiled
+(`_flow.c`, loaded by `_native`) when a C compiler is available, and
+the Python reference otherwise.  Both give the same flow, witness and
+augmentation count.
 """
 
 from __future__ import annotations
@@ -16,7 +24,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .intervals import IntervalSet
+import numpy as np
+
+from .approx import approx_prune
+from .intervals import IntervalSet, compress, segment_cov
 from .solution import Solution, score_subset
 
 
@@ -60,6 +71,18 @@ class FlowAssignment:
         # all flow leaves the source through the first backbone arc
         return self.backbone_flow[0] if self.backbone_flow else 0
 
+    @property
+    def kept(self) -> list[int]:
+        """The witness: the intervals whose arcs carry flow."""
+        return [i for i, f in enumerate(self.interval_flow) if f == 1]
+
+
+def _check_floor(k: int, t: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 <= t <= k:
+        raise ValueError(f"t must be in [0, k], got t={t} k={k}")
+
 
 def build_network(intervals: IntervalSet, k: int, t: int) -> FlowNetwork:
     """Construct the reduction network for (S, k, t).
@@ -67,10 +90,7 @@ def build_network(intervals: IntervalSet, k: int, t: int) -> FlowNetwork:
     The source and sink are symbolic rather than numeric coordinates, so
     instances starting at coordinate 0 need no underflow tricks.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 <= t <= k:
-        raise ValueError(f"t must be in [0, k], got t={t} k={k}")
+    _check_floor(k, t)
     if not intervals.items:
         raise ValueError("cannot build a network for an empty interval set")
 
@@ -194,29 +214,109 @@ def max_flow_augmenting(net: FlowNetwork, init: FlowAssignment) -> FlowAssignmen
     return residual.extract(augmentations)
 
 
+class Chain:
+    """The reduction network of one interval set, built once and probed
+    at any (k, t) from the backbone warm start.
+
+    With the compiled library it holds the network in arrays: residual
+    arc 2a runs along logical arc a (backbone arcs first, then interval
+    arcs in input order) and arc 2a+1 against it, and the arcs leaving
+    vertex u are `adj[first[u]:first[u + 1]]`, in the order `_Residual`
+    lists them.  A probe only rewrites the residual capacities.  Without
+    the library a probe runs the Python reference on a fresh
+    `build_network`.
+    """
+
+    def __init__(self, intervals: IntervalSet):
+        if not intervals.items:
+            raise ValueError("cannot build a network for an empty interval set")
+        self.intervals = intervals
+        coords, lo, hi = compress(intervals)
+        m = len(coords)
+        # coverage of each gap between consecutive coordinates
+        self.segment_cov = segment_cov(lo, hi, m)
+        self.num_backbone_arcs = m + 1
+        # imported on first use: the loader's own imports would slow every CLI start
+        from ._native import load_library
+        self.lib = load_library()
+        self.native = int(self.lib is not None)
+        if self.lib is None:
+            return
+
+        nv = m + 2  # coords plus the source 0 and the sink m + 1
+        tail = np.concatenate((np.arange(m + 1), lo + 1))
+        head = np.concatenate((np.arange(1, m + 2), hi + 1))
+        origin = np.empty(2 * len(tail), np.int64)  # the vertex each arc leaves
+        origin[0::2], origin[1::2] = tail, head
+        to = np.empty_like(origin)
+        to[0::2], to[1::2] = head, tail
+        # stable, so each vertex lists its arcs in construction order
+        adj = np.argsort(origin, kind="stable")
+        first = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=nv))))
+        if not (to.min() >= 0 and to.max() < nv and first[-1] == len(to)):
+            raise ValueError("arc endpoint outside the chain network")
+        self.nv = nv
+        self.to, self.adj, self.first = to, adj, first
+        self.parent_arc = np.empty(nv, np.int64)
+        self.queue = np.empty(nv, np.int64)
+
+    def max_flow(self, k: int, t: int) -> FlowAssignment:
+        """The maximum flow of the (k, t) network, augmented from the
+        backbone flow of value k - t: the flow and the count that
+        `max_flow_augmenting(net, backbone_initial_flow(net))` returns."""
+        _check_floor(k, t)
+        if self.lib is None:
+            net = build_network(self.intervals, k, t)
+            flow = max_flow_augmenting(net, backbone_initial_flow(net))
+        else:
+            nb = self.num_backbone_arcs
+            res = np.zeros(len(self.to), np.int64)
+            res[2 * nb::2] = 1  # interval arcs: capacity 1, no flow
+            res[1:2 * nb:2] = k - t  # every backbone arc carries k - t
+            res[0] = res[2 * nb - 2] = t  # the end arcs have k - (k - t) to spare
+            augmentations = self.lib.covprune_max_flow(
+                self.nv, 0, self.nv - 1, self.first, self.adj, self.to, res,
+                self.parent_arc, self.queue)
+            flow = FlowAssignment(tuple(res[1:2 * nb:2].tolist()),
+                                  tuple(res[2 * nb + 1::2].tolist()), augmentations)
+        if flow.augmentations > t:
+            raise AssertionError(
+                f"warm start needed {flow.augmentations} augmentations for t={t}")
+        return flow
+
+
 def decide(intervals: IntervalSet, k: int, t: int,
            warm_start: bool = True) -> Solution | None:
     """Find a subset with maxcov <= k and mincov >= t over the span.
 
     Returns None when no such subset exists (a normal outcome, not an
     error).  With `warm_start` the solver begins from the backbone flow
-    of value k - t and needs at most t augmentations; without it the
-    flow starts from zero.
+    of value k - t on a `Chain` and needs at most t augmentations;
+    without it the Python reference flow starts from zero.  At t = 0
+    every subset under the cap qualifies, and the answer is approx's
+    kept set, which keeps a read wherever the cap allows.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if t > k:
         # mincov <= maxcov <= k < t can never hold
         return None
-    net = build_network(intervals, k, t)
-    init = backbone_initial_flow(net) if warm_start else zero_flow(net)
-    flow = max_flow_augmenting(net, init)
-    if warm_start and flow.augmentations > t:
-        raise AssertionError(
-            f"warm start needed {flow.augmentations} augmentations for t={t}")
+    if not intervals.items:
+        raise ValueError("cannot build a network for an empty interval set")
+    method = "exact-tailored" if warm_start else "exact-generic"
+    if t == 0:
+        # the warm start already saturates the backbone, so its witness is empty
+        work = {"flow_solves": 0, "augmentations": 0, "native_flow": 0}
+        return score_subset(intervals, approx_prune(intervals, k).kept, method, work)
+    if warm_start:
+        chain = Chain(intervals)
+        flow = chain.max_flow(k, t)
+        native = chain.native
+    else:
+        net = build_network(intervals, k, t)
+        flow = max_flow_augmenting(net, zero_flow(net))
+        native = 0
     if flow.value < k:
         return None
-    kept = [i for i, f in enumerate(flow.interval_flow) if f == 1]
-    work = {"flow_solves": 1, "augmentations": flow.augmentations}
-    method = "exact-tailored" if warm_start else "exact-generic"
-    return score_subset(intervals, kept, method, work)
+    work = {"flow_solves": 1, "augmentations": flow.augmentations, "native_flow": native}
+    return score_subset(intervals, flow.kept, method, work)

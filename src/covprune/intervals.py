@@ -12,6 +12,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_COORD = 2**64 - 1
 
 
@@ -131,6 +133,24 @@ def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
         running += d
         cov.append(running)
     return CoverageProfile(tuple(delims), tuple(cov))
+
+
+def compress(intervals: IntervalSet):
+    """The set in array form: its sorted distinct endpoints, as uint64
+    because coordinates reach MAX_COORD = 2**64 - 1, beyond int64, and
+    the index of each interval's start and end among them."""
+    n = len(intervals)
+    starts = np.fromiter((iv.start for iv in intervals), np.uint64, n)
+    ends = np.fromiter((iv.end for iv in intervals), np.uint64, n)
+    delims = np.unique(np.concatenate((starts, ends)))
+    return delims, np.searchsorted(delims, starts), np.searchsorted(delims, ends)
+
+
+def segment_cov(lo, hi, ndelims: int):
+    """Coverage of each segment between consecutive delimiters by the
+    intervals spanning delimiter indices [lo, hi); gaps count as 0."""
+    delta = np.bincount(lo, minlength=ndelims) - np.bincount(hi, minlength=ndelims)
+    return np.cumsum(delta[:-1])
 
 
 def cov_at(intervals: IntervalSet, p: int) -> int:

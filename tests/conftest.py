@@ -40,7 +40,19 @@ interval_pairs = st.lists(
     min_size=1, max_size=10)
 
 
+@pytest.fixture
+def compiler():
+    """The C compiler command; skips the native half of a test without one."""
+    from covprune import _native
+    if _native.load_library() is None:
+        pytest.skip("no working C compiler: only the Python reference can run")
+    return _native.compiler()
+
+
 def pytest_report_header(config):
-    from covprune._native import load_sweep
-    backend = "compiled C sweep" if load_sweep() else "Python CoverageTree (no C compiler)"
-    return f"covprune approx backend: {backend}"
+    from covprune._native import load_library
+    if load_library():
+        return ["covprune approx backend: compiled C sweep",
+                "covprune exact flow backend: compiled C max-flow"]
+    return ["covprune approx backend: Python CoverageTree (no C compiler)",
+            "covprune exact flow backend: Python max_flow_augmenting (no C compiler)"]

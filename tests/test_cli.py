@@ -112,6 +112,22 @@ def test_solve_keeps_reads_when_opt_is_zero(tmp_path, capsys, text, k, kept):
     assert record["method"] == "exact-tailored"
 
 
+def test_decide_at_t0_keeps_a_capped_subset(tmp_path, capsys):
+    # every subset under the cap has mincov >= 0; the warm-started flow's
+    # own witness at t = 0 would keep no read
+    path = tmp_path / "reads.txt"
+    path.write_text("0 10\n0 10\n0 10\n5 8\n")
+    code, out, err = run(capsys, "decide", str(path), "--k", "2", "--t", "0")
+    assert code == 0
+    record = json.loads(err.strip())
+    assert out == "0\t10\n5\t8\n"
+    assert record["kept"] == 2 and record["maxcov_after"] <= 2
+    assert record["method"] == "exact-tailored"
+    assert record["work"]["flow_solves"] == 0
+    _, approx_out, _ = run(capsys, "approx", str(path), "--k", "2")
+    assert out == approx_out
+
+
 def test_approx_subcommand(demo_file, capsys):
     code, out, err = run(capsys, "approx", demo_file, "--k", "3")
     assert code == 0

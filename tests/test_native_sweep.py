@@ -1,10 +1,10 @@
 """The compiled approx sweep against the Python `CoverageTree` reference,
-and the fallback to that reference when no library can be built."""
+the fallback to that reference when no library can be built, and the
+build of the compiled library itself."""
 
 import json
 import random
-
-import pytest
+import subprocess
 
 from covprune import IntervalSet, _native, approx_prune, maxcov
 from covprune.cli import main
@@ -16,16 +16,8 @@ MAX_COORD = 2**64 - 1
 
 def reference_prune(monkeypatch, s, k):
     with monkeypatch.context() as m:
-        m.setattr(_native, "load_sweep", lambda: None)
+        m.setattr(_native, "load_library", lambda: None)
         return approx_prune(s, k)
-
-
-@pytest.fixture
-def compiler():
-    """The C compiler command; skips the native half of a test without one."""
-    if _native.load_sweep() is None:
-        pytest.skip("no working C compiler: only the Python sweep can run")
-    return _native.compiler()
 
 
 def seeded_instances():
@@ -93,7 +85,7 @@ def test_fallback_cli_output_is_byte_identical(tmp_path, monkeypatch, capsysbina
         return capsysbinary.readouterr().out, records
 
     loaded = run(tmp_path / "loaded.jsonl")
-    monkeypatch.setattr(_native, "load_sweep", lambda: None)
+    monkeypatch.setattr(_native, "load_library", lambda: None)
     reference = run(tmp_path / "reference.jsonl")
     assert loaded == reference
     assert all(r["work"]["candidates"] > 0 for r in reference[1])
@@ -128,3 +120,11 @@ def test_build_without_a_working_compiler(tmp_path):
     assert _native.build(tmp_path, [str(tmp_path / "no-such-cc")]) is None
     assert _native.build(tmp_path, ["false"]) is None
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sources_compile_without_warnings(compiler, tmp_path):
+    warnings = ("-Wall", "-Wextra", "-Werror")
+    done = subprocess.run([*compiler, *_native.FLAGS, *warnings, "-o", str(tmp_path / "lib.so"),
+                           *map(str, _native.SOURCES)],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
