@@ -2,8 +2,8 @@
 """Walk through the solver stack on a small six-read instance.
 
 Prints the coverage profile, the flow network, the exact optimum found
-by threshold search, and the approximate pruning result, so the whole
-pipeline can be eyeballed in one screen.
+by descending from the bound min(k, mincov), and the approximate pruning
+result, so the whole pipeline can be eyeballed in one screen.
 """
 
 from covprune import (IntervalSet, coverage_profile, mincov_span, maxcov,

@@ -1,7 +1,7 @@
 """covprune: cap interval coverage at k while keeping minimum coverage high.
 
-Exact solving goes through a max-flow reduction (warm-startable along
-the backbone) with doubling plus binary search over the coverage floor;
+Exact solving goes through a max-flow reduction, descending the coverage
+floor from the bound min(k, mincov) on one flow kept between floors;
 a coverage tree with lazy balance counters gives an O(n log n)
 approximation with ratio k / floor(k/2); a brute-force oracle validates
 both at small sizes.
@@ -14,7 +14,7 @@ from .solution import Solution, score_subset
 from .flow import (FlowNetwork, FlowAssignment, build_network,
                    backbone_initial_flow, zero_flow, max_flow_augmenting,
                    decide)
-from .search import solve_exact, opt_upper_bound
+from .search import solve_exact
 from .coverage_tree import CoverageTree, build_tree
 from .approx import approx_prune, is_expendable
 from .oracle import brute_force_opt, naive_range_min_max
@@ -26,7 +26,7 @@ __all__ = [
     "Solution", "score_subset",
     "FlowNetwork", "FlowAssignment", "build_network",
     "backbone_initial_flow", "zero_flow", "max_flow_augmenting", "decide",
-    "solve_exact", "opt_upper_bound",
+    "solve_exact",
     "CoverageTree", "build_tree", "approx_prune", "is_expendable",
     "brute_force_opt", "naive_range_min_max",
     "InstanceFile", "ParseError", "Record", "parse_instance",

@@ -8,8 +8,9 @@ compiler command and the flags, so an edited source or another compiler
 gets a fresh build.  When that directory cannot be written the library
 is built in a private temporary directory for this process only.  When
 there is no compiler or the build fails, `load_library` returns None:
-approx then runs the Python `CoverageTree` sweep and the exact solver
-the Python `max_flow_augmenting`.
+approx then runs the Python `CoverageTree` sweep and the exact solver's
+descent the Python `max_flow_augmenting`, each floor started from the
+flow the last one left.
 """
 
 from __future__ import annotations

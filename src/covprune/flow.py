@@ -12,11 +12,11 @@ coverage of its segment, so its capacity k - t forces coverage >= t.
 
 `build_network`, `_Residual` and `max_flow_augmenting` are the Python
 reference.  The exact solver runs on a `Chain` instead: the same
-network with its adjacency built once per interval set, whose
-warm-started probes run the same augmenting-path loop compiled
-(`_flow.c`, loaded by `_native`) when a C compiler is available, and
-the Python reference otherwise.  Both give the same flow, witness and
-augmentation count.
+network with its adjacency built once per interval set and one flow
+kept across probes at falling floors, augmented by the same loop
+compiled (`_flow.c`, loaded by `_native`) when a C compiler is
+available, and by the Python reference otherwise.  Both give the same
+flow, witness and augmentation count.
 """
 
 from __future__ import annotations
@@ -215,22 +215,30 @@ def max_flow_augmenting(net: FlowNetwork, init: FlowAssignment) -> FlowAssignmen
 
 
 class Chain:
-    """The reduction network of one interval set, built once and probed
-    at any (k, t) from the backbone warm start.
+    """The reduction network of one interval set at cap k, built once and
+    then probed at falling floors t, each probe augmenting the flow the
+    last one left.
 
-    With the compiled library it holds the network in arrays: residual
-    arc 2a runs along logical arc a (backbone arcs first, then interval
-    arcs in input order) and arc 2a+1 against it, and the arcs leaving
-    vertex u are `adj[first[u]:first[u + 1]]`, in the order `_Residual`
-    lists them.  A probe only rewrites the residual capacities.  Without
-    the library a probe runs the Python reference on a fresh
-    `build_network`.
+    A maximum flow at floor t stays feasible at any lower floor, since
+    lowering t only raises the interior backbone capacities from k - t;
+    the first probe starts from the backbone flow.  With the compiled
+    library the network lives in arrays: residual arc 2a runs along
+    logical arc a (backbone arcs first, then interval arcs in input
+    order) and arc 2a+1 against it, and the arcs leaving vertex u are
+    `adj[first[u]:first[u + 1]]`, in the order `_Residual` lists them.
+    Without the library each probe runs the Python reference on a fresh
+    `build_network`, started from the previous probe's flow.
     """
 
-    def __init__(self, intervals: IntervalSet):
+    def __init__(self, intervals: IntervalSet, k: int):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         if not intervals.items:
             raise ValueError("cannot build a network for an empty interval set")
-        self.intervals = intervals
+        self.intervals, self.k = intervals, k
+        self.t: int | None = None  # floor of the flow held, None before a probe
+        self.flow: FlowAssignment | None = None
+        self.first_t = self.augmentations = 0  # of the whole descent
         coords, lo, hi = compress(intervals)
         m = len(coords)
         # coverage of each gap between consecutive coordinates
@@ -260,28 +268,40 @@ class Chain:
         self.parent_arc = np.empty(nv, np.int64)
         self.queue = np.empty(nv, np.int64)
 
-    def max_flow(self, k: int, t: int) -> FlowAssignment:
-        """The maximum flow of the (k, t) network, augmented from the
-        backbone flow of value k - t: the flow and the count that
-        `max_flow_augmenting(net, backbone_initial_flow(net))` returns."""
-        _check_floor(k, t)
+    def max_flow(self, t: int) -> FlowAssignment:
+        """The maximum flow of the (k, t) network, augmented from the flow
+        of the previous, higher floor, or on the first call from the
+        backbone flow of value k - t.  Its `augmentations` counts this
+        call's paths; the flow equals what `max_flow_augmenting` returns
+        from the same start."""
+        _check_floor(self.k, t)
+        if self.t is None:
+            self.first_t = t
+        elif t > self.t:
+            raise ValueError(f"the floor may only fall: t={t} after t={self.t}")
         if self.lib is None:
-            net = build_network(self.intervals, k, t)
-            flow = max_flow_augmenting(net, backbone_initial_flow(net))
+            net = build_network(self.intervals, self.k, t)
+            flow = max_flow_augmenting(net, self.flow or backbone_initial_flow(net))
         else:
             nb = self.num_backbone_arcs
-            res = np.zeros(len(self.to), np.int64)
-            res[2 * nb::2] = 1  # interval arcs: capacity 1, no flow
-            res[1:2 * nb:2] = k - t  # every backbone arc carries k - t
-            res[0] = res[2 * nb - 2] = t  # the end arcs have k - (k - t) to spare
+            if self.t is None:
+                self.res = res = np.zeros(len(self.to), np.int64)
+                res[2 * nb::2] = 1  # interval arcs: capacity 1, no flow
+                res[1:2 * nb:2] = self.k - t  # every backbone arc carries k - t
+                res[0] = res[2 * nb - 2] = t  # the end arcs have k - (k - t) to spare
+            else:
+                self.res[2:2 * nb - 2:2] += self.t - t  # interior capacity rises
             augmentations = self.lib.covprune_max_flow(
-                self.nv, 0, self.nv - 1, self.first, self.adj, self.to, res,
+                self.nv, 0, self.nv - 1, self.first, self.adj, self.to, self.res,
                 self.parent_arc, self.queue)
-            flow = FlowAssignment(tuple(res[1:2 * nb:2].tolist()),
-                                  tuple(res[2 * nb + 1::2].tolist()), augmentations)
-        if flow.augmentations > t:
-            raise AssertionError(
-                f"warm start needed {flow.augmentations} augmentations for t={t}")
+            flow = FlowAssignment(tuple(self.res[1:2 * nb:2].tolist()),
+                                  tuple(self.res[2 * nb + 1::2].tolist()), augmentations)
+        self.t, self.flow = t, flow
+        self.augmentations += flow.augmentations
+        if self.augmentations > self.first_t:
+            # the value starts at k - first_t and each path adds at least 1
+            raise AssertionError(f"{self.augmentations} augmentations "
+                                 f"from the warm start at t={self.first_t}")
         return flow
 
 
@@ -309,8 +329,8 @@ def decide(intervals: IntervalSet, k: int, t: int,
         work = {"flow_solves": 0, "augmentations": 0, "native_flow": 0}
         return score_subset(intervals, approx_prune(intervals, k).kept, method, work)
     if warm_start:
-        chain = Chain(intervals)
-        flow = chain.max_flow(k, t)
+        chain = Chain(intervals, k)
+        flow = chain.max_flow(t)
         native = chain.native
     else:
         net = build_network(intervals, k, t)

@@ -142,7 +142,11 @@ def compress(intervals: IntervalSet):
     n = len(intervals)
     starts = np.fromiter((iv.start for iv in intervals), np.uint64, n)
     ends = np.fromiter((iv.end for iv in intervals), np.uint64, n)
-    delims = np.unique(np.concatenate((starts, ends)))
+    both = np.sort(np.concatenate((starts, ends)))
+    # sort and drop repeats: np.unique takes a slower hash path on uint64
+    first = np.ones(len(both), bool)
+    first[1:] = both[1:] != both[:-1]
+    delims = both[first]
     return delims, np.searchsorted(delims, starts), np.searchsorted(delims, ends)
 
 

@@ -29,6 +29,16 @@ def random_instance(rng: random.Random, n: int,
     return IntervalSet.from_pairs(pairs)
 
 
+def clipped_instance(rng: random.Random, n: int, length: int, max_len: int) -> IntervalSet:
+    """Uniform reads cut to [0, length), so the ends are as deep as the middle."""
+    pairs = []
+    for _ in range(n):
+        size = rng.randint(1, max_len)
+        start = rng.randint(1 - size, length - 1)
+        pairs.append((max(start, 0), min(start + size, length)))
+    return iset(pairs)
+
+
 def count_cover(pairs, p: int) -> int:
     """Independent per-point coverage count used as the sweep oracle."""
     return sum(1 for s, e in pairs if s <= p < e)

@@ -1,13 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from covprune import (IntervalSet, build_network, backbone_initial_flow,
                       zero_flow, max_flow_augmenting, decide,
                       coverage_profile, mincov_over, maxcov)
+from covprune.flow import Chain
 
-from conftest import iset, random_instance, interval_pairs
+from conftest import clipped_instance, iset, random_instance, interval_pairs
 
 
 def assert_valid_flow(net, fa):
@@ -217,3 +219,42 @@ def test_feasibility_monotone_in_t():
         outcomes = [decide(s, k, t) is not None for t in range(k + 1)]
         # feasible t values must form a prefix
         assert outcomes == sorted(outcomes, reverse=True)
+
+
+def scipy_max_flow_value(s: IntervalSet, k: int, t: int) -> int:
+    """The (k, t) network's max-flow value by scipy, on a graph built here
+    from the intervals: parallel arcs merge into one of summed capacity."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    coords = sorted({c for iv in s for c in (iv.start, iv.end)})
+    vertex = {c: j + 1 for j, c in enumerate(coords)}
+    sink = len(coords) + 1
+    caps = {}
+    for j in range(sink):
+        caps[j, j + 1] = k if j in (0, sink - 1) else k - t
+    for iv in s:
+        arc = (vertex[iv.start], vertex[iv.end])
+        caps[arc] = caps.get(arc, 0) + 1
+    rows, cols = zip(*caps)
+    graph = csr_matrix((list(caps.values()), (rows, cols)), shape=(sink + 1, sink + 1),
+                       dtype=np.int32)
+    return maximum_flow(graph, 0, sink).flow_value
+
+
+def test_kept_flow_matches_scipy_along_the_descent():
+    rng = random.Random(17)
+    instances = [(random_instance(rng, rng.randint(1, 40), max_coord=rng.choice((12, 60))),
+                  rng.randint(1, 6)) for _ in range(80)]
+    instances += [(clipped_instance(rng, rng.randint(20, 300), 200, 40), rng.randint(2, 20))
+                  for _ in range(20)]
+    probes = 0
+    for s, k in instances:
+        chain, t = Chain(s, k), k
+        while t >= 0:
+            flow = chain.max_flow(t)
+            assert flow.value == scipy_max_flow_value(s, k, t)
+            assert_valid_flow(build_network(s, k, t), flow)
+            probes += 1
+            t -= rng.randint(1, 3)  # the floor may fall by more than one
+    assert probes > 250

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from covprune import (Interval, IntervalSet, coverage_profile, cov_at,
                       maxcov, mincov_span, mincov_over)
+from covprune.intervals import MAX_COORD, compress, segment_cov
 
 from conftest import DEMO_PAIRS, iset, count_cover, interval_pairs
 
@@ -125,3 +127,33 @@ def test_removal_lowers_coverage_exactly_on_span(pairs, data):
     for p in range(0, max(e for _, e in pairs) + 2):
         drop = cov_at(s, p) - cov_at(rest, p)
         assert drop == (1 if removed[0] <= p < removed[1] else 0)
+
+
+def compress_cases():
+    import random
+    rng = random.Random(37)
+    for _ in range(200):  # gaps and overlaps
+        yield [(a, a + rng.randint(1, 12))
+               for a in (rng.randrange(60) for _ in range(rng.randint(1, 15)))]
+    for _ in range(50):  # piles of duplicates
+        base = [(a, a + rng.randint(1, 5)) for a in (rng.randrange(20) for _ in range(3))]
+        yield [rng.choice(base) for _ in range(rng.randint(2, 30))]
+    for _ in range(20):  # one segment
+        a = rng.randrange(100)
+        yield [(a, a + rng.randint(1, 5))] * rng.randint(1, 10)
+    for _ in range(30):  # near 2**64 - 1, beyond int64
+        yield [(MAX_COORD - b - rng.randint(1, 40), MAX_COORD - b)
+               for b in (rng.randint(0, 80) for _ in range(rng.randint(1, 15)))]
+    yield [(0, 1), (MAX_COORD - 1, MAX_COORD)]  # one huge gap
+
+
+def test_compress_and_segment_cov_match_profile():
+    for pairs in compress_cases():
+        s = iset(pairs)
+        prof = coverage_profile(s)
+        delims, lo, hi = compress(s)
+        assert delims.dtype == np.uint64
+        assert [int(d) for d in delims] == list(prof.delimiters)
+        assert [int(delims[j]) for j in lo] == [a for a, _ in pairs]
+        assert [int(delims[j]) for j in hi] == [b for _, b in pairs]
+        assert segment_cov(lo, hi, len(delims)).tolist() == list(prof.segment_cov)

@@ -1,5 +1,6 @@
 """The compiled max-flow on a `Chain` against the Python reference
-`max_flow_augmenting`, and the fallback to that reference when no
+`max_flow_augmenting`, probe by probe from the warm start and along a
+descent that keeps its flow, and the fallback to that reference when no
 library can be built."""
 
 import json
@@ -12,19 +13,9 @@ from covprune import (IntervalSet, _native, backbone_initial_flow, build_network
 from covprune.cli import main
 from covprune.flow import Chain
 
-from conftest import iset, random_instance
+from conftest import clipped_instance, iset, random_instance
 
 MAX_COORD = 2**64 - 1
-
-
-def clipped_instance(rng: random.Random, n: int, length: int, max_len: int) -> IntervalSet:
-    """Uniform reads cut to [0, length), so the ends are as deep as the middle."""
-    pairs = []
-    for _ in range(n):
-        size = rng.randint(1, max_len)
-        start = rng.randint(1 - size, length - 1)
-        pairs.append((max(start, 0), min(start + size, length)))
-    return iset(pairs)
 
 
 def seeded_instances():
@@ -55,24 +46,37 @@ def seeded_instances():
 def test_native_flow_matches_reference(compiler):
     probes = augmented = 0
     for s, k in seeded_instances():
-        chain = Chain(s)
-        assert chain.native == 1
         for t in range(k + 1):
+            chain = Chain(s, k)
+            assert chain.native == 1
             net = build_network(s, k, t)
             reference = max_flow_augmenting(net, backbone_initial_flow(net))
-            assert chain.max_flow(k, t) == reference
+            assert chain.max_flow(t) == reference
             probes += 1
             augmented += reference.augmentations > 1
+        # one chain descending k -> 0 against the reference carrying its own flow
+        chain, reference = Chain(s, k), None
+        for t in range(k, -1, -1):
+            net = build_network(s, k, t)
+            reference = max_flow_augmenting(net, reference or backbone_initial_flow(net))
+            assert chain.max_flow(t) == reference
     assert probes > 2000 and augmented > 300
 
 
 def test_chain_rejects_bad_probes(compiler):
-    chain = Chain(iset([(0, 5), (2, 8)]))
-    for k, t in ((0, 0), (3, -1), (3, 4)):
+    s = iset([(0, 5), (2, 8)])
+    chain = Chain(s, 3)
+    for t in (-1, 4):
         with pytest.raises(ValueError):
-            chain.max_flow(k, t)
+            chain.max_flow(t)
+    chain.max_flow(1)
     with pytest.raises(ValueError):
-        Chain(IntervalSet(()))
+        chain.max_flow(2)  # the floor may only fall
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            Chain(s, k)
+    with pytest.raises(ValueError):
+        Chain(IntervalSet(()), 3)
 
 
 @pytest.mark.parametrize("argv", [["solve", "--k", "24"], ["decide", "--k", "24", "--t", "12"]],

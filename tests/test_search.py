@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from covprune import (IntervalSet, solve_exact, opt_upper_bound, decide,
-                      brute_force_opt, maxcov, mincov_over)
+from covprune import (IntervalSet, solve_exact, decide, brute_force_opt, maxcov,
+                      mincov_over, mincov_span)
 
-from conftest import iset, random_instance
+from conftest import clipped_instance, iset, random_instance
 
 
 def test_solve_demo_both_engines(demo):
@@ -22,9 +22,9 @@ def test_solve_demo_both_engines(demo):
 
 
 def test_solve_demo_probe_sequence(demo):
-    # doubling probes t=1 (ok), t=2 (ok), t=4 clamped to 3 (infeasible)
+    # the descent starts at the bound min(k, mincov) = 2, which is feasible
     sol = solve_exact(demo, 3)
-    assert sol.work["probes"] == 3
+    assert sol.work["probes"] == 1
 
 
 def test_known_optimal_subset_is_optimal(demo):
@@ -58,14 +58,6 @@ def test_solve_rejects_bad_args(demo):
         solve_exact(demo, 0)
 
 
-def test_opt_upper_bound(demo):
-    assert opt_upper_bound(demo, 3) == 2
-    assert opt_upper_bound(IntervalSet(()), 7) == 0
-    assert opt_upper_bound(iset([(0, 5)] * 5), 1) == 1
-    with pytest.raises(ValueError):
-        opt_upper_bound(demo, 0)
-
-
 def test_engines_agree_and_match_oracle():
     rng = random.Random(23)
     for _ in range(60):
@@ -89,8 +81,45 @@ def test_opt_is_the_feasibility_threshold():
         s = random_instance(rng, rng.randint(1, 12), max_coord=30, max_len=10)
         k = rng.randint(1, 4)
         opt = solve_exact(s, k).achieved_mincov
-        assert opt <= opt_upper_bound(s, k)
+        assert opt <= min(k, mincov_span(s))
         if opt > 0:
             assert decide(s, k, opt) is not None
         if opt < k:
             assert decide(s, k, opt + 1) is None
+
+
+def descent_instances():
+    """Small random sets, where brute force gives OPT, and deeper
+    edge-clipped ones, where OPT often falls below the bound and the
+    cold-start reference flow gives it."""
+    rng = random.Random(31)
+    for _ in range(300):
+        s = random_instance(rng, rng.randint(2, 12), max_coord=rng.choice((6, 12, 30)),
+                            max_len=rng.choice((4, 10)))
+        k = rng.randint(1, 5)
+        yield s, k, brute_force_opt(s, k).achieved_mincov
+    for _ in range(60):
+        s = clipped_instance(rng, rng.randint(20, 150), 60, 25)
+        k = rng.randint(2, 12)
+        yield s, k, next(t for t in range(k, -1, -1)
+                         if t == 0 or decide(s, k, t, warm_start=False))
+
+
+def test_descent_probes_each_floor_from_the_bound_down():
+    seen = {"opt zero": 0, "opt at bound": 0, "opt below bound": 0}
+    for s, k, opt in descent_instances():
+        if maxcov(s) <= k:
+            continue  # the cap does not bind: no flow runs
+        bound = min(k, mincov_span(s))
+        sol = solve_exact(s, k)
+        work = sol.work
+        assert sol.achieved_mincov == opt
+        assert work["probes"] == work["flow_solves"]
+        assert work["augmentations"] <= bound
+        if opt >= 1:
+            assert work["probes"] == bound - opt + 1
+            seen["opt at bound" if opt == bound else "opt below bound"] += 1
+        else:
+            assert work["probes"] == bound
+            seen["opt zero"] += 1
+    assert min(seen.values()) >= 15, seen
