@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coverage_tree import CoverageTree
-from .intervals import IntervalSet, compress, segment_cov
+from .intervals import IntervalSet, segment_cov
 from .solution import Solution
 
 
@@ -53,8 +53,7 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     if not n:
         return Solution((), 0, 0, "approx", work)
 
-    delims, lo, hi = compress(intervals)
-    cov = segment_cov(lo, hi, len(delims))
+    delims, lo, hi, cov = intervals.compressed
     if cov.max() <= k:
         # removals never help: keeping everything is already optimal
         return Solution(tuple(range(n)), int(cov.min()), int(cov.max()), "approx", work)

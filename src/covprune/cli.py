@@ -17,9 +17,11 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import flow, io, oracle, search
 from .approx import approx_prune
-from .intervals import IntervalSet, coverage_profile
+from .intervals import IntervalSet
 from .solution import Solution
 
 STATS_SCHEMA = "covprune.stats/1"
@@ -45,28 +47,26 @@ def _stats_line(chrom, n, kept, mincov, maxcov_before, maxcov_after,
     return json.dumps(record)
 
 
-def _emit_kept(instance: io.InstanceFile, kept_record_indices: set[int]) -> None:
-    for idx, rec in enumerate(instance.records):
-        if idx in kept_record_indices:
-            print(io.format_record(rec, instance.fmt))
+def _groups(instance: io.InstanceFile):
+    """(chrom, (intervals, record indices)) in name order, each freed
+    after its turn; a file without records makes one empty instance."""
+    groups = instance.chromosomes() or {None: (IntervalSet(), [])}
+    for chrom in sorted(groups, key=lambda c: (c is not None, c)):
+        yield chrom, groups.pop(chrom)
 
 
-def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[set[int], bool]:
+def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[np.ndarray, bool]:
     """Run `solver(chrom, intervals)` per chromosome, in name order,
     writing and flushing each chromosome's stats line to `out` as soon
     as it finishes, so a later failure keeps the lines already written.
 
-    Returns the kept record indices (file order) and whether every
+    Returns the mask of kept records (file order) and whether every
     chromosome was feasible.
     """
-    kept_records: set[int] = set()
+    kept_records = np.zeros(len(instance.starts), bool)
     all_feasible = True
-    groups = instance.chromosomes()
-    if not groups:
-        groups = {None: (IntervalSet(()), [])}
-    for chrom in sorted(groups, key=lambda c: (c is not None, c)):
-        ivs, record_indices = groups[chrom]
-        before = max(coverage_profile(ivs).segment_cov, default=0)
+    for chrom, (ivs, record_indices) in _groups(instance):
+        before = int(ivs.compressed[3].max(initial=0))
         t0 = time.perf_counter()
         sol = solver(chrom, ivs)
         wall = time.perf_counter() - t0
@@ -75,8 +75,7 @@ def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[set[int], b
             line = _stats_line(chrom, len(ivs), 0, 0, before, 0,
                                "infeasible", False, {}, wall)
         else:
-            for i in sol.kept:
-                kept_records.add(record_indices[i])
+            kept_records[np.asarray(record_indices, np.intp)[np.asarray(sol.kept, np.intp)]] = True
             line = _stats_line(chrom, len(ivs), sol.num_kept, sol.achieved_mincov,
                                before, sol.achieved_maxcov, sol.method, True,
                                sol.work, wall)
@@ -85,20 +84,16 @@ def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[set[int], b
     return kept_records, all_feasible
 
 
-def _load(args) -> io.InstanceFile:
-    return io.read_instance(args.input, args.format)
-
-
 def _run(args, solver) -> int:
     """Parse the input, solve it per chromosome and print the kept lines
     when every chromosome was feasible.  The --stats file is opened only
     once the input has parsed, so a parse error writes no file."""
-    instance = _load(args)
+    instance = io.read_instance(args.input, args.format)
     with (open(args.stats, "w", encoding="utf-8") if args.stats
           else contextlib.nullcontext(sys.stderr)) as out:
         kept, feasible = _solve_instance(instance, solver, out)
     if feasible:
-        _emit_kept(instance, kept)
+        sys.stdout.write(instance.format_kept(kept))
     return 0 if feasible else 1
 
 
@@ -107,7 +102,7 @@ def cmd_decide(args) -> int:
         raise ValueError(f"t must be >= 0, got {args.t}")
 
     def solver(chrom, ivs: IntervalSet) -> Solution | None:
-        if not ivs.items:
+        if not len(ivs):
             # nothing to prune; every floor holds vacuously
             return Solution((), 0, 0, "exact-tailored", {})
         return flow.decide(ivs, args.k, args.t)
@@ -129,20 +124,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    instance = _load(args)
-    groups = instance.chromosomes()
-    if not groups:
-        groups = {None: (IntervalSet(()), [])}
-    for chrom in sorted(groups, key=lambda c: (c is not None, c)):
-        ivs, _ = groups[chrom]
-        profile = coverage_profile(ivs)
+    for chrom, (ivs, _) in _groups(io.read_instance(args.input, args.format)):
+        cov = ivs.compressed[3]
         span = ivs.span
         record = {
             "schema": COVERAGE_SCHEMA,
             "chrom": chrom,
             "n": len(ivs),
-            "mincov": min(profile.segment_cov, default=0),
-            "maxcov": max(profile.segment_cov, default=0),
+            "mincov": int(cov.min()) if len(cov) else 0,
+            "maxcov": int(cov.max(initial=0)),
             "span_start": span.start if span else None,
             "span_end": span.end if span else None,
         }

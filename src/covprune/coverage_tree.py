@@ -211,7 +211,7 @@ class CoverageTree:
 
 def build_tree(intervals: IntervalSet) -> CoverageTree:
     """Coverage tree over the full-set coverage profile of S."""
-    if not intervals.items:
+    if not len(intervals):
         raise ValueError("cannot build a coverage tree for an empty interval set")
     profile = coverage_profile(intervals)
     return CoverageTree(profile.delimiters, list(profile.segment_cov))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import approx_prune
-from .intervals import IntervalSet, compress, segment_cov
+from .intervals import IntervalSet
 from .solution import Solution, score_subset
 
 
@@ -91,18 +91,16 @@ def build_network(intervals: IntervalSet, k: int, t: int) -> FlowNetwork:
     instances starting at coordinate 0 need no underflow tricks.
     """
     _check_floor(k, t)
-    if not intervals.items:
+    if not len(intervals):
         raise ValueError("cannot build a network for an empty interval set")
 
-    coords = sorted({c for iv in intervals for c in (iv.start, iv.end)})
-    vertex = {c: j + 1 for j, c in enumerate(coords)}  # 0 is the source
+    coords, lo, hi, _ = intervals.compressed
     m = len(coords)
-
     caps = [k - t] * (m + 1)
-    caps[0] = k
-    caps[m] = k
-    arcs = tuple((vertex[iv.start], vertex[iv.end]) for iv in intervals)
-    return FlowNetwork(tuple(coords), tuple(caps), arcs, k, t)
+    caps[0] = caps[m] = k
+    # vertex j + 1 is coords[j]; 0 is the source
+    arcs = tuple(zip((lo + 1).tolist(), (hi + 1).tolist()))
+    return FlowNetwork(tuple(coords.tolist()), tuple(caps), arcs, k, t)
 
 
 def zero_flow(net: FlowNetwork) -> FlowAssignment:
@@ -233,16 +231,14 @@ class Chain:
     def __init__(self, intervals: IntervalSet, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if not intervals.items:
+        if not len(intervals):
             raise ValueError("cannot build a network for an empty interval set")
         self.intervals, self.k = intervals, k
         self.t: int | None = None  # floor of the flow held, None before a probe
         self.flow: FlowAssignment | None = None
         self.first_t = self.augmentations = 0  # of the whole descent
-        coords, lo, hi = compress(intervals)
+        coords, lo, hi, _ = intervals.compressed
         m = len(coords)
-        # coverage of each gap between consecutive coordinates
-        self.segment_cov = segment_cov(lo, hi, m)
         self.num_backbone_arcs = m + 1
         # imported on first use: the loader's own imports would slow every CLI start
         from ._native import load_library
@@ -321,7 +317,7 @@ def decide(intervals: IntervalSet, k: int, t: int,
     if t > k:
         # mincov <= maxcov <= k < t can never hold
         return None
-    if not intervals.items:
+    if not len(intervals):
         raise ValueError("cannot build a network for an empty interval set")
     method = "exact-tailored" if warm_start else "exact-generic"
     if t == 0:

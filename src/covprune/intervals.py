@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,23 +37,47 @@ class Interval:
         return self.start <= p < self.end
 
 
-@dataclass(frozen=True)
 class IntervalSet:
-    """An ordered collection of intervals.
+    """An ordered collection of intervals, held as read-only uint64
+    arrays `starts` and `ends`, with `Interval` objects built on demand.
+    The position of an interval is its stable identity: solutions refer
+    to intervals by these indices.  Duplicates are kept distinct."""
 
-    The position of an interval in `items` is its stable identity:
-    solutions refer to intervals by these indices.  Duplicates are
-    allowed and kept distinct.
-    """
-
-    items: tuple[Interval, ...]
+    def __init__(self, items: tuple[Interval, ...] = ()):
+        self.items = items = tuple(items)
+        self._hold(np.array([iv.start for iv in items], np.uint64),
+                   np.array([iv.end for iv in items], np.uint64))
 
     @classmethod
     def from_pairs(cls, pairs) -> "IntervalSet":
         return cls(tuple(Interval(s, e) for s, e in pairs))
 
+    @classmethod
+    def from_arrays(cls, starts, ends) -> "IntervalSet":
+        """The set of [starts[i], ends[i]); unsigned integer arrays only."""
+        out = cls.__new__(cls)
+        out._hold(*(np.asarray(a).astype(np.uint64, casting="safe", copy=False)
+                    for a in (starts, ends)))
+        return out
+
+    def _hold(self, starts, ends) -> None:
+        if starts.shape != ends.shape or (starts >= ends).any():
+            raise ValueError("every interval needs start < end")
+        starts.flags.writeable = ends.flags.writeable = False
+        self.starts, self.ends = starts, ends
+
+    @cached_property
+    def items(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self.starts.tolist(), self.ends.tolist()))
+
+    @cached_property
+    def compressed(self):
+        """(delimiters, lo, hi, segment coverage), computed once."""
+        delims, lo, hi = compress(self)
+        return delims, lo, hi, segment_cov(lo, hi, len(delims))
+
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.starts)
 
     def __getitem__(self, i: int) -> Interval:
         return self.items[i]
@@ -60,16 +85,20 @@ class IntervalSet:
     def __iter__(self):
         return iter(self.items)
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, IntervalSet) and np.array_equal(self.starts, other.starts)
+                and np.array_equal(self.ends, other.ends))
+
     @property
     def span(self) -> Interval | None:
         """[min start, max end) of the whole set, or None when empty."""
-        if not self.items:
+        if not len(self):
             return None
-        return Interval(min(iv.start for iv in self.items),
-                        max(iv.end for iv in self.items))
+        return Interval(int(self.starts.min()), int(self.ends.max()))
 
     def subset(self, indices) -> "IntervalSet":
-        return IntervalSet(tuple(self.items[i] for i in indices))
+        idx = np.asarray(indices, np.intp)
+        return IntervalSet.from_arrays(self.starts[idx], self.ends[idx])
 
 
 @dataclass(frozen=True)
@@ -139,9 +168,7 @@ def compress(intervals: IntervalSet):
     """The set in array form: its sorted distinct endpoints, as uint64
     because coordinates reach MAX_COORD = 2**64 - 1, beyond int64, and
     the index of each interval's start and end among them."""
-    n = len(intervals)
-    starts = np.fromiter((iv.start for iv in intervals), np.uint64, n)
-    ends = np.fromiter((iv.end for iv in intervals), np.uint64, n)
+    starts, ends = intervals.starts, intervals.ends
     both = np.sort(np.concatenate((starts, ends)))
     # sort and drop repeats: np.unique takes a slower hash path on uint64
     first = np.ones(len(both), bool)

@@ -34,10 +34,10 @@ def solve_exact(intervals: IntervalSet, k: int) -> Solution:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     work = {"flow_solves": 0, "augmentations": 0, "probes": 0, "native_flow": 0}
-    if not intervals.items:
+    if not len(intervals):
         return Solution((), 0, 0, METHOD, work)
     chain = flow.Chain(intervals, k)
-    cov = chain.segment_cov
+    cov = intervals.compressed[3]
     if cov.max() <= k:
         # removals never help: keeping everything is already optimal
         return score_subset(intervals, range(len(intervals)), METHOD, work)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intervals import IntervalSet, coverage_profile
+import numpy as np
+
+from .intervals import IntervalSet, segment_cov
 
 
 @dataclass(frozen=True)
@@ -34,16 +36,13 @@ def score_subset(intervals: IntervalSet, kept, method: str,
                  work: dict[str, int] | None = None) -> Solution:
     """Build a Solution, recomputing achieved coverage from scratch.
 
-    The coverage numbers always come from an independent sweep over the
-    kept subset, never from solver-internal state.
+    The coverage numbers always come from an independent count of the
+    kept subset on the set's own segments, which tile its span, never
+    from solver-internal state.
     """
     kept = tuple(sorted(kept))
-    span = intervals.span
-    if span is None or not kept:
-        mn = 0
-        mx = 0
-    else:
-        profile = coverage_profile(intervals.subset(kept))
-        mx = max(profile.segment_cov, default=0)
-        mn = profile.min_over(span.start, span.end)
-    return Solution(kept, mn, mx, method, dict(work or {}))
+    delims, lo, hi, _ = intervals.compressed
+    idx = np.asarray(kept, np.intp)
+    cov = segment_cov(lo[idx], hi[idx], len(delims))
+    mn = int(cov.min()) if len(cov) else 0
+    return Solution(kept, mn, int(cov.max(initial=0)), method, dict(work or {}))

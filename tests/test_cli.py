@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from covprune import cli
@@ -237,3 +238,38 @@ def test_coordinate_cap(tmp_path, capsys, end, code):
         assert out == f"0\t{end}\n"
     else:
         assert out == "" and "line 1" in err
+
+
+def _segment_cov(delims, starts, ends):
+    """Coverage of each segment between consecutive `delims` by a plain
+    NumPy sweep; every start and end must be one of the delims."""
+    delta = (np.bincount(np.searchsorted(delims, starts), minlength=len(delims))
+             - np.bincount(np.searchsorted(delims, ends), minlength=len(delims)))
+    return np.cumsum(delta)[:-1]
+
+
+def test_full_scale_solve_invariants(tmp_path, capsys):
+    # n = 10^5 edge-clipped reads of up to 400 bp at depth about 40, k = 30
+    n, length, k = 100_000, 500_000, 30
+    rng = np.random.default_rng(5)
+    size = rng.integers(1, 401, n)
+    raw = rng.integers(1 - size, length)
+    starts, ends = np.maximum(raw, 0), np.minimum(raw + size, length)
+    lines = [f"chr1\t{s}\t{e}" for s, e in zip(starts.tolist(), ends.tolist())]
+    path, stats = tmp_path / "reads.bed", tmp_path / "stats.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "solve", str(path), "--k", str(k), "--stats", str(stats))
+    assert code == 0
+    record = json.loads(stats.read_text())
+
+    kept = out.splitlines()
+    rest = iter(lines)
+    assert all(line in rest for line in kept)  # an in-order subsequence of the input
+    kept_starts, kept_ends = np.array([line.split("\t")[1:] for line in kept], np.int64).T
+    delims = np.unique(np.concatenate((starts, ends)))
+    before = _segment_cov(delims, starts, ends)
+    after = _segment_cov(delims, kept_starts, kept_ends)
+    assert (record["n"], record["kept"]) == (n, len(kept))
+    assert record["maxcov_before"] == before.max() > k
+    assert record["maxcov_after"] == after.max() <= k
+    assert record["mincov"] == after.min() > 1  # over the input's span
