@@ -5,8 +5,10 @@ exact solver's max-flow (`_flow.c`).  It is compiled with the C compiler
 Python itself was built with and cached under `$XDG_CACHE_HOME/covprune/`
 (default `~/.cache/covprune/`), named by a hash of the sources, the
 compiler command and the flags, so an edited source or another compiler
-gets a fresh build.  When that directory cannot be written the library
-is built in a private temporary directory for this process only.  When
+gets a fresh build.  A cached library loads with `ctypes`, `os` and
+`sysconfig` alone; `subprocess` and `tempfile` are imported only to
+compile.  When that directory cannot be written the library is built in
+a private temporary directory for this process only.  When
 there is no compiler or the build fails, `load_library` returns None:
 approx then runs the Python `CoverageTree` sweep and the exact solver's
 descent the Python `max_flow_augmenting`, each floor started from the
@@ -17,12 +19,9 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
-import shlex
-import subprocess
 import sysconfig
-import tempfile
+from importlib.util import source_hash
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +31,9 @@ FLAGS = ("-O2", "-shared", "-fPIC")
 
 
 def compiler() -> list[str]:
-    """The compiler command Python was built with, else plain `cc`."""
-    return shlex.split(sysconfig.get_config_var("CC") or "") or ["cc"]
+    """The compiler command Python was built with, split at whitespace,
+    else plain `cc`."""
+    return (sysconfig.get_config_var("CC") or "").split() or ["cc"]
 
 
 def cache_dir() -> Path:
@@ -42,17 +42,19 @@ def cache_dir() -> Path:
 
 
 def library_name(cc: list[str]) -> str:
-    key = hashlib.sha256()
-    for source in SOURCES:
-        key.update(source.read_bytes())
-    key.update("\0".join([*cc, *FLAGS]).encode())
-    return f"covprune-{key.hexdigest()[:16]}.so"
+    # the import system's hash, loaded at start-up, unlike hashlib; it is
+    # keyed by the bytecode magic number, so each Python gets its own build
+    key = b"\0".join([*(source.read_bytes() for source in SOURCES),
+                      "\0".join([*cc, *FLAGS]).encode()])
+    return f"covprune-{source_hash(key).hex()}.so"
 
 
 def _compile(cc: list[str], target: Path) -> bool:
     """Compile into a temporary name beside `target`, then move it there
     in one step, so concurrent first runs never load a partial file.
     Raises OSError when the directory cannot be written."""
+    import subprocess
+    import tempfile
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
     os.close(fd)
@@ -97,6 +99,7 @@ def build(directory: Path, cc: list[str]) -> ctypes.CDLL | None:
             return _open(cc, directory, name)
         except OSError:
             pass  # cache not writable, or the cached file does not load
+        import tempfile
         with tempfile.TemporaryDirectory(prefix="covprune-") as private:
             # the loaded mapping outlives the file, so the directory can go
             return _open(cc, Path(private), name)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coverage_tree import CoverageTree
 from .intervals import IntervalSet, segment_cov
 from .solution import Solution
 
@@ -85,6 +84,7 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
 def _sweep_python(intervals: IntervalSet, order, delims, cov, k: int):
     """The reference sweep over `CoverageTree`; returns the deleted mask
     in input order and (nodes touched, candidates, blocked)."""
+    from .coverage_tree import CoverageTree  # only this fallback needs the tree
     tree = CoverageTree(delims.tolist(), cov.tolist())
     query = tree.range_query
     shrink = tree.range_decrement

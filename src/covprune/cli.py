@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import sys
 import time
 
 import numpy as np
 
-from . import flow, io, oracle, search
+from . import flow, io, search
 from .approx import approx_prune
 from .intervals import IntervalSet
 from .solution import Solution
@@ -50,7 +51,7 @@ def _stats_line(chrom, n, kept, mincov, maxcov_before, maxcov_after,
 def _groups(instance: io.InstanceFile):
     """(chrom, (intervals, record indices)) in name order, each freed
     after its turn; a file without records makes one empty instance."""
-    groups = instance.chromosomes() or {None: (IntervalSet(), [])}
+    groups = instance.chromosomes() or {None: (IntervalSet(), np.zeros(0, np.intp))}
     for chrom in sorted(groups, key=lambda c: (c is not None, c)):
         yield chrom, groups.pop(chrom)
 
@@ -75,7 +76,7 @@ def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[np.ndarray,
             line = _stats_line(chrom, len(ivs), 0, 0, before, 0,
                                "infeasible", False, {}, wall)
         else:
-            kept_records[np.asarray(record_indices, np.intp)[np.asarray(sol.kept, np.intp)]] = True
+            kept_records[record_indices[np.asarray(sol.kept, np.intp)]] = True
             line = _stats_line(chrom, len(ivs), sol.num_kept, sol.achieved_mincov,
                                before, sol.achieved_maxcov, sol.method, True,
                                sol.work, wall)
@@ -119,6 +120,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # no other subcommand needs it
     return _run(args, lambda chrom, ivs: oracle.brute_force_opt(
         ivs, args.k, limit=args.limit, force=args.force))
 
@@ -176,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive reference solver (small n only)")
     add_io(p)
-    p.add_argument("--limit", type=int, default=oracle.DEFAULT_LIMIT,
+    # oracle.DEFAULT_LIMIT, which the parser does not import
+    p.add_argument("--limit", type=int, default=20,
                    help="refuse instances larger than this (default %(default)s)")
     p.add_argument("--force", action="store_true",
                    help="run even past the size limit")
@@ -185,6 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # run as the program: the start-up heap lives until exit, so spare it the collections
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -306,11 +306,12 @@ def decide(intervals: IntervalSet, k: int, t: int,
     """Find a subset with maxcov <= k and mincov >= t over the span.
 
     Returns None when no such subset exists (a normal outcome, not an
-    error).  With `warm_start` the solver begins from the backbone flow
-    of value k - t on a `Chain` and needs at most t augmentations;
-    without it the Python reference flow starts from zero.  At t = 0
-    every subset under the cap qualifies, and the answer is approx's
-    kept set, which keeps a read wherever the cap allows.
+    error).  With `warm_start` an input already under the cap keeps every
+    read, and otherwise the solver begins from the backbone flow of value
+    k - t on a `Chain` and needs at most t augmentations; without it the
+    Python reference flow starts from zero.  At t = 0 every subset under
+    the cap qualifies, and the answer is approx's kept set, which keeps a
+    read wherever the cap allows.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -320,9 +321,14 @@ def decide(intervals: IntervalSet, k: int, t: int,
     if not len(intervals):
         raise ValueError("cannot build a network for an empty interval set")
     method = "exact-tailored" if warm_start else "exact-generic"
+    work = {"flow_solves": 0, "augmentations": 0, "native_flow": 0}
+    cov = intervals.compressed[3]
+    if warm_start and cov.max() <= k:
+        # keeping every read is best, and k >= 2**63 stays out of int64 capacities
+        return (score_subset(intervals, range(len(intervals)), method, work)
+                if t <= cov.min() else None)
     if t == 0:
         # the warm start already saturates the backbone, so its witness is empty
-        work = {"flow_solves": 0, "augmentations": 0, "native_flow": 0}
         return score_subset(intervals, approx_prune(intervals, k).kept, method, work)
     if warm_start:
         chain = Chain(intervals, k)
@@ -334,5 +340,5 @@ def decide(intervals: IntervalSet, k: int, t: int,
         native = 0
     if flow.value < k:
         return None
-    work = {"flow_solves": 1, "augmentations": flow.augmentations, "native_flow": native}
+    work.update(flow_solves=1, augmentations=flow.augmentations, native_flow=native)
     return score_subset(intervals, flow.kept, method, work)

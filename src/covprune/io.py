@@ -22,8 +22,8 @@ from .intervals import MAX_COORD, Interval, IntervalSet
 
 _FIELDS = {"plain": 2, "bed3": 3}
 _DETECT = {n: fmt for fmt, n in _FIELDS.items()}  # by the first data line's field count
-# (chrom, start, end) as one output line
-_LINE = {"plain": "{1}\t{2}", "bed3": "{0}\t{1}\t{2}"}
+# the last fields of (chrom, start, end) as one output line
+_LINE = {fmt: "\t".join(["%s"] * n) for fmt, n in _FIELDS.items()}
 # bytes the bulk parser reads exactly as the line parser does
 _REGULAR = bytes(range(32, 127)) + b"\t\n\r"
 
@@ -53,15 +53,17 @@ class InstanceFile:
     starts: np.ndarray
     ends: np.ndarray
 
-    def _columns(self, rows) -> tuple[list, list, list]:
-        return (np.array(self.chroms, object)[self.code[rows]].tolist(),
-                self.starts[rows].tolist(), self.ends[rows].tolist())
+    def _table(self, rows) -> np.ndarray:
+        """(chrom, start, end) of the records `rows` picks, as Python objects."""
+        table = np.array(self.chroms, object)[self.code[rows], None].repeat(3, axis=1)
+        table[:, 1], table[:, 2] = self.starts[rows], self.ends[rows]
+        return table
 
     @cached_property
     def records(self) -> tuple[Record, ...]:
-        return tuple(map(Record, *self._columns(slice(None))))
+        return tuple(map(Record._make, self._table(slice(None)).tolist()))
 
-    def chromosomes(self) -> dict[str | None, tuple[IntervalSet, list[int]]]:
+    def chromosomes(self) -> dict[str | None, tuple[IntervalSet, np.ndarray]]:
         """Split records per chromosome.
 
         Returns, per chromosome, the interval set and the indices of its
@@ -69,12 +71,13 @@ class InstanceFile:
         """
         sizes = np.bincount(self.code, minlength=len(self.chroms))
         groups = np.split(np.argsort(self.code, kind="stable"), np.cumsum(sizes)[:-1])
-        return {chrom: (IntervalSet.from_arrays(self.starts[idx], self.ends[idx]), idx.tolist())
+        return {chrom: (IntervalSet.from_arrays(self.starts[idx], self.ends[idx]), idx)
                 for chrom, idx in zip(self.chroms, groups) if len(idx)}
 
     def format_kept(self, keep) -> str:
         """`format_record` lines, newline-ended, of the records `keep` marks."""
-        return "".join(map((_LINE[self.fmt] + "\n").format, *self._columns(keep)))
+        table = self._table(keep)[:, 3 - _FIELDS[self.fmt]:]
+        return (_LINE[self.fmt] + "\n") * len(table) % tuple(table.ravel().tolist())
 
 
 def _instance(fmt: str, names, starts, ends) -> InstanceFile:
@@ -162,7 +165,7 @@ def read_instance(path: str, fmt: str | None = None) -> InstanceFile:
 
 
 def format_record(rec: Record, fmt: str) -> str:
-    return _LINE[fmt].format(*rec)
+    return _LINE[fmt] % rec[-_FIELDS[fmt]:]
 
 
 def generate_instance(n: int, span_length: int, seed: int) -> IntervalSet:

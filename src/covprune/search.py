@@ -36,12 +36,12 @@ def solve_exact(intervals: IntervalSet, k: int) -> Solution:
     work = {"flow_solves": 0, "augmentations": 0, "probes": 0, "native_flow": 0}
     if not len(intervals):
         return Solution((), 0, 0, METHOD, work)
-    chain = flow.Chain(intervals, k)
     cov = intervals.compressed[3]
     if cov.max() <= k:
         # removals never help: keeping everything is already optimal
         return score_subset(intervals, range(len(intervals)), METHOD, work)
 
+    chain = flow.Chain(intervals, k)
     for t in range(min(k, int(cov.min())), 0, -1):
         result = chain.max_flow(t)
         work["probes"] += 1

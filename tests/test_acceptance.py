@@ -8,13 +8,17 @@ import math
 import random
 import time
 
+import numpy as np
+
 from covprune import (IntervalSet, build_network, backbone_initial_flow,
                       zero_flow, max_flow_augmenting, decide, solve_exact,
                       approx_prune, brute_force_opt, build_tree,
                       naive_range_min_max, generate_instance,
                       coverage_profile, maxcov, mincov_over)
+from covprune.flow import Chain
+from covprune.intervals import segment_cov
 
-from conftest import iset, random_instance
+from conftest import clipped_instance, iset, random_instance
 
 DEMO = iset([(0, 8), (0, 2), (2, 6), (1, 3), (1, 10), (4, 10)])
 
@@ -90,6 +94,27 @@ def test_criterion_4_flow_coverage_identity():
             assert prof.value_at(net.coords[j - 1]) == expected
     assert witnesses >= 100
     ok(f"4 flow-coverage identity on {witnesses} extracted witnesses")
+
+
+def test_criterion_4_flow_coverage_identity_at_full_scale(compiler):
+    # n = 10^5 edge-clipped reads of up to 400 bp at depth about 40, k = 30
+    n, k = 100_000, 30
+    s = clipped_instance(random.Random(1044), n, 500_000, 400)
+    delims, lo, hi, cov = s.compressed
+    # the descent solve_exact runs; its first feasible floor is OPT
+    chain = Chain(s, k)
+    for opt in range(min(k, int(cov.min())), 0, -1):
+        flow = chain.max_flow(opt)
+        if flow.value == k:
+            break
+    assert flow.value == k and 0 < opt < k
+    kept = np.array(flow.kept)
+    witness = segment_cov(lo[kept], hi[kept], len(delims))
+    interior = np.array(flow.backbone_flow[1:-1])
+    assert (flow.backbone_flow[0], flow.backbone_flow[-1]) == (k, k)
+    assert (interior == k - witness).all()
+    assert interior.max() <= k - opt
+    ok(f"4 flow-coverage identity at n = {n}, k = {k}, OPT = {opt}")
 
 
 def test_criterion_5_approximation_guarantee():

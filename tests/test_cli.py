@@ -50,6 +50,24 @@ def test_decide_usage_errors(demo_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", [2**63, 10**20], ids=["2^63", "10^20"])
+def test_k_beyond_int64(tmp_path, capsys, k):
+    # maxcov 4, mincov 3: every k >= 4 keeps every read
+    text = "0\t10\n" * 3 + "5\t8\n"
+    path = tmp_path / "reads.txt"
+    path.write_text(text)
+    for argv, code in ((["solve"], 0), (["approx"], 0), (["decide", "--t", "1"], 0),
+                       (["decide", "--t", "3"], 0), (["decide", "--t", "4"], 1)):
+        got, out, err = run(capsys, argv[0], str(path), "--k", str(k), *argv[1:])
+        assert got == code, err
+        record = json.loads(err)
+        if code == 0:
+            assert out == text
+            assert (record["kept"], record["mincov"], record["maxcov_after"]) == (4, 3, 4)
+        else:
+            assert out == "" and record["feasible"] is False
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 5\n5 5\n")
@@ -159,6 +177,16 @@ def test_oracle_size_guard(demo_file, capsys):
     assert code == 2 and "limit" in err
     code, _, _ = run(capsys, "oracle", demo_file, "--k", "3", "--limit", "4", "--force")
     assert code == 0
+
+
+def test_oracle_default_limit(tmp_path, capsys):
+    from covprune import oracle
+    code, out, _ = run(capsys, "oracle", "--help")
+    assert code == 0 and f"(default {oracle.DEFAULT_LIMIT})" in " ".join(out.split())
+    path = tmp_path / "reads.txt"
+    path.write_text("0 1\n" * (oracle.DEFAULT_LIMIT + 1))
+    code, _, err = run(capsys, "oracle", str(path), "--k", "1")
+    assert code == 2 and "limit" in err
 
 
 def test_bed3_per_chromosome_independence(tmp_path, capsys):

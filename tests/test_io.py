@@ -37,7 +37,7 @@ def test_parse_bed3():
     groups = inst.chromosomes()
     assert set(groups) == {"chr1", "chr2"}
     ivs, indices = groups["chr2"]
-    assert indices == [0, 2]
+    assert indices.tolist() == [0, 2]
     assert ivs.items == (Interval(5, 9), Interval(6, 12))
 
 
