@@ -7,9 +7,9 @@ result, so the whole pipeline can be eyeballed in one screen.
 """
 
 from covprune import (IntervalSet, coverage_profile, mincov_span, maxcov,
-                      build_network, backbone_initial_flow, zero_flow,
-                      max_flow_augmenting, decide, solve_exact, approx_prune,
+                      build_network, decide, solve_exact, approx_prune,
                       brute_force_opt)
+from covprune.flow import Chain
 
 READS = [(0, 8), (0, 2), (2, 6), (1, 3), (1, 10), (4, 10)]
 K = 3
@@ -26,14 +26,20 @@ def main():
         print(f"  [{prof.delimiters[j]:>2},{prof.delimiters[j + 1]:>2})  cov={c}")
     print(f"mincov over span = {mincov_span(s)}, maxcov = {maxcov(s)}")
 
-    t = 1
-    net = build_network(s, K, t)
-    print(f"\nflow network for k={K}, t={t}: {net.num_vertices} vertices")
-    print(f"  backbone capacities: {net.backbone_caps}")
-    print(f"  interval arcs:       {net.interval_arcs}")
+    net = build_network(s)
+    print(f"\nflow network: {net.nv} vertices, source 0, sink {net.nv - 1}, "
+          f"{net.num_backbone_arcs} backbone arcs")
+    print(f"  interval arcs (start, end vertex): {net.interval_arcs.tolist()}")
+    # residual arc 2a runs along logical arc a, 2a + 1 against it
+    print("  residual arcs leaving vertex u: adj[first[u]:first[u + 1]], with")
+    print(f"    first = {net.first.tolist()}")
+    print(f"    adj   = {net.adj.tolist()}")
 
-    cold = max_flow_augmenting(net, zero_flow(net))
-    warm = max_flow_augmenting(net, backbone_initial_flow(net))
+    t = 1
+    print(f"\nat k={K}, t={t} the residual gives the end arcs capacity {K}, "
+          f"the interior {K - t}, each interval 1")
+    cold = Chain(s, K, warm_start=False).max_flow(t)
+    warm = Chain(s, K).max_flow(t)
     print(f"  max-flow value {cold.value} "
           f"(cold: {cold.augmentations} augmentations, warm: {warm.augmentations})")
 

@@ -16,12 +16,12 @@ _EXPORTS = {
     "intervals": ("Interval", "IntervalSet", "CoverageProfile", "coverage_profile",
                   "cov_at", "maxcov", "mincov_span", "mincov_over"),
     "solution": ("Solution", "score_subset"),
-    "flow": ("FlowNetwork", "FlowAssignment", "build_network",
-             "backbone_initial_flow", "zero_flow", "max_flow_augmenting", "decide"),
+    "flow": ("FlowNetwork", "FlowAssignment", "build_network", "max_flow_augmenting",
+             "decide"),
     "search": ("solve_exact",),
     "coverage_tree": ("CoverageTree", "build_tree"),
     "approx": ("approx_prune", "is_expendable"),
-    "oracle": ("brute_force_opt", "naive_range_min_max"),
+    "oracle": ("brute_force_opt",),
     "io": ("InstanceFile", "ParseError", "Record", "parse_instance",
            "read_instance", "generate_instance"),
 }

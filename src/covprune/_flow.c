@@ -1,12 +1,12 @@
-/* Compiled form of max_flow_augmenting in flow.py.
+/* The augmenting-path max-flow that flow.max_flow_augmenting calls.
  *
- * A line-for-line port of _Residual.bfs_augment, repeated until no
- * augmenting path is left: the same paired arcs (2a forward, 2a+1
- * reverse), the same adjacency order, the same first-found shortest
- * path, hence the same flow and the same augmentation count.  The
- * adjacency comes in CSR form: the arcs leaving vertex u are
- * adj[first[u]..first[u+1]).  flow.py validates every index before the
- * call.
+ * flow._augment_python and flow._bfs_augment are its line-for-line
+ * Python twins on the same arrays, run when no library loads: the same
+ * paired arcs (2a forward, 2a+1 reverse), the same adjacency order, the
+ * same first-found shortest path, hence the same flow and the same
+ * augmentation count.  The adjacency comes in CSR form: the arcs leaving
+ * vertex u are adj[first[u]..first[u+1]).  flow.build_network validates
+ * every index before the call.
  */
 
 #include <stdint.h>

@@ -8,11 +8,10 @@ compiler command and the flags, so an edited source or another compiler
 gets a fresh build.  A cached library loads with `ctypes`, `os` and
 `sysconfig` alone; `subprocess` and `tempfile` are imported only to
 compile.  When that directory cannot be written the library is built in
-a private temporary directory for this process only.  When
-there is no compiler or the build fails, `load_library` returns None:
-approx then runs the Python `CoverageTree` sweep and the exact solver's
-descent the Python `max_flow_augmenting`, each floor started from the
-flow the last one left.
+a private temporary directory for this process only.  When there is no
+compiler or the build fails, `load_library` returns None, and each
+kernel's Python twin runs on the same arrays instead: approx's
+`_sweep_python` over `CoverageTree`, and flow's `_augment_python`.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-/* Compiled form of the start-order sweep in approx.py.
+/* The start-order sweep that approx.approx_prune calls.
  *
- * A line-for-line port of CoverageTree.range_query / range_decrement
- * (coverage_tree.py) and of the approx_prune loop: the same perfect
- * binary tree, the same lazy balances, the same boundary-path push-down
- * and repair, hence the same decisions and the same nodes_touched.  It
- * sees segment indices and coverage counts only, never coordinates.
- * approx.py validates every argument before the call.
+ * approx._sweep_python, over CoverageTree.range_query / range_decrement
+ * (coverage_tree.py), is its line-for-line Python twin on the same
+ * arrays, run when no library loads: the same perfect binary tree, the
+ * same lazy balances, the same boundary-path push-down and repair, hence
+ * the same decisions and the same nodes_touched.  Both see segment
+ * indices and coverage counts only, never coordinates.  approx.py
+ * validates every argument before the call.
  */
 
 #include <stdint.h>
@@ -22,7 +23,8 @@ static int64_t bit_length(int64_t x)
     return n;
 }
 
-/* CoverageTree.push_down for an internal node v */
+/* move internal node v's pending balance onto its two children, as
+ * CoverageTree.range_query does along its boundary paths */
 static void push(int64_t v, int64_t *mn, int64_t *mx, int64_t *bal)
 {
     int64_t b = bal[v];

@@ -11,9 +11,10 @@ minimum coverage is at least min(mincov of the input, floor(k/2)),
 hence at least floor(k/2)/k times the exact optimum.
 
 The sweep runs as one compiled C loop (`_sweep.c`, loaded by
-`_native`) when a C compiler is available, and otherwise over the
-Python `CoverageTree`, which stays the reference it is tested against.
-Both make the same decisions and count the same work.
+`_native`) when a C compiler is available, and otherwise as its Python
+twin on the same arrays, over `CoverageTree`, which stays the reference
+it is tested against.  Both make the same decisions and count the same
+work.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     from ._native import load_library
     lib = load_library()
     if lib is None:
-        deleted, counts = _sweep_python(intervals, order, delims, cov, k)
+        deleted, counts = _sweep_python(order, lo, hi, cov, k)
     else:
         deleted, counts = _sweep_native(lib, order, lo, hi, cov, k)
         work["native_sweep"] = 1
@@ -81,27 +82,26 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
                     "approx", work)
 
 
-def _sweep_python(intervals: IntervalSet, order, delims, cov, k: int):
-    """The reference sweep over `CoverageTree`; returns the deleted mask
-    in input order and (nodes touched, candidates, blocked)."""
+def _sweep_python(order, lo, hi, cov, k: int):
+    """The reference sweep over `CoverageTree`, on the arrays
+    `_sweep_native` takes; returns the deleted mask in input order and
+    (nodes touched, candidates, blocked)."""
     from .coverage_tree import CoverageTree  # only this fallback needs the tree
-    tree = CoverageTree(delims.tolist(), cov.tolist())
+    tree = CoverageTree(cov.tolist())
     query = tree.range_query
     shrink = tree.range_decrement
-    items = intervals.items
-    deleted = [False] * len(items)
+    deleted = np.zeros(len(order), bool)
     candidates = blocked = 0
-    for i in order.tolist():
-        iv = items[i]
-        mn, mx = query(iv.start, iv.end)
+    for i, l, h in zip(order.tolist(), lo[order].tolist(), hi[order].tolist()):
+        mn, mx = query(l, h)
         if mx > k:
             candidates += 1
             if is_expendable(mn, k):
-                shrink(iv.start, iv.end)
+                shrink(l, h)
                 deleted[i] = True
             else:
                 blocked += 1
-    return np.array(deleted), (tree.nodes_touched, candidates, blocked)
+    return deleted, (tree.nodes_touched, candidates, blocked)
 
 
 def _sweep_native(lib, order, lo, hi, cov, k: int):

@@ -23,7 +23,6 @@ import numpy as np
 from . import flow, io, search
 from .approx import approx_prune
 from .intervals import IntervalSet
-from .solution import Solution
 
 STATS_SCHEMA = "covprune.stats/1"
 COVERAGE_SCHEMA = "covprune.coverage/1"
@@ -99,16 +98,7 @@ def _run(args, solver) -> int:
 
 
 def cmd_decide(args) -> int:
-    if args.t < 0:
-        raise ValueError(f"t must be >= 0, got {args.t}")
-
-    def solver(chrom, ivs: IntervalSet) -> Solution | None:
-        if not len(ivs):
-            # nothing to prune; every floor holds vacuously
-            return Solution((), 0, 0, "exact-tailored", {})
-        return flow.decide(ivs, args.k, args.t)
-
-    return _run(args, solver)
+    return _run(args, lambda chrom, ivs: flow.decide(ivs, args.k, args.t))
 
 
 def cmd_solve(args) -> int:
@@ -197,9 +187,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    if getattr(args, "k", 1) < 1:
-        print(f"covprune: k must be >= 1, got {args.k}", file=sys.stderr)
-        return 2
+    for name, low in (("k", 1), ("t", 0)):
+        if getattr(args, name, low) < low:
+            print(f"covprune: {name} must be >= {low}, got {getattr(args, name)}",
+                  file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (io.ParseError, ValueError, OSError) as exc:

@@ -1,10 +1,11 @@
 """Perfect binary tree over coverage segments with lazy range decrements.
 
 Leaves are the segments between consecutive delimiters, initialized to
-the full-set coverage.  Every node carries the min and max coverage of
-its subtree plus a `balance`: a pending decrement that applies to the
-whole subtree but has not yet been pushed to the children.  The stored
-invariant, for every node v:
+the full-set coverage; a range is a half-open run [lo, hi) of segment
+indices, as in `IntervalSet.compressed` and `_sweep.c`.  Every node
+carries the min and max coverage of its subtree plus a `balance`: a
+pending decrement that applies to the whole subtree but has not yet
+been pushed to the children.  The stored invariant, for every node v:
 
     true min of v's subtree == mn[v] + bal[v] + sum of bal over strict
     ancestors of v     (and likewise for max)
@@ -20,7 +21,7 @@ twice.
 
 from __future__ import annotations
 
-from .intervals import IntervalSet, coverage_profile
+from .intervals import IntervalSet
 
 _INF = 1 << 62
 
@@ -31,7 +32,7 @@ class CoverageTree:
     Padding leaves hold +inf/-inf so they never win a min or max.
     """
 
-    def __init__(self, delimiters, segment_values):
+    def __init__(self, segment_values):
         nseg = len(segment_values)
         if nseg == 0:
             raise ValueError("coverage tree needs at least one segment")
@@ -41,8 +42,6 @@ class CoverageTree:
         self.cap = cap
         self.depth = cap.bit_length() - 1
         self.num_segments = nseg
-        self.delimiters = tuple(delimiters)
-        self._pos = {d: j for j, d in enumerate(self.delimiters)}
         size = 2 * cap
         self.mn = [_INF] * size
         self.mx = [-_INF] * size
@@ -56,40 +55,14 @@ class CoverageTree:
             self.mx[v] = a if a > b else b
         self.nodes_touched = 0
 
-    def _leaf_range(self, start: int, end: int) -> tuple[int, int]:
-        """Map a delimiter pair to the half-open leaf index range."""
-        try:
-            lo = self._pos[start]
-            hi = self._pos[end]
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]} is not a delimiter of this tree") from None
-        if lo >= hi:
-            raise ValueError(f"empty query range [{start}, {end})")
-        return lo, hi
+    def _check_range(self, lo: int, hi: int) -> None:
+        if not 0 <= lo < hi <= self.num_segments:
+            raise ValueError(f"bad segment range [{lo}, {hi}) "
+                             f"for {self.num_segments} segments")
 
-    def push_down(self, v: int) -> None:
-        """Move node v's pending balance onto its two children.
-
-        A semantic no-op: effective values everywhere are unchanged.
-        The node's own min/max absorb the balance so the invariant keeps
-        holding at v itself.
-        """
-        b = self.bal[v]
-        if b and v < self.cap:
-            c = 2 * v
-            self.bal[c] += b
-            self.bal[c + 1] += b
-            self.mn[v] += b
-            self.mx[v] += b
-            self.bal[v] = 0
-
-    def range_query(self, start: int, end: int) -> tuple[int, int]:
-        """Current (min, max) coverage over [start, end).
-
-        Both endpoints must be delimiters; intervals taken from the
-        original set always qualify.
-        """
-        lo, hi = self._leaf_range(start, end)
+    def range_query(self, lo: int, hi: int) -> tuple[int, int]:
+        """Current (min, max) coverage over segments [lo, hi)."""
+        self._check_range(lo, hi)
         cap, bal, mn, mx = self.cap, self.bal, self.mn, self.mx
         l0 = cap + lo
         r0 = cap + hi - 1
@@ -148,9 +121,9 @@ class CoverageTree:
         self.nodes_touched += touched
         return qmn, qmx
 
-    def range_decrement(self, start: int, end: int) -> None:
-        """Drop the coverage of every segment inside [start, end) by 1."""
-        lo, hi = self._leaf_range(start, end)
+    def range_decrement(self, lo: int, hi: int) -> None:
+        """Drop the coverage of every segment in [lo, hi) by 1."""
+        self._check_range(lo, hi)
         cap, bal, mn, mx = self.cap, self.bal, self.mn, self.mx
         l = cap + lo
         r = cap + hi
@@ -210,8 +183,8 @@ class CoverageTree:
 
 
 def build_tree(intervals: IntervalSet) -> CoverageTree:
-    """Coverage tree over the full-set coverage profile of S."""
+    """Coverage tree over the segment coverage of S; interval i spans
+    segments [lo[i], hi[i]) of `intervals.compressed`."""
     if not len(intervals):
         raise ValueError("cannot build a coverage tree for an empty interval set")
-    profile = coverage_profile(intervals)
-    return CoverageTree(profile.delimiters, list(profile.segment_cov))
+    return CoverageTree(intervals.compressed[3].tolist())

@@ -10,18 +10,16 @@ max-flow value is k, and the kept intervals are the interval arcs that
 carry flow 1: an interior backbone arc then carries k minus the kept
 coverage of its segment, so its capacity k - t forces coverage >= t.
 
-`build_network`, `_Residual` and `max_flow_augmenting` are the Python
-reference.  The exact solver runs on a `Chain` instead: the same
-network with its adjacency built once per interval set and one flow
-kept across probes at falling floors, augmented by the same loop
-compiled (`_flow.c`, loaded by `_native`) when a C compiler is
-available, and by the Python reference otherwise.  Both give the same
-flow, witness and augmentation count.
+`build_network` lays the network out in arrays once per interval set;
+the capacities, and so k and t, live only in the residual a `Chain`
+holds.  `max_flow_augmenting` augments that residual with the compiled
+loop (`_flow.c`, loaded by `_native`) when a C compiler is available,
+and otherwise with `_augment_python`, its line-for-line twin on the same
+arrays.  Both give the same flow, witness and augmentation count.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,29 +31,24 @@ from .solution import Solution, score_subset
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """The reduction graph for one (S, k, t) instance.
+    """The reduction graph of one interval set, for any (k, t).
 
-    `coords` are the sorted distinct interval endpoints.  Vertices are
-    numbered along the chain source, coords[0], ..., coords[-1], sink;
-    backbone arc j joins vertex j to vertex j+1 and `backbone_caps[j]`
-    is its capacity.  Interval arc i mirrors input interval i and always
-    has capacity 1.
+    Vertices are numbered along the chain source 0, the distinct
+    endpoints 1..nv-2 in increasing order, sink nv-1.  Residual arc 2a
+    runs along logical arc a and arc 2a+1 against it; logical arc j <
+    `num_backbone_arcs` joins vertex j to vertex j+1, and the rest are
+    the interval arcs in input order, `interval_arcs[i]` holding the
+    (start vertex, end vertex) of interval i.  The arcs leaving vertex u
+    are `adj[first[u]:first[u + 1]]`, in construction order, and arc a
+    ends at `to[a]`.
     """
 
-    coords: tuple[int, ...]
-    backbone_caps: tuple[int, ...]
-    interval_arcs: tuple[tuple[int, int], ...]  # (start vertex, end vertex) per interval
-    k: int
-    t: int
-
-    @property
-    def num_vertices(self) -> int:
-        # coords plus synthetic source and sink
-        return len(self.coords) + 2
-
-    @property
-    def num_backbone_arcs(self) -> int:
-        return len(self.backbone_caps)
+    nv: int
+    num_backbone_arcs: int
+    interval_arcs: np.ndarray
+    first: np.ndarray
+    adj: np.ndarray
+    to: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -84,132 +77,96 @@ def _check_floor(k: int, t: int) -> None:
         raise ValueError(f"t must be in [0, k], got t={t} k={k}")
 
 
-def build_network(intervals: IntervalSet, k: int, t: int) -> FlowNetwork:
-    """Construct the reduction network for (S, k, t).
+def build_network(intervals: IntervalSet) -> FlowNetwork:
+    """Lay out the reduction network of S in arrays.
 
     The source and sink are symbolic rather than numeric coordinates, so
     instances starting at coordinate 0 need no underflow tricks.
     """
-    _check_floor(k, t)
     if not len(intervals):
         raise ValueError("cannot build a network for an empty interval set")
-
     coords, lo, hi, _ = intervals.compressed
     m = len(coords)
-    caps = [k - t] * (m + 1)
-    caps[0] = caps[m] = k
-    # vertex j + 1 is coords[j]; 0 is the source
-    arcs = tuple(zip((lo + 1).tolist(), (hi + 1).tolist()))
-    return FlowNetwork(tuple(coords.tolist()), tuple(caps), arcs, k, t)
+    nv = m + 2  # coords plus the source 0 and the sink m + 1
+    tail = np.concatenate((np.arange(m + 1), lo + 1))
+    head = np.concatenate((np.arange(1, m + 2), hi + 1))
+    origin = np.empty(2 * len(tail), np.int64)  # the vertex each arc leaves
+    origin[0::2], origin[1::2] = tail, head
+    to = np.empty_like(origin)
+    to[0::2], to[1::2] = head, tail
+    # stable, so each vertex lists its arcs in construction order
+    adj = np.argsort(origin, kind="stable")
+    first = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=nv))))
+    if not (to.min() >= 0 and to.max() < nv and first[-1] == len(to)):
+        raise ValueError("arc endpoint outside the chain network")
+    return FlowNetwork(nv, m + 1, np.column_stack((lo + 1, hi + 1)), first, adj, to)
 
 
-def zero_flow(net: FlowNetwork) -> FlowAssignment:
-    return FlowAssignment((0,) * net.num_backbone_arcs,
-                          (0,) * len(net.interval_arcs))
+def max_flow_augmenting(net: FlowNetwork, res: np.ndarray) -> FlowAssignment:
+    """Augment the feasible flow held in the residual capacities `res`
+    (one per residual arc of `net`) to a maximum flow, in place, by
+    breadth-first augmenting paths.  The returned assignment records how
+    many paths were needed."""
+    # imported on first use: the loader's own imports would slow every CLI start
+    from ._native import load_library
+    lib = load_library()
+    augment = _augment_python if lib is None else lib.covprune_max_flow
+    augmentations = augment(net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res,
+                            np.empty(net.nv, np.int64), np.empty(net.nv, np.int64))
+    nb = net.num_backbone_arcs
+    return FlowAssignment(tuple(res[1:2 * nb:2].tolist()),
+                          tuple(res[2 * nb + 1::2].tolist()), augmentations)
 
 
-def backbone_initial_flow(net: FlowNetwork) -> FlowAssignment:
-    """The feasible warm-start flow of value k - t along the backbone.
-
-    Interior backbone capacity is exactly k - t and the end arcs allow
-    k >= k - t, so pushing k - t down the whole chain is always legal
-    and leaves at most t units to find by augmentation.
-    """
-    f = net.k - net.t
-    return FlowAssignment((f,) * net.num_backbone_arcs,
-                          (0,) * len(net.interval_arcs))
-
-
-class _Residual:
-    """Adjacency-list residual graph with paired forward/reverse arcs.
-
-    Arc 2a is the forward direction of logical arc a, arc 2a+1 its
-    reverse; adjacency lists keep construction order (backbone arcs
-    first, then interval arcs in input order) so path search and hence
-    the extracted witness are deterministic.
-    """
-
-    def __init__(self, net: FlowNetwork, init: FlowAssignment):
-        nv = net.num_vertices
-        m = len(net.coords)
-        self.net = net
-        self.source = 0
-        self.sink = nv - 1
-        self.res: list[int] = []
-        self.to: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(nv)]
-        for j, cap in enumerate(net.backbone_caps):
-            u = j
-            v = j + 1 if j < m else self.sink
-            self._add(u, v, cap, init.backbone_flow[j])
-        for i, (u, v) in enumerate(net.interval_arcs):
-            self._add(u, v, 1, init.interval_flow[i])
-
-    def _add(self, u: int, v: int, cap: int, flow: int) -> None:
-        if not 0 <= flow <= cap:
-            raise ValueError(f"initial flow {flow} violates capacity {cap}")
-        a = len(self.res)
-        self.res.append(cap - flow)
-        self.to.append(v)
-        self.adj[u].append(a)
-        self.res.append(flow)
-        self.to.append(u)
-        self.adj[v].append(a + 1)
-
-    def bfs_augment(self) -> int:
-        """One shortest augmenting path; returns the amount pushed (0 if none)."""
-        res, to, adj = self.res, self.to, self.adj
-        parent_arc = [-1] * len(adj)
-        parent_arc[self.source] = -2
-        queue = deque([self.source])
-        found = False
-        while queue and not found:
-            u = queue.popleft()
-            for a in adj[u]:
-                v = to[a]
-                if parent_arc[v] == -1 and res[a] > 0:
-                    parent_arc[v] = a
-                    if v == self.sink:
-                        found = True
-                        break
-                    queue.append(v)
-        if not found:
-            return 0
-        bottleneck = None
-        v = self.sink
-        while v != self.source:
-            a = parent_arc[v]
-            if bottleneck is None or res[a] < bottleneck:
-                bottleneck = res[a]
-            v = to[a ^ 1]
-        v = self.sink
-        while v != self.source:
-            a = parent_arc[v]
-            res[a] -= bottleneck
-            res[a ^ 1] += bottleneck
-            v = to[a ^ 1]
-        return bottleneck
-
-    def extract(self, augmentations: int) -> FlowAssignment:
-        net = self.net
-        nb = net.num_backbone_arcs
-        backbone = tuple(self.res[2 * j + 1] for j in range(nb))
-        interval = tuple(self.res[2 * (nb + i) + 1]
-                         for i in range(len(net.interval_arcs)))
-        return FlowAssignment(backbone, interval, augmentations)
-
-
-def max_flow_augmenting(net: FlowNetwork, init: FlowAssignment) -> FlowAssignment:
-    """Run breadth-first augmenting paths to a maximum flow.
-
-    `init` must be feasible; it is not modified.  The returned
-    assignment records how many augmenting paths were needed.
-    """
-    residual = _Residual(net, init)
+def _augment_python(nv, source, sink, first, adj, to, res, parent_arc, queue) -> int:
+    """`covprune_max_flow` (`_flow.c`) line for line, run on lists read
+    from the same arrays, since indexing a list is many times faster than
+    indexing numpy; `res` gets the final residual back."""
+    lists = [a.tolist() for a in (first, adj, to, res, parent_arc, queue)]
     augmentations = 0
-    while residual.bfs_augment() > 0:
+    while _bfs_augment(nv, source, sink, *lists) > 0:
         augmentations += 1
-    return residual.extract(augmentations)
+    res[:] = lists[3]
+    return augmentations
+
+
+def _bfs_augment(nv, source, sink, first, adj, to, res, parent_arc, queue) -> int:
+    """One breadth-first augmenting path from source to sink; returns the
+    amount pushed, 0 when the sink cannot be reached."""
+    parent_arc[:] = [-1] * nv
+    parent_arc[source] = -2
+    head, tail = 0, 1
+    queue[0] = source
+    found = False
+    while head < tail and not found:
+        u = queue[head]
+        head += 1
+        for a in adj[first[u]:first[u + 1]]:
+            v = to[a]
+            if parent_arc[v] == -1 and res[a] > 0:
+                parent_arc[v] = a
+                if v == sink:
+                    found = True
+                    break
+                queue[tail] = v
+                tail += 1
+    if not found:
+        return 0
+
+    bottleneck = res[parent_arc[sink]]
+    v = sink
+    while v != source:
+        a = parent_arc[v]
+        if res[a] < bottleneck:
+            bottleneck = res[a]
+        v = to[a ^ 1]
+    v = sink
+    while v != source:
+        a = parent_arc[v]
+        res[a] -= bottleneck
+        res[a ^ 1] += bottleneck
+        v = to[a ^ 1]
+    return bottleneck
 
 
 class Chain:
@@ -218,86 +175,48 @@ class Chain:
     last one left.
 
     A maximum flow at floor t stays feasible at any lower floor, since
-    lowering t only raises the interior backbone capacities from k - t;
-    the first probe starts from the backbone flow.  With the compiled
-    library the network lives in arrays: residual arc 2a runs along
-    logical arc a (backbone arcs first, then interval arcs in input
-    order) and arc 2a+1 against it, and the arcs leaving vertex u are
-    `adj[first[u]:first[u + 1]]`, in the order `_Residual` lists them.
-    Without the library each probe runs the Python reference on a fresh
-    `build_network`, started from the previous probe's flow.
+    lowering t only raises the interior backbone capacities from k - t.
+    With `warm_start` the first probe starts from the backbone flow of
+    value k - t, which leaves at most t units to find; without it, from
+    zero flow, the reference the tests check the warm start against.
     """
 
-    def __init__(self, intervals: IntervalSet, k: int):
+    def __init__(self, intervals: IntervalSet, k: int, warm_start: bool = True):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if not len(intervals):
-            raise ValueError("cannot build a network for an empty interval set")
-        self.intervals, self.k = intervals, k
+        self.k, self.warm_start = k, warm_start
+        self.net = build_network(intervals)
         self.t: int | None = None  # floor of the flow held, None before a probe
-        self.flow: FlowAssignment | None = None
         self.first_t = self.augmentations = 0  # of the whole descent
-        coords, lo, hi, _ = intervals.compressed
-        m = len(coords)
-        self.num_backbone_arcs = m + 1
-        # imported on first use: the loader's own imports would slow every CLI start
         from ._native import load_library
-        self.lib = load_library()
-        self.native = int(self.lib is not None)
-        if self.lib is None:
-            return
-
-        nv = m + 2  # coords plus the source 0 and the sink m + 1
-        tail = np.concatenate((np.arange(m + 1), lo + 1))
-        head = np.concatenate((np.arange(1, m + 2), hi + 1))
-        origin = np.empty(2 * len(tail), np.int64)  # the vertex each arc leaves
-        origin[0::2], origin[1::2] = tail, head
-        to = np.empty_like(origin)
-        to[0::2], to[1::2] = head, tail
-        # stable, so each vertex lists its arcs in construction order
-        adj = np.argsort(origin, kind="stable")
-        first = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=nv))))
-        if not (to.min() >= 0 and to.max() < nv and first[-1] == len(to)):
-            raise ValueError("arc endpoint outside the chain network")
-        self.nv = nv
-        self.to, self.adj, self.first = to, adj, first
-        self.parent_arc = np.empty(nv, np.int64)
-        self.queue = np.empty(nv, np.int64)
+        self.native = int(load_library() is not None)
 
     def max_flow(self, t: int) -> FlowAssignment:
         """The maximum flow of the (k, t) network, augmented from the flow
         of the previous, higher floor, or on the first call from the
-        backbone flow of value k - t.  Its `augmentations` counts this
-        call's paths; the flow equals what `max_flow_augmenting` returns
-        from the same start."""
+        start flow.  Its `augmentations` counts this call's paths."""
         _check_floor(self.k, t)
+        k, nb = self.k, self.net.num_backbone_arcs
         if self.t is None:
             self.first_t = t
+            f = k - t if self.warm_start else 0  # the start flow on every backbone arc
+            self.res = res = np.zeros(len(self.net.to), np.int64)
+            res[2 * nb::2] = 1  # interval arcs: capacity 1, no flow
+            res[0:2 * nb:2] = k - t - f  # backbone arcs: capacity less flow,
+            res[0] = res[2 * nb - 2] = k - f  # the capacity being k at the two ends
+            res[1:2 * nb:2] = f
         elif t > self.t:
             raise ValueError(f"the floor may only fall: t={t} after t={self.t}")
-        if self.lib is None:
-            net = build_network(self.intervals, self.k, t)
-            flow = max_flow_augmenting(net, self.flow or backbone_initial_flow(net))
         else:
-            nb = self.num_backbone_arcs
-            if self.t is None:
-                self.res = res = np.zeros(len(self.to), np.int64)
-                res[2 * nb::2] = 1  # interval arcs: capacity 1, no flow
-                res[1:2 * nb:2] = self.k - t  # every backbone arc carries k - t
-                res[0] = res[2 * nb - 2] = t  # the end arcs have k - (k - t) to spare
-            else:
-                self.res[2:2 * nb - 2:2] += self.t - t  # interior capacity rises
-            augmentations = self.lib.covprune_max_flow(
-                self.nv, 0, self.nv - 1, self.first, self.adj, self.to, self.res,
-                self.parent_arc, self.queue)
-            flow = FlowAssignment(tuple(self.res[1:2 * nb:2].tolist()),
-                                  tuple(self.res[2 * nb + 1::2].tolist()), augmentations)
-        self.t, self.flow = t, flow
+            self.res[2:2 * nb - 2:2] += self.t - t  # interior capacity rises
+        flow = max_flow_augmenting(self.net, self.res)
+        self.t = t
         self.augmentations += flow.augmentations
-        if self.augmentations > self.first_t:
-            # the value starts at k - first_t and each path adds at least 1
+        # the value starts at k - first_t warm, 0 cold, and each path adds at least 1
+        bound = self.first_t if self.warm_start else k
+        if self.augmentations > bound:
             raise AssertionError(f"{self.augmentations} augmentations "
-                                 f"from the warm start at t={self.first_t}")
+                                 f"from the start at t={self.first_t}")
         return flow
 
 
@@ -306,22 +225,22 @@ def decide(intervals: IntervalSet, k: int, t: int,
     """Find a subset with maxcov <= k and mincov >= t over the span.
 
     Returns None when no such subset exists (a normal outcome, not an
-    error).  With `warm_start` an input already under the cap keeps every
-    read, and otherwise the solver begins from the backbone flow of value
-    k - t on a `Chain` and needs at most t augmentations; without it the
-    Python reference flow starts from zero.  At t = 0 every subset under
-    the cap qualifies, and the answer is approx's kept set, which keeps a
-    read wherever the cap allows.
+    error); an empty set holds every floor.  With `warm_start` an input
+    already under the cap keeps every read, and otherwise the solver
+    begins from the backbone flow of value k - t on a `Chain` and needs
+    at most t augmentations; without it the flow starts from zero.  At
+    t = 0 every subset under the cap qualifies, and the answer is
+    approx's kept set, which keeps a read wherever the cap allows.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    method = "exact-tailored" if warm_start else "exact-generic"
+    work = {"flow_solves": 0, "augmentations": 0, "native_flow": 0}
+    if not len(intervals):
+        return Solution((), 0, 0, method, work)
     if t > k:
         # mincov <= maxcov <= k < t can never hold
         return None
-    if not len(intervals):
-        raise ValueError("cannot build a network for an empty interval set")
-    method = "exact-tailored" if warm_start else "exact-generic"
-    work = {"flow_solves": 0, "augmentations": 0, "native_flow": 0}
     cov = intervals.compressed[3]
     if warm_start and cov.max() <= k:
         # keeping every read is best, and k >= 2**63 stays out of int64 capacities
@@ -330,15 +249,9 @@ def decide(intervals: IntervalSet, k: int, t: int,
     if t == 0:
         # the warm start already saturates the backbone, so its witness is empty
         return score_subset(intervals, approx_prune(intervals, k).kept, method, work)
-    if warm_start:
-        chain = Chain(intervals, k)
-        flow = chain.max_flow(t)
-        native = chain.native
-    else:
-        net = build_network(intervals, k, t)
-        flow = max_flow_augmenting(net, zero_flow(net))
-        native = 0
+    chain = Chain(intervals, k, warm_start)
+    flow = chain.max_flow(t)
     if flow.value < k:
         return None
-    work.update(flow_solves=1, augmentations=flow.augmentations, native_flow=native)
+    work.update(flow_solves=1, augmentations=flow.augmentations, native_flow=chain.native)
     return score_subset(intervals, flow.kept, method, work)

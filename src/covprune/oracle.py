@@ -83,12 +83,3 @@ def _lex_min_subset(masks: np.ndarray, n: int) -> int:
         smallest = low.min()
         masks = masks[low == smallest]
         prefix |= int(smallest)
-
-
-def naive_range_min_max(values, lo: int, hi: int) -> tuple[int, int]:
-    """Linear-scan (min, max) of values[lo:hi]; the flat-array reference
-    for the coverage tree."""
-    if not 0 <= lo < hi <= len(values):
-        raise ValueError(f"bad range [{lo}, {hi}) for {len(values)} values")
-    window = values[lo:hi]
-    return min(window), max(window)

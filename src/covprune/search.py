@@ -8,10 +8,11 @@ network is built once per interval set (`flow.Chain`) and keeps its flow
 from one floor to the next, because a maximum flow at t is still
 feasible at t - 1.  The flow value starts at k - bound and each
 augmenting path raises it, so the whole descent costs at most `bound`
-augmentations, run in C when the compiled library loads and by the
-Python reference flow otherwise.  Only the witness is scored.  The
-cold-start flow (`flow.decide(..., warm_start=False)`) is kept only as
-the reference the tests check this engine against.
+augmentations, run in C when the compiled library loads and by its
+Python twin on the same arrays otherwise.  Only the witness is scored.
+The cold-start flow (`flow.decide(..., warm_start=False)`), a `Chain`
+started from zero flow, is kept only as the reference the tests check
+this engine against.
 """
 
 from __future__ import annotations

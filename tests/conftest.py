@@ -44,6 +44,15 @@ def count_cover(pairs, p: int) -> int:
     return sum(1 for s, e in pairs if s <= p < e)
 
 
+def naive_range_min_max(values, lo: int, hi: int) -> tuple[int, int]:
+    """Linear-scan (min, max) of values[lo:hi]; the flat-array reference
+    for the coverage tree."""
+    if not 0 <= lo < hi <= len(values):
+        raise ValueError(f"bad range [{lo}, {hi}) for {len(values)} values")
+    window = values[lo:hi]
+    return min(window), max(window)
+
+
 # hypothesis strategy: short lists of small intervals (as (start, end) pairs)
 interval_pairs = st.lists(
     st.tuples(st.integers(0, 40), st.integers(1, 12)).map(lambda t: (t[0], t[0] + t[1])),
@@ -64,5 +73,5 @@ def pytest_report_header(config):
     if load_library():
         return ["covprune approx backend: compiled C sweep",
                 "covprune exact flow backend: compiled C max-flow"]
-    return ["covprune approx backend: Python CoverageTree (no C compiler)",
-            "covprune exact flow backend: Python max_flow_augmenting (no C compiler)"]
+    return ["covprune approx backend: Python _sweep_python over CoverageTree (no C compiler)",
+            "covprune exact flow backend: Python _augment_python (no C compiler)"]

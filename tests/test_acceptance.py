@@ -10,15 +10,13 @@ import time
 
 import numpy as np
 
-from covprune import (IntervalSet, build_network, backbone_initial_flow,
-                      zero_flow, max_flow_augmenting, decide, solve_exact,
-                      approx_prune, brute_force_opt, build_tree,
-                      naive_range_min_max, generate_instance,
+from covprune import (IntervalSet, decide, solve_exact, approx_prune,
+                      brute_force_opt, build_tree, generate_instance,
                       coverage_profile, maxcov, mincov_over)
 from covprune.flow import Chain
 from covprune.intervals import segment_cov
 
-from conftest import clipped_instance, iset, random_instance
+from conftest import clipped_instance, iset, naive_range_min_max, random_instance
 
 DEMO = iset([(0, 8), (0, 2), (2, 6), (1, 3), (1, 10), (4, 10)])
 
@@ -28,8 +26,7 @@ def ok(name):
 
 
 def test_criterion_1_worked_figure_reproduction():
-    net = build_network(DEMO, k=3, t=1)
-    flow = max_flow_augmenting(net, zero_flow(net))
+    flow = Chain(DEMO, 3, warm_start=False).max_flow(1)
     assert flow.value == 3
 
     sol = decide(DEMO, k=3, t=1)
@@ -69,8 +66,7 @@ def test_criterion_3_engine_agreement_and_augmentation_bound():
             cold = decide(s, k, t, warm_start=False)
             warm = decide(s, k, t, warm_start=True)
             assert (cold is None) == (warm is None)
-            net = build_network(s, k, t)
-            flow = max_flow_augmenting(net, backbone_initial_flow(net))
+            flow = Chain(s, k).max_flow(t)
             assert flow.augmentations <= t
     ok("3 engine agreement on 1000 instances, warm solves within t augmentations")
 
@@ -82,16 +78,16 @@ def test_criterion_4_flow_coverage_identity():
         s = random_instance(rng, rng.randint(1, 60), max_coord=120, max_len=25)
         k = rng.randint(1, 5)
         t = rng.randint(0, k)
-        net = build_network(s, k, t)
-        flow = max_flow_augmenting(net, backbone_initial_flow(net))
+        flow = Chain(s, k).max_flow(t)
         if flow.value < k:
             continue
         witnesses += 1
         kept = s.subset([i for i, f in enumerate(flow.interval_flow) if f == 1])
         prof = coverage_profile(kept)
-        for j in range(1, len(net.coords)):
+        coords = s.compressed[0].tolist()
+        for j in range(1, len(coords)):
             expected = k - flow.backbone_flow[j]
-            assert prof.value_at(net.coords[j - 1]) == expected
+            assert prof.value_at(coords[j - 1]) == expected
     assert witnesses >= 100
     ok(f"4 flow-coverage identity on {witnesses} extracted witnesses")
 
@@ -142,19 +138,18 @@ def test_criterion_6_coverage_tree_vs_flat_array():
     while operations < 100_000:
         s = random_instance(rng, rng.randint(1, 50), max_coord=80, max_len=30)
         tree = build_tree(s)
-        delims = list(tree.delimiters)
+        delims = sorted({c for iv in s for c in (iv.start, iv.end)})
         pos = {d: j for j, d in enumerate(delims)}
         flat = tree.segment_values()
-        spans = [(iv.start, iv.end) for iv in s]
+        spans = [(pos[iv.start], pos[iv.end]) for iv in s]
         for _ in range(1000):
-            start, end = spans[rng.randrange(len(spans))]
-            lo, hi = pos[start], pos[end]
+            lo, hi = spans[rng.randrange(len(spans))]
             if rng.random() < 0.5:
-                tree.range_decrement(start, end)
+                tree.range_decrement(lo, hi)
                 for j in range(lo, hi):
                     flat[j] -= 1
             else:
-                assert tree.range_query(start, end) == naive_range_min_max(flat, lo, hi)
+                assert tree.range_query(lo, hi) == naive_range_min_max(flat, lo, hi)
             operations += 1
         assert tree.segment_values() == flat
     ok(f"6 coverage tree matches flat array over {operations} operations")

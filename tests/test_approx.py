@@ -127,5 +127,5 @@ def test_dynamic_classification_uses_current_state():
     sub = s.subset(sol.kept)
     assert maxcov(sub) <= k
     tree = build_tree(s)
-    # static classification of [0,8): full-set minimum over its span
-    assert tree.range_query(0, 8)[0] > k // 2
+    # static classification of [0,8), segments [0, 2): full-set minimum over its span
+    assert tree.range_query(0, 2)[0] > k // 2

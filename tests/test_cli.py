@@ -113,6 +113,17 @@ def test_solve_empty_file(tmp_path, capsys):
     assert json.loads(err.strip())["mincov"] == 0
 
 
+def test_decide_empty_file_reports_flow_work(tmp_path, capsys):
+    # an empty set holds every floor, even one above the cap
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing\n")
+    code, out, err = run(capsys, "decide", str(empty), "--k", "2", "--t", "5")
+    assert code == 0 and out == ""
+    record = json.loads(err.strip())
+    assert (record["n"], record["feasible"], record["method"]) == (0, True, "exact-tailored")
+    assert record["work"] == {"flow_solves": 0, "augmentations": 0, "native_flow": 0}
+
+
 @pytest.mark.parametrize("text, k, kept", [
     # a gap makes mincov 0; maxcov 3 > k forces pruning
     ("0 10\n0 10\n0 10\n20 30\n20 30\n", 2, 4),

@@ -2,23 +2,24 @@ import random
 
 import pytest
 
-from covprune import CoverageTree, build_tree, naive_range_min_max
+from covprune import CoverageTree, build_tree
 
-from conftest import iset, random_instance
+from conftest import iset, naive_range_min_max, random_instance
+
+# the demo's delimiters are (0, 1, 2, 3, 4, 6, 8, 10); the tree takes
+# segment indices, so [0, 10) is [0, 7) and [4, 6) is [4, 5)
 
 
-def flat_decrement(values, delims, start, end):
-    lo = delims.index(start)
-    hi = delims.index(end)
+def flat_decrement(values, lo, hi):
     for j in range(lo, hi):
         values[j] -= 1
 
 
 def test_build_demo(demo):
     tree = build_tree(demo)
-    assert tree.delimiters == (0, 1, 2, 3, 4, 6, 8, 10)
+    assert tree.num_segments == 7
     assert tree.segment_values() == [2, 4, 4, 3, 4, 3, 2]
-    assert tree.range_query(0, 10) == (2, 4)
+    assert tree.range_query(0, 7) == (2, 4)
     # root aggregates are stored directly while no balance is pending
     assert tree.mn[1] == 2 and tree.mx[1] == 4
 
@@ -26,17 +27,17 @@ def test_build_demo(demo):
 def test_build_single_interval():
     tree = build_tree(iset([(0, 5)]))
     assert tree.segment_values() == [1]
-    assert tree.range_query(0, 5) == (1, 1)
+    assert tree.range_query(0, 1) == (1, 1)
 
 
 def test_build_two_adjacent():
     tree = build_tree(iset([(0, 2), (2, 4)]))
     assert tree.segment_values() == [1, 1]
-    assert tree.range_query(0, 4) == (1, 1)
+    assert tree.range_query(0, 2) == (1, 1)
 
 
 def test_query_demo_inner_range(demo):
-    assert build_tree(demo).range_query(1, 3) == (4, 4)
+    assert build_tree(demo).range_query(1, 3) == (4, 4)  # coordinates [1, 3)
 
 
 def test_decrement_then_query(demo):
@@ -48,49 +49,53 @@ def test_decrement_then_query(demo):
 
 def test_decrement_is_local(demo):
     tree = build_tree(demo)
-    before = tree.range_query(4, 10)
+    before = tree.range_query(4, 7)
     tree.range_decrement(0, 3)
-    assert tree.range_query(4, 10) == before
+    assert tree.range_query(4, 7) == before
 
 
 def test_repeated_full_span_decrements(demo):
     tree = build_tree(demo)
     for _ in range(5):
-        tree.range_decrement(0, 10)
-    assert tree.range_query(0, 10) == (2 - 5, 4 - 5)
+        tree.range_decrement(0, 7)
+    assert tree.range_query(0, 7) == (2 - 5, 4 - 5)
 
 
 def test_single_segment_query(demo):
     tree = build_tree(demo)
-    assert tree.range_query(4, 6) == (4, 4)
+    assert tree.range_query(4, 5) == (4, 4)
 
 
 def test_push_down_is_semantic_noop(demo):
     tree = build_tree(demo)
-    tree.range_decrement(0, 10)
-    tree.range_decrement(0, 10)
-    # node 2 spans the first four segments, all inside [0,10)
+    tree.range_decrement(0, 7)
+    tree.range_decrement(0, 7)
+    # node 2 spans the first four segments, all inside [0, 7)
     assert tree.bal[2] == -2
     values_before = tree.segment_values()
-    tree.push_down(2)
-    assert tree.bal[2] == 0
-    assert tree.bal[4] == -2 and tree.bal[5] == -2
+    # a query of segment 0 pushes down the path 1, 2, 4 to leaf 8
+    assert tree.range_query(0, 1) == (0, 0)
+    assert tree.bal[2] == 0 and tree.bal[4] == 0
+    assert tree.bal[5] == -2 and tree.bal[8] == -2 and tree.bal[9] == -2
     assert tree.segment_values() == values_before
     # idempotent once the balance is gone
-    tree.push_down(2)
-    assert tree.bal[4] == -2 and tree.bal[5] == -2
+    assert tree.range_query(0, 1) == (0, 0)
+    assert tree.bal[5] == -2 and tree.bal[8] == -2 and tree.bal[9] == -2
     assert tree.segment_values() == values_before
-    assert tree.range_query(0, 10) == (0, 2)
+    assert tree.range_query(0, 7) == (0, 2)
 
 
 def test_query_requires_delimiters(demo):
+    # a range is a non-empty run [lo, hi) of delimiter indices, 0 <= lo < hi <= 7
     tree = build_tree(demo)
     with pytest.raises(ValueError):
-        tree.range_query(0, 5)  # 5 is not an endpoint of any read
+        tree.range_query(0, 8)  # past the last delimiter
+    with pytest.raises(ValueError):
+        tree.range_query(-1, 2)
     with pytest.raises(ValueError):
         tree.range_query(3, 3)
     with pytest.raises(ValueError):
-        tree.range_decrement(0, 7)
+        tree.range_decrement(5, 2)
 
 
 def test_empty_input_rejected():
@@ -98,13 +103,13 @@ def test_empty_input_rejected():
     with pytest.raises(ValueError):
         build_tree(IntervalSet(()))
     with pytest.raises(ValueError):
-        CoverageTree((), [])
+        CoverageTree([])
 
 
 def test_touched_counter_advances(demo):
     tree = build_tree(demo)
     assert tree.nodes_touched == 0
-    tree.range_query(0, 10)
+    tree.range_query(0, 7)
     assert tree.nodes_touched > 0
 
 
@@ -114,16 +119,14 @@ def test_matches_flat_array_oracle():
     for round_ in range(40):
         s = random_instance(rng, rng.randint(1, 25), max_coord=50, max_len=20)
         tree = build_tree(s)
-        delims = list(tree.delimiters)
+        delims = sorted({c for iv in s for c in (iv.start, iv.end)})
         flat = tree.segment_values()
-        spans = [(iv.start, iv.end) for iv in s]
+        spans = [(delims.index(iv.start), delims.index(iv.end)) for iv in s]
         for _ in range(120):
-            start, end = spans[rng.randrange(len(spans))]
+            lo, hi = spans[rng.randrange(len(spans))]
             if rng.random() < 0.4:
-                tree.range_decrement(start, end)
-                flat_decrement(flat, delims, start, end)
+                tree.range_decrement(lo, hi)
+                flat_decrement(flat, lo, hi)
             else:
-                lo = delims.index(start)
-                hi = delims.index(end)
-                assert tree.range_query(start, end) == naive_range_min_max(flat, lo, hi)
+                assert tree.range_query(lo, hi) == naive_range_min_max(flat, lo, hi)
         assert tree.segment_values() == flat

@@ -4,96 +4,123 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from covprune import (IntervalSet, build_network, backbone_initial_flow,
-                      zero_flow, max_flow_augmenting, decide,
-                      coverage_profile, mincov_over, maxcov)
-from covprune.flow import Chain
+from covprune import IntervalSet, build_network, decide, mincov_over, maxcov
+from covprune import flow
+from covprune.flow import Chain, FlowAssignment
 
 from conftest import clipped_instance, iset, random_instance, interval_pairs
 
 
-def assert_valid_flow(net, fa):
-    """Capacity and conservation checks straight from the definitions."""
-    m = len(net.coords)
+def assert_valid_flow(s, k, t, fa):
+    """Capacity and conservation checks straight from the definitions of
+    the (k, t) network of `s`."""
+    coords = sorted({c for iv in s for c in (iv.start, iv.end)})
+    vertex = {c: j + 1 for j, c in enumerate(coords)}
+    m = len(coords)
+    assert len(fa.backbone_flow) == m + 1 and len(fa.interval_flow) == len(s)
     for j, f in enumerate(fa.backbone_flow):
-        assert 0 <= f <= net.backbone_caps[j]
+        assert 0 <= f <= (k if j in (0, m) else k - t)
     for i, f in enumerate(fa.interval_flow):
         assert f in (0, 1)
     for v in range(1, m + 1):  # interior chain vertices
         inflow = fa.backbone_flow[v - 1]
         outflow = fa.backbone_flow[v]
-        for i, (u, w) in enumerate(net.interval_arcs):
-            if w == v:
-                inflow += fa.interval_flow[i]
-            if u == v:
-                outflow += fa.interval_flow[i]
+        for iv, f in zip(s, fa.interval_flow):
+            if vertex[iv.end] == v:
+                inflow += f
+            if vertex[iv.start] == v:
+                outflow += f
         assert inflow == outflow, f"conservation broken at vertex {v}"
 
 
+def first_probe(monkeypatch, s, k, t, warm_start):
+    """The capacities of the (k, t) network of `s` and the flow a Chain's
+    first probe at t starts from, both read off the residual it hands to
+    `max_flow_augmenting`, each as (backbone arcs, interval arcs)."""
+    starts = []
+    augment = flow.max_flow_augmenting
+
+    def spy(net, res):
+        starts.append(res.copy())
+        return augment(net, res)
+
+    with monkeypatch.context() as m:
+        m.setattr(flow, "max_flow_augmenting", spy)
+        chain = Chain(s, k, warm_start)
+        chain.max_flow(t)
+    res, nb = starts[0], chain.net.num_backbone_arcs
+    caps = res[0::2] + res[1::2]  # forward plus reverse residual
+    return ((caps[:nb].tolist(), caps[nb:].tolist()),
+            (res[1:2 * nb:2].tolist(), res[2 * nb + 1::2].tolist()))
+
+
 def test_build_network_demo(demo):
-    net = build_network(demo, k=3, t=1)
-    assert net.coords == (0, 1, 2, 3, 4, 6, 8, 10)
-    assert net.num_vertices == 10
-    assert net.backbone_caps == (3, 2, 2, 2, 2, 2, 2, 2, 3)
+    net = build_network(demo)
+    assert net.nv == 10  # the 8 distinct endpoints, source and sink
+    assert net.num_backbone_arcs == 9
     # one unit arc per interval, start vertex -> end vertex (chain ids)
-    assert net.interval_arcs == ((1, 7), (1, 3), (3, 6), (2, 4), (2, 8), (5, 8))
+    assert net.interval_arcs.tolist() == [[1, 7], [1, 3], [3, 6], [2, 4], [2, 8], [5, 8]]
+    # residual arc 2a runs along logical arc a, 2a + 1 against it
+    assert net.to[:18:2].tolist() == list(range(1, 10))
+    assert net.to[1:18:2].tolist() == list(range(9))
+    # vertex 1 (coordinate 0) lists its backbone arcs, then the arcs of A and B
+    assert net.adj[net.first[1]:net.first[2]].tolist() == [1, 2, 18, 20]
+    assert net.first[-1] == len(net.to) == 2 * (9 + 6)
+def test_build_network_zero_interior_capacity(monkeypatch):
+    s = iset([(0, 5)])
+    assert build_network(s).interval_arcs.tolist() == [[1, 2]]
+    for warm_start in (True, False):
+        caps, _ = first_probe(monkeypatch, s, k=1, t=1, warm_start=warm_start)
+        assert caps == ([1, 0, 1], [1])
 
 
-def test_build_network_zero_interior_capacity():
-    net = build_network(iset([(0, 5)]), k=1, t=1)
-    assert net.backbone_caps == (1, 0, 1)
-    assert net.interval_arcs == ((1, 2),)
-
-
-def test_build_network_t_equals_k(demo):
-    net = build_network(demo, k=3, t=3)
-    assert net.backbone_caps == (3, 0, 0, 0, 0, 0, 0, 0, 3)
+def test_build_network_t_equals_k(monkeypatch, demo):
+    for warm_start in (True, False):
+        caps, _ = first_probe(monkeypatch, demo, k=3, t=3, warm_start=warm_start)
+        assert caps == ([3, 0, 0, 0, 0, 0, 0, 0, 3], [1] * 6)
 
 
 def test_build_network_rejects_bad_instances(demo):
+    chain = Chain(demo, 3)
     with pytest.raises(ValueError):
-        build_network(demo, k=3, t=4)
+        chain.max_flow(4)
     with pytest.raises(ValueError):
-        build_network(demo, k=3, t=-1)
+        chain.max_flow(-1)
     with pytest.raises(ValueError):
-        build_network(demo, k=0, t=0)
+        Chain(demo, 0)
     with pytest.raises(ValueError):
-        build_network(IntervalSet(()), k=3, t=1)
+        build_network(IntervalSet(()))
 
 
-def test_backbone_initial_flow(demo):
-    net = build_network(demo, k=3, t=1)
-    fa = backbone_initial_flow(net)
-    assert fa.value == 2
-    assert fa.backbone_flow == (2,) * 9
-    assert fa.interval_flow == (0,) * 6
-    assert_valid_flow(net, fa)
-
-    assert backbone_initial_flow(build_network(demo, 3, 3)).value == 0
-    full = backbone_initial_flow(build_network(demo, 3, 0))
-    assert full.value == 3
+def test_backbone_initial_flow(monkeypatch, demo):
+    # capacities k at the ends and k - t inside, warm or cold
+    for warm_start, start in ((True, 2), (False, 0)):
+        caps, fa = first_probe(monkeypatch, demo, k=3, t=1, warm_start=warm_start)
+        assert caps == ([3, 2, 2, 2, 2, 2, 2, 2, 3], [1] * 6)
+        assert fa == ([start] * 9, [0] * 6)
+        assert_valid_flow(demo, 3, 1, FlowAssignment(*map(tuple, fa)))
+    # the warm start carries k - t: nothing at t = k, the whole cap at t = 0
+    assert first_probe(monkeypatch, demo, 3, 3, True)[1][0] == [0] * 9
+    assert first_probe(monkeypatch, demo, 3, 0, True)[1][0] == [3] * 9
 
 
 def test_backbone_flow_at_t0_is_already_maximum(demo):
-    net = build_network(demo, k=3, t=0)
-    result = max_flow_augmenting(net, backbone_initial_flow(net))
+    result = Chain(demo, 3).max_flow(0)
     assert result.value == 3
     assert result.augmentations == 0
 
 
 def test_max_flow_demo_cold(demo):
-    net = build_network(demo, k=3, t=1)
-    result = max_flow_augmenting(net, zero_flow(net))
+    result = Chain(demo, 3, warm_start=False).max_flow(1)
     assert result.value == 3
-    assert_valid_flow(net, result)
+    assert_valid_flow(demo, 3, 1, result)
 
 
 def test_max_flow_demo_warm_single_augmentation(demo):
-    net = build_network(demo, k=3, t=1)
-    result = max_flow_augmenting(net, backbone_initial_flow(net))
+    result = Chain(demo, 3).max_flow(1)
     assert result.value == 3
     assert result.augmentations == 1
-    assert_valid_flow(net, result)
+    assert_valid_flow(demo, 3, 1, result)
 
 
 def test_decide_demo_feasible(demo):
@@ -126,8 +153,11 @@ def test_decide_t_above_k_infeasible(demo):
 def test_decide_rejects_bad_k(demo):
     with pytest.raises(ValueError):
         decide(demo, k=0, t=0)
-    with pytest.raises(ValueError):
-        decide(IntervalSet(()), k=1, t=0)
+    # an empty set holds every floor, even one above the cap
+    for t in (0, 1, 2):
+        sol = decide(IntervalSet(()), k=1, t=t)
+        assert (sol.kept, sol.achieved_mincov, sol.method) == ((), 0, "exact-tailored")
+        assert sol.work == {"flow_solves": 0, "augmentations": 0, "native_flow": 0}
 
 
 def test_decide_witnesses_verify_by_sweep():
@@ -158,8 +188,7 @@ def test_decide_deterministic(demo):
 
 def test_duplicate_intervals_become_parallel_arcs():
     s = iset([(0, 5), (0, 5), (0, 5)])
-    net = build_network(s, k=2, t=2)
-    assert net.interval_arcs == ((1, 2), (1, 2), (1, 2))
+    assert build_network(s).interval_arcs.tolist() == [[1, 2]] * 3
     sol = decide(s, k=2, t=2)
     assert sol is not None
     assert len(sol.kept) == 2  # exactly two of the three copies survive
@@ -180,13 +209,13 @@ def test_warm_and_cold_agree_on_value():
         s = random_instance(rng, rng.randint(1, 18))
         k = rng.randint(1, 5)
         t = rng.randint(0, k)
-        net = build_network(s, k, t)
-        cold = max_flow_augmenting(net, zero_flow(net))
-        warm = max_flow_augmenting(net, backbone_initial_flow(net))
+        cold = Chain(s, k, warm_start=False).max_flow(t)
+        warm = Chain(s, k).max_flow(t)
         assert cold.value == warm.value
         assert warm.augmentations <= t
-        assert_valid_flow(net, cold)
-        assert_valid_flow(net, warm)
+        assert cold.augmentations <= k
+        assert_valid_flow(s, k, t, cold)
+        assert_valid_flow(s, k, t, warm)
 
 
 def test_coverage_identity_on_extracted_witness():
@@ -197,14 +226,14 @@ def test_coverage_identity_on_extracted_witness():
         s = random_instance(rng, rng.randint(1, 16))
         k = rng.randint(1, 5)
         t = rng.randint(0, k)
-        net = build_network(s, k, t)
-        fa = max_flow_augmenting(net, backbone_initial_flow(net))
+        fa = Chain(s, k).max_flow(t)
         if fa.value < k:
             continue
         kept = [i for i, f in enumerate(fa.interval_flow) if f == 1]
         sub = s.subset(kept)
-        for j in range(1, len(net.coords)):
-            p = net.coords[j - 1]  # any point of segment j works: coverage is constant
+        coords = s.compressed[0].tolist()
+        for j in range(1, len(coords)):
+            p = coords[j - 1]  # any point of segment j works: coverage is constant
             cov = sum(1 for iv in sub if iv.start <= p < iv.end)
             assert cov == k - fa.backbone_flow[j]
             checked += 1
@@ -252,9 +281,9 @@ def test_kept_flow_matches_scipy_along_the_descent():
     for s, k in instances:
         chain, t = Chain(s, k), k
         while t >= 0:
-            flow = chain.max_flow(t)
-            assert flow.value == scipy_max_flow_value(s, k, t)
-            assert_valid_flow(build_network(s, k, t), flow)
+            fa = chain.max_flow(t)
+            assert fa.value == scipy_max_flow_value(s, k, t)
+            assert_valid_flow(s, k, t, fa)
             probes += 1
             t -= rng.randint(1, 3)  # the floor may fall by more than one
     assert probes > 250

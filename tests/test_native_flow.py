@@ -1,15 +1,14 @@
-"""The compiled max-flow on a `Chain` against the Python reference
-`max_flow_augmenting`, probe by probe from the warm start and along a
-descent that keeps its flow, and the fallback to that reference when no
-library can be built."""
+"""The compiled max-flow on a `Chain` against its Python twin
+`_augment_python` on the same arrays, probe by probe from the warm start
+and along a descent that keeps its flow, and the fallback to that twin
+when no library can be built."""
 
 import json
 import random
 
 import pytest
 
-from covprune import (IntervalSet, _native, backbone_initial_flow, build_network,
-                      max_flow_augmenting)
+from covprune import IntervalSet, _native
 from covprune.cli import main
 from covprune.flow import Chain
 
@@ -43,23 +42,28 @@ def seeded_instances():
     yield random_instance(rng, 20_000, max_coord=100_000, max_len=400), 30
 
 
-def test_native_flow_matches_reference(compiler):
+def python_flow(monkeypatch, chain, t):
+    """`chain.max_flow(t)` run by `_augment_python`, as without a library."""
+    with monkeypatch.context() as m:
+        m.setattr(_native, "load_library", lambda: None)
+        return chain.max_flow(t)
+
+
+def test_native_flow_matches_reference(compiler, monkeypatch):
     probes = augmented = 0
     for s, k in seeded_instances():
         for t in range(k + 1):
             chain = Chain(s, k)
             assert chain.native == 1
-            net = build_network(s, k, t)
-            reference = max_flow_augmenting(net, backbone_initial_flow(net))
+            reference = python_flow(monkeypatch, Chain(s, k), t)
             assert chain.max_flow(t) == reference
             probes += 1
             augmented += reference.augmentations > 1
-        # one chain descending k -> 0 against the reference carrying its own flow
-        chain, reference = Chain(s, k), None
+        # one descent k -> 0 per backend, each carrying its own flow
+        chain, reference = Chain(s, k), Chain(s, k)
         for t in range(k, -1, -1):
-            net = build_network(s, k, t)
-            reference = max_flow_augmenting(net, reference or backbone_initial_flow(net))
-            assert chain.max_flow(t) == reference
+            assert chain.max_flow(t) == python_flow(monkeypatch, reference, t)
+            assert (chain.res == reference.res).all()
     assert probes > 2000 and augmented > 300
 
 

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from covprune import (IntervalSet, brute_force_opt, naive_range_min_max,
-                      maxcov, mincov_over)
+from covprune import IntervalSet, brute_force_opt, maxcov, mincov_over
 
-from conftest import iset, random_instance
+from conftest import iset, naive_range_min_max, random_instance
 
 
 def test_demo_opt(demo):
