@@ -6,8 +6,7 @@ by descending from the bound min(k, mincov), and the approximate pruning
 result, so the whole pipeline can be eyeballed in one screen.
 """
 
-from covprune import (IntervalSet, coverage_profile, mincov_span, maxcov,
-                      build_network, decide, solve_exact, approx_prune,
+from covprune import (IntervalSet, build_network, decide, solve_exact, approx_prune,
                       brute_force_opt)
 from covprune.flow import Chain
 
@@ -20,11 +19,11 @@ def main():
     names = "ABCDEF"
     print(f"instance: {', '.join(f'{names[i]}=[{a},{b})' for i, (a, b) in enumerate(READS))}")
 
-    prof = coverage_profile(s)
-    print(f"\ncoverage profile over delimiters {prof.delimiters}:")
-    for j, c in enumerate(prof.segment_cov):
-        print(f"  [{prof.delimiters[j]:>2},{prof.delimiters[j + 1]:>2})  cov={c}")
-    print(f"mincov over span = {mincov_span(s)}, maxcov = {maxcov(s)}")
+    delims, cov = s.compressed.delimiters.tolist(), s.compressed.segment_cov.tolist()
+    print(f"\ncoverage profile over delimiters {tuple(delims)}:")
+    for j, c in enumerate(cov):
+        print(f"  [{delims[j]:>2},{delims[j + 1]:>2})  cov={c}")
+    print(f"mincov over span = {min(cov)}, maxcov = {max(cov)}")
 
     net = build_network(s)
     print(f"\nflow network: {net.nv} vertices, source 0, sink {net.nv - 1}, "

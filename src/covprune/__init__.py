@@ -1,10 +1,11 @@
 """covprune: cap interval coverage at k while keeping minimum coverage high.
 
-Exact solving goes through a max-flow reduction, descending the coverage
-floor from the bound min(k, mincov) on one flow kept between floors;
-a coverage tree with lazy balance counters gives an O(n log n)
-approximation with ratio k / floor(k/2); a brute-force oracle validates
-both at small sizes.
+Every solver reads one numpy coverage profile per interval set, cached
+as `IntervalSet.compressed`.  Exact solving goes through a max-flow
+reduction, descending the coverage floor from the bound min(k, mincov)
+on one flow kept between floors; a coverage tree with lazy balance
+counters gives an O(n log n) approximation with ratio k / floor(k/2);
+a brute-force oracle validates both at small sizes.
 
 The names below resolve on first access (PEP 562), so importing one
 module, such as `covprune.cli`, loads only the modules it uses.
@@ -13,8 +14,7 @@ module, such as `covprune.cli`, loads only the modules it uses.
 import importlib
 
 _EXPORTS = {
-    "intervals": ("Interval", "IntervalSet", "CoverageProfile", "coverage_profile",
-                  "cov_at", "maxcov", "mincov_span", "mincov_over"),
+    "intervals": ("Interval", "IntervalSet", "CoverageProfile", "coverage_profile"),
     "solution": ("Solution", "score_subset"),
     "flow": ("FlowNetwork", "FlowAssignment", "build_network", "max_flow_augmenting",
              "decide"),

@@ -2,7 +2,8 @@
 
 Leaves are the segments between consecutive delimiters, initialized to
 the full-set coverage; a range is a half-open run [lo, hi) of segment
-indices, as in `IntervalSet.compressed` and `_sweep.c`.  Every node
+indices, as in the `lo`/`hi` arrays of `IntervalSet.compressed` (the
+set's `CoverageProfile`) and in `_sweep.c`.  Every node
 carries the min and max coverage of its subtree plus a `balance`: a
 pending decrement that applies to the whole subtree but has not yet
 been pushed to the children.  The stored invariant, for every node v:

@@ -225,8 +225,8 @@ def decide(intervals: IntervalSet, k: int, t: int,
     """Find a subset with maxcov <= k and mincov >= t over the span.
 
     Returns None when no such subset exists (a normal outcome, not an
-    error); an empty set holds every floor.  With `warm_start` an input
-    already under the cap keeps every read, and otherwise the solver
+    error); an empty set holds every floor, and an input already under
+    the cap keeps every read.  Otherwise, with `warm_start`, the solver
     begins from the backbone flow of value k - t on a `Chain` and needs
     at most t augmentations; without it the flow starts from zero.  At
     t = 0 every subset under the cap qualifies, and the answer is
@@ -242,7 +242,7 @@ def decide(intervals: IntervalSet, k: int, t: int,
         # mincov <= maxcov <= k < t can never hold
         return None
     cov = intervals.compressed[3]
-    if warm_start and cov.max() <= k:
+    if cov.max() <= k:
         # keeping every read is best, and k >= 2**63 stays out of int64 capacities
         return (score_subset(intervals, range(len(intervals)), method, work)
                 if t <= cov.min() else None)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .intervals import IntervalSet, coverage_profile
+from .intervals import IntervalSet, segment_cov
 from .solution import Solution
 
 DEFAULT_LIMIT = 20
@@ -31,14 +31,12 @@ def brute_force_opt(intervals: IntervalSet, k: int,
     if n == 0:
         return Solution((), 0, 0, "oracle", {"subsets": 1})
 
-    profile = coverage_profile(intervals)
-    delims = profile.delimiters
-    nseg = profile.num_segments
+    delims, lo, hi, cov = intervals.compressed
+    nseg = len(cov)
     # rows: per-interval 0/1 indicator over the full segmentation
-    seg_of = {d: j for j, d in enumerate(delims)}
     rows = np.zeros((n, nseg), dtype=np.int16)
-    for i, iv in enumerate(intervals):
-        rows[i, seg_of[iv.start]:seg_of[iv.end]] = 1
+    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        rows[i, a:b] = 1
 
     best_min = -1
     candidates: list[np.ndarray] = []
@@ -61,8 +59,8 @@ def brute_force_opt(intervals: IntervalSet, k: int,
     # the empty subset is always feasible, so best_min >= 0
     witness = _lex_min_subset(np.concatenate(candidates), n)
     kept = tuple(i for i in range(n) if witness >> i & 1)
-    sub = intervals.subset(kept)
-    mx = max(coverage_profile(sub).segment_cov, default=0)
+    idx = np.asarray(kept, np.intp)
+    mx = int(segment_cov(lo[idx], hi[idx], len(delims)).max(initial=0))
     return Solution(kept, best_min, mx, "oracle", {"subsets": total})
 
 

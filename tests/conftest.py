@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import strategies as st
@@ -42,6 +43,46 @@ def clipped_instance(rng: random.Random, n: int, length: int, max_len: int) -> I
 def count_cover(pairs, p: int) -> int:
     """Independent per-point coverage count used as the sweep oracle."""
     return sum(1 for s, e in pairs if s <= p < e)
+
+
+def reference_profile(intervals: IntervalSet) -> tuple[list[int], list[int]]:
+    """(delimiters, segment coverage) by a pure-Python endpoint sweep,
+    written apart from the package's numpy `coverage_profile`."""
+    pairs = list(zip(intervals.starts.tolist(), intervals.ends.tolist()))
+    delims = sorted({c for pair in pairs for c in pair})
+    index = {c: j for j, c in enumerate(delims)}
+    delta = [0] * len(delims)
+    for s, e in pairs:
+        delta[index[s]] += 1
+        delta[index[e]] -= 1
+    cov, running = [], 0
+    for d in delta[:-1]:
+        running += d
+        cov.append(running)
+    return delims, cov
+
+
+def maxcov(intervals: IntervalSet) -> int:
+    """Maximum coverage over all points; 0 for the empty set."""
+    return max(reference_profile(intervals)[1], default=0)
+
+
+def mincov_span(intervals: IntervalSet) -> int:
+    """Minimum coverage over the set's own span, gaps counting 0; 0 when empty."""
+    return min(reference_profile(intervals)[1], default=0)
+
+
+def mincov_over(intervals: IntervalSet, start: int, end: int) -> int:
+    """Minimum coverage over the window [start, end); points no interval
+    covers count as 0, so a subset scores against its parent's span."""
+    if start >= end:
+        raise ValueError(f"empty window [{start}, {end})")
+    delims, cov = reference_profile(intervals)
+    if not delims or start < delims[0] or end > delims[-1]:
+        return 0
+    jl = bisect_right(delims, start) - 1
+    jr = bisect_right(delims, end - 1) - 1
+    return min(cov[jl:jr + 1])
 
 
 def naive_range_min_max(values, lo: int, hi: int) -> tuple[int, int]:

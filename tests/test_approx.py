@@ -4,9 +4,9 @@ import random
 import pytest
 
 from covprune import (IntervalSet, approx_prune, is_expendable, solve_exact,
-                      brute_force_opt, coverage_profile, maxcov, build_tree)
+                      brute_force_opt, build_tree)
 
-from conftest import iset, random_instance
+from conftest import iset, maxcov, random_instance, reference_profile
 
 
 def test_classification_threshold():
@@ -76,9 +76,7 @@ def test_sweep_matches_flat_array_replay():
         k = rng.randint(1, 6)
         half = k // 2
 
-        prof = coverage_profile(s)
-        delims = list(prof.delimiters)
-        flat = list(prof.segment_cov)
+        delims, flat = reference_profile(s)
         initial = list(flat)
         pos = {d: j for j, d in enumerate(delims)}
         deleted = []

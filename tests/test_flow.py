@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from covprune import IntervalSet, build_network, decide, mincov_over, maxcov
+from covprune import IntervalSet, build_network, decide
 from covprune import flow
 from covprune.flow import Chain, FlowAssignment
 
-from conftest import clipped_instance, iset, random_instance, interval_pairs
+from conftest import (clipped_instance, iset, maxcov, mincov_over, random_instance,
+                      interval_pairs)
 
 
 def assert_valid_flow(s, k, t, fa):
@@ -148,6 +149,17 @@ def test_decide_demo_t3_infeasible(demo):
 
 def test_decide_t_above_k_infeasible(demo):
     assert decide(demo, k=3, t=4) is None
+
+
+@pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+def test_decide_under_the_cap_keeps_every_read_at_huge_k(warm_start):
+    # k = 2**63 is beyond the int64 residual; an input under the cap
+    # never reaches a Chain on either path
+    s = iset([(0, 5), (0, 5), (2, 7)])
+    sol = decide(s, 2**63, 1, warm_start=warm_start)
+    assert (sol.kept, sol.achieved_mincov, sol.achieved_maxcov) == ((0, 1, 2), 1, 3)
+    assert sol.work["flow_solves"] == 0
+    assert decide(s, 2**63, 2, warm_start=warm_start) is None
 
 
 def test_decide_rejects_bad_k(demo):

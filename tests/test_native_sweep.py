@@ -6,10 +6,10 @@ import json
 import random
 import subprocess
 
-from covprune import IntervalSet, _native, approx_prune, maxcov
+from covprune import IntervalSet, _native, approx_prune
 from covprune.cli import main
 
-from conftest import iset, random_instance
+from conftest import iset, maxcov, random_instance
 
 MAX_COORD = 2**64 - 1
 

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from covprune import IntervalSet, brute_force_opt, maxcov, mincov_over
+from covprune import IntervalSet, brute_force_opt
 
-from conftest import iset, naive_range_min_max, random_instance
+from conftest import iset, maxcov, mincov_over, naive_range_min_max, random_instance
 
 
 def test_demo_opt(demo):

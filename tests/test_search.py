@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from covprune import (IntervalSet, solve_exact, decide, brute_force_opt, maxcov,
-                      mincov_over, mincov_span)
+from covprune import IntervalSet, solve_exact, decide, brute_force_opt
 
-from conftest import clipped_instance, iset, random_instance
+from conftest import (clipped_instance, iset, maxcov, mincov_over, mincov_span,
+                      random_instance)
 
 
 def test_solve_demo_both_engines(demo):
