@@ -22,8 +22,7 @@ _EXPORTS = {
     "coverage_tree": ("CoverageTree", "build_tree"),
     "approx": ("approx_prune", "is_expendable"),
     "oracle": ("brute_force_opt",),
-    "io": ("InstanceFile", "ParseError", "Record", "parse_instance",
-           "read_instance", "generate_instance"),
+    "io": ("InstanceFile", "ParseError", "Record", "parse_instance", "read_instance"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,17 +1,19 @@
 """Build and load the compiled kernels on first use.
 
-One library holds two kernels: the approx sweep (`_sweep.c`) and the
-exact solver's max-flow (`_flow.c`).  It is compiled with the C compiler
-Python itself was built with and cached under `$XDG_CACHE_HOME/covprune/`
-(default `~/.cache/covprune/`), named by a hash of the sources, the
-compiler command and the flags, so an edited source or another compiler
-gets a fresh build.  A cached library loads with `ctypes`, `os` and
-`sysconfig` alone; `subprocess` and `tempfile` are imported only to
-compile.  When that directory cannot be written the library is built in
-a private temporary directory for this process only.  When there is no
-compiler or the build fails, `load_library` returns None, and each
-kernel's Python twin runs on the same arrays instead: approx's
-`_sweep_python` over `CoverageTree`, and flow's `_augment_python`.
+One library holds three kernels: the input reader (`_parse.c`), the
+approx sweep (`_sweep.c`) and the exact solver's max-flow (`_flow.c`).
+It is compiled with the C compiler Python was built with and cached
+under `$XDG_CACHE_HOME/covprune/` (default `~/.cache/covprune/`), named
+by a hash of the sources, the compiler command and the flags, so an
+edited source or another compiler gets a fresh build.  A cached library
+loads with `ctypes`, `os` and `sysconfig` alone; `subprocess` and
+`tempfile` are imported only to compile.  When that directory cannot be
+written the library is built in a private temporary directory for this
+process only.  When there is no compiler or the build fails,
+`load_library` returns None, and each kernel's Python twin runs
+instead: io's `np.loadtxt` pass `_parse_regular`, and, on the same
+arrays, approx's `_sweep_python` over `CoverageTree` and flow's
+`_augment_python`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = tuple(Path(__file__).with_name(name) for name in ("_sweep.c", "_flow.c"))
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("_parse.c", "_sweep.c", "_flow.c"))
 FLAGS = ("-O2", "-shared", "-fPIC")
 
 
@@ -74,8 +76,11 @@ def _compile(cc: list[str], target: Path) -> bool:
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     n = ctypes.c_int64
+    lib.covprune_parse.argtypes = [ctypes.c_char_p, n, n, u64, u64, u8, i64, i64]
+    lib.covprune_parse.restype = n
     lib.covprune_sweep.argtypes = [n, n, i64, n, i64, i64, n, i64, i64, i64, u8, i64]
     lib.covprune_sweep.restype = None
     lib.covprune_max_flow.argtypes = [n, n, n, i64, i64, i64, i64, i64, i64]

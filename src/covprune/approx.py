@@ -58,8 +58,9 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
         # removals never help: keeping everything is already optimal
         return Solution(tuple(range(n)), int(cov.min()), int(cov.max()), "approx", work)
 
-    # equals sorted((start, end, i)): lo and hi order reads as their coordinates do
-    order = np.lexsort((np.arange(n), hi, lo))
+    # equals sorted((start, end, i)): lo and hi order reads as their
+    # coordinates do, and a stable sort breaks ties by index
+    order = np.argsort(lo * (len(cov) + 1) + hi, kind="stable")
     # imported on first use: the loader's own imports would slow every CLI start
     from ._native import load_library
     lib = load_library()

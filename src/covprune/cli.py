@@ -20,8 +20,7 @@ import time
 
 import numpy as np
 
-from . import flow, io, search
-from .approx import approx_prune
+from . import io
 from .intervals import IntervalSet
 
 STATS_SCHEMA = "covprune.stats/1"
@@ -97,20 +96,24 @@ def _run(args, solver) -> int:
     return 0 if feasible else 1
 
 
+# each subcommand imports only its own solver, which a run of another never loads
 def cmd_decide(args) -> int:
-    return _run(args, lambda chrom, ivs: flow.decide(ivs, args.k, args.t))
+    from .flow import decide
+    return _run(args, lambda chrom, ivs: decide(ivs, args.k, args.t))
 
 
 def cmd_solve(args) -> int:
-    return _run(args, lambda chrom, ivs: search.solve_exact(ivs, args.k))
+    from .search import solve_exact
+    return _run(args, lambda chrom, ivs: solve_exact(ivs, args.k))
 
 
 def cmd_approx(args) -> int:
+    from .approx import approx_prune
     return _run(args, lambda chrom, ivs: approx_prune(ivs, args.k))
 
 
 def cmd_oracle(args) -> int:
-    from . import oracle  # no other subcommand needs it
+    from . import oracle
     return _run(args, lambda chrom, ivs: oracle.brute_force_opt(
         ivs, args.k, limit=args.limit, force=args.force))
 

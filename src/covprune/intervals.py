@@ -119,13 +119,17 @@ class CoverageProfile(NamedTuple):
 
 def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
     """The exact coverage step function of the set, from its endpoint arrays."""
-    starts, ends = intervals.starts, intervals.ends
-    both = np.sort(np.concatenate((starts, ends)))
+    both = np.concatenate((intervals.starts, intervals.ends))
     # sort and drop repeats: np.unique takes a slower hash path on uint64
+    order = np.argsort(both)
+    both = both[order]
     first = np.ones(len(both), bool)
     first[1:] = both[1:] != both[:-1]
     delims = both[first]
-    lo, hi = np.searchsorted(delims, starts), np.searchsorted(delims, ends)
+    # each endpoint's delimiter index, its rank among the distinct endpoints
+    rank = np.empty(len(both), np.intp)
+    rank[order] = np.cumsum(first) - 1
+    lo, hi = np.split(rank, 2)
     return CoverageProfile(delims, lo, hi, segment_cov(lo, hi, len(delims)))
 
 

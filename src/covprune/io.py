@@ -4,13 +4,14 @@ Two line formats: "plain" (two whitespace-separated non-negative
 integers per line) and "bed3" (name, start, end).  Comment lines
 starting with '#' and blank lines are ignored.  BED3 files hold several
 chromosomes; each is an independent instance on its own coordinate line.
-`read_instance` reads a regular file in one `np.loadtxt` pass, anything
-else with `parse_instance`, the line parser that names a bad line.
+`read_instance` reads a regular file in one pass of the compiled kernel
+(`_parse.c`), or of its `np.loadtxt` twin when no library loads, and
+anything else with `parse_instance`, the line parser that names a bad
+line.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from io import BytesIO
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .intervals import MAX_COORD, Interval, IntervalSet
+from .intervals import MAX_COORD, IntervalSet
 
 _FIELDS = {"plain": 2, "bed3": 3}
 _DETECT = {n: fmt for fmt, n in _FIELDS.items()}  # by the first data line's field count
@@ -80,15 +81,19 @@ class InstanceFile:
         return (_LINE[self.fmt] + "\n") * len(table) % tuple(table.ravel().tolist())
 
 
-def _instance(fmt: str, names, starts, ends) -> InstanceFile:
+def _instance(fmt: str, names, starts, ends, head=None) -> InstanceFile:
+    """The instance of the given columns; bed3 `names` holds each
+    record's name or, with `head`, the name of each run of one name,
+    which starts at record head[j]."""
     chroms, code = (None,), np.zeros(len(starts), np.intp)
     if names is not None:
-        # a sorted file repeats each name in one run: sort only the runs
         names = np.asarray(names)
-        head = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
-        chroms, code = np.unique(names[head], return_inverse=True)
+        if head is None:  # a sorted file repeats each name in one run: sort only the runs
+            head = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
+            names = names[head]
+        chroms, code = np.unique(names, return_inverse=True)
         chroms = tuple(chroms.astype(str).tolist())
-        code = np.repeat(code, np.diff(head, append=len(names)))
+        code = np.repeat(code, np.diff(head, append=len(starts)))
     # copies, so that a parsed table's name column can be freed
     return InstanceFile(fmt, chroms, code, np.array(starts, np.uint64), np.array(ends, np.uint64))
 
@@ -133,18 +138,26 @@ def parse_instance(text: str, fmt: str | None = None) -> InstanceFile:
     return _instance(detected or "plain", names or None, starts, ends)
 
 
+def _bulk_format(data: bytes, fmt: str | None) -> str | None:
+    """`fmt`, or the format the first line's field count picks, if that
+    line holds the format's field count; else None."""
+    cut = data.find(b"\n")
+    fields = len((data if cut < 0 else data[:cut]).split())
+    fmt = fmt or _DETECT.get(fields)
+    return fmt if fields == _FIELDS.get(fmt) else None
+
+
 def _parse_regular(data: bytes, fmt: str | None) -> InstanceFile | None:
     """Parse `data` in one `np.loadtxt` pass if it is printable ASCII
     without '#' and each non-blank line holds the format's field count,
     else return None.  Names are read at the longest line's width, so a
     few very long lines also leave the file to the line parser."""
-    if data.translate(None, _REGULAR) or b"#" in data:
+    fmt = _bulk_format(data, fmt)
+    if fmt is None or data.translate(None, _REGULAR) or b"#" in data:
         return None
     breaks = np.flatnonzero(np.frombuffer(data + b"\n", np.uint8) == ord("\n"))
-    fields = len(data[:breaks[0]].split())
-    fmt = fmt or _DETECT.get(fields)
     width = int(np.diff(breaks, prepend=-1).max())
-    if fields != _FIELDS.get(fmt) or width * len(breaks) > 4 * len(data):
+    if width * len(breaks) > 4 * len(data):
         return None
     names = [("chrom", f"S{width}")] * (fmt == "bed3")
     try:
@@ -157,32 +170,35 @@ def _parse_regular(data: bytes, fmt: str | None) -> InstanceFile | None:
     return _instance(fmt, table["chrom"] if names else None, table["start"], table["end"])
 
 
+def _parse_native(lib, data: bytes, fmt: str | None) -> InstanceFile | None:
+    """What `_parse_regular` returns, read by `covprune_parse` in C in
+    one pass; the kernel refuses a few files the twin reads, such as a
+    coordinate `+5`, which the line parser then reads."""
+    fmt = _bulk_format(data, fmt)
+    if fmt is None:
+        return None
+    # one slot per line; name ranges are written at runs' first records only
+    lines = data.count(b"\n") + 1
+    starts, ends = np.empty((2, lines), np.uint64)
+    head, (name_at, name_len) = np.zeros(lines, np.uint8), np.empty((2, lines), np.int64)
+    n = lib.covprune_parse(data, len(data), _FIELDS[fmt], starts, ends, head, name_at, name_len)
+    if n < 0:
+        return None
+    at = np.flatnonzero(head[:n])  # no runs in a plain file, which leaves head 0
+    names = [data[a:a + size] for a, size in zip(name_at[at].tolist(), name_len[at].tolist())]
+    return _instance(fmt, names or None, starts[:n], ends[:n], at)
+
+
 def read_instance(path: str, fmt: str | None = None) -> InstanceFile:
-    """Read an instance file; bytes that are not UTF-8 raise a ValueError."""
+    """Read an instance file, by the line parser where the bulk one
+    refuses it; bytes that are not UTF-8 raise a ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return _parse_regular(data, fmt) or parse_instance(data.decode("utf-8"), fmt)
+    from ._native import load_library  # on first use: its imports would slow `import`
+    lib = load_library()
+    return ((_parse_native(lib, data, fmt) if lib else _parse_regular(data, fmt))
+            or parse_instance(data.decode("utf-8"), fmt))
 
 
 def format_record(rec: Record, fmt: str) -> str:
     return _LINE[fmt] % rec[-_FIELDS[fmt]:]
-
-
-def generate_instance(n: int, span_length: int, seed: int) -> IntervalSet:
-    """Random benchmark instance, fully determined by the seed.
-
-    Starts are uniform over [0, span_length), lengths uniform over
-    [1, span_length // 10], ends clipped to the span.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if span_length < 2:
-        raise ValueError(f"span_length must be >= 2, got {span_length}")
-    rng = random.Random(seed)
-    max_len = max(1, span_length // 10)
-    items = []
-    for _ in range(n):
-        start = rng.randrange(span_length)
-        end = min(start + rng.randint(1, max_len), span_length)
-        items.append(Interval(start, end))
-    return IntervalSet(tuple(items))

@@ -4,7 +4,7 @@ from bisect import bisect_right
 import pytest
 from hypothesis import strategies as st
 
-from covprune import IntervalSet
+from covprune import Interval, IntervalSet
 
 # Six overlapping reads used throughout the suite; small enough to check
 # everything by hand yet rich enough to exercise every code path:
@@ -19,6 +19,26 @@ def demo() -> IntervalSet:
 
 def iset(pairs) -> IntervalSet:
     return IntervalSet.from_pairs(pairs)
+
+
+def generate_instance(n: int, span_length: int, seed: int) -> IntervalSet:
+    """Random benchmark instance, fully determined by the seed.
+
+    Starts are uniform over [0, span_length), lengths uniform over
+    [1, span_length // 10], ends clipped to the span.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if span_length < 2:
+        raise ValueError(f"span_length must be >= 2, got {span_length}")
+    rng = random.Random(seed)
+    max_len = max(1, span_length // 10)
+    items = []
+    for _ in range(n):
+        start = rng.randrange(span_length)
+        end = min(start + rng.randint(1, max_len), span_length)
+        items.append(Interval(start, end))
+    return IntervalSet(tuple(items))
 
 
 def random_instance(rng: random.Random, n: int,

@@ -11,12 +11,12 @@ import time
 import numpy as np
 
 from covprune import (IntervalSet, decide, solve_exact, approx_prune,
-                      brute_force_opt, build_tree, generate_instance)
+                      brute_force_opt, build_tree)
 from covprune.flow import Chain
 from covprune.intervals import segment_cov
 
-from conftest import (clipped_instance, count_cover, iset, maxcov, mincov_over,
-                      naive_range_min_max, random_instance)
+from conftest import (clipped_instance, count_cover, generate_instance, iset, maxcov,
+                      mincov_over, naive_range_min_max, random_instance)
 
 DEMO = iset([(0, 8), (0, 2), (2, 6), (1, 3), (1, 10), (4, 10)])
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from covprune import cli
+from covprune import approx
 from covprune.cli import main
 
 from conftest import DEMO_PAIRS
@@ -248,7 +248,7 @@ def test_internal_error_exits_3_and_keeps_finished_stats(tmp_path, capsys, monke
     bed.write_text("".join(f"chrA\t{s}\t{e}\n" for s, e in DEMO_PAIRS)
                    + "chrB\t0\t10\n" * 4)
     stats = tmp_path / "stats.jsonl"
-    real = cli.approx_prune
+    real = approx.approx_prune
     calls = []
 
     def failing(ivs, k):
@@ -257,7 +257,7 @@ def test_internal_error_exits_3_and_keeps_finished_stats(tmp_path, capsys, monke
             raise AssertionError("self-check failed")
         return real(ivs, k)
 
-    monkeypatch.setattr(cli, "approx_prune", failing)
+    monkeypatch.setattr(approx, "approx_prune", failing)
     code, out, err = run(capsys, "approx", str(bed), "--k", "3", "--stats", str(stats))
     assert code == 3
     assert out == ""

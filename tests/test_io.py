@@ -1,12 +1,33 @@
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from covprune import Interval, ParseError, io, parse_instance, generate_instance, read_instance
+from covprune import Interval, ParseError, _native, io, parse_instance, read_instance
 from covprune.cli import main
 from covprune.io import Record, format_record
+
+from conftest import generate_instance
+
+# the bulk parser's two backends: the compiled kernel, and its np.loadtxt
+# twin, which runs when no library loads
+BACKENDS = [pytest.param("native", marks=pytest.mark.skipif(
+                _native.load_library() is None, reason="no working C compiler")),
+            "loadtxt"]
+
+
+def read_with(backend, path, fmt=None):
+    """`read_instance` with the bulk parser of `backend`: the native one
+    must never hand the file to the twin."""
+    def refuse(*args):
+        raise AssertionError("the np.loadtxt twin ran beside a loaded library")
+
+    patch = (mock.patch.object(io, "_parse_regular", refuse) if backend == "native"
+             else mock.patch.object(_native, "load_library", lambda: None))
+    with patch:
+        return read_instance(path, fmt)
 
 
 PLAIN = """\
@@ -133,6 +154,7 @@ def instance_bytes(draw):
     return text.encode(errors="surrogateescape")
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=300, deadline=None)
 @given(instance_bytes(), st.sampled_from([None, None, "plain", "bed3"]))
 @example(b"chr1 0 5\n\n#chr1 0 5\nchr1 2 9\n", None)
@@ -149,12 +171,25 @@ def instance_bytes(draw):
 @example(b"chr1 0 5\n", "plain")
 @example(b"c\x0b0 5\n", None)
 @example(b"chr1 0 5\nchr\xff 0 5\n", None)
-def test_bulk_parser_agrees_with_line_parser(data, fmt):
+@example(b"0 5\r2 9\n", None)  # a lone carriage return
+@example(b"0 5\r\n2 9\r", None)
+@example(b"0 18446744073709551615\n", None)
+@example(b"0 18446744073709551616\n", None)
+@example(b"0000000000000000000000005 0000000000000000000000009\n", None)
+@example(b"chr1 0 5\x00\n", None)
+@example(b"chr1\x000 5\n", None)
+@example(b"chr1 0 5\nchr1 2 9", None)  # no final newline
+@example(b"chr1 0 5\n\n \t\nchr2 2 9\n\n", None)  # blank lines between runs
+@example(b"chr1 0 5\nchr10 1 6\nchr1 2 7\nchr1 3 8\n", None)  # one name a prefix of another
+@example(b"chr2 0 5\nchr1 1 6\nchr2 2 7\n", None)  # a name recurs after another
+@example(b"chr1 2 9 \t\r\n\tchr1 0 5\n", None)
+@example(b"chr1 +5 9\n", None)
+def test_bulk_parser_agrees_with_line_parser(backend, data, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "reads")
         with open(path, "wb") as fh:
             fh.write(data)
-        got = _outcome(lambda: read_instance(path, fmt))
+        got = _outcome(lambda: read_with(backend, path, fmt))
     assert got == _outcome(lambda: parse_instance(data.decode("utf-8"), fmt))
 
 
@@ -163,7 +198,9 @@ def test_bulk_parser_agrees_with_line_parser(data, fmt):
      (Record("chr2", 5, 9), Record("chr1", 0, 4), Record("chr2", 6, 12))),
     ("0 8\n0 2\n2 6\n", "plain", (Record(None, 0, 8), Record(None, 0, 2), Record(None, 2, 6))),
 ], ids=["bed3", "plain"])
-def test_regular_files_never_reach_the_line_parser(tmp_path, monkeypatch, text, fmt, records):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_regular_files_never_reach_the_line_parser(tmp_path, monkeypatch, backend, text, fmt,
+                                                   records):
     # a bulk parser that always fell back would pass every output check
     def refuse(*args):
         raise AssertionError("the line parser ran on a regular file")
@@ -171,7 +208,7 @@ def test_regular_files_never_reach_the_line_parser(tmp_path, monkeypatch, text, 
     monkeypatch.setattr(io, "parse_instance", refuse)
     path = tmp_path / "reads"
     path.write_text(text)
-    inst = read_instance(str(path))
+    inst = read_with(backend, str(path))
     assert (inst.fmt, inst.records) == (fmt, records)
 
 

@@ -42,8 +42,19 @@ def loaded_by(code: str) -> set[str]:
 
 def test_cli_import_loads_no_unused_module():
     loaded = loaded_by("import covprune.cli")
-    assert {"covprune.cli", "covprune.flow", "covprune.search"} <= loaded
-    assert not loaded & {"covprune.oracle", "covprune.coverage_tree", "subprocess", "hashlib"}
+    assert {"covprune.cli", "covprune.io", "covprune.intervals"} <= loaded
+    # each subcommand imports its own solver when it runs
+    assert not loaded & {"covprune.approx", "covprune.flow", "covprune.search",
+                         "covprune.oracle", "covprune.coverage_tree", "subprocess", "hashlib"}
+
+
+def test_approx_run_loads_no_exact_solver(tmp_path):
+    path = tmp_path / "reads.txt"
+    path.write_text("0 4\n2 6\n1 5\n")
+    loaded = loaded_by("from covprune.cli import main\n"
+                       f"assert main(['approx', {str(path)!r}, '--k', '1']) == 0")
+    assert "covprune.approx" in loaded
+    assert not loaded & {"covprune.flow", "covprune.search"}
 
 
 def test_cached_library_loads_without_compiler_modules(compiler):
