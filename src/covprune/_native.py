@@ -83,7 +83,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.covprune_parse.restype = n
     lib.covprune_sweep.argtypes = [n, n, i64, n, i64, i64, n, i64, i64, i64, u8, i64]
     lib.covprune_sweep.restype = None
-    lib.covprune_max_flow.argtypes = [n, n, n, i64, i64, i64, i64, i64, i64]
+    lib.covprune_max_flow.argtypes = [n, n, n, i64, i64, i64, i64, i64, i64, i64]
     lib.covprune_max_flow.restype = n
     return lib
 

@@ -12,10 +12,11 @@ coverage of its segment, so its capacity k - t forces coverage >= t.
 
 `build_network` lays the network out in arrays once per interval set;
 the capacities, and so k and t, live only in the residual a `Chain`
-holds.  `max_flow_augmenting` augments that residual with the compiled
-loop (`_flow.c`, loaded by `_native`) when a C compiler is available,
-and otherwise with `_augment_python`, its line-for-line twin on the same
-arrays.  Both give the same flow, witness and augmentation count.
+holds.  `max_flow_augmenting` augments it along depth-first paths that
+try the farthest-reaching arc first, with the compiled loop (`_flow.c`,
+loaded by `_native`) when a C compiler is available, and otherwise with
+`_augment_python`, its line-for-line twin on the same arrays.  Both give
+the same flow, witness and augmentation count.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ class FlowNetwork:
     runs along logical arc a and arc 2a+1 against it; logical arc j <
     `num_backbone_arcs` joins vertex j to vertex j+1, and the rest are
     the interval arcs in input order, `interval_arcs[i]` holding the
-    (start vertex, end vertex) of interval i.  The arcs leaving vertex u
-    are `adj[first[u]:first[u + 1]]`, in construction order, and arc a
-    ends at `to[a]`.
+    (start vertex, end vertex) of interval i.  Arc a ends at `to[a]`, and
+    the arcs leaving vertex u are `adj[first[u]:first[u + 1]]`, by falling
+    head, parallel arcs in construction order.
     """
 
     nv: int
@@ -51,30 +52,23 @@ class FlowNetwork:
     to: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowAssignment:
     """An integral flow on a FlowNetwork, one value per arc."""
 
-    backbone_flow: tuple[int, ...]
-    interval_flow: tuple[int, ...]
+    backbone_flow: np.ndarray
+    interval_flow: np.ndarray
     augmentations: int = 0
 
     @property
     def value(self) -> int:
         # all flow leaves the source through the first backbone arc
-        return self.backbone_flow[0] if self.backbone_flow else 0
+        return int(self.backbone_flow[0])
 
     @property
-    def kept(self) -> list[int]:
+    def kept(self) -> np.ndarray:
         """The witness: the intervals whose arcs carry flow."""
-        return [i for i, f in enumerate(self.interval_flow) if f == 1]
-
-
-def _check_floor(k: int, t: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 <= t <= k:
-        raise ValueError(f"t must be in [0, k], got t={t} k={k}")
+        return np.flatnonzero(self.interval_flow == 1)
 
 
 def build_network(intervals: IntervalSet) -> FlowNetwork:
@@ -94,8 +88,9 @@ def build_network(intervals: IntervalSet) -> FlowNetwork:
     origin[0::2], origin[1::2] = tail, head
     to = np.empty_like(origin)
     to[0::2], to[1::2] = head, tail
-    # stable, so each vertex lists its arcs in construction order
-    adj = np.argsort(origin, kind="stable")
+    # each vertex lists its arcs by falling head, the search's order;
+    # stable, so parallel arcs keep construction order
+    adj = np.argsort(origin * nv + (nv - 1 - to), kind="stable")
     first = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=nv))))
     if not (to.min() >= 0 and to.max() < nv and first[-1] == len(to)):
         raise ValueError("arc endpoint outside the chain network")
@@ -105,67 +100,64 @@ def build_network(intervals: IntervalSet) -> FlowNetwork:
 def max_flow_augmenting(net: FlowNetwork, res: np.ndarray) -> FlowAssignment:
     """Augment the feasible flow held in the residual capacities `res`
     (one per residual arc of `net`) to a maximum flow, in place, by
-    breadth-first augmenting paths.  The returned assignment records how
+    depth-first augmenting paths.  The returned assignment records how
     many paths were needed."""
     # imported on first use: the loader's own imports would slow every CLI start
     from ._native import load_library
     lib = load_library()
     augment = _augment_python if lib is None else lib.covprune_max_flow
+    # scratch for the search: parent_arc, stack and next_arc
     augmentations = augment(net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res,
-                            np.empty(net.nv, np.int64), np.empty(net.nv, np.int64))
+                            *np.empty((3, net.nv), np.int64))
     nb = net.num_backbone_arcs
-    return FlowAssignment(tuple(res[1:2 * nb:2].tolist()),
-                          tuple(res[2 * nb + 1::2].tolist()), augmentations)
+    # copies: the next, lower floor goes on augmenting `res`
+    return FlowAssignment(res[1:2 * nb:2].copy(), res[2 * nb + 1::2].copy(), augmentations)
 
 
-def _augment_python(nv, source, sink, first, adj, to, res, parent_arc, queue) -> int:
+def _augment_python(nv, source, sink, first, adj, to, res, parent_arc, stack, next_arc) -> int:
     """`covprune_max_flow` (`_flow.c`) line for line, run on lists read
     from the same arrays, since indexing a list is many times faster than
-    indexing numpy; `res` gets the final residual back."""
-    lists = [a.tolist() for a in (first, adj, to, res, parent_arc, queue)]
+    indexing numpy; `res` and `parent_arc` get the final lists back."""
+    lists = [a.tolist() for a in (first, adj, to, res, parent_arc, stack, next_arc)]
     augmentations = 0
-    while _bfs_augment(nv, source, sink, *lists) > 0:
+    while _dfs_augment(nv, source, sink, *lists) > 0:
         augmentations += 1
-    res[:] = lists[3]
+    res[:], parent_arc[:] = lists[3], lists[4]
     return augmentations
 
 
-def _bfs_augment(nv, source, sink, first, adj, to, res, parent_arc, queue) -> int:
-    """One breadth-first augmenting path from source to sink; returns the
-    amount pushed, 0 when the sink cannot be reached."""
+def _dfs_augment(nv, source, sink, first, adj, to, res, parent_arc, stack, next_arc) -> int:
+    """One depth-first augmenting path from source to sink; returns the
+    amount pushed, 0 when the sink cannot be reached.  A failing search
+    leaves marked in `parent_arc` exactly the vertices the source reaches."""
     parent_arc[:] = [-1] * nv
     parent_arc[source] = -2
-    head, tail = 0, 1
-    queue[0] = source
-    found = False
-    while head < tail and not found:
-        u = queue[head]
-        head += 1
-        for a in adj[first[u]:first[u + 1]]:
+    depth = 0
+    stack[0] = source
+    next_arc[source] = first[source]
+    while depth >= 0 and parent_arc[sink] == -1:
+        u = stack[depth]
+        p, end = next_arc[u], first[u + 1]
+        while p < end and (parent_arc[to[adj[p]]] != -1 or res[adj[p]] <= 0):
+            p += 1
+        if p == end:
+            depth -= 1  # every arc of u tried: back up
+        else:
+            a = adj[p]
             v = to[a]
-            if parent_arc[v] == -1 and res[a] > 0:
-                parent_arc[v] = a
-                if v == sink:
-                    found = True
-                    break
-                queue[tail] = v
-                tail += 1
-    if not found:
+            next_arc[u] = p + 1
+            parent_arc[v] = a
+            depth += 1
+            stack[depth] = v
+            next_arc[v] = first[v]
+    if parent_arc[sink] == -1:
         return 0
 
-    bottleneck = res[parent_arc[sink]]
-    v = sink
-    while v != source:
-        a = parent_arc[v]
-        if res[a] < bottleneck:
-            bottleneck = res[a]
-        v = to[a ^ 1]
-    v = sink
-    while v != source:
-        a = parent_arc[v]
+    path = [parent_arc[v] for v in stack[1:depth + 1]]  # the stack runs source to sink
+    bottleneck = min(res[a] for a in path)
+    for a in path:
         res[a] -= bottleneck
         res[a ^ 1] += bottleneck
-        v = to[a ^ 1]
     return bottleneck
 
 
@@ -195,8 +187,9 @@ class Chain:
         """The maximum flow of the (k, t) network, augmented from the flow
         of the previous, higher floor, or on the first call from the
         start flow.  Its `augmentations` counts this call's paths."""
-        _check_floor(self.k, t)
         k, nb = self.k, self.net.num_backbone_arcs
+        if not 0 <= t <= k:
+            raise ValueError(f"t must be in [0, k], got t={t} k={k}")
         if self.t is None:
             self.first_t = t
             f = k - t if self.warm_start else 0  # the start flow on every backbone arc

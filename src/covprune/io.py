@@ -84,9 +84,9 @@ class InstanceFile:
 def _instance(fmt: str, names, starts, ends, head=None) -> InstanceFile:
     """The instance of the given columns; bed3 `names` holds each
     record's name or, with `head`, the name of each run of one name,
-    which starts at record head[j]."""
+    which starts at record head[j]; plain `names` is None or empty."""
     chroms, code = (None,), np.zeros(len(starts), np.intp)
-    if names is not None:
+    if names is not None and len(names):
         names = np.asarray(names)
         if head is None:  # a sorted file repeats each name in one run: sort only the runs
             head = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
@@ -185,8 +185,12 @@ def _parse_native(lib, data: bytes, fmt: str | None) -> InstanceFile | None:
     if n < 0:
         return None
     at = np.flatnonzero(head[:n])  # no runs in a plain file, which leaves head 0
-    names = [data[a:a + size] for a, size in zip(name_at[at].tolist(), name_len[at].tolist())]
-    return _instance(fmt, names or None, starts[:n], ends[:n], at)
+    # each run's name, gathered one byte column at a time into NUL-padded rows
+    offset, size, raw = name_at[at], name_len[at], np.frombuffer(data, np.uint8)
+    names = np.zeros((len(at), int(size.max(initial=1))), np.uint8)
+    for j in range(names.shape[1]):
+        names[size > j, j] = raw[offset[size > j] + j]
+    return _instance(fmt, names.view(f"S{names.shape[1]}")[:, 0], starts[:n], ends[:n], at)
 
 
 def read_instance(path: str, fmt: str | None = None) -> InstanceFile:

@@ -40,9 +40,8 @@ def score_subset(intervals: IntervalSet, kept, method: str,
     kept subset on the set's own segments, which tile its span, never
     from solver-internal state.
     """
-    kept = tuple(sorted(kept))
+    idx = np.sort(np.asarray(kept, np.intp))
     delims, lo, hi, _ = intervals.compressed
-    idx = np.asarray(kept, np.intp)
     cov = segment_cov(lo[idx], hi[idx], len(delims))
     mn = int(cov.min()) if len(cov) else 0
-    return Solution(kept, mn, int(cov.max(initial=0)), method, dict(work or {}))
+    return Solution(tuple(idx.tolist()), mn, int(cov.max(initial=0)), method, dict(work or {}))

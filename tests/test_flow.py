@@ -64,9 +64,24 @@ def test_build_network_demo(demo):
     # residual arc 2a runs along logical arc a, 2a + 1 against it
     assert net.to[:18:2].tolist() == list(range(1, 10))
     assert net.to[1:18:2].tolist() == list(range(9))
-    # vertex 1 (coordinate 0) lists its backbone arcs, then the arcs of A and B
-    assert net.adj[net.first[1]:net.first[2]].tolist() == [1, 2, 18, 20]
+    # vertex 1 (coordinate 0) lists its arcs by falling head: A (to 7),
+    # B (to 3), then its backbone arcs to 2 and back to 0
+    assert net.adj[net.first[1]:net.first[2]].tolist() == [18, 20, 2, 1]
     assert net.first[-1] == len(net.to) == 2 * (9 + 6)
+
+
+@given(interval_pairs)
+@settings(max_examples=100)
+def test_build_network_lists_arcs_by_falling_head(pairs):
+    net = build_network(iset(pairs))
+    for u in range(net.nv):
+        arcs = net.adj[net.first[u]:net.first[u + 1]]
+        assert (net.to[arcs ^ 1] == u).all()  # each arc leaves u
+        heads = np.diff(net.to[arcs])
+        assert (heads <= 0).all()
+        assert (np.diff(arcs)[heads == 0] > 0).all()  # parallel arcs in construction order
+
+
 def test_build_network_zero_interior_capacity(monkeypatch):
     s = iset([(0, 5)])
     assert build_network(s).interval_arcs.tolist() == [[1, 2]]

@@ -1,4 +1,5 @@
 import os
+import random
 import tempfile
 from unittest import mock
 
@@ -125,6 +126,12 @@ SEPS = [" ", "\t", "  ", " \t "]
 # characters str.splitlines or str.split take for line breaks or blanks,
 # a NUL, and a byte that is not UTF-8 (as a surrogate escape)
 ODD_CHARS = ["\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028", "\xa0", "\x00", "\udcff"]
+# a shuffled BED3 file: most lines start a new run of one name, and the
+# names are 1 to 12 bytes long
+_rng = random.Random(41)
+SHUFFLED = "".join(f"{_rng.choice(['c', 'chr1', 'chr2', 'chr10', 'chrUn_gl0002'])}\t{s}\t"
+                   f"{s + _rng.randint(1, 50)}\n"
+                   for s in (_rng.randrange(10**6) for _ in range(2000))).encode()
 
 
 @st.composite
@@ -182,6 +189,7 @@ def instance_bytes(draw):
 @example(b"chr1 0 5\n\n \t\nchr2 2 9\n\n", None)  # blank lines between runs
 @example(b"chr1 0 5\nchr10 1 6\nchr1 2 7\nchr1 3 8\n", None)  # one name a prefix of another
 @example(b"chr2 0 5\nchr1 1 6\nchr2 2 7\n", None)  # a name recurs after another
+@example(SHUFFLED, None)
 @example(b"chr1 2 9 \t\r\n\tchr1 0 5\n", None)
 @example(b"chr1 +5 9\n", None)
 def test_bulk_parser_agrees_with_line_parser(backend, data, fmt):
