@@ -20,7 +20,7 @@ _EXPORTS = {
              "decide"),
     "search": ("solve_exact",),
     "coverage_tree": ("CoverageTree", "build_tree"),
-    "approx": ("approx_prune", "is_expendable"),
+    "approx": ("approx_prune",),
     "oracle": ("brute_force_opt",),
     "io": ("InstanceFile", "ParseError", "Record", "parse_instance", "read_instance"),
 }

@@ -12,8 +12,8 @@ written the library is built in a private temporary directory for this
 process only.  When there is no compiler or the build fails,
 `load_library` returns None, and each kernel's Python twin runs
 instead: io's `np.loadtxt` pass `_parse_regular`, and, on the same
-arrays, approx's `_sweep_python` over `CoverageTree` and flow's
-`_augment_python`.
+arrays, approx's `_sweep_python` over `CoverageTree` and `_flat_python`,
+and flow's `_augment_python`.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.covprune_parse.restype = n
     lib.covprune_sweep.argtypes = [n, n, i64, n, i64, i64, n, i64, i64, i64, u8, i64]
     lib.covprune_sweep.restype = None
+    lib.covprune_flat_sweep.argtypes = [n, i64, i64, n, i64, u8, i64]
+    lib.covprune_flat_sweep.restype = None
     lib.covprune_max_flow.argtypes = [n, n, n, i64, i64, i64, i64, i64, i64, i64]
     lib.covprune_max_flow.restype = n
     return lib

@@ -1,10 +1,20 @@
-/* The start-order sweep that approx.approx_prune calls.
+/* The two ways approx.approx_prune runs its start-order sweep.
  *
- * approx._sweep_python, over CoverageTree.range_query / range_decrement
- * (coverage_tree.py), is its line-for-line Python twin on the same
- * arrays, run when no library loads: the same perfect binary tree, the
- * same lazy balances, the same boundary-path push-down and repair, hence
- * the same decisions and the same nodes_touched.  Both see segment
+ * covprune_sweep keeps the segment coverage in a lazy min/max tree:
+ * O(log nseg) nodes per read, whatever its span.  approx._sweep_python,
+ * over CoverageTree.range_query / range_decrement (coverage_tree.py), is
+ * its Python twin on the same arrays: the same perfect binary tree, the
+ * same lazy balances, the same nodes pushed down and repaired along the
+ * two boundary paths, hence the same decisions and the same
+ * nodes_touched.
+ *
+ * covprune_flat_sweep scans a plain copy of the segment coverage: one
+ * cell per segment of the read's span, read once and, on a deletion,
+ * decremented once.  approx._flat_python is its twin.  approx_prune takes
+ * it only when the spans sum to at most 16 * n * bit_length(nseg), so
+ * it too stays O(n log n), and on short reads it is cheaper.
+ *
+ * All four make the same decisions on the same values.  They see segment
  * indices and coverage counts only, never coordinates.  approx.py
  * validates every argument before the call.
  */
@@ -123,6 +133,39 @@ void covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
             repair(v, mn, mx, bal);
     }
     counts[0] = touched;
+    counts[1] = candidates;
+    counts[2] = blocked;
+}
+
+/* The same sweep over val[0..nseg), a copy of the segment coverage that
+ * it lowers in place.  deleted is as above; counts receives
+ * {segments_scanned, candidates, blocked_crucial}, where a segment is
+ * scanned once per read whose span holds it and once more per deletion. */
+void covprune_flat_sweep(int64_t n, const int64_t *lo, const int64_t *hi, int64_t k,
+                         int64_t *val, uint8_t *deleted, int64_t *counts)
+{
+    int64_t half = k / 2, scanned = 0, candidates = 0, blocked = 0;
+
+    for (int64_t j = 0; j < n; j++) {
+        int64_t qmn = INF, qmx = -INF;
+        for (int64_t s = lo[j]; s < hi[j]; s++) {
+            if (val[s] < qmn) qmn = val[s];
+            if (val[s] > qmx) qmx = val[s];
+        }
+        scanned += hi[j] - lo[j];
+        if (qmx <= k)
+            continue;
+        candidates++;
+        if (qmn <= half) {
+            blocked++;
+            continue;
+        }
+        deleted[j] = 1;
+        for (int64_t s = lo[j]; s < hi[j]; s++)
+            val[s] -= 1;
+        scanned += hi[j] - lo[j];
+    }
+    counts[0] = scanned;
     counts[1] = candidates;
     counts[2] = blocked;
 }

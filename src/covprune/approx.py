@@ -10,11 +10,13 @@ impossible, so the result always satisfies the cap.  The achieved
 minimum coverage is at least min(mincov of the input, floor(k/2)),
 hence at least floor(k/2)/k times the exact optimum.
 
-The sweep runs as one compiled C loop (`_sweep.c`, loaded by
-`_native`) when a C compiler is available, and otherwise as its Python
-twin on the same arrays, over `CoverageTree`, which stays the reference
-it is tested against.  Both make the same decisions and count the same
-work.
+The sweep keeps the current segment coverage either in the lazy
+`CoverageTree`, O(log nseg) nodes per read, or, when the spans sum to
+at most 16 * n * bit_length(nseg) segments, in a flat copy scanned span
+by span: at most twice that sum, so O(n log n) too, and cheaper on short
+reads.  Each runs as a C loop (`_sweep.c`, loaded by `_native`) when a C
+compiler is available, else as its Python twin on the same arrays.  All
+four make the same decisions; each twin counts its C loop's work.
 """
 
 from __future__ import annotations
@@ -25,31 +27,25 @@ from .intervals import IntervalSet, segment_cov
 from .solution import Solution
 
 
-def is_expendable(current_mincov: int, k: int) -> bool:
-    """An interval is expendable while the minimum coverage over its span
-    exceeds floor(k/2); otherwise it is crucial and must never be deleted."""
-    return current_mincov > k // 2
-
-
 def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     """Prune S so maxcov <= k, keeping mincov within floor(k/2)/k of optimal.
 
-    Crucial/expendable status is evaluated against the *current* tree
-    state at query time, not the initial coverage: the coverage-floor
+    Crucial/expendable status is evaluated against the *current*
+    coverage at query time, not the initial coverage: the coverage-floor
     argument needs post-deletion coverage to stay at or above floor(k/2)
     at the moment of deletion.  Ties in start order break by ascending
     end, then input index, so runs are reproducible.
 
-    `work` counts `tree_nodes_touched`, `candidates` (reads whose span
-    had max > k when visited), `blocked_crucial` (candidates kept
-    because their span's min was <= floor(k/2)) and `native_sweep`
-    (1 when the compiled sweep ran).
+    `work` counts `tree_nodes_touched` or, for the flat scan,
+    `segments_scanned`, then `candidates` (reads whose span had max > k
+    when visited), `blocked_crucial` (candidates kept because their
+    span's min was <= floor(k/2)) and `native_sweep` (1 when C ran).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = len(intervals)
-    work = {"tree_nodes_touched": 0, "candidates": 0, "blocked_crucial": 0,
-            "native_sweep": 0}
+    work = {"tree_nodes_touched": 0, "segments_scanned": 0, "candidates": 0,
+            "blocked_crucial": 0, "native_sweep": 0}
     if not n:
         return Solution((), 0, 0, "approx", work)
 
@@ -61,32 +57,36 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     # equals sorted((start, end, i)): lo and hi order reads as their
     # coordinates do, and a stable sort breaks ties by index
     order = np.argsort(lo * (len(cov) + 1) + hi, kind="stable")
+    # near this many segments per read per bit of nseg, the C flat scan
+    # costs about what the tree does (on 100-300 bp reads at depth 250-1000)
+    flat = int((hi - lo).sum()) <= 16 * n * len(cov).bit_length()
     # imported on first use: the loader's own imports would slow every CLI start
     from ._native import load_library
     lib = load_library()
     if lib is None:
-        deleted, counts = _sweep_python(order, lo, hi, cov, k)
+        deleted, counts = (_flat_python if flat else _sweep_python)(order, lo, hi, cov, k)
     else:
-        deleted, counts = _sweep_native(lib, order, lo, hi, cov, k)
+        deleted, counts = _sweep_native(lib, order, lo, hi, cov, k, flat)
         work["native_sweep"] = 1
-    work["tree_nodes_touched"], work["candidates"], work["blocked_crucial"] = counts
+    visited, work["candidates"], work["blocked_crucial"] = counts
+    work["segments_scanned" if flat else "tree_nodes_touched"] = visited
 
-    # recount the kept reads from scratch, never from the tree's state
+    # recount the kept reads from scratch, never from the sweep's state
     keep = ~deleted
     after = segment_cov(lo[keep], hi[keep], len(delims))
     mx_after = int(after.max())
     if mx_after > k:
         raise AssertionError(
             f"pruned set still has maxcov {mx_after} > k={k}; "
-            "lazy propagation is corrupt")
+            "the sweep's coverage state is corrupt")
     return Solution(tuple(np.flatnonzero(keep).tolist()), int(after.min()), mx_after,
                     "approx", work)
 
 
 def _sweep_python(order, lo, hi, cov, k: int):
-    """The reference sweep over `CoverageTree`, on the arrays
-    `_sweep_native` takes; returns the deleted mask in input order and
-    (nodes touched, candidates, blocked)."""
+    """The tree sweep over `CoverageTree`, on the arrays `_sweep_native`
+    takes; returns the deleted mask in input order and (nodes touched,
+    candidates, blocked)."""
     from .coverage_tree import CoverageTree  # only this fallback needs the tree
     tree = CoverageTree(cov.tolist())
     query = tree.range_query
@@ -97,7 +97,7 @@ def _sweep_python(order, lo, hi, cov, k: int):
         mn, mx = query(l, h)
         if mx > k:
             candidates += 1
-            if is_expendable(mn, k):
+            if mn > k // 2:  # expendable
                 shrink(l, h)
                 deleted[i] = True
             else:
@@ -105,19 +105,42 @@ def _sweep_python(order, lo, hi, cov, k: int):
     return deleted, (tree.nodes_touched, candidates, blocked)
 
 
-def _sweep_native(lib, order, lo, hi, cov, k: int):
-    """The same sweep as `_sweep_python`, run by `covprune_sweep` in C."""
+def _flat_python(order, lo, hi, cov, k: int):
+    """The flat scan over a list, as `_sweep_python` but counting
+    segments scanned (read or lowered) where it counts nodes touched."""
+    cur = cov.tolist()
+    deleted = np.zeros(len(order), bool)
+    scanned = candidates = blocked = 0
+    for i, l, h in zip(order.tolist(), lo[order].tolist(), hi[order].tolist()):
+        seg = cur[l:h]
+        scanned += h - l
+        if max(seg) > k:
+            candidates += 1
+            if min(seg) > k // 2:
+                cur[l:h] = [x - 1 for x in seg]
+                scanned += h - l
+                deleted[i] = True
+            else:
+                blocked += 1
+    return deleted, (scanned, candidates, blocked)
+
+
+def _sweep_native(lib, order, lo, hi, cov, k: int, flat: bool):
+    """`_sweep_python`'s sweep, or with `flat` `_flat_python`'s, in C."""
     nseg = len(cov)
     lo = np.ascontiguousarray(lo[order], dtype=np.int64)
     hi = np.ascontiguousarray(hi[order], dtype=np.int64)
     if not (lo.min() >= 0 and (lo < hi).all() and hi.max() <= nseg):
-        raise ValueError("segment range outside the coverage tree")
-    cap = 1 << (nseg - 1).bit_length()
-    mn, mx, bal = (np.empty(2 * cap, np.int64) for _ in range(3))
+        raise ValueError("segment range outside the coverage profile")
+    val = np.array(cov, dtype=np.int64)  # a copy: the flat scan lowers it
     swept = np.zeros(len(lo), np.uint8)
     counts = np.zeros(3, np.int64)
-    lib.covprune_sweep(nseg, cap, np.ascontiguousarray(cov, dtype=np.int64),
-                       len(lo), lo, hi, k, mn, mx, bal, swept, counts)
+    if flat:
+        lib.covprune_flat_sweep(len(lo), lo, hi, k, val, swept, counts)
+    else:
+        cap = 1 << (nseg - 1).bit_length()
+        mn, mx, bal = (np.empty(2 * cap, np.int64) for _ in range(3))
+        lib.covprune_sweep(nseg, cap, val, len(lo), lo, hi, k, mn, mx, bal, swept, counts)
     deleted = np.empty(len(lo), bool)
     deleted[order] = swept.astype(bool)
     return deleted, tuple(counts.tolist())

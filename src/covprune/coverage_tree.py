@@ -1,12 +1,15 @@
 """Perfect binary tree over coverage segments with lazy range decrements.
 
-Leaves are the segments between consecutive delimiters, initialized to
-the full-set coverage; a range is a half-open run [lo, hi) of segment
-indices, as in the `lo`/`hi` arrays of `IntervalSet.compressed` (the
-set's `CoverageProfile`) and in `_sweep.c`.  Every node
-carries the min and max coverage of its subtree plus a `balance`: a
-pending decrement that applies to the whole subtree but has not yet
-been pushed to the children.  The stored invariant, for every node v:
+The approx sweep holds its coverage in this tree when reads span too
+many segments for a flat scan (see `approx`): in this class when no
+compiled library loads, else in `covprune_sweep` (`_sweep.c`), the same
+tree in C.  Leaves are the segments between consecutive delimiters,
+initialized to the full-set coverage; a range is a half-open run
+[lo, hi) of segment indices, as in the `lo`/`hi` arrays of
+`IntervalSet.compressed`.  Every node carries the min and max coverage
+of its subtree plus a `balance`: a pending decrement that applies to
+the whole subtree but has not yet been pushed to the children.  The
+stored invariant, for every node v:
 
     true min of v's subtree == mn[v] + bal[v] + sum of bal over strict
     ancestors of v     (and likewise for max)
@@ -37,10 +40,7 @@ class CoverageTree:
         nseg = len(segment_values)
         if nseg == 0:
             raise ValueError("coverage tree needs at least one segment")
-        cap = 1
-        while cap < nseg:
-            cap <<= 1
-        self.cap = cap
+        self.cap = cap = 1 << (nseg - 1).bit_length()
         self.depth = cap.bit_length() - 1
         self.num_segments = nseg
         size = 2 * cap
@@ -69,29 +69,18 @@ class CoverageTree:
         r0 = cap + hi - 1
         # push pending balances down both boundary paths, shared top once
         touched = 0
-        split = (l0 ^ r0).bit_length()
-        for h in range(self.depth, 0, -1):
-            v = l0 >> h
-            touched += 1
-            b = bal[v]
-            if b:
-                c = 2 * v
-                bal[c] += b
-                bal[c + 1] += b
-                mn[v] += b
-                mx[v] += b
-                bal[v] = 0
-        for h in range(split - 1, 0, -1):
-            v = r0 >> h
-            touched += 1
-            b = bal[v]
-            if b:
-                c = 2 * v
-                bal[c] += b
-                bal[c + 1] += b
-                mn[v] += b
-                mx[v] += b
-                bal[v] = 0
+        for end, top in ((l0, self.depth), (r0, (l0 ^ r0).bit_length() - 1)):
+            for h in range(top, 0, -1):
+                v = end >> h
+                touched += 1
+                b = bal[v]
+                if b:
+                    c = 2 * v
+                    bal[c] += b
+                    bal[c + 1] += b
+                    mn[v] += b
+                    mx[v] += b
+                    bal[v] = 0
         l = l0
         r = r0 + 1
         qmn = _INF
@@ -140,47 +129,21 @@ class CoverageTree:
                 touched += 1
             l >>= 1
             r >>= 1
-        # repair aggregates along both boundary paths, merging at the LCA
+        # repair aggregates bottom-up: w's boundary path up to the LCA,
+        # then v's up to the root, so the shared top is repaired once, last
         v = (cap + lo) >> 1
         w = (cap + hi - 1) >> 1
-        while v != w:
-            c = 2 * v
-            bl, br = bal[c], bal[c + 1]
-            a, b = mn[c] + bl, mn[c + 1] + br
-            mn[v] = a if a < b else b
-            a, b = mx[c] + bl, mx[c + 1] + br
-            mx[v] = a if a > b else b
-            c = 2 * w
-            bl, br = bal[c], bal[c + 1]
-            a, b = mn[c] + bl, mn[c + 1] + br
-            mn[w] = a if a < b else b
-            a, b = mx[c] + bl, mx[c + 1] + br
-            mx[w] = a if a > b else b
-            v >>= 1
-            w >>= 1
-            touched += 2
-        while v:
-            c = 2 * v
-            bl, br = bal[c], bal[c + 1]
-            a, b = mn[c] + bl, mn[c + 1] + br
-            mn[v] = a if a < b else b
-            a, b = mx[c] + bl, mx[c + 1] + br
-            mx[v] = a if a > b else b
-            v >>= 1
-            touched += 1
+        for u, stop in ((w, w >> (v ^ w).bit_length()), (v, 0)):
+            while u != stop:
+                c = 2 * u
+                bl, br = bal[c], bal[c + 1]
+                a, b = mn[c] + bl, mn[c + 1] + br
+                mn[u] = a if a < b else b
+                a, b = mx[c] + bl, mx[c + 1] + br
+                mx[u] = a if a > b else b
+                u >>= 1
+                touched += 1
         self.nodes_touched += touched
-
-    def segment_values(self) -> list[int]:
-        """Effective per-segment coverage (for verification; O(n))."""
-        out = []
-        for j in range(self.num_segments):
-            v = self.cap + j
-            total = 0
-            while v:
-                total += self.bal[v]
-                v >>= 1
-            out.append(self.mn[self.cap + j] + total)
-        return out
 
 
 def build_tree(intervals: IntervalSet) -> CoverageTree:

@@ -1,3 +1,4 @@
+import functools
 import random
 from bisect import bisect_right
 
@@ -114,10 +115,37 @@ def naive_range_min_max(values, lo: int, hi: int) -> tuple[int, int]:
     return min(window), max(window)
 
 
+def segment_values(tree) -> list[int]:
+    """A coverage tree's effective per-segment coverage: each leaf's value
+    plus the balances pending on its path to the root (O(n log n))."""
+    out = []
+    for j in range(tree.num_segments):
+        v = tree.cap + j
+        total = 0
+        while v:
+            total += tree.bal[v]
+            v >>= 1
+        out.append(tree.mn[tree.cap + j] + total)
+    return out
+
+
 # hypothesis strategy: short lists of small intervals (as (start, end) pairs)
 interval_pairs = st.lists(
     st.tuples(st.integers(0, 40), st.integers(1, 12)).map(lambda t: (t[0], t[0] + t[1])),
     min_size=1, max_size=10)
+
+
+def sweeps() -> dict:
+    """The approx sweeps by name, each called as `_sweep_python` is: both
+    Python twins, and both C kernels when the library loads."""
+    from covprune import _native
+    from covprune.approx import _flat_python, _sweep_native, _sweep_python
+    found = {"tree-python": _sweep_python, "flat-python": _flat_python}
+    lib = _native.load_library()
+    if lib is not None:
+        found["tree-c"] = functools.partial(_sweep_native, lib, flat=False)
+        found["flat-c"] = functools.partial(_sweep_native, lib, flat=True)
+    return found
 
 
 @pytest.fixture
@@ -132,7 +160,8 @@ def compiler():
 def pytest_report_header(config):
     from covprune._native import load_library
     if load_library():
-        return ["covprune approx backend: compiled C sweep",
+        return ["covprune approx backend: compiled C sweeps (flat scan or tree)",
                 "covprune exact flow backend: compiled C max-flow"]
-    return ["covprune approx backend: Python _sweep_python over CoverageTree (no C compiler)",
+    return ["covprune approx backend: Python _flat_python, or _sweep_python over "
+            "CoverageTree (no C compiler)",
             "covprune exact flow backend: Python _augment_python (no C compiler)"]

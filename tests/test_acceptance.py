@@ -16,7 +16,7 @@ from covprune.flow import Chain
 from covprune.intervals import segment_cov
 
 from conftest import (clipped_instance, count_cover, generate_instance, iset, maxcov,
-                      mincov_over, naive_range_min_max, random_instance)
+                      mincov_over, naive_range_min_max, random_instance, segment_values)
 
 DEMO = iset([(0, 8), (0, 2), (2, 6), (1, 3), (1, 10), (4, 10)])
 
@@ -140,7 +140,7 @@ def test_criterion_6_coverage_tree_vs_flat_array():
         tree = build_tree(s)
         delims = sorted({c for iv in s for c in (iv.start, iv.end)})
         pos = {d: j for j, d in enumerate(delims)}
-        flat = tree.segment_values()
+        flat = segment_values(tree)
         spans = [(pos[iv.start], pos[iv.end]) for iv in s]
         for _ in range(1000):
             lo, hi = spans[rng.randrange(len(spans))]
@@ -151,7 +151,7 @@ def test_criterion_6_coverage_tree_vs_flat_array():
             else:
                 assert tree.range_query(lo, hi) == naive_range_min_max(flat, lo, hi)
             operations += 1
-        assert tree.segment_values() == flat
+        assert segment_values(tree) == flat
     ok(f"6 coverage tree matches flat array over {operations} operations")
 
 

@@ -1,21 +1,26 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from covprune import (IntervalSet, approx_prune, is_expendable, solve_exact,
-                      brute_force_opt, build_tree)
+from covprune import IntervalSet, approx_prune, solve_exact, brute_force_opt, build_tree
 
-from conftest import iset, maxcov, random_instance, reference_profile
+from conftest import (generate_instance, iset, maxcov, random_instance, reference_profile,
+                      sweeps)
 
 
 def test_classification_threshold():
-    # crucial at or below floor(k/2), expendable strictly above
-    assert not is_expendable(1, 3)
-    assert is_expendable(2, 3)
-    assert not is_expendable(2, 4)
-    assert is_expendable(3, 4)
-    assert not is_expendable(0, 1)
+    # one read over segments of coverage (mn, k + 1) is a candidate: every
+    # sweep deletes it when mn > floor(k/2) and keeps it as crucial at or below
+    order, lo, hi = np.zeros(1, np.intp), np.zeros(1, np.intp), np.full(1, 2)
+    every_sweep = sweeps()
+    for mn, k, expendable in ((1, 3, False), (2, 3, True), (2, 4, False),
+                              (3, 4, True), (0, 1, False)):
+        for name, sweep in every_sweep.items():
+            deleted, (_, candidates, blocked) = sweep(order, lo, hi, np.array([mn, k + 1]), k)
+            assert deleted.tolist() == [expendable], name
+            assert (candidates, blocked) == (1, int(not expendable)), name
 
 
 def test_three_identical_reads_cap_two():
@@ -50,7 +55,7 @@ def test_no_sweep_at_or_under_cap(k):
     sol = approx_prune(s, k)
     assert sol.kept == tuple(range(5))
     assert (sol.achieved_mincov, sol.achieved_maxcov) == (0, 3)
-    assert sol.work == {"tree_nodes_touched": 0, "candidates": 0,
+    assert sol.work == {"tree_nodes_touched": 0, "segments_scanned": 0, "candidates": 0,
                         "blocked_crucial": 0, "native_sweep": 0}
 
 
@@ -113,6 +118,50 @@ def test_work_bound():
         s = random_instance(rng, n, max_coord=5 * n, max_len=n)
         sol = approx_prune(s, 4)
         assert sol.work["tree_nodes_touched"] <= 64 * n * math.log2(n)
+
+
+def flat_rule(s: IntervalSet) -> bool:
+    """The sweep's choice, worked out apart: a flat scan when the spans sum
+    to at most 16 * n * bit_length(nseg) segments."""
+    _, lo, hi, cov = s.compressed
+    return int((hi - lo).sum()) <= 16 * len(s) * len(cov).bit_length()
+
+
+def test_short_reads_run_the_flat_scan():
+    s = random_instance(random.Random(3001), 20_000, max_coord=100_000, max_len=400)
+    assert flat_rule(s)
+    work = approx_prune(s, 30).work
+    assert work["tree_nodes_touched"] == 0 and work["segments_scanned"] > 0
+    assert work["candidates"] > 0
+
+
+def test_long_reads_run_the_tree():
+    s = generate_instance(10_000, 100_000, seed=1)
+    _, lo, hi, _ = s.compressed
+    assert (hi - lo).mean() > 500  # spans of about a thousand segments
+    assert not flat_rule(s)
+    work = approx_prune(s, 30).work
+    assert work["segments_scanned"] == 0 and work["tree_nodes_touched"] > 0
+
+
+def test_flat_scan_work_bound():
+    # the flat scan runs exactly when the rule picks it, and then reads or
+    # lowers at most 32 * n * bit_length(nseg) cells; both sides of the cut occur
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(300):
+        s = random_instance(rng, rng.randint(1, 300), max_coord=rng.choice((60, 400, 4000)),
+                            max_len=rng.choice((15, 200, 4000)))
+        k = rng.randint(1, 6)
+        work = approx_prune(s, k).work
+        if maxcov(s) <= k:
+            continue
+        n, nseg = len(s), s.compressed.num_segments
+        flat = flat_rule(s)
+        seen.add(flat)
+        assert (work["segments_scanned"] > 0, work["tree_nodes_touched"] > 0) == (flat, not flat)
+        assert work["segments_scanned"] <= 32 * n * nseg.bit_length()
+    assert seen == {True, False}
 
 
 def test_dynamic_classification_uses_current_state():

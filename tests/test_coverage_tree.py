@@ -4,7 +4,7 @@ import pytest
 
 from covprune import CoverageTree, build_tree
 
-from conftest import iset, naive_range_min_max, random_instance
+from conftest import iset, naive_range_min_max, random_instance, segment_values
 
 # the demo's delimiters are (0, 1, 2, 3, 4, 6, 8, 10); the tree takes
 # segment indices, so [0, 10) is [0, 7) and [4, 6) is [4, 5)
@@ -18,7 +18,7 @@ def flat_decrement(values, lo, hi):
 def test_build_demo(demo):
     tree = build_tree(demo)
     assert tree.num_segments == 7
-    assert tree.segment_values() == [2, 4, 4, 3, 4, 3, 2]
+    assert segment_values(tree) == [2, 4, 4, 3, 4, 3, 2]
     assert tree.range_query(0, 7) == (2, 4)
     # root aggregates are stored directly while no balance is pending
     assert tree.mn[1] == 2 and tree.mx[1] == 4
@@ -26,13 +26,13 @@ def test_build_demo(demo):
 
 def test_build_single_interval():
     tree = build_tree(iset([(0, 5)]))
-    assert tree.segment_values() == [1]
+    assert segment_values(tree) == [1]
     assert tree.range_query(0, 1) == (1, 1)
 
 
 def test_build_two_adjacent():
     tree = build_tree(iset([(0, 2), (2, 4)]))
-    assert tree.segment_values() == [1, 1]
+    assert segment_values(tree) == [1, 1]
     assert tree.range_query(0, 2) == (1, 1)
 
 
@@ -44,7 +44,7 @@ def test_decrement_then_query(demo):
     tree = build_tree(demo)
     tree.range_decrement(0, 2)  # delete B=[0,2)
     assert tree.range_query(0, 2) == (1, 3)
-    assert tree.segment_values() == [1, 3, 4, 3, 4, 3, 2]
+    assert segment_values(tree) == [1, 3, 4, 3, 4, 3, 2]
 
 
 def test_decrement_is_local(demo):
@@ -72,16 +72,16 @@ def test_push_down_is_semantic_noop(demo):
     tree.range_decrement(0, 7)
     # node 2 spans the first four segments, all inside [0, 7)
     assert tree.bal[2] == -2
-    values_before = tree.segment_values()
+    values_before = segment_values(tree)
     # a query of segment 0 pushes down the path 1, 2, 4 to leaf 8
     assert tree.range_query(0, 1) == (0, 0)
     assert tree.bal[2] == 0 and tree.bal[4] == 0
     assert tree.bal[5] == -2 and tree.bal[8] == -2 and tree.bal[9] == -2
-    assert tree.segment_values() == values_before
+    assert segment_values(tree) == values_before
     # idempotent once the balance is gone
     assert tree.range_query(0, 1) == (0, 0)
     assert tree.bal[5] == -2 and tree.bal[8] == -2 and tree.bal[9] == -2
-    assert tree.segment_values() == values_before
+    assert segment_values(tree) == values_before
     assert tree.range_query(0, 7) == (0, 2)
 
 
@@ -120,7 +120,7 @@ def test_matches_flat_array_oracle():
         s = random_instance(rng, rng.randint(1, 25), max_coord=50, max_len=20)
         tree = build_tree(s)
         delims = sorted({c for iv in s for c in (iv.start, iv.end)})
-        flat = tree.segment_values()
+        flat = segment_values(tree)
         spans = [(delims.index(iv.start), delims.index(iv.end)) for iv in s]
         for _ in range(120):
             lo, hi = spans[rng.randrange(len(spans))]
@@ -129,4 +129,4 @@ def test_matches_flat_array_oracle():
                 flat_decrement(flat, lo, hi)
             else:
                 assert tree.range_query(lo, hi) == naive_range_min_max(flat, lo, hi)
-        assert tree.segment_values() == flat
+        assert segment_values(tree) == flat

@@ -1,15 +1,18 @@
-"""The compiled approx sweep against the Python `CoverageTree` reference,
-the fallback to that reference when no library can be built, and the
-build of the compiled library itself."""
+"""The compiled approx sweeps against their Python twins, the tree and
+flat sweeps against each other, the fallback to the twins when no
+library can be built, and the build of the compiled library itself."""
 
 import json
 import random
 import subprocess
 
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
 from covprune import IntervalSet, _native, approx_prune
 from covprune.cli import main
 
-from conftest import iset, maxcov, random_instance
+from conftest import iset, maxcov, random_instance, sweeps
 
 MAX_COORD = 2**64 - 1
 
@@ -54,6 +57,37 @@ def test_native_matches_reference(compiler, monkeypatch):
         assert native == reference
         swept += ran
     assert swept >= 500
+
+
+def assert_sweeps_agree(s, k):
+    """Run every sweep on one (order, lo, hi, cov, k), approx_prune's
+    arguments: the same deletions and counts, the same tree nodes touched
+    by both tree sweeps and the same segments scanned by both flat ones."""
+    _, lo, hi, cov = s.compressed
+    order = np.argsort(lo * (len(cov) + 1) + hi, kind="stable")
+    results = {name: sweep(order, lo, hi, cov, k) for name, sweep in sweeps().items()}
+    deleted, (_, candidates, blocked) = results["tree-python"]
+    for name, (other, counts) in results.items():
+        assert np.array_equal(other, deleted), name
+        assert counts[1:] == (candidates, blocked), name
+    for kind in ("tree", "flat"):
+        if f"{kind}-c" in results:
+            assert results[f"{kind}-c"][1][0] == results[f"{kind}-python"][1][0], kind
+
+
+def test_sweeps_agree_on_seeded_instances():
+    for s, k in seeded_instances():
+        assert_sweeps_agree(s, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 12)), min_size=1, max_size=30),
+       st.integers(1, 4), st.booleans(), st.sampled_from((1, 2, 3, 5)))
+def test_sweeps_agree_on_generated_instances(pairs, copies, at_top, k):
+    # copies pile up duplicates, one distinct pair makes one segment, and
+    # at_top moves the reads up against 2**64 - 1, far beyond int64
+    base = MAX_COORD - 42 if at_top else 0
+    assert_sweeps_agree(iset([(base + a, base + a + b) for a, b in pairs] * copies), k)
 
 
 def test_fallback_gives_the_same_solution(monkeypatch):
