@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 SOURCES = tuple(Path(__file__).with_name(name) for name in ("_parse.c", "_sweep.c", "_flow.c"))
-FLAGS = ("-O2", "-shared", "-fPIC")
+FLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
 
 
 def compiler() -> list[str]:
@@ -76,14 +76,15 @@ def _compile(cc: list[str], target: Path) -> bool:
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
     u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     n = ctypes.c_int64
-    lib.covprune_parse.argtypes = [ctypes.c_char_p, n, n, u64, u64, u8, i64, i64]
+    lib.covprune_parse.argtypes = [ctypes.c_char_p, n, n, u64, u64, u8, i64, i64, i64, i64]
     lib.covprune_parse.restype = n
     lib.covprune_sweep.argtypes = [n, n, i64, n, i64, i64, n, i64, i64, i64, u8, i64]
     lib.covprune_sweep.restype = None
-    lib.covprune_flat_sweep.argtypes = [n, i64, i64, n, i64, u8, i64]
+    lib.covprune_flat_sweep.argtypes = [n, i64, i64, n, i32, u8, i64]
     lib.covprune_flat_sweep.restype = None
     lib.covprune_max_flow.argtypes = [n, n, n, i64, i64, i64, i64, i64, i64, i64]
     lib.covprune_max_flow.restype = n

@@ -11,7 +11,9 @@
  * digits 0-9 alone up to 2^64 - 1, and start < end.  Refused besides: a
  * lone '\r', control and non-ASCII bytes, and coordinates such as +5 or
  * 1_000 that Python's int() reads.  io.py passes buffers of one slot per
- * line, which bounds the record count.
+ * line, which bounds the record count.  Each record's line is also
+ * given as a byte range, its terminator included, so that the CLI can
+ * echo the kept lines as they were written.
  */
 
 #include <stdint.h>
@@ -38,17 +40,19 @@ static int read_coord(const uint8_t *p, const uint8_t *end, uint64_t *out)
  * tokens per record into starts/ends.  For BED3, head[i] is 1 where
  * record i's name differs from record i-1's (always for record 0), and
  * only there are the name's offset in data and length set (name_at[i],
- * name_len[i]).
+ * name_len[i]).  Record i's line starts at line_at[i] and runs for
+ * line_len[i] bytes, through its '\n' or to the end of the data.
  * Returns the number of records, or -1 to refuse the file. */
 int64_t covprune_parse(const uint8_t *data, int64_t size, int64_t fields,
                        uint64_t *starts, uint64_t *ends, uint8_t *head,
-                       int64_t *name_at, int64_t *name_len)
+                       int64_t *name_at, int64_t *name_len,
+                       int64_t *line_at, int64_t *line_len)
 {
     const uint8_t *p = data, *end = data + size;
     const uint8_t *prev = NULL;
     int64_t prev_len = 0, n = 0;
     while (p < end) {
-        const uint8_t *name = NULL;
+        const uint8_t *line = p, *name = NULL;
         int64_t got = 0, len = 0;
         uint64_t coord[2] = {0, 0};
         for (;;) {
@@ -85,6 +89,8 @@ int64_t covprune_parse(const uint8_t *data, int64_t size, int64_t fields,
             return -1;
         starts[n] = coord[0];
         ends[n] = coord[1];
+        line_at[n] = line - data;
+        line_len[n] = p - line;
         if (name) {
             head[n] = !prev || len != prev_len || memcmp(name, prev, (size_t)len);
             if (head[n]) {

@@ -8,11 +8,12 @@
  * two boundary paths, hence the same decisions and the same
  * nodes_touched.
  *
- * covprune_flat_sweep scans a plain copy of the segment coverage: one
- * cell per segment of the read's span, read once and, on a deletion,
- * decremented once.  approx._flat_python is its twin.  approx_prune takes
- * it only when the spans sum to at most 16 * n * bit_length(nseg), so
- * it too stays O(n log n), and on short reads it is cheaper.
+ * covprune_flat_sweep scans a plain int32 copy of the segment coverage:
+ * one cell per segment of the read's span, read once and, on a deletion,
+ * decremented once, in loops the compiler vectorizes.  approx._flat_python
+ * is its twin.  approx_prune takes it only when the spans sum to at most
+ * 40 * n * bit_length(nseg) and the coverage is below 2^31, so it too
+ * stays O(n log n), and on short reads it is cheaper.
  *
  * All four make the same decisions on the same values.  They see segment
  * indices and coverage counts only, never coordinates.  approx.py
@@ -137,22 +138,26 @@ void covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
     counts[2] = blocked;
 }
 
-/* The same sweep over val[0..nseg), a copy of the segment coverage that
- * it lowers in place.  deleted is as above; counts receives
+/* The same sweep over val[0..nseg), an int32 copy of the segment
+ * coverage that it lowers in place; approx_prune takes it only for
+ * coverage below 2^31.  The min and max are branch-free, so that the
+ * compiler can vectorize the scan.  deleted is as above; counts receives
  * {segments_scanned, candidates, blocked_crucial}, where a segment is
  * scanned once per read whose span holds it and once more per deletion. */
 void covprune_flat_sweep(int64_t n, const int64_t *lo, const int64_t *hi, int64_t k,
-                         int64_t *val, uint8_t *deleted, int64_t *counts)
+                         int32_t *val, uint8_t *deleted, int64_t *counts)
 {
     int64_t half = k / 2, scanned = 0, candidates = 0, blocked = 0;
 
     for (int64_t j = 0; j < n; j++) {
-        int64_t qmn = INF, qmx = -INF;
-        for (int64_t s = lo[j]; s < hi[j]; s++) {
-            if (val[s] < qmn) qmn = val[s];
-            if (val[s] > qmx) qmx = val[s];
+        int64_t a = lo[j], b = hi[j];
+        int32_t qmn = INT32_MAX, qmx = INT32_MIN;
+        for (int64_t s = a; s < b; s++) {
+            int32_t v = val[s];
+            qmn = v < qmn ? v : qmn;
+            qmx = v > qmx ? v : qmx;
         }
-        scanned += hi[j] - lo[j];
+        scanned += b - a;
         if (qmx <= k)
             continue;
         candidates++;
@@ -161,9 +166,9 @@ void covprune_flat_sweep(int64_t n, const int64_t *lo, const int64_t *hi, int64_
             continue;
         }
         deleted[j] = 1;
-        for (int64_t s = lo[j]; s < hi[j]; s++)
+        for (int64_t s = a; s < b; s++)
             val[s] -= 1;
-        scanned += hi[j] - lo[j];
+        scanned += b - a;
     }
     counts[0] = scanned;
     counts[1] = candidates;

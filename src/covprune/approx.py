@@ -12,11 +12,12 @@ hence at least floor(k/2)/k times the exact optimum.
 
 The sweep keeps the current segment coverage either in the lazy
 `CoverageTree`, O(log nseg) nodes per read, or, when the spans sum to
-at most 16 * n * bit_length(nseg) segments, in a flat copy scanned span
-by span: at most twice that sum, so O(n log n) too, and cheaper on short
-reads.  Each runs as a C loop (`_sweep.c`, loaded by `_native`) when a C
-compiler is available, else as its Python twin on the same arrays.  All
-four make the same decisions; each twin counts its C loop's work.
+at most 40 * n * bit_length(nseg) segments and the coverage stays below
+2**31, in a flat int32 copy scanned span by span: at most twice that
+sum, so O(n log n) too, and cheaper on short reads.  Each runs as a C
+loop (`_sweep.c`, loaded by `_native`) when a C compiler is available,
+else as its Python twin on the same arrays.  All four make the same
+decisions; each twin counts its C loop's work.
 """
 
 from __future__ import annotations
@@ -50,16 +51,18 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
         return Solution((), 0, 0, "approx", work)
 
     delims, lo, hi, cov = intervals.compressed
-    if cov.max() <= k:
+    top = int(cov.max())
+    if top <= k:
         # removals never help: keeping everything is already optimal
-        return Solution(tuple(range(n)), int(cov.min()), int(cov.max()), "approx", work)
+        return Solution(tuple(range(n)), int(cov.min()), top, "approx", work)
 
     # equals sorted((start, end, i)): lo and hi order reads as their
     # coordinates do, and a stable sort breaks ties by index
     order = np.argsort(lo * (len(cov) + 1) + hi, kind="stable")
-    # near this many segments per read per bit of nseg, the C flat scan
-    # costs about what the tree does (on 100-300 bp reads at depth 250-1000)
-    flat = int((hi - lo).sum()) <= 16 * n * len(cov).bit_length()
+    # near 40 segments per read per bit of nseg, the vectorized C flat scan
+    # costs about what the tree does (15k reads of 0.5-1.5 kb at depth 400-600);
+    # its cells are int32
+    flat = top < 2**31 and int((hi - lo).sum()) <= 40 * n * len(cov).bit_length()
     # imported on first use: the loader's own imports would slow every CLI start
     from ._native import load_library
     lib = load_library()
@@ -132,12 +135,13 @@ def _sweep_native(lib, order, lo, hi, cov, k: int, flat: bool):
     hi = np.ascontiguousarray(hi[order], dtype=np.int64)
     if not (lo.min() >= 0 and (lo < hi).all() and hi.max() <= nseg):
         raise ValueError("segment range outside the coverage profile")
-    val = np.array(cov, dtype=np.int64)  # a copy: the flat scan lowers it
     swept = np.zeros(len(lo), np.uint8)
     counts = np.zeros(3, np.int64)
     if flat:
+        val = cov.astype(np.int32)  # a copy, lowered in place; approx_prune keeps cov < 2**31
         lib.covprune_flat_sweep(len(lo), lo, hi, k, val, swept, counts)
     else:
+        val = np.ascontiguousarray(cov, dtype=np.int64)
         cap = 1 << (nseg - 1).bit_length()
         mn, mx, bal = (np.empty(2 * cap, np.int64) for _ in range(3))
         lib.covprune_sweep(nseg, cap, val, len(lo), lo, hi, k, mn, mx, bal, swept, counts)

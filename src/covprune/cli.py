@@ -2,7 +2,7 @@
 
 Subcommands: decide, solve, approx, stats, oracle.  `decide` and `solve`
 run the one exact engine, whose flow solves warm-start from the backbone
-flow.  Kept intervals go to stdout in the input format and order;
+flow.  Kept intervals go to stdout as their input lines, in input order;
 per-chromosome solver statistics go to stderr or to --stats FILE as JSON
 lines with a fixed schema, each written and flushed as its chromosome
 finishes.  Exit codes: 0 success/feasible, 1 decide found no solution,
@@ -92,7 +92,8 @@ def _run(args, solver) -> int:
           else contextlib.nullcontext(sys.stderr)) as out:
         kept, feasible = _solve_instance(instance, solver, out)
     if feasible:
-        sys.stdout.write(instance.format_kept(kept))
+        # as text, since a caller's stdout may have no `.buffer`; the input is UTF-8
+        sys.stdout.write(instance.kept_lines(kept).decode())
     return 0 if feasible else 1
 
 

@@ -21,17 +21,15 @@ the same flow, witness and augmentation count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .approx import approx_prune
 from .intervals import IntervalSet
 from .solution import Solution, score_subset
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
+class FlowNetwork(NamedTuple):
     """The reduction graph of one interval set, for any (k, t).
 
     Vertices are numbered along the chain source 0, the distinct
@@ -52,8 +50,7 @@ class FlowNetwork:
     to: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class FlowAssignment:
+class FlowAssignment(NamedTuple):
     """An integral flow on a FlowNetwork, one value per arc."""
 
     backbone_flow: np.ndarray
@@ -241,6 +238,7 @@ def decide(intervals: IntervalSet, k: int, t: int,
                 if t <= cov.min() else None)
     if t == 0:
         # the warm start already saturates the backbone, so its witness is empty
+        from .approx import approx_prune
         return score_subset(intervals, approx_prune(intervals, k).kept, method, work)
     chain = Chain(intervals, k, warm_start)
     flow = chain.max_flow(t)

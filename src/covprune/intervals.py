@@ -10,7 +10,6 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -19,16 +18,20 @@ import numpy as np
 MAX_COORD = 2**64 - 1
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """A half-open interval [start, end) with non-negative integer endpoints."""
-
+class _Endpoints(NamedTuple):
     start: int
     end: int
 
-    def __post_init__(self):
-        if not (0 <= self.start < self.end <= MAX_COORD):
-            raise ValueError(f"invalid interval [{self.start}, {self.end})")
+
+class Interval(_Endpoints):
+    """A half-open interval [start, end) with non-negative integer endpoints."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int):
+        if not (0 <= start < end <= MAX_COORD):
+            raise ValueError(f"invalid interval [{start}, {end})")
+        return super().__new__(cls, start, end)
 
     @property
     def length(self) -> int:

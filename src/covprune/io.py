@@ -7,12 +7,13 @@ chromosomes; each is an independent instance on its own coordinate line.
 `read_instance` reads a regular file in one pass of the compiled kernel
 (`_parse.c`), or of its `np.loadtxt` twin when no library loads, and
 anything else with `parse_instance`, the line parser that names a bad
-line.
+line.  Each of the three also gives every record's line as a byte range
+of the input, so kept records leave as the lines they were read from
+(`InstanceFile.kept_lines`), not re-formatted from their numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from io import BytesIO
 from typing import NamedTuple
@@ -23,7 +24,7 @@ from .intervals import MAX_COORD, IntervalSet
 
 _FIELDS = {"plain": 2, "bed3": 3}
 _DETECT = {n: fmt for fmt, n in _FIELDS.items()}  # by the first data line's field count
-# the last fields of (chrom, start, end) as one output line
+# the last fields of (chrom, start, end) as one canonical line
 _LINE = {fmt: "\t".join(["%s"] * n) for fmt, n in _FIELDS.items()}
 # bytes the bulk parser reads exactly as the line parser does
 _REGULAR = bytes(range(32, 127)) + b"\t\n\r"
@@ -43,26 +44,24 @@ class Record(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True, eq=False)
 class InstanceFile:
     """Parsed input in file order: record i is [starts[i], ends[i]) on
-    chromosome `chroms[code[i]]` (sorted names; `(None,)` for plain)."""
+    chromosome `chroms[code[i]]` (sorted names; `(None,)` for plain),
+    written in `data`, the input's bytes, as the line of `line_len[i]`
+    bytes at `line_at[i]`, its terminator included."""
 
-    fmt: str  # "plain" | "bed3"
-    chroms: tuple[str | None, ...]
-    code: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
-
-    def _table(self, rows) -> np.ndarray:
-        """(chrom, start, end) of the records `rows` picks, as Python objects."""
-        table = np.array(self.chroms, object)[self.code[rows], None].repeat(3, axis=1)
-        table[:, 1], table[:, 2] = self.starts[rows], self.ends[rows]
-        return table
+    def __init__(self, fmt: str, chroms: tuple[str | None, ...], code: np.ndarray,
+                 starts: np.ndarray, ends: np.ndarray, data: bytes,
+                 line_at: np.ndarray, line_len: np.ndarray):
+        self.fmt = fmt  # "plain" | "bed3"
+        self.chroms, self.code, self.starts, self.ends = chroms, code, starts, ends
+        self.data, self.line_at, self.line_len = data, line_at, line_len
 
     @cached_property
     def records(self) -> tuple[Record, ...]:
-        return tuple(map(Record._make, self._table(slice(None)).tolist()))
+        table = np.array(self.chroms, object)[self.code, None].repeat(3, axis=1)
+        table[:, 1], table[:, 2] = self.starts, self.ends
+        return tuple(map(Record._make, table.tolist()))
 
     def chromosomes(self) -> dict[str | None, tuple[IntervalSet, np.ndarray]]:
         """Split records per chromosome.
@@ -75,16 +74,25 @@ class InstanceFile:
         return {chrom: (IntervalSet.from_arrays(self.starts[idx], self.ends[idx]), idx)
                 for chrom, idx in zip(self.chroms, groups) if len(idx)}
 
-    def format_kept(self, keep) -> str:
-        """`format_record` lines, newline-ended, of the records `keep` marks."""
-        table = self._table(keep)[:, 3 - _FIELDS[self.fmt]:]
-        return (_LINE[self.fmt] + "\n") * len(table) % tuple(table.ravel().tolist())
+    def kept_lines(self, keep) -> bytes:
+        """The input lines of the records the mask `keep` marks, as
+        written, in file order; a last line without a terminator gets
+        a newline."""
+        at = self.line_at[keep]
+        edges = np.column_stack((at, at + self.line_len[keep])).ravel()
+        # the data cut into a gap, a kept line, a gap, ..., a kept line, a gap
+        parts = np.diff(edges, prepend=0, append=len(self.data))
+        mask = np.repeat(np.arange(len(parts)) % 2 == 1, parts)
+        out = np.frombuffer(self.data, np.uint8)[mask].tobytes()
+        return out if not out or out.endswith(b"\n") else out + b"\n"
 
 
-def _instance(fmt: str, names, starts, ends, head=None) -> InstanceFile:
-    """The instance of the given columns; bed3 `names` holds each
-    record's name or, with `head`, the name of each run of one name,
-    which starts at record head[j]; plain `names` is None or empty."""
+def _instance(fmt: str, names, starts, ends, data: bytes, line_at, line_len,
+              head=None) -> InstanceFile:
+    """The instance of the given columns, read from the lines of `data`
+    that `line_at` and `line_len` give; bed3 `names` holds each record's
+    name or, with `head`, the name of each run of one name, which starts
+    at record head[j]; plain `names` is None or empty."""
     chroms, code = (None,), np.zeros(len(starts), np.intp)
     if names is not None and len(names):
         names = np.asarray(names)
@@ -95,7 +103,8 @@ def _instance(fmt: str, names, starts, ends, head=None) -> InstanceFile:
         chroms = tuple(chroms.astype(str).tolist())
         code = np.repeat(code, np.diff(head, append=len(starts)))
     # copies, so that a parsed table's name column can be freed
-    return InstanceFile(fmt, chroms, code, np.array(starts, np.uint64), np.array(ends, np.uint64))
+    return InstanceFile(fmt, chroms, code, np.array(starts, np.uint64), np.array(ends, np.uint64),
+                        data, np.asarray(line_at, np.int64), np.asarray(line_len, np.int64))
 
 
 def _parse_coord(token: str, line_no: int, what: str) -> int:
@@ -113,9 +122,10 @@ def _parse_coord(token: str, line_no: int, what: str) -> int:
 def parse_instance(text: str, fmt: str | None = None) -> InstanceFile:
     """Parse instance text line by line; with fmt None the field count
     of the first data line, 3 or 2, picks bed3 or plain."""
-    names, starts, ends = [], [], []
+    names, starts, ends, rows = [], [], [], []
     detected = fmt
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines(keepends=True)
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -135,7 +145,13 @@ def parse_instance(text: str, fmt: str | None = None) -> InstanceFile:
             raise ParseError(line_no, f"start {start} must be < end {end}")
         starts.append(start)
         ends.append(end)
-    return _instance(detected or "plain", names or None, starts, ends)
+        rows.append(line_no - 1)
+    # each line's byte range in the text's UTF-8 encoding
+    data = text.encode("utf-8", "surrogatepass")
+    size = np.array([len(line.encode("utf-8", "surrogatepass")) for line in lines], np.int64)
+    line_end = np.cumsum(size)
+    return _instance(detected or "plain", names or None, starts, ends, data,
+                     (line_end - size)[rows], size[rows])
 
 
 def _bulk_format(data: bytes, fmt: str | None) -> str | None:
@@ -149,13 +165,16 @@ def _bulk_format(data: bytes, fmt: str | None) -> str | None:
 
 def _parse_regular(data: bytes, fmt: str | None) -> InstanceFile | None:
     """Parse `data` in one `np.loadtxt` pass if it is printable ASCII
-    without '#' and each non-blank line holds the format's field count,
-    else return None.  Names are read at the longest line's width, so a
-    few very long lines also leave the file to the line parser."""
+    without '#' or a lone '\\r' and each non-blank line holds the
+    format's field count, else return None.  Names are read at the
+    longest line's width, so a few very long lines also leave the file
+    to the line parser."""
     fmt = _bulk_format(data, fmt)
-    if fmt is None or data.translate(None, _REGULAR) or b"#" in data:
+    if (fmt is None or data.translate(None, _REGULAR) or b"#" in data
+            or data.count(b"\r") != data.count(b"\r\n")):
         return None
-    breaks = np.flatnonzero(np.frombuffer(data + b"\n", np.uint8) == ord("\n"))
+    ext = np.frombuffer(data + b"\n", np.uint8)
+    breaks = np.flatnonzero(ext == ord("\n"))
     width = int(np.diff(breaks, prepend=-1).max())
     if width * len(breaks) > 4 * len(data):
         return None
@@ -167,7 +186,12 @@ def _parse_regular(data: bytes, fmt: str | None) -> InstanceFile | None:
         return None
     if (table["start"] >= table["end"]).any():
         return None
-    return _instance(fmt, table["chrom"] if names else None, table["start"], table["end"])
+    # the records are the lines, through their '\n', that hold a byte other than blanks
+    line_at = np.r_[0, breaks[:-1] + 1]
+    rows = np.flatnonzero(np.maximum.reduceat(ext, line_at) > ord(" "))
+    line_end = np.minimum(breaks + 1, len(data))
+    return _instance(fmt, table["chrom"] if names else None, table["start"], table["end"],
+                     data, line_at[rows], (line_end - line_at)[rows])
 
 
 def _parse_native(lib, data: bytes, fmt: str | None) -> InstanceFile | None:
@@ -181,7 +205,9 @@ def _parse_native(lib, data: bytes, fmt: str | None) -> InstanceFile | None:
     lines = data.count(b"\n") + 1
     starts, ends = np.empty((2, lines), np.uint64)
     head, (name_at, name_len) = np.zeros(lines, np.uint8), np.empty((2, lines), np.int64)
-    n = lib.covprune_parse(data, len(data), _FIELDS[fmt], starts, ends, head, name_at, name_len)
+    line_at, line_len = np.empty((2, lines), np.int64)
+    n = lib.covprune_parse(data, len(data), _FIELDS[fmt], starts, ends, head, name_at, name_len,
+                           line_at, line_len)
     if n < 0:
         return None
     at = np.flatnonzero(head[:n])  # no runs in a plain file, which leaves head 0
@@ -190,7 +216,8 @@ def _parse_native(lib, data: bytes, fmt: str | None) -> InstanceFile | None:
     names = np.zeros((len(at), int(size.max(initial=1))), np.uint8)
     for j in range(names.shape[1]):
         names[size > j, j] = raw[offset[size > j] + j]
-    return _instance(fmt, names.view(f"S{names.shape[1]}")[:, 0], starts[:n], ends[:n], at)
+    return _instance(fmt, names.view(f"S{names.shape[1]}")[:, 0], starts[:n], ends[:n], data,
+                     line_at[:n], line_len[:n], at)
 
 
 def read_instance(path: str, fmt: str | None = None) -> InstanceFile:

@@ -17,7 +17,6 @@ this engine against.
 
 from __future__ import annotations
 
-from .approx import approx_prune
 from .intervals import IntervalSet
 from .solution import Solution, score_subset
 from . import flow
@@ -53,4 +52,5 @@ def solve_exact(intervals: IntervalSet, k: int) -> Solution:
             return score_subset(intervals, result.kept, METHOD, work)
     # OPT = 0, so any subset obeying the cap is optimal; approx's keeps
     # reads wherever the cap allows
+    from .approx import approx_prune
     return score_subset(intervals, approx_prune(intervals, k).kept, METHOD, work)

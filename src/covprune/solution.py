@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .intervals import IntervalSet, segment_cov
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """A pruning result.
 
     `kept` holds indices into the original interval set, in increasing
@@ -25,7 +24,7 @@ class Solution:
     achieved_mincov: int
     achieved_maxcov: int
     method: str
-    work: dict[str, int] = field(default_factory=dict)
+    work: dict[str, int]
 
     @property
     def num_kept(self) -> int:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from covprune import approx
+from covprune import _native, approx, parse_instance
 from covprune.cli import main
 
 from conftest import DEMO_PAIRS
@@ -150,7 +150,7 @@ def test_decide_at_t0_keeps_a_capped_subset(tmp_path, capsys):
     code, out, err = run(capsys, "decide", str(path), "--k", "2", "--t", "0")
     assert code == 0
     record = json.loads(err.strip())
-    assert out == "0\t10\n5\t8\n"
+    assert out == "0 10\n5 8\n"
     assert record["kept"] == 2 and record["maxcov_after"] <= 2
     assert record["method"] == "exact-tailored"
     assert record["work"]["flow_solves"] == 0
@@ -274,9 +274,43 @@ def test_coordinate_cap(tmp_path, capsys, end, code):
     got, out, err = run(capsys, "approx", str(path), "--k", "1")
     assert got == code
     if code == 0:
-        assert out == f"0\t{end}\n"
+        assert out == f"0 {end}\n"
     else:
         assert out == "" and "line 1" in err
+
+
+ECHO_INPUTS = {
+    # regular files, which the bulk parsers read: CRLF, blank lines, spaces
+    # and tabs, 007 and an unterminated last line
+    "plain-bulk": "0 10\r\n0  10\r\n\r\n007\t10\r\n2 8\r\n100 110",
+    "bed3-bulk": "chr2\t5\t9\n\nchr1 0  4\r\nchr2\t005\t12\nchr2\t5\t9\nchr1\t0\t4\n"
+                 "chr2 6 12\nchr1 100 110",
+    # the line parser's: comments, +5 and a non-ASCII name as well
+    "plain-lines": "# reads\n0 10\n+0 10\n\n 0 +10  \n2 8\r\n#0 10\n100 110",
+    "bed3-lines": "#c\nchr\u00e9\t0\t10\nchr\u00e9 0 10\r\nchr1\t+5\t9\n\nchr\u00e9\t00\t10\n"
+                  "chr1 5 9\nchr1\t+5\t9\nchr1 100 110",
+}
+
+
+@pytest.mark.parametrize("backend", ["native", "python"])
+@pytest.mark.parametrize("name", sorted(ECHO_INPUTS))
+def test_kept_lines_echo_the_input(tmp_path, capsys, monkeypatch, backend, name):
+    if backend == "python":
+        monkeypatch.setattr(_native, "load_library", lambda: None)
+    elif _native.load_library() is None:
+        pytest.skip("no working C compiler")
+    text = ECHO_INPUTS[name]
+    path = tmp_path / "reads"
+    path.write_bytes(text.encode())
+    code, out, _ = run(capsys, "approx", str(path), "--k", "1")
+    assert code == 0
+    # the data lines as written, and the records approx keeps of them
+    lines = [ln for ln in text.splitlines(keepends=True)
+             if ln.strip() and not ln.strip().startswith("#")]
+    kept = sorted(i for ivs, idx in parse_instance(text).chromosomes().values()
+                  for i in idx[list(approx.approx_prune(ivs, 1).kept)].tolist())
+    assert 0 < len(kept) < len(lines) and kept[-1] == len(lines) - 1
+    assert out == "".join(lines[i] for i in kept) + "\n"
 
 
 def _segment_cov(delims, starts, ends):

@@ -110,13 +110,14 @@ def test_generate_instance_valid():
 
 
 def _outcome(parse):
-    """(fmt, records) of a parse, or the type and message of its error;
+    """(fmt, records, each record's line as (offset, length) in the
+    input bytes) of a parse, or the type and message of its error;
     ParseError and UnicodeDecodeError are both ValueErrors."""
     try:
         inst = parse()
     except ValueError as exc:
         return type(exc), str(exc)
-    return inst.fmt, inst.records
+    return inst.fmt, inst.records, list(zip(inst.line_at.tolist(), inst.line_len.tolist()))
 
 
 NUMBERS = ["0", "5", "9", "12", "40", "007", "+5", "1_000", "٣", "-1", "-0",

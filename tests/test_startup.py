@@ -45,7 +45,8 @@ def test_cli_import_loads_no_unused_module():
     assert {"covprune.cli", "covprune.io", "covprune.intervals"} <= loaded
     # each subcommand imports its own solver when it runs
     assert not loaded & {"covprune.approx", "covprune.flow", "covprune.search",
-                         "covprune.oracle", "covprune.coverage_tree", "subprocess", "hashlib"}
+                         "covprune.oracle", "covprune.coverage_tree", "subprocess", "hashlib",
+                         "dataclasses"}
 
 
 def test_approx_run_loads_no_exact_solver(tmp_path):
@@ -54,7 +55,17 @@ def test_approx_run_loads_no_exact_solver(tmp_path):
     loaded = loaded_by("from covprune.cli import main\n"
                        f"assert main(['approx', {str(path)!r}, '--k', '1']) == 0")
     assert "covprune.approx" in loaded
-    assert not loaded & {"covprune.flow", "covprune.search"}
+    assert not loaded & {"covprune.flow", "covprune.search", "dataclasses"}
+
+
+def test_solve_run_loads_no_approx_when_opt_is_positive(tmp_path):
+    # OPT = 1 under k = 1: only an optimum of 0 falls back to approx's kept set
+    path = tmp_path / "reads.txt"
+    path.write_text("0 4\n0 4\n4 6\n")
+    loaded = loaded_by("from covprune.cli import main\n"
+                       f"assert main(['solve', {str(path)!r}, '--k', '1']) == 0")
+    assert "covprune.search" in loaded
+    assert not loaded & {"covprune.approx", "dataclasses"}
 
 
 def test_cached_library_loads_without_compiler_modules(compiler):
