@@ -1,23 +1,27 @@
 """Build and load the compiled kernels on first use.
 
-One library holds three kernels: the input reader (`_parse.c`), the
-approx sweep (`_sweep.c`) and the exact solver's max-flow (`_flow.c`).
-It is compiled with the C compiler Python was built with and cached
-under `$XDG_CACHE_HOME/covprune/` (default `~/.cache/covprune/`), named
-by a hash of the sources, the compiler command and the flags, so an
-edited source or another compiler gets a fresh build.  A cached library
-loads with `ctypes`, `os` and `sysconfig` alone; `subprocess` and
-`tempfile` are imported only to compile.  When that directory cannot be
-written the library is built in a private temporary directory for this
-process only.  When there is no compiler or the build fails,
-`load_library` returns None, and each kernel's Python twin runs
-instead: io's `np.loadtxt` pass `_parse_regular`, and, on the same
-arrays, approx's `_sweep_python` over `CoverageTree` and `_flat_python`,
-and flow's `_augment_python`.
+One library holds every kernel.  It is compiled with the C compiler
+Python was built with and cached under `$XDG_CACHE_HOME/covprune/`
+(default `~/.cache/covprune/`), named by a hash of the sources, the
+compiler command and the flags, so an edited source or another compiler
+gets a fresh build, which removes the other `covprune-*.so` files there.
+A cached library loads with `ctypes`, `os` and `sysconfig` alone;
+`subprocess` and `tempfile` are imported only to compile.  When that
+directory cannot be written the library is built in a private temporary
+directory for this process only.  When there is no compiler or the build
+fails, `load_library` returns None, and each kernel's Python twin runs
+instead, on the same inputs: for `covprune_parse` (`_parse.c`), io's
+`np.loadtxt` pass `_parse_regular`; for `covprune_profile` (`_profile.c`)
+and `covprune_network` (`_flow.c`), the argsort branches of
+`coverage_profile` and `build_network`; for `covprune_sweep` and
+`covprune_flat_sweep` (`_sweep.c`), approx's `_sweep_python` over
+`CoverageTree` and `_flat_python`; for `covprune_max_flow` (`_flow.c`),
+flow's `_augment_python`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = tuple(Path(__file__).with_name(name) for name in ("_parse.c", "_sweep.c", "_flow.c"))
+SOURCES = tuple(Path(__file__).with_name(f"_{k}.c") for k in ("parse", "profile", "sweep", "flow"))
 FLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
 
 
@@ -68,6 +72,9 @@ def _compile(cc: list[str], target: Path) -> bool:
         if done.returncode != 0:
             return False
         os.replace(tmp, target)
+        for stale in set(target.parent.glob("covprune-*.so")) - {target}:  # other sources' builds
+            with contextlib.suppress(OSError):  # best effort: another process may remove it too
+                stale.unlink()
         return True
     finally:
         if os.path.exists(tmp):
@@ -82,12 +89,16 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     n = ctypes.c_int64
     lib.covprune_parse.argtypes = [ctypes.c_char_p, n, n, u64, u64, u8, i64, i64, i64, i64]
     lib.covprune_parse.restype = n
+    lib.covprune_profile.argtypes = [n, u64, u64, u64, i64, i64, i64, i64]
+    lib.covprune_profile.restype = n
     lib.covprune_sweep.argtypes = [n, n, i64, n, i64, i64, n, i64, i64, i64, u8, i64]
     lib.covprune_sweep.restype = None
     lib.covprune_flat_sweep.argtypes = [n, i64, i64, n, i32, u8, i64]
     lib.covprune_flat_sweep.restype = None
     lib.covprune_max_flow.argtypes = [n, n, n, i64, i64, i64, i64, i64, i64, i64]
     lib.covprune_max_flow.restype = n
+    lib.covprune_network.argtypes = [n, n, i64, i64, i64, i64, i64, i64]
+    lib.covprune_network.restype = None
     return lib
 
 

@@ -10,13 +10,13 @@ max-flow value is k, and the kept intervals are the interval arcs that
 carry flow 1: an interior backbone arc then carries k minus the kept
 coverage of its segment, so its capacity k - t forces coverage >= t.
 
-`build_network` lays the network out in arrays once per interval set;
-the capacities, and so k and t, live only in the residual a `Chain`
-holds.  `max_flow_augmenting` augments it along depth-first paths that
-try the farthest-reaching arc first, with the compiled loop (`_flow.c`,
-loaded by `_native`) when a C compiler is available, and otherwise with
-`_augment_python`, its line-for-line twin on the same arrays.  Both give
-the same flow, witness and augmentation count.
+`build_network` lays the network out in arrays once per interval set,
+by `covprune_network` (`_flow.c`, loaded by `_native`) or, without a
+library, by its twin, one stable argsort of the arcs; the capacities,
+and so k and t, live only in the residual a `Chain` holds.
+`max_flow_augmenting` augments it along depth-first paths that try the
+farthest-reaching arc first, by `covprune_max_flow` or its line-for-line
+twin `_augment_python`: the same flow, witness and augmentation count.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _native
 from .intervals import IntervalSet
 from .solution import Solution, score_subset
 
@@ -77,18 +78,24 @@ def build_network(intervals: IntervalSet) -> FlowNetwork:
     if not len(intervals):
         raise ValueError("cannot build a network for an empty interval set")
     coords, lo, hi, _ = intervals.compressed
-    m = len(coords)
+    m, n = len(coords), len(lo)
     nv = m + 2  # coords plus the source 0 and the sink m + 1
-    tail = np.concatenate((np.arange(m + 1), lo + 1))
-    head = np.concatenate((np.arange(1, m + 2), hi + 1))
-    origin = np.empty(2 * len(tail), np.int64)  # the vertex each arc leaves
-    origin[0::2], origin[1::2] = tail, head
-    to = np.empty_like(origin)
-    to[0::2], to[1::2] = head, tail
-    # each vertex lists its arcs by falling head, the search's order;
-    # stable, so parallel arcs keep construction order
-    adj = np.argsort(origin * nv + (nv - 1 - to), kind="stable")
-    first = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=nv))))
+    if not (lo.shape == hi.shape and lo.min() >= 0 and hi.max() < m and (lo < hi).all()):
+        raise ValueError("interval outside the delimiter range")  # the kernels index by them
+    if (lib := _native.load_library()) is not None:
+        first, (adj, to) = np.empty(nv + 1, np.int64), np.empty((2, 2 * (m + 1 + n)), np.int64)
+        lib.covprune_network(n, m, lo, hi, first, adj, to, np.empty(4 * nv + n, np.int64))
+    else:  # the twin of `covprune_network` (`_flow.c`)
+        tail = np.concatenate((np.arange(m + 1), lo + 1))
+        head = np.concatenate((np.arange(1, m + 2), hi + 1))
+        origin = np.empty(2 * len(tail), np.int64)  # the vertex each arc leaves
+        origin[0::2], origin[1::2] = tail, head
+        to = np.empty_like(origin)
+        to[0::2], to[1::2] = head, tail
+        # each vertex lists its arcs by falling head, the search's order;
+        # stable, so parallel arcs keep construction order
+        adj = np.argsort(origin * nv + (nv - 1 - to), kind="stable")
+        first = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=nv))))
     if not (to.min() >= 0 and to.max() < nv and first[-1] == len(to)):
         raise ValueError("arc endpoint outside the chain network")
     return FlowNetwork(nv, m + 1, np.column_stack((lo + 1, hi + 1)), first, adj, to)
@@ -99,9 +106,7 @@ def max_flow_augmenting(net: FlowNetwork, res: np.ndarray) -> FlowAssignment:
     (one per residual arc of `net`) to a maximum flow, in place, by
     depth-first augmenting paths.  The returned assignment records how
     many paths were needed."""
-    # imported on first use: the loader's own imports would slow every CLI start
-    from ._native import load_library
-    lib = load_library()
+    lib = _native.load_library()
     augment = _augment_python if lib is None else lib.covprune_max_flow
     # scratch for the search: parent_arc, stack and next_arc
     augmentations = augment(net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res,
@@ -177,8 +182,7 @@ class Chain:
         self.net = build_network(intervals)
         self.t: int | None = None  # floor of the flow held, None before a probe
         self.first_t = self.augmentations = 0  # of the whole descent
-        from ._native import load_library
-        self.native = int(load_library() is not None)
+        self.native = int(_native.load_library() is not None)
 
     def max_flow(self, t: int) -> FlowAssignment:
         """The maximum flow of the (k, t) network, augmented from the flow

@@ -4,8 +4,9 @@ Coverage of a point p is the number of intervals [start, end) with
 start <= p < end: a step function over the sorted distinct endpoints
 (delimiters), so coordinates may be arbitrarily large and sparse.
 `IntervalSet.compressed` caches it as `coverage_profile` computes it,
-the one coverage form every solver reads.  Everything here is
-immutable after construction and safe to share between threads.
+by `covprune_profile` (`_profile.c`) or its twin, one argsort of the
+endpoints: the one coverage form every solver reads.  Everything here
+is immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class IntervalSet:
     def from_arrays(cls, starts, ends) -> "IntervalSet":
         """The set of [starts[i], ends[i]); unsigned integer arrays only."""
         out = cls.__new__(cls)
-        out._hold(*(np.asarray(a).astype(np.uint64, casting="safe", copy=False)
+        out._hold(*(np.asarray(a).astype(np.uint64, "C", casting="safe", copy=False)
                     for a in (starts, ends)))
         return out
 
@@ -122,6 +123,13 @@ class CoverageProfile(NamedTuple):
 
 def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
     """The exact coverage step function of the set, from its endpoint arrays."""
+    from ._native import load_library  # on first use: its imports would slow `import`
+    if (n := len(intervals)) and (lib := load_library()) is not None:
+        delims, (rank, cov) = np.empty(2 * n, np.uint64), np.empty((2, 2 * n), np.int64)
+        m = lib.covprune_profile(n, intervals.starts, intervals.ends, delims, rank[:n], rank[n:],
+                                 cov, np.empty(8 * n + 2048, np.int64))  # its scratch
+        return CoverageProfile(delims[:m], rank[:n], rank[n:], cov[:m - 1])
+    # the twin of `covprune_profile` (`_profile.c`)
     both = np.concatenate((intervals.starts, intervals.ends))
     # sort and drop repeats: np.unique takes a slower hash path on uint64
     order = np.argsort(both)

@@ -143,6 +143,18 @@ def test_build_caches_one_library_by_hash(compiler, tmp_path):
     assert _native.library_name([*compiler, "-g"]) != cached.name
 
 
+def test_a_fresh_build_removes_stale_libraries(compiler, tmp_path):
+    stale, partial = tmp_path / "covprune-0.so", tmp_path / "covprune-1.so.tmp"
+    stale.write_bytes(b"")
+    partial.write_bytes(b"")  # another process's build in progress
+    assert _native.build(tmp_path, compiler) is not None
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [_native.library_name(compiler), partial.name])
+    stale.write_bytes(b"")
+    assert _native.build(tmp_path, compiler) is not None  # cached: removes nothing
+    assert stale.exists()
+
+
 def test_build_falls_back_to_a_private_directory(compiler, tmp_path):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
