@@ -8,15 +8,9 @@ gets a fresh build, which removes the other `covprune-*.so` files there.
 A cached library loads with `ctypes`, `os` and `sysconfig` alone;
 `subprocess` and `tempfile` are imported only to compile.  When that
 directory cannot be written the library is built in a private temporary
-directory for this process only.  When there is no compiler or the build
-fails, `load_library` returns None, and each kernel's Python twin runs
-instead, on the same inputs: for `covprune_parse` (`_parse.c`), io's
-`np.loadtxt` pass `_parse_regular`; for `covprune_profile` (`_profile.c`)
-and `covprune_network` (`_flow.c`), the argsort branches of
-`coverage_profile` and `build_network`; for `covprune_sweep` and
-`covprune_flat_sweep` (`_sweep.c`), approx's `_sweep_python` over
-`CoverageTree` and `_flat_python`; for `covprune_max_flow` (`_flow.c`),
-flow's `_augment_python`.
+directory for this process only.  Every kernel is required: when no
+library loads or builds, `load_library` raises `CompilerError`, on which
+the CLI exits 4.
 """
 
 from __future__ import annotations
@@ -125,7 +119,17 @@ def build(directory: Path, cc: list[str]) -> ctypes.CDLL | None:
         return None
 
 
+class CompilerError(RuntimeError):
+    """No compiled library could be loaded or built."""
+
+
 @functools.cache
-def load_library() -> ctypes.CDLL | None:
-    """The compiled library for this process, or None."""
-    return build(cache_dir(), compiler())
+def load_library() -> ctypes.CDLL:
+    """The compiled library for this process; raises `CompilerError`
+    when none loads or builds."""
+    cc = compiler()
+    lib = build(cache_dir(), cc)
+    if lib is None:
+        raise CompilerError(f"cannot build the compiled kernels with the C compiler "
+                            f"command '{' '.join(cc)}'")
+    return lib

@@ -11,13 +11,11 @@ minimum coverage is at least min(mincov of the input, floor(k/2)),
 hence at least floor(k/2)/k times the exact optimum.
 
 The sweep keeps the current segment coverage either in the lazy
-`CoverageTree`, O(log nseg) nodes per read, or, when the spans sum to
+coverage tree, O(log nseg) nodes per read, or, when the spans sum to
 at most 40 * n * bit_length(nseg) segments and the coverage stays below
 2**31, in a flat int32 copy scanned span by span: at most twice that
-sum, so O(n log n) too, and cheaper on short reads.  Each runs as a C
-loop (`_sweep.c`, loaded by `_native`) when a C compiler is available,
-else as its Python twin on the same arrays.  All four make the same
-decisions; each twin counts its C loop's work.
+sum, so O(n log n) too, and cheaper on short reads.  Both run as C loops
+(`_sweep.c`, loaded by `_native`) and make the same decisions.
 """
 
 from __future__ import annotations
@@ -40,7 +38,8 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     `work` counts `tree_nodes_touched` or, for the flat scan,
     `segments_scanned`, then `candidates` (reads whose span had max > k
     when visited), `blocked_crucial` (candidates kept because their
-    span's min was <= floor(k/2)) and `native_sweep` (1 when C ran).
+    span's min was <= floor(k/2)) and `native_sweep` (1 when a compiled
+    sweep ran).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -63,15 +62,9 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     # costs about what the tree does (15k reads of 0.5-1.5 kb at depth 400-600);
     # its cells are int32
     flat = top < 2**31 and int((hi - lo).sum()) <= 40 * n * len(cov).bit_length()
-    # imported on first use: the loader's own imports would slow every CLI start
-    from ._native import load_library
-    lib = load_library()
-    if lib is None:
-        deleted, counts = (_flat_python if flat else _sweep_python)(order, lo, hi, cov, k)
-    else:
-        deleted, counts = _sweep_native(lib, order, lo, hi, cov, k, flat)
-        work["native_sweep"] = 1
+    deleted, counts = _sweep(order, lo, hi, cov, k, flat)
     visited, work["candidates"], work["blocked_crucial"] = counts
+    work["native_sweep"] = 1
     work["segments_scanned" if flat else "tree_nodes_touched"] = visited
 
     # recount the kept reads from scratch, never from the sweep's state
@@ -86,51 +79,14 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
                     "approx", work)
 
 
-def _sweep_python(order, lo, hi, cov, k: int):
-    """The tree sweep over `CoverageTree`, on the arrays `_sweep_native`
-    takes; returns the deleted mask in input order and (nodes touched,
-    candidates, blocked)."""
-    from .coverage_tree import CoverageTree  # only this fallback needs the tree
-    tree = CoverageTree(cov.tolist())
-    query = tree.range_query
-    shrink = tree.range_decrement
-    deleted = np.zeros(len(order), bool)
-    candidates = blocked = 0
-    for i, l, h in zip(order.tolist(), lo[order].tolist(), hi[order].tolist()):
-        mn, mx = query(l, h)
-        if mx > k:
-            candidates += 1
-            if mn > k // 2:  # expendable
-                shrink(l, h)
-                deleted[i] = True
-            else:
-                blocked += 1
-    return deleted, (tree.nodes_touched, candidates, blocked)
-
-
-def _flat_python(order, lo, hi, cov, k: int):
-    """The flat scan over a list, as `_sweep_python` but counting
-    segments scanned (read or lowered) where it counts nodes touched."""
-    cur = cov.tolist()
-    deleted = np.zeros(len(order), bool)
-    scanned = candidates = blocked = 0
-    for i, l, h in zip(order.tolist(), lo[order].tolist(), hi[order].tolist()):
-        seg = cur[l:h]
-        scanned += h - l
-        if max(seg) > k:
-            candidates += 1
-            if min(seg) > k // 2:
-                cur[l:h] = [x - 1 for x in seg]
-                scanned += h - l
-                deleted[i] = True
-            else:
-                blocked += 1
-    return deleted, (scanned, candidates, blocked)
-
-
-def _sweep_native(lib, order, lo, hi, cov, k: int, flat: bool):
-    """`_sweep_python`'s sweep, or with `flat` `_flat_python`'s, in C."""
-    nseg = len(cov)
+def _sweep(order, lo, hi, cov, k: int, flat: bool):
+    """The sweep of the reads in `order` over the coverage `cov`, by the
+    tree or, with `flat`, by the flat scan; returns the deleted mask in
+    input order and (tree nodes touched or segments scanned, candidates,
+    blocked)."""
+    # imported on first use: the loader's own imports would slow every CLI start
+    from ._native import load_library
+    lib, nseg = load_library(), len(cov)
     lo = np.ascontiguousarray(lo[order], dtype=np.int64)
     hi = np.ascontiguousarray(hi[order], dtype=np.int64)
     if not (lo.min() >= 0 and (lo < hi).all() and hi.max() <= nseg):

@@ -6,7 +6,8 @@ flow.  Kept intervals go to stdout as their input lines, in input order;
 per-chromosome solver statistics go to stderr or to --stats FILE as JSON
 lines with a fixed schema, each written and flushed as its chromosome
 finishes.  Exit codes: 0 success/feasible, 1 decide found no solution,
-2 usage or parse error, 3 internal error.
+2 usage or parse error, 3 internal error, 4 no compiled library: the
+kernels could not be built with the C compiler.
 """
 
 from __future__ import annotations
@@ -202,6 +203,10 @@ def main(argv=None) -> int:
         print(f"covprune: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        from ._native import CompilerError  # loaded already by the call that raised it
+        if isinstance(exc, CompilerError):
+            print(f"covprune: {exc}", file=sys.stderr)
+            return 4
         # a failed self-check or a bug: never let it read as exit 1, "infeasible"
         print(f"covprune: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

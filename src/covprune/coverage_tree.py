@@ -1,15 +1,20 @@
 """Perfect binary tree over coverage segments with lazy range decrements.
 
-The approx sweep holds its coverage in this tree when reads span too
-many segments for a flat scan (see `approx`): in this class when no
-compiled library loads, else in `covprune_sweep` (`_sweep.c`), the same
-tree in C.  Leaves are the segments between consecutive delimiters,
-initialized to the full-set coverage; a range is a half-open run
-[lo, hi) of segment indices, as in the `lo`/`hi` arrays of
-`IntervalSet.compressed`.  Every node carries the min and max coverage
-of its subtree plus a `balance`: a pending decrement that applies to
-the whole subtree but has not yet been pushed to the children.  The
-stored invariant, for every node v:
+The approx sweep holds its coverage in this tree, in C, when reads
+span too many segments for a flat scan (see `approx` and
+`covprune_sweep` in `_sweep.c`).  No solver runs this Python class; it
+stays for two readers.  The benchmark's tracer (`bench/tracing.py`)
+wraps `build_tree`, `range_query` and `range_decrement` by name, and the
+tests drive it as the reference whose decisions and nodes touched
+`covprune_sweep` must match.
+
+Leaves are the segments between consecutive delimiters, initialized to
+the full-set coverage; a range is a half-open run [lo, hi) of segment
+indices, as in the `lo`/`hi` arrays of `IntervalSet.compressed`.
+Every node carries the min and max coverage of its subtree plus a
+`balance`: a pending decrement that applies to the whole subtree but
+has not yet been pushed to the children.  The stored invariant, for
+every node v:
 
     true min of v's subtree == mn[v] + bal[v] + sum of bal over strict
     ancestors of v     (and likewise for max)

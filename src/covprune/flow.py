@@ -11,12 +11,10 @@ carry flow 1: an interior backbone arc then carries k minus the kept
 coverage of its segment, so its capacity k - t forces coverage >= t.
 
 `build_network` lays the network out in arrays once per interval set,
-by `covprune_network` (`_flow.c`, loaded by `_native`) or, without a
-library, by its twin, one stable argsort of the arcs; the capacities,
+by `covprune_network` (`_flow.c`, loaded by `_native`); the capacities,
 and so k and t, live only in the residual a `Chain` holds.
 `max_flow_augmenting` augments it along depth-first paths that try the
-farthest-reaching arc first, by `covprune_max_flow` or its line-for-line
-twin `_augment_python`: the same flow, witness and augmentation count.
+farthest-reaching arc first, by `covprune_max_flow`.
 """
 
 from __future__ import annotations
@@ -82,20 +80,9 @@ def build_network(intervals: IntervalSet) -> FlowNetwork:
     nv = m + 2  # coords plus the source 0 and the sink m + 1
     if not (lo.shape == hi.shape and lo.min() >= 0 and hi.max() < m and (lo < hi).all()):
         raise ValueError("interval outside the delimiter range")  # the kernels index by them
-    if (lib := _native.load_library()) is not None:
-        first, (adj, to) = np.empty(nv + 1, np.int64), np.empty((2, 2 * (m + 1 + n)), np.int64)
-        lib.covprune_network(n, m, lo, hi, first, adj, to, np.empty(4 * nv + n, np.int64))
-    else:  # the twin of `covprune_network` (`_flow.c`)
-        tail = np.concatenate((np.arange(m + 1), lo + 1))
-        head = np.concatenate((np.arange(1, m + 2), hi + 1))
-        origin = np.empty(2 * len(tail), np.int64)  # the vertex each arc leaves
-        origin[0::2], origin[1::2] = tail, head
-        to = np.empty_like(origin)
-        to[0::2], to[1::2] = head, tail
-        # each vertex lists its arcs by falling head, the search's order;
-        # stable, so parallel arcs keep construction order
-        adj = np.argsort(origin * nv + (nv - 1 - to), kind="stable")
-        first = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=nv))))
+    first, (adj, to) = np.empty(nv + 1, np.int64), np.empty((2, 2 * (m + 1 + n)), np.int64)
+    _native.load_library().covprune_network(n, m, lo, hi, first, adj, to,
+                                            np.empty(4 * nv + n, np.int64))  # scratch
     if not (to.min() >= 0 and to.max() < nv and first[-1] == len(to)):
         raise ValueError("arc endpoint outside the chain network")
     return FlowNetwork(nv, m + 1, np.column_stack((lo + 1, hi + 1)), first, adj, to)
@@ -106,61 +93,12 @@ def max_flow_augmenting(net: FlowNetwork, res: np.ndarray) -> FlowAssignment:
     (one per residual arc of `net`) to a maximum flow, in place, by
     depth-first augmenting paths.  The returned assignment records how
     many paths were needed."""
-    lib = _native.load_library()
-    augment = _augment_python if lib is None else lib.covprune_max_flow
     # scratch for the search: parent_arc, stack and next_arc
-    augmentations = augment(net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res,
-                            *np.empty((3, net.nv), np.int64))
+    augmentations = _native.load_library().covprune_max_flow(
+        net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res, *np.empty((3, net.nv), np.int64))
     nb = net.num_backbone_arcs
     # copies: the next, lower floor goes on augmenting `res`
     return FlowAssignment(res[1:2 * nb:2].copy(), res[2 * nb + 1::2].copy(), augmentations)
-
-
-def _augment_python(nv, source, sink, first, adj, to, res, parent_arc, stack, next_arc) -> int:
-    """`covprune_max_flow` (`_flow.c`) line for line, run on lists read
-    from the same arrays, since indexing a list is many times faster than
-    indexing numpy; `res` and `parent_arc` get the final lists back."""
-    lists = [a.tolist() for a in (first, adj, to, res, parent_arc, stack, next_arc)]
-    augmentations = 0
-    while _dfs_augment(nv, source, sink, *lists) > 0:
-        augmentations += 1
-    res[:], parent_arc[:] = lists[3], lists[4]
-    return augmentations
-
-
-def _dfs_augment(nv, source, sink, first, adj, to, res, parent_arc, stack, next_arc) -> int:
-    """One depth-first augmenting path from source to sink; returns the
-    amount pushed, 0 when the sink cannot be reached.  A failing search
-    leaves marked in `parent_arc` exactly the vertices the source reaches."""
-    parent_arc[:] = [-1] * nv
-    parent_arc[source] = -2
-    depth = 0
-    stack[0] = source
-    next_arc[source] = first[source]
-    while depth >= 0 and parent_arc[sink] == -1:
-        u = stack[depth]
-        p, end = next_arc[u], first[u + 1]
-        while p < end and (parent_arc[to[adj[p]]] != -1 or res[adj[p]] <= 0):
-            p += 1
-        if p == end:
-            depth -= 1  # every arc of u tried: back up
-        else:
-            a = adj[p]
-            v = to[a]
-            next_arc[u] = p + 1
-            parent_arc[v] = a
-            depth += 1
-            stack[depth] = v
-            next_arc[v] = first[v]
-    if parent_arc[sink] == -1:
-        return 0
-
-    path = [parent_arc[v] for v in stack[1:depth + 1]]  # the stack runs source to sink
-    bottleneck = min(res[a] for a in path)
-    for a in path:
-        res[a] -= bottleneck
-        res[a ^ 1] += bottleneck
-    return bottleneck
 
 
 class Chain:
@@ -182,7 +120,6 @@ class Chain:
         self.net = build_network(intervals)
         self.t: int | None = None  # floor of the flow held, None before a probe
         self.first_t = self.augmentations = 0  # of the whole descent
-        self.native = int(_native.load_library() is not None)
 
     def max_flow(self, t: int) -> FlowAssignment:
         """The maximum flow of the (k, t) network, augmented from the flow
@@ -248,5 +185,5 @@ def decide(intervals: IntervalSet, k: int, t: int,
     flow = chain.max_flow(t)
     if flow.value < k:
         return None
-    work.update(flow_solves=1, augmentations=flow.augmentations, native_flow=chain.native)
+    work.update(flow_solves=1, augmentations=flow.augmentations, native_flow=1)
     return score_subset(intervals, flow.kept, method, work)

@@ -4,9 +4,9 @@ Coverage of a point p is the number of intervals [start, end) with
 start <= p < end: a step function over the sorted distinct endpoints
 (delimiters), so coordinates may be arbitrarily large and sparse.
 `IntervalSet.compressed` caches it as `coverage_profile` computes it,
-by `covprune_profile` (`_profile.c`) or its twin, one argsort of the
-endpoints: the one coverage form every solver reads.  Everything here
-is immutable after construction and safe to share between threads.
+by `covprune_profile` (`_profile.c`): the one coverage form every
+solver reads.  Everything here is immutable after construction and safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -123,25 +123,13 @@ class CoverageProfile(NamedTuple):
 
 def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
     """The exact coverage step function of the set, from its endpoint arrays."""
+    if not (n := len(intervals)):  # the kernel reads a first endpoint
+        return CoverageProfile(np.zeros(0, np.uint64), *np.zeros((3, 0), np.int64))
     from ._native import load_library  # on first use: its imports would slow `import`
-    if (n := len(intervals)) and (lib := load_library()) is not None:
-        delims, (rank, cov) = np.empty(2 * n, np.uint64), np.empty((2, 2 * n), np.int64)
-        m = lib.covprune_profile(n, intervals.starts, intervals.ends, delims, rank[:n], rank[n:],
-                                 cov, np.empty(8 * n + 2048, np.int64))  # its scratch
-        return CoverageProfile(delims[:m], rank[:n], rank[n:], cov[:m - 1])
-    # the twin of `covprune_profile` (`_profile.c`)
-    both = np.concatenate((intervals.starts, intervals.ends))
-    # sort and drop repeats: np.unique takes a slower hash path on uint64
-    order = np.argsort(both)
-    both = both[order]
-    first = np.ones(len(both), bool)
-    first[1:] = both[1:] != both[:-1]
-    delims = both[first]
-    # each endpoint's delimiter index, its rank among the distinct endpoints
-    rank = np.empty(len(both), np.intp)
-    rank[order] = np.cumsum(first) - 1
-    lo, hi = np.split(rank, 2)
-    return CoverageProfile(delims, lo, hi, segment_cov(lo, hi, len(delims)))
+    delims, (rank, cov) = np.empty(2 * n, np.uint64), np.empty((2, 2 * n), np.int64)
+    m = load_library().covprune_profile(n, intervals.starts, intervals.ends, delims, rank[:n],
+                                        rank[n:], cov, np.empty(8 * n + 2048, np.int64))  # scratch
+    return CoverageProfile(delims[:m], rank[:n], rank[n:], cov[:m - 1])
 
 
 def segment_cov(lo, hi, ndelims: int):

@@ -5,17 +5,15 @@ integers per line) and "bed3" (name, start, end).  Comment lines
 starting with '#' and blank lines are ignored.  BED3 files hold several
 chromosomes; each is an independent instance on its own coordinate line.
 `read_instance` reads a regular file in one pass of the compiled kernel
-(`_parse.c`), or of its `np.loadtxt` twin when no library loads, and
-anything else with `parse_instance`, the line parser that names a bad
-line.  Each of the three also gives every record's line as a byte range
-of the input, so kept records leave as the lines they were read from
-(`InstanceFile.kept_lines`), not re-formatted from their numbers.
+(`_parse.c`), and anything else with `parse_instance`, the line parser
+that names a bad line.  Both also give every record's line as a byte
+range of the input, so kept records leave as the lines they were read
+from (`InstanceFile.kept_lines`), not re-formatted from their numbers.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from io import BytesIO
 from typing import NamedTuple
 
 import numpy as np
@@ -24,10 +22,6 @@ from .intervals import MAX_COORD, IntervalSet
 
 _FIELDS = {"plain": 2, "bed3": 3}
 _DETECT = {n: fmt for fmt, n in _FIELDS.items()}  # by the first data line's field count
-# the last fields of (chrom, start, end) as one canonical line
-_LINE = {fmt: "\t".join(["%s"] * n) for fmt, n in _FIELDS.items()}
-# bytes the bulk parser reads exactly as the line parser does
-_REGULAR = bytes(range(32, 127)) + b"\t\n\r"
 
 
 class ParseError(ValueError):
@@ -154,52 +148,16 @@ def parse_instance(text: str, fmt: str | None = None) -> InstanceFile:
                      (line_end - size)[rows], size[rows])
 
 
-def _bulk_format(data: bytes, fmt: str | None) -> str | None:
-    """`fmt`, or the format the first line's field count picks, if that
-    line holds the format's field count; else None."""
+def _parse_native(lib, data: bytes, fmt: str | None) -> InstanceFile | None:
+    """Parse `data` in one pass of `covprune_parse` if it is regular:
+    printable ASCII without '#' or a lone '\\r', the format's field count
+    on each non-blank line, coordinates of the digits 0-9 alone and
+    start < end.  Else return None, and the line parser reads it."""
+    # `fmt`, or the format the first line's field count picks
     cut = data.find(b"\n")
     fields = len((data if cut < 0 else data[:cut]).split())
     fmt = fmt or _DETECT.get(fields)
-    return fmt if fields == _FIELDS.get(fmt) else None
-
-
-def _parse_regular(data: bytes, fmt: str | None) -> InstanceFile | None:
-    """Parse `data` in one `np.loadtxt` pass if it is printable ASCII
-    without '#' or a lone '\\r' and each non-blank line holds the
-    format's field count, else return None.  Names are read at the
-    longest line's width, so a few very long lines also leave the file
-    to the line parser."""
-    fmt = _bulk_format(data, fmt)
-    if (fmt is None or data.translate(None, _REGULAR) or b"#" in data
-            or data.count(b"\r") != data.count(b"\r\n")):
-        return None
-    ext = np.frombuffer(data + b"\n", np.uint8)
-    breaks = np.flatnonzero(ext == ord("\n"))
-    width = int(np.diff(breaks, prepend=-1).max())
-    if width * len(breaks) > 4 * len(data):
-        return None
-    names = [("chrom", f"S{width}")] * (fmt == "bed3")
-    try:
-        table = np.loadtxt(BytesIO(data), dtype=names + [("start", np.uint64), ("end", np.uint64)],
-                           comments=None, ndmin=1)
-    except ValueError:  # a field count or a number the line parser must name
-        return None
-    if (table["start"] >= table["end"]).any():
-        return None
-    # the records are the lines, through their '\n', that hold a byte other than blanks
-    line_at = np.r_[0, breaks[:-1] + 1]
-    rows = np.flatnonzero(np.maximum.reduceat(ext, line_at) > ord(" "))
-    line_end = np.minimum(breaks + 1, len(data))
-    return _instance(fmt, table["chrom"] if names else None, table["start"], table["end"],
-                     data, line_at[rows], (line_end - line_at)[rows])
-
-
-def _parse_native(lib, data: bytes, fmt: str | None) -> InstanceFile | None:
-    """What `_parse_regular` returns, read by `covprune_parse` in C in
-    one pass; the kernel refuses a few files the twin reads, such as a
-    coordinate `+5`, which the line parser then reads."""
-    fmt = _bulk_format(data, fmt)
-    if fmt is None:
+    if fields != _FIELDS.get(fmt):
         return None
     # one slot per line; name ranges are written at runs' first records only
     lines = data.count(b"\n") + 1
@@ -226,10 +184,5 @@ def read_instance(path: str, fmt: str | None = None) -> InstanceFile:
     with open(path, "rb") as fh:
         data = fh.read()
     from ._native import load_library  # on first use: its imports would slow `import`
-    lib = load_library()
-    return ((_parse_native(lib, data, fmt) if lib else _parse_regular(data, fmt))
-            or parse_instance(data.decode("utf-8"), fmt))
+    return _parse_native(load_library(), data, fmt) or parse_instance(data.decode("utf-8"), fmt)
 
-
-def format_record(rec: Record, fmt: str) -> str:
-    return _LINE[fmt] % rec[-_FIELDS[fmt]:]

@@ -8,11 +8,10 @@ network is built once per interval set (`flow.Chain`) and keeps its flow
 from one floor to the next, because a maximum flow at t is still
 feasible at t - 1.  The flow value starts at k - bound and each
 augmenting path raises it, so the whole descent costs at most `bound`
-augmentations, run in C when the compiled library loads and by its
-Python twin on the same arrays otherwise.  Only the witness is scored.
-The cold-start flow (`flow.decide(..., warm_start=False)`), a `Chain`
-started from zero flow, is kept only as the reference the tests check
-this engine against.
+augmentations, run in C (`covprune_max_flow`).  Only the witness is
+scored.  The cold-start flow (`flow.decide(..., warm_start=False)`), a
+`Chain` started from zero flow, is kept only as the reference the tests
+check this engine against.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ def solve_exact(intervals: IntervalSet, k: int) -> Solution:
 
     The method label is "exact-tailored"; `work` counts `flow_solves`,
     the `augmentations` from the warm start to the witness, `probes`,
-    and `native_flow` (1 when the compiled flow ran).
+    and `native_flow` (1 when a compiled flow ran).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -47,7 +46,7 @@ def solve_exact(intervals: IntervalSet, k: int) -> Solution:
         work["probes"] += 1
         work["flow_solves"] += 1
         work["augmentations"] += result.augmentations
-        work["native_flow"] = chain.native
+        work["native_flow"] = 1
         if result.value == k:
             return score_subset(intervals, result.kept, METHOD, work)
     # OPT = 0, so any subset obeying the cap is optimal; approx's keeps

@@ -136,32 +136,35 @@ interval_pairs = st.lists(
 
 
 def sweeps() -> dict:
-    """The approx sweeps by name, each called as `_sweep_python` is: both
-    Python twins, and both C kernels when the library loads."""
-    from covprune import _native
-    from covprune.approx import _flat_python, _sweep_native, _sweep_python
-    found = {"tree-python": _sweep_python, "flat-python": _flat_python}
-    lib = _native.load_library()
-    if lib is not None:
-        found["tree-c"] = functools.partial(_sweep_native, lib, flat=False)
-        found["flat-c"] = functools.partial(_sweep_native, lib, flat=True)
-    return found
+    """The approx sweeps by name, each called as `sweep_python` is: both
+    Python references and both C kernels."""
+    from covprune.approx import _sweep
+    from reference_kernels import flat_python, sweep_python
+    return {"tree-python": sweep_python, "flat-python": flat_python,
+            "tree-c": functools.partial(_sweep, flat=False),
+            "flat-c": functools.partial(_sweep, flat=True)}
 
 
 @pytest.fixture
 def compiler():
-    """The C compiler command; skips the native half of a test without one."""
+    """The C compiler command the compiled library was built with."""
     from covprune import _native
-    if _native.load_library() is None:
-        pytest.skip("no working C compiler: only the Python reference can run")
     return _native.compiler()
 
 
+@pytest.hookimpl(tryfirst=True)  # before the header, which names the library
+def pytest_sessionstart(session):
+    """Stop at once, with the loader's one-line message, when the
+    compiled library can be neither loaded nor built: every kernel
+    needs it."""
+    from covprune import _native
+    try:
+        _native.load_library()
+    except _native.CompilerError as exc:
+        pytest.exit(f"covprune: {exc}")
+
+
 def pytest_report_header(config):
-    from covprune._native import load_library
-    if load_library():
-        return ["covprune approx backend: compiled C sweeps (flat scan or tree)",
-                "covprune exact flow backend: compiled C max-flow"]
-    return ["covprune approx backend: Python _flat_python, or _sweep_python over "
-            "CoverageTree (no C compiler)",
-            "covprune exact flow backend: Python _augment_python (no C compiler)"]
+    from covprune import _native
+    return [f"covprune C compiler: {' '.join(_native.compiler())}",
+            f"covprune compiled library: {_native.load_library()._name}"]

@@ -92,7 +92,7 @@ def test_criterion_4_flow_coverage_identity():
     ok(f"4 flow-coverage identity on {witnesses} extracted witnesses")
 
 
-def test_criterion_4_flow_coverage_identity_at_full_scale(compiler):
+def test_criterion_4_flow_coverage_identity_at_full_scale():
     # n = 10^5 edge-clipped reads of up to 400 bp at depth about 40, k = 30
     n, k = 100_000, 30
     s = clipped_instance(random.Random(1044), n, 500_000, 400)

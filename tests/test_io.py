@@ -1,34 +1,15 @@
 import os
 import random
 import tempfile
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from covprune import Interval, ParseError, _native, io, parse_instance, read_instance
+from covprune import Interval, ParseError, io, parse_instance, read_instance
 from covprune.cli import main
-from covprune.io import Record, format_record
+from covprune.io import Record
 
 from conftest import generate_instance
-
-# the bulk parser's two backends: the compiled kernel, and its np.loadtxt
-# twin, which runs when no library loads
-BACKENDS = [pytest.param("native", marks=pytest.mark.skipif(
-                _native.load_library() is None, reason="no working C compiler")),
-            "loadtxt"]
-
-
-def read_with(backend, path, fmt=None):
-    """`read_instance` with the bulk parser of `backend`: the native one
-    must never hand the file to the twin."""
-    def refuse(*args):
-        raise AssertionError("the np.loadtxt twin ran beside a loaded library")
-
-    patch = (mock.patch.object(io, "_parse_regular", refuse) if backend == "native"
-             else mock.patch.object(_native, "load_library", lambda: None))
-    with patch:
-        return read_instance(path, fmt)
 
 
 PLAIN = """\
@@ -82,14 +63,6 @@ def test_explicit_format_wins():
     assert inst.fmt == "plain"
     with pytest.raises(ParseError):
         parse_instance("3 9\n", fmt="bed3")
-
-
-def test_round_trip():
-    for text, fmt in ((PLAIN, "plain"), (BED, "bed3")):
-        inst = parse_instance(text)
-        emitted = "\n".join(format_record(r, fmt) for r in inst.records) + "\n"
-        again = parse_instance(emitted)
-        assert again.records == inst.records
 
 
 def test_generate_instance_deterministic():
@@ -162,7 +135,6 @@ def instance_bytes(draw):
     return text.encode(errors="surrogateescape")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=300, deadline=None)
 @given(instance_bytes(), st.sampled_from([None, None, "plain", "bed3"]))
 @example(b"chr1 0 5\n\n#chr1 0 5\nchr1 2 9\n", None)
@@ -193,12 +165,12 @@ def instance_bytes(draw):
 @example(SHUFFLED, None)
 @example(b"chr1 2 9 \t\r\n\tchr1 0 5\n", None)
 @example(b"chr1 +5 9\n", None)
-def test_bulk_parser_agrees_with_line_parser(backend, data, fmt):
+def test_bulk_parser_agrees_with_line_parser(data, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "reads")
         with open(path, "wb") as fh:
             fh.write(data)
-        got = _outcome(lambda: read_with(backend, path, fmt))
+        got = _outcome(lambda: read_instance(path, fmt))
     assert got == _outcome(lambda: parse_instance(data.decode("utf-8"), fmt))
 
 
@@ -207,9 +179,7 @@ def test_bulk_parser_agrees_with_line_parser(backend, data, fmt):
      (Record("chr2", 5, 9), Record("chr1", 0, 4), Record("chr2", 6, 12))),
     ("0 8\n0 2\n2 6\n", "plain", (Record(None, 0, 8), Record(None, 0, 2), Record(None, 2, 6))),
 ], ids=["bed3", "plain"])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_regular_files_never_reach_the_line_parser(tmp_path, monkeypatch, backend, text, fmt,
-                                                   records):
+def test_regular_files_never_reach_the_line_parser(tmp_path, monkeypatch, text, fmt, records):
     # a bulk parser that always fell back would pass every output check
     def refuse(*args):
         raise AssertionError("the line parser ran on a regular file")
@@ -217,7 +187,7 @@ def test_regular_files_never_reach_the_line_parser(tmp_path, monkeypatch, backen
     monkeypatch.setattr(io, "parse_instance", refuse)
     path = tmp_path / "reads"
     path.write_text(text)
-    inst = read_with(backend, str(path))
+    inst = read_instance(str(path))
     assert (inst.fmt, inst.records) == (fmt, records)
 
 

@@ -1,30 +1,26 @@
-"""The compiled max-flow on a `Chain` against its Python twin
-`_augment_python` on the same arrays, probe by probe from the warm start
-and along a descent that keeps its flow, and the fallback to that twin
-when no library can be built; both kernels called directly on a path
+"""The compiled max-flow on a `Chain` against its Python reference
+`augment_python` on the same arrays, probe by probe from the warm start
+and along a descent that keeps its flow; both called directly on a path
 through every vertex and on the cut their last search leaves."""
 
-import json
 import random
 
 import numpy as np
 import pytest
 
 from covprune import IntervalSet, _native, build_network
-from covprune.cli import main
-from covprune.flow import Chain, _augment_python
+from covprune.flow import Chain
 
 from conftest import clipped_instance, iset, random_instance
+from reference_kernels import augment_python
 
 MAX_COORD = 2**64 - 1
-# the compiled max-flow and its Python twin, called directly
-KERNELS = [pytest.param("c", marks=pytest.mark.skipif(
-               _native.load_library() is None, reason="no working C compiler")),
-           "python"]
+# the compiled max-flow and its Python reference, called directly
+KERNELS = ["c", "python"]
 
 
 def kernel(name):
-    return _native.load_library().covprune_max_flow if name == "c" else _augment_python
+    return _native.load_library().covprune_max_flow if name == "c" else augment_python
 
 
 def warm_residual(net, k, t):
@@ -62,39 +58,49 @@ def seeded_instances():
     yield random_instance(rng, 20_000, max_coord=100_000, max_len=400), 30
 
 
-def python_flow(monkeypatch, chain, t):
-    """`chain.max_flow(t)` run by `_augment_python`, as without a library."""
-    with monkeypatch.context() as m:
-        m.setattr(_native, "load_library", lambda: None)
-        return chain.max_flow(t)
+def reference_descent(net, k, floors):
+    """Each floor of a descent through `floors`, the residual after its
+    probe and the probe's path count, by `augment_python` from the warm
+    start."""
+    nb = net.num_backbone_arcs
+    res = last = None
+    for t in floors:
+        if res is None:
+            res = warm_residual(net, k, t)
+        else:
+            res[2:2 * nb - 2:2] += last - t  # interior capacity rises
+        last = t
+        yield t, res, augment_python(net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res,
+                                     *np.empty((3, net.nv), np.int64))
 
 
-def same_flow(a, b) -> bool:
-    """Two `FlowAssignment`s agree arc for arc and in their path count."""
-    return (np.array_equal(a.backbone_flow, b.backbone_flow)
-            and np.array_equal(a.interval_flow, b.interval_flow)
-            and a.augmentations == b.augmentations)
+def same_flow(flow, res, augmentations) -> bool:
+    """A `FlowAssignment` is the flow of the residual `res`, arc for arc,
+    found by as many paths."""
+    nb = len(flow.backbone_flow)
+    return (np.array_equal(flow.backbone_flow, res[1:2 * nb:2])
+            and np.array_equal(flow.interval_flow, res[2 * nb + 1::2])
+            and flow.augmentations == augmentations)
 
 
-def test_native_flow_matches_reference(compiler, monkeypatch):
+def test_native_flow_matches_reference():
     probes = augmented = 0
     for s, k in seeded_instances():
         for t in range(k + 1):
             chain = Chain(s, k)
-            assert chain.native == 1
-            reference = python_flow(monkeypatch, Chain(s, k), t)
-            assert same_flow(chain.max_flow(t), reference)
+            (_, res, count), = reference_descent(chain.net, k, [t])
+            assert same_flow(chain.max_flow(t), res, count)
             probes += 1
-            augmented += reference.augmentations > 1
-        # one descent k -> 0 per backend, each carrying its own flow
-        chain, reference = Chain(s, k), Chain(s, k)
-        for t in range(k, -1, -1):
-            assert same_flow(chain.max_flow(t), python_flow(monkeypatch, reference, t))
-            assert (chain.res == reference.res).all()
+            augmented += count > 1
+        # one descent k -> 0, the chain and the reference each carrying its own flow
+        chain = Chain(s, k)
+        for t, res, count in reference_descent(chain.net, k, range(k, -1, -1)):
+            assert same_flow(chain.max_flow(t), res, count)
+            assert (chain.res == res).all()
     assert probes > 2000 and augmented > 300
 
 
-def test_chain_rejects_bad_probes(compiler):
+def test_chain_rejects_bad_probes():
     s = iset([(0, 5), (2, 8)])
     chain = Chain(s, 3)
     for t in (-1, 4):
@@ -108,34 +114,6 @@ def test_chain_rejects_bad_probes(compiler):
             Chain(s, k)
     with pytest.raises(ValueError):
         Chain(IntervalSet(()), 3)
-
-
-@pytest.mark.parametrize("argv", [["solve", "--k", "24"], ["decide", "--k", "24", "--t", "12"]],
-                         ids=["solve", "decide"])
-def test_fallback_cli_output_is_byte_identical(argv, tmp_path, monkeypatch, capsysbinary):
-    rng = random.Random(3102)
-    reads = tmp_path / "reads.bed"
-    with reads.open("w") as fh:
-        for chrom in ("chr1", "chr2", "chr3"):
-            for iv in clipped_instance(rng, 1500, 6000, 300):
-                fh.write(f"{chrom}\t{iv.start}\t{iv.end}\n")
-
-    def run(stats):
-        assert main([argv[0], str(reads), *argv[1:], "--stats", str(stats)]) == 0
-        records = [json.loads(line) for line in stats.read_text().splitlines()]
-        for record in records:
-            del record["wall_time_s"]
-        return capsysbinary.readouterr().out, records
-
-    loaded_out, loaded = run(tmp_path / "loaded.jsonl")
-    compiled = int(_native.load_library() is not None)
-    monkeypatch.setattr(_native, "load_library", lambda: None)
-    reference_out, reference = run(tmp_path / "reference.jsonl")
-    assert loaded_out == reference_out
-    assert {r["work"].pop("native_flow") for r in loaded} == {compiled}
-    assert {r["work"].pop("native_flow") for r in reference} == {0}
-    assert loaded == reference
-    assert all(r["work"]["augmentations"] > 0 for r in reference)
 
 
 @pytest.mark.parametrize("backend", KERNELS)
@@ -152,7 +130,7 @@ def test_a_path_through_every_vertex(backend):
     assert kernel(backend)(net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res,
                            parent_arc, stack, next_arc) == 1
     assert (scratch[:, -1] == -7).all()
-    if backend == "c":  # the twin reads its stack from a list
+    if backend == "c":  # the reference reads its stack from a list
         assert stack.tolist() == list(range(net.nv))  # the path, source to sink
     kept = np.flatnonzero(res[2 * net.num_backbone_arcs + 1::2])
     assert sorted(starts[kept].tolist()) == list(range(50_000))  # one read per segment

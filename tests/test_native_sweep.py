@@ -1,26 +1,21 @@
-"""The compiled approx sweeps against their Python twins, the tree and
-flat sweeps against each other, the fallback to the twins when no
-library can be built, and the build of the compiled library itself."""
+"""The compiled approx sweeps against their Python references, the tree
+and flat sweeps against each other, the build of the compiled library
+itself, and what a run does when it cannot be built."""
 
-import json
 import random
 import subprocess
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from covprune import IntervalSet, _native, approx_prune
 from covprune.cli import main
 
 from conftest import iset, maxcov, random_instance, sweeps
+from reference_kernels import flat_python, sweep_python
 
 MAX_COORD = 2**64 - 1
-
-
-def reference_prune(monkeypatch, s, k):
-    with monkeypatch.context() as m:
-        m.setattr(_native, "load_library", lambda: None)
-        return approx_prune(s, k)
 
 
 def seeded_instances():
@@ -46,16 +41,33 @@ def seeded_instances():
     yield random_instance(rng, 20_000, max_coord=100_000, max_len=400), 30
 
 
-def test_native_matches_reference(compiler, monkeypatch):
+def sweep_args(s, k):
+    """(order, lo, hi, cov, k) as `approx_prune` passes them to a sweep:
+    the reads sorted by (start, end, index)."""
+    _, lo, hi, cov = s.compressed
+    return np.argsort(lo * (len(cov) + 1) + hi, kind="stable"), lo, hi, cov, k
+
+
+def test_native_matches_reference():
+    """`approx_prune` keeps what the Python tree sweep keeps, and counts
+    the work of the reference of the sweep that ran."""
     swept = 0
     for s, k in seeded_instances():
-        native = approx_prune(s, k)
-        reference = reference_prune(monkeypatch, s, k)
-        ran = maxcov(s) > k
-        assert native.work.pop("native_sweep") == int(ran)
-        assert reference.work.pop("native_sweep") == 0
-        assert native == reference
-        swept += ran
+        sol = approx_prune(s, k)
+        if maxcov(s) <= k:
+            assert sol.kept == tuple(range(len(s))) and not any(sol.work.values())
+            continue
+        args = sweep_args(s, k)
+        deleted, tree = sweep_python(*args)
+        flat = flat_python(*args)[1]
+        assert sol.kept == tuple(np.flatnonzero(~deleted).tolist())
+        assert sol.achieved_maxcov == maxcov(s.subset(sol.kept)) <= k
+        scanned = sol.work["segments_scanned"]
+        assert sol.work == {"tree_nodes_touched": 0 if scanned else tree[0],
+                            "segments_scanned": flat[0] if scanned else 0,
+                            "candidates": tree[1], "blocked_crucial": tree[2],
+                            "native_sweep": 1}
+        swept += 1
     assert swept >= 500
 
 
@@ -63,16 +75,13 @@ def assert_sweeps_agree(s, k):
     """Run every sweep on one (order, lo, hi, cov, k), approx_prune's
     arguments: the same deletions and counts, the same tree nodes touched
     by both tree sweeps and the same segments scanned by both flat ones."""
-    _, lo, hi, cov = s.compressed
-    order = np.argsort(lo * (len(cov) + 1) + hi, kind="stable")
-    results = {name: sweep(order, lo, hi, cov, k) for name, sweep in sweeps().items()}
+    results = {name: sweep(*sweep_args(s, k)) for name, sweep in sweeps().items()}
     deleted, (_, candidates, blocked) = results["tree-python"]
     for name, (other, counts) in results.items():
         assert np.array_equal(other, deleted), name
         assert counts[1:] == (candidates, blocked), name
     for kind in ("tree", "flat"):
-        if f"{kind}-c" in results:
-            assert results[f"{kind}-c"][1][0] == results[f"{kind}-python"][1][0], kind
+        assert results[f"{kind}-c"][1][0] == results[f"{kind}-python"][1][0], kind
 
 
 def test_sweeps_agree_on_seeded_instances():
@@ -88,41 +97,6 @@ def test_sweeps_agree_on_generated_instances(pairs, copies, at_top, k):
     # at_top moves the reads up against 2**64 - 1, far beyond int64
     base = MAX_COORD - 42 if at_top else 0
     assert_sweeps_agree(iset([(base + a, base + a + b) for a, b in pairs] * copies), k)
-
-
-def test_fallback_gives_the_same_solution(monkeypatch):
-    rng = random.Random(3002)
-    for _ in range(50):
-        s = random_instance(rng, rng.randint(1, 60), max_coord=80, max_len=20)
-        k = rng.randint(1, 6)
-        loaded = approx_prune(s, k)
-        reference = reference_prune(monkeypatch, s, k)
-        loaded.work.pop("native_sweep")
-        reference.work.pop("native_sweep")
-        assert loaded == reference
-
-
-def test_fallback_cli_output_is_byte_identical(tmp_path, monkeypatch, capsysbinary):
-    rng = random.Random(3003)
-    reads = tmp_path / "reads.bed"
-    with reads.open("w") as fh:
-        for chrom in ("chr1", "chr2", "chr3"):
-            for iv in random_instance(rng, 3000, max_coord=20_000, max_len=300):
-                fh.write(f"{chrom}\t{iv.start}\t{iv.end}\n")
-
-    def run(stats):
-        assert main(["approx", str(reads), "--k", "12", "--stats", str(stats)]) == 0
-        records = [json.loads(line) for line in stats.read_text().splitlines()]
-        for record in records:
-            del record["wall_time_s"]
-            del record["work"]["native_sweep"]
-        return capsysbinary.readouterr().out, records
-
-    loaded = run(tmp_path / "loaded.jsonl")
-    monkeypatch.setattr(_native, "load_library", lambda: None)
-    reference = run(tmp_path / "reference.jsonl")
-    assert loaded == reference
-    assert all(r["work"]["candidates"] > 0 for r in reference[1])
 
 
 def test_cache_location(monkeypatch, tmp_path):
@@ -174,3 +148,34 @@ def test_sources_compile_without_warnings(compiler, tmp_path):
                            *map(str, _native.SOURCES)],
                           stdin=subprocess.DEVNULL, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """A compiler command that does not exist and an empty library cache,
+    so that no library loads or builds."""
+    cc = [str(tmp_path / "no-such-cc")]
+    monkeypatch.setattr(_native, "compiler", lambda: cc)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _native.load_library.cache_clear()
+    yield " ".join(cc)
+    _native.load_library.cache_clear()
+
+
+def test_load_library_raises_without_a_compiler(no_compiler):
+    with pytest.raises(_native.CompilerError, match=no_compiler) as raised:
+        _native.load_library()
+    assert not isinstance(raised.value, (ValueError, OSError))  # exits 2 in the CLI
+
+
+@pytest.mark.parametrize("command", [["approx", "--k", "2"], ["solve", "--k", "2"], ["stats"]],
+                         ids=["approx", "solve", "stats"])
+def test_no_compiler_exits_4(no_compiler, tmp_path, capsys, command):
+    reads, stats = tmp_path / "reads.bed", tmp_path / "stats.jsonl"
+    reads.write_text("chr1\t0\t10\nchr1\t0\t10\nchr1\t2\t8\nchr1\t4\t12\n")
+    argv = [command[0], str(reads), *command[1:], "--stats", str(stats)]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("covprune: ") and no_compiler in err
+    assert not stats.exists()
