@@ -1,6 +1,6 @@
 """covprune: cap interval coverage at k while keeping minimum coverage high.
 
-Every solver reads one numpy coverage profile per interval set, cached
+Every solver reads one coverage profile per interval set, cached
 as `IntervalSet.compressed`.  Exact solving goes through a max-flow
 reduction, descending the coverage floor from the bound min(k, mincov)
 on one flow kept between floors; a coverage tree with lazy balance

@@ -3,14 +3,15 @@
  * file), and the augmenting-path max-flow that flow.max_flow_augmenting
  * calls.
  *
- * flow._augment_python and flow._dfs_augment are its line-for-line
- * Python twins on the same arrays, run when no library loads: the same
- * paired arcs (2a forward, 2a+1 reverse), the same adjacency order, the
- * same first-found depth-first path, hence the same flow and the same
- * augmentation count.  The adjacency comes in CSR form: the arcs leaving
- * vertex u are adj[first[u]..first[u+1]), listed by falling head, so the
- * search tries the arc that reaches farthest along the chain first.
- * flow.build_network validates every index before the call.
+ * tests/reference_kernels.py holds the line-for-line Python reference
+ * of the max-flow on the same arrays: the same paired arcs (2a forward,
+ * 2a+1 reverse), the same adjacency order, the same first-found
+ * depth-first path, hence the same flow and the same augmentation
+ * count.  The adjacency comes in CSR form: the arcs leaving vertex u are
+ * adj[first[u]..first[u+1]), listed by falling head, so the search tries
+ * the arc that reaches farthest along the chain first.
+ * flow.build_network validates every read's range before the layout,
+ * which checks its own arcs after.
  */
 
 #include <stdint.h>
@@ -81,20 +82,20 @@ int64_t covprune_max_flow(int64_t nv, int64_t source, int64_t sink,
 
 /* The chain network that flow.build_network lays out: writes each arc's
  * head to to (j + 1 and j for backbone arc j, hi + 1 and lo + 1 for the
- * interval arcs) and the CSR adjacency first/adj.  Its twin is the
- * argsort branch of flow.build_network, run when no library loads: one
- * stable argsort of every arc by the vertex it leaves, then by falling
- * head.
- * Here that order follows from the chain's structure.  The arcs leaving
+ * interval arcs) and the CSR adjacency first/adj.  The order is that of
+ * one stable argsort of every arc by the vertex it leaves, then by
+ * falling head (tests/reference_kernels.py's reference), and here it
+ * follows from the chain's structure.  The arcs leaving
  * vertex u are the interval arcs out of u by falling hi, the backbone
  * arc u -> u + 1, the single-segment interval arcs out of u, the
  * backbone arc u -> u - 1, then the reverse interval arcs into u by
  * falling lo, ties going by arc index as in the stable sort; so two
  * counting sorts of the reads, each placed in one pass, give the same
  * first and adj in O(n + m).  build_network checks 0 <= lo < hi <= m - 1
- * before the call.  scratch holds 4(m + 2) + n entries. */
-void covprune_network(int64_t n, int64_t m, const int64_t *lo, const int64_t *hi,
-                      int64_t *first, int64_t *adj, int64_t *to, int64_t *scratch)
+ * before the call.  scratch holds 4(m + 2) + n entries.  Returns 0, or
+ * -1 when an arc's head leaves the chain or the arcs miscount. */
+int64_t covprune_network(int64_t n, int64_t m, const int64_t *lo, const int64_t *hi,
+                         int64_t *first, int64_t *adj, int64_t *to, int64_t *scratch)
 {
     int64_t nb = m + 1, nv = m + 2;
     /* per vertex: interval arcs out, those spanning two or more segments,
@@ -143,4 +144,8 @@ void covprune_network(int64_t n, int64_t m, const int64_t *lo, const int64_t *hi
         int64_t i = order[j];
         adj[at[hi[i] + 1]++] = 2 * (nb + i) + 1;
     }
+    for (int64_t a = 0; a < 2 * (nb + n); a++)
+        if (to[a] < 0 || to[a] >= nv)
+            return -1;
+    return first[nv] == 2 * (nb + n) ? 0 : -1;
 }

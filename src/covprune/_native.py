@@ -11,6 +11,10 @@ directory cannot be written the library is built in a private temporary
 directory for this process only.  Every kernel is required: when no
 library loads or builds, `load_library` raises `CompilerError`, on which
 the CLI exits 4.
+
+The kernels take flat buffers, `array.array`s, read-only `memoryview`s
+of them or numpy arrays, each declared as a `Buffer` of one item type.
+The functions at the end are the Python faces of `_arrays.c`'s loops.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ import ctypes
 import functools
 import os
 import sysconfig
+from array import array
 from importlib.util import source_hash
 from pathlib import Path
 
-import numpy as np
-
-SOURCES = tuple(Path(__file__).with_name(f"_{k}.c") for k in ("parse", "profile", "sweep", "flow"))
+SOURCES = tuple(Path(__file__).with_name(f"_{k}.c")
+                for k in ("parse", "profile", "sweep", "flow", "arrays"))
 FLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
 
 
@@ -75,25 +79,78 @@ def _compile(cc: list[str], target: Path) -> bool:
             os.unlink(tmp)
 
 
+# (size, signed) of each integer item format; numpy's int64 reads 'l', array's 'q'
+_INTEGER = {code: (array(code).itemsize, code.islower()) for code in "bBhHiIlLqQ"}
+
+
+class Buffer:
+    """A ctypes argument type: the address of a C-contiguous buffer of the
+    `array` type code `code`'s items, which the kernel writes with `out`;
+    `optional` lets None through as NULL.  It refuses any other buffer."""
+
+    def __init__(self, code: str, out: bool = False, optional: bool = False):
+        self.code, self.out, self.optional = code, out, optional
+
+    def from_param(self, obj):
+        if obj is None and self.optional:
+            return None
+        view = memoryview(obj)  # a TypeError unless obj exports a buffer
+        strided, readonly = not view.c_contiguous, self.out and view.readonly
+        if _INTEGER.get(view.format) != _INTEGER[self.code] or strided or readonly:
+            raise TypeError(f"a {'read-only ' * readonly}{'strided ' * strided}buffer of "
+                            f"{view.format!r} where the kernel takes "
+                            f"{'writable ' * self.out}contiguous {self.code!r} items")
+        # a Py_buffer, the address its first field; the address outlives the
+        # request, since `obj` holds the memory for the call
+        info = (ctypes.c_ssize_t * 11)()
+        ctypes.pythonapi.PyObject_GetBuffer(ctypes.py_object(view), info, 0)
+        ctypes.pythonapi.PyBuffer_Release(info)
+        return ctypes.c_void_p(info[0])
+
+
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
-    u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+    q, Q, B = Buffer("q"), Buffer("Q"), Buffer("B")
+    q_, Q_, B_, i_ = (Buffer(code, out=True) for code in "qQBi")
     n = ctypes.c_int64
-    lib.covprune_parse.argtypes = [ctypes.c_char_p, n, n, u64, u64, u8, i64, i64, i64, i64]
-    lib.covprune_parse.restype = n
-    lib.covprune_profile.argtypes = [n, u64, u64, u64, i64, i64, i64, i64]
-    lib.covprune_profile.restype = n
-    lib.covprune_sweep.argtypes = [n, n, i64, n, i64, i64, n, i64, i64, i64, u8, i64]
-    lib.covprune_sweep.restype = None
-    lib.covprune_flat_sweep.argtypes = [n, i64, i64, n, i32, u8, i64]
-    lib.covprune_flat_sweep.restype = None
-    lib.covprune_max_flow.argtypes = [n, n, n, i64, i64, i64, i64, i64, i64, i64]
-    lib.covprune_max_flow.restype = n
-    lib.covprune_network.argtypes = [n, n, i64, i64, i64, i64, i64, i64]
-    lib.covprune_network.restype = None
+    for name, argtypes in {
+        "parse": [B, n, n, n, Q_, Q_, q_, q_, q_, q_],
+        "profile": [n, Q, Q, Q_, q_, q_, q_, q_],
+        "order": [n, q, q, n, q_, q_],
+        "sweep": [n, n, q, n, q, q, q, n, q_, q_, q_, q_, q_],
+        "flat_sweep": [n, q, i_, n, q, q, q, n, q_, q_],
+        "network": [n, n, q, q, q_, q_, q_, q_],
+        "max_flow": [n, n, n, q, q, q, q_, q_, q_, q_],
+        "select": [n, q, n, q_],
+        "min_max": [n, q, q_],
+        "spans": [n, q, q, n],
+        "unordered": [n, Q, Q],
+        "recount": [n, Buffer("q", optional=True), n, q, q, n, q_],
+        "group": [n, q, n, Q, Q, q_, q_, Q_, Q_],
+        "runs": [n, q, q, n, q_],
+        "scatter": [n, q, n, q, n, B_],
+        "lines": [n, B, q, q, n, B, Buffer("B", out=True, optional=True)],
+        "add": [n, q_, n, n],
+    }.items():
+        kernel = getattr(lib, f"covprune_{name}")
+        kernel.argtypes = argtypes
+        kernel.restype = None if name in ("order", "min_max", "add") else n
+        setattr(lib, kernel.__name__, _checked(kernel, name in (
+            "sweep", "flat_sweep", "network", "recount", "group", "runs", "scatter", "lines")))
     return lib
+
+
+def _checked(kernel, status: bool):
+    """`kernel`, raising TypeError where ctypes refuses an argument and,
+    with `status`, ValueError where it returns a negative status."""
+    def call(*args):
+        try:
+            result = kernel(*args)
+        except ctypes.ArgumentError as exc:
+            raise TypeError(f"{kernel.__name__}: {exc}") from None
+        if status and result < 0:
+            raise ValueError(f"{kernel.__name__}: an index or a value out of bounds")
+        return result
+    return call
 
 
 def _open(cc: list[str], directory: Path, name: str) -> ctypes.CDLL | None:
@@ -133,3 +190,22 @@ def load_library() -> ctypes.CDLL:
         raise CompilerError(f"cannot build the compiled kernels with the C compiler "
                             f"command '{' '.join(cc)}'")
     return lib
+
+
+def zeros(code: str, n: int) -> array:
+    """n zero items of the `array` type `code`, allocated once."""
+    return array(code, [0]) * n
+
+
+def select(values, want: int) -> array:
+    """The positions, rising, where the int64 buffer `values` holds `want`."""
+    out = zeros("q", len(values))
+    del out[load_library().covprune_select(len(values), values, want, out):]
+    return out
+
+
+def extremes(values) -> tuple[int, int]:
+    """(min, max) of the int64 buffer `values`; (0, 0) when it is empty."""
+    load_library().covprune_min_max(len(values), values, out := zeros("q", 2))
+    return out[0], out[1]
+

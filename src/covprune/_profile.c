@@ -1,16 +1,15 @@
-/* The coverage profile that intervals.coverage_profile calls.
+/* The coverage profile that intervals.coverage_profile calls, and the
+ * sweep order of approx.approx_prune.
  *
- * Its twin is the argsort branch of intervals.coverage_profile, run when
- * no library loads: one argsort of all 2n endpoints, then each
- * endpoint's rank among the distinct ones.  Here the starts and the ends are ordered apart, each
- * by a stable LSD radix argsort that is O(n) a pass for any input and
- * skips its passes when the keys are in order already (the starts of a
- * sorted BED file), and one merge of the two orders writes the same
- * delimiters, lo, hi and segment coverage.  Coordinates are compared as
- * unsigned 64-bit values.  coverage_profile calls it only for n >= 1,
- * with the contiguous uint64 endpoints of an IntervalSet, which checked
- * start < end in every pair when it was built, and allocates the outputs
- * and the scratch at the sizes given below.
+ * The starts and the ends are ordered apart, each by a stable LSD radix
+ * argsort that is O(n) a pass for any input and skips its passes when
+ * the keys are in order already (the starts of a sorted BED file), and
+ * one merge of the two orders writes the delimiters, lo, hi and segment
+ * coverage.  Coordinates are compared as unsigned 64-bit values.
+ * coverage_profile calls it only for n >= 1, with the contiguous uint64
+ * endpoints of an IntervalSet, which checked start < end in every pair
+ * when it was built, and allocates the outputs and the scratch at the
+ * sizes given below.
  */
 
 #include <stdint.h>
@@ -100,4 +99,26 @@ int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_t *ends
         segment_cov[m] = cov;
     }
     return m;
+}
+
+/* The stable order of the reads by (lo, hi), the sweep order: equal to
+ * sorted((start, end, i)), since delimiter indices order reads as their
+ * coordinates do: each key lo * (nseg + 1) + hi fits 64 bits for
+ * 0 <= lo[i] < hi[i] <= nseg, which the sweeps check, and any other key
+ * still sorts within the buffers.  order has n entries and scratch
+ * 5n + RADIX (2048). */
+void covprune_order(int64_t n, const int64_t *lo, const int64_t *hi, int64_t nseg,
+                    int64_t *order, int64_t *scratch)
+{
+    uint64_t *keys = (uint64_t *)scratch;
+    int64_t *idx_buf = scratch + 3 * n, *count = scratch + 5 * n;
+    const uint64_t *key;
+    const int64_t *idx;
+    if (!n)
+        return;
+    for (int64_t i = 0; i < n; i++)
+        keys[i] = (uint64_t)lo[i] * (uint64_t)(nseg + 1) + (uint64_t)hi[i];
+    radix_argsort(n, keys, keys + n, idx_buf, count, &key, &idx);
+    for (int64_t i = 0; i < n; i++)
+        order[i] = idx ? idx[i] : i;
 }

@@ -1,23 +1,24 @@
 /* The two ways approx.approx_prune runs its start-order sweep.
  *
  * covprune_sweep keeps the segment coverage in a lazy min/max tree:
- * O(log nseg) nodes per read, whatever its span.  approx._sweep_python,
- * over CoverageTree.range_query / range_decrement (coverage_tree.py), is
- * its Python twin on the same arrays: the same perfect binary tree, the
- * same lazy balances, the same nodes pushed down and repaired along the
- * two boundary paths, hence the same decisions and the same
+ * O(log nseg) nodes per read, whatever its span.  CoverageTree
+ * (coverage_tree.py) is its Python reference: the same perfect binary
+ * tree, the same lazy balances, the same nodes pushed down and repaired
+ * along the two boundary paths, hence the same decisions and the same
  * nodes_touched.
  *
  * covprune_flat_sweep scans a plain int32 copy of the segment coverage:
  * one cell per segment of the read's span, read once and, on a deletion,
- * decremented once, in loops the compiler vectorizes.  approx._flat_python
- * is its twin.  approx_prune takes it only when the spans sum to at most
- * 40 * n * bit_length(nseg) and the coverage is below 2^31, so it too
- * stays O(n log n), and on short reads it is cheaper.
+ * decremented once, in loops the compiler vectorizes.  approx_prune
+ * takes it only when the spans sum to at most 40 * n * bit_length(nseg)
+ * and the coverage is below 2^31, so it too stays O(n log n), and on
+ * short reads it is cheaper.
  *
- * All four make the same decisions on the same values.  They see segment
- * indices and coverage counts only, never coordinates.  approx.py
- * validates every argument before the call.
+ * Both make the same decisions on the same values.  They visit reads
+ * order[0], order[1], ..., see segment indices and coverage counts
+ * only, never coordinates, and set deleted[i] to 1 for each read i they
+ * delete.  Each returns -1, before it changes anything, when an order
+ * index leaves [0, n) or a read's span leaves [0, nseg).
  */
 
 #include <stdint.h>
@@ -32,6 +33,19 @@ static int64_t bit_length(int64_t x)
         n++;
     }
     return n;
+}
+
+/* 0 when every order[j] lies in [0, n) and each read spans a nonempty
+ * run of the nseg segments, else -1 */
+static int64_t check(int64_t n, const int64_t *order, const int64_t *lo, const int64_t *hi,
+                     int64_t nseg)
+{
+    for (int64_t j = 0; j < n; j++) {
+        int64_t i = order[j];
+        if (i < 0 || i >= n || lo[i] < 0 || lo[i] >= hi[i] || hi[i] > nseg)
+            return -1;
+    }
+    return 0;
 }
 
 /* move internal node v's pending balance onto its two children, as
@@ -59,14 +73,15 @@ static void repair(int64_t v, int64_t *mn, int64_t *mx, const int64_t *bal)
 }
 
 /* Build the tree over cov[0..nseg) into mn/mx/bal (each 2 * cap long),
- * then visit reads j = 0..n-1, spanning leaves [lo[j], hi[j]), in the
- * order given.  deleted[j] is set to 1 for each read deleted; counts
- * receives {nodes_touched, candidates, blocked_crucial}. */
-void covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
-                    int64_t n, const int64_t *lo, const int64_t *hi, int64_t k,
-                    int64_t *mn, int64_t *mx, int64_t *bal,
-                    uint8_t *deleted, int64_t *counts)
+ * then visit the reads in order; counts receives {nodes_touched,
+ * candidates, blocked_crucial}. */
+int64_t covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
+                       int64_t n, const int64_t *order, const int64_t *lo, const int64_t *hi,
+                       int64_t k, int64_t *mn, int64_t *mx, int64_t *bal,
+                       int64_t *deleted, int64_t *counts)
 {
+    if (check(n, order, lo, hi, nseg) < 0)
+        return -1;
     int64_t depth = bit_length(cap) - 1, half = k / 2;
     int64_t touched = 0, candidates = 0, blocked = 0;
 
@@ -81,7 +96,7 @@ void covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
         repair(v, mn, mx, bal);
 
     for (int64_t j = 0; j < n; j++) {
-        int64_t l0 = cap + lo[j], r0 = cap + hi[j] - 1;
+        int64_t i = order[j], l0 = cap + lo[i], r0 = cap + hi[i] - 1;
         int64_t split = bit_length(l0 ^ r0);
 
         /* range_query: push balances down both boundary paths, shared top once */
@@ -114,7 +129,7 @@ void covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
         }
 
         /* range_decrement, then repair both boundary paths, merging at the LCA */
-        deleted[j] = 1;
+        deleted[i] = 1;
         for (int64_t l = l0, r = r0 + 1; l < r; l >>= 1, r >>= 1) {
             if (l & 1) {
                 bal[l++] -= 1;
@@ -136,21 +151,30 @@ void covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
     counts[0] = touched;
     counts[1] = candidates;
     counts[2] = blocked;
+    return 0;
 }
 
 /* The same sweep over val[0..nseg), an int32 copy of the segment
- * coverage that it lowers in place; approx_prune takes it only for
- * coverage below 2^31.  The min and max are branch-free, so that the
- * compiler can vectorize the scan.  deleted is as above; counts receives
- * {segments_scanned, candidates, blocked_crucial}, where a segment is
- * scanned once per read whose span holds it and once more per deletion. */
-void covprune_flat_sweep(int64_t n, const int64_t *lo, const int64_t *hi, int64_t k,
-                         int32_t *val, uint8_t *deleted, int64_t *counts)
+ * coverage cov that it lowers in place; -2 when a coverage count is
+ * outside [0, 2^31).  The min and max are branch-free, so that the
+ * compiler can vectorize the scan.  counts receives {segments_scanned,
+ * candidates, blocked_crucial}, where a segment is scanned once per read
+ * whose span holds it and once more per deletion. */
+int64_t covprune_flat_sweep(int64_t nseg, const int64_t *cov, int32_t *val, int64_t n,
+                            const int64_t *order, const int64_t *lo, const int64_t *hi,
+                            int64_t k, int64_t *deleted, int64_t *counts)
 {
+    if (check(n, order, lo, hi, nseg) < 0)
+        return -1;
+    for (int64_t s = 0; s < nseg; s++) {
+        if (cov[s] < 0 || cov[s] > INT32_MAX)
+            return -2;
+        val[s] = (int32_t)cov[s];
+    }
     int64_t half = k / 2, scanned = 0, candidates = 0, blocked = 0;
 
     for (int64_t j = 0; j < n; j++) {
-        int64_t a = lo[j], b = hi[j];
+        int64_t i = order[j], a = lo[i], b = hi[i];
         int32_t qmn = INT32_MAX, qmx = INT32_MIN;
         for (int64_t s = a; s < b; s++) {
             int32_t v = val[s];
@@ -165,7 +189,7 @@ void covprune_flat_sweep(int64_t n, const int64_t *lo, const int64_t *hi, int64_
             blocked++;
             continue;
         }
-        deleted[j] = 1;
+        deleted[i] = 1;
         for (int64_t s = a; s < b; s++)
             val[s] -= 1;
         scanned += b - a;
@@ -173,4 +197,5 @@ void covprune_flat_sweep(int64_t n, const int64_t *lo, const int64_t *hi, int64_
     counts[0] = scanned;
     counts[1] = candidates;
     counts[2] = blocked;
+    return 0;
 }

@@ -20,8 +20,8 @@ sum, so O(n log n) too, and cheaper on short reads.  Both run as C loops
 
 from __future__ import annotations
 
-import numpy as np
-
+from . import _native
+from ._native import extremes, zeros
 from .intervals import IntervalSet, segment_cov
 from .solution import Solution
 
@@ -50,57 +50,47 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
         return Solution((), 0, 0, "approx", work)
 
     delims, lo, hi, cov = intervals.compressed
-    top = int(cov.max())
+    low, top = extremes(cov)
     if top <= k:
         # removals never help: keeping everything is already optimal
-        return Solution(tuple(range(n)), int(cov.min()), top, "approx", work)
+        return Solution(tuple(range(n)), low, top, "approx", work)
 
+    lib, nseg = _native.load_library(), len(cov)
     # equals sorted((start, end, i)): lo and hi order reads as their
-    # coordinates do, and a stable sort breaks ties by index
-    order = np.argsort(lo * (len(cov) + 1) + hi, kind="stable")
+    # coordinates do, and the radix sort is stable
+    lib.covprune_order(n, lo, hi, nseg, order := zeros("q", n), zeros("q", 5 * n + 2048))
     # near 40 segments per read per bit of nseg, the vectorized C flat scan
     # costs about what the tree does (15k reads of 0.5-1.5 kb at depth 400-600);
     # its cells are int32
-    flat = top < 2**31 and int((hi - lo).sum()) <= 40 * n * len(cov).bit_length()
+    flat = top < 2**31 and lib.covprune_spans(n, lo, hi, nseg) <= 40 * n * nseg.bit_length()
     deleted, counts = _sweep(order, lo, hi, cov, k, flat)
     visited, work["candidates"], work["blocked_crucial"] = counts
     work["native_sweep"] = 1
     work["segments_scanned" if flat else "tree_nodes_touched"] = visited
 
     # recount the kept reads from scratch, never from the sweep's state
-    keep = ~deleted
-    after = segment_cov(lo[keep], hi[keep], len(delims))
-    mx_after = int(after.max())
+    kept = _native.select(deleted, 0)
+    mn_after, mx_after = extremes(segment_cov(lo, hi, len(delims), kept))
     if mx_after > k:
         raise AssertionError(
             f"pruned set still has maxcov {mx_after} > k={k}; "
             "the sweep's coverage state is corrupt")
-    return Solution(tuple(np.flatnonzero(keep).tolist()), int(after.min()), mx_after,
-                    "approx", work)
+    return Solution(tuple(kept), mn_after, mx_after, "approx", work)
 
 
 def _sweep(order, lo, hi, cov, k: int, flat: bool):
     """The sweep of the reads in `order` over the coverage `cov`, by the
-    tree or, with `flat`, by the flat scan; returns the deleted mask in
-    input order and (tree nodes touched or segments scanned, candidates,
-    blocked)."""
-    # imported on first use: the loader's own imports would slow every CLI start
-    from ._native import load_library
-    lib, nseg = load_library(), len(cov)
-    lo = np.ascontiguousarray(lo[order], dtype=np.int64)
-    hi = np.ascontiguousarray(hi[order], dtype=np.int64)
-    if not (lo.min() >= 0 and (lo < hi).all() and hi.max() <= nseg):
-        raise ValueError("segment range outside the coverage profile")
-    swept = np.zeros(len(lo), np.uint8)
-    counts = np.zeros(3, np.int64)
-    if flat:
-        val = cov.astype(np.int32)  # a copy, lowered in place; approx_prune keeps cov < 2**31
-        lib.covprune_flat_sweep(len(lo), lo, hi, k, val, swept, counts)
+    tree or, with `flat`, by the flat scan, either checking every index and
+    span first; returns the int64 mask of deleted reads, in input order,
+    and (tree nodes touched or segments scanned, candidates, blocked)."""
+    lib, n, nseg = _native.load_library(), len(order), len(cov)
+    if not len(lo) == len(hi) == n:
+        raise ValueError("order, lo and hi differ in length")
+    deleted, counts = zeros("q", n), zeros("q", 3)
+    if flat:  # on an int32 copy, lowered in place; approx_prune keeps cov < 2**31
+        lib.covprune_flat_sweep(nseg, cov, zeros("i", nseg), n, order, lo, hi, k, deleted, counts)
     else:
-        val = np.ascontiguousarray(cov, dtype=np.int64)
         cap = 1 << (nseg - 1).bit_length()
-        mn, mx, bal = (np.empty(2 * cap, np.int64) for _ in range(3))
-        lib.covprune_sweep(nseg, cap, val, len(lo), lo, hi, k, mn, mx, bal, swept, counts)
-    deleted = np.empty(len(lo), bool)
-    deleted[order] = swept.astype(bool)
-    return deleted, tuple(counts.tolist())
+        lib.covprune_sweep(nseg, cap, cov, n, order, lo, hi, k,
+                           *(zeros("q", 2 * cap) for _ in range(3)), deleted, counts)
+    return deleted, tuple(counts)

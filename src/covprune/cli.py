@@ -18,8 +18,7 @@ import gc
 import json
 import sys
 import time
-
-import numpy as np
+from array import array
 
 from . import io
 from .intervals import IntervalSet
@@ -30,55 +29,45 @@ COVERAGE_SCHEMA = "covprune.coverage/1"
 
 def _stats_line(chrom, n, kept, mincov, maxcov_before, maxcov_after,
                 method, feasible, work, wall_time) -> str:
-    record = {
-        "schema": STATS_SCHEMA,
-        "chrom": chrom,
-        "n": n,
-        "kept": kept,
-        "removed": n - kept,
-        "mincov": mincov,
-        "maxcov_before": maxcov_before,
-        "maxcov_after": maxcov_after,
-        "method": method,
-        "feasible": feasible,
-        "work": work,
-        "wall_time_s": round(wall_time, 6),
-    }
-    return json.dumps(record)
+    return json.dumps({"schema": STATS_SCHEMA, "chrom": chrom, "n": n, "kept": kept,
+                       "removed": n - kept, "mincov": mincov, "maxcov_before": maxcov_before,
+                       "maxcov_after": maxcov_after, "method": method, "feasible": feasible,
+                       "work": work, "wall_time_s": round(wall_time, 6)})
 
 
 def _groups(instance: io.InstanceFile):
     """(chrom, (intervals, record indices)) in name order, each freed
     after its turn; a file without records makes one empty instance."""
-    groups = instance.chromosomes() or {None: (IntervalSet(), np.zeros(0, np.intp))}
+    groups = instance.chromosomes() or {None: (IntervalSet(), array("q"))}
     for chrom in sorted(groups, key=lambda c: (c is not None, c)):
         yield chrom, groups.pop(chrom)
 
 
-def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[np.ndarray, bool]:
+def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[array, bool]:
     """Run `solver(chrom, intervals)` per chromosome, in name order,
     writing and flushing each chromosome's stats line to `out` as soon
     as it finishes, so a later failure keeps the lines already written.
 
-    Returns the mask of kept records (file order) and whether every
+    Returns the uint8 mask of kept records (file order) and whether every
     chromosome was feasible.
     """
-    kept_records = np.zeros(len(instance.starts), bool)
+    from ._native import extremes, load_library  # loaded already by the read
+    kept_records = array("B", [0]) * len(instance.starts)
     all_feasible = True
     for chrom, (ivs, record_indices) in _groups(instance):
-        before = int(ivs.compressed[3].max(initial=0))
+        before = extremes(ivs.compressed.segment_cov)[1]
         t0 = time.perf_counter()
         sol = solver(chrom, ivs)
         wall = time.perf_counter() - t0
         if sol is None:
             all_feasible = False
-            line = _stats_line(chrom, len(ivs), 0, 0, before, 0,
-                               "infeasible", False, {}, wall)
+            line = _stats_line(chrom, len(ivs), 0, 0, before, 0, "infeasible", False, {}, wall)
         else:
-            kept_records[record_indices[np.asarray(sol.kept, np.intp)]] = True
-            line = _stats_line(chrom, len(ivs), sol.num_kept, sol.achieved_mincov,
-                               before, sol.achieved_maxcov, sol.method, True,
-                               sol.work, wall)
+            kept = array("q", sol.kept)
+            load_library().covprune_scatter(len(kept), kept, len(record_indices), record_indices,
+                                            len(kept_records), kept_records)
+            line = _stats_line(chrom, len(ivs), sol.num_kept, sol.achieved_mincov, before,
+                               sol.achieved_maxcov, sol.method, True, sol.work, wall)
         out.write(line + "\n")
         out.flush()
     return kept_records, all_feasible
@@ -121,19 +110,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from ._native import extremes
     for chrom, (ivs, _) in _groups(io.read_instance(args.input, args.format)):
-        cov = ivs.compressed[3]
-        span = ivs.span
-        record = {
-            "schema": COVERAGE_SCHEMA,
-            "chrom": chrom,
-            "n": len(ivs),
-            "mincov": int(cov.min()) if len(cov) else 0,
-            "maxcov": int(cov.max(initial=0)),
-            "span_start": span.start if span else None,
-            "span_end": span.end if span else None,
-        }
-        print(json.dumps(record))
+        mincov, maxcov = extremes(ivs.compressed.segment_cov)
+        span = ivs.span or (None, None)
+        print(json.dumps({"schema": COVERAGE_SCHEMA, "chrom": chrom, "n": len(ivs),
+                          "mincov": mincov, "maxcov": maxcov,
+                          "span_start": span[0], "span_end": span[1]}))
     return 0
 
 
@@ -144,43 +127,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "keeping the minimum coverage as high as possible.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_k=True):
+    def add(name, func, summary, with_k=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("input", help="instance file (plain 'start end' pairs or BED3)")
         p.add_argument("--format", choices=("plain", "bed3"), default=None,
                        help="input format (default: auto-detect)")
         p.add_argument("--stats", metavar="FILE", default=None,
                        help="write JSONL statistics here instead of stderr")
         if with_k:
-            p.add_argument("--k", type=int, required=True,
-                           help="coverage cap (>= 1)")
+            p.add_argument("--k", type=int, required=True, help="coverage cap (>= 1)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("decide", help="is there a subset with maxcov <= k and mincov >= t?")
-    add_io(p)
-    p.add_argument("--t", type=int, required=True, help="coverage floor (>= 0)")
-    p.set_defaults(func=cmd_decide)
-
-    p = sub.add_parser("solve", help="maximize mincov subject to maxcov <= k (exact)")
-    add_io(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("approx", help="fast approximate pruning (ratio k/floor(k/2))")
-    add_io(p)
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("stats", help="coverage summary, no solving")
-    add_io(p, with_k=False)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("oracle", help="exhaustive reference solver (small n only)")
-    add_io(p)
+    add("decide", cmd_decide, "is there a subset with maxcov <= k and mincov >= t?").add_argument(
+        "--t", type=int, required=True, help="coverage floor (>= 0)")
+    add("solve", cmd_solve, "maximize mincov subject to maxcov <= k (exact)")
+    add("approx", cmd_approx, "fast approximate pruning (ratio k/floor(k/2))")
+    add("stats", cmd_stats, "coverage summary, no solving", with_k=False)
+    p = add("oracle", cmd_oracle, "exhaustive reference solver (small n only)")
     # oracle.DEFAULT_LIMIT, which the parser does not import
     p.add_argument("--limit", type=int, default=20,
                    help="refuse instances larger than this (default %(default)s)")
-    p.add_argument("--force", action="store_true",
-                   help="run even past the size limit")
-    p.set_defaults(func=cmd_oracle)
+    p.add_argument("--force", action="store_true", help="run even past the size limit")
     return parser
-
 
 def main(argv=None) -> int:
     if argv is None:

@@ -10,8 +10,8 @@ max-flow value is k, and the kept intervals are the interval arcs that
 carry flow 1: an interior backbone arc then carries k minus the kept
 coverage of its segment, so its capacity k - t forces coverage >= t.
 
-`build_network` lays the network out in arrays once per interval set,
-by `covprune_network` (`_flow.c`, loaded by `_native`); the capacities,
+`build_network` lays the network out in int64 buffers once per interval
+set, by `covprune_network` (`_flow.c`, loaded by `_native`); the capacities,
 and so k and t, live only in the residual a `Chain` holds.
 `max_flow_augmenting` augments it along depth-first paths that try the
 farthest-reaching arc first, by `covprune_max_flow`.
@@ -19,11 +19,11 @@ farthest-reaching arc first, by `covprune_max_flow`.
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _native
+from ._native import zeros
 from .intervals import IntervalSet
 from .solution import Solution, score_subset
 
@@ -35,36 +35,43 @@ class FlowNetwork(NamedTuple):
     endpoints 1..nv-2 in increasing order, sink nv-1.  Residual arc 2a
     runs along logical arc a and arc 2a+1 against it; logical arc j <
     `num_backbone_arcs` joins vertex j to vertex j+1, and the rest are
-    the interval arcs in input order, `interval_arcs[i]` holding the
-    (start vertex, end vertex) of interval i.  Arc a ends at `to[a]`, and
-    the arcs leaving vertex u are `adj[first[u]:first[u + 1]]`, by falling
-    head, parallel arcs in construction order.
+    the interval arcs in input order.  Arc a ends at `to[a]`, and the
+    arcs leaving vertex u are `adj[first[u]:first[u + 1]]`, by falling
+    head, parallel arcs in construction order.  The arrays are read-only
+    int64 buffers.
     """
 
     nv: int
     num_backbone_arcs: int
-    interval_arcs: np.ndarray
-    first: np.ndarray
-    adj: np.ndarray
-    to: np.ndarray
+    first: memoryview
+    adj: memoryview
+    to: memoryview
+
+    @property
+    def interval_arcs(self) -> memoryview:
+        """The (start vertex, end vertex) of each interval, an n x 2 view
+        made on access from the heads of its two residual arcs in `to`."""
+        pairs = array("q", self.to[2 * self.num_backbone_arcs:].tobytes())  # (end, start)
+        pairs[0::2], pairs[1::2] = pairs[1::2], pairs[0::2]
+        return memoryview(pairs).cast("B").cast("q", (len(pairs) // 2, 2))
 
 
 class FlowAssignment(NamedTuple):
     """An integral flow on a FlowNetwork, one value per arc."""
 
-    backbone_flow: np.ndarray
-    interval_flow: np.ndarray
+    backbone_flow: array
+    interval_flow: array
     augmentations: int = 0
 
     @property
     def value(self) -> int:
         # all flow leaves the source through the first backbone arc
-        return int(self.backbone_flow[0])
+        return self.backbone_flow[0]
 
     @property
-    def kept(self) -> np.ndarray:
+    def kept(self) -> array:
         """The witness: the intervals whose arcs carry flow."""
-        return np.flatnonzero(self.interval_flow == 1)
+        return _native.select(self.interval_flow, 1)
 
 
 def build_network(intervals: IntervalSet) -> FlowNetwork:
@@ -78,27 +85,26 @@ def build_network(intervals: IntervalSet) -> FlowNetwork:
     coords, lo, hi, _ = intervals.compressed
     m, n = len(coords), len(lo)
     nv = m + 2  # coords plus the source 0 and the sink m + 1
-    if not (lo.shape == hi.shape and lo.min() >= 0 and hi.max() < m and (lo < hi).all()):
+    if len(hi) != n or _native.load_library().covprune_spans(n, lo, hi, m - 1) < 0:
         raise ValueError("interval outside the delimiter range")  # the kernels index by them
-    first, (adj, to) = np.empty(nv + 1, np.int64), np.empty((2, 2 * (m + 1 + n)), np.int64)
-    _native.load_library().covprune_network(n, m, lo, hi, first, adj, to,
-                                            np.empty(4 * nv + n, np.int64))  # scratch
-    if not (to.min() >= 0 and to.max() < nv and first[-1] == len(to)):
-        raise ValueError("arc endpoint outside the chain network")
-    return FlowNetwork(nv, m + 1, np.column_stack((lo + 1, hi + 1)), first, adj, to)
+    first, adj, to = zeros("q", nv + 1), zeros("q", 2 * (m + 1 + n)), zeros("q", 2 * (m + 1 + n))
+    # it checks the arcs it lays out: a head off the chain raises ValueError
+    _native.load_library().covprune_network(n, m, lo, hi, first, adj, to, zeros("q", 4 * nv + n))
+    return FlowNetwork(nv, m + 1, *(memoryview(a).toreadonly() for a in (first, adj, to)))
 
 
-def max_flow_augmenting(net: FlowNetwork, res: np.ndarray) -> FlowAssignment:
+def max_flow_augmenting(net: FlowNetwork, res) -> FlowAssignment:
     """Augment the feasible flow held in the residual capacities `res`
-    (one per residual arc of `net`) to a maximum flow, in place, by
-    depth-first augmenting paths.  The returned assignment records how
-    many paths were needed."""
+    (one per residual arc of `net`, an int64 `array.array`) to a maximum
+    flow, in place, by depth-first augmenting paths.  The returned assignment
+    records how many paths were needed."""
     # scratch for the search: parent_arc, stack and next_arc
     augmentations = _native.load_library().covprune_max_flow(
-        net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res, *np.empty((3, net.nv), np.int64))
+        net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res,
+        *(zeros("q", net.nv) for _ in range(3)))
     nb = net.num_backbone_arcs
     # copies: the next, lower floor goes on augmenting `res`
-    return FlowAssignment(res[1:2 * nb:2].copy(), res[2 * nb + 1::2].copy(), augmentations)
+    return FlowAssignment(res[1:2 * nb:2], res[2 * nb + 1::2], augmentations)
 
 
 class Chain:
@@ -131,15 +137,15 @@ class Chain:
         if self.t is None:
             self.first_t = t
             f = k - t if self.warm_start else 0  # the start flow on every backbone arc
-            self.res = res = np.zeros(len(self.net.to), np.int64)
-            res[2 * nb::2] = 1  # interval arcs: capacity 1, no flow
-            res[0:2 * nb:2] = k - t - f  # backbone arcs: capacity less flow,
+            self.res = res = zeros("q", len(self.net.to))
+            res[2 * nb::2] = array("q", [1]) * (len(res) // 2 - nb)  # interval arcs: capacity 1
+            res[0:2 * nb:2] = array("q", [k - t - f]) * nb  # backbone arcs: capacity less flow,
             res[0] = res[2 * nb - 2] = k - f  # the capacity being k at the two ends
-            res[1:2 * nb:2] = f
+            res[1:2 * nb:2] = array("q", [f]) * nb
         elif t > self.t:
             raise ValueError(f"the floor may only fall: t={t} after t={self.t}")
-        else:
-            self.res[2:2 * nb - 2:2] += self.t - t  # interior capacity rises
+        else:  # interior capacity rises
+            _native.load_library().covprune_add(nb - 2, memoryview(self.res)[2:], 2, self.t - t)
         flow = max_flow_augmenting(self.net, self.res)
         self.t = t
         self.augmentations += flow.augmentations
@@ -172,11 +178,11 @@ def decide(intervals: IntervalSet, k: int, t: int,
     if t > k:
         # mincov <= maxcov <= k < t can never hold
         return None
-    cov = intervals.compressed[3]
-    if cov.max() <= k:
+    low, top = _native.extremes(intervals.compressed.segment_cov)
+    if top <= k:
         # keeping every read is best, and k >= 2**63 stays out of int64 capacities
         return (score_subset(intervals, range(len(intervals)), method, work)
-                if t <= cov.min() else None)
+                if t <= low else None)
     if t == 0:
         # the warm start already saturates the backbone, so its witness is empty
         from .approx import approx_prune

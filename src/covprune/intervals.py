@@ -5,16 +5,16 @@ start <= p < end: a step function over the sorted distinct endpoints
 (delimiters), so coordinates may be arbitrarily large and sparse.
 `IntervalSet.compressed` caches it as `coverage_profile` computes it,
 by `covprune_profile` (`_profile.c`): the one coverage form every
-solver reads.  Everything here is immutable after construction and safe
+solver reads.  Arrays are read-only `memoryview`s of `array.array`
+buffers, so everything here is immutable after construction and safe
 to share between threads.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 MAX_COORD = 2**64 - 1
 
@@ -39,16 +39,21 @@ class Interval(_Endpoints):
         return self.end - self.start
 
 
+def _kernels():
+    from ._native import load_library  # on first use: its imports would slow `import`
+    return load_library()
+
+
 class IntervalSet:
     """An ordered collection of intervals, held as read-only uint64
-    arrays `starts` and `ends`, with `Interval` objects built on demand.
+    buffers `starts` and `ends`, with `Interval` objects built on demand.
     The position of an interval is its stable identity: solutions refer
     to intervals by these indices.  Duplicates are kept distinct."""
 
     def __init__(self, items: tuple[Interval, ...] = ()):
         self.items = items = tuple(items)
-        self._hold(np.array([iv.start for iv in items], np.uint64),
-                   np.array([iv.end for iv in items], np.uint64))
+        self.starts = memoryview(array("Q", [iv.start for iv in items])).toreadonly()
+        self.ends = memoryview(array("Q", [iv.end for iv in items])).toreadonly()
 
     @classmethod
     def from_pairs(cls, pairs) -> "IntervalSet":
@@ -56,21 +61,18 @@ class IntervalSet:
 
     @classmethod
     def from_arrays(cls, starts, ends) -> "IntervalSet":
-        """The set of [starts[i], ends[i]); unsigned integer arrays only."""
+        """The set of [starts[i], ends[i]), from buffers of unsigned integers
+        only: a read-only contiguous uint64 view is shared, others copied."""
         out = cls.__new__(cls)
-        out._hold(*(np.asarray(a).astype(np.uint64, "C", casting="safe", copy=False)
-                    for a in (starts, ends)))
-        return out
-
-    def _hold(self, starts, ends) -> None:
-        if starts.shape != ends.shape or (starts >= ends).any():
+        out.starts, out.ends = (_uint64(a) for a in (starts, ends))
+        n = len(out.starts)
+        if n != len(out.ends) or _kernels().covprune_unordered(n, out.starts, out.ends) >= 0:
             raise ValueError("every interval needs start < end")
-        starts.flags.writeable = ends.flags.writeable = False
-        self.starts, self.ends = starts, ends
+        return out
 
     @cached_property
     def items(self) -> tuple[Interval, ...]:
-        return tuple(map(Interval, self.starts.tolist(), self.ends.tolist()))
+        return tuple(map(Interval, self.starts, self.ends))
 
     @cached_property
     def compressed(self) -> CoverageProfile:
@@ -87,19 +89,29 @@ class IntervalSet:
         return iter(self.items)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, IntervalSet) and np.array_equal(self.starts, other.starts)
-                and np.array_equal(self.ends, other.ends))
+        return (isinstance(other, IntervalSet) and self.starts == other.starts
+                and self.ends == other.ends)
 
     @property
     def span(self) -> Interval | None:
-        """[min start, max end) of the whole set, or None when empty."""
-        if not len(self):
-            return None
-        return Interval(int(self.starts.min()), int(self.ends.max()))
+        """[min start, max end) of the whole set, or None when empty: the
+        first and the last delimiter of its profile."""
+        delimiters = self.compressed.delimiters
+        return Interval(delimiters[0], delimiters[-1]) if len(self) else None
 
     def subset(self, indices) -> "IntervalSet":
-        idx = np.asarray(indices, np.intp)
-        return IntervalSet.from_arrays(self.starts[idx], self.ends[idx])
+        pick = list(indices)
+        return IntervalSet.from_arrays(*(array("Q", map(a.__getitem__, pick))
+                                         for a in (self.starts, self.ends)))
+
+
+def _uint64(values) -> memoryview:
+    view = memoryview(values)
+    if view.format not in ("B", "H", "I", "L", "Q"):
+        raise TypeError(f"interval endpoints must be unsigned integers, got {view.format!r}")
+    if view.readonly and view.itemsize == 8 and view.c_contiguous and view.ndim == 1:
+        return view
+    return memoryview(array("Q", view.tolist())).toreadonly()
 
 
 class CoverageProfile(NamedTuple):
@@ -109,12 +121,13 @@ class CoverageProfile(NamedTuple):
     because coordinates reach MAX_COORD = 2**64 - 1, beyond int64.
     Interval i spans segments [lo[i], hi[i]), and `segment_cov[j]` is
     the coverage of every point in [delimiters[j], delimiters[j+1]).
+    The fields are read-only buffers, int64 but for `delimiters`.
     """
 
-    delimiters: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    segment_cov: np.ndarray
+    delimiters: memoryview
+    lo: memoryview
+    hi: memoryview
+    segment_cov: memoryview
 
     @property
     def num_segments(self) -> int:
@@ -123,17 +136,24 @@ class CoverageProfile(NamedTuple):
 
 def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
     """The exact coverage step function of the set, from its endpoint arrays."""
-    if not (n := len(intervals)):  # the kernel reads a first endpoint
-        return CoverageProfile(np.zeros(0, np.uint64), *np.zeros((3, 0), np.int64))
-    from ._native import load_library  # on first use: its imports would slow `import`
-    delims, (rank, cov) = np.empty(2 * n, np.uint64), np.empty((2, 2 * n), np.int64)
-    m = load_library().covprune_profile(n, intervals.starts, intervals.ends, delims, rank[:n],
-                                        rank[n:], cov, np.empty(8 * n + 2048, np.int64))  # scratch
-    return CoverageProfile(delims[:m], rank[:n], rank[n:], cov[:m - 1])
+    n = len(intervals)
+    delims, cov = array("Q", [0]) * 2 * n, array("q", [0]) * 2 * n
+    lo, hi = array("q", [0]) * n, array("q", [0]) * n
+    if n:  # the kernel reads a first endpoint
+        m = _kernels().covprune_profile(n, intervals.starts, intervals.ends, delims, lo, hi, cov,
+                                        array("q", [0]) * (8 * n + 2048))  # scratch
+        del delims[m:], cov[m - 1:]
+    return CoverageProfile(*(memoryview(a).toreadonly() for a in (delims, lo, hi, cov)))
 
 
-def segment_cov(lo, hi, ndelims: int):
+def segment_cov(lo, hi, ndelims: int, kept=None) -> array:
     """Coverage of each segment between consecutive delimiters by the
-    intervals spanning delimiter indices [lo, hi); gaps count as 0."""
-    delta = np.bincount(lo, minlength=ndelims) - np.bincount(hi, minlength=ndelims)
-    return np.cumsum(delta[:-1])
+    intervals spanning delimiter indices [lo, hi), or by those at the
+    rising int64 indices `kept` alone; gaps count as 0."""
+    cov = array("q", [0]) * ndelims
+    if len(lo) != len(hi):
+        raise ValueError("lo and hi differ in length")
+    _kernels().covprune_recount(len(lo if kept is None else kept), kept, len(lo), lo, hi,
+                                ndelims, cov)
+    del cov[-1:]
+    return cov

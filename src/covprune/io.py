@@ -13,12 +13,12 @@ from (`InstanceFile.kept_lines`), not re-formatted from their numbers.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
-import numpy as np
-
-from .intervals import MAX_COORD, IntervalSet
+from .intervals import MAX_COORD, IntervalSet, _kernels
 
 _FIELDS = {"plain": 2, "bed3": 3}
 _DETECT = {n: fmt for fmt, n in _FIELDS.items()}  # by the first data line's field count
@@ -42,63 +42,60 @@ class InstanceFile:
     """Parsed input in file order: record i is [starts[i], ends[i]) on
     chromosome `chroms[code[i]]` (sorted names; `(None,)` for plain),
     written in `data`, the input's bytes, as the line of `line_len[i]`
-    bytes at `line_at[i]`, its terminator included."""
+    bytes at `line_at[i]`, its terminator included.  The columns are
+    `array.array`s, uint64 for the endpoints and int64 for the rest."""
 
-    def __init__(self, fmt: str, chroms: tuple[str | None, ...], code: np.ndarray,
-                 starts: np.ndarray, ends: np.ndarray, data: bytes,
-                 line_at: np.ndarray, line_len: np.ndarray):
+    def __init__(self, fmt: str, chroms: tuple[str | None, ...], code: array,
+                 starts: array, ends: array, data: bytes, line_at: array, line_len: array):
         self.fmt = fmt  # "plain" | "bed3"
         self.chroms, self.code, self.starts, self.ends = chroms, code, starts, ends
         self.data, self.line_at, self.line_len = data, line_at, line_len
 
     @cached_property
     def records(self) -> tuple[Record, ...]:
-        table = np.array(self.chroms, object)[self.code, None].repeat(3, axis=1)
-        table[:, 1], table[:, 2] = self.starts, self.ends
-        return tuple(map(Record._make, table.tolist()))
+        return tuple(map(Record, map(self.chroms.__getitem__, self.code), self.starts,
+                         self.ends))
 
-    def chromosomes(self) -> dict[str | None, tuple[IntervalSet, np.ndarray]]:
-        """Split records per chromosome.
+    def chromosomes(self) -> dict[str | None, tuple[IntervalSet, memoryview]]:
+        """Split records per chromosome, by one counting sort of the codes.
 
         Returns, per chromosome, the interval set and the indices of its
         records in the original file order (so output can be mapped back).
         """
-        sizes = np.bincount(self.code, minlength=len(self.chroms))
-        groups = np.split(np.argsort(self.code, kind="stable"), np.cumsum(sizes)[:-1])
-        return {chrom: (IntervalSet.from_arrays(self.starts[idx], self.ends[idx]), idx)
-                for chrom, idx in zip(self.chroms, groups) if len(idx)}
+        n, groups = len(self.starts), len(self.chroms)
+        first, order = array("q", [0]) * (groups + 1), array("q", [0]) * n
+        starts, ends = array("Q", [0]) * n, array("Q", [0]) * n
+        _kernels().covprune_group(n, self.code, groups, self.starts, self.ends, first, order,
+                                  starts, ends)
+        order, starts, ends = (memoryview(a).toreadonly() for a in (order, starts, ends))
+        return {chrom: (IntervalSet.from_arrays(starts[a:b], ends[a:b]), order[a:b])
+                for chrom, a, b in zip(self.chroms, first, first[1:]) if a < b}
 
-    def kept_lines(self, keep) -> bytes:
-        """The input lines of the records the mask `keep` marks, as
+    def kept_lines(self, keep) -> bytearray:
+        """The input lines of the records the uint8 mask `keep` marks, as
         written, in file order; a last line without a terminator gets
         a newline."""
-        at = self.line_at[keep]
-        edges = np.column_stack((at, at + self.line_len[keep])).ravel()
-        # the data cut into a gap, a kept line, a gap, ..., a kept line, a gap
-        parts = np.diff(edges, prepend=0, append=len(self.data))
-        mask = np.repeat(np.arange(len(parts)) % 2 == 1, parts)
-        out = np.frombuffer(self.data, np.uint8)[mask].tobytes()
-        return out if not out or out.endswith(b"\n") else out + b"\n"
+        if len(keep) != len(self.line_at):
+            raise ValueError("the mask and the records differ in length")
+        lines = _kernels().covprune_lines
+        args = (len(keep), keep, self.line_at, self.line_len, len(self.data), self.data)
+        lines(*args, out := bytearray(lines(*args, None)))  # counted, then copied
+        return out
 
 
-def _instance(fmt: str, names, starts, ends, data: bytes, line_at, line_len,
-              head=None) -> InstanceFile:
+def _instance(fmt: str, names: list[str], run_at, starts, ends, data: bytes, line_at,
+              line_len) -> InstanceFile:
     """The instance of the given columns, read from the lines of `data`
-    that `line_at` and `line_len` give; bed3 `names` holds each record's
-    name or, with `head`, the name of each run of one name, which starts
-    at record head[j]; plain `names` is None or empty."""
-    chroms, code = (None,), np.zeros(len(starts), np.intp)
-    if names is not None and len(names):
-        names = np.asarray(names)
-        if head is None:  # a sorted file repeats each name in one run: sort only the runs
-            head = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
-            names = names[head]
-        chroms, code = np.unique(names, return_inverse=True)
-        chroms = tuple(chroms.astype(str).tolist())
-        code = np.repeat(code, np.diff(head, append=len(starts)))
-    # copies, so that a parsed table's name column can be freed
-    return InstanceFile(fmt, chroms, code, np.array(starts, np.uint64), np.array(ends, np.uint64),
-                        data, np.asarray(line_at, np.int64), np.asarray(line_len, np.int64))
+    that `line_at` and `line_len` give; bed3 `names` holds the name of
+    each run of records of one name, run r starting at record run_at[r],
+    and plain `names` is empty."""
+    chroms, code = (None,), array("q", [0]) * len(starts)
+    if names:
+        chroms = tuple(sorted(set(names)))
+        rank = dict(zip(chroms, range(len(chroms))))
+        _kernels().covprune_runs(len(run_at), run_at, array("q", map(rank.__getitem__, names)),
+                                 len(starts), code)
+    return InstanceFile(fmt, chroms, code, starts, ends, data, line_at, line_len)
 
 
 def _parse_coord(token: str, line_no: int, what: str) -> int:
@@ -140,12 +137,14 @@ def parse_instance(text: str, fmt: str | None = None) -> InstanceFile:
         starts.append(start)
         ends.append(end)
         rows.append(line_no - 1)
-    # each line's byte range in the text's UTF-8 encoding
+    # each line's byte range in the text's UTF-8 encoding; every record is a run of its name
     data = text.encode("utf-8", "surrogatepass")
-    size = np.array([len(line.encode("utf-8", "surrogatepass")) for line in lines], np.int64)
-    line_end = np.cumsum(size)
-    return _instance(detected or "plain", names or None, starts, ends, data,
-                     (line_end - size)[rows], size[rows])
+    size = [len(line.encode("utf-8", "surrogatepass")) for line in lines]
+    line_end = list(accumulate(size))
+    return _instance(detected or "plain", names, array("q", range(len(names))),
+                     array("Q", starts), array("Q", ends), data,
+                     array("q", (line_end[r] - size[r] for r in rows)),
+                     array("q", (size[r] for r in rows)))
 
 
 def _parse_native(lib, data: bytes, fmt: str | None) -> InstanceFile | None:
@@ -159,23 +158,24 @@ def _parse_native(lib, data: bytes, fmt: str | None) -> InstanceFile | None:
     fmt = fmt or _DETECT.get(fields)
     if fields != _FIELDS.get(fmt):
         return None
-    # one slot per line; name ranges are written at runs' first records only
-    lines = data.count(b"\n") + 1
-    starts, ends = np.empty((2, lines), np.uint64)
-    head, (name_at, name_len) = np.zeros(lines, np.uint8), np.empty((2, lines), np.int64)
-    line_at, line_len = np.empty((2, lines), np.int64)
-    n = lib.covprune_parse(data, len(data), _FIELDS[fmt], starts, ends, head, name_at, name_len,
-                           line_at, line_len)
+    lines = data.count(b"\n") + 1  # one slot per line
+    starts, ends = array("Q", [0]) * lines, array("Q", [0]) * lines
+    line_at, line_len, count = array("q", [0]) * lines, array("q", [0]) * lines, array("q", [0])
+    # room for the runs of one name of a grouped file; a file of more is read
+    # again with room for a run per line
+    for room in (min(lines, 1024), lines):
+        runs = array("q", [0]) * (3 * room)  # each its first record, its name's offset and size
+        n = lib.covprune_parse(data, len(data), fields, room, starts, ends, runs, count, line_at,
+                               line_len)
+        if n != -2:
+            break
     if n < 0:
         return None
-    at = np.flatnonzero(head[:n])  # no runs in a plain file, which leaves head 0
-    # each run's name, gathered one byte column at a time into NUL-padded rows
-    offset, size, raw = name_at[at], name_len[at], np.frombuffer(data, np.uint8)
-    names = np.zeros((len(at), int(size.max(initial=1))), np.uint8)
-    for j in range(names.shape[1]):
-        names[size > j, j] = raw[offset[size > j] + j]
-    return _instance(fmt, names.view(f"S{names.shape[1]}")[:, 0], starts[:n], ends[:n], data,
-                     line_at[:n], line_len[:n], at)
+    for column in (starts, ends, line_at, line_len):
+        del column[n:]
+    del runs[3 * count[0]:]
+    names = [data[at:at + size].decode() for at, size in zip(runs[1::3], runs[2::3])]  # ASCII
+    return _instance(fmt, names, runs[0::3], starts, ends, data, line_at, line_len)
 
 
 def read_instance(path: str, fmt: str | None = None) -> InstanceFile:
@@ -183,6 +183,4 @@ def read_instance(path: str, fmt: str | None = None) -> InstanceFile:
     refuses it; bytes that are not UTF-8 raise a ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
-    from ._native import load_library  # on first use: its imports would slow `import`
-    return _parse_native(load_library(), data, fmt) or parse_instance(data.decode("utf-8"), fmt)
-
+    return _parse_native(_kernels(), data, fmt) or parse_instance(data.decode("utf-8"), fmt)

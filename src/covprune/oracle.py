@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
 
 from .intervals import IntervalSet, segment_cov
 from .solution import Solution
@@ -30,6 +30,7 @@ def brute_force_opt(intervals: IntervalSet, k: int,
             "pass force=True to override")
     if n == 0:
         return Solution((), 0, 0, "oracle", {"subsets": 1})
+    import numpy as np  # a desk-scale tool: no solver run loads numpy
 
     delims, lo, hi, cov = intervals.compressed
     nseg = len(cov)
@@ -39,7 +40,7 @@ def brute_force_opt(intervals: IntervalSet, k: int,
         rows[i, a:b] = 1
 
     best_min = -1
-    candidates: list[np.ndarray] = []
+    candidates = []
     total = 1 << n
     chunk = 1 << min(_CHUNK_BITS, n)
     for base in range(0, total, chunk):
@@ -59,12 +60,11 @@ def brute_force_opt(intervals: IntervalSet, k: int,
     # the empty subset is always feasible, so best_min >= 0
     witness = _lex_min_subset(np.concatenate(candidates), n)
     kept = tuple(i for i in range(n) if witness >> i & 1)
-    idx = np.asarray(kept, np.intp)
-    mx = int(segment_cov(lo[idx], hi[idx], len(delims)).max(initial=0))
+    mx = max(segment_cov(lo, hi, len(delims), array("q", kept)), default=0)
     return Solution(kept, best_min, mx, "oracle", {"subsets": total})
 
 
-def _lex_min_subset(masks: np.ndarray, n: int) -> int:
+def _lex_min_subset(masks, n: int) -> int:
     """Among bit masks, pick the lexicographically smallest index tuple.
 
     Greedy per position: a mask equal to the prefix so far beats every
@@ -72,7 +72,7 @@ def _lex_min_subset(masks: np.ndarray, n: int) -> int:
     """
     prefix = 0
     while True:
-        rest = masks & ~np.int64(prefix)
+        rest = masks & ~prefix
         if (rest == 0).any():
             return prefix
         if len(masks) == 1:

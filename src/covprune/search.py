@@ -16,9 +16,10 @@ check this engine against.
 
 from __future__ import annotations
 
+from . import flow
+from ._native import extremes
 from .intervals import IntervalSet
 from .solution import Solution, score_subset
-from . import flow
 
 METHOD = "exact-tailored"
 
@@ -35,13 +36,13 @@ def solve_exact(intervals: IntervalSet, k: int) -> Solution:
     work = {"flow_solves": 0, "augmentations": 0, "probes": 0, "native_flow": 0}
     if not len(intervals):
         return Solution((), 0, 0, METHOD, work)
-    cov = intervals.compressed[3]
-    if cov.max() <= k:
+    low, top = extremes(intervals.compressed.segment_cov)
+    if top <= k:
         # removals never help: keeping everything is already optimal
         return score_subset(intervals, range(len(intervals)), METHOD, work)
 
     chain = flow.Chain(intervals, k)
-    for t in range(min(k, int(cov.min())), 0, -1):
+    for t in range(min(k, low), 0, -1):
         result = chain.max_flow(t)
         work["probes"] += 1
         work["flow_solves"] += 1

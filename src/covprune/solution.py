@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
-import numpy as np
-
+from ._native import extremes
 from .intervals import IntervalSet, segment_cov
 
 
@@ -37,10 +37,9 @@ def score_subset(intervals: IntervalSet, kept, method: str,
 
     The coverage numbers always come from an independent count of the
     kept subset on the set's own segments, which tile its span, never
-    from solver-internal state.
+    from solver-internal state.  `kept` must rise.
     """
-    idx = np.sort(np.asarray(kept, np.intp))
     delims, lo, hi, _ = intervals.compressed
-    cov = segment_cov(lo[idx], hi[idx], len(delims))
-    mn = int(cov.min()) if len(cov) else 0
-    return Solution(tuple(idx.tolist()), mn, int(cov.max(initial=0)), method, dict(work or {}))
+    every = isinstance(kept, range) and kept == range(len(lo))  # counted without a list
+    mn, mx = extremes(segment_cov(lo, hi, len(delims), None if every else array("q", kept)))
+    return Solution(tuple(kept), mn, mx, method, dict(work or {}))

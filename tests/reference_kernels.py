@@ -37,7 +37,7 @@ def argsort_profile(intervals) -> CoverageProfile:
 
 def argsort_network(profile: CoverageProfile) -> FlowNetwork:
     """The chain network of a profile from one stable argsort of the arcs."""
-    coords, lo, hi, _ = profile
+    coords, lo, hi, _ = map(np.asarray, profile)
     m = len(coords)
     nv = m + 2
     tail = np.concatenate((np.arange(m + 1), lo + 1))
@@ -50,7 +50,7 @@ def argsort_network(profile: CoverageProfile) -> FlowNetwork:
     # stable, so parallel arcs keep construction order
     adj = np.argsort(origin * nv + (nv - 1 - to), kind="stable")
     first = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=nv))))
-    return FlowNetwork(nv, m + 1, np.column_stack((lo + 1, hi + 1)), first, adj, to)
+    return FlowNetwork(nv, m + 1, first, adj, to)
 
 
 def sweep_python(order, lo, hi, cov, k: int):

@@ -99,13 +99,13 @@ def test_criterion_4_flow_coverage_identity_at_full_scale():
     delims, lo, hi, cov = s.compressed
     # the descent solve_exact runs; its first feasible floor is OPT
     chain = Chain(s, k)
-    for opt in range(min(k, int(cov.min())), 0, -1):
+    for opt in range(min(k, int(np.asarray(cov).min())), 0, -1):
         flow = chain.max_flow(opt)
         if flow.value == k:
             break
     assert flow.value == k and 0 < opt < k
     kept = np.array(flow.kept)
-    witness = segment_cov(lo[kept], hi[kept], len(delims))
+    witness = np.asarray(segment_cov(np.asarray(lo)[kept], np.asarray(hi)[kept], len(delims)))
     interior = np.array(flow.backbone_flow[1:-1])
     assert (flow.backbone_flow[0], flow.backbone_flow[-1]) == (k, k)
     assert (interior == k - witness).all()

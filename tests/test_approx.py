@@ -124,7 +124,7 @@ def flat_rule(s: IntervalSet) -> bool:
     """The sweep's choice, worked out apart: a flat scan when the spans sum
     to at most 40 * n * bit_length(nseg) segments."""
     _, lo, hi, cov = s.compressed
-    return int((hi - lo).sum()) <= 40 * len(s) * len(cov).bit_length()
+    return int((np.asarray(hi) - np.asarray(lo)).sum()) <= 40 * len(s) * len(cov).bit_length()
 
 
 def test_short_reads_run_the_flat_scan():
@@ -138,7 +138,7 @@ def test_short_reads_run_the_flat_scan():
 def test_long_reads_run_the_tree():
     s = generate_instance(10_000, 100_000, seed=1)
     _, lo, hi, _ = s.compressed
-    assert (hi - lo).mean() > 500  # spans of about a thousand segments
+    assert (np.asarray(hi) - np.asarray(lo)).mean() > 500  # spans of about a thousand segments
     assert not flat_rule(s)
     work = approx_prune(s, 30).work
     assert work["segments_scanned"] == 0 and work["tree_nodes_touched"] > 0

@@ -1,9 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from covprune import approx, io, parse_instance
+from covprune import _native, approx, io, parse_instance
 from covprune.cli import main
 
 from conftest import DEMO_PAIRS
@@ -307,9 +308,41 @@ def test_kept_lines_echo_the_input(tmp_path, capsys, monkeypatch, backend, name)
     lines = [ln for ln in text.splitlines(keepends=True)
              if ln.strip() and not ln.strip().startswith("#")]
     kept = sorted(i for ivs, idx in parse_instance(text).chromosomes().values()
-                  for i in idx[list(approx.approx_prune(ivs, 1).kept)].tolist())
+                  for i in np.asarray(idx)[list(approx.approx_prune(ivs, 1).kept)].tolist())
     assert 0 < len(kept) < len(lines) and kept[-1] == len(lines) - 1
     assert out == "".join(lines[i] for i in kept) + "\n"
+
+
+def test_interleaved_names_split_as_a_grouped_file(tmp_path, capsys, monkeypatch):
+    """10^4 reads whose name changes on every line keep the lines and
+    give the stats of the same reads written grouped by name; one
+    compiled counting sort groups the records of each run."""
+    rng = np.random.default_rng(11)
+    n = 10_000
+    starts = rng.integers(0, 20_000, n)
+    ends = starts + rng.integers(100, 400, n)
+    lines = [f"{('chrB', 'chrA', 'chrC')[i % 3]}\t{s}\t{e}\n"
+             for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist()))]
+    mixed, grouped, stats = tmp_path / "mixed.bed", tmp_path / "grouped.bed", tmp_path / "stats"
+    mixed.write_text("".join(lines))
+    name = lambda line: line.split("\t")[0]  # noqa: E731
+    grouped.write_text("".join(sorted(lines, key=name)))  # stable: each name's reads in order
+    spy = mock.Mock(wraps=_native.load_library())
+    monkeypatch.setattr(_native, "load_library", lambda: spy)
+    for command in ("approx", "solve", "stats"):
+        results = []
+        for path in (mixed, grouped):
+            code, out, _ = run(capsys, command, str(path), *(("--k", "20", "--stats", str(stats))
+                                                          if command != "stats" else ()))
+            records = [json.loads(line) for line in
+                       (stats.read_text() if command != "stats" else out).splitlines()]
+            for record in records:
+                record.pop("wall_time_s", None)
+            results.append((code, sorted(out.splitlines(keepends=True), key=name), records))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and len(results[0][2]) == 3
+    assert spy.covprune_group.call_count == 6  # once per run
+    assert spy.covprune_runs.call_args_list[0].args[0] == n  # a run of one name per line
 
 
 def _segment_cov(delims, starts, ends):

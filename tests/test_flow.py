@@ -42,7 +42,7 @@ def first_probe(monkeypatch, s, k, t, warm_start):
     augment = flow.max_flow_augmenting
 
     def spy(net, res):
-        starts.append(res.copy())
+        starts.append(np.array(res))
         return augment(net, res)
 
     with monkeypatch.context() as m:
@@ -75,9 +75,9 @@ def test_build_network_demo(demo):
 def test_build_network_lists_arcs_by_falling_head(pairs):
     net = build_network(iset(pairs))
     for u in range(net.nv):
-        arcs = net.adj[net.first[u]:net.first[u + 1]]
-        assert (net.to[arcs ^ 1] == u).all()  # each arc leaves u
-        heads = np.diff(net.to[arcs])
+        arcs = np.asarray(net.adj[net.first[u]:net.first[u + 1]])
+        assert (np.asarray(net.to)[arcs ^ 1] == u).all()  # each arc leaves u
+        heads = np.diff(np.asarray(net.to)[arcs])
         assert (heads <= 0).all()
         assert (np.diff(arcs)[heads == 0] > 0).all()  # parallel arcs in construction order
 

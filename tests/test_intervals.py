@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -50,7 +52,7 @@ def test_profile_demo(demo):
 
 def test_profile_empty():
     prof = coverage_profile(IntervalSet(()))
-    assert prof.delimiters.dtype == np.uint64
+    assert np.asarray(prof.delimiters).dtype == np.uint64
     assert len(prof.delimiters) == prof.num_segments == 0
 
 
@@ -64,17 +66,17 @@ def test_profile_area_identity(demo):
 
 def test_mincov_span(demo):
     # the segments tile the span, so a gap is a segment of coverage 0
-    assert coverage_profile(demo).segment_cov.min() == 2
-    assert coverage_profile(iset([(0, 5)])).segment_cov.min() == 1
+    assert np.asarray(coverage_profile(demo).segment_cov).min() == 2
+    assert np.asarray(coverage_profile(iset([(0, 5)])).segment_cov).min() == 1
     assert coverage_profile(iset([(0, 2), (3, 5)])).segment_cov.tolist() == [1, 0, 1]
     # the empty set has no segment; its mincov is 0 by convention
     assert score_subset(IntervalSet(()), (), "all").achieved_mincov == 0
 
 
 def test_maxcov(demo):
-    assert coverage_profile(demo).segment_cov.max() == 4
-    assert coverage_profile(iset([(0, 5)])).segment_cov.max() == 1
-    assert coverage_profile(iset([(0, 5), (0, 5), (0, 5)])).segment_cov.max() == 3
+    assert np.asarray(coverage_profile(demo).segment_cov).max() == 4
+    assert np.asarray(coverage_profile(iset([(0, 5)])).segment_cov).max() == 1
+    assert np.asarray(coverage_profile(iset([(0, 5), (0, 5), (0, 5)])).segment_cov).max() == 3
     assert score_subset(IntervalSet(()), (), "all").achieved_maxcov == 0
 
 
@@ -95,8 +97,8 @@ def test_mincov_over_windows(demo):
     # a window is a run of segments; a subset scored on its parent's
     # segments has coverage 0 wherever it leaves the parent's span bare
     delims, lo, hi, cov = coverage_profile(demo)
-    assert cov[1:4].min() == 3  # the points [1, 4)
-    only_e = segment_cov(lo[[4]], hi[[4]], len(delims))  # E = [1, 10)
+    assert np.asarray(cov[1:4]).min() == 3  # the points [1, 4)
+    only_e = segment_cov(np.asarray(lo)[[4]], np.asarray(hi)[[4]], len(delims))  # E = [1, 10)
     assert only_e.tolist() == [0, 1, 1, 1, 1, 1, 1]
     assert score_subset(demo, [4], "E").achieved_mincov == 0
 
@@ -118,7 +120,7 @@ def test_profile_matches_point_count(pairs):
 
 @given(interval_pairs)
 def test_mincov_le_maxcov(pairs):
-    cov = coverage_profile(iset(pairs)).segment_cov
+    cov = np.asarray(coverage_profile(iset(pairs)).segment_cov)
     assert 0 <= cov.min() <= cov.max() <= len(pairs)
 
 
@@ -127,7 +129,7 @@ def test_removal_lowers_coverage_exactly_on_span(pairs, data):
     idx = data.draw(st.integers(0, len(pairs) - 1))
     delims, lo, hi, cov = coverage_profile(iset(pairs))
     rest = np.arange(len(pairs)) != idx
-    drop = cov - segment_cov(lo[rest], hi[rest], len(delims))
+    drop = np.asarray(cov) - segment_cov(np.asarray(lo)[rest], np.asarray(hi)[rest], len(delims))
     assert drop.tolist() == [int(lo[idx] <= j < hi[idx]) for j in range(len(cov))]
 
 
@@ -154,8 +156,33 @@ def test_compress_and_segment_cov_match_profile():
         s = iset(pairs)
         ref_delims, ref_cov = reference_profile(s)
         delims, lo, hi, cov = coverage_profile(s)
-        assert delims.dtype == np.uint64
+        assert np.asarray(delims).dtype == np.uint64
         assert delims.tolist() == ref_delims
         assert [int(delims[j]) for j in lo] == [a for a, _ in pairs]
         assert [int(delims[j]) for j in hi] == [b for _, b in pairs]
         assert cov.tolist() == ref_cov
+
+
+def test_interval_sets_stay_read_only(demo):
+    for view in (demo.starts, demo.ends, demo.compressed.lo, demo.compressed.segment_cov):
+        with pytest.raises(TypeError):
+            view[0] = 7
+    assert demo.starts.tolist() == [s for s, _ in DEMO_PAIRS]
+    # a set built from arrays holds its own copy
+    starts = np.array([0, 3], np.uint64)
+    s = IntervalSet.from_arrays(starts, np.array([5, 4], np.uint64))
+    starts[0] = 2
+    assert s.starts.tolist() == [0, 3]
+    with pytest.raises(TypeError):
+        s.starts[0] = 2
+
+
+def test_from_arrays_takes_unsigned_ordered_pairs_only():
+    for starts in (np.array([0, 3]), array("q", [0, 3]), [0, 3], np.array([0.0, 3.0])):
+        with pytest.raises(TypeError):  # signed, not a buffer, or not integers
+            IntervalSet.from_arrays(starts, np.array([5, 4], np.uint64))
+    for starts in (np.array([0, 4], np.uint64), np.array([5, 3], np.uint32)):
+        with pytest.raises(ValueError, match="start < end"):
+            IntervalSet.from_arrays(starts, np.array([5, 4], np.uint64))
+    s = IntervalSet.from_arrays(np.array([0, 3], np.uint8), array("Q", [5, MAX_COORD]))
+    assert s.items == (Interval(0, 5), Interval(3, MAX_COORD))

@@ -58,6 +58,6 @@ def test_exact_optimum_matches_lp(tmp_path):
     for name, *_ in CHROMS:
         ivs = groups[name][0]
         sol = solve_exact(ivs, K)
-        assert sol.achieved_mincov == lp_opt(ivs.starts.astype(np.int64),
-                                             ivs.ends.astype(np.int64), K), name
-        assert 1 < sol.achieved_mincov < min(K, int(ivs.compressed[3].min())), name
+        assert sol.achieved_mincov == lp_opt(np.asarray(ivs.starts).astype(np.int64),
+                                             np.asarray(ivs.ends).astype(np.int64), K), name
+        assert 1 < sol.achieved_mincov < min(K, int(np.asarray(ivs.compressed[3]).min())), name

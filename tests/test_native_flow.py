@@ -155,7 +155,8 @@ def test_the_last_search_marks_the_residual_reach(backend):
         graph = nx.DiGraph()
         graph.add_nodes_from(range(net.nv))
         live = np.flatnonzero(res > 0)  # residual arc a runs from to[a ^ 1] to to[a]
-        graph.add_edges_from(zip(net.to[live ^ 1].tolist(), net.to[live].tolist()))
+        to = np.asarray(net.to)
+        graph.add_edges_from(zip(to[live ^ 1].tolist(), to[live].tolist()))
         reach = nx.descendants(graph, 0) | {0}
         assert set(np.flatnonzero(parent_arc != -1).tolist()) == reach
         assert net.nv - 1 not in reach

@@ -20,7 +20,8 @@ def assert_identical(a, b):
     """Two profiles or two networks agree field by field, dtypes included."""
     assert type(a) is type(b)
     for x, y in zip(a, b):
-        if isinstance(x, np.ndarray):
+        if isinstance(y, np.ndarray):
+            x = np.asarray(x)
             assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all()
         else:
             assert x == y
@@ -29,7 +30,10 @@ def assert_identical(a, b):
 def assert_kernels_match_references(s: IntervalSet):
     profile = argsort_profile(s)
     assert_identical(s.compressed, profile)
-    assert_identical(build_network(s), argsort_network(profile))
+    net = build_network(s)
+    assert_identical(net, argsort_network(profile))
+    # the interval arcs, made on access from `to`, run from lo + 1 to hi + 1
+    assert np.array_equal(net.interval_arcs, np.column_stack((profile.lo + 1, profile.hi + 1)))
 
 
 # starts from small pools, so reads share coordinates, and from wide ones,

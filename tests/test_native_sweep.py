@@ -44,7 +44,7 @@ def seeded_instances():
 def sweep_args(s, k):
     """(order, lo, hi, cov, k) as `approx_prune` passes them to a sweep:
     the reads sorted by (start, end, index)."""
-    _, lo, hi, cov = s.compressed
+    _, lo, hi, cov = map(np.asarray, s.compressed)
     return np.argsort(lo * (len(cov) + 1) + hi, kind="stable"), lo, hi, cov, k
 
 

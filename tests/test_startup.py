@@ -93,3 +93,21 @@ def test_only_the_program_freezes_its_heap(tmp_path, capsys):
                   "assert main() == 0\n"
                   "print(gc.get_freeze_count())")
     assert int(lines[-1]) > 1000
+
+
+def test_no_run_loads_numpy(tmp_path):
+    """A run needs only the standard library and the compiled kernels:
+    a fresh interpreter that has not imported numpy never does, neither
+    on `import covprune.cli` nor in any subcommand but oracle."""
+    reads, zero = tmp_path / "reads.bed", tmp_path / "zero.txt"
+    reads.write_text("chr1\t0\t4\nchr1\t0\t4\nchr2\t4\t6\nchr1\t4\t6\n")  # OPT = 1 under k = 1
+    zero.write_text("0 4\n2 6\n1 5\n")  # OPT = 0 under k = 1
+    assert child("import sys\nimport covprune.cli\nprint('numpy' in sys.modules)")[-1] == "False"
+    runs = [["approx", str(reads), "--k", "1"], ["solve", str(reads), "--k", "1"],
+            ["solve", str(zero), "--k", "1"], ["decide", str(reads), "--k", "1", "--t", "1"],
+            ["stats", str(reads)]]
+    lines = child("import sys\nfrom covprune.cli import main\n"
+                  f"codes = [main(argv + ['--stats', {os.devnull!r}] * (argv[0] != 'stats'))"
+                  f" for argv in {runs!r}]\n"
+                  "print(codes, 'numpy' in sys.modules)")
+    assert lines[-1] == "[0, 0, 0, 0, 0] False"
