@@ -58,7 +58,7 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     lib, nseg = _native.load_library(), len(cov)
     # equals sorted((start, end, i)): lo and hi order reads as their
     # coordinates do, and the radix sort is stable
-    lib.covprune_order(n, lo, hi, nseg, order := zeros("q", n), zeros("q", 5 * n + 2048))
+    lib.covprune_order(n, lo, hi, nseg, order := zeros("q", n))
     # near 40 segments per read per bit of nseg, the vectorized C flat scan
     # costs about what the tree does (15k reads of 0.5-1.5 kb at depth 400-600);
     # its cells are int32

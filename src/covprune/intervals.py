@@ -140,8 +140,7 @@ def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
     delims, cov = array("Q", [0]) * 2 * n, array("q", [0]) * 2 * n
     lo, hi = array("q", [0]) * n, array("q", [0]) * n
     if n:  # the kernel reads a first endpoint
-        m = _kernels().covprune_profile(n, intervals.starts, intervals.ends, delims, lo, hi, cov,
-                                        array("q", [0]) * (8 * n + 2048))  # scratch
+        m = _kernels().covprune_profile(n, intervals.starts, intervals.ends, delims, lo, hi, cov)
         del delims[m:], cov[m - 1:]
     return CoverageProfile(*(memoryview(a).toreadonly() for a in (delims, lo, hi, cov)))
 

@@ -167,4 +167,4 @@ def pytest_sessionstart(session):
 def pytest_report_header(config):
     from covprune import _native
     return [f"covprune C compiler: {' '.join(_native.compiler())}",
-            f"covprune compiled library: {_native.load_library()._name}"]
+            f"covprune compiled module: {_native.load_library().__file__}"]

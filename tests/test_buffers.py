@@ -1,7 +1,8 @@
-"""The argument type every kernel pointer is declared with: it takes any
-C-contiguous buffer of the declared item type, `array.array`, read-only
-`memoryview` or numpy array alike, and refuses anything else with
-TypeError before the kernel runs."""
+"""The compiled module's argument checks: a kernel pointer takes any
+C-contiguous buffer of its item type, `array.array`, read-only
+`memoryview` or numpy array alike, and anything else, like a bad
+argument count or an integer beyond int64, raises before the kernel
+runs."""
 
 from array import array
 
@@ -18,6 +19,7 @@ def min_max(values, out):
     _native.load_library().covprune_min_max(len(values), values, out)
 
 
+# numpy's int64 exports the item format 'l', array's 'q'
 @pytest.mark.parametrize("values", [array("q", [5, 2, 7]), memoryview(array("q", [5, 2, 7])),
                                     memoryview(array("q", [5, 2, 7])).toreadonly(),
                                     np.array([5, 2, 7]), np.array([5, 2, 7], np.int64)],
@@ -42,6 +44,26 @@ def test_a_refused_buffer_never_reaches_the_kernel(values, out):
     with pytest.raises(TypeError):
         min_max(values, out)
     assert list(out) == SENTINEL
+
+
+@pytest.mark.parametrize("out", [bytes(16), None], ids=["bytes", "none"])
+def test_an_output_takes_a_writable_buffer_only(out):
+    with pytest.raises(TypeError):
+        min_max(array("q", [5, 2, 7]), out)
+
+
+@pytest.mark.parametrize("args", [
+    (3, array("q", [5, 2, 7])),  # too few
+    (3, array("q", [5, 2, 7]), array("q", SENTINEL), 0),  # too many
+    (2**63, array("q", [5, 2, 7]), array("q", SENTINEL)),  # beyond int64
+    (-2**63 - 1, array("q", [5, 2, 7]), array("q", SENTINEL)),
+    (3.0, array("q", [5, 2, 7]), array("q", SENTINEL)),  # not an integer
+    ("3", array("q", [5, 2, 7]), array("q", SENTINEL)),
+], ids=["too-few", "too-many", "above-int64", "below-int64", "float", "str"])
+def test_a_bad_argument_list_never_reaches_the_kernel(args):
+    with pytest.raises((TypeError, OverflowError)):
+        _native.load_library().covprune_min_max(*args)
+    assert all(list(a) == SENTINEL for a in args[2:3])
 
 
 def test_only_an_optional_buffer_may_be_null():
@@ -95,3 +117,12 @@ def test_a_recount_takes_rising_indices_only():
             segment_cov(lo, hi, 3, array("q", kept))
     with pytest.raises(ValueError, match="out of bounds"):
         segment_cov(lo, array("q", [2, 2, 3]), 3)  # a span past the last delimiter
+
+
+def test_radix_scratch_beyond_memory_raises_memory_error():
+    # the module allocates the scratch, 5n + 2048 items here, and asks for
+    # none it could not address
+    out = array("q", SENTINEL)
+    with pytest.raises(MemoryError):
+        _native.load_library().covprune_order(2**61, array("q", [0]), array("q", [1]), 1, out)
+    assert list(out) == SENTINEL

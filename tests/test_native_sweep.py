@@ -118,12 +118,16 @@ def test_build_caches_one_library_by_hash(compiler, tmp_path):
 
 
 def test_a_fresh_build_removes_stale_libraries(compiler, tmp_path):
-    stale, partial = tmp_path / "covprune-0.so", tmp_path / "covprune-1.so.tmp"
-    stale.write_bytes(b"")
-    partial.write_bytes(b"")  # another process's build in progress
+    """A fresh build removes the older builds of its own package directory
+    only, so that checkouts sharing one cache do not rebuild in turn."""
+    own = _native.library_name(compiler)
+    stale = tmp_path / f"{_native._prefix()}0.so"  # this directory's, of older sources
+    other = tmp_path / "covprune-00000000-0.so"  # another checkout's
+    partial = tmp_path / "covprune-1.so.tmp"  # another process's build in progress
+    for path in (stale, other, partial):
+        path.write_bytes(b"")
     assert _native.build(tmp_path, compiler) is not None
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [_native.library_name(compiler), partial.name])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([own, other.name, partial.name])
     stale.write_bytes(b"")
     assert _native.build(tmp_path, compiler) is not None  # cached: removes nothing
     assert stale.exists()
@@ -143,9 +147,11 @@ def test_build_without_a_working_compiler(tmp_path):
 
 
 def test_sources_compile_without_warnings(compiler, tmp_path):
+    # the whole module, its Python wrapper included
+    assert _native.HERE / "_module.c" in _native.SOURCES
     warnings = ("-Wall", "-Wextra", "-Werror")
-    done = subprocess.run([*compiler, *_native.FLAGS, *warnings, "-o", str(tmp_path / "lib.so"),
-                           *map(str, _native.SOURCES)],
+    done = subprocess.run([*compiler, *_native.FLAGS, *warnings, f"-I{_native.headers()}",
+                           "-o", str(tmp_path / "kernels.so"), *map(str, _native.SOURCES)],
                           stdin=subprocess.DEVNULL, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
@@ -179,3 +185,21 @@ def test_no_compiler_exits_4(no_compiler, tmp_path, capsys, command):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("covprune: ") and no_compiler in err
     assert not stats.exists()
+
+
+def test_no_python_headers_exits_4(monkeypatch, tmp_path, capsys):
+    """The module needs `Python.h` as well as a compiler: without the
+    headers every subcommand exits 4 with the loader's one line."""
+    missing = str(tmp_path / "no-headers")
+    monkeypatch.setattr(_native, "headers", lambda: missing)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    reads = tmp_path / "reads.txt"
+    reads.write_text("0 10\n2 8\n")
+    _native.load_library.cache_clear()
+    try:
+        assert main(["stats", str(reads)]) == 4
+    finally:
+        _native.load_library.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and missing in err
+    assert not any((tmp_path / "cache" / "covprune").iterdir())  # no partial build left

@@ -18,13 +18,17 @@ from covprune.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def child(code: str) -> list[str]:
-    """The stdout lines of `code` run by a fresh interpreter that can
-    import this checkout's covprune."""
+# what only a build of the compiled module may import
+COMPILER_MODULES = {"ctypes", "sysconfig", "subprocess", "tempfile"}
+
+
+def child(code: str, *flags: str) -> list[str]:
+    """The stdout lines of `code` run by a fresh interpreter, started
+    with `flags`, that can import this checkout's covprune."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                                       env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
@@ -32,9 +36,10 @@ def child(code: str) -> list[str]:
 
 def loaded_by(code: str) -> set[str]:
     """The modules `code` adds to an interpreter that has already imported
-    numpy, argparse and json, so that what those and this site's `.pth`
-    files load does not count."""
-    return set(child("import sys, numpy, argparse, json\n"
+    argparse and json, so that what those and this site's `.pth` files
+    load does not count.  It has not imported numpy, which imports
+    ctypes."""
+    return set(child("import sys, argparse, json\n"
                      "before = set(sys.modules)\n"
                      f"{code}\n"
                      "print(*sorted(set(sys.modules) - before))")[-1].split())
@@ -68,15 +73,33 @@ def test_solve_run_loads_no_approx_when_opt_is_positive(tmp_path):
     assert not loaded & {"covprune.approx", "dataclasses"}
 
 
-def test_cached_library_loads_without_compiler_modules(compiler):
-    # the session start has loaded the library, so it is cached unless the cache
-    # directory cannot be written
-    if not (_native.cache_dir() / _native.library_name(compiler)).exists():
+@pytest.fixture
+def cached():
+    """Skip unless the session start left the compiled module in the
+    cache, which it does unless the cache directory cannot be written."""
+    if not (_native.cache_dir() / _native.library_name()).exists():
         pytest.skip("no writable library cache")
+
+
+def test_cached_library_loads_without_compiler_modules(cached):
     loaded = loaded_by("from covprune._native import load_library\n"
                        "load_library()")
     assert "covprune._native" in loaded
-    assert not loaded & {"subprocess", "hashlib", "shlex"}
+    assert not loaded & (COMPILER_MODULES | {"hashlib", "shlex"})
+
+
+def test_a_cached_run_imports_no_compiler_module(cached, tmp_path):
+    """`approx` and `solve` on the cached module, in an interpreter without
+    numpy, which imports ctypes, or the site's `.pth` files, which may
+    import tempfile: neither run imports what only a build needs."""
+    path = tmp_path / "reads.bed"
+    path.write_text("chr1\t0\t4\nchr1\t0\t4\nchr2\t4\t6\nchr1\t4\t6\n")
+    runs = [["approx", str(path), "--k", "1"], ["solve", str(path), "--k", "1"]]
+    lines = child("import sys\nfrom covprune.cli import main\n"
+                  f"codes = [main(argv) for argv in {runs!r}]\n"
+                  f"print(codes, sorted({COMPILER_MODULES!r} & set(sys.modules)))",
+                  "-S")
+    assert lines[-1] == "[0, 0] []"
 
 
 def test_only_the_program_freezes_its_heap(tmp_path, capsys):
