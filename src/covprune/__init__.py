@@ -14,7 +14,7 @@ module, such as `covprune.cli`, loads only the modules it uses.
 import importlib
 
 _EXPORTS = {
-    "intervals": ("Interval", "IntervalSet", "CoverageProfile", "coverage_profile"),
+    "intervals": ("IntervalSet", "CoverageProfile", "coverage_profile"),
     "solution": ("Solution", "score_subset"),
     "flow": ("FlowNetwork", "FlowAssignment", "build_network", "max_flow_augmenting",
              "decide"),

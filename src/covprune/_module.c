@@ -1,15 +1,18 @@
 /* The Python face of the kernels: the extension module _kernels, one
- * function per covprune_* kernel of the other files, under the kernel's
- * name and taking its arguments in its order.
+ * function per covprune_* kernel of the files it includes, under the
+ * kernel's name and taking its arguments in its order.
  *
  * take() checks every argument before a kernel runs.  An integer is an
  * int64; a pointer is a C-contiguous buffer of the declared item type,
  * array.array, memoryview or numpy array alike, and a buffer the kernel
  * writes must be writable.  Anything else, a wrong argument count
  * included, raises TypeError (OverflowError for an integer beyond
- * int64) and leaves every buffer untouched.  A kernel that checks its
- * indices returns a negative status, raised here as ValueError; the
- * others' results, parse's -1 and -2 among them, go back to the caller.
+ * int64) and leaves every buffer untouched.  Then each kernel's rule
+ * checks that its counts are in range and that every buffer holds the
+ * items they imply, or raises ValueError, again before the kernel runs.
+ * A kernel that checks its indices returns a negative status, raised
+ * here as ValueError; the others' results, parse's -1 and -2 among them,
+ * go back to the caller.
  * The radix scratch of profile and order is allocated here and left
  * uninitialized, so the passes a sorted column skips never touch it.
  */
@@ -20,46 +23,15 @@
 #include <stdint.h>
 #include <string.h>
 
-int64_t covprune_parse(const uint8_t *data, int64_t size, int64_t fields, int64_t max_runs,
-                       uint64_t *starts, uint64_t *ends, int64_t *runs, int64_t *nruns,
-                       int64_t *line_at, int64_t *line_len);
-int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_t *ends,
-                         uint64_t *delimiters, int64_t *lo, int64_t *hi,
-                         int64_t *segment_cov, int64_t *scratch);
-void covprune_order(int64_t n, const int64_t *lo, const int64_t *hi, int64_t nseg,
-                    int64_t *order, int64_t *scratch);
-int64_t covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov, int64_t n,
-                       const int64_t *order, const int64_t *lo, const int64_t *hi, int64_t k,
-                       int64_t *mn, int64_t *mx, int64_t *bal, int64_t *deleted,
-                       int64_t *counts);
-int64_t covprune_flat_sweep(int64_t nseg, const int64_t *cov, int32_t *val, int64_t n,
-                            const int64_t *order, const int64_t *lo, const int64_t *hi,
-                            int64_t k, int64_t *deleted, int64_t *counts);
-int64_t covprune_network(int64_t n, int64_t m, const int64_t *lo, const int64_t *hi,
-                         int64_t *first, int64_t *adj, int64_t *to, int64_t *scratch);
-int64_t covprune_max_flow(int64_t nv, int64_t source, int64_t sink, const int64_t *first,
-                          const int64_t *adj, const int64_t *to, int64_t *res,
-                          int64_t *parent_arc, int64_t *stack, int64_t *next_arc);
-int64_t covprune_select(int64_t n, const int64_t *values, int64_t want, int64_t *out);
-void covprune_min_max(int64_t n, const int64_t *values, int64_t *out);
-int64_t covprune_spans(int64_t n, const int64_t *lo, const int64_t *hi, int64_t bound);
-int64_t covprune_unordered(int64_t n, const uint64_t *starts, const uint64_t *ends);
-int64_t covprune_recount(int64_t nidx, const int64_t *idx, int64_t n, const int64_t *lo,
-                         const int64_t *hi, int64_t m, int64_t *cov);
-int64_t covprune_group(int64_t n, const int64_t *code, int64_t ngroups,
-                       const uint64_t *starts, const uint64_t *ends, int64_t *first,
-                       int64_t *order, uint64_t *group_starts, uint64_t *group_ends);
-int64_t covprune_runs(int64_t nruns, const int64_t *at, const int64_t *values, int64_t n,
-                      int64_t *out);
-int64_t covprune_scatter(int64_t nidx, const int64_t *idx, int64_t nmap, const int64_t *map,
-                         int64_t m, uint8_t *mask);
-int64_t covprune_lines(int64_t n, const uint8_t *mask, const int64_t *line_at,
-                       const int64_t *line_len, int64_t size, const uint8_t *data,
-                       uint8_t *out);
-void covprune_add(int64_t n, int64_t *values, int64_t stride, int64_t delta);
+/* The kernels, compiled with this file as one unit: the definition of
+ * each is the one declaration its call below is checked against. */
+#include "_arrays.c"
+#include "_flow.c"
+#include "_parse.c"
+#include "_profile.c"
+#include "_sweep.c"
 
 #define MAX_ARGS 13
-#define RADIX 2048 /* _profile.c's digit count */
 
 /* what a kernel's result means */
 enum { NONE, VALUE, STATUS };
@@ -156,16 +128,38 @@ static int64_t *scratch(int64_t n, int64_t per_read)
     return s;
 }
 
+/* Whether a buffer in view holds times * count + plus items, count being
+ * no less than 0; an optional buffer passed as None holds any number.
+ * Computed without overflow. */
+static int holds(const Py_buffer *view, int64_t count, int64_t times, int64_t plus)
+{
+    Py_ssize_t len = view->obj ? view->len / view->itemsize : PY_SSIZE_T_MAX;
+    return count >= 0 && len >= plus && (len - plus) / times >= count;
+}
+
+/* Whether lines' output, when given, holds the bytes that the call
+ * counts without one; a line outside the data fails it too. */
+static int lines_fit(const Arg *a, const Py_buffer *views)
+{
+    if (!a[6].p)
+        return 1;
+    int64_t bytes = covprune_lines(a[0].n, a[1].p, a[2].p, a[3].p, a[4].n, a[5].p, NULL);
+    return holds(&views[6], bytes, 1, 0);
+}
+
 #define INT(i) a[i].n
 #define PTR(i, type) ((type *)a[i].p)
 #define I64(i) PTR(i, int64_t)
 #define U64(i) PTR(i, uint64_t)
 #define U8(i) PTR(i, uint8_t)
+/* buffer argument i holds count items */
+#define HOLDS(i, count) holds(&views[i], count, 1, 0)
 
 /* py_<name>: takes the arguments by spec, with per_read > 0 allocates
  * scratch s of per_read * n + RADIX items for n the first argument,
- * runs call, which may set result, and returns it as kind says */
-#define KERNEL(name, spec, kind, per_read, call)                                              \
+ * refuses the call unless fits, the counts' rule for the buffers' sizes,
+ * holds, runs call, which may set result, and returns it as kind says */
+#define KERNEL(name, spec, fits, kind, per_read, call)                                        \
     static PyObject *py_##name(PyObject *self, PyObject *const *args, Py_ssize_t nargs)       \
     {                                                                                         \
         Arg a[MAX_ARGS];                                                                      \
@@ -178,9 +172,14 @@ static int64_t *scratch(int64_t n, int64_t per_read)
             release(views, nargs);                                                            \
             return NULL;                                                                      \
         }                                                                                     \
-        call;                                                                                 \
+        int fit = fits;                                                                       \
+        if (fit)                                                                              \
+            call;                                                                             \
         PyMem_Free(s);                                                                        \
         release(views, nargs);                                                                \
+        if (!fit)                                                                             \
+            return PyErr_Format(PyExc_ValueError, "covprune_" #name ": a count out of range " \
+                                "or a buffer shorter than the counts imply");                 \
         if (kind == NONE)                                                                     \
             Py_RETURN_NONE;                                                                   \
         if (kind == STATUS && result < 0)                                                     \
@@ -189,40 +188,69 @@ static int64_t *scratch(int64_t n, int64_t per_read)
         return PyLong_FromLongLong(result);                                                   \
     }
 
-KERNEL(parse, "Bnnn Q!Q!q!q!q!q!", VALUE, 0,
+/* parse's record columns go unchecked: no count bounds them, and io.py gives them a slot
+ * per line of data */
+KERNEL(parse, "Bnnn Q!Q!q!q!q!q!", HOLDS(0, INT(1)) && holds(&views[6], INT(3), 3, 0)
+       && HOLDS(7, 1), VALUE, 0,
        result = covprune_parse(U8(0), INT(1), INT(2), INT(3), U64(4), U64(5), I64(6), I64(7),
                                I64(8), I64(9)))
-KERNEL(profile, "nQQ Q!q!q!q!", VALUE, 8,
+KERNEL(profile, "nQQ Q!q!q!q!", INT(0) >= 1 && HOLDS(1, INT(0)) && HOLDS(2, INT(0))
+       && holds(&views[3], INT(0), 2, 0) && HOLDS(4, INT(0)) && HOLDS(5, INT(0))
+       && holds(&views[6], INT(0), 2, 0), VALUE, 8,
        result = covprune_profile(INT(0), U64(1), U64(2), U64(3), I64(4), I64(5), I64(6), s))
-KERNEL(order, "nqqn q!", NONE, 5, covprune_order(INT(0), I64(1), I64(2), INT(3), I64(4), s))
-KERNEL(sweep, "nnqnqqqn q!q!q!q!q!", STATUS, 0,
+KERNEL(order, "nqqn q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(0)), NONE, 5,
+       covprune_order(INT(0), I64(1), I64(2), INT(3), I64(4), s))
+KERNEL(sweep, "nnqnqqqn q!q!q!q!q!", INT(1) >= INT(0) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
+       && HOLDS(5, INT(3)) && HOLDS(6, INT(3)) && holds(&views[8], INT(1), 2, 0)
+       && holds(&views[9], INT(1), 2, 0) && holds(&views[10], INT(1), 2, 0)
+       && HOLDS(11, INT(3)) && HOLDS(12, 3), STATUS, 0,
        result = covprune_sweep(INT(0), INT(1), I64(2), INT(3), I64(4), I64(5), I64(6), INT(7),
                                I64(8), I64(9), I64(10), I64(11), I64(12)))
-KERNEL(flat_sweep, "nqi!nqqqn q!q!", STATUS, 0,
+KERNEL(flat_sweep, "nqi!nqqqn q!q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
+       && HOLDS(5, INT(3)) && HOLDS(6, INT(3)) && HOLDS(8, INT(3)) && HOLDS(9, 3), STATUS, 0,
        result = covprune_flat_sweep(INT(0), I64(1), PTR(2, int32_t), INT(3), I64(4), I64(5),
                                     I64(6), INT(7), I64(8), I64(9)))
-KERNEL(network, "nnqq q!q!q!q!", STATUS, 0,
+/* n and m bounded by lo and first first, so that m + 1 + n cannot overflow */
+KERNEL(network, "nnqq q!q!q!q!", HOLDS(2, INT(0)) && HOLDS(3, INT(0))
+       && holds(&views[4], INT(1), 1, 3) && holds(&views[5], INT(1) + 1 + INT(0), 2, 0)
+       && holds(&views[6], INT(1) + 1 + INT(0), 2, 0)
+       && holds(&views[7], INT(1) + 2, 4, INT(0)), STATUS, 0,
        result = covprune_network(INT(0), INT(1), I64(2), I64(3), I64(4), I64(5), I64(6),
                                  I64(7)))
-KERNEL(max_flow, "nnnqqq q!q!q!q!", VALUE, 0,
+/* adj, to and res hold an entry per residual arc, first[nv] of them */
+KERNEL(max_flow, "nnnqqq q!q!q!q!", holds(&views[3], INT(0), 1, 1) && INT(1) >= 0
+       && INT(1) < INT(0) && INT(2) >= 0 && INT(2) < INT(0) && HOLDS(4, I64(3)[INT(0)])
+       && HOLDS(5, I64(3)[INT(0)]) && HOLDS(6, I64(3)[INT(0)]) && HOLDS(7, INT(0))
+       && HOLDS(8, INT(0)) && HOLDS(9, INT(0)), VALUE, 0,
        result = covprune_max_flow(INT(0), INT(1), INT(2), I64(3), I64(4), I64(5), I64(6),
                                   I64(7), I64(8), I64(9)))
-KERNEL(select, "nqn q!", VALUE, 0, result = covprune_select(INT(0), I64(1), INT(2), I64(3)))
-KERNEL(min_max, "nq q!", NONE, 0, covprune_min_max(INT(0), I64(1), I64(2)))
-KERNEL(spans, "nqqn", VALUE, 0, result = covprune_spans(INT(0), I64(1), I64(2), INT(3)))
-KERNEL(unordered, "nQQ", VALUE, 0, result = covprune_unordered(INT(0), U64(1), U64(2)))
-KERNEL(recount, "nq?nqqn q!", STATUS, 0,
+KERNEL(select, "nqn q!", HOLDS(1, INT(0)) && HOLDS(3, INT(0)), VALUE, 0,
+       result = covprune_select(INT(0), I64(1), INT(2), I64(3)))
+KERNEL(min_max, "nq q!", HOLDS(1, INT(0)) && HOLDS(2, 2), NONE, 0,
+       covprune_min_max(INT(0), I64(1), I64(2)))
+KERNEL(spans, "nqqn", HOLDS(1, INT(0)) && HOLDS(2, INT(0)), VALUE, 0,
+       result = covprune_spans(INT(0), I64(1), I64(2), INT(3)))
+KERNEL(unordered, "nQQ", HOLDS(1, INT(0)) && HOLDS(2, INT(0)), VALUE, 0,
+       result = covprune_unordered(INT(0), U64(1), U64(2)))
+KERNEL(recount, "nq?nqqn q!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(4, INT(2))
+       && HOLDS(6, INT(5)), STATUS, 0,
        result = covprune_recount(INT(0), I64(1), INT(2), I64(3), I64(4), INT(5), I64(6)))
-KERNEL(group, "nqnQQ q!q!Q!Q!", STATUS, 0,
+KERNEL(group, "nqnQQ q!q!Q!Q!", HOLDS(1, INT(0)) && HOLDS(3, INT(0)) && HOLDS(4, INT(0))
+       && holds(&views[5], INT(2), 1, 1) && HOLDS(6, INT(0)) && HOLDS(7, INT(0))
+       && HOLDS(8, INT(0)), STATUS, 0,
        result = covprune_group(INT(0), I64(1), INT(2), U64(3), U64(4), I64(5), I64(6), U64(7),
                                U64(8)))
-KERNEL(runs, "nqqn q!", STATUS, 0,
+KERNEL(runs, "nqqn q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(3)), STATUS, 0,
        result = covprune_runs(INT(0), I64(1), I64(2), INT(3), I64(4)))
-KERNEL(scatter, "nqnqn B!", STATUS, 0,
-       result = covprune_scatter(INT(0), I64(1), INT(2), I64(3), INT(4), U8(5)))
-KERNEL(lines, "nBqqnB B!?", STATUS, 0,
+KERNEL(scatter, "nqnqn B!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(5, INT(4)), STATUS,
+       0, result = covprune_scatter(INT(0), I64(1), INT(2), I64(3), INT(4), U8(5)))
+KERNEL(lines, "nBqqnB B!?", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(3, INT(0))
+       && HOLDS(5, INT(4)) && lines_fit(a, views), STATUS, 0,
        result = covprune_lines(INT(0), U8(1), I64(2), I64(3), INT(4), U8(5), U8(6)))
-KERNEL(add, "nq!nn", NONE, 0, covprune_add(INT(0), I64(1), INT(2), INT(3)))
+/* the last of n items a stride apart lies (n - 1) * stride items on */
+KERNEL(add, "nq!nn", INT(0) == 0 || (INT(0) > 0 && INT(2) >= 1
+       && holds(&views[1], INT(0) - 1, INT(2), 1)), NONE, 0,
+       covprune_add(INT(0), I64(1), INT(2), INT(3)))
 
 #define ENTRY(name) {"covprune_" #name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 

@@ -1,14 +1,16 @@
 """Build and load the compiled kernels on first use.
 
-One CPython extension module holds every kernel: the five kernel files
-and `_module.c`, whose `covprune_*` functions check their arguments and
-call the kernels.  It is compiled with the C compiler Python was built
-with, against Python's own headers, and cached under
-`$XDG_CACHE_HOME/covprune/` (default `~/.cache/covprune/`).  Its name
-holds a hash of this package's directory, then one of the sources, the
-flags, the interpreter and any compiler command but the interpreter's
-own, so an edited source, another Python or another compiler gets a
-fresh build, which removes the older builds of the same directory.  A
+One CPython extension module holds every kernel: `_module.c`, whose
+`covprune_*` functions check their arguments and call the kernels,
+includes the five kernel files, so the compiler sees each kernel's one
+declaration, its definition, at its call.  It is compiled with the C
+compiler Python was built with, against Python's own headers, and
+cached under `$XDG_CACHE_HOME/covprune/` (default `~/.cache/covprune/`).
+Its name holds a hash of this package's directory, then one of the
+sources, the flags, the interpreter and any compiler command but the
+interpreter's own, so an edited source, another Python or another
+compiler gets a fresh build, which removes the older builds of the same
+directory and the `covprune-<hash>.so` files of earlier versions.  A
 cached module loads with `importlib.machinery` alone; `sysconfig`,
 `subprocess` and `tempfile` are imported only to compile.  When that
 directory cannot be written the module is built in a private temporary
@@ -31,8 +33,8 @@ from importlib.util import module_from_spec, source_hash, spec_from_loader
 from pathlib import Path
 
 HERE = Path(__file__).parent
-SOURCES = tuple(HERE / f"_{k}.c" for k in ("parse", "profile", "sweep", "flow", "arrays",
-                                           "module"))
+MODULE = HERE / "_module.c"  # the one unit compiled: it includes the kernel files
+SOURCES = (*(HERE / f"_{k}.c" for k in ("parse", "profile", "sweep", "flow", "arrays")), MODULE)
 FLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
 
 
@@ -86,15 +88,17 @@ def _compile(cc: list[str] | None, target: Path) -> bool:
     try:
         try:
             done = subprocess.run([*(cc or compiler()), *FLAGS, f"-I{headers()}", "-o", tmp,
-                                   *map(str, SOURCES)],
+                                   str(MODULE)],
                                   stdin=subprocess.DEVNULL, capture_output=True)
         except OSError:
             return False  # no such compiler
         if done.returncode != 0:
             return False
         os.replace(tmp, target)
-        # this directory's other builds; other checkouts sharing the cache keep theirs
-        for stale in set(target.parent.glob(f"{_prefix()}*.so")) - {target}:
+        # this directory's other builds and the one-hash builds of older versions;
+        # other checkouts sharing the cache keep theirs
+        old = target.parent.glob("covprune-" + "[0-9a-f]" * 16 + ".so")
+        for stale in {*target.parent.glob(f"{_prefix()}*.so"), *old} - {target}:
             with contextlib.suppress(OSError):  # best effort: another process may remove it too
                 stale.unlink()
         return True

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from . import _native
 from ._native import extremes, zeros
-from .intervals import IntervalSet, segment_cov
-from .solution import Solution
+from .intervals import IntervalSet
+from .solution import Solution, score_subset
 
 
 def approx_prune(intervals: IntervalSet, k: int) -> Solution:
@@ -43,19 +43,15 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = len(intervals)
     work = {"tree_nodes_touched": 0, "segments_scanned": 0, "candidates": 0,
             "blocked_crucial": 0, "native_sweep": 0}
-    if not n:
-        return Solution((), 0, 0, "approx", work)
-
-    delims, lo, hi, cov = intervals.compressed
-    low, top = extremes(cov)
+    _, lo, hi, cov = intervals.compressed
+    top = extremes(cov)[1]
     if top <= k:
-        # removals never help: keeping everything is already optimal
-        return Solution(tuple(range(n)), low, top, "approx", work)
+        # removals never help: keeping everything, an empty set too, is already optimal
+        return score_subset(intervals, None, k, "approx", work)
 
-    lib, nseg = _native.load_library(), len(cov)
+    lib, n, nseg = _native.load_library(), len(lo), len(cov)
     # equals sorted((start, end, i)): lo and hi order reads as their
     # coordinates do, and the radix sort is stable
     lib.covprune_order(n, lo, hi, nseg, order := zeros("q", n))
@@ -67,25 +63,17 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     visited, work["candidates"], work["blocked_crucial"] = counts
     work["native_sweep"] = 1
     work["segments_scanned" if flat else "tree_nodes_touched"] = visited
-
-    # recount the kept reads from scratch, never from the sweep's state
-    kept = _native.select(deleted, 0)
-    mn_after, mx_after = extremes(segment_cov(lo, hi, len(delims), kept))
-    if mx_after > k:
-        raise AssertionError(
-            f"pruned set still has maxcov {mx_after} > k={k}; "
-            "the sweep's coverage state is corrupt")
-    return Solution(tuple(kept), mn_after, mx_after, "approx", work)
+    # the scorer recounts the kept reads from scratch, never from the sweep's state
+    return score_subset(intervals, _native.select(deleted, 0), k, "approx", work)
 
 
 def _sweep(order, lo, hi, cov, k: int, flat: bool):
     """The sweep of the reads in `order` over the coverage `cov`, by the
-    tree or, with `flat`, by the flat scan, either checking every index and
-    span first; returns the int64 mask of deleted reads, in input order,
-    and (tree nodes touched or segments scanned, candidates, blocked)."""
+    tree or, with `flat`, by the flat scan, either checking every buffer's
+    size, index and span first; returns the int64 mask of deleted reads, in
+    input order, and (tree nodes touched or segments scanned, candidates,
+    blocked)."""
     lib, n, nseg = _native.load_library(), len(order), len(cov)
-    if not len(lo) == len(hi) == n:
-        raise ValueError("order, lo and hi differ in length")
     deleted, counts = zeros("q", n), zeros("q", 3)
     if flat:  # on an int32 copy, lowered in place; approx_prune keeps cov < 2**31
         lib.covprune_flat_sweep(nseg, cov, zeros("i", nseg), n, order, lo, hi, k, deleted, counts)

@@ -5,9 +5,13 @@ run the one exact engine, whose flow solves warm-start from the backbone
 flow.  Kept intervals go to stdout as their input lines, in input order;
 per-chromosome solver statistics go to stderr or to --stats FILE as JSON
 lines with a fixed schema, each written and flushed as its chromosome
-finishes.  Exit codes: 0 success/feasible, 1 decide found no solution,
-2 usage or parse error, 3 internal error, 4 no compiled library: the
-kernels could not be built with the C compiler.
+finishes.  A chromosome's kept set reaches the output as the int64
+buffer of indices its solver produced.  Exit codes: 0 success/feasible,
+1 decide found no solution, 2 usage error or bad input (a parse error,
+an unreadable or non-UTF-8 file, an instance past the oracle's limit),
+3 internal error (anything else: a failed self-check, a kernel's
+refusal, a bug), 4 no compiled library: the kernels could not be built
+with the C compiler.
 """
 
 from __future__ import annotations
@@ -63,9 +67,8 @@ def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[array, bool
             all_feasible = False
             line = _stats_line(chrom, len(ivs), 0, 0, before, 0, "infeasible", False, {}, wall)
         else:
-            kept = array("q", sol.kept)
-            load_library().covprune_scatter(len(kept), kept, len(record_indices), record_indices,
-                                            len(kept_records), kept_records)
+            load_library().covprune_scatter(sol.num_kept, sol.kept, len(record_indices),
+                                            record_indices, len(kept_records), kept_records)
             line = _stats_line(chrom, len(ivs), sol.num_kept, sol.achieved_mincov, before,
                                sol.achieved_maxcov, sol.method, True, sol.work, wall)
         out.write(line + "\n")
@@ -168,17 +171,16 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except (io.ParseError, ValueError, OSError) as exc:
-        print(f"covprune: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         from ._native import CompilerError  # loaded already by the call that raised it
-        if isinstance(exc, CompilerError):
-            print(f"covprune: {exc}", file=sys.stderr)
-            return 4
-        # a failed self-check or a bug: never let it read as exit 1, "infeasible"
-        print(f"covprune: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        from .oracle import SizeLimitError
+        code = (2 if isinstance(exc, (io.ParseError, UnicodeDecodeError, OSError, SizeLimitError))
+                else 4 if isinstance(exc, CompilerError) else 3)
+        # a failed self-check, a kernel's refusal or a bug reads neither as
+        # exit 1, "infeasible", nor as exit 2, bad input
+        print(f"covprune: internal error: {type(exc).__name__}: {exc}" if code == 3
+              else f"covprune: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ coverage of its segment, so its capacity k - t forces coverage >= t.
 set, by `covprune_network` (`_flow.c`, loaded by `_native`); the capacities,
 and so k and t, live only in the residual a `Chain` holds.
 `max_flow_augmenting` augments it along depth-first paths that try the
-farthest-reaching arc first, by `covprune_max_flow`.
+farthest-reaching arc first, by `covprune_max_flow`.  `decide` runs the
+exact search (`search.descend`) at its one floor t.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 from . import _native
 from ._native import zeros
 from .intervals import IntervalSet
-from .solution import Solution, score_subset
+from .solution import Solution
 
 
 class FlowNetwork(NamedTuple):
@@ -162,34 +163,11 @@ def decide(intervals: IntervalSet, k: int, t: int,
     """Find a subset with maxcov <= k and mincov >= t over the span.
 
     Returns None when no such subset exists (a normal outcome, not an
-    error); an empty set holds every floor, and an input already under
-    the cap keeps every read.  Otherwise, with `warm_start`, the solver
-    begins from the backbone flow of value k - t on a `Chain` and needs
-    at most t augmentations; without it the flow starts from zero.  At
-    t = 0 every subset under the cap qualifies, and the answer is
-    approx's kept set, which keeps a read wherever the cap allows.
+    error).  This is the descent of `search.descend` over the one floor
+    t: with `warm_start` the solver begins from the backbone flow of
+    value k - t on a `Chain` and needs at most t augmentations; without
+    it the flow starts from zero.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    method = "exact-tailored" if warm_start else "exact-generic"
-    work = {"flow_solves": 0, "augmentations": 0, "native_flow": 0}
-    if not len(intervals):
-        return Solution((), 0, 0, method, work)
-    if t > k:
-        # mincov <= maxcov <= k < t can never hold
-        return None
-    low, top = _native.extremes(intervals.compressed.segment_cov)
-    if top <= k:
-        # keeping every read is best, and k >= 2**63 stays out of int64 capacities
-        return (score_subset(intervals, range(len(intervals)), method, work)
-                if t <= low else None)
-    if t == 0:
-        # the warm start already saturates the backbone, so its witness is empty
-        from .approx import approx_prune
-        return score_subset(intervals, approx_prune(intervals, k).kept, method, work)
-    chain = Chain(intervals, k, warm_start)
-    flow = chain.max_flow(t)
-    if flow.value < k:
-        return None
-    work.update(flow_solves=1, augmentations=flow.augmentations, native_flow=1)
-    return score_subset(intervals, flow.kept, method, work)
+    from .search import descend  # search builds on this module
+    return descend(intervals, k, t, "exact-tailored" if warm_start else "exact-generic",
+                   {"flow_solves": 0, "augmentations": 0, "native_flow": 0}, warm_start)

@@ -5,9 +5,10 @@ start <= p < end: a step function over the sorted distinct endpoints
 (delimiters), so coordinates may be arbitrarily large and sparse.
 `IntervalSet.compressed` caches it as `coverage_profile` computes it,
 by `covprune_profile` (`_profile.c`): the one coverage form every
-solver reads.  Arrays are read-only `memoryview`s of `array.array`
-buffers, so everything here is immutable after construction and safe
-to share between threads.
+solver reads.  A set holds no object per interval, only its two
+endpoint columns, and every array here is a read-only `memoryview` of an
+`array.array` buffer, so everything is immutable after construction and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -19,60 +20,35 @@ from typing import NamedTuple
 MAX_COORD = 2**64 - 1
 
 
-class _Endpoints(NamedTuple):
-    start: int
-    end: int
-
-
-class Interval(_Endpoints):
-    """A half-open interval [start, end) with non-negative integer endpoints."""
-
-    __slots__ = ()
-
-    def __new__(cls, start: int, end: int):
-        if not (0 <= start < end <= MAX_COORD):
-            raise ValueError(f"invalid interval [{start}, {end})")
-        return super().__new__(cls, start, end)
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
 def _kernels():
     from ._native import load_library  # on first use: its imports would slow `import`
     return load_library()
 
 
 class IntervalSet:
-    """An ordered collection of intervals, held as read-only uint64
-    buffers `starts` and `ends`, with `Interval` objects built on demand.
-    The position of an interval is its stable identity: solutions refer
-    to intervals by these indices.  Duplicates are kept distinct."""
+    """The intervals [starts[i], ends[i]), held as read-only uint64
+    buffers `starts` and `ends`.  The position of an interval is its
+    stable identity: solutions refer to intervals by these indices.
+    Duplicates are kept distinct."""
 
-    def __init__(self, items: tuple[Interval, ...] = ()):
-        self.items = items = tuple(items)
-        self.starts = memoryview(array("Q", [iv.start for iv in items])).toreadonly()
-        self.ends = memoryview(array("Q", [iv.end for iv in items])).toreadonly()
+    def __init__(self, starts=b"", ends=b""):
+        """The set of the given columns, by default empty: buffers of
+        unsigned integers only, a read-only contiguous uint64 view shared,
+        others copied."""
+        self.starts, self.ends = _uint64(starts), _uint64(ends)
+        n = len(self.starts)
+        if n != len(self.ends) or _kernels().covprune_unordered(n, self.starts, self.ends) >= 0:
+            raise ValueError("every interval needs start < end")
 
     @classmethod
     def from_pairs(cls, pairs) -> "IntervalSet":
-        return cls(tuple(Interval(s, e) for s, e in pairs))
-
-    @classmethod
-    def from_arrays(cls, starts, ends) -> "IntervalSet":
-        """The set of [starts[i], ends[i]), from buffers of unsigned integers
-        only: a read-only contiguous uint64 view is shared, others copied."""
-        out = cls.__new__(cls)
-        out.starts, out.ends = (_uint64(a) for a in (starts, ends))
-        n = len(out.starts)
-        if n != len(out.ends) or _kernels().covprune_unordered(n, out.starts, out.ends) >= 0:
-            raise ValueError("every interval needs start < end")
-        return out
-
-    @cached_property
-    def items(self) -> tuple[Interval, ...]:
-        return tuple(map(Interval, self.starts, self.ends))
+        starts, ends = array("Q"), array("Q")
+        for start, end in pairs:
+            if not 0 <= start < end <= MAX_COORD:
+                raise ValueError(f"invalid interval [{start}, {end})")
+            starts.append(start)
+            ends.append(end)
+        return cls(starts, ends)
 
     @cached_property
     def compressed(self) -> CoverageProfile:
@@ -82,27 +58,22 @@ class IntervalSet:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def __getitem__(self, i: int) -> Interval:
-        return self.items[i]
-
-    def __iter__(self):
-        return iter(self.items)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntervalSet) and self.starts == other.starts
                 and self.ends == other.ends)
 
     @property
-    def span(self) -> Interval | None:
-        """[min start, max end) of the whole set, or None when empty: the
+    def span(self) -> tuple[int, int] | None:
+        """(min start, max end) of the whole set, or None when empty: the
         first and the last delimiter of its profile."""
         delimiters = self.compressed.delimiters
-        return Interval(delimiters[0], delimiters[-1]) if len(self) else None
+        return (delimiters[0], delimiters[-1]) if len(self) else None
 
     def subset(self, indices) -> "IntervalSet":
+        """The intervals at `indices`, in their order."""
         pick = list(indices)
-        return IntervalSet.from_arrays(*(array("Q", map(a.__getitem__, pick))
-                                         for a in (self.starts, self.ends)))
+        return IntervalSet(*(array("Q", map(a.__getitem__, pick))
+                             for a in (self.starts, self.ends)))
 
 
 def _uint64(values) -> memoryview:

@@ -68,7 +68,7 @@ class InstanceFile:
         _kernels().covprune_group(n, self.code, groups, self.starts, self.ends, first, order,
                                   starts, ends)
         order, starts, ends = (memoryview(a).toreadonly() for a in (order, starts, ends))
-        return {chrom: (IntervalSet.from_arrays(starts[a:b], ends[a:b]), order[a:b])
+        return {chrom: (IntervalSet(starts[a:b], ends[a:b]), order[a:b])
                 for chrom, a, b in zip(self.chroms, first, first[1:]) if a < b}
 
     def kept_lines(self, keep) -> bytearray:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from array import array
-
-from .intervals import IntervalSet, segment_cov
-from .solution import Solution
+from ._native import select
+from .intervals import IntervalSet
+from .solution import Solution, score_subset
 
 DEFAULT_LIMIT = 20
 _CHUNK_BITS = 18
+
+
+class SizeLimitError(ValueError):
+    """An instance past the brute-force size limit: a usage error."""
 
 
 def brute_force_opt(intervals: IntervalSet, k: int,
@@ -25,14 +28,14 @@ def brute_force_opt(intervals: IntervalSet, k: int,
         raise ValueError(f"k must be >= 1, got {k}")
     n = len(intervals)
     if n > limit and not force:
-        raise ValueError(
+        raise SizeLimitError(
             f"{n} intervals exceed the brute-force limit {limit}; "
             "pass force=True to override")
     if n == 0:
-        return Solution((), 0, 0, "oracle", {"subsets": 1})
+        return score_subset(intervals, None, k, "oracle", {"subsets": 1})
     import numpy as np  # a desk-scale tool: no solver run loads numpy
 
-    delims, lo, hi, cov = intervals.compressed
+    _, lo, hi, cov = intervals.compressed
     nseg = len(cov)
     # rows: per-interval 0/1 indicator over the full segmentation
     rows = np.zeros((n, nseg), dtype=np.int16)
@@ -59,9 +62,9 @@ def brute_force_opt(intervals: IntervalSet, k: int,
             candidates.append(masks[mins == best_min])
     # the empty subset is always feasible, so best_min >= 0
     witness = _lex_min_subset(np.concatenate(candidates), n)
-    kept = tuple(i for i in range(n) if witness >> i & 1)
-    mx = max(segment_cov(lo, hi, len(delims), array("q", kept)), default=0)
-    return Solution(kept, best_min, mx, "oracle", {"subsets": total})
+    # its mincov is best_min, recounted
+    kept = select((witness >> np.arange(n)) & 1, 1)
+    return score_subset(intervals, kept, k, "oracle", {"subsets": total})
 
 
 def _lex_min_subset(masks, n: int) -> int:

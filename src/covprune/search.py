@@ -9,9 +9,11 @@ from one floor to the next, because a maximum flow at t is still
 feasible at t - 1.  The flow value starts at k - bound and each
 augmenting path raises it, so the whole descent costs at most `bound`
 augmentations, run in C (`covprune_max_flow`).  Only the witness is
-scored.  The cold-start flow (`flow.decide(..., warm_start=False)`), a
-`Chain` started from zero flow, is kept only as the reference the tests
-check this engine against.
+scored.  `descend` is the one body of both exact entry points:
+`solve_exact` runs it over every floor from the bound down, and
+`flow.decide` over its one floor t.  The cold-start flow
+(`flow.decide(..., warm_start=False)`), a `Chain` started from zero
+flow, is kept only as the reference the tests check this engine against.
 """
 
 from __future__ import annotations
@@ -31,26 +33,43 @@ def solve_exact(intervals: IntervalSet, k: int) -> Solution:
     the `augmentations` from the warm start to the witness, `probes`,
     and `native_flow` (1 when a compiled flow ran).
     """
+    return descend(intervals, k, None, METHOD,
+                   {"flow_solves": 0, "augmentations": 0, "probes": 0, "native_flow": 0})
+
+
+def descend(intervals: IntervalSet, k: int, t: int | None, method: str,
+            work: dict[str, int], warm_start: bool = True) -> Solution | None:
+    """The answer at the floor t, or with t None at every floor from the
+    bound min(k, mincov) down until one holds; None when t does not hold.
+
+    The floors run on one `Chain`, each probe counted in `work` (and in
+    its `probes`, when it has that counter).  An empty set holds every
+    floor, and an input already under the cap keeps every read.  At
+    floor 0 every subset under the cap qualifies, and the answer is
+    approx's kept set, which keeps a read wherever the cap allows.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    work = {"flow_solves": 0, "augmentations": 0, "probes": 0, "native_flow": 0}
-    if not len(intervals):
-        return Solution((), 0, 0, METHOD, work)
     low, top = extremes(intervals.compressed.segment_cov)
-    if top <= k:
-        # removals never help: keeping everything is already optimal
-        return score_subset(intervals, range(len(intervals)), METHOD, work)
-
-    chain = flow.Chain(intervals, k)
-    for t in range(min(k, low), 0, -1):
-        result = chain.max_flow(t)
-        work["probes"] += 1
+    # no floor above the bound holds, so none is probed; an empty set holds them all
+    bound = min(k, low) if len(intervals) or t is None else t
+    floors = range(bound, -1, -1) if t is None else [t] if t <= bound else []
+    if floors and top <= k:
+        # removals never help, and k >= 2**63 stays out of int64 capacities
+        return score_subset(intervals, None, k, method, work)
+    chain = None
+    for floor in floors:
+        if floor == 0:
+            # the warm start already saturates the backbone, so its witness is empty
+            from .approx import approx_prune
+            return score_subset(intervals, approx_prune(intervals, k).kept, k, method, work)
+        chain = chain or flow.Chain(intervals, k, warm_start)
+        result = chain.max_flow(floor)
         work["flow_solves"] += 1
         work["augmentations"] += result.augmentations
         work["native_flow"] = 1
+        if "probes" in work:
+            work["probes"] += 1
         if result.value == k:
-            return score_subset(intervals, result.kept, METHOD, work)
-    # OPT = 0, so any subset obeying the cap is optimal; approx's keeps
-    # reads wherever the cap allows
-    from .approx import approx_prune
-    return score_subset(intervals, approx_prune(intervals, k).kept, METHOD, work)
+            return score_subset(intervals, result.kept, k, method, work)
+    return None

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from array import array
 from typing import NamedTuple
 
-from ._native import extremes
+from ._native import extremes, select, zeros
 from .intervals import IntervalSet, segment_cov
 
 
@@ -13,14 +12,14 @@ class Solution(NamedTuple):
     """A pruning result.
 
     `kept` holds indices into the original interval set, in increasing
-    order.  `achieved_mincov` is measured over the ORIGINAL span (points
-    left uncovered by the kept subset count as coverage 0) so that
-    results for different subsets of the same instance are comparable.
-    `work` carries method-specific effort counters such as augmentations,
-    flow solves or tree nodes touched.
+    order, as a read-only int64 buffer.  `achieved_mincov` is measured
+    over the ORIGINAL span (points left uncovered by the kept subset
+    count as coverage 0) so that results for different subsets of the
+    same instance are comparable.  `work` carries method-specific effort
+    counters such as augmentations, flow solves or tree nodes touched.
     """
 
-    kept: tuple[int, ...]
+    kept: memoryview
     achieved_mincov: int
     achieved_maxcov: int
     method: str
@@ -31,15 +30,20 @@ class Solution(NamedTuple):
         return len(self.kept)
 
 
-def score_subset(intervals: IntervalSet, kept, method: str,
+def score_subset(intervals: IntervalSet, kept, k: int, method: str,
                  work: dict[str, int] | None = None) -> Solution:
-    """Build a Solution, recomputing achieved coverage from scratch.
+    """The Solution keeping the reads at the rising int64 indices `kept`,
+    or every read (the positions of n zeros) when it is None, under cap k.
 
-    The coverage numbers always come from an independent count of the
-    kept subset on the set's own segments, which tile its span, never
-    from solver-internal state.  `kept` must rise.
+    Every solver's answer is built here.  The coverage numbers always
+    come from an independent count of the kept subset on the set's own
+    segments, which tile its span, never from solver-internal state, and
+    a count above k raises AssertionError: the solver that chose the set
+    is at fault.
     """
     delims, lo, hi, _ = intervals.compressed
-    every = isinstance(kept, range) and kept == range(len(lo))  # counted without a list
-    mn, mx = extremes(segment_cov(lo, hi, len(delims), None if every else array("q", kept)))
-    return Solution(tuple(kept), mn, mx, method, dict(work or {}))
+    kept = memoryview(select(zeros("q", len(lo)), 0) if kept is None else kept).toreadonly()
+    mn, mx = extremes(segment_cov(lo, hi, len(delims), kept))
+    if mx > k:
+        raise AssertionError(f"{method} kept a set of maxcov {mx} > k={k}")
+    return Solution(kept, mn, mx, method, dict(work or {}))

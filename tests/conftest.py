@@ -5,7 +5,7 @@ from bisect import bisect_right
 import pytest
 from hypothesis import strategies as st
 
-from covprune import Interval, IntervalSet
+from covprune import IntervalSet
 
 # Six overlapping reads used throughout the suite; small enough to check
 # everything by hand yet rich enough to exercise every code path:
@@ -34,12 +34,16 @@ def generate_instance(n: int, span_length: int, seed: int) -> IntervalSet:
         raise ValueError(f"span_length must be >= 2, got {span_length}")
     rng = random.Random(seed)
     max_len = max(1, span_length // 10)
-    items = []
+    pairs = []
     for _ in range(n):
         start = rng.randrange(span_length)
-        end = min(start + rng.randint(1, max_len), span_length)
-        items.append(Interval(start, end))
-    return IntervalSet(tuple(items))
+        pairs.append((start, min(start + rng.randint(1, max_len), span_length)))
+    return IntervalSet.from_pairs(pairs)
+
+
+def pairs_of(intervals: IntervalSet) -> list[tuple[int, int]]:
+    """The (start, end) of each interval of the set, in its order."""
+    return list(zip(intervals.starts.tolist(), intervals.ends.tolist()))
 
 
 def random_instance(rng: random.Random, n: int,
@@ -69,7 +73,7 @@ def count_cover(pairs, p: int) -> int:
 def reference_profile(intervals: IntervalSet) -> tuple[list[int], list[int]]:
     """(delimiters, segment coverage) by a pure-Python endpoint sweep,
     written apart from the package's numpy `coverage_profile`."""
-    pairs = list(zip(intervals.starts.tolist(), intervals.ends.tolist()))
+    pairs = pairs_of(intervals)
     delims = sorted({c for pair in pairs for c in pair})
     index = {c: j for j, c in enumerate(delims)}
     delta = [0] * len(delims)

@@ -16,7 +16,8 @@ from covprune.flow import Chain
 from covprune.intervals import segment_cov
 
 from conftest import (clipped_instance, count_cover, generate_instance, iset, maxcov,
-                      mincov_over, naive_range_min_max, random_instance, segment_values)
+                      mincov_over, naive_range_min_max, pairs_of, random_instance,
+                      segment_values)
 
 DEMO = iset([(0, 8), (0, 2), (2, 6), (1, 3), (1, 10), (4, 10)])
 
@@ -138,10 +139,10 @@ def test_criterion_6_coverage_tree_vs_flat_array():
     while operations < 100_000:
         s = random_instance(rng, rng.randint(1, 50), max_coord=80, max_len=30)
         tree = build_tree(s)
-        delims = sorted({c for iv in s for c in (iv.start, iv.end)})
+        delims = sorted({c for pair in pairs_of(s) for c in pair})
         pos = {d: j for j, d in enumerate(delims)}
         flat = segment_values(tree)
-        spans = [(pos[iv.start], pos[iv.end]) for iv in s]
+        spans = [(pos[a], pos[b]) for a, b in pairs_of(s)]
         for _ in range(1000):
             lo, hi = spans[rng.randrange(len(spans))]
             if rng.random() < 0.5:

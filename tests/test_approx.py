@@ -6,8 +6,8 @@ import pytest
 
 from covprune import IntervalSet, approx_prune, solve_exact, brute_force_opt, build_tree
 
-from conftest import (generate_instance, iset, maxcov, random_instance, reference_profile,
-                      sweeps)
+from conftest import (generate_instance, iset, maxcov, pairs_of, random_instance,
+                      reference_profile, sweeps)
 
 
 def test_classification_threshold():
@@ -26,7 +26,7 @@ def test_classification_threshold():
 def test_three_identical_reads_cap_two():
     s = iset([(0, 10), (0, 10), (0, 10)])
     sol = approx_prune(s, 2)
-    assert sol.kept == (1, 2)  # first one deleted, rest crucial by then
+    assert sol.kept.tolist() == [1, 2]  # first one deleted, rest crucial by then
     assert sol.achieved_mincov == 2
     assert sol.achieved_maxcov == 2
     # here the approximation actually hits the optimum
@@ -36,7 +36,7 @@ def test_three_identical_reads_cap_two():
 def test_demo_trace(demo):
     # sweep order B,A,D,E,C,F; B, D and E are expendable when visited
     sol = approx_prune(demo, 3)
-    assert sol.kept == (0, 2, 5)
+    assert sol.kept.tolist() == [0, 2, 5]
     assert sol.achieved_maxcov == 3
     assert sol.achieved_mincov == 1
     # ratio floor(k/2)/k * OPT = (1/3) * 2
@@ -45,7 +45,7 @@ def test_demo_trace(demo):
 
 def test_nothing_deleted_when_under_cap(demo):
     sol = approx_prune(demo, 4)  # maxcov(demo) == 4
-    assert sol.kept == tuple(range(6))
+    assert sol.kept.tolist() == list(range(6))
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -53,7 +53,7 @@ def test_no_sweep_at_or_under_cap(k):
     # a gap in the middle: mincov 0, maxcov 3
     s = iset([(0, 10), (0, 10), (0, 10), (20, 30), (20, 30)])
     sol = approx_prune(s, k)
-    assert sol.kept == tuple(range(5))
+    assert sol.kept.tolist() == list(range(5))
     assert (sol.achieved_mincov, sol.achieved_maxcov) == (0, 3)
     assert sol.work == {"tree_nodes_touched": 0, "segments_scanned": 0, "candidates": 0,
                         "blocked_crucial": 0, "native_sweep": 0}
@@ -67,7 +67,7 @@ def test_candidate_counters(demo):
 
 
 def test_empty_and_bad_k():
-    assert approx_prune(IntervalSet(()), 3).kept == ()
+    assert approx_prune(IntervalSet(), 3).kept.tolist() == []
     with pytest.raises(ValueError):
         approx_prune(iset([(0, 1)]), 0)
 
@@ -85,7 +85,7 @@ def test_sweep_matches_flat_array_replay():
         initial = list(flat)
         pos = {d: j for j, d in enumerate(delims)}
         deleted = []
-        for start, end, i in sorted((iv.start, iv.end, j) for j, iv in enumerate(s)):
+        for start, end, i in sorted((a, b, j) for j, (a, b) in enumerate(pairs_of(s))):
             lo, hi = pos[start], pos[end]
             window = flat[lo:hi]
             if max(window) > k and min(window) > half:
@@ -95,7 +95,7 @@ def test_sweep_matches_flat_array_replay():
                 assert all(flat[j] >= min(initial[j], half) for j in range(len(flat)))
 
         sol = approx_prune(s, k)
-        assert sol.kept == tuple(i for i in range(len(s)) if i not in set(deleted))
+        assert sol.kept.tolist() == [i for i in range(len(s)) if i not in set(deleted)]
         # termination floor: no segment below min(initial, floor(k/2))
         assert all(flat[j] >= min(initial[j], half) for j in range(len(flat)))
 

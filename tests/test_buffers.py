@@ -1,8 +1,8 @@
 """The compiled module's argument checks: a kernel pointer takes any
 C-contiguous buffer of its item type, `array.array`, read-only
 `memoryview` or numpy array alike, and anything else, like a bad
-argument count or an integer beyond int64, raises before the kernel
-runs."""
+argument count, an integer beyond int64 or a buffer shorter than the
+counts imply, raises before the kernel runs."""
 
 from array import array
 
@@ -126,3 +126,47 @@ def test_radix_scratch_beyond_memory_raises_memory_error():
     with pytest.raises(MemoryError):
         _native.load_library().covprune_order(2**61, array("q", [0]), array("q", [1]), 1, out)
     assert list(out) == SENTINEL
+
+
+def q(*values):
+    return array("q", values)
+
+
+def short_buffer_calls():
+    """Per general loop, a call whose counts ask more of one buffer than
+    it holds, the output among them where the loop has one; and a
+    negative count."""
+    return {
+        "min_max": (3, q(5, 2, 7), q(9)),  # two items out into a one-item buffer
+        "select": (3, q(0, 1, 0), 0, q(-9, -9)),
+        "spans": (3, q(0, 1, 2), q(1, 2), 3),
+        "unordered": (3, array("Q", [0, 1, 2]), array("Q", [1, 2])),
+        "recount": (2, q(0, 1), 2, q(0, 1), q(1, 2), 3, q(-9, -9)),
+        "recount-negative": (0, None, 0, q(), q(), -1, q(-9)),
+        "group": (2, q(0, 0), 1, array("Q", [0, 1]), array("Q", [1, 2]), q(-9), q(-9, -9),
+                  array("Q", [9, 9]), array("Q", [9, 9])),
+        "runs": (1, q(0), q(5), 3, q(-9, -9)),
+        "scatter": (1, q(0), 1, q(2), 3, array("B", [0, 0])),
+        "lines": (1, array("B", [1]), q(0), q(4), 4, b"0 1\n", bytearray(2)),
+        "add": (3, q(1, 1, 1, 1), 2, 5),  # reaches item 4 of 4
+    }
+
+
+@pytest.mark.parametrize("name", sorted(short_buffer_calls()))
+def test_a_buffer_shorter_than_its_count_never_reaches_the_loop(name):
+    args = short_buffer_calls()[name]
+    before = [bytes(a) for a in args if isinstance(a, (array, bytearray))]
+    kernel = getattr(_native.load_library(), f"covprune_{name.split('-')[0]}")
+    with pytest.raises(ValueError, match="shorter than the counts imply"):
+        kernel(*args)
+    assert [bytes(a) for a in args if isinstance(a, (array, bytearray))] == before
+
+
+def test_buffers_of_exactly_the_counted_size_are_taken():
+    lib = _native.load_library()
+    values = q(1, 1, 1, 1, 1)
+    lib.covprune_add(3, values, 2, 5)  # items 0, 2 and 4
+    assert values.tolist() == [6, 1, 6, 1, 6]
+    out = bytearray(4)
+    assert lib.covprune_lines(1, array("B", [1]), q(0), q(4), 4, b"0 1\n", out) == 4
+    assert out == b"0 1\n"

@@ -268,6 +268,36 @@ def test_internal_error_exits_3_and_keeps_finished_stats(tmp_path, capsys, monke
     assert records[0]["method"] == "approx"
 
 
+def test_a_kernel_refusal_exits_3(demo_file, capsys, monkeypatch):
+    """A kernel's ValueError is the program's fault, not the input's: with
+    one sweep order index past the reads, approx exits 3, not 2."""
+    lib = _native.load_library()
+    order = lib.covprune_order
+
+    def corrupt(n, lo, hi, nseg, out):
+        order(n, lo, hi, nseg, out)
+        out[0] = n
+
+    monkeypatch.setattr(lib, "covprune_order", corrupt)
+    code, out, err = run(capsys, "approx", demo_file, "--k", "3")
+    assert (code, out) == (3, "")
+    assert err == ("covprune: internal error: ValueError: covprune_flat_sweep: "
+                   "an index or a value out of bounds\n")
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["decide", "--t", "1"]], ids=["solve", "decide"])
+def test_an_exact_witness_over_the_cap_exits_3(demo_file, capsys, monkeypatch, argv):
+    """The scorer recounts every exact witness: one that breaks the cap,
+    here every read, is never printed."""
+    from covprune import flow
+    every = property(lambda fa: _native.select(_native.zeros("q", len(fa.interval_flow)), 0))
+    monkeypatch.setattr(flow.FlowAssignment, "kept", every)
+    code, out, err = run(capsys, argv[0], demo_file, "--k", "3", *argv[1:])
+    assert (code, out) == (3, "")
+    assert err.startswith("covprune: internal error: AssertionError: ")
+    assert "maxcov 4 > k=3" in err
+
+
 @pytest.mark.parametrize("end, code", [(2**64 - 1, 0), (2**64, 2)], ids=["max", "over-max"])
 def test_coordinate_cap(tmp_path, capsys, end, code):
     path = tmp_path / "reads.txt"
@@ -308,7 +338,7 @@ def test_kept_lines_echo_the_input(tmp_path, capsys, monkeypatch, backend, name)
     lines = [ln for ln in text.splitlines(keepends=True)
              if ln.strip() and not ln.strip().startswith("#")]
     kept = sorted(i for ivs, idx in parse_instance(text).chromosomes().values()
-                  for i in np.asarray(idx)[list(approx.approx_prune(ivs, 1).kept)].tolist())
+                  for i in np.asarray(idx)[approx.approx_prune(ivs, 1).kept].tolist())
     assert 0 < len(kept) < len(lines) and kept[-1] == len(lines) - 1
     assert out == "".join(lines[i] for i in kept) + "\n"
 

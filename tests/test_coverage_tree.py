@@ -4,7 +4,7 @@ import pytest
 
 from covprune import CoverageTree, build_tree
 
-from conftest import iset, naive_range_min_max, random_instance, segment_values
+from conftest import iset, naive_range_min_max, pairs_of, random_instance, segment_values
 
 # the demo's delimiters are (0, 1, 2, 3, 4, 6, 8, 10); the tree takes
 # segment indices, so [0, 10) is [0, 7) and [4, 6) is [4, 5)
@@ -101,7 +101,7 @@ def test_query_requires_delimiters(demo):
 def test_empty_input_rejected():
     from covprune import IntervalSet
     with pytest.raises(ValueError):
-        build_tree(IntervalSet(()))
+        build_tree(IntervalSet())
     with pytest.raises(ValueError):
         CoverageTree([])
 
@@ -119,9 +119,9 @@ def test_matches_flat_array_oracle():
     for round_ in range(40):
         s = random_instance(rng, rng.randint(1, 25), max_coord=50, max_len=20)
         tree = build_tree(s)
-        delims = sorted({c for iv in s for c in (iv.start, iv.end)})
+        delims = sorted({c for pair in pairs_of(s) for c in pair})
         flat = segment_values(tree)
-        spans = [(delims.index(iv.start), delims.index(iv.end)) for iv in s]
+        spans = [(delims.index(a), delims.index(b)) for a, b in pairs_of(s)]
         for _ in range(120):
             lo, hi = spans[rng.randrange(len(spans))]
             if rng.random() < 0.4:

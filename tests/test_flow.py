@@ -8,14 +8,14 @@ from covprune import IntervalSet, build_network, decide
 from covprune import flow
 from covprune.flow import Chain, FlowAssignment
 
-from conftest import (clipped_instance, iset, maxcov, mincov_over, random_instance,
+from conftest import (clipped_instance, iset, maxcov, mincov_over, pairs_of, random_instance,
                       interval_pairs)
 
 
 def assert_valid_flow(s, k, t, fa):
     """Capacity and conservation checks straight from the definitions of
     the (k, t) network of `s`."""
-    coords = sorted({c for iv in s for c in (iv.start, iv.end)})
+    coords = sorted({c for pair in pairs_of(s) for c in pair})
     vertex = {c: j + 1 for j, c in enumerate(coords)}
     m = len(coords)
     assert len(fa.backbone_flow) == m + 1 and len(fa.interval_flow) == len(s)
@@ -26,10 +26,10 @@ def assert_valid_flow(s, k, t, fa):
     for v in range(1, m + 1):  # interior chain vertices
         inflow = fa.backbone_flow[v - 1]
         outflow = fa.backbone_flow[v]
-        for iv, f in zip(s, fa.interval_flow):
-            if vertex[iv.end] == v:
+        for (start, end), f in zip(pairs_of(s), fa.interval_flow):
+            if vertex[end] == v:
                 inflow += f
-            if vertex[iv.start] == v:
+            if vertex[start] == v:
                 outflow += f
         assert inflow == outflow, f"conservation broken at vertex {v}"
 
@@ -105,7 +105,7 @@ def test_build_network_rejects_bad_instances(demo):
     with pytest.raises(ValueError):
         Chain(demo, 0)
     with pytest.raises(ValueError):
-        build_network(IntervalSet(()))
+        build_network(IntervalSet())
 
 
 def test_backbone_initial_flow(monkeypatch, demo):
@@ -172,7 +172,7 @@ def test_decide_under_the_cap_keeps_every_read_at_huge_k(warm_start):
     # never reaches a Chain on either path
     s = iset([(0, 5), (0, 5), (2, 7)])
     sol = decide(s, 2**63, 1, warm_start=warm_start)
-    assert (sol.kept, sol.achieved_mincov, sol.achieved_maxcov) == ((0, 1, 2), 1, 3)
+    assert (sol.kept.tolist(), sol.achieved_mincov, sol.achieved_maxcov) == ([0, 1, 2], 1, 3)
     assert sol.work["flow_solves"] == 0
     assert decide(s, 2**63, 2, warm_start=warm_start) is None
 
@@ -182,8 +182,8 @@ def test_decide_rejects_bad_k(demo):
         decide(demo, k=0, t=0)
     # an empty set holds every floor, even one above the cap
     for t in (0, 1, 2):
-        sol = decide(IntervalSet(()), k=1, t=t)
-        assert (sol.kept, sol.achieved_mincov, sol.method) == ((), 0, "exact-tailored")
+        sol = decide(IntervalSet(), k=1, t=t)
+        assert (sol.kept.tolist(), sol.achieved_mincov, sol.method) == ([], 0, "exact-tailored")
         assert sol.work == {"flow_solves": 0, "augmentations": 0, "native_flow": 0}
 
 
@@ -194,7 +194,7 @@ def test_decide_witnesses_verify_by_sweep():
         s = random_instance(rng, rng.randint(1, 20))
         k = rng.randint(1, 5)
         t = rng.randint(0, k)
-        span = s.span
+        start, end = s.span
         for warm in (False, True):
             sol = decide(s, k, t, warm_start=warm)
             if sol is None:
@@ -203,7 +203,7 @@ def test_decide_witnesses_verify_by_sweep():
             sub = s.subset(sol.kept)
             assert maxcov(sub) <= k
             if t > 0:
-                assert mincov_over(sub, span.start, span.end) >= t
+                assert mincov_over(sub, start, end) >= t
     assert feasible_seen > 50
 
 
@@ -261,7 +261,7 @@ def test_coverage_identity_on_extracted_witness():
         coords = s.compressed[0].tolist()
         for j in range(1, len(coords)):
             p = coords[j - 1]  # any point of segment j works: coverage is constant
-            cov = sum(1 for iv in sub if iv.start <= p < iv.end)
+            cov = sum(1 for start, end in pairs_of(sub) if start <= p < end)
             assert cov == k - fa.backbone_flow[j]
             checked += 1
     assert checked > 100
@@ -283,14 +283,14 @@ def scipy_max_flow_value(s: IntervalSet, k: int, t: int) -> int:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
-    coords = sorted({c for iv in s for c in (iv.start, iv.end)})
+    coords = sorted({c for pair in pairs_of(s) for c in pair})
     vertex = {c: j + 1 for j, c in enumerate(coords)}
     sink = len(coords) + 1
     caps = {}
     for j in range(sink):
         caps[j, j + 1] = k if j in (0, sink - 1) else k - t
-    for iv in s:
-        arc = (vertex[iv.start], vertex[iv.end])
+    for start, end in pairs_of(s):
+        arc = (vertex[start], vertex[end])
         caps[arc] = caps.get(arc, 0) + 1
     rows, cols = zip(*caps)
     graph = csr_matrix((list(caps.values()), (rows, cols)), shape=(sink + 1, sink + 1),

@@ -4,23 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from covprune import Interval, IntervalSet, coverage_profile, score_subset
+from covprune import IntervalSet, coverage_profile, score_subset
 from covprune.intervals import MAX_COORD, segment_cov
 
-from conftest import DEMO_PAIRS, iset, count_cover, interval_pairs, reference_profile
+from conftest import DEMO_PAIRS, iset, count_cover, interval_pairs, pairs_of, reference_profile
 
 
 def test_interval_rejects_degenerate():
-    with pytest.raises(ValueError):
-        Interval(5, 5)
-    with pytest.raises(ValueError):
-        Interval(7, 3)
-    with pytest.raises(ValueError):
-        Interval(-1, 3)
-
-
-def test_interval_length():
-    assert Interval(2, 6).length == 4
+    for pair in ((5, 5), (7, 3), (-1, 3), (0, MAX_COORD + 1)):
+        with pytest.raises(ValueError, match="invalid interval"):
+            IntervalSet.from_pairs([(0, 1), pair])
 
 
 def assert_segments_match_point_count(prof, pairs):
@@ -51,7 +44,7 @@ def test_profile_demo(demo):
 
 
 def test_profile_empty():
-    prof = coverage_profile(IntervalSet(()))
+    prof = coverage_profile(IntervalSet())
     assert np.asarray(prof.delimiters).dtype == np.uint64
     assert len(prof.delimiters) == prof.num_segments == 0
 
@@ -61,7 +54,7 @@ def test_profile_area_identity(demo):
     prof = coverage_profile(demo)
     d = prof.delimiters.tolist()
     area = sum(c * (d[j + 1] - d[j]) for j, c in enumerate(prof.segment_cov.tolist()))
-    assert area == sum(iv.length for iv in demo)
+    assert area == sum(end - start for start, end in DEMO_PAIRS)
 
 
 def test_mincov_span(demo):
@@ -70,14 +63,14 @@ def test_mincov_span(demo):
     assert np.asarray(coverage_profile(iset([(0, 5)])).segment_cov).min() == 1
     assert coverage_profile(iset([(0, 2), (3, 5)])).segment_cov.tolist() == [1, 0, 1]
     # the empty set has no segment; its mincov is 0 by convention
-    assert score_subset(IntervalSet(()), (), "all").achieved_mincov == 0
+    assert score_subset(IntervalSet(), None, 1, "all").achieved_mincov == 0
 
 
 def test_maxcov(demo):
     assert np.asarray(coverage_profile(demo).segment_cov).max() == 4
     assert np.asarray(coverage_profile(iset([(0, 5)])).segment_cov).max() == 1
     assert np.asarray(coverage_profile(iset([(0, 5), (0, 5), (0, 5)])).segment_cov).max() == 3
-    assert score_subset(IntervalSet(()), (), "all").achieved_maxcov == 0
+    assert score_subset(IntervalSet(), None, 1, "all").achieved_maxcov == 0
 
 
 def test_cov_at(demo):
@@ -100,17 +93,29 @@ def test_mincov_over_windows(demo):
     assert np.asarray(cov[1:4]).min() == 3  # the points [1, 4)
     only_e = segment_cov(np.asarray(lo)[[4]], np.asarray(hi)[[4]], len(delims))  # E = [1, 10)
     assert only_e.tolist() == [0, 1, 1, 1, 1, 1, 1]
-    assert score_subset(demo, [4], "E").achieved_mincov == 0
+    assert score_subset(demo, array("q", [4]), 1, "E").achieved_mincov == 0
+
+
+def test_score_subset_checks_the_cap(demo):
+    """The one scorer of every answer recounts the kept set and refuses
+    one over the cap; None keeps every read."""
+    sol = score_subset(demo, None, 4, "all", {"probes": 1})
+    assert sol.kept.tolist() == list(range(6)) and sol.kept.readonly
+    assert (sol.achieved_mincov, sol.achieved_maxcov, sol.work) == (2, 4, {"probes": 1})
+    with pytest.raises(AssertionError, match="maxcov 4 > k=3"):
+        score_subset(demo, None, 3, "all")
+    kept = array("q", [0, 1, 4, 5])
+    assert score_subset(demo, kept, 3, "some").kept.tolist() == [0, 1, 4, 5]
 
 
 def test_span(demo):
-    assert demo.span == Interval(0, 10)
-    assert IntervalSet(()).span is None
+    assert demo.span == (0, 10)
+    assert IntervalSet().span is None
 
 
 def test_subset_keeps_indices(demo):
     sub = demo.subset([1, 4])
-    assert sub.items == (Interval(0, 2), Interval(1, 10))
+    assert pairs_of(sub) == [(0, 2), (1, 10)]
 
 
 @given(interval_pairs)
@@ -170,19 +175,19 @@ def test_interval_sets_stay_read_only(demo):
     assert demo.starts.tolist() == [s for s, _ in DEMO_PAIRS]
     # a set built from arrays holds its own copy
     starts = np.array([0, 3], np.uint64)
-    s = IntervalSet.from_arrays(starts, np.array([5, 4], np.uint64))
+    s = IntervalSet(starts, np.array([5, 4], np.uint64))
     starts[0] = 2
     assert s.starts.tolist() == [0, 3]
     with pytest.raises(TypeError):
         s.starts[0] = 2
 
 
-def test_from_arrays_takes_unsigned_ordered_pairs_only():
+def test_a_set_takes_unsigned_ordered_pairs_only():
     for starts in (np.array([0, 3]), array("q", [0, 3]), [0, 3], np.array([0.0, 3.0])):
         with pytest.raises(TypeError):  # signed, not a buffer, or not integers
-            IntervalSet.from_arrays(starts, np.array([5, 4], np.uint64))
-    for starts in (np.array([0, 4], np.uint64), np.array([5, 3], np.uint32)):
+            IntervalSet(starts, np.array([5, 4], np.uint64))
+    for starts in (np.array([0, 4], np.uint64), np.array([5, 3], np.uint32), array("Q", [0])):
         with pytest.raises(ValueError, match="start < end"):
-            IntervalSet.from_arrays(starts, np.array([5, 4], np.uint64))
-    s = IntervalSet.from_arrays(np.array([0, 3], np.uint8), array("Q", [5, MAX_COORD]))
-    assert s.items == (Interval(0, 5), Interval(3, MAX_COORD))
+            IntervalSet(starts, np.array([5, 4], np.uint64))
+    s = IntervalSet(np.array([0, 3], np.uint8), array("Q", [5, MAX_COORD]))
+    assert pairs_of(s) == [(0, 5), (3, MAX_COORD)]

@@ -5,11 +5,11 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from covprune import Interval, ParseError, io, parse_instance, read_instance
+from covprune import ParseError, io, parse_instance, read_instance
 from covprune.cli import main
 from covprune.io import Record
 
-from conftest import generate_instance
+from conftest import generate_instance, pairs_of
 
 
 PLAIN = """\
@@ -41,7 +41,7 @@ def test_parse_bed3():
     assert set(groups) == {"chr1", "chr2"}
     ivs, indices = groups["chr2"]
     assert indices.tolist() == [0, 2]
-    assert ivs.items == (Interval(5, 9), Interval(6, 12))
+    assert pairs_of(ivs) == [(5, 9), (6, 12)]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -75,9 +75,9 @@ def test_generate_instance_deterministic():
 def test_generate_instance_valid():
     ivs = generate_instance(500, 1000, seed=7)
     assert len(ivs) == 500
-    for iv in ivs:
-        assert 0 <= iv.start < iv.end <= 1000
-        assert iv.length <= 100
+    for start, end in pairs_of(ivs):
+        assert 0 <= start < end <= 1000
+        assert end - start <= 100
     with pytest.raises(ValueError):
         generate_instance(0, 1000, seed=1)
 

@@ -11,7 +11,7 @@ import pytest
 from covprune import IntervalSet, _native, build_network
 from covprune.flow import Chain
 
-from conftest import clipped_instance, iset, random_instance
+from conftest import clipped_instance, iset, pairs_of, random_instance
 from reference_kernels import augment_python
 
 MAX_COORD = 2**64 - 1
@@ -42,9 +42,8 @@ def seeded_instances():
     for _ in range(30):  # deep everywhere, so high floors stay feasible
         yield clipped_instance(rng, rng.randint(20, 300), 200, 40), rng.randint(2, 30)
     for _ in range(50):  # piles of duplicates: parallel arcs
-        base = random_instance(rng, rng.randint(1, 5), max_coord=20, max_len=8).items
-        yield IntervalSet(tuple(rng.choice(base) for _ in range(rng.randint(2, 30)))), \
-            rng.randint(1, 6)
+        base = pairs_of(random_instance(rng, rng.randint(1, 5), max_coord=20, max_len=8))
+        yield iset([rng.choice(base) for _ in range(rng.randint(2, 30))]), rng.randint(1, 6)
     for _ in range(30):  # one segment
         start = rng.randrange(100)
         yield iset([(start, start + rng.randint(1, 5))] * rng.randint(1, 20)), \
@@ -113,7 +112,7 @@ def test_chain_rejects_bad_probes():
         with pytest.raises(ValueError):
             Chain(s, k)
     with pytest.raises(ValueError):
-        Chain(IntervalSet(()), 3)
+        Chain(IntervalSet(), 3)
 
 
 @pytest.mark.parametrize("backend", KERNELS)
@@ -123,7 +122,7 @@ def test_a_path_through_every_vertex(backend):
     path runs through all nv vertices, far deeper than Python's recursion
     limit.  The compiled search's stack fills its nv entries exactly."""
     starts = np.tile(np.arange(50_000, dtype=np.uint64), 2)
-    net = build_network(IntervalSet.from_arrays(starts, starts + 1))
+    net = build_network(IntervalSet(starts, starts + 1))
     res = warm_residual(net, 1, 1)
     scratch = np.full((3, net.nv + 1), -7, np.int64)  # a guard entry after each row
     parent_arc, stack, next_arc = (row[:net.nv] for row in scratch)

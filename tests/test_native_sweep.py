@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covprune import IntervalSet, _native, approx_prune
+from covprune import _native, approx_prune
 from covprune.cli import main
 
-from conftest import iset, maxcov, random_instance, sweeps
+from conftest import iset, maxcov, pairs_of, random_instance, sweeps
 from reference_kernels import flat_python, sweep_python
 
 MAX_COORD = 2**64 - 1
@@ -25,9 +25,8 @@ def seeded_instances():
                             max_len=15)
         yield s, rng.randint(1, 6)
     for _ in range(50):  # piles of duplicates
-        base = random_instance(rng, rng.randint(1, 5), max_coord=20, max_len=8).items
-        yield IntervalSet(tuple(rng.choice(base) for _ in range(rng.randint(2, 30)))), \
-            rng.randint(1, 6)
+        base = pairs_of(random_instance(rng, rng.randint(1, 5), max_coord=20, max_len=8))
+        yield iset([rng.choice(base) for _ in range(rng.randint(2, 30))]), rng.randint(1, 6)
     for _ in range(30):  # one segment
         start = rng.randrange(100)
         yield iset([(start, start + rng.randint(1, 5))] * rng.randint(1, 20)), \
@@ -55,12 +54,12 @@ def test_native_matches_reference():
     for s, k in seeded_instances():
         sol = approx_prune(s, k)
         if maxcov(s) <= k:
-            assert sol.kept == tuple(range(len(s))) and not any(sol.work.values())
+            assert sol.kept.tolist() == list(range(len(s))) and not any(sol.work.values())
             continue
         args = sweep_args(s, k)
         deleted, tree = sweep_python(*args)
         flat = flat_python(*args)[1]
-        assert sol.kept == tuple(np.flatnonzero(~deleted).tolist())
+        assert sol.kept.tolist() == np.flatnonzero(~deleted).tolist()
         assert sol.achieved_maxcov == maxcov(s.subset(sol.kept)) <= k
         scanned = sol.work["segments_scanned"]
         assert sol.work == {"tree_nodes_touched": 0 if scanned else tree[0],
@@ -119,12 +118,14 @@ def test_build_caches_one_library_by_hash(compiler, tmp_path):
 
 def test_a_fresh_build_removes_stale_libraries(compiler, tmp_path):
     """A fresh build removes the older builds of its own package directory
-    only, so that checkouts sharing one cache do not rebuild in turn."""
+    and the one-hash builds of earlier versions only, so that checkouts
+    sharing one cache do not rebuild in turn."""
     own = _native.library_name(compiler)
     stale = tmp_path / f"{_native._prefix()}0.so"  # this directory's, of older sources
+    old = tmp_path / "covprune-0123456789abcdef.so"  # an earlier version's, one hash
     other = tmp_path / "covprune-00000000-0.so"  # another checkout's
     partial = tmp_path / "covprune-1.so.tmp"  # another process's build in progress
-    for path in (stale, other, partial):
+    for path in (stale, old, other, partial):
         path.write_bytes(b"")
     assert _native.build(tmp_path, compiler) is not None
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([own, other.name, partial.name])
@@ -147,11 +148,14 @@ def test_build_without_a_working_compiler(tmp_path):
 
 
 def test_sources_compile_without_warnings(compiler, tmp_path):
-    # the whole module, its Python wrapper included
-    assert _native.HERE / "_module.c" in _native.SOURCES
+    """The module compiles as one unit, its Python wrapper including the
+    kernel files, so a call that disagrees with a kernel's definition
+    fails here.  Every C file of the package is a source, which the cache
+    key hashes and `pyproject.toml`'s package data ships as `*.c`."""
+    assert set(_native.HERE.glob("*.c")) == set(_native.SOURCES)
     warnings = ("-Wall", "-Wextra", "-Werror")
     done = subprocess.run([*compiler, *_native.FLAGS, *warnings, f"-I{_native.headers()}",
-                           "-o", str(tmp_path / "kernels.so"), *map(str, _native.SOURCES)],
+                           "-o", str(tmp_path / "kernels.so"), str(_native.MODULE)],
                           stdin=subprocess.DEVNULL, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 

@@ -11,24 +11,24 @@ def test_demo_opt(demo):
     sol = brute_force_opt(demo, 3)
     assert sol.achieved_mincov == 2
     # both edge segments force {A,B} and {E,F}; neither C nor D fits on top
-    assert sol.kept == (0, 1, 4, 5)
+    assert sol.kept.tolist() == [0, 1, 4, 5]
 
 
 def test_single_interval():
     sol = brute_force_opt(iset([(0, 5)]), 1)
     assert sol.achieved_mincov == 1
-    assert sol.kept == (0,)
+    assert sol.kept.tolist() == [0]
 
 
 def test_empty_set():
-    sol = brute_force_opt(IntervalSet(()), 4)
-    assert sol.kept == () and sol.achieved_mincov == 0
+    sol = brute_force_opt(IntervalSet(), 4)
+    assert sol.kept.tolist() == [] and sol.achieved_mincov == 0
 
 
 def test_lexicographic_tie_break():
     # both singletons achieve mincov 1; the lower index wins
     sol = brute_force_opt(iset([(0, 1), (0, 1)]), 1)
-    assert sol.kept == (0,)
+    assert sol.kept.tolist() == [0]
 
 
 def test_size_guard():
@@ -52,9 +52,8 @@ def test_witness_respects_feasibility():
         sol = brute_force_opt(s, k)
         sub = s.subset(sol.kept)
         assert maxcov(sub) <= k
-        span = s.span
-        if span is not None and sol.kept:
-            assert mincov_over(sub, span.start, span.end) == sol.achieved_mincov
+        if sol.num_kept:
+            assert mincov_over(sub, *s.span) == sol.achieved_mincov
 
 
 def test_naive_range_min_max():

@@ -37,7 +37,7 @@ def test_known_optimal_subset_is_optimal(demo):
 def test_solve_shortcut_when_cap_not_binding():
     sol = solve_exact(iset([(0, 5)]), 2)
     assert sol.achieved_mincov == 1
-    assert sol.kept == (0,)
+    assert sol.kept.tolist() == [0]
     assert sol.work["flow_solves"] == 0  # no flow needed
 
 
@@ -49,8 +49,8 @@ def test_solve_gap_instance_opt_zero():
 
 
 def test_solve_empty():
-    sol = solve_exact(IntervalSet(()), 5)
-    assert sol.kept == () and sol.achieved_mincov == 0
+    sol = solve_exact(IntervalSet(), 5)
+    assert sol.kept.tolist() == [] and sol.achieved_mincov == 0
 
 
 def test_solve_rejects_bad_args(demo):
@@ -67,7 +67,7 @@ def test_engines_agree_and_match_oracle():
         exact = brute_force_opt(s, k)
         assert tailored.achieved_mincov == exact.achieved_mincov
         assert tailored.achieved_maxcov <= k
-        if s.items:
+        if len(s):
             # the cold-start reference flow also reaches the oracle's optimum
             cold = decide(s, k, exact.achieved_mincov, warm_start=False)
             assert cold is not None
