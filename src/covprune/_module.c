@@ -1,6 +1,7 @@
 /* The Python face of the kernels: the extension module _kernels, one
  * function per covprune_* kernel of the files it includes, under the
- * kernel's name and taking its arguments in its order.
+ * kernel's name and taking its arguments in its order, but for lines,
+ * which returns its output as a new bytearray in place of taking it.
  *
  * take() checks every argument before a kernel runs.  An integer is an
  * int64; a pointer is a C-contiguous buffer of the declared item type,
@@ -11,8 +12,8 @@
  * checks that its counts are in range and that every buffer holds the
  * items they imply, or raises ValueError, again before the kernel runs.
  * A kernel that checks its indices returns a negative status, raised
- * here as ValueError; the others' results, parse's -1 and -2 among them,
- * go back to the caller.
+ * here as ValueError, as is parse's -3, a record past its columns; the
+ * others' results, parse's -1 and -2 among them, go back to the caller.
  * The radix scratch of profile and order is allocated here and left
  * uninitialized, so the passes a sorted column skips never touch it.
  */
@@ -33,8 +34,9 @@
 
 #define MAX_ARGS 13
 
-/* what a kernel's result means */
-enum { NONE, VALUE, STATUS };
+/* what a kernel's result means: nothing, a value, a status that is an
+ * error when negative, or parse's record count, an error below -2 */
+enum { NONE, VALUE, STATUS, RECORDS };
 
 typedef union {
     int64_t n;
@@ -137,16 +139,6 @@ static int holds(const Py_buffer *view, int64_t count, int64_t times, int64_t pl
     return count >= 0 && len >= plus && (len - plus) / times >= count;
 }
 
-/* Whether lines' output, when given, holds the bytes that the call
- * counts without one; a line outside the data fails it too. */
-static int lines_fit(const Arg *a, const Py_buffer *views)
-{
-    if (!a[6].p)
-        return 1;
-    int64_t bytes = covprune_lines(a[0].n, a[1].p, a[2].p, a[3].p, a[4].n, a[5].p, NULL);
-    return holds(&views[6], bytes, 1, 0);
-}
-
 #define INT(i) a[i].n
 #define PTR(i, type) ((type *)a[i].p)
 #define I64(i) PTR(i, int64_t)
@@ -182,18 +174,17 @@ static int lines_fit(const Arg *a, const Py_buffer *views)
                                 "or a buffer shorter than the counts imply");                 \
         if (kind == NONE)                                                                     \
             Py_RETURN_NONE;                                                                   \
-        if (kind == STATUS && result < 0)                                                     \
+        if ((kind == STATUS && result < 0) || (kind == RECORDS && result < -2))               \
             return PyErr_Format(PyExc_ValueError,                                             \
                                 "covprune_" #name ": an index or a value out of bounds");     \
         return PyLong_FromLongLong(result);                                                   \
     }
 
-/* parse's record columns go unchecked: no count bounds them, and io.py gives them a slot
- * per line of data */
-KERNEL(parse, "Bnnn Q!Q!q!q!q!q!", HOLDS(0, INT(1)) && holds(&views[6], INT(3), 3, 0)
-       && HOLDS(7, 1), VALUE, 0,
-       result = covprune_parse(U8(0), INT(1), INT(2), INT(3), U64(4), U64(5), I64(6), I64(7),
-                               I64(8), I64(9)))
+KERNEL(parse, "Bnnnn Q!Q!q!q!q!q!", HOLDS(0, INT(1)) && HOLDS(5, INT(4)) && HOLDS(6, INT(4))
+       && holds(&views[7], INT(3), 3, 0) && HOLDS(8, 1) && HOLDS(9, INT(4))
+       && HOLDS(10, INT(4)), RECORDS, 0,
+       result = covprune_parse(U8(0), INT(1), INT(2), INT(3), INT(4), U64(5), U64(6), I64(7),
+                               I64(8), I64(9), I64(10)))
 KERNEL(profile, "nQQ Q!q!q!q!", INT(0) >= 1 && HOLDS(1, INT(0)) && HOLDS(2, INT(0))
        && holds(&views[3], INT(0), 2, 0) && HOLDS(4, INT(0)) && HOLDS(5, INT(0))
        && holds(&views[6], INT(0), 2, 0), VALUE, 8,
@@ -244,13 +235,34 @@ KERNEL(runs, "nqqn q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
        result = covprune_runs(INT(0), I64(1), I64(2), INT(3), I64(4)))
 KERNEL(scatter, "nqnqn B!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(5, INT(4)), STATUS,
        0, result = covprune_scatter(INT(0), I64(1), INT(2), I64(3), INT(4), U8(5)))
-KERNEL(lines, "nBqqnB B!?", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(3, INT(0))
-       && HOLDS(5, INT(4)) && lines_fit(a, views), STATUS, 0,
-       result = covprune_lines(INT(0), U8(1), I64(2), I64(3), INT(4), U8(5), U8(6)))
 /* the last of n items a stride apart lies (n - 1) * stride items on */
 KERNEL(add, "nq!nn", INT(0) == 0 || (INT(0) > 0 && INT(2) >= 1
        && holds(&views[1], INT(0) - 1, INT(2), 1)), NONE, 0,
        covprune_add(INT(0), I64(1), INT(2), INT(3)))
+
+/* covprune_lines(n, mask, line_at, line_len, size, data): the lines the
+ * mask marks, counted, then copied into a new bytearray of that size */
+static PyObject *py_lines(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Arg a[MAX_ARGS];
+    Py_buffer views[MAX_ARGS];
+    PyObject *out = NULL;
+    (void)self;
+    if (take("covprune_lines", "nBqqnB", args, nargs, a, views) < 0)
+        return NULL;
+    int fit = HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(3, INT(0)) && HOLDS(5, INT(4));
+    int64_t size = fit ? covprune_lines(INT(0), U8(1), I64(2), I64(3), INT(4), U8(5), NULL) : -1;
+    if (!fit)
+        PyErr_SetString(PyExc_ValueError, "covprune_lines: a count out of range or a buffer "
+                                          "shorter than the counts imply");
+    else if (size < 0)
+        PyErr_SetString(PyExc_ValueError, "covprune_lines: an index or a value out of bounds");
+    else if ((out = PyByteArray_FromStringAndSize(NULL, (Py_ssize_t)size)))
+        covprune_lines(INT(0), U8(1), I64(2), I64(3), INT(4), U8(5),
+                       (uint8_t *)PyByteArray_AS_STRING(out));
+    release(views, nargs);
+    return out;
+}
 
 #define ENTRY(name) {"covprune_" #name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 

@@ -12,11 +12,11 @@ interpreter's own, so an edited source, another Python or another
 compiler gets a fresh build, which removes the older builds of the same
 directory and the `covprune-<hash>.so` files of earlier versions.  A
 cached module loads with `importlib.machinery` alone; `sysconfig`,
-`subprocess` and `tempfile` are imported only to compile.  When that
-directory cannot be written the module is built in a private temporary
-directory for this process only.  Every kernel is required: when no
-module loads or builds, `load_library` raises `CompilerError`, on which
-the CLI exits 4.
+`subprocess`, `tempfile` and `pathlib` are imported only to compile.
+When that directory cannot be written the module is built in a private
+temporary directory for this process only.  Every kernel is required:
+when no module loads or builds, `load_library` raises `CompilerError`,
+on which the CLI exits 4.
 
 The functions at the end are the Python faces of `_arrays.c`'s loops.
 """
@@ -30,11 +30,12 @@ import sys
 from array import array
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, source_hash, spec_from_loader
-from pathlib import Path
 
-HERE = Path(__file__).parent
-MODULE = HERE / "_module.c"  # the one unit compiled: it includes the kernel files
-SOURCES = (*(HERE / f"_{k}.c" for k in ("parse", "profile", "sweep", "flow", "arrays")), MODULE)
+# paths are `os.path` strings: pathlib's imports would slow every run
+HERE = os.path.dirname(__file__)
+MODULE = os.path.join(HERE, "_module.c")  # the one unit compiled: it includes the kernel files
+SOURCES = (*(os.path.join(HERE, f"_{k}.c")
+             for k in ("parse", "profile", "sweep", "flow", "arrays")), MODULE)
 FLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
 
 
@@ -51,9 +52,14 @@ def headers() -> str:
     return sysconfig.get_path("include")
 
 
-def cache_dir() -> Path:
+def cache_dir() -> str:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join("~", ".cache")
-    return Path(base).expanduser() / "covprune"
+    return os.path.join(os.path.expanduser(base), "covprune")
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _hash(*parts: str | bytes) -> str:
@@ -66,29 +72,30 @@ def library_name(cc: list[str] | None = None) -> str:
     """The cached module's file name for the compiler command `cc`, by
     default the interpreter's own, which the interpreter's identity
     stands for."""
-    key = _hash(*(source.read_bytes() for source in SOURCES), *FLAGS, sys.version,
-                EXTENSION_SUFFIXES[0], *(cc or ["CC"]))
+    key = _hash(*map(_read, SOURCES), *FLAGS, sys.version, EXTENSION_SUFFIXES[0], *(cc or ["CC"]))
     return f"{_prefix()}{key}.so"
 
 
 def _prefix() -> str:
     """The name every build of this package directory starts with."""
-    return f"covprune-{_hash(str(HERE))[:8]}-"
+    return f"covprune-{_hash(HERE)[:8]}-"
 
 
-def _compile(cc: list[str] | None, target: Path) -> bool:
+def _compile(cc: list[str] | None, target: str) -> bool:
     """Compile into a temporary name beside `target`, then move it there
     in one step, so concurrent first runs never load a partial file.
     Raises OSError when the directory cannot be written."""
     import subprocess
     import tempfile
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
+    from pathlib import Path
+    directory = Path(target).parent
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".so.tmp")
     os.close(fd)
     try:
         try:
             done = subprocess.run([*(cc or compiler()), *FLAGS, f"-I{headers()}", "-o", tmp,
-                                   str(MODULE)],
+                                   MODULE],
                                   stdin=subprocess.DEVNULL, capture_output=True)
         except OSError:
             return False  # no such compiler
@@ -97,8 +104,8 @@ def _compile(cc: list[str] | None, target: Path) -> bool:
         os.replace(tmp, target)
         # this directory's other builds and the one-hash builds of older versions;
         # other checkouts sharing the cache keep theirs
-        old = target.parent.glob("covprune-" + "[0-9a-f]" * 16 + ".so")
-        for stale in {*target.parent.glob(f"{_prefix()}*.so"), *old} - {target}:
+        old = directory.glob("covprune-" + "[0-9a-f]" * 16 + ".so")
+        for stale in {*directory.glob(f"{_prefix()}*.so"), *old} - {Path(target)}:
             with contextlib.suppress(OSError):  # best effort: another process may remove it too
                 stale.unlink()
         return True
@@ -107,29 +114,29 @@ def _compile(cc: list[str] | None, target: Path) -> bool:
             os.unlink(tmp)
 
 
-def _open(cc: list[str] | None, target: Path):
-    if not target.exists() and not _compile(cc, target):
+def _open(cc: list[str] | None, target: str):
+    if not os.path.exists(target) and not _compile(cc, target):
         return None
-    loader = ExtensionFileLoader("covprune._kernels", str(target))
+    loader = ExtensionFileLoader("covprune._kernels", target)
     kernels = module_from_spec(spec_from_loader(loader.name, loader))
     loader.exec_module(kernels)
     return kernels
 
 
-def build(directory: Path, cc: list[str] | None = None):
+def build(directory: str, cc: list[str] | None = None):
     """The module cached in `directory`, compiling it first if absent, by
     `cc` or the interpreter's compiler; None when it neither loads nor
     builds."""
     try:
         name = library_name(cc)
         try:
-            return _open(cc, directory / name)
+            return _open(cc, os.path.join(directory, name))
         except (OSError, ImportError):
             pass  # cache not writable, or the cached file does not load
         import tempfile
         with tempfile.TemporaryDirectory(prefix="covprune-") as private:
             # the loaded mapping outlives the file, so the directory can go
-            return _open(cc, Path(private) / name)
+            return _open(cc, os.path.join(private, name))
     except (OSError, ImportError):
         return None
 

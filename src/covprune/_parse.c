@@ -8,10 +8,9 @@
  * lines, exactly `fields` tokens on every other line, coordinates of the
  * digits 0-9 alone up to 2^64 - 1, and start < end.  Refused besides: a
  * lone '\r', control and non-ASCII bytes, and coordinates such as +5 or
- * 1_000 that Python's int() reads.  io.py passes buffers of one slot per
- * line, which bounds the record count.  Each record's line is also given as a byte range, its
- * terminator included, so that the CLI can echo the kept lines as they
- * were written.
+ * 1_000 that Python's int() reads.  Each record's line is also given as
+ * a byte range, its terminator included, so that the CLI can echo the
+ * kept lines as they were written.
  */
 
 #include <stdint.h>
@@ -40,11 +39,13 @@ static int read_coord(const uint8_t *p, const uint8_t *end, uint64_t *out)
  * name's offset in data and length, runs[3r + 1] and runs[3r + 2];
  * *nruns gets the number of runs, and past max_runs of them the reader
  * stops and returns -2.  Record i's line starts at line_at[i] and runs for
- * line_len[i] bytes, through its '\n' or to the end of the data.
+ * line_len[i] bytes, through its '\n' or to the end of the data.  The
+ * four record columns hold max_records entries each; a record past them
+ * stops the reader, before it writes anything, with -3.
  * Returns the number of records, or -1 to refuse the file. */
 int64_t covprune_parse(const uint8_t *data, int64_t size, int64_t fields, int64_t max_runs,
-                       uint64_t *starts, uint64_t *ends, int64_t *runs, int64_t *nruns,
-                       int64_t *line_at, int64_t *line_len)
+                       int64_t max_records, uint64_t *starts, uint64_t *ends, int64_t *runs,
+                       int64_t *nruns, int64_t *line_at, int64_t *line_len)
 {
     const uint8_t *p = data, *end = data + size;
     const uint8_t *prev = NULL;
@@ -85,6 +86,8 @@ int64_t covprune_parse(const uint8_t *data, int64_t size, int64_t fields, int64_
             continue;  /* a blank line */
         if (got != fields || coord[0] >= coord[1])
             return -1;
+        if (n == max_records)
+            return -3;
         starts[n] = coord[0];
         ends[n] = coord[1];
         line_at[n] = line - data;

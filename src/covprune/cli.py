@@ -16,13 +16,13 @@ with the C compiler.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import json
 import sys
 import time
 from array import array
+from types import SimpleNamespace
 
 from . import io
 from .intervals import IntervalSet
@@ -123,54 +123,140 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="covprune",
-        description="Prune intervals so coverage never exceeds k while "
-                    "keeping the minimum coverage as high as possible.")
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageError(ValueError):
+    """A command line outside the grammar; the CLI exits 2."""
 
-    def add(name, func, summary, with_k=True):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("input", help="instance file (plain 'start end' pairs or BED3)")
-        p.add_argument("--format", choices=("plain", "bed3"), default=None,
-                       help="input format (default: auto-detect)")
-        p.add_argument("--stats", metavar="FILE", default=None,
-                       help="write JSONL statistics here instead of stderr")
-        if with_k:
-            p.add_argument("--k", type=int, required=True, help="coverage cap (>= 1)")
-        p.set_defaults(func=func)
-        return p
 
-    add("decide", cmd_decide, "is there a subset with maxcov <= k and mincov >= t?").add_argument(
-        "--t", type=int, required=True, help="coverage floor (>= 0)")
-    add("solve", cmd_solve, "maximize mincov subject to maxcov <= k (exact)")
-    add("approx", cmd_approx, "fast approximate pruning (ratio k/floor(k/2))")
-    add("stats", cmd_stats, "coverage summary, no solving", with_k=False)
-    p = add("oracle", cmd_oracle, "exhaustive reference solver (small n only)")
-    # oracle.DEFAULT_LIMIT, which the parser does not import
-    p.add_argument("--limit", type=int, default=20,
-                   help="refuse instances larger than this (default %(default)s)")
-    p.add_argument("--force", action="store_true", help="run even past the size limit")
-    return parser
+REQUIRED = object()  # the default of an option that must be given
+# each option: the name of its value in the help (None for a flag), what its
+# value may be (a type or a tuple of choices), its default and its help
+OPTIONS = {
+    "format": ("{plain,bed3}", ("plain", "bed3"), None, "input format (default: auto-detect)"),
+    "stats": ("FILE", str, None, "write JSONL statistics here instead of stderr"),
+    "k": ("K", int, REQUIRED, "coverage cap (>= 1)"),
+    "t": ("T", int, REQUIRED, "coverage floor (>= 0)"),
+    "limit": ("LIMIT", int, 20, "refuse instances larger than this"),  # oracle.DEFAULT_LIMIT
+    "force": (None, None, False, "run even past the size limit"),
+}
+# each subcommand: its runner, its summary and its options besides --format and --stats
+COMMANDS = {
+    "decide": (cmd_decide, "is there a subset with maxcov <= k and mincov >= t?", ("k", "t")),
+    "solve": (cmd_solve, "maximize mincov subject to maxcov <= k (exact)", ("k",)),
+    "approx": (cmd_approx, "fast approximate pruning (ratio k/floor(k/2))", ("k",)),
+    "stats": (cmd_stats, "coverage summary, no solving", ()),
+    "oracle": (cmd_oracle, "exhaustive reference solver (small n only)", ("k", "limit", "force")),
+}
+HELP = ("-h", "--help")
+
+
+def _help(command: str | None) -> str:
+    """The usage of covprune, or of one subcommand, from the tables."""
+    if command is None:
+        return "\n".join([f"usage: covprune {{{','.join(COMMANDS)}}} INPUT [options]\n",
+                          "Prune intervals so coverage never exceeds k while keeping the minimum",
+                          "coverage as high as possible.  COMMAND --help lists its options.\n",
+                          *(f"  {name:<9}{summary}" for name, (_, summary, _) in COMMANDS.items())])
+    usage = [f"usage: covprune {command} INPUT"]
+    rows = [("INPUT", "instance file (plain 'start end' pairs or BED3)"),
+            ("-h, --help", "show this help and exit")]
+    for name in ("format", "stats", *COMMANDS[command][2]):
+        metavar, _, default, text = OPTIONS[name]
+        form = f"--{name} {metavar or ''}".rstrip()
+        usage.append(form if default is REQUIRED else f"[{form}]")
+        rows.append((form, f"{text} (default {default})" if type(default) is int else text))
+    return "\n".join([" ".join(usage), "", COMMANDS[command][1], "",
+                      *(f"  {form:<24}{text}" for form, text in rows)])
+
+
+def _is_option(token: str, known) -> bool:
+    """Whether `token` reads as an option, as argparse reads it: one of
+    `known`, alone or with `=VALUE`, or else a token that starts with '-'
+    and is not '-' alone, a negative number or a token with a space."""
+    whole, dot, fraction = token[1:].partition(".")
+    number = fraction.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return (token.partition("=")[0] in known
+            or token[:1] == "-" and token != "-" and not number and " " not in token)
+
+
+def _value(flag: str, kind, text: str):
+    """The value `text` of option `flag`, read by `kind`, a type or a tuple of choices."""
+    if isinstance(kind, tuple) and text not in kind:
+        raise UsageError(f"argument {flag}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(map(repr, kind))})")
+    try:
+        return text if isinstance(kind, tuple) else kind(text)
+    except ValueError:
+        raise UsageError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
+
+
+def parse_args(argv: list[str]):
+    """Read `argv` by the grammar of COMMANDS and OPTIONS: `COMMAND INPUT` and
+    the command's options in any order, as `--name VALUE` or `--name=VALUE`,
+    every token after `--` positional.  Returns a namespace of `command`,
+    `input` and every option (None where the command has none), or the help
+    text when -h or --help comes before any error.  Raises UsageError with
+    argparse's message otherwise; no option may be abbreviated."""
+    command = argv[0] if argv else None
+    if command in HELP:
+        return _help(None)
+    if command not in COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from "
+                         f"{', '.join(map(repr, COMMANDS))})" if argv else
+                         "the following arguments are required: command")
+    names = ("format", "stats", *COMMANDS[command][2])
+    known = {*HELP, *(f"--{name}" for name in names)}
+    values = {name: OPTIONS[name][2] if name in names else None for name in OPTIONS}
+    rest, at, positional, extras = argv[1:], 0, [], []
+    cut = rest.index("--") if "--" in rest else len(rest)
+    while at < cut:
+        token, at = rest[at], at + 1
+        flag, eq, text = token.partition("=")
+        if not _is_option(token, known):
+            positional.append(at - 1)
+        elif flag not in known:
+            extras.append(token)
+        elif flag in HELP or OPTIONS[flag[2:]][1] is None:  # -h, --help and --force take no value
+            if eq:
+                raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+            if flag in HELP:
+                return _help(command)
+            values[flag[2:]] = True
+        else:
+            if not eq:
+                if at == cut or _is_option(rest[at], known):
+                    raise UsageError(f"argument {flag}: expected one argument")
+                text, at = rest[at], at + 1
+            values[flag[2:]] = _value(flag, OPTIONS[flag[2:]][1], text)
+    # argparse drops the "--" before INPUT or just after it
+    if positional and cut < len(rest) and positional[0] != cut - 1:
+        extras.append("--")
+    inputs = [rest[i] for i in positional] + rest[cut + 1:]
+    missing = ["input"] * (not inputs) + [f"--{n}" for n in names if values[n] is REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras or inputs[1:]:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras + inputs[1:])}")
+    return SimpleNamespace(command=command, input=inputs[0], **values)
+
 
 def main(argv=None) -> int:
     if argv is None:
         # run as the program: the start-up heap lives until exit, so spare it the collections
         gc.freeze()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"covprune: error: {exc}", file=sys.stderr)
+        return 2
+    if isinstance(args, str):
+        print(args)
+        return 0
     for name, low in (("k", 1), ("t", 0)):
-        if getattr(args, name, low) < low:
-            print(f"covprune: {name} must be >= {low}, got {getattr(args, name)}",
-                  file=sys.stderr)
+        if (value := getattr(args, name)) is not None and value < low:
+            print(f"covprune: {name} must be >= {low}, got {value}", file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except Exception as exc:
         from ._native import CompilerError  # loaded already by the call that raised it
         from .oracle import SizeLimitError

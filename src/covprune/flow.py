@@ -21,7 +21,7 @@ exact search (`search.descend`) at its one floor t.
 from __future__ import annotations
 
 from array import array
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import _native
 from ._native import zeros
@@ -29,7 +29,7 @@ from .intervals import IntervalSet
 from .solution import Solution
 
 
-class FlowNetwork(NamedTuple):
+class FlowNetwork(namedtuple("FlowNetwork", "nv num_backbone_arcs first adj to")):
     """The reduction graph of one interval set, for any (k, t).
 
     Vertices are numbered along the chain source 0, the distinct
@@ -42,11 +42,7 @@ class FlowNetwork(NamedTuple):
     int64 buffers.
     """
 
-    nv: int
-    num_backbone_arcs: int
-    first: memoryview
-    adj: memoryview
-    to: memoryview
+    __slots__ = ()
 
     @property
     def interval_arcs(self) -> memoryview:
@@ -57,12 +53,12 @@ class FlowNetwork(NamedTuple):
         return memoryview(pairs).cast("B").cast("q", (len(pairs) // 2, 2))
 
 
-class FlowAssignment(NamedTuple):
-    """An integral flow on a FlowNetwork, one value per arc."""
+class FlowAssignment(namedtuple("FlowAssignment", "backbone_flow interval_flow augmentations",
+                                 defaults=(0,))):
+    """An integral flow on a FlowNetwork, one int64 value per arc, and
+    the number of augmenting paths that made it."""
 
-    backbone_flow: array
-    interval_flow: array
-    augmentations: int = 0
+    __slots__ = ()
 
     @property
     def value(self) -> int:

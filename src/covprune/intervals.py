@@ -14,8 +14,8 @@ safe to share between threads.
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 MAX_COORD = 2**64 - 1
 
@@ -85,7 +85,7 @@ def _uint64(values) -> memoryview:
     return memoryview(array("Q", view.tolist())).toreadonly()
 
 
-class CoverageProfile(NamedTuple):
+class CoverageProfile(namedtuple("CoverageProfile", "delimiters lo hi segment_cov")):
     """Coverage as a step function over delimiter segments.
 
     `delimiters` are the distinct endpoints in increasing order, uint64
@@ -95,10 +95,7 @@ class CoverageProfile(NamedTuple):
     The fields are read-only buffers, int64 but for `delimiters`.
     """
 
-    delimiters: memoryview
-    lo: memoryview
-    hi: memoryview
-    segment_cov: memoryview
+    __slots__ = ()
 
     @property
     def num_segments(self) -> int:

@@ -14,9 +14,9 @@ from (`InstanceFile.kept_lines`), not re-formatted from their numbers.
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
 
 from .intervals import MAX_COORD, IntervalSet, _kernels
 
@@ -32,10 +32,8 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-class Record(NamedTuple):
-    chrom: str | None
-    start: int
-    end: int
+class Record(namedtuple("Record", "chrom start end")):  # chrom None in a plain file
+    __slots__ = ()
 
 
 class InstanceFile:
@@ -77,10 +75,8 @@ class InstanceFile:
         a newline."""
         if len(keep) != len(self.line_at):
             raise ValueError("the mask and the records differ in length")
-        lines = _kernels().covprune_lines
-        args = (len(keep), keep, self.line_at, self.line_len, len(self.data), self.data)
-        lines(*args, out := bytearray(lines(*args, None)))  # counted, then copied
-        return out
+        return _kernels().covprune_lines(len(keep), keep, self.line_at, self.line_len,
+                                         len(self.data), self.data)
 
 
 def _instance(fmt: str, names: list[str], run_at, starts, ends, data: bytes, line_at,
@@ -165,8 +161,8 @@ def _parse_native(lib, data: bytes, fmt: str | None) -> InstanceFile | None:
     # again with room for a run per line
     for room in (min(lines, 1024), lines):
         runs = array("q", [0]) * (3 * room)  # each its first record, its name's offset and size
-        n = lib.covprune_parse(data, len(data), fields, room, starts, ends, runs, count, line_at,
-                               line_len)
+        n = lib.covprune_parse(data, len(data), fields, room, lines, starts, ends, runs, count,
+                               line_at, line_len)
         if n != -2:
             break
     if n < 0:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._native import extremes, select, zeros
 from .intervals import IntervalSet, segment_cov
 
 
-class Solution(NamedTuple):
+class Solution(namedtuple("Solution", "kept achieved_mincov achieved_maxcov method work")):
     """A pruning result.
 
     `kept` holds indices into the original interval set, in increasing
@@ -16,14 +16,11 @@ class Solution(NamedTuple):
     over the ORIGINAL span (points left uncovered by the kept subset
     count as coverage 0) so that results for different subsets of the
     same instance are comparable.  `work` carries method-specific effort
-    counters such as augmentations, flow solves or tree nodes touched.
+    counters (str to int) such as augmentations, flow solves or tree
+    nodes touched.
     """
 
-    kept: memoryview
-    achieved_mincov: int
-    achieved_maxcov: int
-    method: str
-    work: dict[str, int]
+    __slots__ = ()
 
     @property
     def num_kept(self) -> int:

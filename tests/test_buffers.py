@@ -147,7 +147,10 @@ def short_buffer_calls():
                   array("Q", [9, 9]), array("Q", [9, 9])),
         "runs": (1, q(0), q(5), 3, q(-9, -9)),
         "scatter": (1, q(0), 1, q(2), 3, array("B", [0, 0])),
-        "lines": (1, array("B", [1]), q(0), q(4), 4, b"0 1\n", bytearray(2)),
+        "lines": (2, array("B", [1]), q(0, 0), q(4, 4), 4, b"0 1\n"),  # a one-record mask
+        # record columns of two items where the count, max_records, says three
+        "parse": (b"0 1\n", 4, 2, 1, 3, array("Q", [9] * 3), array("Q", [9] * 2), q(-9) * 3,
+                  q(-9), q(-9) * 3, q(-9) * 3),
         "add": (3, q(1, 1, 1, 1), 2, 5),  # reaches item 4 of 4
     }
 
@@ -167,6 +170,37 @@ def test_buffers_of_exactly_the_counted_size_are_taken():
     values = q(1, 1, 1, 1, 1)
     lib.covprune_add(3, values, 2, 5)  # items 0, 2 and 4
     assert values.tolist() == [6, 1, 6, 1, 6]
-    out = bytearray(4)
-    assert lib.covprune_lines(1, array("B", [1]), q(0), q(4), 4, b"0 1\n", out) == 4
-    assert out == b"0 1\n"
+    assert lib.covprune_lines(1, array("B", [1]), q(0), q(4), 4, b"0 1\n") == b"0 1\n"
+
+
+@pytest.mark.parametrize("data, mask, want", [
+    (b"", [], b""), (b"0 1", [0], b""), (b"0 1", [1], b"0 1\n"),
+    (b"0 1\r\n2 3", [1, 1], b"0 1\r\n2 3\n"), (b"0 1\n2 3\n", [0, 1], b"2 3\n"),
+], ids=["none", "n1-unkept", "n1-unterminated", "crlf-then-unterminated", "last"])
+def test_the_kept_lines_come_back_as_one_bytearray(data, mask, want):
+    lines = data.splitlines(keepends=True)
+    at = array("q", [0]) * len(lines)
+    for i, line in enumerate(lines[:-1]):
+        at[i + 1] = at[i] + len(line)
+    got = _native.load_library().covprune_lines(
+        len(mask), array("B", mask), at, array("q", map(len, lines)), len(data), data)
+    assert type(got) is bytearray and got == want
+
+
+def test_the_reader_stops_at_its_record_columns():
+    """64 data lines into record columns of one slot: the reader writes
+    record 0, then refuses record 1 and raises, and nothing past a column's
+    one slot changes; each column here holds one guard item past it."""
+    data = b"0 1\n" * 64
+    columns = [array("Q", [7, 7]), array("Q", [7, 7]), q(7, 7), q(7, 7)]
+    runs, nruns = q(-9) * 3, q(-9)
+    with pytest.raises(ValueError, match="out of bounds"):
+        _native.load_library().covprune_parse(data, len(data), 2, 1, 1, columns[0], columns[1],
+                                              runs, nruns, columns[2], columns[3])
+    assert [list(column) for column in columns] == [[0, 7], [1, 7], [0, 7], [4, 7]]
+    # at exactly the room it needs, the same call reads every record
+    columns = [array("Q", [7]) * 64, array("Q", [7]) * 64, q(7) * 64, q(7) * 64]
+    assert _native.load_library().covprune_parse(data, len(data), 2, 1, 64, columns[0],
+                                                 columns[1], runs, nruns, columns[2],
+                                                 columns[3]) == 64
+    assert list(columns[2]) == list(range(0, 256, 4))

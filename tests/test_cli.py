@@ -1,13 +1,17 @@
+import contextlib
 import json
+from io import StringIO
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from covprune import _native, approx, io, parse_instance
+from covprune import _native, approx, cli, io, parse_instance
 from covprune.cli import main
 
 from conftest import DEMO_PAIRS
+from reference_parser import build_parser
 
 DEMO_TEXT = "# six reads\n" + "".join(f"{s} {e}\n" for s, e in DEMO_PAIRS)
 
@@ -408,3 +412,118 @@ def test_full_scale_solve_invariants(tmp_path, capsys):
     assert record["maxcov_before"] == before.max() > k
     assert record["maxcov_after"] == after.max() <= k
     assert record["mincov"] == after.min() > 1  # over the input's span
+
+
+FIELDS = ("command", "input", "format", "stats", "k", "t", "limit", "force")
+REFERENCE = build_parser()
+
+
+def reference_reading(argv):
+    """The fields argparse's parser reads from `argv` (None for an option
+    the command lacks), or its exit code."""
+    try:
+        with contextlib.redirect_stderr(StringIO()):
+            args = REFERENCE.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return tuple(getattr(args, field, None) for field in FIELDS)
+
+
+def reading(argv):
+    """The fields the CLI's parser reads from `argv`, or 2 on a usage error."""
+    try:
+        args = cli.parse_args(argv)
+    except cli.UsageError:
+        return 2
+    return tuple(getattr(args, field) for field in FIELDS)
+
+
+# values of every kind: integers, choices, text, negative numbers, tokens that
+# read as options and tokens with a space; none starts with "-h", which
+# argparse reads as -h with a value attached
+VALUES = st.one_of(
+    st.sampled_from(["3", "0", "-1", "-2.5", "-.5", "-5.", "007", " 4 ", "1_0", "+5", "1e3",
+                     "\u0663", "x", "", "-", "--", "plain", "bed3", "BED3", "reads.txt", "a b",
+                     "-x", "-1 x", "--k", "--stats", "--k=3", "--stats=a b", "--engine",
+                     "--t=-1", "--force"]),
+    st.text(alphabet="0123456789-.=_ ab", max_size=4))
+OPTION_NAMES = ["--format", "--stats", "--k", "--t", "--limit", "--force"]
+TOKEN_GROUPS = st.one_of(
+    st.tuples(st.sampled_from(OPTION_NAMES), VALUES),  # --name VALUE
+    # argparse reads "--name=--" as an empty list, not as "--"
+    st.builds("{}={}".format, st.sampled_from(OPTION_NAMES),
+              VALUES.filter(lambda v: v != "--")).map(lambda t: (t,)),
+    st.sampled_from(OPTION_NAMES).map(lambda t: (t,)),  # a flag, or a missing value
+    VALUES.map(lambda t: (t,)),  # an input, or a stray positional
+    st.just(("--",)))
+
+
+# options with values a command takes; every command takes --format and --stats
+GOOD = {"--format": ("plain", "bed3"), "--stats": ("s.jsonl", "-"), "--k": ("5", "2"),
+        "--t": ("0", "-1"), "--limit": ("4", "-4")}
+OWN = {"decide": ("--k", "--t"), "solve": ("--k",), "approx": ("--k",),
+       "oracle": ("--k", "--limit", "--force")}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand, or no valid one, then a shuffle of what each command
+    requires, each part mostly there, of options the command takes, with
+    values it takes, and of random tokens."""
+    command = draw(st.sampled_from([*cli.COMMANDS] * 3 + ["solv", "-1", "--k"]))
+    own = OWN.get(command, ())
+    required = [g for g in (("reads.txt",), ("--k", "3"), ("--t", "1"))
+                if g[0] in ("reads.txt", *own) and draw(st.integers(0, 4))]
+    for name in draw(st.lists(st.sampled_from(["--format", "--stats", *own]), max_size=3)):
+        value = draw(st.sampled_from(GOOD.get(name, ("",))))
+        required.append((name,) if name == "--force" else
+                        draw(st.sampled_from([(name, value), (f"{name}={value}",)])))
+    noise = draw(st.lists(TOKEN_GROUPS, max_size=2)) if draw(st.booleans()) else []
+    groups = draw(st.permutations(required + noise))
+    return [command, *(token for group in groups for token in group)]
+
+
+@given(command_lines())
+@settings(max_examples=400, deadline=None)
+@example(["solve", "--k", "3", "--", "-reads"])
+@example(["solve", "--k", "3", "in", "--"])
+@example(["solve", "in", "--k", "3", "--"])
+@example(["solve", "--k", "3", "--", "--"])
+@example(["decide", "in", "--k", "3", "--t", "-1"])
+@example(["oracle", "in", "--k=3", "--force", "--limit", "-4", "--force"])
+def test_the_parser_reads_what_argparse_read(argv):
+    """On any command line of full option names the table-driven parser
+    and the argparse one it replaced both refuse it or read the same
+    values from it."""
+    got, want = reading(argv), reference_reading(argv)
+    assert got == want, argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["prune", "in"], "argument command: invalid choice: 'prune' (choose from 'decide', "
+                      "'solve', 'approx', 'stats', 'oracle')"),
+    (["solve", "--k", "3"], "the following arguments are required: input"),
+    (["decide", "in"], "the following arguments are required: --k, --t"),
+    (["solve", "in", "--k", "x"], "argument --k: invalid int value: 'x'"),
+    (["solve", "in", "--k=3", "--format", "bed"],
+     "argument --format: invalid choice: 'bed' (choose from 'plain', 'bed3')"),
+    (["solve", "in", "--k"], "argument --k: expected one argument"),
+    (["solve", "in", "out", "--k", "3"], "unrecognized arguments: out"),
+    (["oracle", "in", "--k", "3", "--force=yes"],
+     "argument --force: ignored explicit argument 'yes'"),
+    (["solve", "in", "--sta", "s.jsonl", "--k", "3"], "unrecognized arguments: --sta s.jsonl"),
+], ids=["no-command", "bad-command", "no-input", "no-k-t", "not-int", "bad-format",
+        "no-value", "two-inputs", "flag-value", "abbreviation"])
+def test_a_usage_error_exits_2_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"covprune: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["solve", "--help"],
+                                  ["decide", "in", "-h", "--k", "x"]])
+def test_help_goes_to_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.startswith("usage: covprune ")
+    if argv[0] == "decide":
+        assert "--k K --t T" in out.splitlines()[0]

@@ -4,6 +4,7 @@ itself, and what a run does when it cannot be built."""
 
 import random
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,11 +100,12 @@ def test_sweeps_agree_on_generated_instances(pairs, copies, at_top, k):
 
 
 def test_cache_location(monkeypatch, tmp_path):
+    # a string path: pathlib stays off a run's imports
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    assert _native.cache_dir() == tmp_path / "covprune"
+    assert _native.cache_dir() == str(tmp_path / "covprune")
     monkeypatch.delenv("XDG_CACHE_HOME")
     monkeypatch.setenv("HOME", str(tmp_path))
-    assert _native.cache_dir() == tmp_path / ".cache" / "covprune"
+    assert _native.cache_dir() == str(tmp_path / ".cache" / "covprune")
 
 
 def test_build_caches_one_library_by_hash(compiler, tmp_path):
@@ -152,10 +154,10 @@ def test_sources_compile_without_warnings(compiler, tmp_path):
     kernel files, so a call that disagrees with a kernel's definition
     fails here.  Every C file of the package is a source, which the cache
     key hashes and `pyproject.toml`'s package data ships as `*.c`."""
-    assert set(_native.HERE.glob("*.c")) == set(_native.SOURCES)
+    assert {str(path) for path in Path(_native.HERE).glob("*.c")} == set(_native.SOURCES)
     warnings = ("-Wall", "-Wextra", "-Werror")
     done = subprocess.run([*compiler, *_native.FLAGS, *warnings, f"-I{_native.headers()}",
-                           "-o", str(tmp_path / "kernels.so"), str(_native.MODULE)],
+                           "-o", str(tmp_path / "kernels.so"), _native.MODULE],
                           stdin=subprocess.DEVNULL, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 

@@ -20,6 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # what only a build of the compiled module may import
 COMPILER_MODULES = {"ctypes", "sysconfig", "subprocess", "tempfile"}
+# what argparse, pathlib and typing.NamedTuple imported into every run
+UNUSED_BY_A_RUN = {"argparse", "gettext", "locale", "shutil", "pathlib", "typing"}
 
 
 def child(code: str, *flags: str) -> list[str]:
@@ -36,10 +38,9 @@ def child(code: str, *flags: str) -> list[str]:
 
 def loaded_by(code: str) -> set[str]:
     """The modules `code` adds to an interpreter that has already imported
-    argparse and json, so that what those and this site's `.pth` files
-    load does not count.  It has not imported numpy, which imports
-    ctypes."""
-    return set(child("import sys, argparse, json\n"
+    json, so that what it and this site's `.pth` files load does not
+    count.  It has not imported numpy, which imports ctypes."""
+    return set(child("import sys, json\n"
                      "before = set(sys.modules)\n"
                      f"{code}\n"
                      "print(*sorted(set(sys.modules) - before))")[-1].split())
@@ -51,7 +52,7 @@ def test_cli_import_loads_no_unused_module():
     # each subcommand imports its own solver when it runs
     assert not loaded & {"covprune.approx", "covprune.flow", "covprune.search",
                          "covprune.oracle", "covprune.coverage_tree", "subprocess", "hashlib",
-                         "dataclasses"}
+                         "dataclasses", "argparse"}
 
 
 def test_approx_run_loads_no_exact_solver(tmp_path):
@@ -77,7 +78,7 @@ def test_solve_run_loads_no_approx_when_opt_is_positive(tmp_path):
 def cached():
     """Skip unless the session start left the compiled module in the
     cache, which it does unless the cache directory cannot be written."""
-    if not (_native.cache_dir() / _native.library_name()).exists():
+    if not os.path.exists(os.path.join(_native.cache_dir(), _native.library_name())):
         pytest.skip("no writable library cache")
 
 
@@ -100,6 +101,22 @@ def test_a_cached_run_imports_no_compiler_module(cached, tmp_path):
                   f"print(codes, sorted({COMPILER_MODULES!r} & set(sys.modules)))",
                   "-S")
     assert lines[-1] == "[0, 0] []"
+
+
+def test_a_cached_run_imports_only_what_it_uses(cached, tmp_path):
+    """`approx`, `solve`, `decide` and `stats` on the cached module, in an
+    interpreter without the site's `.pth` files, which import pathlib and
+    typing here: no run imports a module that the argument parser, the
+    library's paths or the result tuples once pulled in."""
+    path = tmp_path / "reads.bed"
+    path.write_text("chr1\t0\t4\nchr1\t0\t4\nchr2\t4\t6\nchr1\t4\t6\n")
+    runs = [["approx", str(path), "--k", "1"], ["solve", str(path), "--k=1"],
+            ["decide", str(path), "--t", "1", "--k", "1"], ["stats", "--format", "bed3", str(path)]]
+    lines = child("import sys\nfrom covprune.cli import main\n"
+                  f"codes = [main(argv) for argv in {runs!r}]\n"
+                  f"print(codes, sorted({UNUSED_BY_A_RUN!r} & set(sys.modules)))",
+                  "-S")
+    assert lines[-1] == "[0, 0, 0, 0] []"
 
 
 def test_only_the_program_freezes_its_heap(tmp_path, capsys):
