@@ -140,9 +140,9 @@ int64_t covprune_scatter(int64_t nidx, const int64_t *idx, int64_t nmap, const i
 
 /* Copy into out, in order, the lines of data that mask marks among n,
  * line i being the line_len[i] bytes at line_at[i]; a newline follows
- * the last one when it does not end in one.  Returns the number of
- * bytes, which out must hold; with out NULL, only counts them.  Returns
- * -1 when a line leaves the size bytes of data. */
+ * the last one when it ends in neither '\n' nor '\r'.  Returns the
+ * number of bytes, which out must hold; with out NULL, only counts them.
+ * Returns -1 when a line leaves the size bytes of data. */
 int64_t covprune_lines(int64_t n, const uint8_t *mask, const int64_t *line_at,
                        const int64_t *line_len, int64_t size, const uint8_t *data, uint8_t *out)
 {
@@ -158,7 +158,7 @@ int64_t covprune_lines(int64_t n, const uint8_t *mask, const int64_t *line_at,
         total += len;
         end = at + len;
     }
-    if (total && data[end - 1] != '\n') {
+    if (total && data[end - 1] != '\n' && data[end - 1] != '\r') {
         if (out)
             out[total] = '\n';
         total++;

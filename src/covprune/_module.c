@@ -181,7 +181,7 @@ static int holds(const Py_buffer *view, int64_t count, int64_t times, int64_t pl
     }
 
 KERNEL(parse, "Bnnnn Q!Q!q!q!q!q!", HOLDS(0, INT(1)) && HOLDS(5, INT(4)) && HOLDS(6, INT(4))
-       && holds(&views[7], INT(3), 3, 0) && HOLDS(8, 1) && HOLDS(9, INT(4))
+       && holds(&views[7], INT(3), 3, 0) && HOLDS(8, 6) && HOLDS(9, INT(4))
        && HOLDS(10, INT(4)), RECORDS, 0,
        result = covprune_parse(U8(0), INT(1), INT(2), INT(3), INT(4), U64(5), U64(6), I64(7),
                                I64(8), I64(9), I64(10)))

@@ -8,10 +8,10 @@ lines with a fixed schema, each written and flushed as its chromosome
 finishes.  A chromosome's kept set reaches the output as the int64
 buffer of indices its solver produced.  Exit codes: 0 success/feasible,
 1 decide found no solution, 2 usage error or bad input (a parse error,
-an unreadable or non-UTF-8 file, an instance past the oracle's limit),
-3 internal error (anything else: a failed self-check, a kernel's
-refusal, a bug), 4 no compiled library: the kernels could not be built
-with the C compiler.
+an unreadable file, a name that is not UTF-8, an instance past the
+oracle's limit), 3 internal error (anything else: a failed self-check,
+a kernel's refusal, a bug), 4 no compiled library: the kernels could
+not be built with the C compiler.
 """
 
 from __future__ import annotations

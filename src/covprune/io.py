@@ -2,13 +2,14 @@
 
 Two line formats: "plain" (two whitespace-separated non-negative
 integers per line) and "bed3" (name, start, end).  Comment lines
-starting with '#' and blank lines are ignored.  BED3 files hold several
+starting with '#' and blank lines are skipped.  BED3 files hold several
 chromosomes; each is an independent instance on its own coordinate line.
-`read_instance` reads a regular file in one pass of the compiled kernel
-(`_parse.c`), and anything else with `parse_instance`, the line parser
-that names a bad line.  Both also give every record's line as a byte
-range of the input, so kept records leave as the lines they were read
-from (`InstanceFile.kept_lines`), not re-formatted from their numbers.
+Every input is read in one pass of the compiled kernel `covprune_parse`
+(`_parse.c`, whose header gives the grammar); at a bad line it stops and
+says why, and a `ParseError` names the line.  The kernel also gives
+every record's line as a byte range of the input, so kept records leave
+as the lines they were read from (`InstanceFile.kept_lines`), not
+re-formatted from their numbers.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from functools import cached_property
-from itertools import accumulate
 
 from .intervals import MAX_COORD, IntervalSet, _kernels
 
 _FIELDS = {"plain": 2, "bed3": 3}
 _DETECT = {n: fmt for fmt, n in _FIELDS.items()}  # by the first data line's field count
+# why covprune_parse stopped at a line, numbered as in _parse.c
+_BAD_FIELDS, _BAD_BYTE, _BAD_START, _BAD_END, _BAD_ORDER = range(1, 6)
 
 
 class ParseError(ValueError):
@@ -79,104 +81,94 @@ class InstanceFile:
                                          len(self.data), self.data)
 
 
-def _instance(fmt: str, names: list[str], run_at, starts, ends, data: bytes, line_at,
-              line_len) -> InstanceFile:
-    """The instance of the given columns, read from the lines of `data`
-    that `line_at` and `line_len` give; bed3 `names` holds the name of
-    each run of records of one name, run r starting at record run_at[r],
-    and plain `names` is empty."""
-    chroms, code = (None,), array("q", [0]) * len(starts)
-    if names:
-        chroms = tuple(sorted(set(names)))
-        rank = dict(zip(chroms, range(len(chroms))))
-        _kernels().covprune_runs(len(run_at), run_at, array("q", map(rank.__getitem__, names)),
-                                 len(starts), code)
-    return InstanceFile(fmt, chroms, code, starts, ends, data, line_at, line_len)
+def _lines(data: bytes, end: int) -> int:
+    """1 + the line ends in data[:end], a "\\r\\n" counted once: the
+    number of the line that starts at `end`."""
+    cr = data.count(b"\r", 0, end)
+    return data.count(b"\n", 0, end) + 1 + (cr and cr - data.count(b"\r\n", 0, end))
 
 
-def _parse_coord(token: str, line_no: int, what: str) -> int:
+def _coord_error(what: str, token: str) -> str:
     try:
         value = int(token)
     except ValueError:
-        raise ParseError(line_no, f"{what} {token!r} is not an integer") from None
+        return f"{what} {token!r} is not an integer"
     if value < 0:
-        raise ParseError(line_no, f"{what} {value} is negative")
+        return f"{what} {value} is negative"
     if value > MAX_COORD:
-        raise ParseError(line_no, f"{what} {value} exceeds the largest coordinate {MAX_COORD}")
-    return value
+        return f"{what} {value} exceeds the largest coordinate {MAX_COORD}"
+    return f"{what} {token!r} is not written in the digits 0-9 alone"  # +5, 1_000, -0
 
 
-def parse_instance(text: str, fmt: str | None = None) -> InstanceFile:
-    """Parse instance text line by line; with fmt None the field count
-    of the first data line, 3 or 2, picks bed3 or plain."""
-    names, starts, ends, rows = [], [], [], []
-    detected = fmt
-    lines = text.splitlines(keepends=True)
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        detected = detected or _DETECT.get(len(fields))
-        if detected is None:
-            raise ParseError(line_no, f"expected 2 (plain) or 3 (bed3) fields, got {len(fields)}")
-        if detected not in _FIELDS:
-            raise ValueError(f"unknown format {detected!r}")
-        if len(fields) != _FIELDS[detected]:
-            raise ParseError(line_no, f"{detected} format needs {_FIELDS[detected]} fields, "
-                                      f"got {len(fields)}")
-        names += fields[:-2]  # the bed3 name, if any
-        start = _parse_coord(fields[-2], line_no, "start")
-        end = _parse_coord(fields[-1], line_no, "end")
-        if start >= end:
-            raise ParseError(line_no, f"start {start} must be < end {end}")
-        starts.append(start)
-        ends.append(end)
-        rows.append(line_no - 1)
-    # each line's byte range in the text's UTF-8 encoding; every record is a run of its name
-    data = text.encode("utf-8", "surrogatepass")
-    size = [len(line.encode("utf-8", "surrogatepass")) for line in lines]
-    line_end = list(accumulate(size))
-    return _instance(detected or "plain", names, array("q", range(len(names))),
-                     array("Q", starts), array("Q", ends), data,
-                     array("q", (line_end[r] - size[r] for r in rows)),
-                     array("q", (size[r] for r in rows)))
+def _bad_line(data: bytes, fields: int, why: int, line_no: int, at: int,
+              size: int) -> ParseError:
+    """The ParseError of the line the reader stopped at, `size` bytes at `at`."""
+    data.decode()  # a file that is not UTF-8 is reported as such first
+    line = data[at:at + size]
+    tokens = [token.decode() for token in line.split()]
+    if why == _BAD_FIELDS:
+        message = (f"{_DETECT[fields]} format needs {fields} fields, got {len(tokens)}"
+                   if fields else f"expected 2 (plain) or 3 (bed3) fields, got {len(tokens)}")
+    elif why == _BAD_BYTE:
+        bad = next(c for c in line.decode()
+                   if c in "\x7f\x85\u2028\u2029" or (c < " " and c != "\t"))
+        message = f"control character or line break {bad!r}"
+    elif why == _BAD_ORDER:
+        message = f"start {int(tokens[-2])} must be < end {int(tokens[-1])}"
+    else:
+        message = (_coord_error("start", tokens[-2]) if why == _BAD_START
+                   else _coord_error("end", tokens[-1]))
+    return ParseError(line_no, message)
 
 
-def _parse_native(lib, data: bytes, fmt: str | None) -> InstanceFile | None:
-    """Parse `data` in one pass of `covprune_parse` if it is regular:
-    printable ASCII without '#' or a lone '\\r', the format's field count
-    on each non-blank line, coordinates of the digits 0-9 alone and
-    start < end.  Else return None, and the line parser reads it."""
-    # `fmt`, or the format the first line's field count picks
-    cut = data.find(b"\n")
-    fields = len((data if cut < 0 else data[:cut]).split())
-    fmt = fmt or _DETECT.get(fields)
-    if fields != _FIELDS.get(fmt):
-        return None
-    lines = data.count(b"\n") + 1  # one slot per line
+def _read(data: bytes, fmt: str | None) -> InstanceFile:
+    """The instance in `data`, by one pass of `covprune_parse`; with fmt
+    None the field count of the first data line, 3 or 2, picks bed3 or
+    plain."""
+    if fmt is not None and fmt not in _FIELDS:
+        raise ValueError(f"unknown format {fmt!r}")
+    lines = _lines(data, len(data))  # one slot per line
     starts, ends = array("Q", [0]) * lines, array("Q", [0]) * lines
-    line_at, line_len, count = array("q", [0]) * lines, array("q", [0]) * lines, array("q", [0])
+    line_at, line_len, info = array("q", [0]) * lines, array("q", [0]) * lines, array("q", [0]) * 6
     # room for the runs of one name of a grouped file; a file of more is read
     # again with room for a run per line
     for room in (min(lines, 1024), lines):
         runs = array("q", [0]) * (3 * room)  # each its first record, its name's offset and size
-        n = lib.covprune_parse(data, len(data), fields, room, lines, starts, ends, runs, count,
-                               line_at, line_len)
+        n = _kernels().covprune_parse(data, len(data), _FIELDS.get(fmt, 0), room, lines, starts,
+                                      ends, runs, info, line_at, line_len)
         if n != -2:
             break
+    nruns, fields, *bad = info
     if n < 0:
-        return None
+        raise _bad_line(data, fields, *bad)
     for column in (starts, ends, line_at, line_len):
         del column[n:]
-    del runs[3 * count[0]:]
-    names = [data[at:at + size].decode() for at, size in zip(runs[1::3], runs[2::3])]  # ASCII
-    return _instance(fmt, names, runs[0::3], starts, ends, data, line_at, line_len)
+    del runs[3 * nruns:]
+    try:
+        names = [data[at:at + size].decode() for at, size in zip(runs[1::3], runs[2::3])]
+    except UnicodeDecodeError:
+        data.decode()  # the error at the file's first byte that is not UTF-8
+        raise
+    chroms, code = (None,), array("q", [0]) * n
+    if names:
+        chroms = tuple(sorted(set(names)))
+        if any(name.split() != [name] for name in chroms):  # a Unicode blank, as U+00A0
+            r = next(r for r, name in enumerate(names) if name.split() != [name])
+            raise ParseError(_lines(data, line_at[runs[3 * r]]),
+                             f"name {names[r]!r} holds a blank or a line break")
+        rank = dict(zip(chroms, range(len(chroms))))
+        _kernels().covprune_runs(nruns, runs[0::3], array("q", map(rank.__getitem__, names)), n,
+                                 code)
+    return InstanceFile(_DETECT.get(fields, "plain"), chroms, code, starts, ends, data, line_at,
+                        line_len)
+
+
+def parse_instance(text: str, fmt: str | None = None) -> InstanceFile:
+    """Parse instance text, as `read_instance` reads a file of its UTF-8."""
+    return _read(text.encode(), fmt)
 
 
 def read_instance(path: str, fmt: str | None = None) -> InstanceFile:
-    """Read an instance file, by the line parser where the bulk one
-    refuses it; bytes that are not UTF-8 raise a ValueError."""
+    """Read an instance file; a name that is not UTF-8 raises a ValueError."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    return _parse_native(_kernels(), data, fmt) or parse_instance(data.decode("utf-8"), fmt)
+        return _read(fh.read(), fmt)

@@ -8,15 +8,21 @@ and `covprune_network` (`_profile.c`, `_flow.c`), from general argsorts;
 `covprune_sweep` and `covprune_flat_sweep` (`_sweep.c`), over
 `CoverageTree` and over a list; `augment_python` the flow, the last
 search's marks and the path count of `covprune_max_flow` (`_flow.c`),
-line for line.  The reader `covprune_parse` has no reference here: the
-line parser `io.parse_instance` is the one it is checked against.
+line for line; and `parse_lines` the instance, or the error, of
+`covprune_parse` (`_parse.c`) as `io.parse_instance` reads it, from
+`str.splitlines`, `str.split` and `int` on the decoded text: the line
+parser covprune read with before its one compiled reader.
 """
+
+from array import array
+from itertools import accumulate
 
 import numpy as np
 
 from covprune.coverage_tree import CoverageTree
 from covprune.flow import FlowNetwork
-from covprune.intervals import CoverageProfile, segment_cov
+from covprune.intervals import MAX_COORD, CoverageProfile, _kernels, segment_cov
+from covprune.io import _DETECT, _FIELDS, InstanceFile, ParseError
 
 
 def argsort_profile(intervals) -> CoverageProfile:
@@ -139,3 +145,67 @@ def dfs_augment(nv, source, sink, first, adj, to, res, parent_arc, stack, next_a
         res[a] -= bottleneck
         res[a ^ 1] += bottleneck
     return bottleneck
+
+
+def _instance(fmt: str, names: list[str], run_at, starts, ends, data: bytes, line_at,
+              line_len) -> InstanceFile:
+    """The instance of the given columns, read from the lines of `data`
+    that `line_at` and `line_len` give; bed3 `names` holds the name of
+    each run of records of one name, run r starting at record run_at[r],
+    and plain `names` is empty."""
+    chroms, code = (None,), array("q", [0]) * len(starts)
+    if names:
+        chroms = tuple(sorted(set(names)))
+        rank = dict(zip(chroms, range(len(chroms))))
+        _kernels().covprune_runs(len(run_at), run_at, array("q", map(rank.__getitem__, names)),
+                                 len(starts), code)
+    return InstanceFile(fmt, chroms, code, starts, ends, data, line_at, line_len)
+
+
+def _parse_coord(token: str, line_no: int, what: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(line_no, f"{what} {token!r} is not an integer") from None
+    if value < 0:
+        raise ParseError(line_no, f"{what} {value} is negative")
+    if value > MAX_COORD:
+        raise ParseError(line_no, f"{what} {value} exceeds the largest coordinate {MAX_COORD}")
+    return value
+
+
+def parse_lines(text: str, fmt: str | None = None) -> InstanceFile:
+    """Parse instance text line by line; with fmt None the field count
+    of the first data line, 3 or 2, picks bed3 or plain."""
+    names, starts, ends, rows = [], [], [], []
+    detected = fmt
+    lines = text.splitlines(keepends=True)
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        detected = detected or _DETECT.get(len(fields))
+        if detected is None:
+            raise ParseError(line_no, f"expected 2 (plain) or 3 (bed3) fields, got {len(fields)}")
+        if detected not in _FIELDS:
+            raise ValueError(f"unknown format {detected!r}")
+        if len(fields) != _FIELDS[detected]:
+            raise ParseError(line_no, f"{detected} format needs {_FIELDS[detected]} fields, "
+                                      f"got {len(fields)}")
+        names += fields[:-2]  # the bed3 name, if any
+        start = _parse_coord(fields[-2], line_no, "start")
+        end = _parse_coord(fields[-1], line_no, "end")
+        if start >= end:
+            raise ParseError(line_no, f"start {start} must be < end {end}")
+        starts.append(start)
+        ends.append(end)
+        rows.append(line_no - 1)
+    # each line's byte range in the text's UTF-8 encoding; every record is a run of its name
+    data = text.encode("utf-8", "surrogatepass")
+    size = [len(line.encode("utf-8", "surrogatepass")) for line in lines]
+    line_end = list(accumulate(size))
+    return _instance(detected or "plain", names, array("q", range(len(names))),
+                     array("Q", starts), array("Q", ends), data,
+                     array("q", (line_end[r] - size[r] for r in rows)),
+                     array("q", (size[r] for r in rows)))

@@ -150,7 +150,7 @@ def short_buffer_calls():
         "lines": (2, array("B", [1]), q(0, 0), q(4, 4), 4, b"0 1\n"),  # a one-record mask
         # record columns of two items where the count, max_records, says three
         "parse": (b"0 1\n", 4, 2, 1, 3, array("Q", [9] * 3), array("Q", [9] * 2), q(-9) * 3,
-                  q(-9), q(-9) * 3, q(-9) * 3),
+                  q(-9) * 6, q(-9) * 3, q(-9) * 3),
         "add": (3, q(1, 1, 1, 1), 2, 5),  # reaches item 4 of 4
     }
 
@@ -193,14 +193,14 @@ def test_the_reader_stops_at_its_record_columns():
     one slot changes; each column here holds one guard item past it."""
     data = b"0 1\n" * 64
     columns = [array("Q", [7, 7]), array("Q", [7, 7]), q(7, 7), q(7, 7)]
-    runs, nruns = q(-9) * 3, q(-9)
+    runs, info = q(-9) * 3, q(-9) * 6
     with pytest.raises(ValueError, match="out of bounds"):
         _native.load_library().covprune_parse(data, len(data), 2, 1, 1, columns[0], columns[1],
-                                              runs, nruns, columns[2], columns[3])
+                                              runs, info, columns[2], columns[3])
     assert [list(column) for column in columns] == [[0, 7], [1, 7], [0, 7], [4, 7]]
     # at exactly the room it needs, the same call reads every record
     columns = [array("Q", [7]) * 64, array("Q", [7]) * 64, q(7) * 64, q(7) * 64]
     assert _native.load_library().covprune_parse(data, len(data), 2, 1, 64, columns[0],
-                                                 columns[1], runs, nruns, columns[2],
+                                                 columns[1], runs, info, columns[2],
                                                  columns[3]) == 64
     assert list(columns[2]) == list(range(0, 256, 4))

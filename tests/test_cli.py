@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from covprune import _native, approx, cli, io, parse_instance
+from covprune import _native, approx, cli, parse_instance
 from covprune.cli import main
 
 from conftest import DEMO_PAIRS
@@ -315,24 +315,19 @@ def test_coordinate_cap(tmp_path, capsys, end, code):
 
 
 ECHO_INPUTS = {
-    # regular files, which the compiled reader takes: CRLF, blank lines, spaces
-    # and tabs, 007 and an unterminated last line
+    # CRLF, blank lines, spaces and tabs, 007 and an unterminated last line
     "plain-bulk": "0 10\r\n0  10\r\n\r\n007\t10\r\n2 8\r\n100 110",
     "bed3-bulk": "chr2\t5\t9\n\nchr1 0  4\r\nchr2\t005\t12\nchr2\t5\t9\nchr1\t0\t4\n"
                  "chr2 6 12\nchr1 100 110",
-    # the line parser's: comments, +5 and a non-ASCII name as well
-    "plain-lines": "# reads\n0 10\n+0 10\n\n 0 +10  \n2 8\r\n#0 10\n100 110",
-    "bed3-lines": "#c\nchr\u00e9\t0\t10\nchr\u00e9 0 10\r\nchr1\t+5\t9\n\nchr\u00e9\t00\t10\n"
-                  "chr1 5 9\nchr1\t+5\t9\nchr1 100 110",
+    # comments and a non-ASCII name as well
+    "plain-lines": "# reads\n0 10\n00 10\n\n 0 010  \n2 8\r\n#0 10\n100 110",
+    "bed3-lines": "#c\nchr\u00e9\t0\t10\nchr\u00e9 0 10\r\nchr1\t05\t9\n\nchr\u00e9\t00\t10\n"
+                  "chr1 5 9\nchr1\t05\t9\nchr1 100 110",
 }
 
 
-# the reader: the compiled one where it takes the file, or the Python line parser on every file
-@pytest.mark.parametrize("backend", ["native", "python"])
 @pytest.mark.parametrize("name", sorted(ECHO_INPUTS))
-def test_kept_lines_echo_the_input(tmp_path, capsys, monkeypatch, backend, name):
-    if backend == "python":
-        monkeypatch.setattr(io, "_parse_native", lambda *args: None)
+def test_kept_lines_echo_the_input(tmp_path, capsys, name):
     text = ECHO_INPUTS[name]
     path = tmp_path / "reads"
     path.write_bytes(text.encode())

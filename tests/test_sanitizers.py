@@ -37,11 +37,32 @@ for argv, code in runs:
     assert main(argv + ["--stats", os.devnull] * (argv[0] != "stats")) == code, argv
 
 lib = _native.load_library()
+
+
+# covprune_parse's count and info on data, detecting the format; a
+# repeated array is allocated at its size, so that its items, unlike
+# bytes, end where the data does
+def parse(data, slots=4):
+    exact = array("B", [0]) * len(data)
+    exact[:] = array("B", data)
+    columns = [array("Q", [0]) * slots, array("Q", [0]) * slots, array("q", [0]) * (3 * slots),
+               array("q", [0]) * 6, array("q", [0]) * slots, array("q", [0]) * slots]
+    n = lib.covprune_parse(exact, len(data), 0, slots, slots, *columns)
+    return n, columns[3].tolist()
+
+
+assert parse(b"") == (0, [0] * 6)
+assert parse(b"# a\\n  # b\\r\\n\\n#") == (0, [0] * 6)
+assert parse(b"# h\\nchr1 0 5\\n") == (1, [1, 3, 0, 0, 0, 0])
+assert parse(b"0 5\\r1 6\\r\\r2 7") == (3, [0, 2, 0, 0, 0, 0])
+assert parse(b"chr1 0 5\\nchr1 9 2") == (-1, [1, 3, 5, 2, 9, 8])  # start >= end, no terminator
+assert parse(bytes(range(0x80, 0x100)) + b" 0 5") == (1, [1, 3, 0, 0, 0, 0])
+assert parse(b"#\\xe2\\x80") == (0, [0] * 6) and parse(b"#\\xc2") == (0, [0] * 6)
 # 64 data lines into record columns of exactly one slot each
 data, one = b"0 1\\n" * 64, lambda code: array(code, [0])
 try:
     lib.covprune_parse(data, len(data), 2, 1, 1, one("Q"), one("Q"), array("q", [0]) * 3,
-                       one("q"), one("q"), one("q"))
+                       array("q", [0]) * 6, one("q"), one("q"))
     raise AssertionError("the reader wrote past its record columns")
 except ValueError:
     pass
