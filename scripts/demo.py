@@ -37,10 +37,9 @@ def main():
     t = 1
     print(f"\nat k={K}, t={t} the residual gives the end arcs capacity {K}, "
           f"the interior {K - t}, each interval 1")
-    cold = Chain(s, K, warm_start=False).max_flow(t)
     warm = Chain(s, K).max_flow(t)
-    print(f"  max-flow value {cold.value} "
-          f"(cold: {cold.augmentations} augmentations, warm: {warm.augmentations})")
+    print(f"  max-flow value {warm.value} ({warm.augmentations} augmentations from the "
+          f"backbone flow {K - t})")
 
     sol = decide(s, K, t)
     kept = "".join(names[i] for i in sol.kept)

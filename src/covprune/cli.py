@@ -1,17 +1,16 @@
 """Command-line interface.
 
-Subcommands: decide, solve, approx, stats, oracle.  `decide` and `solve`
-run the one exact engine, whose flow solves warm-start from the backbone
-flow.  Kept intervals go to stdout as their input lines, in input order;
+Subcommands: decide, solve, approx, stats.  `decide` and `solve` run the
+one exact engine, whose flow solves warm-start from the backbone flow.
+Kept intervals go to stdout as their input lines, in input order;
 per-chromosome solver statistics go to stderr or to --stats FILE as JSON
 lines with a fixed schema, each written and flushed as its chromosome
 finishes.  A chromosome's kept set reaches the output as the int64
 buffer of indices its solver produced.  Exit codes: 0 success/feasible,
 1 decide found no solution, 2 usage error or bad input (a parse error,
-an unreadable file, a name that is not UTF-8, an instance past the
-oracle's limit), 3 internal error (anything else: a failed self-check,
-a kernel's refusal, a bug), 4 no compiled library: the kernels could
-not be built with the C compiler.
+an unreadable file, a name that is not UTF-8), 3 internal error
+(anything else: a failed self-check, a kernel's refusal, a bug), 4 no
+compiled library: the kernels could not be built with the C compiler.
 """
 
 from __future__ import annotations
@@ -106,12 +105,6 @@ def cmd_approx(args) -> int:
     return _run(args, lambda chrom, ivs: approx_prune(ivs, args.k))
 
 
-def cmd_oracle(args) -> int:
-    from . import oracle
-    return _run(args, lambda chrom, ivs: oracle.brute_force_opt(
-        ivs, args.k, limit=args.limit, force=args.force))
-
-
 def cmd_stats(args) -> int:
     from ._native import extremes
     for chrom, (ivs, _) in _groups(io.read_instance(args.input, args.format)):
@@ -128,15 +121,13 @@ class UsageError(ValueError):
 
 
 REQUIRED = object()  # the default of an option that must be given
-# each option: the name of its value in the help (None for a flag), what its
-# value may be (a type or a tuple of choices), its default and its help
+# each option: the name of its value in the help, what its value may be
+# (a type or a tuple of choices), its default and its help
 OPTIONS = {
     "format": ("{plain,bed3}", ("plain", "bed3"), None, "input format (default: auto-detect)"),
     "stats": ("FILE", str, None, "write JSONL statistics here instead of stderr"),
     "k": ("K", int, REQUIRED, "coverage cap (>= 1)"),
     "t": ("T", int, REQUIRED, "coverage floor (>= 0)"),
-    "limit": ("LIMIT", int, 20, "refuse instances larger than this"),  # oracle.DEFAULT_LIMIT
-    "force": (None, None, False, "run even past the size limit"),
 }
 # each subcommand: its runner, its summary and its options besides --format and --stats
 COMMANDS = {
@@ -144,7 +135,6 @@ COMMANDS = {
     "solve": (cmd_solve, "maximize mincov subject to maxcov <= k (exact)", ("k",)),
     "approx": (cmd_approx, "fast approximate pruning (ratio k/floor(k/2))", ("k",)),
     "stats": (cmd_stats, "coverage summary, no solving", ()),
-    "oracle": (cmd_oracle, "exhaustive reference solver (small n only)", ("k", "limit", "force")),
 }
 HELP = ("-h", "--help")
 
@@ -161,9 +151,9 @@ def _help(command: str | None) -> str:
             ("-h, --help", "show this help and exit")]
     for name in ("format", "stats", *COMMANDS[command][2]):
         metavar, _, default, text = OPTIONS[name]
-        form = f"--{name} {metavar or ''}".rstrip()
+        form = f"--{name} {metavar}"
         usage.append(form if default is REQUIRED else f"[{form}]")
-        rows.append((form, f"{text} (default {default})" if type(default) is int else text))
+        rows.append((form, text))
     return "\n".join([" ".join(usage), "", COMMANDS[command][1], "",
                       *(f"  {form:<24}{text}" for form, text in rows)])
 
@@ -215,12 +205,10 @@ def parse_args(argv: list[str]):
             positional.append(at - 1)
         elif flag not in known:
             extras.append(token)
-        elif flag in HELP or OPTIONS[flag[2:]][1] is None:  # -h, --help and --force take no value
+        elif flag in HELP:  # the one option that takes no value
             if eq:
-                raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
-            if flag in HELP:
-                return _help(command)
-            values[flag[2:]] = True
+                raise UsageError(f"argument -h/--help: ignored explicit argument {text!r}")
+            return _help(command)
         else:
             if not eq:
                 if at == cut or _is_option(rest[at], known):
@@ -259,8 +247,7 @@ def main(argv=None) -> int:
         return COMMANDS[args.command][0](args)
     except Exception as exc:
         from ._native import CompilerError  # loaded already by the call that raised it
-        from .oracle import SizeLimitError
-        code = (2 if isinstance(exc, (io.ParseError, UnicodeDecodeError, OSError, SizeLimitError))
+        code = (2 if isinstance(exc, (io.ParseError, UnicodeDecodeError, OSError))
                 else 4 if isinstance(exc, CompilerError) else 3)
         # a failed self-check, a kernel's refusal or a bug reads neither as
         # exit 1, "infeasible", nor as exit 2, bad input

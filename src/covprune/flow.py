@@ -111,15 +111,14 @@ class Chain:
 
     A maximum flow at floor t stays feasible at any lower floor, since
     lowering t only raises the interior backbone capacities from k - t.
-    With `warm_start` the first probe starts from the backbone flow of
-    value k - t, which leaves at most t units to find; without it, from
-    zero flow, the reference the tests check the warm start against.
+    The first probe starts from the backbone flow of value k - t, which
+    saturates the interior and leaves at most t units to find.
     """
 
-    def __init__(self, intervals: IntervalSet, k: int, warm_start: bool = True):
+    def __init__(self, intervals: IntervalSet, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self.k, self.warm_start = k, warm_start
+        self.k = k
         self.net = build_network(intervals)
         self.t: int | None = None  # floor of the flow held, None before a probe
         self.first_t = self.augmentations = 0  # of the whole descent
@@ -127,18 +126,16 @@ class Chain:
     def max_flow(self, t: int) -> FlowAssignment:
         """The maximum flow of the (k, t) network, augmented from the flow
         of the previous, higher floor, or on the first call from the
-        start flow.  Its `augmentations` counts this call's paths."""
+        backbone flow.  Its `augmentations` counts this call's paths."""
         k, nb = self.k, self.net.num_backbone_arcs
         if not 0 <= t <= k:
             raise ValueError(f"t must be in [0, k], got t={t} k={k}")
         if self.t is None:
             self.first_t = t
-            f = k - t if self.warm_start else 0  # the start flow on every backbone arc
             self.res = res = zeros("q", len(self.net.to))
             res[2 * nb::2] = array("q", [1]) * (len(res) // 2 - nb)  # interval arcs: capacity 1
-            res[0:2 * nb:2] = array("q", [k - t - f]) * nb  # backbone arcs: capacity less flow,
-            res[0] = res[2 * nb - 2] = k - f  # the capacity being k at the two ends
-            res[1:2 * nb:2] = array("q", [f]) * nb
+            res[0] = res[2 * nb - 2] = t  # backbone flow k - t: t left at the ends, 0 inside
+            res[1:2 * nb:2] = array("q", [k - t]) * nb
         elif t > self.t:
             raise ValueError(f"the floor may only fall: t={t} after t={self.t}")
         else:  # interior capacity rises
@@ -146,24 +143,21 @@ class Chain:
         flow = max_flow_augmenting(self.net, self.res)
         self.t = t
         self.augmentations += flow.augmentations
-        # the value starts at k - first_t warm, 0 cold, and each path adds at least 1
-        bound = self.first_t if self.warm_start else k
-        if self.augmentations > bound:
+        # the value starts at k - first_t, and each path adds at least 1
+        if self.augmentations > self.first_t:
             raise AssertionError(f"{self.augmentations} augmentations "
                                  f"from the start at t={self.first_t}")
         return flow
 
 
-def decide(intervals: IntervalSet, k: int, t: int,
-           warm_start: bool = True) -> Solution | None:
+def decide(intervals: IntervalSet, k: int, t: int) -> Solution | None:
     """Find a subset with maxcov <= k and mincov >= t over the span.
 
     Returns None when no such subset exists (a normal outcome, not an
     error).  This is the descent of `search.descend` over the one floor
-    t: with `warm_start` the solver begins from the backbone flow of
-    value k - t on a `Chain` and needs at most t augmentations; without
-    it the flow starts from zero.
+    t: the solver begins from the backbone flow of value k - t on a
+    `Chain` and needs at most t augmentations.
     """
-    from .search import descend  # search builds on this module
-    return descend(intervals, k, t, "exact-tailored" if warm_start else "exact-generic",
-                   {"flow_solves": 0, "augmentations": 0, "native_flow": 0}, warm_start)
+    from .search import METHOD, descend  # search builds on this module
+    return descend(intervals, k, t, METHOD,
+                   {"flow_solves": 0, "augmentations": 0, "native_flow": 0})

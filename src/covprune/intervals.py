@@ -69,12 +69,6 @@ class IntervalSet:
         delimiters = self.compressed.delimiters
         return (delimiters[0], delimiters[-1]) if len(self) else None
 
-    def subset(self, indices) -> "IntervalSet":
-        """The intervals at `indices`, in their order."""
-        pick = list(indices)
-        return IntervalSet(*(array("Q", map(a.__getitem__, pick))
-                             for a in (self.starts, self.ends)))
-
 
 def _uint64(values) -> memoryview:
     view = memoryview(values)

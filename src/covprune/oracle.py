@@ -1,4 +1,5 @@
-"""Brute-force references for validating the real solvers at desk scale."""
+"""Brute-force references for validating the real solvers at desk scale:
+library only, with numpy (the `test` extra), which no CLI run loads."""
 
 from __future__ import annotations
 
@@ -6,31 +7,24 @@ from ._native import select
 from .intervals import IntervalSet
 from .solution import Solution, score_subset
 
-DEFAULT_LIMIT = 20
+LIMIT = 20  # the most intervals it enumerates the subsets of
 _CHUNK_BITS = 18
 
 
-class SizeLimitError(ValueError):
-    """An instance past the brute-force size limit: a usage error."""
-
-
-def brute_force_opt(intervals: IntervalSet, k: int,
-                    limit: int = DEFAULT_LIMIT, force: bool = False) -> Solution:
+def brute_force_opt(intervals: IntervalSet, k: int) -> Solution:
     """Exhaustively maximize mincov over all subsets with maxcov <= k.
 
     Enumerates all 2^n subsets, scoring mincov over the original span
     (uncovered points count as 0).  Among optima the lexicographically
     smallest kept-index set is returned, so witnesses are reproducible.
-    Refuses n > limit unless `force` is set; this is a desk-scale tool,
-    not a solver.
+    Refuses n > LIMIT with ValueError; this is a desk-scale tool, not a
+    solver.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = len(intervals)
-    if n > limit and not force:
-        raise SizeLimitError(
-            f"{n} intervals exceed the brute-force limit {limit}; "
-            "pass force=True to override")
+    if n > LIMIT:
+        raise ValueError(f"{n} intervals exceed the brute-force limit {LIMIT}")
     if n == 0:
         return score_subset(intervals, None, k, "oracle", {"subsets": 1})
     import numpy as np  # a desk-scale tool: no solver run loads numpy

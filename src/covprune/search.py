@@ -11,9 +11,7 @@ augmenting path raises it, so the whole descent costs at most `bound`
 augmentations, run in C (`covprune_max_flow`).  Only the witness is
 scored.  `descend` is the one body of both exact entry points:
 `solve_exact` runs it over every floor from the bound down, and
-`flow.decide` over its one floor t.  The cold-start flow
-(`flow.decide(..., warm_start=False)`), a `Chain` started from zero
-flow, is kept only as the reference the tests check this engine against.
+`flow.decide` over its one floor t.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ def solve_exact(intervals: IntervalSet, k: int) -> Solution:
 
 
 def descend(intervals: IntervalSet, k: int, t: int | None, method: str,
-            work: dict[str, int], warm_start: bool = True) -> Solution | None:
+            work: dict[str, int]) -> Solution | None:
     """The answer at the floor t, or with t None at every floor from the
     bound min(k, mincov) down until one holds; None when t does not hold.
 
@@ -63,7 +61,7 @@ def descend(intervals: IntervalSet, k: int, t: int | None, method: str,
             # the warm start already saturates the backbone, so its witness is empty
             from .approx import approx_prune
             return score_subset(intervals, approx_prune(intervals, k).kept, k, method, work)
-        chain = chain or flow.Chain(intervals, k, warm_start)
+        chain = chain or flow.Chain(intervals, k)
         result = chain.max_flow(floor)
         work["flow_solves"] += 1
         work["augmentations"] += result.augmentations

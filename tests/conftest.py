@@ -46,6 +46,12 @@ def pairs_of(intervals: IntervalSet) -> list[tuple[int, int]]:
     return list(zip(intervals.starts.tolist(), intervals.ends.tolist()))
 
 
+def subset(intervals: IntervalSet, indices) -> IntervalSet:
+    """The intervals of the set at `indices`, in their order."""
+    pairs = pairs_of(intervals)
+    return iset(pairs[i] for i in indices)
+
+
 def random_instance(rng: random.Random, n: int,
                     max_coord: int = 60, max_len: int = 15) -> IntervalSet:
     pairs = []

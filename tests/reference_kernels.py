@@ -8,7 +8,9 @@ and `covprune_network` (`_profile.c`, `_flow.c`), from general argsorts;
 `covprune_sweep` and `covprune_flat_sweep` (`_sweep.c`), over
 `CoverageTree` and over a list; `augment_python` the flow, the last
 search's marks and the path count of `covprune_max_flow` (`_flow.c`),
-line for line; and `parse_lines` the instance, or the error, of
+line for line; `cold_max_flow` and `cold_decide` the maximum flow, and
+the answer, of a `flow.Chain`'s first probe, from zero flow in place of
+the backbone flow; and `parse_lines` the instance, or the error, of
 `covprune_parse` (`_parse.c`) as `io.parse_instance` reads it, from
 `str.splitlines`, `str.split` and `int` on the decoded text: the line
 parser covprune read with before its one compiled reader.
@@ -19,10 +21,12 @@ from itertools import accumulate
 
 import numpy as np
 
+from covprune import flow
 from covprune.coverage_tree import CoverageTree
-from covprune.flow import FlowNetwork
+from covprune.flow import FlowAssignment, FlowNetwork
 from covprune.intervals import MAX_COORD, CoverageProfile, _kernels, segment_cov
 from covprune.io import _DETECT, _FIELDS, InstanceFile, ParseError
+from covprune.solution import Solution, score_subset
 
 
 def argsort_profile(intervals) -> CoverageProfile:
@@ -145,6 +149,34 @@ def dfs_augment(nv, source, sink, first, adj, to, res, parent_arc, stack, next_a
         res[a] -= bottleneck
         res[a ^ 1] += bottleneck
     return bottleneck
+
+
+def cold_max_flow(intervals, k: int, t: int) -> FlowAssignment:
+    """The maximum flow of the (k, t) network of `intervals`, augmented
+    by `flow.max_flow_augmenting` from zero flow: a residual at capacity,
+    k on the two end backbone arcs, k - t on the interior ones and 1 on
+    each interval arc."""
+    if not 0 <= t <= k:
+        raise ValueError(f"t must be in [0, k], got t={t} k={k}")
+    net = flow.build_network(intervals)
+    nb = net.num_backbone_arcs
+    res = array("q", [0]) * len(net.to)
+    res[0:2 * nb:2] = array("q", [k - t]) * nb
+    res[0] = res[2 * nb - 2] = k
+    res[2 * nb::2] = array("q", [1]) * (len(res) // 2 - nb)
+    result = flow.max_flow_augmenting(net, res)
+    # each path adds at least 1 to a value that starts at 0
+    assert result.augmentations <= k, result.augmentations
+    return result
+
+
+def cold_decide(intervals, k: int, t: int) -> Solution | None:
+    """`flow.decide`'s question answered by the zero-flow start alone: the
+    flow's witness, scored, when the flow reaches k, else None."""
+    result = cold_max_flow(intervals, k, t)
+    if result.value < k:
+        return None
+    return score_subset(intervals, result.kept, k, "cold-reference", {})
 
 
 def _instance(fmt: str, names: list[str], run_at, starts, ends, data: bytes, line_at,

@@ -1,5 +1,6 @@
-"""The argparse parser the CLI had before its table-driven one: the
-reference `tests/test_cli.py` checks `covprune.cli.parse_args` against.
+"""The CLI's grammar as an argparse parser, the one the CLI had before its
+table-driven one: the reference `tests/test_cli.py` checks
+`covprune.cli.parse_args` against.
 It takes unique prefixes of the option names (`--sta` for `--stats`),
 which the CLI no longer does."""
 
@@ -29,8 +30,4 @@ def build_parser() -> argparse.ArgumentParser:
     add("solve", "maximize mincov subject to maxcov <= k (exact)")
     add("approx", "fast approximate pruning (ratio k/floor(k/2))")
     add("stats", "coverage summary, no solving", with_k=False)
-    p = add("oracle", "exhaustive reference solver (small n only)")
-    p.add_argument("--limit", type=int, default=20,
-                   help="refuse instances larger than this (default %(default)s)")
-    p.add_argument("--force", action="store_true", help="run even past the size limit")
     return parser

@@ -17,7 +17,8 @@ from covprune.intervals import segment_cov
 
 from conftest import (clipped_instance, count_cover, generate_instance, iset, maxcov,
                       mincov_over, naive_range_min_max, pairs_of, random_instance,
-                      segment_values)
+                      segment_values, subset)
+from reference_kernels import cold_decide, cold_max_flow
 
 DEMO = iset([(0, 8), (0, 2), (2, 6), (1, 3), (1, 10), (4, 10)])
 
@@ -27,17 +28,17 @@ def ok(name):
 
 
 def test_criterion_1_worked_figure_reproduction():
-    flow = Chain(DEMO, 3, warm_start=False).max_flow(1)
+    flow = cold_max_flow(DEMO, 3, 1)
     assert flow.value == 3
 
     sol = decide(DEMO, k=3, t=1)
     assert sol is not None
-    sub = DEMO.subset(sol.kept)
+    sub = subset(DEMO, sol.kept)
     assert maxcov(sub) <= 3
     assert mincov_over(sub, 0, 10) >= 1
 
     # removing exactly [0,8) is one accepted witness
-    drop_long = DEMO.subset([1, 2, 3, 4, 5])
+    drop_long = subset(DEMO, [1, 2, 3, 4, 5])
     assert maxcov(drop_long) <= 3
     assert mincov_over(drop_long, 0, 10) >= 1
     ok("1 worked-figure reproduction")
@@ -51,9 +52,9 @@ def test_criterion_2_oracle_equivalence_exact():
         opt = brute_force_opt(s, k).achieved_mincov
         assert solve_exact(s, k).achieved_mincov == opt
         # the cold-start reference flow agrees with the oracle on its own
-        assert decide(s, k, opt, warm_start=False) is not None
+        assert cold_decide(s, k, opt) is not None
         if opt < k:
-            assert decide(s, k, opt + 1, warm_start=False) is None
+            assert cold_decide(s, k, opt + 1) is None
     ok("2 oracle equivalence, 500 instances, exact search and cold-start flow")
 
 
@@ -64,8 +65,8 @@ def test_criterion_3_engine_agreement_and_augmentation_bound():
                             max_coord=500, max_len=60)
         k = rng.randint(1, 6)
         for t in range(k + 1):
-            cold = decide(s, k, t, warm_start=False)
-            warm = decide(s, k, t, warm_start=True)
+            cold = cold_decide(s, k, t)
+            warm = decide(s, k, t)
             assert (cold is None) == (warm is None)
             flow = Chain(s, k).max_flow(t)
             assert flow.augmentations <= t

@@ -7,7 +7,7 @@ import pytest
 from covprune import IntervalSet, approx_prune, solve_exact, brute_force_opt, build_tree
 
 from conftest import (generate_instance, iset, maxcov, pairs_of, random_instance,
-                      reference_profile, sweeps)
+                      reference_profile, subset, sweeps)
 
 
 def test_classification_threshold():
@@ -107,7 +107,7 @@ def test_cap_and_ratio_against_exact():
         k = rng.randint(1, 6)
         sol = approx_prune(s, k)
         assert sol.achieved_maxcov <= k
-        assert maxcov(s.subset(sol.kept)) <= k
+        assert maxcov(subset(s, sol.kept)) <= k
         opt = solve_exact(s, k).achieved_mincov
         assert sol.achieved_mincov >= (k // 2) / k * opt
 
@@ -173,7 +173,7 @@ def test_dynamic_classification_uses_current_state():
     s = iset([(0, 4), (0, 4), (0, 4), (0, 4), (0, 8), (4, 8), (4, 8), (4, 8)])
     k = 2
     sol = approx_prune(s, k)
-    sub = s.subset(sol.kept)
+    sub = subset(s, sol.kept)
     assert maxcov(sub) <= k
     tree = build_tree(s)
     # static classification of [0,8), segments [0, 2): full-set minimum over its span

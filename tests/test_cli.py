@@ -180,31 +180,6 @@ def test_stats_subcommand(demo_file, capsys):
                       "mincov": 2, "maxcov": 4, "span_start": 0, "span_end": 10}
 
 
-def test_oracle_subcommand(demo_file, capsys):
-    code, out, err = run(capsys, "oracle", demo_file, "--k", "3")
-    assert code == 0
-    kept = [tuple(map(int, ln.split())) for ln in out.strip().splitlines()]
-    assert kept == [(0, 8), (0, 2), (1, 10), (4, 10)]
-    assert json.loads(err.strip())["mincov"] == 2
-
-
-def test_oracle_size_guard(demo_file, capsys):
-    code, _, err = run(capsys, "oracle", demo_file, "--k", "3", "--limit", "4")
-    assert code == 2 and "limit" in err
-    code, _, _ = run(capsys, "oracle", demo_file, "--k", "3", "--limit", "4", "--force")
-    assert code == 0
-
-
-def test_oracle_default_limit(tmp_path, capsys):
-    from covprune import oracle
-    code, out, _ = run(capsys, "oracle", "--help")
-    assert code == 0 and f"(default {oracle.DEFAULT_LIMIT})" in " ".join(out.split())
-    path = tmp_path / "reads.txt"
-    path.write_text("0 1\n" * (oracle.DEFAULT_LIMIT + 1))
-    code, _, err = run(capsys, "oracle", str(path), "--k", "1")
-    assert code == 2 and "limit" in err
-
-
 def test_bed3_per_chromosome_independence(tmp_path, capsys):
     mixed = tmp_path / "mixed.bed"
     # chrA is the demo instance, chrB a disjoint pile of 4 identical reads
@@ -409,7 +384,7 @@ def test_full_scale_solve_invariants(tmp_path, capsys):
     assert record["mincov"] == after.min() > 1  # over the input's span
 
 
-FIELDS = ("command", "input", "format", "stats", "k", "t", "limit", "force")
+FIELDS = ("command", "input", "format", "stats", "k", "t")
 REFERENCE = build_parser()
 
 
@@ -442,6 +417,7 @@ VALUES = st.one_of(
                      "-x", "-1 x", "--k", "--stats", "--k=3", "--stats=a b", "--engine",
                      "--t=-1", "--force"]),
     st.text(alphabet="0123456789-.=_ ab", max_size=4))
+# with --limit and --force, which no command takes
 OPTION_NAMES = ["--format", "--stats", "--k", "--t", "--limit", "--force"]
 TOKEN_GROUPS = st.one_of(
     st.tuples(st.sampled_from(OPTION_NAMES), VALUES),  # --name VALUE
@@ -455,9 +431,8 @@ TOKEN_GROUPS = st.one_of(
 
 # options with values a command takes; every command takes --format and --stats
 GOOD = {"--format": ("plain", "bed3"), "--stats": ("s.jsonl", "-"), "--k": ("5", "2"),
-        "--t": ("0", "-1"), "--limit": ("4", "-4")}
-OWN = {"decide": ("--k", "--t"), "solve": ("--k",), "approx": ("--k",),
-       "oracle": ("--k", "--limit", "--force")}
+        "--t": ("0", "-1")}
+OWN = {"decide": ("--k", "--t"), "solve": ("--k",), "approx": ("--k",)}
 
 
 @st.composite
@@ -470,9 +445,8 @@ def command_lines(draw):
     required = [g for g in (("reads.txt",), ("--k", "3"), ("--t", "1"))
                 if g[0] in ("reads.txt", *own) and draw(st.integers(0, 4))]
     for name in draw(st.lists(st.sampled_from(["--format", "--stats", *own]), max_size=3)):
-        value = draw(st.sampled_from(GOOD.get(name, ("",))))
-        required.append((name,) if name == "--force" else
-                        draw(st.sampled_from([(name, value), (f"{name}={value}",)])))
+        value = draw(st.sampled_from(GOOD[name]))
+        required.append(draw(st.sampled_from([(name, value), (f"{name}={value}",)])))
     noise = draw(st.lists(TOKEN_GROUPS, max_size=2)) if draw(st.booleans()) else []
     groups = draw(st.permutations(required + noise))
     return [command, *(token for group in groups for token in group)]
@@ -485,7 +459,7 @@ def command_lines(draw):
 @example(["solve", "in", "--k", "3", "--"])
 @example(["solve", "--k", "3", "--", "--"])
 @example(["decide", "in", "--k", "3", "--t", "-1"])
-@example(["oracle", "in", "--k=3", "--force", "--limit", "-4", "--force"])
+@example(["solve", "in", "--k=3", "--force", "--limit", "-4", "--force"])
 def test_the_parser_reads_what_argparse_read(argv):
     """On any command line of full option names the table-driven parser
     and the argparse one it replaced both refuse it or read the same
@@ -497,7 +471,7 @@ def test_the_parser_reads_what_argparse_read(argv):
 @pytest.mark.parametrize("argv, message", [
     ([], "the following arguments are required: command"),
     (["prune", "in"], "argument command: invalid choice: 'prune' (choose from 'decide', "
-                      "'solve', 'approx', 'stats', 'oracle')"),
+                      "'solve', 'approx', 'stats')"),
     (["solve", "--k", "3"], "the following arguments are required: input"),
     (["decide", "in"], "the following arguments are required: --k, --t"),
     (["solve", "in", "--k", "x"], "argument --k: invalid int value: 'x'"),
@@ -505,11 +479,16 @@ def test_the_parser_reads_what_argparse_read(argv):
      "argument --format: invalid choice: 'bed' (choose from 'plain', 'bed3')"),
     (["solve", "in", "--k"], "argument --k: expected one argument"),
     (["solve", "in", "out", "--k", "3"], "unrecognized arguments: out"),
-    (["oracle", "in", "--k", "3", "--force=yes"],
-     "argument --force: ignored explicit argument 'yes'"),
+    (["solve", "in", "--k", "3", "--help=yes"],
+     "argument -h/--help: ignored explicit argument 'yes'"),
     (["solve", "in", "--sta", "s.jsonl", "--k", "3"], "unrecognized arguments: --sta s.jsonl"),
+    # the oracle subcommand and its two options are gone
+    (["oracle", "in", "--k", "3"], "argument command: invalid choice: 'oracle' (choose from "
+                                   "'decide', 'solve', 'approx', 'stats')"),
+    (["solve", "in", "--k", "3", "--limit", "4"], "unrecognized arguments: --limit 4"),
+    (["solve", "in", "--k", "3", "--force"], "unrecognized arguments: --force"),
 ], ids=["no-command", "bad-command", "no-input", "no-k-t", "not-int", "bad-format",
-        "no-value", "two-inputs", "flag-value", "abbreviation"])
+        "no-value", "two-inputs", "flag-value", "abbreviation", "oracle", "limit", "force"])
 def test_a_usage_error_exits_2_with_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"covprune: error: {message}\n")

@@ -9,7 +9,8 @@ from covprune import flow
 from covprune.flow import Chain, FlowAssignment
 
 from conftest import (clipped_instance, iset, maxcov, mincov_over, pairs_of, random_instance,
-                      interval_pairs)
+                      interval_pairs, subset)
+from reference_kernels import cold_decide, cold_max_flow
 
 
 def assert_valid_flow(s, k, t, fa):
@@ -36,20 +37,23 @@ def assert_valid_flow(s, k, t, fa):
 
 def first_probe(monkeypatch, s, k, t, warm_start):
     """The capacities of the (k, t) network of `s` and the flow a Chain's
-    first probe at t starts from, both read off the residual it hands to
+    first probe at t starts from, or with `warm_start` false the zero
+    flow of the reference, both read off the residual it hands to
     `max_flow_augmenting`, each as (backbone arcs, interval arcs)."""
     starts = []
     augment = flow.max_flow_augmenting
 
     def spy(net, res):
-        starts.append(np.array(res))
+        starts.append((np.array(res), net.num_backbone_arcs))
         return augment(net, res)
 
     with monkeypatch.context() as m:
         m.setattr(flow, "max_flow_augmenting", spy)
-        chain = Chain(s, k, warm_start)
-        chain.max_flow(t)
-    res, nb = starts[0], chain.net.num_backbone_arcs
+        if warm_start:
+            Chain(s, k).max_flow(t)
+        else:
+            cold_max_flow(s, k, t)
+    res, nb = starts[0]
     caps = res[0::2] + res[1::2]  # forward plus reverse residual
     return ((caps[:nb].tolist(), caps[nb:].tolist()),
             (res[1:2 * nb:2].tolist(), res[2 * nb + 1::2].tolist()))
@@ -127,7 +131,7 @@ def test_backbone_flow_at_t0_is_already_maximum(demo):
 
 
 def test_max_flow_demo_cold(demo):
-    result = Chain(demo, 3, warm_start=False).max_flow(1)
+    result = cold_max_flow(demo, 3, 1)
     assert result.value == 3
     assert_valid_flow(demo, 3, 1, result)
 
@@ -145,14 +149,14 @@ def test_decide_demo_feasible(demo):
     assert sol.achieved_maxcov <= 3
     assert sol.achieved_mincov >= 1
     # independently recheck the witness with a coverage sweep
-    sub = demo.subset(sol.kept)
+    sub = subset(demo, sol.kept)
     assert maxcov(sub) <= 3
     assert mincov_over(sub, 0, 10) >= 1
 
 
 def test_removing_long_read_is_a_valid_witness(demo):
     # dropping only A=[0,8) satisfies k=3, t=1
-    sub = demo.subset([1, 2, 3, 4, 5])
+    sub = subset(demo, [1, 2, 3, 4, 5])
     assert maxcov(sub) <= 3
     assert mincov_over(sub, 0, 10) >= 1
 
@@ -166,15 +170,14 @@ def test_decide_t_above_k_infeasible(demo):
     assert decide(demo, k=3, t=4) is None
 
 
-@pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
-def test_decide_under_the_cap_keeps_every_read_at_huge_k(warm_start):
+def test_decide_under_the_cap_keeps_every_read_at_huge_k():
     # k = 2**63 is beyond the int64 residual; an input under the cap
-    # never reaches a Chain on either path
+    # never reaches a Chain
     s = iset([(0, 5), (0, 5), (2, 7)])
-    sol = decide(s, 2**63, 1, warm_start=warm_start)
+    sol = decide(s, 2**63, 1)
     assert (sol.kept.tolist(), sol.achieved_mincov, sol.achieved_maxcov) == ([0, 1, 2], 1, 3)
     assert sol.work["flow_solves"] == 0
-    assert decide(s, 2**63, 2, warm_start=warm_start) is None
+    assert decide(s, 2**63, 2) is None
 
 
 def test_decide_rejects_bad_k(demo):
@@ -195,12 +198,12 @@ def test_decide_witnesses_verify_by_sweep():
         k = rng.randint(1, 5)
         t = rng.randint(0, k)
         start, end = s.span
-        for warm in (False, True):
-            sol = decide(s, k, t, warm_start=warm)
+        for decide_at in (cold_decide, decide):
+            sol = decide_at(s, k, t)
             if sol is None:
                 continue
             feasible_seen += 1
-            sub = s.subset(sol.kept)
+            sub = subset(s, sol.kept)
             assert maxcov(sub) <= k
             if t > 0:
                 assert mincov_over(sub, start, end) >= t
@@ -236,7 +239,7 @@ def test_warm_and_cold_agree_on_value():
         s = random_instance(rng, rng.randint(1, 18))
         k = rng.randint(1, 5)
         t = rng.randint(0, k)
-        cold = Chain(s, k, warm_start=False).max_flow(t)
+        cold = cold_max_flow(s, k, t)
         warm = Chain(s, k).max_flow(t)
         assert cold.value == warm.value
         assert warm.augmentations <= t
@@ -257,7 +260,7 @@ def test_coverage_identity_on_extracted_witness():
         if fa.value < k:
             continue
         kept = [i for i, f in enumerate(fa.interval_flow) if f == 1]
-        sub = s.subset(kept)
+        sub = subset(s, kept)
         coords = s.compressed[0].tolist()
         for j in range(1, len(coords)):
             p = coords[j - 1]  # any point of segment j works: coverage is constant

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from covprune import IntervalSet, coverage_profile, score_subset
 from covprune.intervals import MAX_COORD, segment_cov
 
-from conftest import DEMO_PAIRS, iset, count_cover, interval_pairs, pairs_of, reference_profile
+from conftest import (DEMO_PAIRS, iset, count_cover, interval_pairs, pairs_of, reference_profile,
+                      subset)
 
 
 def test_interval_rejects_degenerate():
@@ -114,7 +115,7 @@ def test_span(demo):
 
 
 def test_subset_keeps_indices(demo):
-    sub = demo.subset([1, 4])
+    sub = subset(demo, [1, 4])
     assert pairs_of(sub) == [(0, 2), (1, 10)]
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from covprune import _native, approx_prune
 from covprune.cli import main
 
-from conftest import iset, maxcov, pairs_of, random_instance, sweeps
+from conftest import iset, maxcov, pairs_of, random_instance, subset, sweeps
 from reference_kernels import flat_python, sweep_python
 
 MAX_COORD = 2**64 - 1
@@ -61,7 +61,7 @@ def test_native_matches_reference():
         deleted, tree = sweep_python(*args)
         flat = flat_python(*args)[1]
         assert sol.kept.tolist() == np.flatnonzero(~deleted).tolist()
-        assert sol.achieved_maxcov == maxcov(s.subset(sol.kept)) <= k
+        assert sol.achieved_maxcov == maxcov(subset(s, sol.kept)) <= k
         scanned = sol.work["segments_scanned"]
         assert sol.work == {"tree_nodes_touched": 0 if scanned else tree[0],
                             "segments_scanned": flat[0] if scanned else 0,

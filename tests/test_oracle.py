@@ -3,8 +3,9 @@ import random
 import pytest
 
 from covprune import IntervalSet, brute_force_opt
+from covprune.oracle import LIMIT
 
-from conftest import iset, maxcov, mincov_over, naive_range_min_max, random_instance
+from conftest import iset, maxcov, mincov_over, naive_range_min_max, random_instance, subset
 
 
 def test_demo_opt(demo):
@@ -32,11 +33,9 @@ def test_lexicographic_tie_break():
 
 
 def test_size_guard():
-    s = iset([(i, i + 2) for i in range(5)])
-    with pytest.raises(ValueError):
-        brute_force_opt(s, 2, limit=4)
-    sol = brute_force_opt(s, 2, limit=4, force=True)
-    assert sol.achieved_mincov >= 0
+    s = iset([(i, i + 2) for i in range(LIMIT + 1)])
+    with pytest.raises(ValueError, match="limit"):
+        brute_force_opt(s, 2)
 
 
 def test_bad_k(demo):
@@ -50,7 +49,7 @@ def test_witness_respects_feasibility():
         s = random_instance(rng, rng.randint(0, 10), max_coord=25, max_len=8)
         k = rng.randint(1, 4)
         sol = brute_force_opt(s, k)
-        sub = s.subset(sol.kept)
+        sub = subset(s, sol.kept)
         assert maxcov(sub) <= k
         if sol.num_kept:
             assert mincov_over(sub, *s.span) == sol.achieved_mincov

@@ -5,7 +5,8 @@ import pytest
 from covprune import IntervalSet, solve_exact, decide, brute_force_opt
 
 from conftest import (clipped_instance, iset, maxcov, mincov_over, mincov_span,
-                      random_instance)
+                      random_instance, subset)
+from reference_kernels import cold_decide
 
 
 def test_solve_demo_both_engines(demo):
@@ -13,12 +14,12 @@ def test_solve_demo_both_engines(demo):
     assert sol.achieved_mincov == 2
     assert sol.achieved_maxcov <= 3
     assert sol.method == "exact-tailored"
-    sub = demo.subset(sol.kept)
+    sub = subset(demo, sol.kept)
     assert maxcov(sub) <= 3
     assert mincov_over(sub, 0, 10) == 2
     # the cold-start reference flow puts the threshold at the same place
-    assert decide(demo, 3, 2, warm_start=False) is not None
-    assert decide(demo, 3, 3, warm_start=False) is None
+    assert cold_decide(demo, 3, 2) is not None
+    assert cold_decide(demo, 3, 3) is None
 
 
 def test_solve_demo_probe_sequence(demo):
@@ -29,7 +30,7 @@ def test_solve_demo_probe_sequence(demo):
 
 def test_known_optimal_subset_is_optimal(demo):
     # keeping A, B, E, F achieves mincov 2 under cap 3
-    sub = demo.subset([0, 1, 4, 5])
+    sub = subset(demo, [0, 1, 4, 5])
     assert maxcov(sub) == 3
     assert mincov_over(sub, 0, 10) == 2
 
@@ -69,7 +70,7 @@ def test_engines_agree_and_match_oracle():
         assert tailored.achieved_maxcov <= k
         if len(s):
             # the cold-start reference flow also reaches the oracle's optimum
-            cold = decide(s, k, exact.achieved_mincov, warm_start=False)
+            cold = cold_decide(s, k, exact.achieved_mincov)
             assert cold is not None
             assert cold.achieved_mincov >= exact.achieved_mincov
             assert cold.achieved_maxcov <= k
@@ -102,7 +103,7 @@ def descent_instances():
         s = clipped_instance(rng, rng.randint(20, 150), 60, 25)
         k = rng.randint(2, 12)
         yield s, k, next(t for t in range(k, -1, -1)
-                         if t == 0 or decide(s, k, t, warm_start=False))
+                         if t == 0 or cold_decide(s, k, t))
 
 
 def test_descent_probes_each_floor_from_the_bound_down():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from covprune import _native
-from covprune.cli import main
+from covprune.cli import COMMANDS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -138,16 +138,16 @@ def test_only_the_program_freezes_its_heap(tmp_path, capsys):
 def test_no_run_loads_numpy(tmp_path):
     """A run needs only the standard library and the compiled kernels:
     a fresh interpreter that has not imported numpy never does, neither
-    on `import covprune.cli` nor in any subcommand but oracle."""
+    on `import covprune.cli` nor in any subcommand, each run with every
+    option it requires at 1, and `solve` once more where OPT = 0."""
     reads, zero = tmp_path / "reads.bed", tmp_path / "zero.txt"
     reads.write_text("chr1\t0\t4\nchr1\t0\t4\nchr2\t4\t6\nchr1\t4\t6\n")  # OPT = 1 under k = 1
-    zero.write_text("0 4\n2 6\n1 5\n")  # OPT = 0 under k = 1
+    zero.write_text("0 4\n2 6\n1 5\n")  # OPT = 0 under k = 1, which falls back to approx
     assert child("import sys\nimport covprune.cli\nprint('numpy' in sys.modules)")[-1] == "False"
-    runs = [["approx", str(reads), "--k", "1"], ["solve", str(reads), "--k", "1"],
-            ["solve", str(zero), "--k", "1"], ["decide", str(reads), "--k", "1", "--t", "1"],
-            ["stats", str(reads)]]
+    runs = [[command, str(reads), *(arg for name in names for arg in (f"--{name}", "1")),
+             "--stats", os.devnull] for command, (_, _, names) in COMMANDS.items()]
+    runs.append(["solve", str(zero), "--k", "1", "--stats", os.devnull])
     lines = child("import sys\nfrom covprune.cli import main\n"
-                  f"codes = [main(argv + ['--stats', {os.devnull!r}] * (argv[0] != 'stats'))"
-                  f" for argv in {runs!r}]\n"
+                  f"codes = [main(argv) for argv in {runs!r}]\n"
                   "print(codes, 'numpy' in sys.modules)")
-    assert lines[-1] == "[0, 0, 0, 0, 0] False"
+    assert lines[-1] == f"{[0] * len(runs)} False"
