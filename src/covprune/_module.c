@@ -194,11 +194,11 @@ KERNEL(order, "nqqn q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(0)
 KERNEL(sweep, "nnqnqqqn q!q!q!q!q!", INT(1) >= INT(0) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
        && HOLDS(5, INT(3)) && HOLDS(6, INT(3)) && holds(&views[8], INT(1), 2, 0)
        && holds(&views[9], INT(1), 2, 0) && holds(&views[10], INT(1), 2, 0)
-       && HOLDS(11, INT(3)) && HOLDS(12, 3), STATUS, 0,
+       && HOLDS(11, INT(3)) && HOLDS(12, 4), STATUS, 0,
        result = covprune_sweep(INT(0), INT(1), I64(2), INT(3), I64(4), I64(5), I64(6), INT(7),
                                I64(8), I64(9), I64(10), I64(11), I64(12)))
 KERNEL(flat_sweep, "nqi!nqqqn q!q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
-       && HOLDS(5, INT(3)) && HOLDS(6, INT(3)) && HOLDS(8, INT(3)) && HOLDS(9, 3), STATUS, 0,
+       && HOLDS(5, INT(3)) && HOLDS(6, INT(3)) && HOLDS(8, INT(3)) && HOLDS(9, 4), STATUS, 0,
        result = covprune_flat_sweep(INT(0), I64(1), PTR(2, int32_t), INT(3), I64(4), I64(5),
                                     I64(6), INT(7), I64(8), I64(9)))
 /* n and m bounded by lo and first first, so that m + 1 + n cannot overflow */

@@ -1,4 +1,14 @@
-/* The two ways approx.approx_prune runs its start-order sweep.
+/* The two ways approx.approx_prune runs its start-order sweep and the
+ * refill pass after it.
+ *
+ * The sweep visits reads order[0], order[1], ... and deletes a read
+ * whose span's current maximum coverage is above k while its span's
+ * current minimum is above k / 2.  The refill then visits the deleted
+ * reads in the same order and re-adds each one whose span's current
+ * maximum is below k, raising that span by 1.  It only raises coverage,
+ * so the cap and the sweep's floor, min(input mincov, k / 2), still
+ * hold, and a read it refuses stays refused: one pass leaves no deleted
+ * read that fits under the cap.
  *
  * covprune_sweep keeps the segment coverage in a lazy min/max tree:
  * O(log nseg) nodes per read, whatever its span.  CoverageTree
@@ -8,17 +18,18 @@
  * nodes_touched.
  *
  * covprune_flat_sweep scans a plain int32 copy of the segment coverage:
- * one cell per segment of the read's span, read once and, on a deletion,
- * decremented once, in loops the compiler vectorizes.  approx_prune
- * takes it only when the spans sum to at most 40 * n * bit_length(nseg)
- * and the coverage is below 2^31, so it too stays O(n log n), and on
- * short reads it is cheaper.
+ * one cell per segment of the read's span, read once by the sweep, in a
+ * loop the compiler vectorizes, read by the refill up to its first cell
+ * at k, and shifted once per deletion or re-add.
+ * approx_prune takes it only when the spans sum to at most
+ * 40 * n * bit_length(nseg) and the coverage is below 2^31, so it too
+ * stays O(n log n), and on short reads it is cheaper.
  *
- * Both make the same decisions on the same values.  They visit reads
- * order[0], order[1], ..., see segment indices and coverage counts
- * only, never coordinates, and set deleted[i] to 1 for each read i they
- * delete.  Each returns -1, before it changes anything, when an order
- * index leaves [0, n) or a read's span leaves [0, nseg).
+ * Both make the same decisions on the same values.  They see segment
+ * indices and coverage counts only, never coordinates, and leave
+ * deleted[i] 1 for each read i that ends deleted and 0 for the rest.
+ * Each returns -1, before it changes anything, when an order index
+ * leaves [0, n) or a read's span leaves [0, nseg).
  */
 
 #include <stdint.h>
@@ -72,9 +83,66 @@ static void repair(int64_t v, int64_t *mn, int64_t *mx, const int64_t *bal)
     mx[v] = a > b ? a : b;
 }
 
+/* range_query over leaves l0..r0: push the balances down both boundary
+ * paths, their shared top once, then take the min and max of the
+ * canonical nodes into *qmn and *qmx; returns the nodes touched */
+static int64_t query(int64_t depth, int64_t l0, int64_t r0, int64_t *mn, int64_t *mx,
+                     int64_t *bal, int64_t *qmn, int64_t *qmx)
+{
+    int64_t touched = 0, split = bit_length(l0 ^ r0), lo = INF, hi = -INF;
+    for (int64_t h = depth; h > 0; h--, touched++)
+        push(l0 >> h, mn, mx, bal);
+    for (int64_t h = split - 1; h > 0; h--, touched++)
+        push(r0 >> h, mn, mx, bal);
+    for (int64_t l = l0, r = r0 + 1; l < r; l >>= 1, r >>= 1) {
+        if (l & 1) {
+            if (mn[l] + bal[l] < lo) lo = mn[l] + bal[l];
+            if (mx[l] + bal[l] > hi) hi = mx[l] + bal[l];
+            l++;
+            touched++;
+        }
+        if (r & 1) {
+            r--;
+            if (mn[r] + bal[r] < lo) lo = mn[r] + bal[r];
+            if (mx[r] + bal[r] > hi) hi = mx[r] + bal[r];
+            touched++;
+        }
+    }
+    *qmn = lo;
+    *qmx = hi;
+    return touched;
+}
+
+/* range_decrement (delta -1) or range_increment (delta +1) over leaves
+ * l0..r0: shift the canonical nodes' balances, then repair both boundary
+ * paths, merging at the LCA; returns the nodes touched */
+static int64_t shift(int64_t l0, int64_t r0, int64_t delta, int64_t *mn, int64_t *mx,
+                     int64_t *bal)
+{
+    int64_t touched = 0;
+    for (int64_t l = l0, r = r0 + 1; l < r; l >>= 1, r >>= 1) {
+        if (l & 1) {
+            bal[l++] += delta;
+            touched++;
+        }
+        if (r & 1) {
+            bal[--r] += delta;
+            touched++;
+        }
+    }
+    int64_t v = l0 >> 1, w = r0 >> 1;
+    for (; v != w; v >>= 1, w >>= 1, touched += 2) {
+        repair(v, mn, mx, bal);
+        repair(w, mn, mx, bal);
+    }
+    for (; v; v >>= 1, touched++)
+        repair(v, mn, mx, bal);
+    return touched;
+}
+
 /* Build the tree over cov[0..nseg) into mn/mx/bal (each 2 * cap long),
- * then visit the reads in order; counts receives {nodes_touched,
- * candidates, blocked_crucial}. */
+ * then sweep and refill the reads in order; counts receives
+ * {nodes_touched, candidates, blocked_crucial, refilled}. */
 int64_t covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
                        int64_t n, const int64_t *order, const int64_t *lo, const int64_t *hi,
                        int64_t k, int64_t *mn, int64_t *mx, int64_t *bal,
@@ -83,7 +151,7 @@ int64_t covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
     if (check(n, order, lo, hi, nseg) < 0)
         return -1;
     int64_t depth = bit_length(cap) - 1, half = k / 2;
-    int64_t touched = 0, candidates = 0, blocked = 0;
+    int64_t touched = 0, candidates = 0, blocked = 0, refilled = 0;
 
     for (int64_t v = 1; v < 2 * cap; v++) {
         mn[v] = INF;
@@ -94,32 +162,12 @@ int64_t covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
         mn[cap + j] = mx[cap + j] = cov[j];
     for (int64_t v = cap - 1; v > 0; v--)
         repair(v, mn, mx, bal);
+    for (int64_t i = 0; i < n; i++)
+        deleted[i] = 0;
 
     for (int64_t j = 0; j < n; j++) {
-        int64_t i = order[j], l0 = cap + lo[i], r0 = cap + hi[i] - 1;
-        int64_t split = bit_length(l0 ^ r0);
-
-        /* range_query: push balances down both boundary paths, shared top once */
-        for (int64_t h = depth; h > 0; h--, touched++)
-            push(l0 >> h, mn, mx, bal);
-        for (int64_t h = split - 1; h > 0; h--, touched++)
-            push(r0 >> h, mn, mx, bal);
-        int64_t qmn = INF, qmx = -INF;
-        for (int64_t l = l0, r = r0 + 1; l < r; l >>= 1, r >>= 1) {
-            if (l & 1) {
-                if (mn[l] + bal[l] < qmn) qmn = mn[l] + bal[l];
-                if (mx[l] + bal[l] > qmx) qmx = mx[l] + bal[l];
-                l++;
-                touched++;
-            }
-            if (r & 1) {
-                r--;
-                if (mn[r] + bal[r] < qmn) qmn = mn[r] + bal[r];
-                if (mx[r] + bal[r] > qmx) qmx = mx[r] + bal[r];
-                touched++;
-            }
-        }
-
+        int64_t i = order[j], l0 = cap + lo[i], r0 = cap + hi[i] - 1, qmn, qmx;
+        touched += query(depth, l0, r0, mn, mx, bal, &qmn, &qmx);
         if (qmx <= k)
             continue;
         candidates++;
@@ -127,39 +175,38 @@ int64_t covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
             blocked++;
             continue;
         }
-
-        /* range_decrement, then repair both boundary paths, merging at the LCA */
         deleted[i] = 1;
-        for (int64_t l = l0, r = r0 + 1; l < r; l >>= 1, r >>= 1) {
-            if (l & 1) {
-                bal[l++] -= 1;
-                touched++;
-            }
-            if (r & 1) {
-                bal[--r] -= 1;
-                touched++;
-            }
-        }
-        int64_t v = l0 >> 1, w = r0 >> 1;
-        for (; v != w; v >>= 1, w >>= 1, touched += 2) {
-            repair(v, mn, mx, bal);
-            repair(w, mn, mx, bal);
-        }
-        for (; v; v >>= 1, touched++)
-            repair(v, mn, mx, bal);
+        touched += shift(l0, r0, -1, mn, mx, bal);
+    }
+    for (int64_t j = 0; j < n; j++) {
+        int64_t i = order[j], l0 = cap + lo[i], r0 = cap + hi[i] - 1, qmn, qmx;
+        if (!deleted[i])
+            continue;
+        touched += query(depth, l0, r0, mn, mx, bal, &qmn, &qmx);
+        if (qmx >= k)
+            continue;
+        deleted[i] = 0;
+        refilled++;
+        touched += shift(l0, r0, 1, mn, mx, bal);
     }
     counts[0] = touched;
     counts[1] = candidates;
     counts[2] = blocked;
+    counts[3] = refilled;
     return 0;
 }
 
-/* The same sweep over val[0..nseg), an int32 copy of the segment
- * coverage cov that it lowers in place; -2 when a coverage count is
- * outside [0, 2^31).  The min and max are branch-free, so that the
- * compiler can vectorize the scan.  counts receives {segments_scanned,
- * candidates, blocked_crucial}, where a segment is scanned once per read
- * whose span holds it and once more per deletion. */
+/* The same sweep and refill over val[0..nseg), an int32 copy of the
+ * segment coverage cov that it lowers and raises in place; -2 when a
+ * coverage count is outside [0, 2^31).  The sweep's min and max are
+ * branch-free, so that the compiler can vectorize its scan.  counts
+ * receives {segments_scanned, candidates, blocked_crucial, refilled}: the
+ * sweep scans each segment once per read whose span holds it and once
+ * more per deletion; the refill reads a deleted read's span up to its
+ * first cell at k or above, where it stops, and raises the span of each
+ * read it re-adds, counting every cell read or raised.  No cell
+ * overflows: a read is deleted only under a cell above k, so with
+ * k >= 2^31 - 1 none is, and a refill lifts cells below k to at most k. */
 int64_t covprune_flat_sweep(int64_t nseg, const int64_t *cov, int32_t *val, int64_t n,
                             const int64_t *order, const int64_t *lo, const int64_t *hi,
                             int64_t k, int64_t *deleted, int64_t *counts)
@@ -171,7 +218,9 @@ int64_t covprune_flat_sweep(int64_t nseg, const int64_t *cov, int32_t *val, int6
             return -2;
         val[s] = (int32_t)cov[s];
     }
-    int64_t half = k / 2, scanned = 0, candidates = 0, blocked = 0;
+    int64_t half = k / 2, scanned = 0, candidates = 0, blocked = 0, refilled = 0;
+    for (int64_t i = 0; i < n; i++)
+        deleted[i] = 0;
 
     for (int64_t j = 0; j < n; j++) {
         int64_t i = order[j], a = lo[i], b = hi[i];
@@ -194,8 +243,25 @@ int64_t covprune_flat_sweep(int64_t nseg, const int64_t *cov, int32_t *val, int6
             val[s] -= 1;
         scanned += b - a;
     }
+    for (int64_t j = 0; j < n; j++) {
+        int64_t i = order[j], a = lo[i], b = hi[i];
+        if (!deleted[i])
+            continue;
+        int64_t s = a;
+        while (s < b && val[s] < k)
+            s++;
+        scanned += s - a + (s < b);
+        if (s < b)
+            continue;
+        deleted[i] = 0;
+        refilled++;
+        for (s = a; s < b; s++)
+            val[s] += 1;
+        scanned += b - a;
+    }
     counts[0] = scanned;
     counts[1] = candidates;
     counts[2] = blocked;
+    counts[3] = refilled;
     return 0;
 }

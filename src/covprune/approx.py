@@ -10,12 +10,19 @@ impossible, so the result always satisfies the cap.  The achieved
 minimum coverage is at least min(mincov of the input, floor(k/2)),
 hence at least floor(k/2)/k times the exact optimum.
 
+A refill pass follows, over the deleted intervals in the same order: one
+whose span's current max coverage is below k is re-added.  It raises
+coverage only where the cap allows, so both bounds above still hold; a
+read it refuses never fits later, since coverage only rises, so the kept
+set is maximal: no deleted read fits under the cap.
+
 The sweep keeps the current segment coverage either in the lazy
 coverage tree, O(log nseg) nodes per read, or, when the spans sum to
 at most 40 * n * bit_length(nseg) segments and the coverage stays below
-2**31, in a flat int32 copy scanned span by span: at most twice that
-sum, so O(n log n) too, and cheaper on short reads.  Both run as C loops
-(`_sweep.c`, loaded by `_native`) and make the same decisions.
+2**31, in a flat int32 copy scanned span by span: at most four times
+that sum with the refill, so O(n log n) too, and cheaper on short reads.
+Both run, the refill included, as one C call (`_sweep.c`, loaded by
+`_native`) and make the same decisions.
 """
 
 from __future__ import annotations
@@ -36,17 +43,21 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     end, then input index, so runs are reproducible.
 
     `work` counts `tree_nodes_touched` or, for the flat scan,
-    `segments_scanned`, then `candidates` (reads whose span had max > k
-    when visited), `blocked_crucial` (candidates kept because their
-    span's min was <= floor(k/2)) and `native_sweep` (1 when a compiled
-    sweep ran).
+    `segments_scanned`, sweep and refill together, then `candidates`
+    (reads whose span had max > k when visited), `blocked_crucial`
+    (candidates kept because their span's min was <= floor(k/2)),
+    `refilled` (deleted reads the refill re-added) and `native_sweep` (1
+    when a compiled sweep ran).
+
+    Raises AssertionError when the recounted answer falls below
+    min(input mincov, floor(k/2)), the guarantee: the sweep is at fault.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     work = {"tree_nodes_touched": 0, "segments_scanned": 0, "candidates": 0,
-            "blocked_crucial": 0, "native_sweep": 0}
+            "blocked_crucial": 0, "refilled": 0, "native_sweep": 0}
     _, lo, hi, cov = intervals.compressed
-    top = extremes(cov)[1]
+    low, top = extremes(cov)
     if top <= k:
         # removals never help: keeping everything, an empty set too, is already optimal
         return score_subset(intervals, None, k, "approx", work)
@@ -60,22 +71,26 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     # its cells are int32
     flat = top < 2**31 and lib.covprune_spans(n, lo, hi, nseg) <= 40 * n * nseg.bit_length()
     deleted, counts = _sweep(order, lo, hi, cov, k, flat)
-    visited, work["candidates"], work["blocked_crucial"] = counts
+    visited, work["candidates"], work["blocked_crucial"], work["refilled"] = counts
     work["native_sweep"] = 1
     work["segments_scanned" if flat else "tree_nodes_touched"] = visited
     # the scorer recounts the kept reads from scratch, never from the sweep's state
-    return score_subset(intervals, _native.select(deleted, 0), k, "approx", work)
+    sol = score_subset(intervals, _native.select(deleted, 0), k, "approx", work)
+    if sol.achieved_mincov < min(low, k // 2):
+        raise AssertionError(f"approx kept a set of mincov {sol.achieved_mincov} "
+                             f"< min(input mincov {low}, k//2={k // 2})")
+    return sol
 
 
 def _sweep(order, lo, hi, cov, k: int, flat: bool):
-    """The sweep of the reads in `order` over the coverage `cov`, by the
-    tree or, with `flat`, by the flat scan, either checking every buffer's
-    size, index and span first; returns the int64 mask of deleted reads, in
-    input order, and (tree nodes touched or segments scanned, candidates,
-    blocked)."""
+    """The sweep and refill of the reads in `order` over the coverage
+    `cov`, by the tree or, with `flat`, by the flat scan, either checking
+    every buffer's size, index and span first; returns the int64 mask of
+    the reads left deleted, in input order, and (tree nodes touched or
+    segments scanned, candidates, blocked, refilled)."""
     lib, n, nseg = _native.load_library(), len(order), len(cov)
-    deleted, counts = zeros("q", n), zeros("q", 3)
-    if flat:  # on an int32 copy, lowered in place; approx_prune keeps cov < 2**31
+    deleted, counts = zeros("q", n), zeros("q", 4)
+    if flat:  # on an int32 copy, shifted in place; approx_prune keeps cov < 2**31
         lib.covprune_flat_sweep(nseg, cov, zeros("i", nseg), n, order, lo, hi, k, deleted, counts)
     else:
         cap = 1 << (nseg - 1).bit_length()

@@ -5,10 +5,13 @@ one exact engine, whose flow solves warm-start from the backbone flow.
 Kept intervals go to stdout as their input lines, in input order;
 per-chromosome solver statistics go to stderr or to --stats FILE as JSON
 lines with a fixed schema, each written and flushed as its chromosome
-finishes.  A chromosome's kept set reaches the output as the int64
-buffer of indices its solver produced.  Exit codes: 0 success/feasible,
-1 decide found no solution, 2 usage error or bad input (a parse error,
-an unreadable file, a name that is not UTF-8), 3 internal error
+finishes; `stats` writes its coverage lines to stdout or to --stats FILE.
+Both are written here, byte for byte as `json.dumps` writes them by
+default, so that no run imports `json`, or `re` through it.  A
+chromosome's kept set reaches the output as the int64 buffer of indices
+its solver produced.  Exit codes: 0 success/feasible, 1 decide found no
+solution, 2 usage error or bad input (a parse error, an unreadable
+file, a name that is not UTF-8), 3 internal error
 (anything else: a failed self-check, a kernel's refusal, a bug), 4 no
 compiled library: the kernels could not be built with the C compiler.
 """
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import json
 import sys
 import time
 from array import array
@@ -30,12 +32,58 @@ STATS_SCHEMA = "covprune.stats/1"
 COVERAGE_SCHEMA = "covprune.coverage/1"
 
 
+# JSON's two-character escapes; every other character outside ' '..'~'
+# is written as \uXXXX, beyond U+FFFF as a UTF-16 surrogate pair
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
+            "\t": "\\t"}
+
+
+def _char(ch: str) -> str:
+    if ch in _ESCAPES:
+        return _ESCAPES[ch]
+    if " " <= ch <= "~":
+        return ch
+    code = ord(ch)
+    if code > 0xFFFF:
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _string(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return f'"{"".join(map(_char, text))}"'
+
+
+def _json(value) -> str:
+    """`value`, None, a bool, an int, a finite float, a str or a dict of
+    str to these, as `json.dumps(value)` writes it."""
+    kind = type(value)
+    if kind is int or kind is float:
+        return repr(value)
+    if kind is str:
+        return _string(value)
+    if kind is dict:
+        return "{" + ", ".join([f"{_string(key)}: {_json(item)}"
+                                for key, item in value.items()]) + "}"
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    raise TypeError(f"no JSON form for {kind.__name__}")
+
+
 def _stats_line(chrom, n, kept, mincov, maxcov_before, maxcov_after,
                 method, feasible, work, wall_time) -> str:
-    return json.dumps({"schema": STATS_SCHEMA, "chrom": chrom, "n": n, "kept": kept,
-                       "removed": n - kept, "mincov": mincov, "maxcov_before": maxcov_before,
-                       "maxcov_after": maxcov_after, "method": method, "feasible": feasible,
-                       "work": work, "wall_time_s": round(wall_time, 6)})
+    return _json({"schema": STATS_SCHEMA, "chrom": chrom, "n": n, "kept": kept,
+                  "removed": n - kept, "mincov": mincov, "maxcov_before": maxcov_before,
+                  "maxcov_after": maxcov_after, "method": method, "feasible": feasible,
+                  "work": work, "wall_time_s": round(wall_time, 6)})
+
+
+def _stats_file(args, default):
+    """Where a run writes its JSON lines: the --stats file, or `default`."""
+    return (open(args.stats, "w", encoding="utf-8") if args.stats
+            else contextlib.nullcontext(default))
 
 
 def _groups(instance: io.InstanceFile):
@@ -80,8 +128,7 @@ def _run(args, solver) -> int:
     when every chromosome was feasible.  The --stats file is opened only
     once the input has parsed, so a parse error writes no file."""
     instance = io.read_instance(args.input, args.format)
-    with (open(args.stats, "w", encoding="utf-8") if args.stats
-          else contextlib.nullcontext(sys.stderr)) as out:
+    with _stats_file(args, sys.stderr) as out:
         kept, feasible = _solve_instance(instance, solver, out)
     if feasible:
         # as text, since a caller's stdout may have no `.buffer`; the input is UTF-8
@@ -107,12 +154,14 @@ def cmd_approx(args) -> int:
 
 def cmd_stats(args) -> int:
     from ._native import extremes
-    for chrom, (ivs, _) in _groups(io.read_instance(args.input, args.format)):
-        mincov, maxcov = extremes(ivs.compressed.segment_cov)
-        span = ivs.span or (None, None)
-        print(json.dumps({"schema": COVERAGE_SCHEMA, "chrom": chrom, "n": len(ivs),
-                          "mincov": mincov, "maxcov": maxcov,
-                          "span_start": span[0], "span_end": span[1]}))
+    instance = io.read_instance(args.input, args.format)
+    with _stats_file(args, sys.stdout) as out:
+        for chrom, (ivs, _) in _groups(instance):
+            mincov, maxcov = extremes(ivs.compressed.segment_cov)
+            span = ivs.span or (None, None)
+            out.write(_json({"schema": COVERAGE_SCHEMA, "chrom": chrom, "n": len(ivs),
+                             "mincov": mincov, "maxcov": maxcov,
+                             "span_start": span[0], "span_end": span[1]}) + "\n")
     return 0
 
 
@@ -125,7 +174,8 @@ REQUIRED = object()  # the default of an option that must be given
 # (a type or a tuple of choices), its default and its help
 OPTIONS = {
     "format": ("{plain,bed3}", ("plain", "bed3"), None, "input format (default: auto-detect)"),
-    "stats": ("FILE", str, None, "write JSONL statistics here instead of stderr"),
+    "stats": ("FILE", str, None, "write the JSONL statistics here, not to stderr "
+                                 "(stdout for stats)"),
     "k": ("K", int, REQUIRED, "coverage cap (>= 1)"),
     "t": ("T", int, REQUIRED, "coverage floor (>= 0)"),
 }

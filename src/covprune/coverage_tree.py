@@ -1,4 +1,4 @@
-"""Perfect binary tree over coverage segments with lazy range decrements.
+"""Perfect binary tree over coverage segments with lazy range shifts.
 
 The approx sweep holds its coverage in this tree, in C, when reads
 span too many segments for a flat scan (see `approx` and
@@ -6,19 +6,21 @@ span too many segments for a flat scan (see `approx` and
 stays for two readers.  The benchmark's tracer (`bench/tracing.py`)
 wraps `build_tree`, `range_query` and `range_decrement` by name, and the
 tests drive it as the reference whose decisions and nodes touched
-`covprune_sweep` must match; its `_push` and `_repair` are the C's.
+`covprune_sweep` must match; its `_push`, `_repair` and `_shift` are
+the C's `push`, `repair` and `shift`.
 
 Leaves are the segments between consecutive delimiters, initialized to
 the full-set coverage; a range is a half-open run [lo, hi) of segment
 indices, as in the `lo`/`hi` arrays of `IntervalSet.compressed`.
 Every node carries the min and max coverage of its subtree plus a
-`balance`, a decrement of the whole subtree not yet pushed to the
+`balance`, a shift of the whole subtree not yet pushed to the
 children: the true min of v's subtree is mn[v] + bal[v] plus the bal of
 every strict ancestor of v, and likewise for max.  A query pushes the
 balances down the two root-to-boundary paths, then aggregates
 mn[v] + bal[v] over the O(log n) canonical nodes of the range; a
-decrement lowers the balance of the same nodes, then repairs min and
-max up the two boundary paths.  The shared top of the two paths, above
+decrement (the sweep's deletion) or an increment (the refill's re-add)
+shifts the balance of the same nodes, then repairs min and max up the
+two boundary paths.  The shared top of the two paths, above
 their lowest common ancestor, is walked once.
 """
 
@@ -98,10 +100,17 @@ class CoverageTree:
 
     def range_decrement(self, lo: int, hi: int) -> None:
         """Drop the coverage of every segment in [lo, hi) by 1."""
+        self._shift(lo, hi, -1)
+
+    def range_increment(self, lo: int, hi: int) -> None:
+        """Raise the coverage of every segment in [lo, hi) by 1."""
+        self._shift(lo, hi, 1)
+
+    def _shift(self, lo: int, hi: int, delta: int) -> None:
         self._check_range(lo, hi)
         nodes = self._canonical(lo, hi)
         for v in nodes:
-            self.bal[v] -= 1
+            self.bal[v] += delta
         # repair aggregates bottom-up: w's boundary path up to the LCA,
         # then v's up to the root, so the shared top is repaired once, last
         v, w = (self.cap + lo) >> 1, (self.cap + hi - 1) >> 1

@@ -4,9 +4,9 @@ differential tests run on the kernels' own inputs.
 Each takes the arrays its kernel takes and gives what the kernel gives:
 `argsort_profile` and `argsort_network` the arrays of `covprune_profile`
 and `covprune_network` (`_profile.c`, `_flow.c`), from general argsorts;
-`sweep_python` and `flat_python` the deletions and counts of
-`covprune_sweep` and `covprune_flat_sweep` (`_sweep.c`), over
-`CoverageTree` and over a list; `augment_python` the flow, the last
+`sweep_python` and `flat_python` the deletions, after the refill, and
+the counts of `covprune_sweep` and `covprune_flat_sweep` (`_sweep.c`),
+over `CoverageTree` and over a list; `augment_python` the flow, the last
 search's marks and the path count of `covprune_max_flow` (`_flow.c`),
 line for line; `cold_max_flow` and `cold_decide` the maximum flow, and
 the answer, of a `flow.Chain`'s first probe, from zero flow in place of
@@ -64,33 +64,40 @@ def argsort_network(profile: CoverageProfile) -> FlowNetwork:
 
 
 def sweep_python(order, lo, hi, cov, k: int):
-    """The tree sweep over `CoverageTree`, on the arrays `approx._sweep`
-    takes; returns the deleted mask in input order and (nodes touched,
-    candidates, blocked)."""
+    """The tree sweep and refill over `CoverageTree`, on the arrays
+    `approx._sweep` takes; returns the deleted mask in input order and
+    (nodes touched, candidates, blocked, refilled)."""
     tree = CoverageTree(cov.tolist())
     query = tree.range_query
-    shrink = tree.range_decrement
     deleted = np.zeros(len(order), bool)
-    candidates = blocked = 0
-    for i, l, h in zip(order.tolist(), lo[order].tolist(), hi[order].tolist()):
+    candidates = blocked = refilled = 0
+    reads = list(zip(order.tolist(), lo[order].tolist(), hi[order].tolist()))
+    for i, l, h in reads:
         mn, mx = query(l, h)
         if mx > k:
             candidates += 1
             if mn > k // 2:  # expendable
-                shrink(l, h)
+                tree.range_decrement(l, h)
                 deleted[i] = True
             else:
                 blocked += 1
-    return deleted, (tree.nodes_touched, candidates, blocked)
+    for i, l, h in reads:
+        if deleted[i] and query(l, h)[1] < k:  # fits under the cap again
+            tree.range_increment(l, h)
+            deleted[i] = False
+            refilled += 1
+    return deleted, (tree.nodes_touched, candidates, blocked, refilled)
 
 
 def flat_python(order, lo, hi, cov, k: int):
     """The flat scan over a list, as `sweep_python` but counting
-    segments scanned (read or lowered) where it counts nodes touched."""
+    segments scanned (read or shifted) where it counts nodes touched; the
+    refill stops reading a span at its first cell at k or above."""
     cur = cov.tolist()
     deleted = np.zeros(len(order), bool)
-    scanned = candidates = blocked = 0
-    for i, l, h in zip(order.tolist(), lo[order].tolist(), hi[order].tolist()):
+    scanned = candidates = blocked = refilled = 0
+    reads = list(zip(order.tolist(), lo[order].tolist(), hi[order].tolist()))
+    for i, l, h in reads:
         seg = cur[l:h]
         scanned += h - l
         if max(seg) > k:
@@ -101,7 +108,18 @@ def flat_python(order, lo, hi, cov, k: int):
                 deleted[i] = True
             else:
                 blocked += 1
-    return deleted, (scanned, candidates, blocked)
+    for i, l, h in reads:
+        if not deleted[i]:
+            continue
+        # read up to the first cell at k or above, that one included
+        full = next((j for j in range(l, h) if cur[j] >= k), h)
+        scanned += full - l + (full < h)
+        if full == h:
+            cur[l:h] = [x + 1 for x in cur[l:h]]
+            scanned += h - l
+            deleted[i] = False
+            refilled += 1
+    return deleted, (scanned, candidates, blocked, refilled)
 
 
 def augment_python(nv, source, sink, first, adj, to, res, parent_arc, stack, next_arc) -> int:

@@ -97,7 +97,7 @@ def test_the_sweeps_check_their_order_and_spans():
     entry more than the kernel may read."""
     lib = _native.load_library()
     for order, lo, hi in (([1], [0, 0], [1, 1]), ([0], [1, 0], [1, 1]), ([0], [0, 0], [3, 1])):
-        deleted, counts = array("q", [0, 0]), array("q", [0, 0, 0])
+        deleted, counts = array("q", [0, 0]), array("q", [0, 0, 0, 0])
         with pytest.raises(ValueError, match="out of bounds"):
             lib.covprune_flat_sweep(2, array("q", [5, 5]), array("i", [0, 0]), 1,
                                     array("q", order), array("q", lo), array("q", hi), 1,
@@ -106,7 +106,7 @@ def test_the_sweeps_check_their_order_and_spans():
             lib.covprune_sweep(2, 2, array("q", [5, 5]), 1, array("q", order), array("q", lo),
                                array("q", hi), 1, *(array("q", [0]) * 4 for _ in range(3)),
                                deleted, counts)
-        assert deleted.tolist() == [0, 0] and counts.tolist() == [0, 0, 0]
+        assert deleted.tolist() == [0, 0] and counts.tolist() == [0, 0, 0, 0]
 
 
 def test_a_recount_takes_rising_indices_only():

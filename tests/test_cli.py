@@ -167,7 +167,9 @@ def test_approx_subcommand(demo_file, capsys):
     code, out, err = run(capsys, "approx", demo_file, "--k", "3")
     assert code == 0
     kept = [tuple(map(int, ln.split())) for ln in out.strip().splitlines()]
-    assert kept == [(0, 8), (2, 6), (4, 10)]
+    # A, B, C, D and F in input order: the sweep keeps A, C and F, and the
+    # refill re-adds B and D (test_approx.test_demo_trace)
+    assert kept == [(0, 8), (0, 2), (2, 6), (1, 3), (4, 10)]
     assert json.loads(err.strip())["method"] == "approx"
 
 
@@ -178,6 +180,37 @@ def test_stats_subcommand(demo_file, capsys):
     assert record["schema"] == "covprune.coverage/1"
     assert record == {"schema": "covprune.coverage/1", "chrom": None, "n": 6,
                       "mincov": 2, "maxcov": 4, "span_start": 0, "span_end": 10}
+
+
+def test_stats_subcommand_writes_to_the_stats_file(demo_file, tmp_path, capsys):
+    stats = tmp_path / "coverage.jsonl"
+    code, out, err = run(capsys, "stats", demo_file, "--stats", str(stats))
+    assert (code, out, err) == (0, "", "")
+    assert stats.read_text() == ('{"schema": "covprune.coverage/1", "chrom": null, "n": 6, '
+                                 '"mincov": 2, "maxcov": 4, "span_start": 0, "span_end": 10}\n')
+
+
+# names as a chromosome may hold them, and lone surrogates, which json escapes too
+NAMES = (st.none() | st.text(st.characters(exclude_categories=()))
+         | st.text(st.sampled_from('"\\\x00\x1f\x7f\x80\u00e9\u2028\U0001f600 az')))
+UINT64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NAMES, UINT64, UINT64, st.booleans(), st.dictionaries(st.text(), UINT64, max_size=6),
+       st.floats(0, 1e4), NAMES, st.none() | UINT64)
+def test_the_stats_lines_are_what_json_dumps_writes(chrom, n, mincov, feasible, work, wall,
+                                                    method, span_start):
+    """Both fixed schemas, as the CLI writes them, against `json.dumps`
+    with its default separators and `ensure_ascii`."""
+    line = cli._stats_line(chrom, n, 0, mincov, n, mincov, method, feasible, work, wall)
+    assert line == json.dumps({"schema": cli.STATS_SCHEMA, "chrom": chrom, "n": n, "kept": 0,
+                               "removed": n, "mincov": mincov, "maxcov_before": n,
+                               "maxcov_after": mincov, "method": method, "feasible": feasible,
+                               "work": work, "wall_time_s": round(wall, 6)})
+    coverage = {"schema": cli.COVERAGE_SCHEMA, "chrom": chrom, "n": n, "mincov": mincov,
+                "maxcov": n, "span_start": span_start, "span_end": span_start}
+    assert cli._json(coverage) == json.dumps(coverage)
 
 
 def test_bed3_per_chromosome_independence(tmp_path, capsys):

@@ -10,9 +10,9 @@ from conftest import iset, naive_range_min_max, pairs_of, random_instance, segme
 # segment indices, so [0, 10) is [0, 7) and [4, 6) is [4, 5)
 
 
-def flat_decrement(values, lo, hi):
+def flat_shift(values, lo, hi, delta):
     for j in range(lo, hi):
-        values[j] -= 1
+        values[j] += delta
 
 
 def test_build_demo(demo):
@@ -96,6 +96,8 @@ def test_query_requires_delimiters(demo):
         tree.range_query(3, 3)
     with pytest.raises(ValueError):
         tree.range_decrement(5, 2)
+    with pytest.raises(ValueError):
+        tree.range_increment(0, 8)
 
 
 def test_empty_input_rejected():
@@ -113,8 +115,16 @@ def test_touched_counter_advances(demo):
     assert tree.nodes_touched > 0
 
 
+def test_increment_undoes_decrement(demo):
+    tree = build_tree(demo)
+    tree.range_decrement(1, 5)
+    tree.range_increment(1, 5)
+    assert segment_values(tree) == [2, 4, 4, 3, 4, 3, 2]
+    assert tree.range_query(0, 7) == (2, 4)
+
+
 def test_matches_flat_array_oracle():
-    # random interleavings of decrements and queries against plain lists
+    # random interleavings of decrements, increments and queries against plain lists
     rng = random.Random(97)
     for round_ in range(40):
         s = random_instance(rng, rng.randint(1, 25), max_coord=50, max_len=20)
@@ -124,9 +134,11 @@ def test_matches_flat_array_oracle():
         spans = [(delims.index(a), delims.index(b)) for a, b in pairs_of(s)]
         for _ in range(120):
             lo, hi = spans[rng.randrange(len(spans))]
-            if rng.random() < 0.4:
-                tree.range_decrement(lo, hi)
-                flat_decrement(flat, lo, hi)
+            draw = rng.random()
+            if draw < 0.4:
+                shift = tree.range_decrement if draw < 0.25 else tree.range_increment
+                shift(lo, hi)
+                flat_shift(flat, lo, hi, -1 if draw < 0.25 else 1)
             else:
                 assert tree.range_query(lo, hi) == naive_range_min_max(flat, lo, hi)
         assert segment_values(tree) == flat

@@ -66,7 +66,7 @@ def test_native_matches_reference():
         assert sol.work == {"tree_nodes_touched": 0 if scanned else tree[0],
                             "segments_scanned": flat[0] if scanned else 0,
                             "candidates": tree[1], "blocked_crucial": tree[2],
-                            "native_sweep": 1}
+                            "refilled": tree[3], "native_sweep": 1}
         swept += 1
     assert swept >= 500
 
@@ -76,10 +76,10 @@ def assert_sweeps_agree(s, k):
     arguments: the same deletions and counts, the same tree nodes touched
     by both tree sweeps and the same segments scanned by both flat ones."""
     results = {name: sweep(*sweep_args(s, k)) for name, sweep in sweeps().items()}
-    deleted, (_, candidates, blocked) = results["tree-python"]
+    deleted, (_, *decisions) = results["tree-python"]
     for name, (other, counts) in results.items():
         assert np.array_equal(other, deleted), name
-        assert counts[1:] == (candidates, blocked), name
+        assert list(counts[1:]) == decisions, name
     for kind in ("tree", "flat"):
         assert results[f"{kind}-c"][1][0] == results[f"{kind}-python"][1][0], kind
 

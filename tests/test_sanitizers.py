@@ -4,7 +4,8 @@ A child interpreter, with the ASan runtime preloaded and pymalloc off, so
 that ASan sees every small array too, builds the module with both
 sanitizers into its own cache, where `load_library` finds it.  It then
 makes one small run of each subcommand and the kernel calls at the edges
-of their buffers.  Any sanitizer report stops the child."""
+of their buffers: the reading kernels' and both approx sweeps'.  Any
+sanitizer report stops the child."""
 
 import os
 import subprocess
@@ -74,6 +75,57 @@ except ValueError:
 assert lib.covprune_lines(0, array("B"), array("q"), array("q"), 0, exact(b"")) == b""
 assert lib.covprune_lines(1, array("B", [1]), one("q"), array("q", [3]), 3,
                           exact(b"0 1")) == b"0 1\\n"
+
+
+# int64 items at exactly their number
+def ints(values):
+    items = array("q", [0]) * len(values)
+    items[:] = array("q", values)
+    return items
+
+
+# both sweeps, refill included, over segment coverage cov at cap k, every
+# buffer at exactly its size and the mask coming in dirty: each one's mask
+# and (candidates, blocked, refilled), which must agree
+def sweep(cov, order, lo, hi, k):
+    n, nseg = len(order), len(cov)
+    cap = 1 << (nseg - 1).bit_length()
+    got = []
+    for flat in (True, False):
+        deleted, counts = ints([7] * n), ints([-1] * 4)
+        reads = (n, ints(order), ints(lo), ints(hi), k)
+        if flat:
+            lib.covprune_flat_sweep(nseg, ints(cov), array("i", [0]) * nseg, *reads, deleted,
+                                    counts)
+        else:
+            lib.covprune_sweep(nseg, cap, ints(cov), *reads,
+                               *(ints([0] * (2 * cap)) for _ in range(3)), deleted, counts)
+        got.append((deleted.tolist(), counts.tolist()[1:]))
+    assert got[0] == got[1], got
+    return got[0]
+
+
+top = 2**31 - 1  # the largest count an int32 cell holds
+assert sweep([3], [], [], [], 1) == ([], [0, 0, 0])  # n = 0
+assert sweep([5], [0], [0], [1], 3) == ([1], [1, 0, 0])  # n = 1, nseg = 1
+assert sweep([5], [0], [0], [1], 4) == ([1], [1, 0, 0])  # left at k: the refill refuses
+assert sweep([3, 3], [0], [0], [2], 3) == ([0], [0, 0, 0])  # coverage exactly k
+assert sweep([4], [0, 1], [0, 0], [1, 1], 2) == ([1, 1], [2, 0, 0])  # nseg = 1, a pile
+assert sweep([9, 4], [0, 1], [1, 0], [2, 2], 3) == ([0, 1], [2, 0, 1])  # a refill to the end
+# every read deleted, then every one but the last refilled: the last
+# deletion leaves its span at k or more, and the refill only raises
+assert sweep([4, 4, 9], [0, 1, 2], [0, 1, 0], [1, 2, 3], 3) == ([0, 0, 1], [3, 0, 2])
+assert sweep([4, 4, 9, 3, 3], [0, 1, 2], [0, 1, 0], [1, 2, 5], 3) == ([0, 0, 1], [3, 0, 2])
+# int32 cells at the top: deleted down and refilled up near 2**31 - 1
+assert sweep([top - 1, top], [0, 1], [0, 0], [1, 2], top - 2) == ([0, 1], [2, 0, 1])
+assert sweep([top, top], [0, 1], [0, 0], [2, 1], top - 2) == ([1, 1], [2, 0, 0])
+assert sweep([top], [0], [0], [1], 2**62) == ([0], [0, 0, 0])
+try:
+    lib.covprune_flat_sweep(1, ints([top + 1]), array("i", [0]), 1, ints([0]), ints([0]),
+                            ints([1]), 1, ints([0]), ints([0] * 4))
+    raise AssertionError("the flat sweep took a count beyond its int32 cells")
+except ValueError:
+    pass
 print("clean")
 """
 

@@ -20,8 +20,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # what only a build of the compiled module may import
 COMPILER_MODULES = {"ctypes", "sysconfig", "subprocess", "tempfile"}
-# what argparse, pathlib and typing.NamedTuple imported into every run
-UNUSED_BY_A_RUN = {"argparse", "gettext", "locale", "shutil", "pathlib", "typing"}
+# what argparse, pathlib and typing.NamedTuple imported into every run,
+# and json, which brings re, once the stats writer
+UNUSED_BY_A_RUN = {"argparse", "gettext", "locale", "shutil", "pathlib", "typing", "json", "re"}
 
 
 def child(code: str, *flags: str) -> list[str]:
@@ -104,19 +105,19 @@ def test_a_cached_run_imports_no_compiler_module(cached, tmp_path):
 
 
 def test_a_cached_run_imports_only_what_it_uses(cached, tmp_path):
-    """`approx`, `solve`, `decide` and `stats` on the cached module, in an
-    interpreter without the site's `.pth` files, which import pathlib and
-    typing here: no run imports a module that the argument parser, the
-    library's paths or the result tuples once pulled in."""
+    """Every subcommand on the cached module, in an interpreter without
+    the site's `.pth` files, which import pathlib and typing here: no run
+    imports a module that the argument parser, the library's paths, the
+    result tuples or the stats lines' `json` once pulled in."""
     path = tmp_path / "reads.bed"
     path.write_text("chr1\t0\t4\nchr1\t0\t4\nchr2\t4\t6\nchr1\t4\t6\n")
-    runs = [["approx", str(path), "--k", "1"], ["solve", str(path), "--k=1"],
-            ["decide", str(path), "--t", "1", "--k", "1"], ["stats", "--format", "bed3", str(path)]]
+    runs = [[command, "--format", "bed3", str(path), *(f"--{name}=1" for name in names),
+             "--stats", os.devnull] for command, (_, _, names) in COMMANDS.items()]
     lines = child("import sys\nfrom covprune.cli import main\n"
                   f"codes = [main(argv) for argv in {runs!r}]\n"
                   f"print(codes, sorted({UNUSED_BY_A_RUN!r} & set(sys.modules)))",
                   "-S")
-    assert lines[-1] == "[0, 0, 0, 0] []"
+    assert lines[-1] == f"{[0] * len(runs)} []"
 
 
 def test_only_the_program_freezes_its_heap(tmp_path, capsys):
