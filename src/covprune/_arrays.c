@@ -2,7 +2,7 @@
  * between the solver kernels, so that no per-record or per-segment loop
  * runs in Python.  Each checks the indices it follows and returns a
  * negative code, before writing anything out of bounds, when one is
- * outside its buffer; _native.py wraps them.
+ * outside its buffer; _module.c wraps them.
  */
 
 #include <stdint.h>
@@ -10,7 +10,7 @@
 
 /* Write to out the positions j < n, increasing, where values[j] ==
  * want; returns how many.  out has n entries. */
-int64_t covprune_select(int64_t n, const int64_t *values, int64_t want, int64_t *out)
+static int64_t covprune_select(int64_t n, const int64_t *values, int64_t want, int64_t *out)
 {
     int64_t count = 0;
     for (int64_t j = 0; j < n; j++) {
@@ -22,7 +22,7 @@ int64_t covprune_select(int64_t n, const int64_t *values, int64_t want, int64_t 
 
 /* out[0] and out[1] get the least and the largest of values[0..n), both
  * 0 when n is 0. */
-void covprune_min_max(int64_t n, const int64_t *values, int64_t *out)
+static void covprune_min_max(int64_t n, const int64_t *values, int64_t *out)
 {
     int64_t mn = n ? values[0] : 0, mx = mn;
     for (int64_t j = 1; j < n; j++) {
@@ -35,7 +35,7 @@ void covprune_min_max(int64_t n, const int64_t *values, int64_t *out)
 
 /* The sum of hi[i] - lo[i] over i < n, or -1 unless 0 <= lo[i] < hi[i]
  * <= bound for every i. */
-int64_t covprune_spans(int64_t n, const int64_t *lo, const int64_t *hi, int64_t bound)
+static int64_t covprune_spans(int64_t n, const int64_t *lo, const int64_t *hi, int64_t bound)
 {
     int64_t sum = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -47,7 +47,7 @@ int64_t covprune_spans(int64_t n, const int64_t *lo, const int64_t *hi, int64_t 
 }
 
 /* The first i < n with starts[i] >= ends[i], or -1 when there is none. */
-int64_t covprune_unordered(int64_t n, const uint64_t *starts, const uint64_t *ends)
+static int64_t covprune_unordered(int64_t n, const uint64_t *starts, const uint64_t *ends)
 {
     for (int64_t i = 0; i < n; i++)
         if (starts[i] >= ends[i])
@@ -60,8 +60,8 @@ int64_t covprune_unordered(int64_t n, const uint64_t *starts, const uint64_t *en
  * cov[0..m - 1); cov has m entries.  With idx NULL the reads are
  * 0..n-1.  Returns 0, or -1 unless idx rises within [0, n) and 0 <=
  * lo[i] < hi[i] < m for each read. */
-int64_t covprune_recount(int64_t nidx, const int64_t *idx, int64_t n, const int64_t *lo,
-                         const int64_t *hi, int64_t m, int64_t *cov)
+static int64_t covprune_recount(int64_t nidx, const int64_t *idx, int64_t n, const int64_t *lo,
+                                const int64_t *hi, int64_t m, int64_t *cov)
 {
     memset(cov, 0, (size_t)m * sizeof *cov);
     for (int64_t j = 0; j < (idx ? nidx : n); j++) {
@@ -82,9 +82,9 @@ int64_t covprune_recount(int64_t nidx, const int64_t *idx, int64_t n, const int6
  * the records' indices, and of group_starts and group_ends, their
  * endpoints.  first has ngroups + 1 entries.  Returns 0, or -1 when a
  * code is out of range. */
-int64_t covprune_group(int64_t n, const int64_t *code, int64_t ngroups,
-                       const uint64_t *starts, const uint64_t *ends, int64_t *first,
-                       int64_t *order, uint64_t *group_starts, uint64_t *group_ends)
+static int64_t covprune_group(int64_t n, const int64_t *code, int64_t ngroups,
+                              const uint64_t *starts, const uint64_t *ends, int64_t *first,
+                              int64_t *order, uint64_t *group_starts, uint64_t *group_ends)
 {
     memset(first, 0, (size_t)(ngroups + 1) * sizeof *first);
     for (int64_t i = 0; i < n; i++) {
@@ -110,8 +110,8 @@ int64_t covprune_group(int64_t n, const int64_t *code, int64_t ngroups,
 /* out[i] = values[r] for every i in run r, the runs being
  * [at[r], at[r + 1]) and the last [at[nruns - 1], n).  Returns 0, or -1
  * unless at[0] = 0 and the runs rise within [0, n). */
-int64_t covprune_runs(int64_t nruns, const int64_t *at, const int64_t *values, int64_t n,
-                      int64_t *out)
+static int64_t covprune_runs(int64_t nruns, const int64_t *at, const int64_t *values, int64_t n,
+                             int64_t *out)
 {
     if (nruns && at[0] != 0)
         return -1;
@@ -127,8 +127,8 @@ int64_t covprune_runs(int64_t nruns, const int64_t *at, const int64_t *values, i
 
 /* mask[map[idx[j]]] = 1 for each j < nidx, map having nmap entries and
  * mask m.  Returns 0, or -1 when an index leaves its buffer. */
-int64_t covprune_scatter(int64_t nidx, const int64_t *idx, int64_t nmap, const int64_t *map,
-                         int64_t m, uint8_t *mask)
+static int64_t covprune_scatter(int64_t nidx, const int64_t *idx, int64_t nmap, const int64_t *map,
+                                int64_t m, uint8_t *mask)
 {
     for (int64_t j = 0; j < nidx; j++) {
         if (idx[j] < 0 || idx[j] >= nmap || map[idx[j]] < 0 || map[idx[j]] >= m)
@@ -143,8 +143,9 @@ int64_t covprune_scatter(int64_t nidx, const int64_t *idx, int64_t nmap, const i
  * the last one when it ends in neither '\n' nor '\r'.  Returns the
  * number of bytes, which out must hold; with out NULL, only counts them.
  * Returns -1 when a line leaves the size bytes of data. */
-int64_t covprune_lines(int64_t n, const uint8_t *mask, const int64_t *line_at,
-                       const int64_t *line_len, int64_t size, const uint8_t *data, uint8_t *out)
+static int64_t covprune_lines(int64_t n, const uint8_t *mask, const int64_t *line_at,
+                              const int64_t *line_len, int64_t size, const uint8_t *data,
+                              uint8_t *out)
 {
     int64_t total = 0, end = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -168,7 +169,7 @@ int64_t covprune_lines(int64_t n, const uint8_t *mask, const int64_t *line_at,
 
 /* values[j * stride] += delta for j < n: a strided run of the buffer
  * raised by one amount. */
-void covprune_add(int64_t n, int64_t *values, int64_t stride, int64_t delta)
+static void covprune_add(int64_t n, int64_t *values, int64_t stride, int64_t delta)
 {
     for (int64_t j = 0; j < n; j++)
         values[j * stride] += delta;

@@ -68,10 +68,10 @@ static int64_t dfs_augment(int64_t nv, int64_t source, int64_t sink,
  * per arc) to a maximum flow, in place; returns the number of augmenting
  * paths.  parent_arc, stack and next_arc are scratch space of nv entries
  * each; parent_arc is left holding the last, failing search's marks. */
-int64_t covprune_max_flow(int64_t nv, int64_t source, int64_t sink,
-                          const int64_t *first, const int64_t *adj, const int64_t *to,
-                          int64_t *res, int64_t *parent_arc, int64_t *stack,
-                          int64_t *next_arc)
+static int64_t covprune_max_flow(int64_t nv, int64_t source, int64_t sink,
+                                 const int64_t *first, const int64_t *adj, const int64_t *to,
+                                 int64_t *res, int64_t *parent_arc, int64_t *stack,
+                                 int64_t *next_arc)
 {
     int64_t augmentations = 0;
     while (dfs_augment(nv, source, sink, first, adj, to, res, parent_arc, stack,
@@ -94,8 +94,8 @@ int64_t covprune_max_flow(int64_t nv, int64_t source, int64_t sink,
  * first and adj in O(n + m).  build_network checks 0 <= lo < hi <= m - 1
  * before the call.  scratch holds 4(m + 2) + n entries.  Returns 0, or
  * -1 when an arc's head leaves the chain or the arcs miscount. */
-int64_t covprune_network(int64_t n, int64_t m, const int64_t *lo, const int64_t *hi,
-                         int64_t *first, int64_t *adj, int64_t *to, int64_t *scratch)
+static int64_t covprune_network(int64_t n, int64_t m, const int64_t *lo, const int64_t *hi,
+                                int64_t *first, int64_t *adj, int64_t *to, int64_t *scratch)
 {
     int64_t nb = m + 1, nv = m + 2;
     /* per vertex: interval arcs out, those spanning two or more segments,

@@ -14,8 +14,9 @@
  * A kernel that checks its indices returns a negative status, raised
  * here as ValueError, as is parse's -3, a record past its columns; the
  * others' results, parse's -1 and -2 among them, go back to the caller.
- * The radix scratch of profile and order is allocated here and left
- * uninitialized, so the passes a sorted column skips never touch it.
+ * The radix scratch of profile and sweep, and the sweep's store, are
+ * allocated here and left uninitialized, so the passes a sorted column
+ * skips never touch them.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -25,14 +26,15 @@
 #include <string.h>
 
 /* The kernels, compiled with this file as one unit: the definition of
- * each is the one declaration its call below is checked against. */
+ * each, static, is the one declaration its call below is checked
+ * against, and a kernel no call uses fails -Wunused-function. */
 #include "_arrays.c"
 #include "_flow.c"
 #include "_parse.c"
 #include "_profile.c"
 #include "_sweep.c"
 
-#define MAX_ARGS 13
+#define MAX_ARGS 11
 
 /* what a kernel's result means: nothing, a value, a status that is an
  * error when negative, or parse's record count, an error below -2 */
@@ -118,13 +120,13 @@ static int take(const char *name, const char *spec, PyObject *const *args, Py_ss
     return -1;
 }
 
-/* Radix scratch of per_read * n + RADIX items, uninitialized; NULL with
- * MemoryError when it cannot be had. */
-static int64_t *scratch(int64_t n, int64_t per_read)
+/* per_read * n + plus items of size bytes, uninitialized; NULL with
+ * MemoryError when they cannot be had. */
+static void *scratch(int64_t n, int64_t per_read, int64_t plus, int64_t size)
 {
-    int64_t *s = NULL;
-    if (n >= 0 && n <= (PY_SSIZE_T_MAX / 8 - RADIX) / per_read)
-        s = PyMem_Malloc((size_t)(per_read * n + RADIX) * sizeof *s);
+    void *s = NULL;
+    if (n >= 0 && n <= (PY_SSIZE_T_MAX / size - plus) / per_read)
+        s = PyMem_Malloc((size_t)((per_read * n + plus) * size));
     if (!s)
         PyErr_NoMemory();
     return s;
@@ -147,10 +149,32 @@ static int holds(const Py_buffer *view, int64_t count, int64_t times, int64_t pl
 /* buffer argument i holds count items */
 #define HOLDS(i, count) holds(&views[i], count, 1, 0)
 
+/* covprune_sweep with its store in pieces of their exact sizes, apart
+ * from the radix scratch: nseg int32 cells with flat, else the tree's
+ * three arrays of 2 * cap items (one block of them all would pass
+ * glibc's mmap threshold and be mapped afresh on every call); MemoryError
+ * when a piece cannot be had */
+static int64_t sweep(const Arg *a, int64_t *s)
+{
+    int64_t nseg = INT(3), flat = INT(6), result = 0;
+    int64_t cap = nseg > 0 ? (int64_t)1 << bit_length(nseg - 1) : 1; /* leaves: 2^j >= nseg */
+    void *piece[3] = {NULL, NULL, NULL};
+    int got = 0, pieces = flat ? 1 : 3;
+    while (got < pieces && (piece[got] = flat ? scratch(nseg, 1, 0, 4) : scratch(cap, 2, 0, 8)))
+        got++;
+    if (got == pieces)
+        result = covprune_sweep(INT(0), I64(1), I64(2), nseg, I64(4), INT(5), flat, I64(7),
+                                I64(8), s, piece[0], cap, piece[0], piece[1], piece[2]);
+    while (got)
+        PyMem_Free(piece[--got]);
+    return result;
+}
+
 /* py_<name>: takes the arguments by spec, with per_read > 0 allocates
  * scratch s of per_read * n + RADIX items for n the first argument,
- * refuses the call unless fits, the counts' rule for the buffers' sizes,
- * holds, runs call, which may set result, and returns it as kind says */
+ * refuses the call unless it has s and fits, the counts' rule for the
+ * buffers' sizes, holds, runs call, which may set result, and returns it
+ * as kind says */
 #define KERNEL(name, spec, fits, kind, per_read, call)                                        \
     static PyObject *py_##name(PyObject *self, PyObject *const *args, Py_ssize_t nargs)       \
     {                                                                                         \
@@ -160,15 +184,15 @@ static int holds(const Py_buffer *view, int64_t count, int64_t times, int64_t pl
         (void)self;                                                                           \
         if (take("covprune_" #name, spec, args, nargs, a, views) < 0)                         \
             return NULL;                                                                      \
-        if (per_read && !(s = scratch(INT(0), per_read))) {                                   \
-            release(views, nargs);                                                            \
-            return NULL;                                                                      \
-        }                                                                                     \
+        if (per_read)                                                                         \
+            s = scratch(INT(0), per_read, RADIX, 8);                                          \
         int fit = fits;                                                                       \
-        if (fit)                                                                              \
+        if (fit && (s || !per_read))                                                          \
             call;                                                                             \
         PyMem_Free(s);                                                                        \
         release(views, nargs);                                                                \
+        if (PyErr_Occurred()) /* the scratch, or an allocation of the call's, failed */       \
+            return NULL;                                                                      \
         if (!fit)                                                                             \
             return PyErr_Format(PyExc_ValueError, "covprune_" #name ": a count out of range " \
                                 "or a buffer shorter than the counts imply");                 \
@@ -189,18 +213,8 @@ KERNEL(profile, "nQQ Q!q!q!q!", INT(0) >= 1 && HOLDS(1, INT(0)) && HOLDS(2, INT(
        && holds(&views[3], INT(0), 2, 0) && HOLDS(4, INT(0)) && HOLDS(5, INT(0))
        && holds(&views[6], INT(0), 2, 0), VALUE, 8,
        result = covprune_profile(INT(0), U64(1), U64(2), U64(3), I64(4), I64(5), I64(6), s))
-KERNEL(order, "nqqn q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(0)), NONE, 5,
-       covprune_order(INT(0), I64(1), I64(2), INT(3), I64(4), s))
-KERNEL(sweep, "nnqnqqqn q!q!q!q!q!", INT(1) >= INT(0) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
-       && HOLDS(5, INT(3)) && HOLDS(6, INT(3)) && holds(&views[8], INT(1), 2, 0)
-       && holds(&views[9], INT(1), 2, 0) && holds(&views[10], INT(1), 2, 0)
-       && HOLDS(11, INT(3)) && HOLDS(12, 4), STATUS, 0,
-       result = covprune_sweep(INT(0), INT(1), I64(2), INT(3), I64(4), I64(5), I64(6), INT(7),
-                               I64(8), I64(9), I64(10), I64(11), I64(12)))
-KERNEL(flat_sweep, "nqi!nqqqn q!q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
-       && HOLDS(5, INT(3)) && HOLDS(6, INT(3)) && HOLDS(8, INT(3)) && HOLDS(9, 4), STATUS, 0,
-       result = covprune_flat_sweep(INT(0), I64(1), PTR(2, int32_t), INT(3), I64(4), I64(5),
-                                    I64(6), INT(7), I64(8), I64(9)))
+KERNEL(sweep, "nqqnqnn q!q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
+       && HOLDS(7, INT(0)) && HOLDS(8, 4), STATUS, 5, result = sweep(a, s))
 /* n and m bounded by lo and first first, so that m + 1 + n cannot overflow */
 KERNEL(network, "nnqq q!q!q!q!", HOLDS(2, INT(0)) && HOLDS(3, INT(0))
        && holds(&views[4], INT(1), 1, 3) && holds(&views[5], INT(1) + 1 + INT(0), 2, 0)
@@ -267,10 +281,10 @@ static PyObject *py_lines(PyObject *self, PyObject *const *args, Py_ssize_t narg
 #define ENTRY(name) {"covprune_" #name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
-    ENTRY(parse),   ENTRY(profile),   ENTRY(order),   ENTRY(sweep),   ENTRY(flat_sweep),
-    ENTRY(network), ENTRY(max_flow),  ENTRY(select),  ENTRY(min_max), ENTRY(spans),
-    ENTRY(recount), ENTRY(unordered), ENTRY(group),   ENTRY(runs),    ENTRY(scatter),
-    ENTRY(lines),   ENTRY(add),       {NULL, NULL, 0, NULL},
+    ENTRY(parse),     ENTRY(profile), ENTRY(sweep), ENTRY(network), ENTRY(max_flow),
+    ENTRY(select),    ENTRY(min_max), ENTRY(spans), ENTRY(recount), ENTRY(unordered),
+    ENTRY(group),     ENTRY(runs),    ENTRY(scatter), ENTRY(lines), ENTRY(add),
+    {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {

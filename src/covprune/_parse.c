@@ -63,9 +63,9 @@ static int breaks_comment(const uint8_t *p, const uint8_t *end)
  * info[2] to info[5] get why (BAD_*), the line's 1-based number, and its
  * offset and length without its terminator.
  * Returns the number of records. */
-int64_t covprune_parse(const uint8_t *data, int64_t size, int64_t fields, int64_t max_runs,
-                       int64_t max_records, uint64_t *starts, uint64_t *ends, int64_t *runs,
-                       int64_t *info, int64_t *line_at, int64_t *line_len)
+static int64_t covprune_parse(const uint8_t *data, int64_t size, int64_t fields, int64_t max_runs,
+                              int64_t max_records, uint64_t *starts, uint64_t *ends, int64_t *runs,
+                              int64_t *info, int64_t *line_at, int64_t *line_len)
 {
     const uint8_t *p = data, *end = data + size, *line = data;
     const uint8_t *prev = NULL;

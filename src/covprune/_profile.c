@@ -1,5 +1,6 @@
-/* The coverage profile that intervals.coverage_profile calls, and the
- * sweep order of approx.approx_prune.
+/* The coverage profile that intervals.coverage_profile calls, and
+ * covprune_order, the read order covprune_sweep (_sweep.c) takes for
+ * itself.
  *
  * The starts and the ends are ordered apart, each by a stable LSD radix
  * argsort that is O(n) a pass for any input and skips its passes when
@@ -9,7 +10,7 @@
  * coverage_profile calls it only for n >= 1, with the contiguous uint64
  * endpoints of an IntervalSet, which checked start < end in every pair
  * when it was built, and allocates the outputs and the scratch at the
- * sizes given below.
+ * sizes given below.  The order sorts the same way, one key per read.
  */
 
 #include <stdint.h>
@@ -28,7 +29,7 @@ static void radix_argsort(int64_t n, const uint64_t *keys, uint64_t *key_buf,
                           int64_t *idx_buf, int64_t *count, const uint64_t **key,
                           const int64_t **idx)
 {
-    uint64_t bits = keys[0];
+    uint64_t bits = n ? keys[0] : 0;
     int64_t descents = 0;
     for (int64_t i = 1; i < n; i++) {
         bits |= keys[i];
@@ -72,9 +73,9 @@ static void radix_argsort(int64_t n, const uint64_t *keys, uint64_t *key_buf,
  * (segment_cov's last entry, j = m - 1, is 0 and not part of the
  * profile).  delimiters and segment_cov have 2n entries, lo and hi n
  * each, and scratch 8n + RADIX (2048). */
-int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_t *ends,
-                         uint64_t *delimiters, int64_t *lo, int64_t *hi,
-                         int64_t *segment_cov, int64_t *scratch)
+static int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_t *ends,
+                                uint64_t *delimiters, int64_t *lo, int64_t *hi,
+                                int64_t *segment_cov, int64_t *scratch)
 {
     uint64_t *key_buf = (uint64_t *)scratch;
     int64_t *idx_buf = scratch + 4 * n, *count = scratch + 8 * n;
@@ -101,24 +102,21 @@ int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_t *ends
     return m;
 }
 
-/* The stable order of the reads by (lo, hi), the sweep order: equal to
+/* The stable order of the reads by (lo, hi), the sweep's: equal to
  * sorted((start, end, i)), since delimiter indices order reads as their
- * coordinates do: each key lo * (nseg + 1) + hi fits 64 bits for
- * 0 <= lo[i] < hi[i] <= nseg, which the sweeps check, and any other key
- * still sorts within the buffers.  order has n entries and scratch
- * 5n + RADIX (2048). */
-void covprune_order(int64_t n, const int64_t *lo, const int64_t *hi, int64_t nseg,
-                    int64_t *order, int64_t *scratch)
+ * coordinates do.  Each key lo * (nseg + 1) + hi fits 64 bits for
+ * 0 <= lo[i] < hi[i] <= nseg, which covprune_sweep checks first.
+ * Returns the read at each place, in scratch, or NULL, the identity,
+ * when the reads are in order already; scratch has 5n + RADIX (2048)
+ * entries. */
+static const int64_t *covprune_order(int64_t n, const int64_t *lo, const int64_t *hi,
+                                     int64_t nseg, int64_t *scratch)
 {
     uint64_t *keys = (uint64_t *)scratch;
-    int64_t *idx_buf = scratch + 3 * n, *count = scratch + 5 * n;
     const uint64_t *key;
     const int64_t *idx;
-    if (!n)
-        return;
     for (int64_t i = 0; i < n; i++)
         keys[i] = (uint64_t)lo[i] * (uint64_t)(nseg + 1) + (uint64_t)hi[i];
-    radix_argsort(n, keys, keys + n, idx_buf, count, &key, &idx);
-    for (int64_t i = 0; i < n; i++)
-        order[i] = idx ? idx[i] : i;
+    radix_argsort(n, keys, keys + n, scratch + 3 * n, scratch + 5 * n, &key, &idx);
+    return idx;
 }

@@ -1,35 +1,20 @@
-/* The two ways approx.approx_prune runs its start-order sweep and the
- * refill pass after it.
+/* covprune_sweep: approx.approx_prune's sweep and refill in one call.
+ * approx.py states the rule, its guarantee and the flat rule that picks
+ * the store.
  *
- * The sweep visits reads order[0], order[1], ... and deletes a read
- * whose span's current maximum coverage is above k while its span's
- * current minimum is above k / 2.  The refill then visits the deleted
- * reads in the same order and re-adds each one whose span's current
- * maximum is below k, raising that span by 1.  It only raises coverage,
- * so the cap and the sweep's floor, min(input mincov, k / 2), still
- * hold, and a read it refuses stays refused: one pass leaves no deleted
- * read that fits under the cap.
- *
- * covprune_sweep keeps the segment coverage in a lazy min/max tree:
- * O(log nseg) nodes per read, whatever its span.  CoverageTree
- * (coverage_tree.py) is its Python reference: the same perfect binary
- * tree, the same lazy balances, the same nodes pushed down and repaired
- * along the two boundary paths, hence the same decisions and the same
- * nodes_touched.
- *
- * covprune_flat_sweep scans a plain int32 copy of the segment coverage:
- * one cell per segment of the read's span, read once by the sweep, in a
- * loop the compiler vectorizes, read by the refill up to its first cell
- * at k, and shifted once per deletion or re-add.
- * approx_prune takes it only when the spans sum to at most
- * 40 * n * bit_length(nseg) and the coverage is below 2^31, so it too
- * stays O(n log n), and on short reads it is cheaper.
- *
- * Both make the same decisions on the same values.  They see segment
- * indices and coverage counts only, never coordinates, and leave
- * deleted[i] 1 for each read i that ends deleted and 0 for the rest.
- * Each returns -1, before it changes anything, when an order index
- * leaves [0, n) or a read's span leaves [0, nseg).
+ * Both loops visit the reads in the order of covprune_order (_profile.c,
+ * which _module.c includes first), by (lo, hi, i), and read and shift
+ * the segment coverage through one Store, which keeps it either
+ *  - in a lazy min/max tree, O(log nseg) nodes per read.  CoverageTree
+ *    (coverage_tree.py) is its Python reference: the same perfect binary
+ *    tree, the same lazy balances, the same nodes pushed down and
+ *    repaired along the two boundary paths, hence the same decisions and
+ *    the same nodes_touched;
+ *  - or, with flat, in int32 cells: the sweep reads a span's cells once,
+ *    in a loop the compiler vectorizes, the refill reads them up to its
+ *    first cell at k, and each deletion or re-add shifts them once.
+ * Both make the same decisions on the same values, from segment indices
+ * and coverage counts only, never coordinates.
  */
 
 #include <stdint.h>
@@ -38,26 +23,17 @@
 
 static int64_t bit_length(int64_t x)
 {
-    int64_t n = 0;
-    while (x) {
-        x >>= 1;
-        n++;
-    }
-    return n;
+    return x ? 64 - __builtin_clzll((uint64_t)x) : 0;
 }
 
-/* 0 when every order[j] lies in [0, n) and each read spans a nonempty
- * run of the nseg segments, else -1 */
-static int64_t check(int64_t n, const int64_t *order, const int64_t *lo, const int64_t *hi,
-                     int64_t nseg)
-{
-    for (int64_t j = 0; j < n; j++) {
-        int64_t i = order[j];
-        if (i < 0 || i >= n || lo[i] < 0 || lo[i] >= hi[i] || hi[i] > nseg)
-            return -1;
-    }
-    return 0;
-}
+/* The segment coverage as the sweep keeps it: with flat, in the int32
+ * cells val; else in the tree mn/mx/bal of cap leaves.  work counts the
+ * tree's nodes touched, or the cells read, lowered or raised. */
+typedef struct {
+    int64_t flat, cap, work;
+    int64_t *mn, *mx, *bal;
+    int32_t *val;
+} Store;
 
 /* move internal node v's pending balance onto its two children, as
  * CoverageTree.range_query does along its boundary paths */
@@ -86,13 +62,12 @@ static void repair(int64_t v, int64_t *mn, int64_t *mx, const int64_t *bal)
 /* range_query over leaves l0..r0: push the balances down both boundary
  * paths, their shared top once, then take the min and max of the
  * canonical nodes into *qmn and *qmx; returns the nodes touched */
-static int64_t query(int64_t depth, int64_t l0, int64_t r0, int64_t *mn, int64_t *mx,
-                     int64_t *bal, int64_t *qmn, int64_t *qmx)
+static int64_t query(Store *c, int64_t l0, int64_t r0, int64_t *qmn, int64_t *qmx)
 {
-    int64_t touched = 0, split = bit_length(l0 ^ r0), lo = INF, hi = -INF;
-    for (int64_t h = depth; h > 0; h--, touched++)
+    int64_t *mn = c->mn, *mx = c->mx, *bal = c->bal, touched = 0, lo = INF, hi = -INF;
+    for (int64_t h = bit_length(c->cap) - 1; h > 0; h--, touched++)
         push(l0 >> h, mn, mx, bal);
-    for (int64_t h = split - 1; h > 0; h--, touched++)
+    for (int64_t h = bit_length(l0 ^ r0) - 1; h > 0; h--, touched++)
         push(r0 >> h, mn, mx, bal);
     for (int64_t l = l0, r = r0 + 1; l < r; l >>= 1, r >>= 1) {
         if (l & 1) {
@@ -116,10 +91,9 @@ static int64_t query(int64_t depth, int64_t l0, int64_t r0, int64_t *mn, int64_t
 /* range_decrement (delta -1) or range_increment (delta +1) over leaves
  * l0..r0: shift the canonical nodes' balances, then repair both boundary
  * paths, merging at the LCA; returns the nodes touched */
-static int64_t shift(int64_t l0, int64_t r0, int64_t delta, int64_t *mn, int64_t *mx,
-                     int64_t *bal)
+static int64_t shift(Store *c, int64_t l0, int64_t r0, int64_t delta)
 {
-    int64_t touched = 0;
+    int64_t *mn = c->mn, *mx = c->mx, *bal = c->bal, touched = 0;
     for (int64_t l = l0, r = r0 + 1; l < r; l >>= 1, r >>= 1) {
         if (l & 1) {
             bal[l++] += delta;
@@ -140,97 +114,95 @@ static int64_t shift(int64_t l0, int64_t r0, int64_t delta, int64_t *mn, int64_t
     return touched;
 }
 
-/* Build the tree over cov[0..nseg) into mn/mx/bal (each 2 * cap long),
- * then sweep and refill the reads in order; counts receives
- * {nodes_touched, candidates, blocked_crucial, refilled}. */
-int64_t covprune_sweep(int64_t nseg, int64_t cap, const int64_t *cov,
-                       int64_t n, const int64_t *order, const int64_t *lo, const int64_t *hi,
-                       int64_t k, int64_t *mn, int64_t *mx, int64_t *bal,
-                       int64_t *deleted, int64_t *counts)
+/* the min and max of segments a..b-1 into *qmn and *qmx; the flat min
+ * and max are branch-free, so that the compiler can vectorize the scan */
+static void span(Store *c, int64_t a, int64_t b, int64_t *qmn, int64_t *qmx)
 {
-    if (check(n, order, lo, hi, nseg) < 0)
-        return -1;
-    int64_t depth = bit_length(cap) - 1, half = k / 2;
-    int64_t touched = 0, candidates = 0, blocked = 0, refilled = 0;
-
-    for (int64_t v = 1; v < 2 * cap; v++) {
-        mn[v] = INF;
-        mx[v] = -INF;
-        bal[v] = 0;
+    if (!c->flat) {
+        c->work += query(c, c->cap + a, c->cap + b - 1, qmn, qmx);
+        return;
     }
-    for (int64_t j = 0; j < nseg; j++)
-        mn[cap + j] = mx[cap + j] = cov[j];
-    for (int64_t v = cap - 1; v > 0; v--)
-        repair(v, mn, mx, bal);
-    for (int64_t i = 0; i < n; i++)
-        deleted[i] = 0;
-
-    for (int64_t j = 0; j < n; j++) {
-        int64_t i = order[j], l0 = cap + lo[i], r0 = cap + hi[i] - 1, qmn, qmx;
-        touched += query(depth, l0, r0, mn, mx, bal, &qmn, &qmx);
-        if (qmx <= k)
-            continue;
-        candidates++;
-        if (qmn <= half) {
-            blocked++;
-            continue;
-        }
-        deleted[i] = 1;
-        touched += shift(l0, r0, -1, mn, mx, bal);
+    int32_t lo = INT32_MAX, hi = INT32_MIN;
+    for (int64_t s = a; s < b; s++) {
+        int32_t v = c->val[s];
+        lo = v < lo ? v : lo;
+        hi = v > hi ? v : hi;
     }
-    for (int64_t j = 0; j < n; j++) {
-        int64_t i = order[j], l0 = cap + lo[i], r0 = cap + hi[i] - 1, qmn, qmx;
-        if (!deleted[i])
-            continue;
-        touched += query(depth, l0, r0, mn, mx, bal, &qmn, &qmx);
-        if (qmx >= k)
-            continue;
-        deleted[i] = 0;
-        refilled++;
-        touched += shift(l0, r0, 1, mn, mx, bal);
-    }
-    counts[0] = touched;
-    counts[1] = candidates;
-    counts[2] = blocked;
-    counts[3] = refilled;
-    return 0;
+    c->work += b - a;
+    *qmn = lo;
+    *qmx = hi;
 }
 
-/* The same sweep and refill over val[0..nseg), an int32 copy of the
- * segment coverage cov that it lowers and raises in place; -2 when a
- * coverage count is outside [0, 2^31).  The sweep's min and max are
- * branch-free, so that the compiler can vectorize its scan.  counts
- * receives {segments_scanned, candidates, blocked_crucial, refilled}: the
- * sweep scans each segment once per read whose span holds it and once
- * more per deletion; the refill reads a deleted read's span up to its
- * first cell at k or above, where it stops, and raises the span of each
- * read it re-adds, counting every cell read or raised.  No cell
- * overflows: a read is deleted only under a cell above k, so with
- * k >= 2^31 - 1 none is, and a refill lifts cells below k to at most k. */
-int64_t covprune_flat_sweep(int64_t nseg, const int64_t *cov, int32_t *val, int64_t n,
-                            const int64_t *order, const int64_t *lo, const int64_t *hi,
-                            int64_t k, int64_t *deleted, int64_t *counts)
+/* whether every segment a..b-1 is below k; the flat store reads the
+ * cells up to its first at k or above, that one included */
+static int below(Store *c, int64_t a, int64_t b, int64_t k)
 {
-    if (check(n, order, lo, hi, nseg) < 0)
-        return -1;
-    for (int64_t s = 0; s < nseg; s++) {
-        if (cov[s] < 0 || cov[s] > INT32_MAX)
-            return -2;
-        val[s] = (int32_t)cov[s];
+    int64_t s = a, qmn, qmx;
+    if (!c->flat) {
+        span(c, a, b, &qmn, &qmx);
+        return qmx < k;
     }
-    int64_t half = k / 2, scanned = 0, candidates = 0, blocked = 0, refilled = 0;
-    for (int64_t i = 0; i < n; i++)
-        deleted[i] = 0;
+    while (s < b && c->val[s] < k)
+        s++;
+    c->work += s - a + (s < b);
+    return s == b;
+}
 
-    for (int64_t j = 0; j < n; j++) {
-        int64_t i = order[j], a = lo[i], b = hi[i];
-        int32_t qmn = INT32_MAX, qmx = INT32_MIN;
-        for (int64_t s = a; s < b; s++) {
-            int32_t v = val[s];
-            qmn = v < qmn ? v : qmn;
-            qmx = v > qmx ? v : qmx;
+/* segments a..b-1 lowered (delta -1) or raised (delta +1) */
+static void lift(Store *c, int64_t a, int64_t b, int64_t delta)
+{
+    if (!c->flat) {
+        c->work += shift(c, c->cap + a, c->cap + b - 1, delta);
+        return;
+    }
+    for (int64_t s = a; s < b; s++)
+        c->val[s] += (int32_t)delta;
+    c->work += b - a;
+}
+
+/* Sweep and refill the n reads over the segment coverage cov[0..nseg),
+ * kept in val (nseg cells) with flat, else in mn/mx/bal (2 * cap items
+ * each, cap the least power of 2 >= nseg); scratch has 5n + RADIX items.
+ * Writes the kept reads, rising, to kept and returns their number, and
+ * counts gets {nodes_touched or segments_scanned, candidates,
+ * blocked_crucial, refilled}.  Before it writes either, returns -1 when
+ * a read's span leaves [0, nseg) and, with flat, -2 when a coverage
+ * count is outside [0, 2^31).  No cell overflows: a read is deleted only
+ * under a cell above k, so with k >= 2^31 - 1 none is, and a refill
+ * lifts cells below k to at most k. */
+static int64_t covprune_sweep(int64_t n, const int64_t *lo, const int64_t *hi, int64_t nseg,
+                              const int64_t *cov, int64_t k, int64_t flat, int64_t *kept,
+                              int64_t *counts, int64_t *scratch, int32_t *val, int64_t cap,
+                              int64_t *mn, int64_t *mx, int64_t *bal)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (lo[i] < 0 || lo[i] >= hi[i] || hi[i] > nseg)
+            return -1;
+    Store c = {flat, cap, 0, mn, mx, bal, val};
+    if (flat) {
+        for (int64_t s = 0; s < nseg; s++) {
+            if (cov[s] < 0 || cov[s] > INT32_MAX)
+                return -2;
+            val[s] = (int32_t)cov[s];
         }
-        scanned += b - a;
+    } else {
+        for (int64_t v = 1; v < 2 * cap; v++) {
+            mn[v] = INF;
+            mx[v] = -INF;
+            bal[v] = 0;
+        }
+        for (int64_t j = 0; j < nseg; j++)
+            mn[cap + j] = mx[cap + j] = cov[j];
+        for (int64_t v = cap - 1; v > 0; v--)
+            repair(v, mn, mx, bal);
+    }
+
+    const int64_t *order = covprune_order(n, lo, hi, nseg, scratch);
+    int64_t half = k / 2, candidates = 0, blocked = 0, refilled = 0;
+    for (int64_t j = 0; j < n; j++) {
+        int64_t i = order ? order[j] : j, qmn, qmx;
+        kept[i] = 0; /* 1 while the read is deleted */
+        span(&c, lo[i], hi[i], &qmn, &qmx);
         if (qmx <= k)
             continue;
         candidates++;
@@ -238,30 +210,26 @@ int64_t covprune_flat_sweep(int64_t nseg, const int64_t *cov, int32_t *val, int6
             blocked++;
             continue;
         }
-        deleted[i] = 1;
-        for (int64_t s = a; s < b; s++)
-            val[s] -= 1;
-        scanned += b - a;
+        kept[i] = 1;
+        lift(&c, lo[i], hi[i], -1);
     }
     for (int64_t j = 0; j < n; j++) {
-        int64_t i = order[j], a = lo[i], b = hi[i];
-        if (!deleted[i])
+        int64_t i = order ? order[j] : j;
+        if (!kept[i] || !below(&c, lo[i], hi[i], k))
             continue;
-        int64_t s = a;
-        while (s < b && val[s] < k)
-            s++;
-        scanned += s - a + (s < b);
-        if (s < b)
-            continue;
-        deleted[i] = 0;
+        kept[i] = 0;
         refilled++;
-        for (s = a; s < b; s++)
-            val[s] += 1;
-        scanned += b - a;
+        lift(&c, lo[i], hi[i], 1);
     }
-    counts[0] = scanned;
+    int64_t m = 0;
+    for (int64_t i = 0; i < n; i++) { /* branch-free: the mask is mixed */
+        int64_t deleted = kept[i];
+        kept[m] = i;
+        m += !deleted;
+    }
+    counts[0] = c.work;
     counts[1] = candidates;
     counts[2] = blocked;
     counts[3] = refilled;
-    return 0;
+    return m;
 }

@@ -16,19 +16,21 @@ coverage only where the cap allows, so both bounds above still hold; a
 read it refuses never fits later, since coverage only rises, so the kept
 set is maximal: no deleted read fits under the cap.
 
-The sweep keeps the current segment coverage either in the lazy
-coverage tree, O(log nseg) nodes per read, or, when the spans sum to
-at most 40 * n * bit_length(nseg) segments and the coverage stays below
-2**31, in a flat int32 copy scanned span by span: at most four times
-that sum with the refill, so O(n log n) too, and cheaper on short reads.
-Both run, the refill included, as one C call (`_sweep.c`, loaded by
-`_native`) and make the same decisions.
+The sweep, the refill included, runs as one C call, `covprune_sweep`
+(`_sweep.c`, loaded by `_native`), which sorts the reads itself and
+keeps the current segment coverage in one of two stores that make the
+same decisions.  The flat rule, stated here only: when the coverage
+stays below 2**31 and the spans sum to at most 40 * n * bit_length(nseg)
+segments, a flat int32 copy scanned span by span, at most four times
+that sum with the refill, so O(n log n) too, and cheaper on short reads;
+else the lazy coverage tree, O(log nseg) nodes per read.  Near 40
+segments per read per bit of nseg the vectorized flat scan costs about
+what the tree does (15k reads of 0.5-1.5 kb at depth 400-600).
 """
 
 from __future__ import annotations
 
-from . import _native
-from ._native import extremes, zeros
+from ._native import extremes, load_library, zeros
 from .intervals import IntervalSet
 from .solution import Solution, score_subset
 
@@ -47,7 +49,7 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     (reads whose span had max > k when visited), `blocked_crucial`
     (candidates kept because their span's min was <= floor(k/2)),
     `refilled` (deleted reads the refill re-added) and `native_sweep` (1
-    when a compiled sweep ran).
+    when a sweep ran).
 
     Raises AssertionError when the recounted answer falls below
     min(input mincov, floor(k/2)), the guarantee: the sweep is at fault.
@@ -62,38 +64,16 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
         # removals never help: keeping everything, an empty set too, is already optimal
         return score_subset(intervals, None, k, "approx", work)
 
-    lib, n, nseg = _native.load_library(), len(lo), len(cov)
-    # equals sorted((start, end, i)): lo and hi order reads as their
-    # coordinates do, and the radix sort is stable
-    lib.covprune_order(n, lo, hi, nseg, order := zeros("q", n))
-    # near 40 segments per read per bit of nseg, the vectorized C flat scan
-    # costs about what the tree does (15k reads of 0.5-1.5 kb at depth 400-600);
-    # its cells are int32
+    lib, n, nseg = load_library(), len(lo), len(cov)
     flat = top < 2**31 and lib.covprune_spans(n, lo, hi, nseg) <= 40 * n * nseg.bit_length()
-    deleted, counts = _sweep(order, lo, hi, cov, k, flat)
+    kept, counts = zeros("q", n), zeros("q", 4)
+    del kept[lib.covprune_sweep(n, lo, hi, nseg, cov, k, flat, kept, counts):]
     visited, work["candidates"], work["blocked_crucial"], work["refilled"] = counts
     work["native_sweep"] = 1
     work["segments_scanned" if flat else "tree_nodes_touched"] = visited
     # the scorer recounts the kept reads from scratch, never from the sweep's state
-    sol = score_subset(intervals, _native.select(deleted, 0), k, "approx", work)
+    sol = score_subset(intervals, kept, k, "approx", work)
     if sol.achieved_mincov < min(low, k // 2):
         raise AssertionError(f"approx kept a set of mincov {sol.achieved_mincov} "
                              f"< min(input mincov {low}, k//2={k // 2})")
     return sol
-
-
-def _sweep(order, lo, hi, cov, k: int, flat: bool):
-    """The sweep and refill of the reads in `order` over the coverage
-    `cov`, by the tree or, with `flat`, by the flat scan, either checking
-    every buffer's size, index and span first; returns the int64 mask of
-    the reads left deleted, in input order, and (tree nodes touched or
-    segments scanned, candidates, blocked, refilled)."""
-    lib, n, nseg = _native.load_library(), len(order), len(cov)
-    deleted, counts = zeros("q", n), zeros("q", 4)
-    if flat:  # on an int32 copy, shifted in place; approx_prune keeps cov < 2**31
-        lib.covprune_flat_sweep(nseg, cov, zeros("i", nseg), n, order, lo, hi, k, deleted, counts)
-    else:
-        cap = 1 << (nseg - 1).bit_length()
-        lib.covprune_sweep(nseg, cap, cov, n, order, lo, hi, k,
-                           *(zeros("q", 2 * cap) for _ in range(3)), deleted, counts)
-    return deleted, tuple(counts)

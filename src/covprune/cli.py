@@ -90,7 +90,7 @@ def _groups(instance: io.InstanceFile):
     """(chrom, (intervals, record indices)) in name order, each freed
     after its turn; a file without records makes one empty instance."""
     groups = instance.chromosomes() or {None: (IntervalSet(), array("q"))}
-    for chrom in sorted(groups, key=lambda c: (c is not None, c)):
+    for chrom in list(groups):  # in name order already, as the reader sorts the names
         yield chrom, groups.pop(chrom)
 
 

@@ -1,13 +1,14 @@
 """Perfect binary tree over coverage segments with lazy range shifts.
 
 The approx sweep holds its coverage in this tree, in C, when reads
-span too many segments for a flat scan (see `approx` and
-`covprune_sweep` in `_sweep.c`).  No solver runs this Python class; it
-stays for two readers.  The benchmark's tracer (`bench/tracing.py`)
+span too many segments for a flat scan (the rule is in `approx`; the C
+is `covprune_sweep` in `_sweep.c`).  No solver runs this Python class;
+it stays for two readers.  The benchmark's tracer (`bench/tracing.py`)
 wraps `build_tree`, `range_query` and `range_decrement` by name, and the
 tests drive it as the reference whose decisions and nodes touched
-`covprune_sweep` must match; its `_push`, `_repair` and `_shift` are
-the C's `push`, `repair` and `shift`.
+`covprune_sweep` must match under its tree store; its `range_query`,
+`_push`, `_repair` and `_shift` are the C's `query`, `push`, `repair`
+and `shift`.
 
 Leaves are the segments between consecutive delimiters, initialized to
 the full-set coverage; a range is a half-open run [lo, hi) of segment

@@ -48,7 +48,8 @@ class IntervalSet:
                 raise ValueError(f"invalid interval [{start}, {end})")
             starts.append(start)
             ends.append(end)
-        return cls(starts, ends)
+        # read-only views, which the constructor shares rather than copies
+        return cls(memoryview(starts).toreadonly(), memoryview(ends).toreadonly())
 
     @cached_property
     def compressed(self) -> CoverageProfile:

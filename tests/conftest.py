@@ -1,7 +1,7 @@
-import functools
 import random
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -145,14 +145,30 @@ interval_pairs = st.lists(
     min_size=1, max_size=10)
 
 
+def c_sweep(flat: bool):
+    """`covprune_sweep` with or without `flat`, called as `sweep_python`
+    is; it takes no order and sorts the reads itself, and its kept reads
+    come back as the deleted mask."""
+    from covprune import _native
+
+    def sweep(order, lo, hi, cov, k):
+        n = len(lo)
+        kept, counts = _native.zeros("q", n), _native.zeros("q", 4)
+        del kept[_native.load_library().covprune_sweep(n, lo, hi, len(cov), cov, k, flat, kept,
+                                                       counts):]
+        deleted = np.ones(n, bool)
+        deleted[kept] = False
+        return deleted, tuple(counts)
+    return sweep
+
+
 def sweeps() -> dict:
     """The approx sweeps by name, each called as `sweep_python` is: both
-    Python references and both C kernels."""
-    from covprune.approx import _sweep
+    Python references, which take the order they are given, and the C
+    kernel over either store."""
     from reference_kernels import flat_python, sweep_python
     return {"tree-python": sweep_python, "flat-python": flat_python,
-            "tree-c": functools.partial(_sweep, flat=False),
-            "flat-c": functools.partial(_sweep, flat=True)}
+            "tree-c": c_sweep(False), "flat-c": c_sweep(True)}
 
 
 @pytest.fixture

@@ -5,8 +5,10 @@ Each takes the arrays its kernel takes and gives what the kernel gives:
 `argsort_profile` and `argsort_network` the arrays of `covprune_profile`
 and `covprune_network` (`_profile.c`, `_flow.c`), from general argsorts;
 `sweep_python` and `flat_python` the deletions, after the refill, and
-the counts of `covprune_sweep` and `covprune_flat_sweep` (`_sweep.c`),
-over `CoverageTree` and over a list; `augment_python` the flow, the last
+the counts of `covprune_sweep` (`_sweep.c`) under its tree store and
+its flat one, over `CoverageTree` and over a list, visiting the reads in
+the order they are given where the kernel sorts them itself;
+`augment_python` the flow, the last
 search's marks and the path count of `covprune_max_flow` (`_flow.c`),
 line for line; `cold_max_flow` and `cold_decide` the maximum flow, and
 the answer, of a `flow.Chain`'s first probe, from zero flow in place of
@@ -64,9 +66,10 @@ def argsort_network(profile: CoverageProfile) -> FlowNetwork:
 
 
 def sweep_python(order, lo, hi, cov, k: int):
-    """The tree sweep and refill over `CoverageTree`, on the arrays
-    `approx._sweep` takes; returns the deleted mask in input order and
-    (nodes touched, candidates, blocked, refilled)."""
+    """The tree sweep and refill over `CoverageTree` of the reads in
+    `order`, given their segment spans `lo`/`hi` and the segment coverage
+    `cov`; returns the deleted mask in input order and (nodes touched,
+    candidates, blocked, refilled)."""
     tree = CoverageTree(cov.tolist())
     query = tree.range_query
     deleted = np.zeros(len(order), bool)

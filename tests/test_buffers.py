@@ -91,22 +91,24 @@ def test_the_general_loops_check_their_indices():
     assert _native.extremes(array("q")) == (0, 0)
 
 
-def test_the_sweeps_check_their_order_and_spans():
-    """A sweep refuses an order index past its n reads, or a span outside
-    its segments, before it changes anything; each buffer holds one valid
+def test_the_sweep_checks_its_spans_and_cells():
+    """The sweep refuses a span outside its segments, under either store,
+    and a coverage count beyond the flat store's int32 cells, before it
+    writes its kept reads or its counts; each buffer holds one valid
     entry more than the kernel may read."""
     lib = _native.load_library()
-    for order, lo, hi in (([1], [0, 0], [1, 1]), ([0], [1, 0], [1, 1]), ([0], [0, 0], [3, 1])):
-        deleted, counts = array("q", [0, 0]), array("q", [0, 0, 0, 0])
+    refused = [(lo, hi, [5, 5], flat) for lo, hi in (([1, 0], [1, 1]), ([0, 0], [3, 1]),
+                                                    ([-1, 0], [1, 1])) for flat in (0, 1)]
+    refused.append(([0, 0], [1, 1], [2**31, 5], 1))
+    for lo, hi, cov, flat in refused:
+        kept, counts = array("q", [-9, -9]), array("q", [-9] * 4)
         with pytest.raises(ValueError, match="out of bounds"):
-            lib.covprune_flat_sweep(2, array("q", [5, 5]), array("i", [0, 0]), 1,
-                                    array("q", order), array("q", lo), array("q", hi), 1,
-                                    deleted, counts)
-        with pytest.raises(ValueError, match="out of bounds"):
-            lib.covprune_sweep(2, 2, array("q", [5, 5]), 1, array("q", order), array("q", lo),
-                               array("q", hi), 1, *(array("q", [0]) * 4 for _ in range(3)),
-                               deleted, counts)
-        assert deleted.tolist() == [0, 0] and counts.tolist() == [0, 0, 0, 0]
+            lib.covprune_sweep(1, array("q", lo), array("q", hi), 2, array("q", cov), 1, flat,
+                               kept, counts)
+        assert kept.tolist() == [-9, -9] and counts.tolist() == [-9] * 4
+    # the same count of 2**31 passes the tree
+    assert lib.covprune_sweep(1, array("q", [0]), array("q", [1]), 2, array("q", [2**31, 5]), 1,
+                              0, kept, counts) == 0
 
 
 def test_a_recount_takes_rising_indices_only():
@@ -120,12 +122,13 @@ def test_a_recount_takes_rising_indices_only():
 
 
 def test_radix_scratch_beyond_memory_raises_memory_error():
-    # the module allocates the scratch, 5n + 2048 items here, and asks for
-    # none it could not address
-    out = array("q", SENTINEL)
+    # the module allocates the sweep's radix scratch, 5n + 2048 items
+    # here, and asks for none it could not address
+    kept, counts = array("q", SENTINEL), array("q", SENTINEL * 2)
     with pytest.raises(MemoryError):
-        _native.load_library().covprune_order(2**61, array("q", [0]), array("q", [1]), 1, out)
-    assert list(out) == SENTINEL
+        _native.load_library().covprune_sweep(2**61, array("q", [0]), array("q", [1]), 1,
+                                              array("q", [5]), 1, 1, kept, counts)
+    assert list(kept) == SENTINEL and list(counts) == SENTINEL * 2
 
 
 def q(*values):
@@ -140,6 +143,9 @@ def short_buffer_calls():
         "min_max": (3, q(5, 2, 7), q(9)),  # two items out into a one-item buffer
         "select": (3, q(0, 1, 0), 0, q(-9, -9)),
         "spans": (3, q(0, 1, 2), q(1, 2), 3),
+        # kept holds one of the two reads; then counts three of four slots
+        "sweep": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 1, q(-9), q(-9) * 4),
+        "sweep-counts": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 0, q(-9, -9), q(-9) * 3),
         "unordered": (3, array("Q", [0, 1, 2]), array("Q", [1, 2])),
         "recount": (2, q(0, 1), 2, q(0, 1), q(1, 2), 3, q(-9, -9)),
         "recount-negative": (0, None, 0, q(), q(), -1, q(-9)),

@@ -1,5 +1,6 @@
 import contextlib
 import json
+from array import array
 from io import StringIO
 from unittest import mock
 
@@ -282,18 +283,19 @@ def test_internal_error_exits_3_and_keeps_finished_stats(tmp_path, capsys, monke
 
 def test_a_kernel_refusal_exits_3(demo_file, capsys, monkeypatch):
     """A kernel's ValueError is the program's fault, not the input's: with
-    one sweep order index past the reads, approx exits 3, not 2."""
+    one read's span past the last segment, approx exits 3, not 2."""
     lib = _native.load_library()
-    order = lib.covprune_order
+    sweep = lib.covprune_sweep
 
-    def corrupt(n, lo, hi, nseg, out):
-        order(n, lo, hi, nseg, out)
-        out[0] = n
+    def corrupt(n, lo, hi, nseg, *rest):
+        past = array("q", hi)
+        past[0] = nseg + 1
+        return sweep(n, lo, past, nseg, *rest)
 
-    monkeypatch.setattr(lib, "covprune_order", corrupt)
+    monkeypatch.setattr(lib, "covprune_sweep", corrupt)
     code, out, err = run(capsys, "approx", demo_file, "--k", "3")
     assert (code, out) == (3, "")
-    assert err == ("covprune: internal error: ValueError: covprune_flat_sweep: "
+    assert err == ("covprune: internal error: ValueError: covprune_sweep: "
                    "an index or a value out of bounds\n")
 
 

@@ -1,6 +1,7 @@
-"""The compiled approx sweeps against their Python references, the tree
-and flat sweeps against each other, the build of the compiled library
-itself, and what a run does when it cannot be built."""
+"""The compiled approx sweep, under either store, against its Python
+references, the tree and flat stores against each other, the build of
+the compiled library itself, and what a run does when it cannot be
+built."""
 
 import random
 import subprocess
@@ -42,8 +43,9 @@ def seeded_instances():
 
 
 def sweep_args(s, k):
-    """(order, lo, hi, cov, k) as `approx_prune` passes them to a sweep:
-    the reads sorted by (start, end, index)."""
+    """(order, lo, hi, cov, k) of `approx_prune`'s sweep, the reads
+    sorted by (start, end, index) in numpy, apart from the order the
+    kernel computes for itself and the references take from here."""
     _, lo, hi, cov = map(np.asarray, s.compressed)
     return np.argsort(lo * (len(cov) + 1) + hi, kind="stable"), lo, hi, cov, k
 

@@ -4,8 +4,8 @@ A child interpreter, with the ASan runtime preloaded and pymalloc off, so
 that ASan sees every small array too, builds the module with both
 sanitizers into its own cache, where `load_library` finds it.  It then
 makes one small run of each subcommand and the kernel calls at the edges
-of their buffers: the reading kernels' and both approx sweeps'.  Any
-sanitizer report stops the child."""
+of their buffers: the reading kernels' and the approx sweep's, under
+either store.  Any sanitizer report stops the child."""
 
 import os
 import subprocess
@@ -19,7 +19,7 @@ SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all",
             "-fno-omit-frame-pointer", "-g")
 
 CHILD = """
-import os, sys
+import os, random, sys
 from array import array
 from covprune import _native
 from covprune.cli import main
@@ -84,48 +84,74 @@ def ints(values):
     return items
 
 
-# both sweeps, refill included, over segment coverage cov at cap k, every
-# buffer at exactly its size and the mask coming in dirty: each one's mask
-# and (candidates, blocked, refilled), which must agree
-def sweep(cov, order, lo, hi, k):
-    n, nseg = len(order), len(cov)
-    cap = 1 << (nseg - 1).bit_length()
-    got = []
-    for flat in (True, False):
-        deleted, counts = ints([7] * n), ints([-1] * 4)
-        reads = (n, ints(order), ints(lo), ints(hi), k)
-        if flat:
-            lib.covprune_flat_sweep(nseg, ints(cov), array("i", [0]) * nseg, *reads, deleted,
-                                    counts)
-        else:
-            lib.covprune_sweep(nseg, cap, ints(cov), *reads,
-                               *(ints([0] * (2 * cap)) for _ in range(3)), deleted, counts)
-        got.append((deleted.tolist(), counts.tolist()[1:]))
-    assert got[0] == got[1], got
+# the kept reads and (candidates, blocked, refilled) of the sweep's rule
+# by a list scan, visiting the reads by (lo, hi, i): the reference
+def reference(cov, lo, hi, k):
+    cur, gone, decided = list(cov), [], [0, 0, 0]
+    for i in sorted(range(len(lo)), key=lambda i: (lo[i], hi[i], i)):
+        cells = cur[lo[i]:hi[i]]
+        if max(cells) <= k:
+            continue
+        decided[0] += 1
+        if min(cells) <= k // 2:
+            decided[1] += 1
+            continue
+        cur[lo[i]:hi[i]] = [c - 1 for c in cells]
+        gone.append(i)
+    for i in list(gone):
+        if max(cur[lo[i]:hi[i]]) < k:
+            cur[lo[i]:hi[i]] = [c + 1 for c in cur[lo[i]:hi[i]]]
+            gone.remove(i)
+            decided[2] += 1
+    return [i for i in range(len(lo)) if i not in gone], decided
+
+
+# the sweep, refill included, under both stores over segment coverage cov
+# at cap k, every buffer at exactly its size and kept coming in dirty:
+# the kept reads and the decision counts, which must match the reference
+def sweep(cov, lo, hi, k):
+    n, got = len(lo), []
+    for flat in (1, 0):
+        kept, counts = ints([7] * n), ints([-1] * 4)
+        m = lib.covprune_sweep(n, ints(lo), ints(hi), len(cov), ints(cov), k, flat, kept, counts)
+        got.append((kept.tolist()[:m], counts.tolist()[1:]))
+    assert got[0] == got[1] == reference(cov, lo, hi, k), (got, reference(cov, lo, hi, k))
     return got[0]
 
 
 top = 2**31 - 1  # the largest count an int32 cell holds
-assert sweep([3], [], [], [], 1) == ([], [0, 0, 0])  # n = 0
-assert sweep([5], [0], [0], [1], 3) == ([1], [1, 0, 0])  # n = 1, nseg = 1
-assert sweep([5], [0], [0], [1], 4) == ([1], [1, 0, 0])  # left at k: the refill refuses
-assert sweep([3, 3], [0], [0], [2], 3) == ([0], [0, 0, 0])  # coverage exactly k
-assert sweep([4], [0, 1], [0, 0], [1, 1], 2) == ([1, 1], [2, 0, 0])  # nseg = 1, a pile
-assert sweep([9, 4], [0, 1], [1, 0], [2, 2], 3) == ([0, 1], [2, 0, 1])  # a refill to the end
+assert sweep([3], [], [], 1) == ([], [0, 0, 0])  # n = 0
+assert sweep([5], [0], [1], 3) == ([], [1, 0, 0])  # n = 1, nseg = 1
+assert sweep([5], [0], [1], 4) == ([], [1, 0, 0])  # left at k: the refill refuses
+assert sweep([3, 3], [0], [2], 3) == ([0], [0, 0, 0])  # coverage exactly k
+assert sweep([4], [0, 0], [1, 1], 2) == ([], [2, 0, 0])  # nseg = 1, a pile
 # every read deleted, then every one but the last refilled: the last
-# deletion leaves its span at k or more, and the refill only raises
-assert sweep([4, 4, 9], [0, 1, 2], [0, 1, 0], [1, 2, 3], 3) == ([0, 0, 1], [3, 0, 2])
-assert sweep([4, 4, 9, 3, 3], [0, 1, 2], [0, 1, 0], [1, 2, 5], 3) == ([0, 0, 1], [3, 0, 2])
+# deletion leaves its span at k or more, and the refill only raises;
+# given out of order, so that a radix pass runs
+assert sweep([4, 4, 4], [0, 0, 0], [3, 1, 2], 3) == ([1, 2], [3, 0, 2])
 # int32 cells at the top: deleted down and refilled up near 2**31 - 1
-assert sweep([top - 1, top], [0, 1], [0, 0], [1, 2], top - 2) == ([0, 1], [2, 0, 1])
-assert sweep([top, top], [0, 1], [0, 0], [2, 1], top - 2) == ([1, 1], [2, 0, 0])
-assert sweep([top], [0], [0], [1], 2**62) == ([0], [0, 0, 0])
+assert sweep([top - 1, top], [0, 0], [1, 2], top - 2) == ([0], [2, 0, 1])
+assert sweep([top, top], [0, 0], [2, 1], top - 2) == ([], [2, 0, 0])
+assert sweep([top], [0], [1], 2**62) == ([0], [0, 0, 0])
 try:
-    lib.covprune_flat_sweep(1, ints([top + 1]), array("i", [0]), 1, ints([0]), ints([0]),
-                            ints([1]), 1, ints([0]), ints([0] * 4))
-    raise AssertionError("the flat sweep took a count beyond its int32 cells")
+    lib.covprune_sweep(1, ints([0]), ints([1]), 1, ints([top + 1]), 1, 1, ints([0]),
+                       ints([0] * 4))
+    raise AssertionError("the flat store took a count beyond its int32 cells")
 except ValueError:
     pass
+# nseg at a power of 2, the tree's leaves filled up to its last, and one
+# past it; reads out of order, one over every segment and one over the
+# last, and at nseg 65 keys past one radix digit, so that two passes run
+rng = random.Random(7)
+for nseg in sorted({2**j + d for j in range(7) for d in (0, 1)}):
+    for k in (1, 2, 3, 5):
+        reads = [(0, nseg), (nseg - 1, nseg)]
+        for _ in range(rng.randint(0, 40)):
+            start = rng.randrange(nseg)
+            reads.append((start, rng.randint(start + 1, nseg)))
+        rng.shuffle(reads)
+        sweep([rng.randint(0, 2 * k + 2) for _ in range(nseg)], [a for a, _ in reads],
+              [b for _, b in reads], k)
 print("clean")
 """
 
