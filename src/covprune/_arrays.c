@@ -2,7 +2,8 @@
  * between the solver kernels, so that no per-record or per-segment loop
  * runs in Python.  Each checks the indices it follows and returns a
  * negative code, before writing anything out of bounds, when one is
- * outside its buffer; _module.c wraps them.
+ * outside its buffer; _module.c wraps them.  The split per chromosome
+ * reads the reader's runs as they are, and a recount gives its extremes.
  */
 
 #include <stdint.h>
@@ -20,32 +21,6 @@ static int64_t covprune_select(int64_t n, const int64_t *values, int64_t want, i
     return count;
 }
 
-/* out[0] and out[1] get the least and the largest of values[0..n), both
- * 0 when n is 0. */
-static void covprune_min_max(int64_t n, const int64_t *values, int64_t *out)
-{
-    int64_t mn = n ? values[0] : 0, mx = mn;
-    for (int64_t j = 1; j < n; j++) {
-        mn = values[j] < mn ? values[j] : mn;
-        mx = values[j] > mx ? values[j] : mx;
-    }
-    out[0] = mn;
-    out[1] = mx;
-}
-
-/* The sum of hi[i] - lo[i] over i < n, or -1 unless 0 <= lo[i] < hi[i]
- * <= bound for every i. */
-static int64_t covprune_spans(int64_t n, const int64_t *lo, const int64_t *hi, int64_t bound)
-{
-    int64_t sum = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (lo[i] < 0 || lo[i] >= hi[i] || hi[i] > bound)
-            return -1;
-        sum += hi[i] - lo[i];
-    }
-    return sum;
-}
-
 /* The first i < n with starts[i] >= ends[i], or -1 when there is none. */
 static int64_t covprune_unordered(int64_t n, const uint64_t *starts, const uint64_t *ends)
 {
@@ -57,11 +32,12 @@ static int64_t covprune_unordered(int64_t n, const uint64_t *starts, const uint6
 
 /* The coverage of the m - 1 segments between m delimiters by the reads
  * idx[0..nidx), each spanning delimiter indices [lo[i], hi[i]), into
- * cov[0..m - 1); cov has m entries.  With idx NULL the reads are
- * 0..n-1.  Returns 0, or -1 unless idx rises within [0, n) and 0 <=
- * lo[i] < hi[i] < m for each read. */
+ * cov[0..m - 1), and its least and largest value into extremes[0] and
+ * extremes[1], both 0 when m < 2; cov has m entries, and cov[m - 1]
+ * gets 0.  With idx NULL the reads are 0..n-1.  Returns 0, or -1 unless
+ * idx rises within [0, n) and 0 <= lo[i] < hi[i] < m for each read. */
 static int64_t covprune_recount(int64_t nidx, const int64_t *idx, int64_t n, const int64_t *lo,
-                                const int64_t *hi, int64_t m, int64_t *cov)
+                                const int64_t *hi, int64_t m, int64_t *cov, int64_t *extremes)
 {
     memset(cov, 0, (size_t)m * sizeof *cov);
     for (int64_t j = 0; j < (idx ? nidx : n); j++) {
@@ -72,56 +48,57 @@ static int64_t covprune_recount(int64_t nidx, const int64_t *idx, int64_t n, con
         cov[lo[i]]++;
         cov[hi[i]]--;
     }
-    for (int64_t j = 1; j < m; j++)
+    int64_t mn = m > 1 ? cov[0] : 0, mx = mn;
+    for (int64_t j = 1; j < m - 1; j++) {
         cov[j] += cov[j - 1];
+        mn = cov[j] < mn ? cov[j] : mn;
+        mx = cov[j] > mx ? cov[j] : mx;
+    }
+    if (m)
+        cov[m - 1] = 0; /* every read's rise and fall have cancelled */
+    extremes[0] = mn;
+    extremes[1] = mx;
     return 0;
 }
 
-/* Group n records by their code (0 <= code[i] < ngroups) in a stable
- * counting sort: group g is positions first[g]..first[g + 1] of order,
- * the records' indices, and of group_starts and group_ends, their
- * endpoints.  first has ngroups + 1 entries.  Returns 0, or -1 when a
- * code is out of range. */
-static int64_t covprune_group(int64_t n, const int64_t *code, int64_t ngroups,
-                              const uint64_t *starts, const uint64_t *ends, int64_t *first,
-                              int64_t *order, uint64_t *group_starts, uint64_t *group_ends)
+/* Group n records by the runs of one code the reader found, in a stable
+ * counting sort: run r is records [run_at[r], run_at[r + 1]), the last
+ * one [run_at[nruns - 1], n), all of code run_code[r] (0 <= code <
+ * ngroups).  Group g is positions first[g]..first[g + 1] of order, the
+ * records' indices, and of group_starts and group_ends, their
+ * endpoints.  first has ngroups + 1 entries.  Returns 0, or -1 unless
+ * the runs start at 0, rise and cover [0, n) and every code is in range. */
+static int64_t covprune_group(int64_t nruns, const int64_t *run_at, const int64_t *run_code,
+                              int64_t n, int64_t ngroups, const uint64_t *starts,
+                              const uint64_t *ends, int64_t *first, int64_t *order,
+                              uint64_t *group_starts, uint64_t *group_ends)
 {
+    if (nruns ? run_at[0] != 0 : n != 0)
+        return -1;
     memset(first, 0, (size_t)(ngroups + 1) * sizeof *first);
-    for (int64_t i = 0; i < n; i++) {
-        if (code[i] < 0 || code[i] >= ngroups)
+    for (int64_t r = 0; r < nruns; r++) {
+        int64_t end = r + 1 < nruns ? run_at[r + 1] : n;
+        /* rising from 0 to the last run's end, n, the runs stay in [0, n) */
+        if (run_at[r] >= end || run_code[r] < 0 || run_code[r] >= ngroups)
             return -1;
-        first[code[i] + 1]++;
+        first[run_code[r] + 1] += end - run_at[r];
     }
     for (int64_t g = 0; g < ngroups; g++)
         first[g + 1] += first[g];
     /* first[g] serves as group g's cursor, and ends up at group g + 1's start */
-    for (int64_t i = 0; i < n; i++) {
-        int64_t at = first[code[i]]++;
-        order[at] = i;
-        group_starts[at] = starts[i];
-        group_ends[at] = ends[i];
+    for (int64_t r = 0; r < nruns; r++) {
+        int64_t i = run_at[r], size = (r + 1 < nruns ? run_at[r + 1] : n) - i;
+        int64_t at = first[run_code[r]];
+        first[run_code[r]] += size;
+        for (int64_t j = 0; j < size; j++) {
+            order[at + j] = i + j;
+            group_starts[at + j] = starts[i + j];
+            group_ends[at + j] = ends[i + j];
+        }
     }
     for (int64_t g = ngroups; g > 0; g--)
         first[g] = first[g - 1];
     first[0] = 0;
-    return 0;
-}
-
-/* out[i] = values[r] for every i in run r, the runs being
- * [at[r], at[r + 1]) and the last [at[nruns - 1], n).  Returns 0, or -1
- * unless at[0] = 0 and the runs rise within [0, n). */
-static int64_t covprune_runs(int64_t nruns, const int64_t *at, const int64_t *values, int64_t n,
-                             int64_t *out)
-{
-    if (nruns && at[0] != 0)
-        return -1;
-    for (int64_t r = 0; r < nruns; r++) {
-        int64_t end = r + 1 < nruns ? at[r + 1] : n;
-        if (at[r] >= end || end > n)
-            return -1;
-        for (int64_t i = at[r]; i < end; i++)
-            out[i] = values[r];
-    }
     return 0;
 }
 

@@ -10,8 +10,7 @@
  * count.  The adjacency comes in CSR form: the arcs leaving vertex u are
  * adj[first[u]..first[u+1]), listed by falling head, so the search tries
  * the arc that reaches farthest along the chain first.
- * flow.build_network validates every read's range before the layout,
- * which checks its own arcs after.
+ * The layout checks every read's range before it writes anything.
  */
 
 #include <stdint.h>
@@ -91,12 +90,15 @@ static int64_t covprune_max_flow(int64_t nv, int64_t source, int64_t sink,
  * backbone arc u -> u - 1, then the reverse interval arcs into u by
  * falling lo, ties going by arc index as in the stable sort; so two
  * counting sorts of the reads, each placed in one pass, give the same
- * first and adj in O(n + m).  build_network checks 0 <= lo < hi <= m - 1
- * before the call.  scratch holds 4(m + 2) + n entries.  Returns 0, or
- * -1 when an arc's head leaves the chain or the arcs miscount. */
+ * first and adj in O(n + m).  scratch holds 4(m + 2) + n entries.
+ * Returns 0, or -1, before it writes anything, unless 0 <= lo[i] < hi[i]
+ * <= m - 1 for every read, so that every head lies on the chain. */
 static int64_t covprune_network(int64_t n, int64_t m, const int64_t *lo, const int64_t *hi,
                                 int64_t *first, int64_t *adj, int64_t *to, int64_t *scratch)
 {
+    for (int64_t i = 0; i < n; i++)
+        if (lo[i] < 0 || lo[i] >= hi[i] || hi[i] > m - 1)
+            return -1;
     int64_t nb = m + 1, nv = m + 2;
     /* per vertex: interval arcs out, those spanning two or more segments,
      * interval arcs in, a cursor; then the reads in one order */
@@ -144,8 +146,5 @@ static int64_t covprune_network(int64_t n, int64_t m, const int64_t *lo, const i
         int64_t i = order[j];
         adj[at[hi[i] + 1]++] = 2 * (nb + i) + 1;
     }
-    for (int64_t a = 0; a < 2 * (nb + n); a++)
-        if (to[a] < 0 || to[a] >= nv)
-            return -1;
-    return first[nv] == 2 * (nb + n) ? 0 : -1;
+    return 0;
 }

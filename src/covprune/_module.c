@@ -209,10 +209,11 @@ KERNEL(parse, "Bnnnn Q!Q!q!q!q!q!", HOLDS(0, INT(1)) && HOLDS(5, INT(4)) && HOLD
        && HOLDS(10, INT(4)), RECORDS, 0,
        result = covprune_parse(U8(0), INT(1), INT(2), INT(3), INT(4), U64(5), U64(6), I64(7),
                                I64(8), I64(9), I64(10)))
-KERNEL(profile, "nQQ Q!q!q!q!", INT(0) >= 1 && HOLDS(1, INT(0)) && HOLDS(2, INT(0))
+KERNEL(profile, "nQQ Q!q!q!q!q!", INT(0) >= 1 && HOLDS(1, INT(0)) && HOLDS(2, INT(0))
        && holds(&views[3], INT(0), 2, 0) && HOLDS(4, INT(0)) && HOLDS(5, INT(0))
-       && holds(&views[6], INT(0), 2, 0), VALUE, 8,
-       result = covprune_profile(INT(0), U64(1), U64(2), U64(3), I64(4), I64(5), I64(6), s))
+       && holds(&views[6], INT(0), 2, 0) && HOLDS(7, 3), VALUE, 8,
+       result = covprune_profile(INT(0), U64(1), U64(2), U64(3), I64(4), I64(5), I64(6), I64(7),
+                                 s))
 KERNEL(sweep, "nqqnqnn q!q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
        && HOLDS(7, INT(0)) && HOLDS(8, 4), STATUS, 5, result = sweep(a, s))
 /* n and m bounded by lo and first first, so that m + 1 + n cannot overflow */
@@ -231,22 +232,16 @@ KERNEL(max_flow, "nnnqqq q!q!q!q!", holds(&views[3], INT(0), 1, 1) && INT(1) >= 
                                   I64(7), I64(8), I64(9)))
 KERNEL(select, "nqn q!", HOLDS(1, INT(0)) && HOLDS(3, INT(0)), VALUE, 0,
        result = covprune_select(INT(0), I64(1), INT(2), I64(3)))
-KERNEL(min_max, "nq q!", HOLDS(1, INT(0)) && HOLDS(2, 2), NONE, 0,
-       covprune_min_max(INT(0), I64(1), I64(2)))
-KERNEL(spans, "nqqn", HOLDS(1, INT(0)) && HOLDS(2, INT(0)), VALUE, 0,
-       result = covprune_spans(INT(0), I64(1), I64(2), INT(3)))
 KERNEL(unordered, "nQQ", HOLDS(1, INT(0)) && HOLDS(2, INT(0)), VALUE, 0,
        result = covprune_unordered(INT(0), U64(1), U64(2)))
-KERNEL(recount, "nq?nqqn q!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(4, INT(2))
-       && HOLDS(6, INT(5)), STATUS, 0,
-       result = covprune_recount(INT(0), I64(1), INT(2), I64(3), I64(4), INT(5), I64(6)))
-KERNEL(group, "nqnQQ q!q!Q!Q!", HOLDS(1, INT(0)) && HOLDS(3, INT(0)) && HOLDS(4, INT(0))
-       && holds(&views[5], INT(2), 1, 1) && HOLDS(6, INT(0)) && HOLDS(7, INT(0))
-       && HOLDS(8, INT(0)), STATUS, 0,
-       result = covprune_group(INT(0), I64(1), INT(2), U64(3), U64(4), I64(5), I64(6), U64(7),
-                               U64(8)))
-KERNEL(runs, "nqqn q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(3)), STATUS, 0,
-       result = covprune_runs(INT(0), I64(1), I64(2), INT(3), I64(4)))
+KERNEL(recount, "nq?nqqn q!q!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(4, INT(2))
+       && HOLDS(6, INT(5)) && HOLDS(7, 2), STATUS, 0,
+       result = covprune_recount(INT(0), I64(1), INT(2), I64(3), I64(4), INT(5), I64(6), I64(7)))
+KERNEL(group, "nqqnnQQ q!q!Q!Q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(5, INT(3))
+       && HOLDS(6, INT(3)) && holds(&views[7], INT(4), 1, 1) && HOLDS(8, INT(3))
+       && HOLDS(9, INT(3)) && HOLDS(10, INT(3)), STATUS, 0,
+       result = covprune_group(INT(0), I64(1), I64(2), INT(3), INT(4), U64(5), U64(6), I64(7),
+                               I64(8), U64(9), U64(10)))
 KERNEL(scatter, "nqnqn B!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(5, INT(4)), STATUS,
        0, result = covprune_scatter(INT(0), I64(1), INT(2), I64(3), INT(4), U8(5)))
 /* the last of n items a stride apart lies (n - 1) * stride items on */
@@ -281,9 +276,9 @@ static PyObject *py_lines(PyObject *self, PyObject *const *args, Py_ssize_t narg
 #define ENTRY(name) {"covprune_" #name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
-    ENTRY(parse),     ENTRY(profile), ENTRY(sweep), ENTRY(network), ENTRY(max_flow),
-    ENTRY(select),    ENTRY(min_max), ENTRY(spans), ENTRY(recount), ENTRY(unordered),
-    ENTRY(group),     ENTRY(runs),    ENTRY(scatter), ENTRY(lines), ENTRY(add),
+    ENTRY(parse),  ENTRY(profile), ENTRY(sweep),     ENTRY(network), ENTRY(max_flow),
+    ENTRY(select), ENTRY(recount), ENTRY(unordered), ENTRY(group),   ENTRY(scatter),
+    ENTRY(lines),  ENTRY(add),
     {NULL, NULL, 0, NULL},
 };
 

@@ -167,9 +167,3 @@ def select(values, want: int) -> array:
     del out[load_library().covprune_select(len(values), values, want, out):]
     return out
 
-
-def extremes(values) -> tuple[int, int]:
-    """(min, max) of the int64 buffer `values`; (0, 0) when it is empty."""
-    load_library().covprune_min_max(len(values), values, out := zeros("q", 2))
-    return out[0], out[1]
-

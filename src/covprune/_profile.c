@@ -1,5 +1,6 @@
-/* The coverage profile that intervals.coverage_profile calls, and
- * covprune_order, the read order covprune_sweep (_sweep.c) takes for
+/* The coverage profile that intervals.coverage_profile calls, with the
+ * summary every solver reads (min and max coverage, segments spanned),
+ * and covprune_order, the read order covprune_sweep (_sweep.c) takes for
  * itself.
  *
  * The starts and the ends are ordered apart, each by a stable LSD radix
@@ -71,11 +72,13 @@ static void radix_argsort(int64_t n, const uint64_t *keys, uint64_t *key_buf,
  * delimiter indices to lo and hi, and the coverage of the segment after
  * delimiter j to segment_cov[j]; returns the number of delimiters m
  * (segment_cov's last entry, j = m - 1, is 0 and not part of the
- * profile).  delimiters and segment_cov have 2n entries, lo and hi n
- * each, and scratch 8n + RADIX (2048). */
+ * profile).  summary gets the profile's least and largest coverage and
+ * its sum, which is also the sum of hi[i] - lo[i], the segments the
+ * reads span.  delimiters and segment_cov have 2n entries, lo and hi n
+ * each, summary 3 and scratch 8n + RADIX (2048). */
 static int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_t *ends,
                                 uint64_t *delimiters, int64_t *lo, int64_t *hi,
-                                int64_t *segment_cov, int64_t *scratch)
+                                int64_t *segment_cov, int64_t *summary, int64_t *scratch)
 {
     uint64_t *key_buf = (uint64_t *)scratch;
     int64_t *idx_buf = scratch + 4 * n, *count = scratch + 8 * n;
@@ -85,8 +88,9 @@ static int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_
     radix_argsort(n, ends, key_buf + 2 * n, idx_buf + 2 * n, count, &ek, &ei);
 
     /* every start lies below its own end, so the last delimiter is an
-     * end and the merge runs until the ends are used up */
-    int64_t m = 0, cov = 0;
+     * end and the merge runs until the ends are used up; the segment
+     * after it, the last one written, is left out of the summary */
+    int64_t m = 0, cov = 0, mn = INT64_MAX, mx = 0, spanned = 0;
     for (int64_t i = 0, e = 0; e < n; m++) {
         uint64_t v = ek[e];
         if (i < n && sk[i] <= v) { /* a start at or before the next end comes first */
@@ -98,7 +102,15 @@ static int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_
             hi[ei ? ei[e] : e] = m;
         delimiters[m] = v;
         segment_cov[m] = cov;
+        if (e < n) {
+            mn = cov < mn ? cov : mn;
+            mx = cov > mx ? cov : mx;
+            spanned += cov;
+        }
     }
+    summary[0] = mn;
+    summary[1] = mx;
+    summary[2] = spanned;
     return m;
 }
 

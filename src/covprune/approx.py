@@ -30,7 +30,7 @@ what the tree does (15k reads of 0.5-1.5 kb at depth 400-600).
 
 from __future__ import annotations
 
-from ._native import extremes, load_library, zeros
+from ._native import load_library, zeros
 from .intervals import IntervalSet
 from .solution import Solution, score_subset
 
@@ -58,16 +58,15 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
         raise ValueError(f"k must be >= 1, got {k}")
     work = {"tree_nodes_touched": 0, "segments_scanned": 0, "candidates": 0,
             "blocked_crucial": 0, "refilled": 0, "native_sweep": 0}
-    _, lo, hi, cov = intervals.compressed
-    low, top = extremes(cov)
+    _, lo, hi, cov, low, top, spanned = intervals.compressed
     if top <= k:
         # removals never help: keeping everything, an empty set too, is already optimal
         return score_subset(intervals, None, k, "approx", work)
 
-    lib, n, nseg = load_library(), len(lo), len(cov)
-    flat = top < 2**31 and lib.covprune_spans(n, lo, hi, nseg) <= 40 * n * nseg.bit_length()
+    n, nseg = len(lo), len(cov)
+    flat = top < 2**31 and spanned <= 40 * n * nseg.bit_length()
     kept, counts = zeros("q", n), zeros("q", 4)
-    del kept[lib.covprune_sweep(n, lo, hi, nseg, cov, k, flat, kept, counts):]
+    del kept[load_library().covprune_sweep(n, lo, hi, nseg, cov, k, flat, kept, counts):]
     visited, work["candidates"], work["blocked_crucial"], work["refilled"] = counts
     work["native_sweep"] = 1
     work["segments_scanned" if flat else "tree_nodes_touched"] = visited

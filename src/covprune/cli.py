@@ -102,11 +102,11 @@ def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[array, bool
     Returns the uint8 mask of kept records (file order) and whether every
     chromosome was feasible.
     """
-    from ._native import extremes, load_library  # loaded already by the read
+    from ._native import load_library  # loaded already by the read
     kept_records = array("B", [0]) * len(instance.starts)
     all_feasible = True
     for chrom, (ivs, record_indices) in _groups(instance):
-        before = extremes(ivs.compressed.segment_cov)[1]
+        before = ivs.compressed.maxcov
         t0 = time.perf_counter()
         sol = solver(chrom, ivs)
         wall = time.perf_counter() - t0
@@ -153,14 +153,12 @@ def cmd_approx(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from ._native import extremes
     instance = io.read_instance(args.input, args.format)
     with _stats_file(args, sys.stdout) as out:
         for chrom, (ivs, _) in _groups(instance):
-            mincov, maxcov = extremes(ivs.compressed.segment_cov)
             span = ivs.span or (None, None)
             out.write(_json({"schema": COVERAGE_SCHEMA, "chrom": chrom, "n": len(ivs),
-                             "mincov": mincov, "maxcov": maxcov,
+                             "mincov": ivs.compressed.mincov, "maxcov": ivs.compressed.maxcov,
                              "span_start": span[0], "span_end": span[1]}) + "\n")
     return 0
 

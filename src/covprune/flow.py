@@ -79,13 +79,13 @@ def build_network(intervals: IntervalSet) -> FlowNetwork:
     """
     if not len(intervals):
         raise ValueError("cannot build a network for an empty interval set")
-    coords, lo, hi, _ = intervals.compressed
+    coords, lo, hi = intervals.compressed[:3]
     m, n = len(coords), len(lo)
     nv = m + 2  # coords plus the source 0 and the sink m + 1
-    if len(hi) != n or _native.load_library().covprune_spans(n, lo, hi, m - 1) < 0:
-        raise ValueError("interval outside the delimiter range")  # the kernels index by them
+    if len(hi) != n:
+        raise ValueError("lo and hi differ in length")
     first, adj, to = zeros("q", nv + 1), zeros("q", 2 * (m + 1 + n)), zeros("q", 2 * (m + 1 + n))
-    # it checks the arcs it lays out: a head off the chain raises ValueError
+    # it checks every read's span first: one off the chain raises ValueError
     _native.load_library().covprune_network(n, m, lo, hi, first, adj, to, zeros("q", 4 * nv + n))
     return FlowNetwork(nv, m + 1, *(memoryview(a).toreadonly() for a in (first, adj, to)))
 

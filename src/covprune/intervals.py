@@ -3,10 +3,11 @@
 Coverage of a point p is the number of intervals [start, end) with
 start <= p < end: a step function over the sorted distinct endpoints
 (delimiters), so coordinates may be arbitrarily large and sparse.
-`IntervalSet.compressed` caches it as `coverage_profile` computes it,
-by `covprune_profile` (`_profile.c`): the one coverage form every
-solver reads.  A set holds no object per interval, only its two
-endpoint columns, and every array here is a read-only `memoryview` of an
+`IntervalSet.compressed` caches it, with its least and largest value and
+its sum, as `coverage_profile` computes them in one pass of
+`covprune_profile` (`_profile.c`): the one coverage form every solver
+reads.  A set holds no object per interval, only its two endpoint
+columns, and every array here is a read-only `memoryview` of an
 `array.array` buffer, so everything is immutable after construction and
 safe to share between threads.
 """
@@ -80,14 +81,17 @@ def _uint64(values) -> memoryview:
     return memoryview(array("Q", view.tolist())).toreadonly()
 
 
-class CoverageProfile(namedtuple("CoverageProfile", "delimiters lo hi segment_cov")):
+class CoverageProfile(namedtuple("CoverageProfile",
+                                 "delimiters lo hi segment_cov mincov maxcov spanned")):
     """Coverage as a step function over delimiter segments.
 
     `delimiters` are the distinct endpoints in increasing order, uint64
     because coordinates reach MAX_COORD = 2**64 - 1, beyond int64.
     Interval i spans segments [lo[i], hi[i]), and `segment_cov[j]` is
     the coverage of every point in [delimiters[j], delimiters[j+1]).
-    The fields are read-only buffers, int64 but for `delimiters`.
+    These are read-only buffers, int64 but for `delimiters`; the ints
+    `mincov`, `maxcov` and `spanned` are the min, max and sum of
+    `segment_cov` (spanned = the sum of hi[i] - lo[i]), 0 when empty.
     """
 
     __slots__ = ()
@@ -101,21 +105,23 @@ def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
     """The exact coverage step function of the set, from its endpoint arrays."""
     n = len(intervals)
     delims, cov = array("Q", [0]) * 2 * n, array("q", [0]) * 2 * n
-    lo, hi = array("q", [0]) * n, array("q", [0]) * n
+    lo, hi, summary = array("q", [0]) * n, array("q", [0]) * n, array("q", [0]) * 3
     if n:  # the kernel reads a first endpoint
-        m = _kernels().covprune_profile(n, intervals.starts, intervals.ends, delims, lo, hi, cov)
+        m = _kernels().covprune_profile(n, intervals.starts, intervals.ends, delims, lo, hi, cov,
+                                        summary)
         del delims[m:], cov[m - 1:]
-    return CoverageProfile(*(memoryview(a).toreadonly() for a in (delims, lo, hi, cov)))
+    return CoverageProfile(*(memoryview(a).toreadonly() for a in (delims, lo, hi, cov)), *summary)
 
 
-def segment_cov(lo, hi, ndelims: int, kept=None) -> array:
+def segment_cov(lo, hi, ndelims: int, kept=None) -> tuple[array, int, int]:
     """Coverage of each segment between consecutive delimiters by the
     intervals spanning delimiter indices [lo, hi), or by those at the
-    rising int64 indices `kept` alone; gaps count as 0."""
-    cov = array("q", [0]) * ndelims
+    rising int64 indices `kept` alone, gaps counting as 0, with its least
+    and largest value (0 and 0 without a segment)."""
+    cov, extremes = array("q", [0]) * ndelims, array("q", [0]) * 2
     if len(lo) != len(hi):
         raise ValueError("lo and hi differ in length")
     _kernels().covprune_recount(len(lo if kept is None else kept), kept, len(lo), lo, hi,
-                                ndelims, cov)
+                                ndelims, cov, extremes)
     del cov[-1:]
-    return cov
+    return cov, *extremes

@@ -9,7 +9,8 @@ Every input is read in one pass of the compiled kernel `covprune_parse`
 says why, and a `ParseError` names the line.  The kernel also gives
 every record's line as a byte range of the input, so kept records leave
 as the lines they were read from (`InstanceFile.kept_lines`), not
-re-formatted from their numbers.
+re-formatted from their numbers, and its runs of one name are what the
+split per chromosome (`covprune_group`) reads.
 """
 
 from __future__ import annotations
@@ -39,25 +40,30 @@ class Record(namedtuple("Record", "chrom start end")):  # chrom None in a plain 
 
 
 class InstanceFile:
-    """Parsed input in file order: record i is [starts[i], ends[i]) on
-    chromosome `chroms[code[i]]` (sorted names; `(None,)` for plain),
+    """Parsed input in file order: record i is [starts[i], ends[i]),
     written in `data`, the input's bytes, as the line of `line_len[i]`
-    bytes at `line_at[i]`, its terminator included.  The columns are
+    bytes at `line_at[i]`, its terminator included.  The records come in
+    runs of one chromosome: run r starts at record `run_at[r]`, ends
+    where the next one starts or at the last record, and lies on
+    `chroms[run_code[r]]` (sorted names; `(None,)` for plain, whose
+    records, if any, are one run of code 0).  The columns are
     `array.array`s, uint64 for the endpoints and int64 for the rest."""
 
-    def __init__(self, fmt: str, chroms: tuple[str | None, ...], code: array,
+    def __init__(self, fmt: str, chroms: tuple[str | None, ...], run_at: array, run_code: array,
                  starts: array, ends: array, data: bytes, line_at: array, line_len: array):
-        self.fmt = fmt  # "plain" | "bed3"
-        self.chroms, self.code, self.starts, self.ends = chroms, code, starts, ends
+        self.fmt, self.chroms = fmt, chroms  # fmt "plain" | "bed3"
+        self.run_at, self.run_code, self.starts, self.ends = run_at, run_code, starts, ends
         self.data, self.line_at, self.line_len = data, line_at, line_len
 
     @cached_property
     def records(self) -> tuple[Record, ...]:
-        return tuple(map(Record, map(self.chroms.__getitem__, self.code), self.starts,
-                         self.ends))
+        ends = [*self.run_at[1:], len(self.starts)]
+        chroms = [chrom for code, at, end in zip(self.run_code, self.run_at, ends)
+                  for chrom in [self.chroms[code]] * (end - at)]
+        return tuple(map(Record, chroms, self.starts, self.ends))
 
     def chromosomes(self) -> dict[str | None, tuple[IntervalSet, memoryview]]:
-        """Split records per chromosome, by one counting sort of the codes.
+        """Split records per chromosome, by one counting sort of the runs.
 
         Returns, per chromosome, the interval set and the indices of its
         records in the original file order (so output can be mapped back).
@@ -65,8 +71,8 @@ class InstanceFile:
         n, groups = len(self.starts), len(self.chroms)
         first, order = array("q", [0]) * (groups + 1), array("q", [0]) * n
         starts, ends = array("Q", [0]) * n, array("Q", [0]) * n
-        _kernels().covprune_group(n, self.code, groups, self.starts, self.ends, first, order,
-                                  starts, ends)
+        _kernels().covprune_group(len(self.run_at), self.run_at, self.run_code, n, groups,
+                                  self.starts, self.ends, first, order, starts, ends)
         order, starts, ends = (memoryview(a).toreadonly() for a in (order, starts, ends))
         return {chrom: (IntervalSet(starts[a:b], ends[a:b]), order[a:b])
                 for chrom, a, b in zip(self.chroms, first, first[1:]) if a < b}
@@ -149,18 +155,16 @@ def _read(data: bytes, fmt: str | None) -> InstanceFile:
     except UnicodeDecodeError:
         data.decode()  # the error at the file's first byte that is not UTF-8
         raise
-    chroms, code = (None,), array("q", [0]) * n
-    if names:
-        chroms = tuple(sorted(set(names)))
-        if any(name.split() != [name] for name in chroms):  # a Unicode blank, as U+00A0
-            r = next(r for r, name in enumerate(names) if name.split() != [name])
-            raise ParseError(_lines(data, line_at[runs[3 * r]]),
-                             f"name {names[r]!r} holds a blank or a line break")
-        rank = dict(zip(chroms, range(len(chroms))))
-        _kernels().covprune_runs(nruns, runs[0::3], array("q", map(rank.__getitem__, names)), n,
-                                 code)
-    return InstanceFile(_DETECT.get(fields, "plain"), chroms, code, starts, ends, data, line_at,
-                        line_len)
+    chroms, run_at = tuple(sorted(set(names))) or (None,), runs[0::3]
+    if names and any(name.split() != [name] for name in chroms):  # a Unicode blank, as U+00A0
+        r = next(r for r, name in enumerate(names) if name.split() != [name])
+        raise ParseError(_lines(data, line_at[runs[3 * r]]),
+                         f"name {names[r]!r} holds a blank or a line break")
+    if not names:  # plain: its records, if any, are one run
+        names, run_at = [None] * (n > 0), array("q", [0] * (n > 0))
+    run_code = array("q", map(dict(zip(chroms, range(len(chroms)))).__getitem__, names))
+    return InstanceFile(_DETECT.get(fields, "plain"), chroms, run_at, run_code, starts, ends,
+                        data, line_at, line_len)
 
 
 def parse_instance(text: str, fmt: str | None = None) -> InstanceFile:

@@ -29,7 +29,7 @@ def brute_force_opt(intervals: IntervalSet, k: int) -> Solution:
         return score_subset(intervals, None, k, "oracle", {"subsets": 1})
     import numpy as np  # a desk-scale tool: no solver run loads numpy
 
-    _, lo, hi, cov = intervals.compressed
+    _, lo, hi, cov = intervals.compressed[:4]
     nseg = len(cov)
     # rows: per-interval 0/1 indicator over the full segmentation
     rows = np.zeros((n, nseg), dtype=np.int16)

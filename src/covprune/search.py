@@ -17,7 +17,6 @@ scored.  `descend` is the one body of both exact entry points:
 from __future__ import annotations
 
 from . import flow
-from ._native import extremes
 from .intervals import IntervalSet
 from .solution import Solution, score_subset
 
@@ -48,7 +47,7 @@ def descend(intervals: IntervalSet, k: int, t: int | None, method: str,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    low, top = extremes(intervals.compressed.segment_cov)
+    low, top = intervals.compressed.mincov, intervals.compressed.maxcov
     # no floor above the bound holds, so none is probed; an empty set holds them all
     bound = min(k, low) if len(intervals) or t is None else t
     floors = range(bound, -1, -1) if t is None else [t] if t <= bound else []
@@ -58,9 +57,9 @@ def descend(intervals: IntervalSet, k: int, t: int | None, method: str,
     chain = None
     for floor in floors:
         if floor == 0:
-            # the warm start already saturates the backbone, so its witness is empty
+            # the warm start's witness is empty: approx's kept set, already scored, stands
             from .approx import approx_prune
-            return score_subset(intervals, approx_prune(intervals, k).kept, k, method, work)
+            return approx_prune(intervals, k)._replace(method=method, work=dict(work))
         chain = chain or flow.Chain(intervals, k)
         result = chain.max_flow(floor)
         work["flow_solves"] += 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ._native import extremes, select, zeros
+from ._native import select, zeros
 from .intervals import IntervalSet, segment_cov
 
 
@@ -38,9 +38,9 @@ def score_subset(intervals: IntervalSet, kept, k: int, method: str,
     a count above k raises AssertionError: the solver that chose the set
     is at fault.
     """
-    delims, lo, hi, _ = intervals.compressed
+    delims, lo, hi = intervals.compressed[:3]
     kept = memoryview(select(zeros("q", len(lo)), 0) if kept is None else kept).toreadonly()
-    mn, mx = extremes(segment_cov(lo, hi, len(delims), kept))
+    _, mn, mx = segment_cov(lo, hi, len(delims), kept)
     if mx > k:
         raise AssertionError(f"{method} kept a set of maxcov {mx} > k={k}")
     return Solution(kept, mn, mx, method, dict(work or {}))

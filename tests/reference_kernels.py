@@ -3,7 +3,9 @@ differential tests run on the kernels' own inputs.
 
 Each takes the arrays its kernel takes and gives what the kernel gives:
 `argsort_profile` and `argsort_network` the arrays of `covprune_profile`
-and `covprune_network` (`_profile.c`, `_flow.c`), from general argsorts;
+and `covprune_network` (`_profile.c`, `_flow.c`), from general argsorts,
+the profile's coverage and its summary from numpy's cumulative sum,
+min, max and sum;
 `sweep_python` and `flat_python` the deletions, after the refill, and
 the counts of `covprune_sweep` (`_sweep.c`) under its tree store and
 its flat one, over `CoverageTree` and over a list, visiting the reads in
@@ -26,13 +28,14 @@ import numpy as np
 from covprune import flow
 from covprune.coverage_tree import CoverageTree
 from covprune.flow import FlowAssignment, FlowNetwork
-from covprune.intervals import MAX_COORD, CoverageProfile, _kernels, segment_cov
+from covprune.intervals import MAX_COORD, CoverageProfile
 from covprune.io import _DETECT, _FIELDS, InstanceFile, ParseError
 from covprune.solution import Solution, score_subset
 
 
 def argsort_profile(intervals) -> CoverageProfile:
-    """The coverage profile from one argsort of all the endpoints."""
+    """The coverage profile from one argsort of all the endpoints, the
+    coverage a cumulative sum of each read's rise at lo and fall at hi."""
     both = np.concatenate((intervals.starts, intervals.ends))
     # sort and drop repeats: np.unique takes a slower hash path on uint64
     order = np.argsort(both)
@@ -44,12 +47,17 @@ def argsort_profile(intervals) -> CoverageProfile:
     rank = np.empty(len(both), np.intp)
     rank[order] = np.cumsum(first) - 1
     lo, hi = np.split(rank, 2)
-    return CoverageProfile(delims, lo, hi, segment_cov(lo, hi, len(delims)))
+    m = len(delims)
+    cov = np.cumsum(np.bincount(lo, minlength=m) - np.bincount(hi, minlength=m))[:-1]
+    spanned = int((hi - lo).sum())
+    assert spanned == int(cov.sum())  # every read adds 1 to each segment it spans
+    extremes = (int(cov.min()), int(cov.max())) if len(cov) else (0, 0)
+    return CoverageProfile(delims, lo, hi, cov, *extremes, spanned)
 
 
 def argsort_network(profile: CoverageProfile) -> FlowNetwork:
     """The chain network of a profile from one stable argsort of the arcs."""
-    coords, lo, hi, _ = map(np.asarray, profile)
+    coords, lo, hi = map(np.asarray, profile[:3])
     m = len(coords)
     nv = m + 2
     tail = np.concatenate((np.arange(m + 1), lo + 1))
@@ -205,14 +213,12 @@ def _instance(fmt: str, names: list[str], run_at, starts, ends, data: bytes, lin
     """The instance of the given columns, read from the lines of `data`
     that `line_at` and `line_len` give; bed3 `names` holds the name of
     each run of records of one name, run r starting at record run_at[r],
-    and plain `names` is empty."""
-    chroms, code = (None,), array("q", [0]) * len(starts)
-    if names:
-        chroms = tuple(sorted(set(names)))
-        rank = dict(zip(chroms, range(len(chroms))))
-        _kernels().covprune_runs(len(run_at), run_at, array("q", map(rank.__getitem__, names)),
-                                 len(starts), code)
-    return InstanceFile(fmt, chroms, code, starts, ends, data, line_at, line_len)
+    and plain `names` is empty: its records, if any, are one run."""
+    chroms = tuple(sorted(set(names))) or (None,)
+    if not names:
+        names, run_at = [None] * (len(starts) > 0), array("q", [0] * (len(starts) > 0))
+    run_code = array("q", map(dict(zip(chroms, range(len(chroms)))).__getitem__, names))
+    return InstanceFile(fmt, chroms, run_at, run_code, starts, ends, data, line_at, line_len)
 
 
 def _parse_coord(token: str, line_no: int, what: str) -> int:

@@ -98,7 +98,7 @@ def test_criterion_4_flow_coverage_identity_at_full_scale():
     # n = 10^5 edge-clipped reads of up to 400 bp at depth about 40, k = 30
     n, k = 100_000, 30
     s = clipped_instance(random.Random(1044), n, 500_000, 400)
-    delims, lo, hi, cov = s.compressed
+    delims, lo, hi, cov = s.compressed[:4]
     # the descent solve_exact runs; its first feasible floor is OPT
     chain = Chain(s, k)
     for opt in range(min(k, int(np.asarray(cov).min())), 0, -1):
@@ -107,7 +107,7 @@ def test_criterion_4_flow_coverage_identity_at_full_scale():
             break
     assert flow.value == k and 0 < opt < k
     kept = np.array(flow.kept)
-    witness = np.asarray(segment_cov(np.asarray(lo)[kept], np.asarray(hi)[kept], len(delims)))
+    witness = np.asarray(segment_cov(np.asarray(lo)[kept], np.asarray(hi)[kept], len(delims))[0])
     interior = np.array(flow.backbone_flow[1:-1])
     assert (flow.backbone_flow[0], flow.backbone_flow[-1]) == (k, k)
     assert (interior == k - witness).all()

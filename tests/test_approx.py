@@ -181,7 +181,7 @@ def test_work_bound():
 def flat_rule(s: IntervalSet) -> bool:
     """The sweep's choice, worked out apart: a flat scan when the spans sum
     to at most 40 * n * bit_length(nseg) segments."""
-    _, lo, hi, cov = s.compressed
+    _, lo, hi, cov = s.compressed[:4]
     return int((np.asarray(hi) - np.asarray(lo)).sum()) <= 40 * len(s) * len(cov).bit_length()
 
 
@@ -195,7 +195,7 @@ def test_short_reads_run_the_flat_scan():
 
 def test_long_reads_run_the_tree():
     s = generate_instance(10_000, 100_000, seed=1)
-    _, lo, hi, _ = s.compressed
+    _, lo, hi, _ = s.compressed[:4]
     assert (np.asarray(hi) - np.asarray(lo)).mean() > 500  # spans of about a thousand segments
     assert not flat_rule(s)
     work = approx_prune(s, 30).work
@@ -219,7 +219,7 @@ def test_flat_scan_work_bound():
         work = approx_prune(s, k).work
         if maxcov(s) <= k:
             continue
-        _, lo, hi, _ = s.compressed
+        _, lo, hi, _ = s.compressed[:4]
         flat = flat_rule(s)
         seen.add(flat)
         assert (work["segments_scanned"] > 0, work["tree_nodes_touched"] > 0) == (flat, not flat)

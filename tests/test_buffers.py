@@ -4,7 +4,9 @@ C-contiguous buffer of its item type, `array.array`, read-only
 argument count, an integer beyond int64 or a buffer shorter than the
 counts imply, raises before the kernel runs."""
 
+import re
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,13 @@ import pytest
 from covprune import _native
 from covprune.intervals import segment_cov
 
-SENTINEL = [-9, -9]
+SENTINEL = [-9, -9, -9]
 
 
-def min_max(values, out):
-    _native.load_library().covprune_min_max(len(values), values, out)
+def select(values, out):
+    """The positions where `values` holds 2, by covprune_select, which
+    writes out[0] whenever it runs on a value."""
+    return _native.load_library().covprune_select(len(values), values, 2, out)
 
 
 # numpy's int64 exports the item format 'l', array's 'q'
@@ -26,8 +30,8 @@ def min_max(values, out):
                          ids=["array", "memoryview", "read-only", "numpy", "numpy-int64"])
 def test_any_contiguous_int64_buffer_is_taken(values):
     for out in (array("q", SENTINEL), np.array(SENTINEL)):
-        min_max(values, out)
-        assert out.tolist() == [2, 7]
+        assert select(values, out) == 1
+        assert out.tolist() == [1, 2, -9]  # a candidate slot past the one found
 
 
 @pytest.mark.parametrize("values, out", [
@@ -42,37 +46,37 @@ def test_any_contiguous_int64_buffer_is_taken(values):
 def test_a_refused_buffer_never_reaches_the_kernel(values, out):
     # the kernel always writes its output: an untouched one shows it never ran
     with pytest.raises(TypeError):
-        min_max(values, out)
+        select(values, out)
     assert list(out) == SENTINEL
 
 
 @pytest.mark.parametrize("out", [bytes(16), None], ids=["bytes", "none"])
 def test_an_output_takes_a_writable_buffer_only(out):
     with pytest.raises(TypeError):
-        min_max(array("q", [5, 2, 7]), out)
+        select(array("q", [5, 2, 7]), out)
 
 
 @pytest.mark.parametrize("args", [
-    (3, array("q", [5, 2, 7])),  # too few
-    (3, array("q", [5, 2, 7]), array("q", SENTINEL), 0),  # too many
-    (2**63, array("q", [5, 2, 7]), array("q", SENTINEL)),  # beyond int64
-    (-2**63 - 1, array("q", [5, 2, 7]), array("q", SENTINEL)),
-    (3.0, array("q", [5, 2, 7]), array("q", SENTINEL)),  # not an integer
-    ("3", array("q", [5, 2, 7]), array("q", SENTINEL)),
+    (3, array("q", [5, 2, 7]), 2),  # too few
+    (3, array("q", [5, 2, 7]), 2, array("q", SENTINEL), 0),  # too many
+    (2**63, array("q", [5, 2, 7]), 2, array("q", SENTINEL)),  # beyond int64
+    (-2**63 - 1, array("q", [5, 2, 7]), 2, array("q", SENTINEL)),
+    (3.0, array("q", [5, 2, 7]), 2, array("q", SENTINEL)),  # not an integer
+    ("3", array("q", [5, 2, 7]), 2, array("q", SENTINEL)),
 ], ids=["too-few", "too-many", "above-int64", "below-int64", "float", "str"])
 def test_a_bad_argument_list_never_reaches_the_kernel(args):
     with pytest.raises((TypeError, OverflowError)):
-        _native.load_library().covprune_min_max(*args)
-    assert all(list(a) == SENTINEL for a in args[2:3])
+        _native.load_library().covprune_select(*args)
+    assert all(list(a) == SENTINEL for a in args[3:4])
 
 
 def test_only_an_optional_buffer_may_be_null():
-    lib, cov = _native.load_library(), array("q", [0, 0, 0])
+    lib, cov, extremes = _native.load_library(), array("q", [9, 9, 9]), array("q", [9, 9])
     lo, hi = array("q", [0, 1]), array("q", [2, 2])
-    assert lib.covprune_recount(2, None, 2, lo, hi, 3, cov) == 0  # every read
-    assert cov.tolist() == [1, 2, 0]
+    assert lib.covprune_recount(2, None, 2, lo, hi, 3, cov, extremes) == 0  # every read
+    assert (cov.tolist(), extremes.tolist()) == ([1, 2, 0], [1, 2])
     with pytest.raises(TypeError):
-        lib.covprune_recount(2, None, 2, None, hi, 3, cov)
+        lib.covprune_recount(2, None, 2, None, hi, 3, cov, extremes)
 
 
 def test_the_general_loops_check_their_indices():
@@ -84,11 +88,9 @@ def test_the_general_loops_check_their_indices():
     assert mask.tolist() == [0, 0, 0]
     assert lib.covprune_scatter(2, array("q", [0, 1]), 2, array("q", [2, 0]), 3, mask) == 0
     assert mask.tolist() == [1, 0, 1]
-    assert lib.covprune_spans(2, array("q", [0, 1]), array("q", [2, 3]), 3) == 4
-    for lo, hi in (([0, 1], [2, 4]), ([1, 1], [1, 3]), ([-1, 0], [1, 1])):
-        assert lib.covprune_spans(2, array("q", lo), array("q", hi), 3) == -1
     assert _native.select(array("q", [0, 3, 0, 3]), 3).tolist() == [1, 3]
-    assert _native.extremes(array("q")) == (0, 0)
+    # no read and no segment: the extremes are 0 and 0
+    assert segment_cov(array("q"), array("q"), 1) == (array("q"), 0, 0)
 
 
 def test_the_sweep_checks_its_spans_and_cells():
@@ -113,7 +115,7 @@ def test_the_sweep_checks_its_spans_and_cells():
 
 def test_a_recount_takes_rising_indices_only():
     lo, hi = array("q", [0, 1, 0]), array("q", [2, 2, 1])
-    assert segment_cov(lo, hi, 3, array("q", [0, 2])).tolist() == [2, 1]
+    assert segment_cov(lo, hi, 3, array("q", [0, 2])) == (array("q", [2, 1]), 1, 2)
     for kept in ([2, 0], [1, 1], [3], [-1]):
         with pytest.raises(ValueError, match="out of bounds"):
             segment_cov(lo, hi, 3, array("q", kept))
@@ -140,18 +142,22 @@ def short_buffer_calls():
     it holds, the output among them where the loop has one; and a
     negative count."""
     return {
-        "min_max": (3, q(5, 2, 7), q(9)),  # two items out into a one-item buffer
         "select": (3, q(0, 1, 0), 0, q(-9, -9)),
-        "spans": (3, q(0, 1, 2), q(1, 2), 3),
+        # three summary slots of which the buffer holds two
+        "profile-summary": (1, array("Q", [0]), array("Q", [1]), array("Q", [9, 9]), q(-9),
+                            q(-9), q(-9, -9), q(-9, -9)),
+        "network": (2, 3, q(0, 1), q(2), q(-9) * 6, q(-9) * 12, q(-9) * 12, q(0) * 22),
         # kept holds one of the two reads; then counts three of four slots
         "sweep": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 1, q(-9), q(-9) * 4),
         "sweep-counts": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 0, q(-9, -9), q(-9) * 3),
         "unordered": (3, array("Q", [0, 1, 2]), array("Q", [1, 2])),
-        "recount": (2, q(0, 1), 2, q(0, 1), q(1, 2), 3, q(-9, -9)),
-        "recount-negative": (0, None, 0, q(), q(), -1, q(-9)),
-        "group": (2, q(0, 0), 1, array("Q", [0, 1]), array("Q", [1, 2]), q(-9), q(-9, -9),
+        "recount": (2, q(0, 1), 2, q(0, 1), q(1, 2), 3, q(-9, -9), q(-9, -9)),
+        "recount-extremes": (2, q(0, 1), 2, q(0, 1), q(1, 2), 3, q(-9) * 3, q(-9)),
+        "recount-negative": (0, None, 0, q(), q(), -1, q(-9), q(-9, -9)),
+        "group": (1, q(0), q(0), 2, 1, array("Q", [0, 1]), array("Q", [1, 2]), q(-9), q(-9, -9),
                   array("Q", [9, 9]), array("Q", [9, 9])),
-        "runs": (1, q(0), q(5), 3, q(-9, -9)),
+        "group-runs": (2, q(0, 1), q(0), 2, 1, array("Q", [0, 1]), array("Q", [1, 2]),
+                       q(-9, -9), q(-9, -9), array("Q", [9, 9]), array("Q", [9, 9])),
         "scatter": (1, q(0), 1, q(2), 3, array("B", [0, 0])),
         "lines": (2, array("B", [1]), q(0, 0), q(4, 4), 4, b"0 1\n"),  # a one-record mask
         # record columns of two items where the count, max_records, says three
@@ -210,3 +216,14 @@ def test_the_reader_stops_at_its_record_columns():
                                                  columns[1], runs, info, columns[2],
                                                  columns[3]) == 64
     assert list(columns[2]) == list(range(0, 256, 4))
+
+
+def test_the_readme_tables_name_exactly_the_kernels():
+    """The two kernel tables under README's "Compiled kernels" list each
+    of the module's `covprune_*` functions once and nothing else."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Compiled kernels\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    named = [name for row in rows for name in re.findall(r"`(covprune_\w+)`", row)]
+    kernels = [name for name in dir(_native.load_library()) if name.startswith("covprune_")]
+    assert sorted(named) == sorted(kernels)

@@ -355,7 +355,8 @@ def test_kept_lines_echo_the_input(tmp_path, capsys, name):
 def test_interleaved_names_split_as_a_grouped_file(tmp_path, capsys, monkeypatch):
     """10^4 reads whose name changes on every line keep the lines and
     give the stats of the same reads written grouped by name; one
-    compiled counting sort groups the records of each run."""
+    compiled counting sort groups the records of each run, here one run
+    of one name per line."""
     rng = np.random.default_rng(11)
     n = 10_000
     starts = rng.integers(0, 20_000, n)
@@ -381,7 +382,7 @@ def test_interleaved_names_split_as_a_grouped_file(tmp_path, capsys, monkeypatch
         assert results[0] == results[1]
         assert results[0][0] == 0 and len(results[0][2]) == 3
     assert spy.covprune_group.call_count == 6  # once per run
-    assert spy.covprune_runs.call_args_list[0].args[0] == n  # a run of one name per line
+    assert spy.covprune_group.call_args_list[0].args[0] == n  # nruns of the mixed file
 
 
 def _segment_cov(delims, starts, ends):

@@ -76,7 +76,7 @@ def test_maxcov(demo):
 
 def test_cov_at(demo):
     # a point has the coverage of the last segment starting at or before it
-    delims, _, _, cov = coverage_profile(demo)
+    delims, _, _, cov = coverage_profile(demo)[:4]
 
     def seg(p):
         return int(np.searchsorted(delims, p, "right")) - 1
@@ -90,10 +90,10 @@ def test_cov_at(demo):
 def test_mincov_over_windows(demo):
     # a window is a run of segments; a subset scored on its parent's
     # segments has coverage 0 wherever it leaves the parent's span bare
-    delims, lo, hi, cov = coverage_profile(demo)
+    delims, lo, hi, cov = coverage_profile(demo)[:4]
     assert np.asarray(cov[1:4]).min() == 3  # the points [1, 4)
     only_e = segment_cov(np.asarray(lo)[[4]], np.asarray(hi)[[4]], len(delims))  # E = [1, 10)
-    assert only_e.tolist() == [0, 1, 1, 1, 1, 1, 1]
+    assert only_e[0].tolist() == [0, 1, 1, 1, 1, 1, 1]
     assert score_subset(demo, array("q", [4]), 1, "E").achieved_mincov == 0
 
 
@@ -133,9 +133,10 @@ def test_mincov_le_maxcov(pairs):
 @given(interval_pairs, st.data())
 def test_removal_lowers_coverage_exactly_on_span(pairs, data):
     idx = data.draw(st.integers(0, len(pairs) - 1))
-    delims, lo, hi, cov = coverage_profile(iset(pairs))
+    delims, lo, hi, cov = coverage_profile(iset(pairs))[:4]
     rest = np.arange(len(pairs)) != idx
-    drop = np.asarray(cov) - segment_cov(np.asarray(lo)[rest], np.asarray(hi)[rest], len(delims))
+    rest_cov = segment_cov(np.asarray(lo)[rest], np.asarray(hi)[rest], len(delims))[0]
+    drop = np.asarray(cov) - rest_cov
     assert drop.tolist() == [int(lo[idx] <= j < hi[idx]) for j in range(len(cov))]
 
 
@@ -161,7 +162,7 @@ def test_compress_and_segment_cov_match_profile():
     for pairs in compress_cases():
         s = iset(pairs)
         ref_delims, ref_cov = reference_profile(s)
-        delims, lo, hi, cov = coverage_profile(s)
+        delims, lo, hi, cov = coverage_profile(s)[:4]
         assert np.asarray(delims).dtype == np.uint64
         assert delims.tolist() == ref_delims
         assert [int(delims[j]) for j in lo] == [a for a, _ in pairs]

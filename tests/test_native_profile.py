@@ -1,7 +1,8 @@
 """The compiled coverage profile and chain-network layout against their
-numpy references on the same interval sets, and the checks
-`build_network` makes before its kernel lays out a network."""
+numpy references on the same interval sets, the profile's summary
+included, and the checks the network layout makes before it writes."""
 
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -66,20 +67,51 @@ def test_kernels_match_their_twins_on_a_hundred_thousand_reads():
         assert_kernels_match_references(IntervalSet(starts[order], ends[order]))
 
 
+@pytest.mark.parametrize("pairs, summary", [
+    ([], (0, 0, 0)),
+    ([(3, 9)], (1, 1, 1)),
+    ([(0, 2), (5, 9)], (0, 1, 2)),  # a gap of coverage 0 between the reads
+    ([(0, MAX_COORD), (0, 1), (MAX_COORD - 1, MAX_COORD)], (1, 2, 5)),
+], ids=["empty", "one-read", "gap", "extreme-coordinates"])
+def test_the_profile_summary(pairs, summary):
+    """mincov, maxcov and spanned of the kernel's profile, as written out
+    here and as the reference computes them from its own coverage."""
+    s = iset(pairs)
+    got = s.compressed[4:]
+    assert got == summary == argsort_profile(s)[4:]
+    assert all(type(x) is int for x in got)
+
+
+def network_profile(lo, hi) -> CoverageProfile:
+    """A hand-built profile over delimiters 0, 5, 8 of reads spanning
+    delimiter indices [lo, hi)."""
+    return CoverageProfile(np.array([0, 5, 8], np.uint64), np.array(lo), np.array(hi),
+                           np.array([1, 1]), 1, 1, 2)
+
+
 @pytest.mark.parametrize("lo, hi", [([0, -1], [2, 1]), ([0, 1], [2, 3]), ([0, 1], [2, 1]),
                                     ([0, 2], [2, 1]), ([0], [2, 2])],
                          ids=["lo<0", "hi>m-1", "lo=hi", "lo>hi", "lengths"])
 def test_build_network_rejects_a_bad_profile(lo, hi):
-    """A hand-built profile over delimiters 0, 5, 8 whose read indices
-    leave the chain: `build_network` raises before its kernel runs."""
+    """Read indices that leave the chain over delimiters 0, 5, 8: the
+    layout refuses them before it writes anything, called directly or
+    by `build_network`; columns of two lengths `build_network` refuses
+    before its kernel runs."""
     spy = mock.Mock(wraps=_native.load_library())
     s = iset([(0, 5), (5, 8)])
     with mock.patch.object(_native, "load_library", lambda: spy):
-        s.__dict__["compressed"] = CoverageProfile(
-            np.array([0, 5, 8], np.uint64), np.array(lo), np.array(hi), np.array([1, 1]))
-        with pytest.raises(ValueError, match="delimiter range"):
+        s.__dict__["compressed"] = network_profile(lo, hi)
+        with pytest.raises(ValueError, match="differ in length" if len(lo) != len(hi)
+                           else "covprune_network: an index or a value out of bounds"):
             build_network(s)
-        s.__dict__["compressed"] = CoverageProfile(
-            np.array([0, 5, 8], np.uint64), np.array([0, 1]), np.array([1, 2]), np.array([1, 1]))
+        s.__dict__["compressed"] = network_profile([0, 1], [1, 2])
         assert build_network(s).nv == 5
-    assert spy.covprune_network.call_count == 1  # the good profile's call only
+    assert spy.covprune_network.call_count == 1 + (len(lo) == len(hi))
+    if len(lo) == len(hi):  # called directly, the kernel writes nothing before it refuses
+        lib, n, m = _native.load_library(), 2, 3
+        arcs = 2 * (m + 1 + n)
+        first, adj, to = (array("q", [-9]) * size for size in (m + 3, arcs, arcs))
+        with pytest.raises(ValueError, match="out of bounds"):
+            lib.covprune_network(n, m, array("q", lo), array("q", hi), first, adj, to,
+                                 array("q", [0]) * (4 * (m + 2) + n))
+        assert {*first, *adj, *to} == {-9}

@@ -46,7 +46,7 @@ def sweep_args(s, k):
     """(order, lo, hi, cov, k) of `approx_prune`'s sweep, the reads
     sorted by (start, end, index) in numpy, apart from the order the
     kernel computes for itself and the references take from here."""
-    _, lo, hi, cov = map(np.asarray, s.compressed)
+    _, lo, hi, cov = map(np.asarray, s.compressed[:4])
     return np.argsort(lo * (len(cov) + 1) + hi, kind="stable"), lo, hi, cov, k
 
 

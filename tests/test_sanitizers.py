@@ -4,8 +4,10 @@ A child interpreter, with the ASan runtime preloaded and pymalloc off, so
 that ASan sees every small array too, builds the module with both
 sanitizers into its own cache, where `load_library` finds it.  It then
 makes one small run of each subcommand and the kernel calls at the edges
-of their buffers: the reading kernels' and the approx sweep's, under
-either store.  Any sanitizer report stops the child."""
+of their buffers: the reading kernels', the approx sweep's, under
+either store, and those of the profile, the network layout, the recount
+and the split per chromosome, each checked against a list scan.  Any
+sanitizer report stops the child."""
 
 import os
 import subprocess
@@ -152,6 +154,113 @@ for nseg in sorted({2**j + d for j in range(7) for d in (0, 1)}):
         rng.shuffle(reads)
         sweep([rng.randint(0, 2 * k + 2) for _ in range(nseg)], [a for a, _ in reads],
               [b for _, b in reads], k)
+
+
+def u64(values):
+    items = array("Q", [0]) * len(values)
+    items[:] = array("Q", values)
+    return items
+
+
+# the profile: its delimiters, lo, hi, coverage and (mincov, maxcov,
+# spanned), from exact-size buffers, against a count per segment
+def profile(starts, ends):
+    n = len(starts)
+    delims, cov, summary = u64([7] * 2 * n), ints([7] * 2 * n), ints([7] * 3)
+    lo, hi = ints([7] * n), ints([7] * n)
+    m = lib.covprune_profile(n, u64(starts), u64(ends), delims, lo, hi, cov, summary)
+    d = sorted({*starts, *ends})
+    want_lo, want_hi = [d.index(x) for x in starts], [d.index(x) for x in ends]
+    want = [sum(a <= j < b for a, b in zip(want_lo, want_hi)) for j in range(len(d) - 1)]
+    assert (delims.tolist()[:m], lo.tolist(), hi.tolist(), cov.tolist()[:m]) == \
+        (d, want_lo, want_hi, want + [0])
+    assert summary.tolist() == [min(want), max(want), sum(want)], summary
+
+
+profile([5], [9])  # n = 1
+profile([0], [2**64 - 1])
+# unsorted keys, past one radix digit and with a shared one
+profile([7, 0, 2**40 + 3, 0, 4096], [9, 4, 2**40 + 12, 2, 2**64 - 1])
+profile([2**64 - 3, 1, 1], [2**64 - 1, 3, 2**64 - 2])
+
+
+# the chain network's first, adj and to, against one stable sort of the
+# arcs by the vertex they leave, then by falling head
+def network(m, lo, hi):
+    n, nv = len(lo), m + 2
+    first, adj, to = (ints([-9] * size) for size in (nv + 1, 2 * (m + 1 + n), 2 * (m + 1 + n)))
+    assert lib.covprune_network(n, m, ints(lo), ints(hi), first, adj, to,
+                                ints([-9] * (4 * nv + n))) == 0
+    tails, heads = [*range(m + 1), *(a + 1 for a in lo)], [*range(1, m + 2), *(b + 1 for b in hi)]
+    origin = [u for pair in zip(tails, heads) for u in pair]
+    want_to = [u for pair in zip(heads, tails) for u in pair]
+    want_adj = sorted(range(len(origin)), key=lambda a: (origin[a], -want_to[a]))
+    want_first = [sum(o < u for o in origin) for u in range(nv + 1)]
+    assert (first.tolist(), adj.tolist(), to.tolist()) == (want_first, want_adj, want_to)
+
+
+network(2, [0], [1])  # n = 1, m = 2: one read over the one segment
+network(2, [], [])
+network(5, [0, 2, 1, 0, 3], [4, 3, 4, 1, 4])
+for m, lo, hi in ((2, [0], [2]), (2, [-1], [1]), (3, [1], [1]), (4, [0, 2], [3, 4])):
+    n = len(lo)
+    first, adj, to = (ints([-9] * size) for size in (m + 3, 2 * (m + 1 + n), 2 * (m + 1 + n)))
+    try:
+        lib.covprune_network(n, m, ints(lo), ints(hi), first, adj, to, ints([0] * (4 * m + 8 + n)))
+        raise AssertionError(f"the layout took a read off the chain: {lo} {hi} at m = {m}")
+    except ValueError:
+        pass
+    assert {*first, *adj, *to} == {-9}, "the layout wrote before it refused"
+
+
+# the recount of the reads idx (None: all) and its extremes, against a
+# count per segment
+def recount(idx, lo, hi, m):
+    n = len(lo)
+    cov, extremes = ints([7] * m), ints([7, 7])
+    assert lib.covprune_recount(n if idx is None else len(idx), None if idx is None else ints(idx),
+                                n, ints(lo), ints(hi), m, cov, extremes) == 0
+    want = [sum(lo[i] <= j < hi[i] for i in (range(n) if idx is None else idx))
+            for j in range(m - 1)]
+    assert cov.tolist() == want + [0] * (m > 0), (cov, want)
+    assert extremes.tolist() == ([min(want), max(want)] if want else [0, 0]), extremes
+
+
+recount(None, [], [], 1)  # m = 1: no segment
+recount(None, [0, 0], [1, 1], 2)
+recount([1], [0, 0], [1, 1], 2)
+recount([], [0], [1], 2)
+recount(None, [0, 2, 1], [3, 3, 2], 4)
+recount([0, 2], [0, 2, 1, 0], [1, 3, 3, 3], 4)  # a gap at segment 1
+
+
+# the split of n records by their runs, against a stable sort of each
+# record's run code
+def group(run_at, run_code, n, ngroups):
+    starts, ends = u64(range(n)), u64(range(1, n + 1))
+    first, order, gs, ge = ints([-9] * (ngroups + 1)), ints([-9] * n), u64([9] * n), u64([9] * n)
+    assert lib.covprune_group(len(run_at), ints(run_at), ints(run_code), n, ngroups, starts, ends,
+                              first, order, gs, ge) == 0
+    bounds = [*run_at, n]
+    code = [c for r, c in enumerate(run_code) for _ in range(bounds[r], bounds[r + 1])]
+    want = sorted(range(n), key=code.__getitem__)
+    assert order.tolist() == want and gs.tolist() == want and ge.tolist() == [i + 1 for i in want]
+    assert first.tolist() == [sum(c < g for c in code) for g in range(ngroups + 1)]
+
+
+group([0, 1, 2, 3], [1, 0, 1, 0], 4, 2)  # runs of length 1
+group([], [], 0, 1)  # nruns = 0 at n = 0
+group([0, 2, 3], [2, 0, 2], 5, 3)  # group 1 holds no record
+for run_at, run_code, n in (([0, 2], [0, 0], 2), ([0, 3], [0, 0], 2), ([1], [0], 2),
+                            ([], [], 1), ([0], [1], 1)):
+    order = ints([-9] * n)
+    try:
+        lib.covprune_group(len(run_at), ints(run_at), ints(run_code), n, 1, u64([0] * n),
+                           u64([1] * n), ints([0, 0]), order, u64([0] * n), u64([0] * n))
+        raise AssertionError(f"the split took runs {run_at} of codes {run_code} for {n} records")
+    except ValueError:
+        pass
+    assert order.tolist() == [-9] * n
 print("clean")
 """
 
