@@ -34,15 +34,15 @@ static int64_t covprune_unordered(int64_t n, const uint64_t *starts, const uint6
  * idx[0..nidx), each spanning delimiter indices [lo[i], hi[i]), into
  * cov[0..m - 1), and its least and largest value into extremes[0] and
  * extremes[1], both 0 when m < 2; cov has m entries, and cov[m - 1]
- * gets 0.  With idx NULL the reads are 0..n-1.  Returns 0, or -1 unless
- * idx rises within [0, n) and 0 <= lo[i] < hi[i] < m for each read. */
+ * gets 0.  Returns 0, or -1 unless idx rises within [0, n) and 0 <=
+ * lo[i] < hi[i] < m for each read. */
 static int64_t covprune_recount(int64_t nidx, const int64_t *idx, int64_t n, const int64_t *lo,
                                 const int64_t *hi, int64_t m, int64_t *cov, int64_t *extremes)
 {
     memset(cov, 0, (size_t)m * sizeof *cov);
-    for (int64_t j = 0; j < (idx ? nidx : n); j++) {
-        int64_t i = idx ? idx[j] : j;
-        if (i < 0 || i >= n || (idx && j && idx[j - 1] >= i) || lo[i] < 0 || lo[i] >= hi[i]
+    for (int64_t j = 0; j < nidx; j++) {
+        int64_t i = idx[j];
+        if (i < 0 || i >= n || (j && idx[j - 1] >= i) || lo[i] < 0 || lo[i] >= hi[i]
             || hi[i] >= m)
             return -1;
         cov[lo[i]]++;
@@ -144,10 +144,10 @@ static int64_t covprune_lines(int64_t n, const uint8_t *mask, const int64_t *lin
     return total;
 }
 
-/* values[j * stride] += delta for j < n: a strided run of the buffer
- * raised by one amount. */
-static void covprune_add(int64_t n, int64_t *values, int64_t stride, int64_t delta)
+/* values[2j] += delta for j < n: every other item of the buffer, the
+ * forward residuals of a run of arcs, raised by one amount. */
+static void covprune_add(int64_t n, int64_t *values, int64_t delta)
 {
     for (int64_t j = 0; j < n; j++)
-        values[j * stride] += delta;
+        values[2 * j] += delta;
 }

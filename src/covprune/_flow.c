@@ -16,23 +16,24 @@
 #include <stdint.h>
 #include <string.h>
 
-/* One depth-first augmenting path from source to sink; returns the
- * amount pushed, 0 when the sink cannot be reached.  stack holds the
- * path being grown and next_arc each vertex's next untried arc.  A
- * vertex is marked in parent_arc when it is pushed and never pushed
- * again, so the stack stays within nv entries, and a failing search
- * leaves marked exactly the vertices reachable from the source. */
-static int64_t dfs_augment(int64_t nv, int64_t source, int64_t sink,
-                           const int64_t *first, const int64_t *adj, const int64_t *to,
-                           int64_t *res, int64_t *parent_arc, int64_t *stack,
+/* One depth-first augmenting path from the source, vertex 0, to the
+ * sink, vertex nv - 1; returns the amount pushed, 0 when the sink cannot
+ * be reached.  stack holds the path being grown and next_arc each
+ * vertex's next untried arc.  A vertex is marked in parent_arc when it
+ * is pushed and never pushed again, so the stack stays within nv
+ * entries, and a failing search leaves marked exactly the vertices
+ * reachable from the source. */
+static int64_t dfs_augment(int64_t nv, const int64_t *first, const int64_t *adj,
+                           const int64_t *to, int64_t *res, int64_t *parent_arc, int64_t *stack,
                            int64_t *next_arc)
 {
+    int64_t sink = nv - 1;
     for (int64_t v = 0; v < nv; v++)
         parent_arc[v] = -1;
-    parent_arc[source] = -2;
+    parent_arc[0] = -2;
     int64_t depth = 0;
-    stack[0] = source;
-    next_arc[source] = first[source];
+    stack[0] = 0;
+    next_arc[0] = first[0];
     while (depth >= 0 && parent_arc[sink] == -1) {
         int64_t u = stack[depth], p = next_arc[u], end = first[u + 1];
         while (p < end && (parent_arc[to[adj[p]]] != -1 || res[adj[p]] <= 0))
@@ -64,17 +65,16 @@ static int64_t dfs_augment(int64_t nv, int64_t source, int64_t sink,
 }
 
 /* Augment the feasible flow held in the residual capacities res (one
- * per arc) to a maximum flow, in place; returns the number of augmenting
- * paths.  parent_arc, stack and next_arc are scratch space of nv entries
- * each; parent_arc is left holding the last, failing search's marks. */
-static int64_t covprune_max_flow(int64_t nv, int64_t source, int64_t sink,
-                                 const int64_t *first, const int64_t *adj, const int64_t *to,
-                                 int64_t *res, int64_t *parent_arc, int64_t *stack,
-                                 int64_t *next_arc)
+ * per arc) from vertex 0 to vertex nv - 1, nv >= 2, to a maximum flow,
+ * in place; returns the number of augmenting paths.  parent_arc, stack
+ * and next_arc are scratch space of nv entries each; parent_arc is left
+ * holding the last, failing search's marks. */
+static int64_t covprune_max_flow(int64_t nv, const int64_t *first, const int64_t *adj,
+                                 const int64_t *to, int64_t *res, int64_t *parent_arc,
+                                 int64_t *stack, int64_t *next_arc)
 {
     int64_t augmentations = 0;
-    while (dfs_augment(nv, source, sink, first, adj, to, res, parent_arc, stack,
-                       next_arc) > 0)
+    while (dfs_augment(nv, first, adj, to, res, parent_arc, stack, next_arc) > 0)
         augmentations++;
     return augmentations;
 }

@@ -5,9 +5,9 @@
  *
  * take() checks every argument before a kernel runs.  An integer is an
  * int64; a pointer is a C-contiguous buffer of the declared item type,
- * array.array, memoryview or numpy array alike, and a buffer the kernel
- * writes must be writable.  Anything else, a wrong argument count
- * included, raises TypeError (OverflowError for an integer beyond
+ * array.array, memoryview or numpy array alike, never None, and a buffer
+ * the kernel writes must be writable.  Anything else, a wrong argument
+ * count included, raises TypeError (OverflowError for an integer beyond
  * int64) and leaves every buffer untouched.  Then each kernel's rule
  * checks that its counts are in range and that every buffer holds the
  * items they imply, or raises ValueError, again before the kernel runs.
@@ -83,9 +83,8 @@ static void release(Py_buffer *views, Py_ssize_t nargs)
 
 /* args into a by spec, one letter per argument: 'n' an int64, else the
  * array type code of a buffer's items, followed by '!' when the kernel
- * writes the buffer and '?' when None may pass as NULL; spaces are read
- * past.  On success the buffers are held in views until release(); on
- * failure none is. */
+ * writes the buffer; spaces are read past.  On success the buffers are
+ * held in views until release(); on failure none is. */
 static int take(const char *name, const char *spec, PyObject *const *args, Py_ssize_t nargs,
                 Arg *a, Py_buffer *views)
 {
@@ -99,15 +98,12 @@ static int take(const char *name, const char *spec, PyObject *const *args, Py_ss
     for (const char *s = spec; *s; s++) {
         if (!isalpha(*s))
             continue;
-        int out = s[1] == '!', optional = s[1 + out] == '?';
         views[i].obj = NULL;
         if (*s == 'n') {
             a[i].n = PyLong_AsLongLong(args[i]);
             if (a[i].n == -1 && PyErr_Occurred())
                 break;
-        } else if (optional && args[i] == Py_None) {
-            a[i].p = NULL;
-        } else if (take_buffer(name, i, args[i], *s, out, &views[i]) < 0) {
+        } else if (take_buffer(name, i, args[i], *s, s[1] == '!', &views[i]) < 0) {
             break;
         } else {
             a[i].p = views[i].buf;
@@ -133,11 +129,10 @@ static void *scratch(int64_t n, int64_t per_read, int64_t plus, int64_t size)
 }
 
 /* Whether a buffer in view holds times * count + plus items, count being
- * no less than 0; an optional buffer passed as None holds any number.
- * Computed without overflow. */
+ * no less than 0.  Computed without overflow. */
 static int holds(const Py_buffer *view, int64_t count, int64_t times, int64_t plus)
 {
-    Py_ssize_t len = view->obj ? view->len / view->itemsize : PY_SSIZE_T_MAX;
+    Py_ssize_t len = view->len / view->itemsize;
     return count >= 0 && len >= plus && (len - plus) / times >= count;
 }
 
@@ -204,11 +199,11 @@ static int64_t sweep(const Arg *a, int64_t *s)
         return PyLong_FromLongLong(result);                                                   \
     }
 
-KERNEL(parse, "Bnnnn Q!Q!q!q!q!q!", HOLDS(0, INT(1)) && HOLDS(5, INT(4)) && HOLDS(6, INT(4))
-       && holds(&views[7], INT(3), 3, 0) && HOLDS(8, 6) && HOLDS(9, INT(4))
-       && HOLDS(10, INT(4)), RECORDS, 0,
-       result = covprune_parse(U8(0), INT(1), INT(2), INT(3), INT(4), U64(5), U64(6), I64(7),
-                               I64(8), I64(9), I64(10)))
+KERNEL(parse, "Bnnn Q!Q!q!q!q!q!", HOLDS(0, INT(1)) && HOLDS(4, INT(3)) && HOLDS(5, INT(3))
+       && holds(&views[6], INT(2), 3, 0) && HOLDS(7, 6) && HOLDS(8, INT(3))
+       && HOLDS(9, INT(3)), RECORDS, 0,
+       result = covprune_parse(U8(0), INT(1), INT(2), INT(3), U64(4), U64(5), I64(6), I64(7),
+                               I64(8), I64(9)))
 KERNEL(profile, "nQQ Q!q!q!q!q!", INT(0) >= 1 && HOLDS(1, INT(0)) && HOLDS(2, INT(0))
        && holds(&views[3], INT(0), 2, 0) && HOLDS(4, INT(0)) && HOLDS(5, INT(0))
        && holds(&views[6], INT(0), 2, 0) && HOLDS(7, 3), VALUE, 8,
@@ -223,18 +218,18 @@ KERNEL(network, "nnqq q!q!q!q!", HOLDS(2, INT(0)) && HOLDS(3, INT(0))
        && holds(&views[7], INT(1) + 2, 4, INT(0)), STATUS, 0,
        result = covprune_network(INT(0), INT(1), I64(2), I64(3), I64(4), I64(5), I64(6),
                                  I64(7)))
-/* adj, to and res hold an entry per residual arc, first[nv] of them */
-KERNEL(max_flow, "nnnqqq q!q!q!q!", holds(&views[3], INT(0), 1, 1) && INT(1) >= 0
-       && INT(1) < INT(0) && INT(2) >= 0 && INT(2) < INT(0) && HOLDS(4, I64(3)[INT(0)])
-       && HOLDS(5, I64(3)[INT(0)]) && HOLDS(6, I64(3)[INT(0)]) && HOLDS(7, INT(0))
-       && HOLDS(8, INT(0)) && HOLDS(9, INT(0)), VALUE, 0,
-       result = covprune_max_flow(INT(0), INT(1), INT(2), I64(3), I64(4), I64(5), I64(6),
-                                  I64(7), I64(8), I64(9)))
+/* a source and a sink apart, and adj, to and res an entry per residual
+ * arc, first[nv] of them */
+KERNEL(max_flow, "nqqq q!q!q!q!", INT(0) >= 2 && holds(&views[1], INT(0), 1, 1)
+       && HOLDS(2, I64(1)[INT(0)]) && HOLDS(3, I64(1)[INT(0)]) && HOLDS(4, I64(1)[INT(0)])
+       && HOLDS(5, INT(0)) && HOLDS(6, INT(0)) && HOLDS(7, INT(0)), VALUE, 0,
+       result = covprune_max_flow(INT(0), I64(1), I64(2), I64(3), I64(4), I64(5), I64(6),
+                                  I64(7)))
 KERNEL(select, "nqn q!", HOLDS(1, INT(0)) && HOLDS(3, INT(0)), VALUE, 0,
        result = covprune_select(INT(0), I64(1), INT(2), I64(3)))
 KERNEL(unordered, "nQQ", HOLDS(1, INT(0)) && HOLDS(2, INT(0)), VALUE, 0,
        result = covprune_unordered(INT(0), U64(1), U64(2)))
-KERNEL(recount, "nq?nqqn q!q!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(4, INT(2))
+KERNEL(recount, "nqnqqn q!q!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(4, INT(2))
        && HOLDS(6, INT(5)) && HOLDS(7, 2), STATUS, 0,
        result = covprune_recount(INT(0), I64(1), INT(2), I64(3), I64(4), INT(5), I64(6), I64(7)))
 KERNEL(group, "nqqnnQQ q!q!Q!Q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(5, INT(3))
@@ -244,10 +239,9 @@ KERNEL(group, "nqqnnQQ q!q!Q!Q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(
                                I64(8), U64(9), U64(10)))
 KERNEL(scatter, "nqnqn B!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(5, INT(4)), STATUS,
        0, result = covprune_scatter(INT(0), I64(1), INT(2), I64(3), INT(4), U8(5)))
-/* the last of n items a stride apart lies (n - 1) * stride items on */
-KERNEL(add, "nq!nn", INT(0) == 0 || (INT(0) > 0 && INT(2) >= 1
-       && holds(&views[1], INT(0) - 1, INT(2), 1)), NONE, 0,
-       covprune_add(INT(0), I64(1), INT(2), INT(3)))
+/* the last of n items two apart lies 2(n - 1) items on */
+KERNEL(add, "nq!n", INT(0) == 0 || (INT(0) > 0 && holds(&views[1], INT(0) - 1, 2, 1)), NONE, 0,
+       covprune_add(INT(0), I64(1), INT(2)))
 
 /* covprune_lines(n, mask, line_at, line_len, size, data): the lines the
  * mask marks, counted, then copied into a new bytearray of that size */

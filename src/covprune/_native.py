@@ -10,9 +10,9 @@ Its name holds a hash of this package's directory, then one of the
 sources, the flags, the interpreter and any compiler command but the
 interpreter's own, so an edited source, another Python or another
 compiler gets a fresh build, which removes the older builds of the same
-directory and the `covprune-<hash>.so` files of earlier versions.  A
-cached module loads with `importlib.machinery` alone; `sysconfig`,
-`subprocess`, `tempfile` and `pathlib` are imported only to compile.
+directory.  A cached module loads with `importlib.machinery` alone;
+`sysconfig`, `subprocess`, `tempfile` and `pathlib` are imported only to
+compile.
 When that directory cannot be written the module is built in a private
 temporary directory for this process only.  Every kernel is required:
 when no module loads or builds, `load_library` raises `CompilerError`,
@@ -102,10 +102,8 @@ def _compile(cc: list[str] | None, target: str) -> bool:
         if done.returncode != 0:
             return False
         os.replace(tmp, target)
-        # this directory's other builds and the one-hash builds of older versions;
-        # other checkouts sharing the cache keep theirs
-        old = directory.glob("covprune-" + "[0-9a-f]" * 16 + ".so")
-        for stale in {*directory.glob(f"{_prefix()}*.so"), *old} - {Path(target)}:
+        # this directory's other builds; other checkouts sharing the cache keep theirs
+        for stale in set(directory.glob(f"{_prefix()}*.so")) - {Path(target)}:
             with contextlib.suppress(OSError):  # best effort: another process may remove it too
                 stale.unlink()
         return True

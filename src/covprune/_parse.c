@@ -4,16 +4,16 @@
  * A line ends at '\n', "\r\n" or a lone '\r', or at the end of the data.
  * A blank line (spaces and tabs alone) is skipped, and so is a comment, a
  * line whose first byte past its blanks is '#'.  A token is a run of
- * bytes other than ' ', '\t', '\r' and '\n'.  A data line holds `fields`
- * tokens, 2 (plain: start end) or 3 (BED3: name start end); with fields 0
- * the first data line's count, 2 or 3, decides.  Coordinates are the
- * digits 0-9 alone, at most 2^64 - 1, with start < end.  A name may hold
- * any token byte, bytes >= 0x80 too: the caller decodes it.  A control
- * byte (0x00-0x1f but '\t', or 0x7f) refuses its line, a comment's too,
- * as does the UTF-8 of U+0085, U+2028 or U+2029 in a comment: Python's
- * str.splitlines ends a line at each of them.  Each record's line is
- * also given as a byte range, its terminator included, so that the CLI
- * can echo the kept lines as they were written.
+ * bytes other than ' ', '\t', '\r' and '\n'.  A data line holds 2 tokens
+ * (plain: start end) or 3 (BED3: name start end), as many as the first
+ * data line holds.  Coordinates are the digits 0-9 alone, at most
+ * 2^64 - 1, with start < end.  A name may hold any token byte, bytes
+ * >= 0x80 too: the caller decodes it.  A control byte (0x00-0x1f but
+ * '\t', or 0x7f) refuses its line, a comment's too, as does the UTF-8 of
+ * U+0085, U+2028 or U+2029 in a comment: Python's str.splitlines ends a
+ * line at each of them.  Each record's line is also given as a byte
+ * range, its terminator included, so that the CLI can echo the kept
+ * lines as they were written.
  */
 
 #include <stdint.h>
@@ -50,26 +50,26 @@ static int breaks_comment(const uint8_t *p, const uint8_t *end)
     return *p == 0xe2 && end - p > 2 && p[1] == 0x80 && (p[2] | 1) == 0xa9;
 }
 
-/* Read records of `fields` = 2 or 3 tokens, or with fields 0 of the first
- * data line's count, into starts/ends.  For BED3, each run of records of
- * one name is written as run r: its first record runs[3r], and its name's
- * offset in data and length, runs[3r + 1] and runs[3r + 2]; past max_runs
- * of them the reader stops and returns -2.  Record i's line starts at
- * line_at[i] and runs for line_len[i] bytes, through its terminator or to
- * the end of the data.  The four record columns hold max_records entries
- * each; a record past them stops the reader, before it writes anything,
- * with -3.  info gets the number of runs and the field count, 0 when no
- * data line set it; at a bad line the reader stops and returns -1, and
- * info[2] to info[5] get why (BAD_*), the line's 1-based number, and its
- * offset and length without its terminator.
+/* Read records of as many tokens as the first data line holds, 2 or 3,
+ * into starts/ends.  For BED3, each run of records of one name is written
+ * as run r: its first record runs[3r], and its name's offset in data and
+ * length, runs[3r + 1] and runs[3r + 2]; past max_runs of them the reader
+ * stops and returns -2.  Record i's line starts at line_at[i] and runs
+ * for line_len[i] bytes, through its terminator or to the end of the
+ * data.  The four record columns hold max_records entries each; a record
+ * past them stops the reader, before it writes anything, with -3.  info
+ * gets the number of runs and the field count, 0 when no data line set
+ * it; at a bad line the reader stops and returns -1, and info[2] to
+ * info[5] get why (BAD_*), the line's 1-based number, and its offset and
+ * length without its terminator.
  * Returns the number of records. */
-static int64_t covprune_parse(const uint8_t *data, int64_t size, int64_t fields, int64_t max_runs,
+static int64_t covprune_parse(const uint8_t *data, int64_t size, int64_t max_runs,
                               int64_t max_records, uint64_t *starts, uint64_t *ends, int64_t *runs,
                               int64_t *info, int64_t *line_at, int64_t *line_len)
 {
     const uint8_t *p = data, *end = data + size, *line = data;
     const uint8_t *prev = NULL;
-    int64_t prev_len = 0, n = 0, r = 0, line_no = 0, why = 0;
+    int64_t prev_len = 0, n = 0, r = 0, line_no = 0, why = 0, fields = 0;
     while (p < end) {
         const uint8_t *token[3] = {NULL, NULL, NULL}, *token_end[3] = {NULL, NULL, NULL};
         int64_t got = 0;

@@ -127,7 +127,7 @@ def _run(args, solver) -> int:
     """Parse the input, solve it per chromosome and print the kept lines
     when every chromosome was feasible.  The --stats file is opened only
     once the input has parsed, so a parse error writes no file."""
-    instance = io.read_instance(args.input, args.format)
+    instance = io.read_instance(args.input)
     with _stats_file(args, sys.stderr) as out:
         kept, feasible = _solve_instance(instance, solver, out)
     if feasible:
@@ -153,7 +153,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    instance = io.read_instance(args.input, args.format)
+    instance = io.read_instance(args.input)
     with _stats_file(args, sys.stdout) as out:
         for chrom, (ivs, _) in _groups(instance):
             span = ivs.span or (None, None)
@@ -168,16 +168,14 @@ class UsageError(ValueError):
 
 
 REQUIRED = object()  # the default of an option that must be given
-# each option: the name of its value in the help, what its value may be
-# (a type or a tuple of choices), its default and its help
+# each option: the name of its value in the help, its type, its default and its help
 OPTIONS = {
-    "format": ("{plain,bed3}", ("plain", "bed3"), None, "input format (default: auto-detect)"),
     "stats": ("FILE", str, None, "write the JSONL statistics here, not to stderr "
                                  "(stdout for stats)"),
     "k": ("K", int, REQUIRED, "coverage cap (>= 1)"),
     "t": ("T", int, REQUIRED, "coverage floor (>= 0)"),
 }
-# each subcommand: its runner, its summary and its options besides --format and --stats
+# each subcommand: its runner, its summary and its options besides --stats
 COMMANDS = {
     "decide": (cmd_decide, "is there a subset with maxcov <= k and mincov >= t?", ("k", "t")),
     "solve": (cmd_solve, "maximize mincov subject to maxcov <= k (exact)", ("k",)),
@@ -197,7 +195,7 @@ def _help(command: str | None) -> str:
     usage = [f"usage: covprune {command} INPUT"]
     rows = [("INPUT", "instance file (plain 'start end' pairs or BED3)"),
             ("-h, --help", "show this help and exit")]
-    for name in ("format", "stats", *COMMANDS[command][2]):
+    for name in ("stats", *COMMANDS[command][2]):
         metavar, _, default, text = OPTIONS[name]
         form = f"--{name} {metavar}"
         usage.append(form if default is REQUIRED else f"[{form}]")
@@ -217,12 +215,9 @@ def _is_option(token: str, known) -> bool:
 
 
 def _value(flag: str, kind, text: str):
-    """The value `text` of option `flag`, read by `kind`, a type or a tuple of choices."""
-    if isinstance(kind, tuple) and text not in kind:
-        raise UsageError(f"argument {flag}: invalid choice: {text!r} "
-                         f"(choose from {', '.join(map(repr, kind))})")
+    """The value `text` of option `flag`, read by the type `kind`."""
     try:
-        return text if isinstance(kind, tuple) else kind(text)
+        return kind(text)
     except ValueError:
         raise UsageError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
 
@@ -241,7 +236,7 @@ def parse_args(argv: list[str]):
         raise UsageError(f"argument command: invalid choice: {command!r} (choose from "
                          f"{', '.join(map(repr, COMMANDS))})" if argv else
                          "the following arguments are required: command")
-    names = ("format", "stats", *COMMANDS[command][2])
+    names = ("stats", *COMMANDS[command][2])
     known = {*HELP, *(f"--{name}" for name in names)}
     values = {name: OPTIONS[name][2] if name in names else None for name in OPTIONS}
     rest, at, positional, extras = argv[1:], 0, [], []

@@ -97,8 +97,7 @@ def max_flow_augmenting(net: FlowNetwork, res) -> FlowAssignment:
     records how many paths were needed."""
     # scratch for the search: parent_arc, stack and next_arc
     augmentations = _native.load_library().covprune_max_flow(
-        net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res,
-        *(zeros("q", net.nv) for _ in range(3)))
+        net.nv, net.first, net.adj, net.to, res, *(zeros("q", net.nv) for _ in range(3)))
     nb = net.num_backbone_arcs
     # copies: the next, lower floor goes on augmenting `res`
     return FlowAssignment(res[1:2 * nb:2], res[2 * nb + 1::2], augmentations)
@@ -139,7 +138,7 @@ class Chain:
         elif t > self.t:
             raise ValueError(f"the floor may only fall: t={t} after t={self.t}")
         else:  # interior capacity rises
-            _native.load_library().covprune_add(nb - 2, memoryview(self.res)[2:], 2, self.t - t)
+            _native.load_library().covprune_add(nb - 2, memoryview(self.res)[2:], self.t - t)
         flow = max_flow_augmenting(self.net, self.res)
         self.t = t
         self.augmentations += flow.augmentations
@@ -158,6 +157,5 @@ def decide(intervals: IntervalSet, k: int, t: int) -> Solution | None:
     t: the solver begins from the backbone flow of value k - t on a
     `Chain` and needs at most t augmentations.
     """
-    from .search import METHOD, descend  # search builds on this module
-    return descend(intervals, k, t, METHOD,
-                   {"flow_solves": 0, "augmentations": 0, "native_flow": 0})
+    from .search import descend  # search builds on this module
+    return descend(intervals, k, t, {"flow_solves": 0, "augmentations": 0, "native_flow": 0})

@@ -113,15 +113,14 @@ def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
     return CoverageProfile(*(memoryview(a).toreadonly() for a in (delims, lo, hi, cov)), *summary)
 
 
-def segment_cov(lo, hi, ndelims: int, kept=None) -> tuple[array, int, int]:
+def segment_cov(lo, hi, ndelims: int, kept) -> tuple[array, int, int]:
     """Coverage of each segment between consecutive delimiters by the
-    intervals spanning delimiter indices [lo, hi), or by those at the
-    rising int64 indices `kept` alone, gaps counting as 0, with its least
-    and largest value (0 and 0 without a segment)."""
+    intervals at the rising int64 indices `kept` among those spanning
+    delimiter indices [lo, hi), gaps counting as 0, with its least and
+    largest value (0 and 0 without a segment)."""
     cov, extremes = array("q", [0]) * ndelims, array("q", [0]) * 2
     if len(lo) != len(hi):
         raise ValueError("lo and hi differ in length")
-    _kernels().covprune_recount(len(lo if kept is None else kept), kept, len(lo), lo, hi,
-                                ndelims, cov, extremes)
+    _kernels().covprune_recount(len(kept), kept, len(lo), lo, hi, ndelims, cov, extremes)
     del cov[-1:]
     return cov, *extremes

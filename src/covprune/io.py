@@ -1,8 +1,9 @@
 """Reading and writing interval instances.
 
 Two line formats: "plain" (two whitespace-separated non-negative
-integers per line) and "bed3" (name, start, end).  Comment lines
-starting with '#' and blank lines are skipped.  BED3 files hold several
+integers per line) and "bed3" (name, start, end), told apart by the
+field count of the first data line.  Comment lines starting with '#'
+and blank lines are skipped.  BED3 files hold several
 chromosomes; each is an independent instance on its own coordinate line.
 Every input is read in one pass of the compiled kernel `covprune_parse`
 (`_parse.c`, whose header gives the grammar); at a bad line it stops and
@@ -21,8 +22,7 @@ from functools import cached_property
 
 from .intervals import MAX_COORD, IntervalSet, _kernels
 
-_FIELDS = {"plain": 2, "bed3": 3}
-_DETECT = {n: fmt for fmt, n in _FIELDS.items()}  # by the first data line's field count
+_DETECT = {2: "plain", 3: "bed3"}  # by the first data line's field count
 # why covprune_parse stopped at a line, numbered as in _parse.c
 _BAD_FIELDS, _BAD_BYTE, _BAD_START, _BAD_END, _BAD_ORDER = range(1, 6)
 
@@ -49,9 +49,9 @@ class InstanceFile:
     records, if any, are one run of code 0).  The columns are
     `array.array`s, uint64 for the endpoints and int64 for the rest."""
 
-    def __init__(self, fmt: str, chroms: tuple[str | None, ...], run_at: array, run_code: array,
+    def __init__(self, chroms: tuple[str | None, ...], run_at: array, run_code: array,
                  starts: array, ends: array, data: bytes, line_at: array, line_len: array):
-        self.fmt, self.chroms = fmt, chroms  # fmt "plain" | "bed3"
+        self.chroms = chroms
         self.run_at, self.run_code, self.starts, self.ends = run_at, run_code, starts, ends
         self.data, self.line_at, self.line_len = data, line_at, line_len
 
@@ -127,12 +127,8 @@ def _bad_line(data: bytes, fields: int, why: int, line_no: int, at: int,
     return ParseError(line_no, message)
 
 
-def _read(data: bytes, fmt: str | None) -> InstanceFile:
-    """The instance in `data`, by one pass of `covprune_parse`; with fmt
-    None the field count of the first data line, 3 or 2, picks bed3 or
-    plain."""
-    if fmt is not None and fmt not in _FIELDS:
-        raise ValueError(f"unknown format {fmt!r}")
+def _read(data: bytes) -> InstanceFile:
+    """The instance in `data`, by one pass of `covprune_parse`."""
     lines = _lines(data, len(data))  # one slot per line
     starts, ends = array("Q", [0]) * lines, array("Q", [0]) * lines
     line_at, line_len, info = array("q", [0]) * lines, array("q", [0]) * lines, array("q", [0]) * 6
@@ -140,8 +136,8 @@ def _read(data: bytes, fmt: str | None) -> InstanceFile:
     # again with room for a run per line
     for room in (min(lines, 1024), lines):
         runs = array("q", [0]) * (3 * room)  # each its first record, its name's offset and size
-        n = _kernels().covprune_parse(data, len(data), _FIELDS.get(fmt, 0), room, lines, starts,
-                                      ends, runs, info, line_at, line_len)
+        n = _kernels().covprune_parse(data, len(data), room, lines, starts, ends, runs, info,
+                                      line_at, line_len)
         if n != -2:
             break
     nruns, fields, *bad = info
@@ -163,16 +159,15 @@ def _read(data: bytes, fmt: str | None) -> InstanceFile:
     if not names:  # plain: its records, if any, are one run
         names, run_at = [None] * (n > 0), array("q", [0] * (n > 0))
     run_code = array("q", map(dict(zip(chroms, range(len(chroms)))).__getitem__, names))
-    return InstanceFile(_DETECT.get(fields, "plain"), chroms, run_at, run_code, starts, ends,
-                        data, line_at, line_len)
+    return InstanceFile(chroms, run_at, run_code, starts, ends, data, line_at, line_len)
 
 
-def parse_instance(text: str, fmt: str | None = None) -> InstanceFile:
+def parse_instance(text: str) -> InstanceFile:
     """Parse instance text, as `read_instance` reads a file of its UTF-8."""
-    return _read(text.encode(), fmt)
+    return _read(text.encode())
 
 
-def read_instance(path: str, fmt: str | None = None) -> InstanceFile:
+def read_instance(path: str) -> InstanceFile:
     """Read an instance file; a name that is not UTF-8 raises a ValueError."""
     with open(path, "rb") as fh:
-        return _read(fh.read(), fmt)
+        return _read(fh.read())

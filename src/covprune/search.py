@@ -30,11 +30,11 @@ def solve_exact(intervals: IntervalSet, k: int) -> Solution:
     the `augmentations` from the warm start to the witness, `probes`,
     and `native_flow` (1 when a compiled flow ran).
     """
-    return descend(intervals, k, None, METHOD,
+    return descend(intervals, k, None,
                    {"flow_solves": 0, "augmentations": 0, "probes": 0, "native_flow": 0})
 
 
-def descend(intervals: IntervalSet, k: int, t: int | None, method: str,
+def descend(intervals: IntervalSet, k: int, t: int | None,
             work: dict[str, int]) -> Solution | None:
     """The answer at the floor t, or with t None at every floor from the
     bound min(k, mincov) down until one holds; None when t does not hold.
@@ -53,13 +53,13 @@ def descend(intervals: IntervalSet, k: int, t: int | None, method: str,
     floors = range(bound, -1, -1) if t is None else [t] if t <= bound else []
     if floors and top <= k:
         # removals never help, and k >= 2**63 stays out of int64 capacities
-        return score_subset(intervals, None, k, method, work)
+        return score_subset(intervals, None, k, METHOD, work)
     chain = None
     for floor in floors:
         if floor == 0:
             # the warm start's witness is empty: approx's kept set, already scored, stands
             from .approx import approx_prune
-            return approx_prune(intervals, k)._replace(method=method, work=dict(work))
+            return approx_prune(intervals, k)._replace(method=METHOD, work=dict(work))
         chain = chain or flow.Chain(intervals, k)
         result = chain.max_flow(floor)
         work["flow_solves"] += 1
@@ -68,5 +68,5 @@ def descend(intervals: IntervalSet, k: int, t: int | None, method: str,
         if "probes" in work:
             work["probes"] += 1
         if result.value == k:
-            return score_subset(intervals, result.kept, k, method, work)
+            return score_subset(intervals, result.kept, k, METHOD, work)
     return None

@@ -29,7 +29,7 @@ from covprune import flow
 from covprune.coverage_tree import CoverageTree
 from covprune.flow import FlowAssignment, FlowNetwork
 from covprune.intervals import MAX_COORD, CoverageProfile
-from covprune.io import _DETECT, _FIELDS, InstanceFile, ParseError
+from covprune.io import _DETECT, InstanceFile, ParseError
 from covprune.solution import Solution, score_subset
 
 
@@ -133,27 +133,29 @@ def flat_python(order, lo, hi, cov, k: int):
     return deleted, (scanned, candidates, blocked, refilled)
 
 
-def augment_python(nv, source, sink, first, adj, to, res, parent_arc, stack, next_arc) -> int:
+def augment_python(nv, first, adj, to, res, parent_arc, stack, next_arc) -> int:
     """`covprune_max_flow` line for line, run on lists read from the same
     arrays, since indexing a list is many times faster than indexing
     numpy; `res` and `parent_arc` get the final lists back."""
     lists = [a.tolist() for a in (first, adj, to, res, parent_arc, stack, next_arc)]
     augmentations = 0
-    while dfs_augment(nv, source, sink, *lists) > 0:
+    while dfs_augment(nv, *lists) > 0:
         augmentations += 1
     res[:], parent_arc[:] = lists[3], lists[4]
     return augmentations
 
 
-def dfs_augment(nv, source, sink, first, adj, to, res, parent_arc, stack, next_arc) -> int:
-    """One depth-first augmenting path from source to sink; returns the
-    amount pushed, 0 when the sink cannot be reached.  A failing search
-    leaves marked in `parent_arc` exactly the vertices the source reaches."""
+def dfs_augment(nv, first, adj, to, res, parent_arc, stack, next_arc) -> int:
+    """One depth-first augmenting path from the source, vertex 0, to the
+    sink, vertex nv - 1; returns the amount pushed, 0 when the sink cannot
+    be reached.  A failing search leaves marked in `parent_arc` exactly
+    the vertices the source reaches."""
+    sink = nv - 1
     parent_arc[:] = [-1] * nv
-    parent_arc[source] = -2
+    parent_arc[0] = -2
     depth = 0
-    stack[0] = source
-    next_arc[source] = first[source]
+    stack[0] = 0
+    next_arc[0] = first[0]
     while depth >= 0 and parent_arc[sink] == -1:
         u = stack[depth]
         p, end = next_arc[u], first[u + 1]
@@ -208,7 +210,7 @@ def cold_decide(intervals, k: int, t: int) -> Solution | None:
     return score_subset(intervals, result.kept, k, "cold-reference", {})
 
 
-def _instance(fmt: str, names: list[str], run_at, starts, ends, data: bytes, line_at,
+def _instance(names: list[str], run_at, starts, ends, data: bytes, line_at,
               line_len) -> InstanceFile:
     """The instance of the given columns, read from the lines of `data`
     that `line_at` and `line_len` give; bed3 `names` holds the name of
@@ -218,7 +220,7 @@ def _instance(fmt: str, names: list[str], run_at, starts, ends, data: bytes, lin
     if not names:
         names, run_at = [None] * (len(starts) > 0), array("q", [0] * (len(starts) > 0))
     run_code = array("q", map(dict(zip(chroms, range(len(chroms)))).__getitem__, names))
-    return InstanceFile(fmt, chroms, run_at, run_code, starts, ends, data, line_at, line_len)
+    return InstanceFile(chroms, run_at, run_code, starts, ends, data, line_at, line_len)
 
 
 def _parse_coord(token: str, line_no: int, what: str) -> int:
@@ -233,24 +235,22 @@ def _parse_coord(token: str, line_no: int, what: str) -> int:
     return value
 
 
-def parse_lines(text: str, fmt: str | None = None) -> InstanceFile:
-    """Parse instance text line by line; with fmt None the field count
-    of the first data line, 3 or 2, picks bed3 or plain."""
+def parse_lines(text: str) -> InstanceFile:
+    """Parse instance text line by line; the field count of the first
+    data line, 3 or 2, picks bed3 or plain."""
     names, starts, ends, rows = [], [], [], []
-    detected = fmt
+    width = None
     lines = text.splitlines(keepends=True)
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        detected = detected or _DETECT.get(len(fields))
-        if detected is None:
+        width = width or (len(fields) if len(fields) in _DETECT else None)
+        if width is None:
             raise ParseError(line_no, f"expected 2 (plain) or 3 (bed3) fields, got {len(fields)}")
-        if detected not in _FIELDS:
-            raise ValueError(f"unknown format {detected!r}")
-        if len(fields) != _FIELDS[detected]:
-            raise ParseError(line_no, f"{detected} format needs {_FIELDS[detected]} fields, "
+        if len(fields) != width:
+            raise ParseError(line_no, f"{_DETECT[width]} format needs {width} fields, "
                                       f"got {len(fields)}")
         names += fields[:-2]  # the bed3 name, if any
         start = _parse_coord(fields[-2], line_no, "start")
@@ -264,7 +264,7 @@ def parse_lines(text: str, fmt: str | None = None) -> InstanceFile:
     data = text.encode("utf-8", "surrogatepass")
     size = [len(line.encode("utf-8", "surrogatepass")) for line in lines]
     line_end = list(accumulate(size))
-    return _instance(detected or "plain", names, array("q", range(len(names))),
+    return _instance(names, array("q", range(len(names))),
                      array("Q", starts), array("Q", ends), data,
                      array("q", (line_end[r] - size[r] for r in rows)),
                      array("q", (size[r] for r in rows)))

@@ -17,8 +17,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, summary, with_k=True):
         p = sub.add_parser(name, help=summary)
         p.add_argument("input", help="instance file (plain 'start end' pairs or BED3)")
-        p.add_argument("--format", choices=("plain", "bed3"), default=None,
-                       help="input format (default: auto-detect)")
         p.add_argument("--stats", metavar="FILE", default=None,
                        help="write JSONL statistics here instead of stderr")
         if with_k:

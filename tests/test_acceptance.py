@@ -107,7 +107,7 @@ def test_criterion_4_flow_coverage_identity_at_full_scale():
             break
     assert flow.value == k and 0 < opt < k
     kept = np.array(flow.kept)
-    witness = np.asarray(segment_cov(np.asarray(lo)[kept], np.asarray(hi)[kept], len(delims))[0])
+    witness = np.asarray(segment_cov(lo, hi, len(delims), kept)[0])
     interior = np.array(flow.backbone_flow[1:-1])
     assert (flow.backbone_flow[0], flow.backbone_flow[-1]) == (k, k)
     assert (interior == k - witness).all()

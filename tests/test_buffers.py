@@ -70,13 +70,25 @@ def test_a_bad_argument_list_never_reaches_the_kernel(args):
     assert all(list(a) == SENTINEL for a in args[3:4])
 
 
-def test_only_an_optional_buffer_may_be_null():
+def test_no_kernel_takes_none():
+    """No buffer is optional: None in place of any buffer argument of any
+    kernel raises TypeError and leaves every buffer untouched, the
+    recount's reads too, which once stood for every read."""
     lib, cov, extremes = _native.load_library(), array("q", [9, 9, 9]), array("q", [9, 9])
-    lo, hi = array("q", [0, 1]), array("q", [2, 2])
-    assert lib.covprune_recount(2, None, 2, lo, hi, 3, cov, extremes) == 0  # every read
-    assert (cov.tolist(), extremes.tolist()) == ([1, 2, 0], [1, 2])
     with pytest.raises(TypeError):
-        lib.covprune_recount(2, None, 2, None, hi, 3, cov, extremes)
+        lib.covprune_recount(2, None, 2, array("q", [0, 1]), array("q", [2, 2]), 3, cov, extremes)
+    assert (cov.tolist(), extremes.tolist()) == ([9, 9, 9], [9, 9])
+    calls = short_buffer_calls()
+    assert {name.split("-")[0] for name in calls} == {
+        name[len("covprune_"):] for name in dir(lib) if name.startswith("covprune_")}
+    for name, args in calls.items():
+        for at, arg in enumerate(args):
+            if isinstance(arg, (array, bytes)):
+                before = [bytes(a) for a in args if isinstance(a, array)]
+                with pytest.raises(TypeError):
+                    getattr(lib, f"covprune_{name.split('-')[0]}")(*args[:at], None,
+                                                                   *args[at + 1:])
+                assert [bytes(a) for a in args if isinstance(a, array)] == before, name
 
 
 def test_the_general_loops_check_their_indices():
@@ -90,7 +102,7 @@ def test_the_general_loops_check_their_indices():
     assert mask.tolist() == [1, 0, 1]
     assert _native.select(array("q", [0, 3, 0, 3]), 3).tolist() == [1, 3]
     # no read and no segment: the extremes are 0 and 0
-    assert segment_cov(array("q"), array("q"), 1) == (array("q"), 0, 0)
+    assert segment_cov(array("q"), array("q"), 1, array("q")) == (array("q"), 0, 0)
 
 
 def test_the_sweep_checks_its_spans_and_cells():
@@ -120,7 +132,7 @@ def test_a_recount_takes_rising_indices_only():
         with pytest.raises(ValueError, match="out of bounds"):
             segment_cov(lo, hi, 3, array("q", kept))
     with pytest.raises(ValueError, match="out of bounds"):
-        segment_cov(lo, array("q", [2, 2, 3]), 3)  # a span past the last delimiter
+        segment_cov(lo, array("q", [2, 2, 3]), 3, array("q", [0, 1, 2]))  # past the last one
 
 
 def test_radix_scratch_beyond_memory_raises_memory_error():
@@ -153,7 +165,7 @@ def short_buffer_calls():
         "unordered": (3, array("Q", [0, 1, 2]), array("Q", [1, 2])),
         "recount": (2, q(0, 1), 2, q(0, 1), q(1, 2), 3, q(-9, -9), q(-9, -9)),
         "recount-extremes": (2, q(0, 1), 2, q(0, 1), q(1, 2), 3, q(-9) * 3, q(-9)),
-        "recount-negative": (0, None, 0, q(), q(), -1, q(-9), q(-9, -9)),
+        "recount-negative": (0, q(), 0, q(), q(), -1, q(-9), q(-9, -9)),
         "group": (1, q(0), q(0), 2, 1, array("Q", [0, 1]), array("Q", [1, 2]), q(-9), q(-9, -9),
                   array("Q", [9, 9]), array("Q", [9, 9])),
         "group-runs": (2, q(0, 1), q(0), 2, 1, array("Q", [0, 1]), array("Q", [1, 2]),
@@ -161,9 +173,12 @@ def short_buffer_calls():
         "scatter": (1, q(0), 1, q(2), 3, array("B", [0, 0])),
         "lines": (2, array("B", [1]), q(0, 0), q(4, 4), 4, b"0 1\n"),  # a one-record mask
         # record columns of two items where the count, max_records, says three
-        "parse": (b"0 1\n", 4, 2, 1, 3, array("Q", [9] * 3), array("Q", [9] * 2), q(-9) * 3,
+        "parse": (b"0 1\n", 4, 1, 3, array("Q", [9] * 3), array("Q", [9] * 2), q(-9) * 3,
                   q(-9) * 6, q(-9) * 3, q(-9) * 3),
-        "add": (3, q(1, 1, 1, 1), 2, 5),  # reaches item 4 of 4
+        "add": (3, q(1, 1, 1, 1), 5),  # reaches item 4 of 4
+        # first holds two of its nv + 1 entries; then a search scratch one of two
+        "max_flow": (2, q(0, 0), q(), q(), q(), q(-9, -9), q(-9, -9), q(-9, -9)),
+        "max_flow-scratch": (2, q(0, 0, 0), q(), q(), q(), q(-9, -9), q(-9), q(-9, -9)),
     }
 
 
@@ -180,7 +195,7 @@ def test_a_buffer_shorter_than_its_count_never_reaches_the_loop(name):
 def test_buffers_of_exactly_the_counted_size_are_taken():
     lib = _native.load_library()
     values = q(1, 1, 1, 1, 1)
-    lib.covprune_add(3, values, 2, 5)  # items 0, 2 and 4
+    lib.covprune_add(3, values, 5)  # items 0, 2 and 4
     assert values.tolist() == [6, 1, 6, 1, 6]
     assert lib.covprune_lines(1, array("B", [1]), q(0), q(4), 4, b"0 1\n") == b"0 1\n"
 
@@ -207,12 +222,12 @@ def test_the_reader_stops_at_its_record_columns():
     columns = [array("Q", [7, 7]), array("Q", [7, 7]), q(7, 7), q(7, 7)]
     runs, info = q(-9) * 3, q(-9) * 6
     with pytest.raises(ValueError, match="out of bounds"):
-        _native.load_library().covprune_parse(data, len(data), 2, 1, 1, columns[0], columns[1],
+        _native.load_library().covprune_parse(data, len(data), 1, 1, columns[0], columns[1],
                                               runs, info, columns[2], columns[3])
     assert [list(column) for column in columns] == [[0, 7], [1, 7], [0, 7], [4, 7]]
     # at exactly the room it needs, the same call reads every record
     columns = [array("Q", [7]) * 64, array("Q", [7]) * 64, q(7) * 64, q(7) * 64]
-    assert _native.load_library().covprune_parse(data, len(data), 2, 1, 64, columns[0],
+    assert _native.load_library().covprune_parse(data, len(data), 1, 64, columns[0],
                                                  columns[1], runs, info, columns[2],
                                                  columns[3]) == 64
     assert list(columns[2]) == list(range(0, 256, 4))

@@ -1,7 +1,9 @@
 import contextlib
 import json
+import re
 from array import array
 from io import StringIO
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -420,7 +422,7 @@ def test_full_scale_solve_invariants(tmp_path, capsys):
     assert record["mincov"] == after.min() > 1  # over the input's span
 
 
-FIELDS = ("command", "input", "format", "stats", "k", "t")
+FIELDS = ("command", "input", "stats", "k", "t")
 REFERENCE = build_parser()
 
 
@@ -453,7 +455,7 @@ VALUES = st.one_of(
                      "-x", "-1 x", "--k", "--stats", "--k=3", "--stats=a b", "--engine",
                      "--t=-1", "--force"]),
     st.text(alphabet="0123456789-.=_ ab", max_size=4))
-# with --limit and --force, which no command takes
+# with --format, --limit and --force, which no command takes
 OPTION_NAMES = ["--format", "--stats", "--k", "--t", "--limit", "--force"]
 TOKEN_GROUPS = st.one_of(
     st.tuples(st.sampled_from(OPTION_NAMES), VALUES),  # --name VALUE
@@ -465,9 +467,8 @@ TOKEN_GROUPS = st.one_of(
     st.just(("--",)))
 
 
-# options with values a command takes; every command takes --format and --stats
-GOOD = {"--format": ("plain", "bed3"), "--stats": ("s.jsonl", "-"), "--k": ("5", "2"),
-        "--t": ("0", "-1")}
+# options with values a command takes; every command takes --stats
+GOOD = {"--stats": ("s.jsonl", "-"), "--k": ("5", "2"), "--t": ("0", "-1")}
 OWN = {"decide": ("--k", "--t"), "solve": ("--k",), "approx": ("--k",)}
 
 
@@ -480,7 +481,7 @@ def command_lines(draw):
     own = OWN.get(command, ())
     required = [g for g in (("reads.txt",), ("--k", "3"), ("--t", "1"))
                 if g[0] in ("reads.txt", *own) and draw(st.integers(0, 4))]
-    for name in draw(st.lists(st.sampled_from(["--format", "--stats", *own]), max_size=3)):
+    for name in draw(st.lists(st.sampled_from(["--stats", *own]), max_size=3)):
         value = draw(st.sampled_from(GOOD[name]))
         required.append(draw(st.sampled_from([(name, value), (f"{name}={value}",)])))
     noise = draw(st.lists(TOKEN_GROUPS, max_size=2)) if draw(st.booleans()) else []
@@ -511,8 +512,6 @@ def test_the_parser_reads_what_argparse_read(argv):
     (["solve", "--k", "3"], "the following arguments are required: input"),
     (["decide", "in"], "the following arguments are required: --k, --t"),
     (["solve", "in", "--k", "x"], "argument --k: invalid int value: 'x'"),
-    (["solve", "in", "--k=3", "--format", "bed"],
-     "argument --format: invalid choice: 'bed' (choose from 'plain', 'bed3')"),
     (["solve", "in", "--k"], "argument --k: expected one argument"),
     (["solve", "in", "out", "--k", "3"], "unrecognized arguments: out"),
     (["solve", "in", "--k", "3", "--help=yes"],
@@ -523,17 +522,31 @@ def test_the_parser_reads_what_argparse_read(argv):
                                    "'decide', 'solve', 'approx', 'stats')"),
     (["solve", "in", "--k", "3", "--limit", "4"], "unrecognized arguments: --limit 4"),
     (["solve", "in", "--k", "3", "--force"], "unrecognized arguments: --force"),
-], ids=["no-command", "bad-command", "no-input", "no-k-t", "not-int", "bad-format",
-        "no-value", "two-inputs", "flag-value", "abbreviation", "oracle", "limit", "force"])
+    # the first data line's field count alone tells plain from BED3
+    (["solve", "in", "--k", "3", "--format", "bed3"], "unrecognized arguments: --format bed3"),
+], ids=["no-command", "bad-command", "no-input", "no-k-t", "not-int", "no-value", "two-inputs",
+        "flag-value", "abbreviation", "oracle", "limit", "force", "format"])
 def test_a_usage_error_exits_2_with_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"covprune: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["solve", "--help"],
-                                  ["decide", "in", "-h", "--k", "x"]])
+                                  ["decide", "in", "-h", "--k", "x"], ["approx", "-h"],
+                                  ["stats", "-h"]])
 def test_help_goes_to_stdout(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == "" and out.startswith("usage: covprune ")
+    assert "--format" not in out
     if argv[0] == "decide":
         assert "--k K --t T" in out.splitlines()[0]
+
+
+def test_the_readme_names_only_options_the_cli_defines():
+    """Every `--name` in README's "CLI" section is an option of
+    `cli.OPTIONS` or --help, so that a removed option does not stay
+    documented; `--sta` is quoted there as a refused abbreviation."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--([a-z][\w-]*)", section))
+    assert named and named - {"sta"} <= {*cli.OPTIONS, "help"}, named

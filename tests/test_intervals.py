@@ -92,7 +92,7 @@ def test_mincov_over_windows(demo):
     # segments has coverage 0 wherever it leaves the parent's span bare
     delims, lo, hi, cov = coverage_profile(demo)[:4]
     assert np.asarray(cov[1:4]).min() == 3  # the points [1, 4)
-    only_e = segment_cov(np.asarray(lo)[[4]], np.asarray(hi)[[4]], len(delims))  # E = [1, 10)
+    only_e = segment_cov(lo, hi, len(delims), array("q", [4]))  # E = [1, 10)
     assert only_e[0].tolist() == [0, 1, 1, 1, 1, 1, 1]
     assert score_subset(demo, array("q", [4]), 1, "E").achieved_mincov == 0
 
@@ -134,8 +134,8 @@ def test_mincov_le_maxcov(pairs):
 def test_removal_lowers_coverage_exactly_on_span(pairs, data):
     idx = data.draw(st.integers(0, len(pairs) - 1))
     delims, lo, hi, cov = coverage_profile(iset(pairs))[:4]
-    rest = np.arange(len(pairs)) != idx
-    rest_cov = segment_cov(np.asarray(lo)[rest], np.asarray(hi)[rest], len(delims))[0]
+    rest = np.flatnonzero(np.arange(len(pairs)) != idx)
+    rest_cov = segment_cov(lo, hi, len(delims), rest)[0]
     drop = np.asarray(cov) - rest_cov
     assert drop.tolist() == [int(lo[idx] <= j < hi[idx]) for j in range(len(cov))]
 

@@ -31,13 +31,11 @@ chr2\t6\t12
 
 def test_parse_plain():
     inst = parse_instance(PLAIN)
-    assert inst.fmt == "plain"
     assert inst.records == (Record(None, 0, 8), Record(None, 0, 2), Record(None, 2, 6))
 
 
 def test_parse_bed3():
     inst = parse_instance(BED)
-    assert inst.fmt == "bed3"
     assert inst.records[0] == Record("chr2", 5, 9)
     groups = inst.chromosomes()
     assert set(groups) == {"chr1", "chr2"}
@@ -54,17 +52,10 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 1"):
         parse_instance("1 2 3 4\n")
     with pytest.raises(ParseError, match="negative"):
-        parse_instance("chr1 -3 5\n", fmt="bed3")
-    with pytest.raises(ParseError):
-        parse_instance("chr1 4 5\n", fmt="plain")
-
-
-def test_explicit_format_wins():
-    # two integer columns are valid bed3 values but an invalid record count
-    inst = parse_instance("3 9\n", fmt="plain")
-    assert inst.fmt == "plain"
-    with pytest.raises(ParseError):
-        parse_instance("3 9\n", fmt="bed3")
+        parse_instance("chr1 -3 5\n")
+    # the first data line sets the field count for every line after it
+    with pytest.raises(ParseError, match="line 2: plain format needs 2 fields, got 3"):
+        parse_instance("3 9\nchr1 4 5\n")
 
 
 def test_generate_instance_deterministic():
@@ -85,14 +76,14 @@ def test_generate_instance_valid():
 
 
 def _outcome(parse):
-    """(fmt, records, each record's line as (offset, length) in the
-    input bytes) of a parse, or the type and message of its error;
+    """(records, each record's line as (offset, length) in the input
+    bytes) of a parse, or the type and message of its error;
     ParseError and UnicodeDecodeError are both ValueErrors."""
     try:
         inst = parse()
     except ValueError as exc:
         return type(exc), str(exc)
-    return inst.fmt, inst.records, list(zip(inst.line_at.tolist(), inst.line_len.tolist()))
+    return inst.records, list(zip(inst.line_at.tolist(), inst.line_len.tolist()))
 
 
 def _holds_a_dropped_form(text: str) -> bool:
@@ -163,49 +154,49 @@ def instance_bytes(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(instance_bytes(), st.sampled_from([None, None, "plain", "bed3"]))
-@example(b"chr1 0 5\n\n#chr1 0 5\nchr1 2 9\n", None)
-@example(b"# a comment\n0 5\n", None)
-@example(b"chr1 0 5\nchr1 0 5 chr1 6 9\n\n", None)  # 3 lines and 9 tokens, like 3 BED3 lines
-@example(b"0 5\r\n2 9\r\n3 7", None)
-@example(b"chr1\t0 5\nchr2  2\t9\n", None)
-@example(b"chr1 007 +9\nchr1 1_000 2000\n", None)
-@example("chr1 \u0663 9\n".encode(), None)
-@example(b"0 18446744073709551615\n0 18446744073709551616\n", None)
-@example(b"chr1 -1 5\n", None)
-@example(b"chr1 5 5\n", None)
-@example(b"0 5\n", "bed3")
-@example(b"chr1 0 5\n", "plain")
-@example(b"c\x0b0 5\n", None)
-@example(b"chr1 0 5\nchr\xff 0 5\n", None)
-@example(b"0 5\r2 9\n", None)  # a lone carriage return
-@example(b"0 5\r\n2 9\r", None)
-@example(b"0 18446744073709551615\n", None)
-@example(b"0 18446744073709551616\n", None)
-@example(b"0000000000000000000000005 0000000000000000000000009\n", None)
-@example(b"chr1 0 5\x00\n", None)
-@example(b"chr1\x000 5\n", None)
-@example(b"chr1 0 5\nchr1 2 9", None)  # no final newline
-@example(b"chr1 0 5\n\n \t\nchr2 2 9\n\n", None)  # blank lines between runs
-@example(b"chr1 0 5\nchr10 1 6\nchr1 2 7\nchr1 3 8\n", None)  # one name a prefix of another
-@example(b"chr2 0 5\nchr1 1 6\nchr2 2 7\n", None)  # a name recurs after another
-@example(SHUFFLED, None)
-@example(b"chr1 2 9 \t\r\n\tchr1 0 5\n", None)
-@example(b"chr1 +5 9\n", None)
-@example(b"# track name=reads\nchr1\t0\t5\nchr1\t2\t9\n", None)  # a '#' first line
-@example(b"chr1 0 5\n# chr2 follows\nchr2 1 6\n#\nchr1 2 7\n", None)  # '#' lines between runs
-@example(b"chr1 0 5\rchr1 2 9\r\rchr2 1 4\r", None)  # lone carriage returns alone
-@example(b"chr\xc2\xa0x 0 5\n", None)  # a name holding U+00A0
-@example(b"c#1 0 5\nc#1 2 9\n", None)
-@example(b"chr1 0 5\nchr1 9 2", None)  # a bad last line without a terminator
-@example(b"# \xff\xfe\nchr1 0 5\n", None)  # a comment that is not UTF-8
-@example(b"# only\n\n  # comments\n", None)
-@example(b"#c\x0b0 5\n", None)  # a comment that Python's splitlines breaks into two lines
-@example("#c\u20280 5\n".encode(), None)
+@given(instance_bytes())
+@example(b"chr1 0 5\n\n#chr1 0 5\nchr1 2 9\n")
+@example(b"# a comment\n0 5\n")
+@example(b"chr1 0 5\nchr1 0 5 chr1 6 9\n\n")  # 3 lines and 9 tokens, like 3 BED3 lines
+@example(b"0 5\r\n2 9\r\n3 7")
+@example(b"chr1\t0 5\nchr2  2\t9\n")
+@example(b"chr1 007 +9\nchr1 1_000 2000\n")
+@example("chr1 \u0663 9\n".encode())
+@example(b"0 18446744073709551615\n0 18446744073709551616\n")
+@example(b"chr1 -1 5\n")
+@example(b"chr1 5 5\n")
+@example(b"0 5\n")
+@example(b"chr1 0 5\n")
+@example(b"c\x0b0 5\n")
+@example(b"chr1 0 5\nchr\xff 0 5\n")
+@example(b"0 5\r2 9\n")  # a lone carriage return
+@example(b"0 5\r\n2 9\r")
+@example(b"0 18446744073709551615\n")
+@example(b"0 18446744073709551616\n")
+@example(b"0000000000000000000000005 0000000000000000000000009\n")
+@example(b"chr1 0 5\x00\n")
+@example(b"chr1\x000 5\n")
+@example(b"chr1 0 5\nchr1 2 9")  # no final newline
+@example(b"chr1 0 5\n\n \t\nchr2 2 9\n\n")  # blank lines between runs
+@example(b"chr1 0 5\nchr10 1 6\nchr1 2 7\nchr1 3 8\n")  # one name a prefix of another
+@example(b"chr2 0 5\nchr1 1 6\nchr2 2 7\n")  # a name recurs after another
+@example(SHUFFLED)
+@example(b"chr1 2 9 \t\r\n\tchr1 0 5\n")
+@example(b"chr1 +5 9\n")
+@example(b"# track name=reads\nchr1\t0\t5\nchr1\t2\t9\n")  # a '#' first line
+@example(b"chr1 0 5\n# chr2 follows\nchr2 1 6\n#\nchr1 2 7\n")  # '#' lines between runs
+@example(b"chr1 0 5\rchr1 2 9\r\rchr2 1 4\r")  # lone carriage returns alone
+@example(b"chr\xc2\xa0x 0 5\n")  # a name holding U+00A0
+@example(b"c#1 0 5\nc#1 2 9\n")
+@example(b"chr1 0 5\nchr1 9 2")  # a bad last line without a terminator
+@example(b"# \xff\xfe\nchr1 0 5\n")  # a comment that is not UTF-8
+@example(b"# only\n\n  # comments\n")
+@example(b"#c\x0b0 5\n")  # a comment that Python's splitlines breaks into two lines
+@example("#c\u20280 5\n".encode())
 # +0 and +5 among comments, CRLF and a non-ASCII name
-@example(b"# reads\n0 10\n+0 10\n\n 0 +10  \n2 8\r\n#0 10\n100 110", None)
-@example("#c\nchr\u00e9\t0\t10\nchr\u00e9 0 10\r\nchr1\t+5\t9\n".encode(), None)
-def test_bulk_parser_agrees_with_line_parser(data, fmt):
+@example(b"# reads\n0 10\n+0 10\n\n 0 +10  \n2 8\r\n#0 10\n100 110")
+@example("#c\nchr\u00e9\t0\t10\nchr\u00e9 0 10\r\nchr1\t+5\t9\n".encode())
+def test_bulk_parser_agrees_with_line_parser(data):
     """The reader against the reference `parse_lines`: (a) on inputs
     without a dropped form, the same instance or the same error; (b) a
     dropped form the reference accepts is a ParseError; (c) an input
@@ -214,17 +205,17 @@ def test_bulk_parser_agrees_with_line_parser(data, fmt):
         path = os.path.join(tmp, "reads")
         with open(path, "wb") as fh:
             fh.write(data)
-        got = _outcome(lambda: read_instance(path, fmt))
-    want = _outcome(lambda: parse_lines(data.decode("utf-8"), fmt))
+        got = _outcome(lambda: read_instance(path))
+    want = _outcome(lambda: parse_lines(data.decode("utf-8")))
     text = data.decode("utf-8", "surrogateescape")
     if not _holds_a_dropped_form(text):
         assert got == want
-    elif isinstance(want[0], str):
+    elif isinstance(want[0], tuple):
         assert got[0] is ParseError, (got, want)
-    if isinstance(got[0], str):
+    if isinstance(got[0], tuple):
         # a byte that is not UTF-8 can only be in a comment here: as '?', one byte
         # like it, it leaves every line's length
-        assert got == _outcome(lambda: parse_lines(re.sub("[\udc80-\udcff]", "?", text), fmt))
+        assert got == _outcome(lambda: parse_lines(re.sub("[\udc80-\udcff]", "?", text)))
 
 
 def test_lone_carriage_returns_end_lines(tmp_path, capsys):

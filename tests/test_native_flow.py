@@ -1,9 +1,11 @@
 """The compiled max-flow on a `Chain` against its Python reference
 `augment_python` on the same arrays, probe by probe from the warm start
 and along a descent that keeps its flow; both called directly on a path
-through every vertex and on the cut their last search leaves."""
+through every vertex and on the cut their last search leaves, and the
+compiled one refused a network of one vertex."""
 
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -69,7 +71,7 @@ def reference_descent(net, k, floors):
         else:
             res[2:2 * nb - 2:2] += last - t  # interior capacity rises
         last = t
-        yield t, res, augment_python(net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res,
+        yield t, res, augment_python(net.nv, net.first, net.adj, net.to, res,
                                      *np.empty((3, net.nv), np.int64))
 
 
@@ -126,8 +128,8 @@ def test_a_path_through_every_vertex(backend):
     res = warm_residual(net, 1, 1)
     scratch = np.full((3, net.nv + 1), -7, np.int64)  # a guard entry after each row
     parent_arc, stack, next_arc = (row[:net.nv] for row in scratch)
-    assert kernel(backend)(net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res,
-                           parent_arc, stack, next_arc) == 1
+    assert kernel(backend)(net.nv, net.first, net.adj, net.to, res, parent_arc, stack,
+                           next_arc) == 1
     assert (scratch[:, -1] == -7).all()
     if backend == "c":  # the reference reads its stack from a list
         assert stack.tolist() == list(range(net.nv))  # the path, source to sink
@@ -149,8 +151,7 @@ def test_the_last_search_marks_the_residual_reach(backend):
         net = build_network(s)
         res = warm_residual(net, k, rng.randint(1, k))
         parent_arc, stack, next_arc = np.empty((3, net.nv), np.int64)
-        kernel(backend)(net.nv, 0, net.nv - 1, net.first, net.adj, net.to, res,
-                        parent_arc, stack, next_arc)
+        kernel(backend)(net.nv, net.first, net.adj, net.to, res, parent_arc, stack, next_arc)
         graph = nx.DiGraph()
         graph.add_nodes_from(range(net.nv))
         live = np.flatnonzero(res > 0)  # residual arc a runs from to[a ^ 1] to to[a]
@@ -161,3 +162,22 @@ def test_the_last_search_marks_the_residual_reach(backend):
         assert net.nv - 1 not in reach
         infeasible += res[1] < k  # the flow on the source's arc is the value
     assert infeasible > 50
+
+
+def test_the_flow_runs_between_two_vertices():
+    """The source is vertex 0 and the sink vertex nv - 1.  At nv = 1 they
+    would be one vertex, found at once, and the path's last arc would be
+    read from the item two before `res`, here 5, which the flow never
+    used up: the module refuses nv = 1 before the kernel runs.  At nv = 2
+    without an arc no path exists, and the source alone is marked."""
+    lib = _native.load_library()
+    backing = array("q", [5, 0, 7])
+    res = memoryview(backing)[2:]
+    scratch = [array("q", [-9]) for _ in range(3)]
+    with pytest.raises(ValueError, match="count out of range"):
+        lib.covprune_max_flow(1, array("q", [0, 0]), array("q"), array("q"), res, *scratch)
+    assert backing.tolist() == [5, 0, 7] and [s.tolist() for s in scratch] == [[-9]] * 3
+    parent_arc, stack, next_arc = (array("q", [-9, -9]) for _ in range(3))
+    assert lib.covprune_max_flow(2, array("q", [0, 0, 0]), array("q"), array("q"), array("q"),
+                                 parent_arc, stack, next_arc) == 0
+    assert parent_arc.tolist() == [-2, -1]

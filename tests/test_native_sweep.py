@@ -122,17 +122,18 @@ def test_build_caches_one_library_by_hash(compiler, tmp_path):
 
 def test_a_fresh_build_removes_stale_libraries(compiler, tmp_path):
     """A fresh build removes the older builds of its own package directory
-    and the one-hash builds of earlier versions only, so that checkouts
-    sharing one cache do not rebuild in turn."""
+    only, so that checkouts sharing one cache do not rebuild in turn; any
+    other file whose name starts with covprune- survives it."""
     own = _native.library_name(compiler)
     stale = tmp_path / f"{_native._prefix()}0.so"  # this directory's, of older sources
-    old = tmp_path / "covprune-0123456789abcdef.so"  # an earlier version's, one hash
+    old = tmp_path / "covprune-0123456789abcdef.so"  # a name of one hash, not this directory's
     other = tmp_path / "covprune-00000000-0.so"  # another checkout's
     partial = tmp_path / "covprune-1.so.tmp"  # another process's build in progress
     for path in (stale, old, other, partial):
         path.write_bytes(b"")
     assert _native.build(tmp_path, compiler) is not None
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([own, other.name, partial.name])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([own, old.name, other.name,
+                                                                 partial.name])
     stale.write_bytes(b"")
     assert _native.build(tmp_path, compiler) is not None  # cached: removes nothing
     assert stale.exists()

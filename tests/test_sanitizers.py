@@ -3,11 +3,14 @@
 A child interpreter, with the ASan runtime preloaded and pymalloc off, so
 that ASan sees every small array too, builds the module with both
 sanitizers into its own cache, where `load_library` finds it.  It then
-makes one small run of each subcommand and the kernel calls at the edges
-of their buffers: the reading kernels', the approx sweep's, under
-either store, and those of the profile, the network layout, the recount
-and the split per chromosome, each checked against a list scan.  Any
-sanitizer report stops the child."""
+makes one small run of each subcommand, the reading kernels handed
+exact-size copies of the input, and the kernel calls at the edges of
+their buffers: the reading kernels', the approx sweep's, under either
+store, and those of the profile, the network layout, the max-flow, the
+recount, the split per chromosome and the small loops of `_arrays.c`,
+each checked against a list scan, and calls whose counts exceed a buffer
+by one, which the module refuses.  Any sanitizer report stops the
+child."""
 
 import os
 import subprocess
@@ -32,13 +35,6 @@ assert _native.build(cache, cc.split()) is not None, "the sanitized build failed
 # under the interpreter's own name, which load_library opens
 os.replace(os.path.join(cache, _native.library_name(cc.split())),
            os.path.join(cache, _native.library_name()))
-runs = [(["approx", bed, "--k", "1"], 0), (["solve", bed, "--k", "1"], 0),
-        (["solve", plain, "--k", "1"], 0), (["decide", bed, "--k", "1", "--t", "1"], 0),
-        (["decide", plain, "--k", "1", "--t", "1"], 1), (["stats", bed], 0),
-        (["approx", empty, "--k", "2"], 0)]
-for argv, code in runs:
-    assert main(argv + ["--stats", os.devnull] * (argv[0] != "stats")) == code, argv
-
 lib = _native.load_library()
 
 
@@ -50,11 +46,34 @@ def exact(data):
     return items
 
 
-# covprune_parse's count and info on data, detecting the format
+# the reading kernels, which the runs below reach through the module, take
+# the input as exact-size copies, so that a read past its end is reported
+parse_kernel, lines_kernel = lib.covprune_parse, lib.covprune_lines
+
+
+def exact_parse(data, *rest):
+    return parse_kernel(exact(data), *rest)
+
+
+def exact_lines(n, mask, line_at, line_len, size, data):
+    return lines_kernel(n, mask, line_at, line_len, size, exact(data))
+
+
+lib.covprune_parse, lib.covprune_lines = exact_parse, exact_lines
+runs = [(["approx", bed, "--k", "1"], 0), (["solve", bed, "--k", "1"], 0),
+        (["solve", plain, "--k", "1"], 0), (["decide", bed, "--k", "1", "--t", "1"], 0),
+        (["decide", plain, "--k", "1", "--t", "1"], 1), (["stats", bed], 0),
+        (["approx", empty, "--k", "2"], 0),
+        (["approx", plain, "--k", "3"], 0)]  # every read kept, the unterminated last line too
+for argv, code in runs:
+    assert main(argv + ["--stats", os.devnull] * (argv[0] != "stats")) == code, argv
+
+
+# covprune_parse's count and info on data
 def parse(data, slots=4):
     columns = [array("Q", [0]) * slots, array("Q", [0]) * slots, array("q", [0]) * (3 * slots),
                array("q", [0]) * 6, array("q", [0]) * slots, array("q", [0]) * slots]
-    n = lib.covprune_parse(exact(data), len(data), 0, slots, slots, *columns)
+    n = lib.covprune_parse(data, len(data), slots, slots, *columns)
     return n, columns[3].tolist()
 
 
@@ -68,15 +87,14 @@ assert parse(b"#\\xe2\\x80") == (0, [0] * 6) and parse(b"#\\xc2") == (0, [0] * 6
 # 64 data lines into record columns of exactly one slot each
 data, one = b"0 1\\n" * 64, lambda code: array(code, [0])
 try:
-    lib.covprune_parse(exact(data), len(data), 2, 1, 1, one("Q"), one("Q"), array("q", [0]) * 3,
+    lib.covprune_parse(data, len(data), 1, 1, one("Q"), one("Q"), array("q", [0]) * 3,
                        array("q", [0]) * 6, one("q"), one("q"))
     raise AssertionError("the reader wrote past its record columns")
 except ValueError:
     pass
 # the kept-line gather at n = 0 and n = 1, an unterminated line
-assert lib.covprune_lines(0, array("B"), array("q"), array("q"), 0, exact(b"")) == b""
-assert lib.covprune_lines(1, array("B", [1]), one("q"), array("q", [3]), 3,
-                          exact(b"0 1")) == b"0 1\\n"
+assert lib.covprune_lines(0, array("B"), array("q"), array("q"), 0, b"") == b""
+assert lib.covprune_lines(1, array("B", [1]), one("q"), array("q", [3]), 3, b"0 1") == b"0 1\\n"
 
 
 # int64 items at exactly their number
@@ -84,6 +102,18 @@ def ints(values):
     items = array("q", [0]) * len(values)
     items[:] = array("q", values)
     return items
+
+
+# a call the module or the kernel refuses, raising ValueError, before the
+# kernel writes anything: every buffer is left as it was
+def refused(kernel, *args):
+    before = [bytes(a) for a in args if isinstance(a, array)]
+    try:
+        kernel(*args)
+        raise AssertionError(f"{kernel.__name__} took {args}")
+    except ValueError:
+        pass
+    assert [bytes(a) for a in args if isinstance(a, array)] == before, kernel.__name__
 
 
 # the kept reads and (candidates, blocked, refilled) of the sweep's rule
@@ -135,12 +165,9 @@ assert sweep([4, 4, 4], [0, 0, 0], [3, 1, 2], 3) == ([1, 2], [3, 0, 2])
 assert sweep([top - 1, top], [0, 0], [1, 2], top - 2) == ([0], [2, 0, 1])
 assert sweep([top, top], [0, 0], [2, 1], top - 2) == ([], [2, 0, 0])
 assert sweep([top], [0], [1], 2**62) == ([0], [0, 0, 0])
-try:
-    lib.covprune_sweep(1, ints([0]), ints([1]), 1, ints([top + 1]), 1, 1, ints([0]),
-                       ints([0] * 4))
-    raise AssertionError("the flat store took a count beyond its int32 cells")
-except ValueError:
-    pass
+# a count beyond the flat store's int32 cells
+refused(lib.covprune_sweep, 1, ints([0]), ints([1]), 1, ints([top + 1]), 1, 1, ints([0]),
+        ints([0] * 4))
 # nseg at a power of 2, the tree's leaves filled up to its last, and one
 # past it; reads out of order, one over every segment and one over the
 # last, and at nseg 65 keys past one radix digit, so that two passes run
@@ -202,35 +229,28 @@ def network(m, lo, hi):
 network(2, [0], [1])  # n = 1, m = 2: one read over the one segment
 network(2, [], [])
 network(5, [0, 2, 1, 0, 3], [4, 3, 4, 1, 4])
+# reads off the chain, refused before any write
 for m, lo, hi in ((2, [0], [2]), (2, [-1], [1]), (3, [1], [1]), (4, [0, 2], [3, 4])):
     n = len(lo)
-    first, adj, to = (ints([-9] * size) for size in (m + 3, 2 * (m + 1 + n), 2 * (m + 1 + n)))
-    try:
-        lib.covprune_network(n, m, ints(lo), ints(hi), first, adj, to, ints([0] * (4 * m + 8 + n)))
-        raise AssertionError(f"the layout took a read off the chain: {lo} {hi} at m = {m}")
-    except ValueError:
-        pass
-    assert {*first, *adj, *to} == {-9}, "the layout wrote before it refused"
+    sizes = (m + 3, 2 * (m + 1 + n), 2 * (m + 1 + n), 4 * m + 8 + n)  # first, adj, to, scratch
+    refused(lib.covprune_network, n, m, ints(lo), ints(hi), *(ints([-9] * k) for k in sizes))
 
 
-# the recount of the reads idx (None: all) and its extremes, against a
-# count per segment
+# the recount of the reads idx and its extremes, against a count per segment
 def recount(idx, lo, hi, m):
     n = len(lo)
     cov, extremes = ints([7] * m), ints([7, 7])
-    assert lib.covprune_recount(n if idx is None else len(idx), None if idx is None else ints(idx),
-                                n, ints(lo), ints(hi), m, cov, extremes) == 0
-    want = [sum(lo[i] <= j < hi[i] for i in (range(n) if idx is None else idx))
-            for j in range(m - 1)]
+    assert lib.covprune_recount(len(idx), ints(idx), n, ints(lo), ints(hi), m, cov, extremes) == 0
+    want = [sum(lo[i] <= j < hi[i] for i in idx) for j in range(m - 1)]
     assert cov.tolist() == want + [0] * (m > 0), (cov, want)
     assert extremes.tolist() == ([min(want), max(want)] if want else [0, 0]), extremes
 
 
-recount(None, [], [], 1)  # m = 1: no segment
-recount(None, [0, 0], [1, 1], 2)
+recount([], [], [], 1)  # m = 1: no segment
+recount([0, 1], [0, 0], [1, 1], 2)
 recount([1], [0, 0], [1, 1], 2)
 recount([], [0], [1], 2)
-recount(None, [0, 2, 1], [3, 3, 2], 4)
+recount([0, 1, 2], [0, 2, 1], [3, 3, 2], 4)
 recount([0, 2], [0, 2, 1, 0], [1, 3, 3, 3], 4)  # a gap at segment 1
 
 
@@ -261,6 +281,153 @@ for run_at, run_code, n in (([0, 2], [0, 0], 2), ([0, 3], [0, 0], 2), ([1], [0],
     except ValueError:
         pass
     assert order.tolist() == [-9] * n
+
+
+# the positions where values holds want, against a list scan
+def select(values, want):
+    out = ints([-9] * len(values))
+    count = lib.covprune_select(len(values), ints(values), want, out)
+    assert out.tolist()[:count] == [j for j, v in enumerate(values) if v == want], (values, out)
+
+
+for values in ([], [3], [4], [4, 3, 3], [3, 3, 3], [1, 2, 3]):
+    select(values, 3)
+refused(lib.covprune_select, 3, ints([3, 3]), 3, ints([-9] * 3))
+refused(lib.covprune_select, 3, ints([3] * 3), 3, ints([-9] * 2))
+
+
+# the first read with start >= end, or -1, against a list scan
+def unordered(starts, ends):
+    got = lib.covprune_unordered(len(starts), u64(starts), u64(ends))
+    assert got == next((i for i, (a, b) in enumerate(zip(starts, ends)) if a >= b), -1), got
+
+
+for starts, ends in (([], []), ([0], [1]), ([1], [1]), ([0, 5, 2**64 - 2], [1, 6, 2**64 - 1]),
+                     ([0, 5, 9], [1, 6, 9]), ([2, 7, 9], [1, 6, 8])):
+    unordered(starts, ends)
+refused(lib.covprune_unordered, 2, u64([0]), u64([1, 2]))
+refused(lib.covprune_unordered, 2, u64([0, 1]), u64([1]))
+
+
+# the mask of map[idx[j]] for each j, against a list scan, the mask
+# coming in with a 2 that stays
+def scatter(idx, mapping, m):
+    mask = array("B", [0]) * m
+    mask[:] = array("B", [2] * (m > 0) + [0] * (m - 1))
+    assert lib.covprune_scatter(len(idx), ints(idx), len(mapping), ints(mapping), m, mask) == 0
+    want = [2] * (m > 0) + [0] * (m - 1)
+    for i in idx:
+        want[mapping[i]] = 1
+    assert mask.tolist() == want, mask
+
+
+scatter([], [], 0)
+scatter([0], [0], 1)
+scatter([0, 2], [3, 0, 4], 5)  # the last slot of each buffer
+scatter([1, 0, 1], [2, 0], 3)
+refused(lib.covprune_scatter, 2, ints([0]), 1, ints([0]), 1, array("B", [0]))
+refused(lib.covprune_scatter, 1, ints([1]), 2, ints([0]), 1, array("B", [0]))
+refused(lib.covprune_scatter, 1, ints([0]), 1, ints([1]), 2, array("B", [0]))
+refused(lib.covprune_scatter, 1, ints([1]), 1, ints([0]), 1, array("B", [0]))  # idx past map
+refused(lib.covprune_scatter, 1, ints([0]), 1, ints([1]), 1, array("B", [0]))  # map past mask
+
+
+# every other item of values raised by delta, n of them, values holding
+# exactly the 2n - 1 items the last one needs
+def add(values, n, delta):
+    items = ints(values)
+    lib.covprune_add(n, items, delta)
+    assert items.tolist() == [v + delta * (j % 2 == 0) for j, v in enumerate(values)], items
+
+
+add([], 0, 5)
+add([1], 1, -3)
+add([1, 2, 3, 4, 5], 3, 2**40)
+refused(lib.covprune_add, 3, ints([1] * 4), 1)
+refused(lib.covprune_add, -1, ints([1]), 1)
+refused(lib.covprune_add, -2**63, ints([1]), 1)
+
+
+# the max-flow from vertex 0 to vertex nv - 1 on a residual res, every
+# buffer at its exact size: its value against augmenting paths found by
+# breadth-first search, and the last search's marks against the vertices
+# the source reaches in the residual it leaves; returns the path count
+def max_flow(nv, first, adj, to, res):
+    after, scratch = ints(res), [ints([-9] * nv) for _ in range(3)]
+    count = lib.covprune_max_flow(nv, ints(first), ints(adj), ints(to), after, *scratch)
+    tail = [to[a ^ 1] for a in range(len(to))]
+
+    def search(r):
+        parent, queue = {0: None}, [0]
+        for u in queue:
+            for a in adj[first[u]:first[u + 1]]:
+                if r[a] > 0 and to[a] not in parent:
+                    parent[to[a]] = a
+                    queue.append(to[a])
+        return parent
+
+    r, value = list(res), 0
+    while nv - 1 in (parent := search(r)):
+        path, v = [], nv - 1
+        while v:
+            path.append(parent[v])
+            v = tail[parent[v]]
+        pushed = min(r[a] for a in path)
+        for a in path:
+            r[a] -= pushed
+            r[a ^ 1] += pushed
+        value += pushed
+    got = after.tolist()
+    assert sum(res[a] - got[a] for a in range(len(to)) if tail[a] == 0) == value, (got, value)
+    marks = {v for v, arc in enumerate(scratch[0]) if arc != -1}
+    assert marks == set(search(got)) and nv - 1 not in marks, (marks, got)
+    assert (count > 0) == (value > 0)
+    return count
+
+
+assert max_flow(2, [0, 0, 0], [], [], []) == 0  # no arc
+assert max_flow(2, [0, 1, 2], [0, 1], [1, 0], [3, 0]) == 1  # one arc, pushed whole
+# a chain 0 -> 1 -> ... -> nv - 1: the one path runs through every vertex
+for nv in (3, 9):
+    arcs = [(u, u + 1) for u in range(nv - 1)]
+    out = {u: [] for u in range(nv)}
+    for a, (u, v) in enumerate(arcs):
+        out[u].append(2 * a)
+        out[v].append(2 * a + 1)
+    adj = [a for u in range(nv) for a in sorted(out[u], key=lambda a: -(a % 2 == 0))]
+    first = [sum(len(out[w]) for w in range(u)) for u in range(nv + 1)]
+    to = [w for u, v in arcs for w in (v, u)]
+    assert max_flow(nv, first, adj, to, [2, 0] * (nv - 1)) == 1
+# chain networks at random floors: failing searches that mark every
+# vertex but those past a saturated cut
+for m, lo, hi in ((2, [0], [1]), (5, [0, 2, 1, 0, 3], [4, 3, 4, 1, 4]),
+                  (4, [0, 1, 1, 2, 0, 2], [2, 3, 2, 3, 1, 3])):
+    n, nv = len(lo), m + 2
+    first, adj, to = (ints([0] * size) for size in (nv + 1, 2 * (m + 1 + n), 2 * (m + 1 + n)))
+    assert lib.covprune_network(n, m, ints(lo), ints(hi), first, adj, to,
+                                ints([0] * (4 * nv + n))) == 0
+    for k in (1, 2, 3):
+        for t in range(k + 1):
+            nb = m + 1
+            res = [0] * len(to)
+            res[2 * nb::2] = [1] * n
+            res[1:2 * nb:2] = [k - t] * nb
+            res[0] = res[2 * nb - 2] = t
+            max_flow(nv, first.tolist(), adj.tolist(), to.tolist(), res)
+# each count exceeding its buffer by one: first, then adj, to and res on
+# a search that reads every arc, then the search scratch on one that
+# fills its stack; and one vertex, a source that is the sink
+scan = ([0, 2, 2], [0, 1], [1, 1], [0, 0])
+path = ([0, 1, 2], [0, 1], [1, 0], [1, 0])
+for nv, (first, adj, to, res), short in ((2, scan, 0), (2, scan, 1), (2, scan, 2), (2, scan, 3),
+                                         (2, path, 4), (2, path, 5), (2, path, 6)):
+    args = [first, adj, to, res, [-9] * nv, [-9] * nv, [-9] * nv]
+    args[short] = args[short][:-1]
+    refused(lib.covprune_max_flow, nv, *map(ints, args))
+behind = ints([0, 0, 7])
+refused(lib.covprune_max_flow, 1, ints([0, 0]), ints([]), ints([]), memoryview(behind)[2:],
+        *(ints([-9]) for _ in range(3)))
+
 print("clean")
 """
 

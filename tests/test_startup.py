@@ -111,7 +111,7 @@ def test_a_cached_run_imports_only_what_it_uses(cached, tmp_path):
     result tuples or the stats lines' `json` once pulled in."""
     path = tmp_path / "reads.bed"
     path.write_text("chr1\t0\t4\nchr1\t0\t4\nchr2\t4\t6\nchr1\t4\t6\n")
-    runs = [[command, "--format", "bed3", str(path), *(f"--{name}=1" for name in names),
+    runs = [[command, str(path), *(f"--{name}=1" for name in names),
              "--stats", os.devnull] for command, (_, _, names) in COMMANDS.items()]
     lines = child("import sys\nfrom covprune.cli import main\n"
                   f"codes = [main(argv) for argv in {runs!r}]\n"
