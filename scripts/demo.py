@@ -6,9 +6,10 @@ by descending from the bound min(k, mincov), and the approximate pruning
 result, so the whole pipeline can be eyeballed in one screen.
 """
 
+from array import array
+
 from covprune import (IntervalSet, build_network, decide, solve_exact, approx_prune,
-                      brute_force_opt)
-from covprune.flow import Chain
+                      brute_force_opt, max_flow_augmenting)
 
 READS = [(0, 8), (0, 2), (2, 6), (1, 3), (1, 10), (4, 10)]
 K = 3
@@ -35,11 +36,14 @@ def main():
     print(f"    adj   = {net.adj.tolist()}")
 
     t = 1
-    print(f"\nat k={K}, t={t} the residual gives the end arcs capacity {K}, "
-          f"the interior {K - t}, each interval 1")
-    warm = Chain(s, K).max_flow(t)
+    print(f"\nat k={K}, t={t} the end arcs have capacity {K}, the interior {K - t}, "
+          f"each interval 1")
+    start = array("q", [K - t]) * net.num_backbone_arcs + array("q", [0]) * len(READS)
+    warm = max_flow_augmenting(net, K, t, start)
     print(f"  max-flow value {warm.value} ({warm.augmentations} augmentations from the "
           f"backbone flow {K - t})")
+    print(f"  flow per backbone arc: {warm.backbone_flow.tolist()}")
+    print(f"  flow per interval arc: {warm.interval_flow.tolist()}")
 
     sol = decide(s, K, t)
     kept = "".join(names[i] for i in sol.kept)

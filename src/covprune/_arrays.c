@@ -143,11 +143,3 @@ static int64_t covprune_lines(int64_t n, const uint8_t *mask, const int64_t *lin
     }
     return total;
 }
-
-/* values[2j] += delta for j < n: every other item of the buffer, the
- * forward residuals of a run of arcs, raised by one amount. */
-static void covprune_add(int64_t n, int64_t *values, int64_t delta)
-{
-    for (int64_t j = 0; j < n; j++)
-        values[2 * j] += delta;
-}

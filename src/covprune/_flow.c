@@ -3,31 +3,53 @@
  * file), and the augmenting-path max-flow that flow.max_flow_augmenting
  * calls.
  *
- * tests/reference_kernels.py holds the line-for-line Python reference
- * of the max-flow on the same arrays: the same paired arcs (2a forward,
- * 2a+1 reverse), the same adjacency order, the same first-found
- * depth-first path, hence the same flow and the same augmentation
- * count.  The adjacency comes in CSR form: the arcs leaving vertex u are
- * adj[first[u]..first[u+1]), listed by falling head, so the search tries
- * the arc that reaches farthest along the chain first.
- * The layout checks every read's range before it writes anything.
+ * The max-flow holds one int64 flow per logical arc, nothing else: an
+ * arc's capacity follows from (k, t) and its index, and its two residual
+ * arcs, 2a along logical arc a and 2a+1 against it, from the capacity
+ * and the flow.  tests/reference_kernels.py holds the line-for-line
+ * Python reference of the max-flow on the same arrays: the same
+ * adjacency order, the same first-found depth-first path, hence the same
+ * flow and the same augmentation count.  The adjacency comes in CSR
+ * form: the arcs leaving vertex u are adj[first[u]..first[u+1]), listed
+ * by falling head, so the search tries the arc that reaches farthest
+ * along the chain first.
+ * The layout checks every read's range before it writes anything; the
+ * search checks each index it follows as it reads it.
  */
 
 #include <stdint.h>
 #include <string.h>
 
+/* The residual capacity of residual arc r in the (k, t) chain network on
+ * nv vertices carrying flow: logical arc a = r / 2 below nv - 1 is
+ * backbone arc a, of capacity k at the two ends and k - t inside, and
+ * the rest are reads, of capacity 1.  Arc 2a has the capacity left, arc
+ * 2a + 1 the flow, which it can cancel. */
+static inline int64_t residual(int64_t r, int64_t nv, int64_t k, int64_t t, const int64_t *flow)
+{
+    int64_t a = r >> 1;
+    if (r & 1)
+        return flow[a];
+    if (a >= nv - 1)
+        return 1 - flow[a];
+    return (a == 0 || a == nv - 2 ? k : k - t) - flow[a];
+}
+
 /* One depth-first augmenting path from the source, vertex 0, to the
  * sink, vertex nv - 1; returns the amount pushed, 0 when the sink cannot
- * be reached.  stack holds the path being grown and next_arc each
- * vertex's next untried arc.  A vertex is marked in parent_arc when it
- * is pushed and never pushed again, so the stack stays within nv
+ * be reached, and -1 when an index it follows leaves its buffer: a
+ * vertex's arc range outside [0, first[nv]], an arc at or past first[nv]
+ * or a head at or past nv (each compared unsigned, so that a negative
+ * one is refused too).  stack holds the path being grown and next_arc
+ * each vertex's next untried arc.  A vertex is marked in parent_arc when
+ * it is pushed and never pushed again, so the stack stays within nv
  * entries, and a failing search leaves marked exactly the vertices
  * reachable from the source. */
 static int64_t dfs_augment(int64_t nv, const int64_t *first, const int64_t *adj,
-                           const int64_t *to, int64_t *res, int64_t *parent_arc, int64_t *stack,
-                           int64_t *next_arc)
+                           const int64_t *to, int64_t k, int64_t t, int64_t *flow,
+                           int64_t *parent_arc, int64_t *stack, int64_t *next_arc)
 {
-    int64_t sink = nv - 1;
+    int64_t sink = nv - 1, arcs = first[nv];
     for (int64_t v = 0; v < nv; v++)
         parent_arc[v] = -1;
     parent_arc[0] = -2;
@@ -36,8 +58,15 @@ static int64_t dfs_augment(int64_t nv, const int64_t *first, const int64_t *adj,
     next_arc[0] = first[0];
     while (depth >= 0 && parent_arc[sink] == -1) {
         int64_t u = stack[depth], p = next_arc[u], end = first[u + 1];
-        while (p < end && (parent_arc[to[adj[p]]] != -1 || res[adj[p]] <= 0))
-            p++;
+        if (p < 0 || p > end || end > arcs)
+            return -1;
+        for (; p < end; p++) {
+            int64_t a = adj[p];
+            if ((uint64_t)a >= (uint64_t)arcs || (uint64_t)to[a] >= (uint64_t)nv)
+                return -1;
+            if (parent_arc[to[a]] == -1 && residual(a, nv, k, t, flow) > 0)
+                break;
+        }
         if (p == end) {
             depth--; /* every arc of u tried: back up */
         } else {
@@ -52,31 +81,37 @@ static int64_t dfs_augment(int64_t nv, const int64_t *first, const int64_t *adj,
         return 0;
 
     /* the stack runs from the source to the sink: it is the path */
-    int64_t bottleneck = res[parent_arc[sink]];
-    for (int64_t i = 1; i < depth; i++)
-        if (res[parent_arc[stack[i]]] < bottleneck)
-            bottleneck = res[parent_arc[stack[i]]];
+    int64_t bottleneck = residual(parent_arc[sink], nv, k, t, flow);
+    for (int64_t i = 1; i < depth; i++) {
+        int64_t left = residual(parent_arc[stack[i]], nv, k, t, flow);
+        if (left < bottleneck)
+            bottleneck = left;
+    }
     for (int64_t i = 1; i <= depth; i++) {
         int64_t a = parent_arc[stack[i]];
-        res[a] -= bottleneck;
-        res[a ^ 1] += bottleneck;
+        flow[a >> 1] += a & 1 ? -bottleneck : bottleneck;
     }
     return bottleneck;
 }
 
-/* Augment the feasible flow held in the residual capacities res (one
- * per arc) from vertex 0 to vertex nv - 1, nv >= 2, to a maximum flow,
- * in place; returns the number of augmenting paths.  parent_arc, stack
- * and next_arc are scratch space of nv entries each; parent_arc is left
+/* Augment the feasible flow of the (k, t) network, one item per logical
+ * arc, first[nv] / 2 of them, from vertex 0 to vertex nv - 1, nv >= 2,
+ * to a maximum flow, in place; returns the number of augmenting paths,
+ * or -1 when the search meets an index out of bounds or the paths
+ * exceed k, which no chain network reaches: the source's one arc has
+ * capacity k, and each path adds at least 1.  parent_arc, stack and
+ * next_arc are scratch space of nv entries each; parent_arc is left
  * holding the last, failing search's marks. */
 static int64_t covprune_max_flow(int64_t nv, const int64_t *first, const int64_t *adj,
-                                 const int64_t *to, int64_t *res, int64_t *parent_arc,
-                                 int64_t *stack, int64_t *next_arc)
+                                 const int64_t *to, int64_t k, int64_t t, int64_t *flow,
+                                 int64_t *parent_arc, int64_t *stack, int64_t *next_arc)
 {
-    int64_t augmentations = 0;
-    while (dfs_augment(nv, first, adj, to, res, parent_arc, stack, next_arc) > 0)
-        augmentations++;
-    return augmentations;
+    int64_t augmentations = 0, pushed;
+    while ((pushed = dfs_augment(nv, first, adj, to, k, t, flow, parent_arc, stack,
+                                 next_arc)) > 0)
+        if (++augmentations > k)
+            return -1;
+    return pushed < 0 ? -1 : augmentations;
 }
 
 /* The chain network that flow.build_network lays out: writes each arc's

@@ -36,9 +36,9 @@
 
 #define MAX_ARGS 11
 
-/* what a kernel's result means: nothing, a value, a status that is an
- * error when negative, or parse's record count, an error below -2 */
-enum { NONE, VALUE, STATUS, RECORDS };
+/* what a kernel's result means: a value, a status that is an error when
+ * negative, or parse's record count, an error below -2 */
+enum { VALUE, STATUS, RECORDS };
 
 typedef union {
     int64_t n;
@@ -191,8 +191,6 @@ static int64_t sweep(const Arg *a, int64_t *s)
         if (!fit)                                                                             \
             return PyErr_Format(PyExc_ValueError, "covprune_" #name ": a count out of range " \
                                 "or a buffer shorter than the counts imply");                 \
-        if (kind == NONE)                                                                     \
-            Py_RETURN_NONE;                                                                   \
         if ((kind == STATUS && result < 0) || (kind == RECORDS && result < -2))               \
             return PyErr_Format(PyExc_ValueError,                                             \
                                 "covprune_" #name ": an index or a value out of bounds");     \
@@ -218,13 +216,15 @@ KERNEL(network, "nnqq q!q!q!q!", HOLDS(2, INT(0)) && HOLDS(3, INT(0))
        && holds(&views[7], INT(1) + 2, 4, INT(0)), STATUS, 0,
        result = covprune_network(INT(0), INT(1), I64(2), I64(3), I64(4), I64(5), I64(6),
                                  I64(7)))
-/* a source and a sink apart, and adj, to and res an entry per residual
- * arc, first[nv] of them */
-KERNEL(max_flow, "nqqq q!q!q!q!", INT(0) >= 2 && holds(&views[1], INT(0), 1, 1)
-       && HOLDS(2, I64(1)[INT(0)]) && HOLDS(3, I64(1)[INT(0)]) && HOLDS(4, I64(1)[INT(0)])
-       && HOLDS(5, INT(0)) && HOLDS(6, INT(0)) && HOLDS(7, INT(0)), VALUE, 0,
-       result = covprune_max_flow(INT(0), I64(1), I64(2), I64(3), I64(4), I64(5), I64(6),
-                                  I64(7)))
+/* a source and a sink apart, arcs in pairs, adj and to an entry per
+ * residual arc, first[nv] of them, flow one per pair, and 0 <= t <= k
+ * with k >= 1 */
+KERNEL(max_flow, "nqqqnn q!q!q!q!", INT(0) >= 2 && holds(&views[1], INT(0), 1, 1)
+       && I64(1)[INT(0)] % 2 == 0 && HOLDS(2, I64(1)[INT(0)]) && HOLDS(3, I64(1)[INT(0)])
+       && INT(4) >= 1 && INT(5) >= 0 && INT(5) <= INT(4) && HOLDS(6, I64(1)[INT(0)] / 2)
+       && HOLDS(7, INT(0)) && HOLDS(8, INT(0)) && HOLDS(9, INT(0)), STATUS, 0,
+       result = covprune_max_flow(INT(0), I64(1), I64(2), I64(3), INT(4), INT(5), I64(6),
+                                  I64(7), I64(8), I64(9)))
 KERNEL(select, "nqn q!", HOLDS(1, INT(0)) && HOLDS(3, INT(0)), VALUE, 0,
        result = covprune_select(INT(0), I64(1), INT(2), I64(3)))
 KERNEL(unordered, "nQQ", HOLDS(1, INT(0)) && HOLDS(2, INT(0)), VALUE, 0,
@@ -239,10 +239,6 @@ KERNEL(group, "nqqnnQQ q!q!Q!Q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(
                                I64(8), U64(9), U64(10)))
 KERNEL(scatter, "nqnqn B!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(5, INT(4)), STATUS,
        0, result = covprune_scatter(INT(0), I64(1), INT(2), I64(3), INT(4), U8(5)))
-/* the last of n items two apart lies 2(n - 1) items on */
-KERNEL(add, "nq!n", INT(0) == 0 || (INT(0) > 0 && holds(&views[1], INT(0) - 1, 2, 1)), NONE, 0,
-       covprune_add(INT(0), I64(1), INT(2)))
-
 /* covprune_lines(n, mask, line_at, line_len, size, data): the lines the
  * mask marks, counted, then copied into a new bytearray of that size */
 static PyObject *py_lines(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -272,7 +268,7 @@ static PyObject *py_lines(PyObject *self, PyObject *const *args, Py_ssize_t narg
 static PyMethodDef methods[] = {
     ENTRY(parse),  ENTRY(profile), ENTRY(sweep),     ENTRY(network), ENTRY(max_flow),
     ENTRY(select), ENTRY(recount), ENTRY(unordered), ENTRY(group),   ENTRY(scatter),
-    ENTRY(lines),  ENTRY(add),
+    ENTRY(lines),
     {NULL, NULL, 0, NULL},
 };
 

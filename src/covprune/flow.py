@@ -11,11 +11,12 @@ carry flow 1: an interior backbone arc then carries k minus the kept
 coverage of its segment, so its capacity k - t forces coverage >= t.
 
 `build_network` lays the network out in int64 buffers once per interval
-set, by `covprune_network` (`_flow.c`, loaded by `_native`); the capacities,
-and so k and t, live only in the residual a `Chain` holds.
-`max_flow_augmenting` augments it along depth-first paths that try the
-farthest-reaching arc first, by `covprune_max_flow`.  `decide` runs the
-exact search (`search.descend`) at its one floor t.
+set, by `covprune_network` (`_flow.c`, loaded by `_native`); it holds no
+capacity, since each follows from (k, t) and the arc's index.
+`max_flow_augmenting` takes a flow, one int64 per arc, and augments it at
+(k, t) along depth-first paths that try the farthest-reaching arc first,
+by `covprune_max_flow`.  `decide` runs the exact search
+(`search.descend`) at its one floor t.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class FlowNetwork(namedtuple("FlowNetwork", "nv num_backbone_arcs first adj to")
     the interval arcs in input order.  Arc a ends at `to[a]`, and the
     arcs leaving vertex u are `adj[first[u]:first[u + 1]]`, by falling
     head, parallel arcs in construction order.  The arrays are read-only
-    int64 buffers.
+    int64 buffers.  At (k, t) a backbone arc has capacity k at the two
+    ends of the chain and k - t inside, and an interval arc 1.
     """
 
     __slots__ = ()
@@ -90,63 +92,17 @@ def build_network(intervals: IntervalSet) -> FlowNetwork:
     return FlowNetwork(nv, m + 1, *(memoryview(a).toreadonly() for a in (first, adj, to)))
 
 
-def max_flow_augmenting(net: FlowNetwork, res) -> FlowAssignment:
-    """Augment the feasible flow held in the residual capacities `res`
-    (one per residual arc of `net`, an int64 `array.array`) to a maximum
-    flow, in place, by depth-first augmenting paths.  The returned assignment
+def max_flow_augmenting(net: FlowNetwork, k: int, t: int, flow) -> FlowAssignment:
+    """Augment the feasible flow `flow` of the (k, t) network `net`, one
+    int64 per logical arc in an `array.array`, to a maximum flow, in
+    place, by depth-first augmenting paths.  The returned assignment
     records how many paths were needed."""
     # scratch for the search: parent_arc, stack and next_arc
     augmentations = _native.load_library().covprune_max_flow(
-        net.nv, net.first, net.adj, net.to, res, *(zeros("q", net.nv) for _ in range(3)))
+        net.nv, net.first, net.adj, net.to, k, t, flow, *(zeros("q", net.nv) for _ in range(3)))
     nb = net.num_backbone_arcs
-    # copies: the next, lower floor goes on augmenting `res`
-    return FlowAssignment(res[1:2 * nb:2], res[2 * nb + 1::2], augmentations)
-
-
-class Chain:
-    """The reduction network of one interval set at cap k, built once and
-    then probed at falling floors t, each probe augmenting the flow the
-    last one left.
-
-    A maximum flow at floor t stays feasible at any lower floor, since
-    lowering t only raises the interior backbone capacities from k - t.
-    The first probe starts from the backbone flow of value k - t, which
-    saturates the interior and leaves at most t units to find.
-    """
-
-    def __init__(self, intervals: IntervalSet, k: int):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self.net = build_network(intervals)
-        self.t: int | None = None  # floor of the flow held, None before a probe
-        self.first_t = self.augmentations = 0  # of the whole descent
-
-    def max_flow(self, t: int) -> FlowAssignment:
-        """The maximum flow of the (k, t) network, augmented from the flow
-        of the previous, higher floor, or on the first call from the
-        backbone flow.  Its `augmentations` counts this call's paths."""
-        k, nb = self.k, self.net.num_backbone_arcs
-        if not 0 <= t <= k:
-            raise ValueError(f"t must be in [0, k], got t={t} k={k}")
-        if self.t is None:
-            self.first_t = t
-            self.res = res = zeros("q", len(self.net.to))
-            res[2 * nb::2] = array("q", [1]) * (len(res) // 2 - nb)  # interval arcs: capacity 1
-            res[0] = res[2 * nb - 2] = t  # backbone flow k - t: t left at the ends, 0 inside
-            res[1:2 * nb:2] = array("q", [k - t]) * nb
-        elif t > self.t:
-            raise ValueError(f"the floor may only fall: t={t} after t={self.t}")
-        else:  # interior capacity rises
-            _native.load_library().covprune_add(nb - 2, memoryview(self.res)[2:], self.t - t)
-        flow = max_flow_augmenting(self.net, self.res)
-        self.t = t
-        self.augmentations += flow.augmentations
-        # the value starts at k - first_t, and each path adds at least 1
-        if self.augmentations > self.first_t:
-            raise AssertionError(f"{self.augmentations} augmentations "
-                                 f"from the start at t={self.first_t}")
-        return flow
+    # copies: the next, lower floor goes on augmenting `flow`
+    return FlowAssignment(flow[:nb], flow[nb:], augmentations)
 
 
 def decide(intervals: IntervalSet, k: int, t: int) -> Solution | None:
@@ -154,8 +110,8 @@ def decide(intervals: IntervalSet, k: int, t: int) -> Solution | None:
 
     Returns None when no such subset exists (a normal outcome, not an
     error).  This is the descent of `search.descend` over the one floor
-    t: the solver begins from the backbone flow of value k - t on a
-    `Chain` and needs at most t augmentations.
+    t: the solver begins from the backbone flow of value k - t and needs
+    at most t augmentations.
     """
     from .search import descend  # search builds on this module
     return descend(intervals, k, t, {"flow_solves": 0, "augmentations": 0, "native_flow": 0})

@@ -4,19 +4,21 @@ maxcov <= k exists, found by descending from the bound min(k, mincov).
 No subset beats either bound: removing intervals never raises coverage,
 and a feasible answer has maxcov <= k.  Feasibility is monotone in t, so
 the first feasible floor on the way down is the optimum.  The chain
-network is built once per interval set (`flow.Chain`) and keeps its flow
-from one floor to the next, because a maximum flow at t is still
-feasible at t - 1.  The flow value starts at k - bound and each
-augmenting path raises it, so the whole descent costs at most `bound`
-augmentations, run in C (`covprune_max_flow`).  Only the witness is
-scored.  `descend` is the one body of both exact entry points:
-`solve_exact` runs it over every floor from the bound down, and
-`flow.decide` over its one floor t.
+network is built once per interval set and one flow is carried from one
+floor to the next, because a maximum flow at t is still feasible at
+t - 1.  The flow value starts at k - bound and each augmenting path
+raises it, so the whole descent costs at most `bound` augmentations,
+run in C (`covprune_max_flow`).  Only the witness is scored.  `descend`
+is the one body of both exact entry points: `solve_exact` runs it over
+every floor from the bound down, and `flow.decide` over its one floor t.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from . import flow
+from ._native import zeros
 from .intervals import IntervalSet
 from .solution import Solution, score_subset
 
@@ -39,11 +41,11 @@ def descend(intervals: IntervalSet, k: int, t: int | None,
     """The answer at the floor t, or with t None at every floor from the
     bound min(k, mincov) down until one holds; None when t does not hold.
 
-    The floors run on one `Chain`, each probe counted in `work` (and in
-    its `probes`, when it has that counter).  An empty set holds every
-    floor, and an input already under the cap keeps every read.  At
-    floor 0 every subset under the cap qualifies, and the answer is
-    approx's kept set, which keeps a read wherever the cap allows.
+    The floors run on one network and one flow, each probe counted in
+    `work` (and in its `probes`, when it has that counter).  An empty set
+    holds every floor, and an input already under the cap keeps every
+    read.  At floor 0 every subset under the cap qualifies, and the answer
+    is approx's kept set, which keeps a read wherever the cap allows.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -54,19 +56,26 @@ def descend(intervals: IntervalSet, k: int, t: int | None,
     if floors and top <= k:
         # removals never help, and k >= 2**63 stays out of int64 capacities
         return score_subset(intervals, None, k, METHOD, work)
-    chain = None
+    net = None
     for floor in floors:
         if floor == 0:
             # the warm start's witness is empty: approx's kept set, already scored, stands
             from .approx import approx_prune
             return approx_prune(intervals, k)._replace(method=METHOD, work=dict(work))
-        chain = chain or flow.Chain(intervals, k)
-        result = chain.max_flow(floor)
+        if net is None:
+            # the warm start: backbone flow k - floor saturates the interior
+            net = flow.build_network(intervals)
+            held = array("q", [k - floor]) * net.num_backbone_arcs + zeros("q", len(intervals))
+        result = flow.max_flow_augmenting(net, k, floor, held)
         work["flow_solves"] += 1
         work["augmentations"] += result.augmentations
         work["native_flow"] = 1
         if "probes" in work:
             work["probes"] += 1
+        # the value starts at k - floors[0], and each path adds at least 1
+        if work["augmentations"] > floors[0]:
+            raise AssertionError(f"{work['augmentations']} augmentations "
+                                 f"from the start at t={floors[0]}")
         if result.value == k:
             return score_subset(intervals, result.kept, k, METHOD, work)
     return None

@@ -10,14 +10,16 @@ min, max and sum;
 the counts of `covprune_sweep` (`_sweep.c`) under its tree store and
 its flat one, over `CoverageTree` and over a list, visiting the reads in
 the order they are given where the kernel sorts them itself;
-`augment_python` the flow, the last
-search's marks and the path count of `covprune_max_flow` (`_flow.c`),
-line for line; `cold_max_flow` and `cold_decide` the maximum flow, and
-the answer, of a `flow.Chain`'s first probe, from zero flow in place of
-the backbone flow; and `parse_lines` the instance, or the error, of
-`covprune_parse` (`_parse.c`) as `io.parse_instance` reads it, from
-`str.splitlines`, `str.split` and `int` on the decoded text: the line
-parser covprune read with before its one compiled reader.
+`augment_python` the flow, the last search's marks and the path count
+of `covprune_max_flow` (`_flow.c`), line for line but for the index
+checks, which Python's own indexing stands in for, and `residual` its
+capacities; `cold_max_flow` and `cold_decide` the maximum flow, and the
+answer, of the exact search's first probe, from zero flow in place of
+the backbone flow, and `warm_max_flow` that probe's flow itself; and
+`parse_lines` the instance, or the error, of `covprune_parse`
+(`_parse.c`) as `io.parse_instance` reads it, from `str.splitlines`,
+`str.split` and `int` on the decoded text: the line parser covprune read
+with before its one compiled reader.
 """
 
 from array import array
@@ -133,19 +135,32 @@ def flat_python(order, lo, hi, cov, k: int):
     return deleted, (scanned, candidates, blocked, refilled)
 
 
-def augment_python(nv, first, adj, to, res, parent_arc, stack, next_arc) -> int:
+def augment_python(nv, first, adj, to, k, t, flow, parent_arc, stack, next_arc) -> int:
     """`covprune_max_flow` line for line, run on lists read from the same
     arrays, since indexing a list is many times faster than indexing
-    numpy; `res` and `parent_arc` get the final lists back."""
-    lists = [a.tolist() for a in (first, adj, to, res, parent_arc, stack, next_arc)]
+    numpy; `flow` and `parent_arc` get the final lists back."""
+    lists = [a.tolist() for a in (first, adj, to, flow, parent_arc, stack, next_arc)]
     augmentations = 0
-    while dfs_augment(nv, *lists) > 0:
+    while dfs_augment(nv, k, t, *lists) > 0:
         augmentations += 1
-    res[:], parent_arc[:] = lists[3], lists[4]
+    flow[:], parent_arc[:] = lists[3], lists[4]
     return augmentations
 
 
-def dfs_augment(nv, first, adj, to, res, parent_arc, stack, next_arc) -> int:
+def residual(r, nv, k, t, flow) -> int:
+    """The residual capacity of residual arc r in the (k, t) chain network
+    on nv vertices: arc 2a has logical arc a's capacity less its flow
+    (k on the two end backbone arcs, k - t on the interior ones, 1 on a
+    read's arc), arc 2a + 1 the flow."""
+    a = r >> 1
+    if r & 1:
+        return flow[a]
+    if a >= nv - 1:
+        return 1 - flow[a]
+    return (k if a in (0, nv - 2) else k - t) - flow[a]
+
+
+def dfs_augment(nv, k, t, first, adj, to, flow, parent_arc, stack, next_arc) -> int:
     """One depth-first augmenting path from the source, vertex 0, to the
     sink, vertex nv - 1; returns the amount pushed, 0 when the sink cannot
     be reached.  A failing search leaves marked in `parent_arc` exactly
@@ -159,7 +174,8 @@ def dfs_augment(nv, first, adj, to, res, parent_arc, stack, next_arc) -> int:
     while depth >= 0 and parent_arc[sink] == -1:
         u = stack[depth]
         p, end = next_arc[u], first[u + 1]
-        while p < end and (parent_arc[to[adj[p]]] != -1 or res[adj[p]] <= 0):
+        while p < end and (parent_arc[to[adj[p]]] != -1
+                           or residual(adj[p], nv, k, t, flow) <= 0):
             p += 1
         if p == end:
             depth -= 1  # every arc of u tried: back up
@@ -175,30 +191,29 @@ def dfs_augment(nv, first, adj, to, res, parent_arc, stack, next_arc) -> int:
         return 0
 
     path = [parent_arc[v] for v in stack[1:depth + 1]]  # the stack runs source to sink
-    bottleneck = min(res[a] for a in path)
+    bottleneck = min(residual(a, nv, k, t, flow) for a in path)
     for a in path:
-        res[a] -= bottleneck
-        res[a ^ 1] += bottleneck
+        flow[a >> 1] += -bottleneck if a & 1 else bottleneck
     return bottleneck
 
 
 def cold_max_flow(intervals, k: int, t: int) -> FlowAssignment:
     """The maximum flow of the (k, t) network of `intervals`, augmented
-    by `flow.max_flow_augmenting` from zero flow: a residual at capacity,
-    k on the two end backbone arcs, k - t on the interior ones and 1 on
-    each interval arc."""
-    if not 0 <= t <= k:
-        raise ValueError(f"t must be in [0, k], got t={t} k={k}")
+    by `flow.max_flow_augmenting` from zero flow."""
     net = flow.build_network(intervals)
-    nb = net.num_backbone_arcs
-    res = array("q", [0]) * len(net.to)
-    res[0:2 * nb:2] = array("q", [k - t]) * nb
-    res[0] = res[2 * nb - 2] = k
-    res[2 * nb::2] = array("q", [1]) * (len(res) // 2 - nb)
-    result = flow.max_flow_augmenting(net, res)
+    result = flow.max_flow_augmenting(net, k, t, array("q", [0]) * (len(net.to) // 2))
     # each path adds at least 1 to a value that starts at 0
     assert result.augmentations <= k, result.augmentations
     return result
+
+
+def warm_max_flow(intervals, k: int, t: int) -> FlowAssignment:
+    """The maximum flow of the (k, t) network of `intervals` from the exact
+    search's start at floor t: k - t on each backbone arc, none on the
+    reads."""
+    net = flow.build_network(intervals)
+    start = array("q", [k - t]) * net.num_backbone_arcs + array("q", [0]) * len(intervals)
+    return flow.max_flow_augmenting(net, k, t, start)
 
 
 def cold_decide(intervals, k: int, t: int) -> Solution | None:

@@ -7,18 +7,19 @@ comparisons except the two wall-clock budgets in the performance smoke.
 import math
 import random
 import time
+from array import array
 
 import numpy as np
 
 from covprune import (IntervalSet, decide, solve_exact, approx_prune,
                       brute_force_opt, build_tree)
-from covprune.flow import Chain
+from covprune.flow import build_network, max_flow_augmenting
 from covprune.intervals import segment_cov
 
 from conftest import (clipped_instance, count_cover, generate_instance, iset, maxcov,
                       mincov_over, naive_range_min_max, pairs_of, random_instance,
                       segment_values, subset)
-from reference_kernels import cold_decide, cold_max_flow
+from reference_kernels import cold_decide, cold_max_flow, warm_max_flow
 
 DEMO = iset([(0, 8), (0, 2), (2, 6), (1, 3), (1, 10), (4, 10)])
 
@@ -68,7 +69,7 @@ def test_criterion_3_engine_agreement_and_augmentation_bound():
             cold = cold_decide(s, k, t)
             warm = decide(s, k, t)
             assert (cold is None) == (warm is None)
-            flow = Chain(s, k).max_flow(t)
+            flow = warm_max_flow(s, k, t)
             assert flow.augmentations <= t
     ok("3 engine agreement on 1000 instances, warm solves within t augmentations")
 
@@ -80,7 +81,7 @@ def test_criterion_4_flow_coverage_identity():
         s = random_instance(rng, rng.randint(1, 60), max_coord=120, max_len=25)
         k = rng.randint(1, 5)
         t = rng.randint(0, k)
-        flow = Chain(s, k).max_flow(t)
+        flow = warm_max_flow(s, k, t)
         if flow.value < k:
             continue
         witnesses += 1
@@ -99,10 +100,12 @@ def test_criterion_4_flow_coverage_identity_at_full_scale():
     n, k = 100_000, 30
     s = clipped_instance(random.Random(1044), n, 500_000, 400)
     delims, lo, hi, cov = s.compressed[:4]
-    # the descent solve_exact runs; its first feasible floor is OPT
-    chain = Chain(s, k)
-    for opt in range(min(k, int(np.asarray(cov).min())), 0, -1):
-        flow = chain.max_flow(opt)
+    # the descent solve_exact runs, one flow carried down from the bound;
+    # its first feasible floor is OPT
+    net, bound = build_network(s), min(k, int(np.asarray(cov).min()))
+    held = array("q", [k - bound]) * net.num_backbone_arcs + array("q", [0]) * n
+    for opt in range(bound, 0, -1):
+        flow = max_flow_augmenting(net, k, opt, held)
         if flow.value == k:
             break
     assert flow.value == k and 0 < opt < k

@@ -151,8 +151,8 @@ def q(*values):
 
 def short_buffer_calls():
     """Per general loop, a call whose counts ask more of one buffer than
-    it holds, the output among them where the loop has one; and a
-    negative count."""
+    it holds, the output among them where the loop has one; a negative
+    count; and the max-flow's k and t out of range."""
     return {
         "select": (3, q(0, 1, 0), 0, q(-9, -9)),
         # three summary slots of which the buffer holds two
@@ -175,10 +175,22 @@ def short_buffer_calls():
         # record columns of two items where the count, max_records, says three
         "parse": (b"0 1\n", 4, 1, 3, array("Q", [9] * 3), array("Q", [9] * 2), q(-9) * 3,
                   q(-9) * 6, q(-9) * 3, q(-9) * 3),
-        "add": (3, q(1, 1, 1, 1), 5),  # reaches item 4 of 4
         # first holds two of its nv + 1 entries; then a search scratch one of two
-        "max_flow": (2, q(0, 0), q(), q(), q(), q(-9, -9), q(-9, -9), q(-9, -9)),
-        "max_flow-scratch": (2, q(0, 0, 0), q(), q(), q(), q(-9, -9), q(-9), q(-9, -9)),
+        "max_flow": (2, q(0, 0), q(), q(), 1, 0, q(), q(-9, -9), q(-9, -9), q(-9, -9)),
+        "max_flow-scratch": (2, q(0, 0, 0), q(), q(), 1, 0, q(), q(-9, -9), q(-9), q(-9, -9)),
+        # flow holds none of the one pair's items; then an odd arc count, 3
+        # arcs whose last pair would need the flow's missing second item
+        "max_flow-flow": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, 0, q(), q(-9, -9), q(-9, -9),
+                          q(-9, -9)),
+        "max_flow-odd": (2, q(0, 3, 3), q(2, 0, 1), q(1, 0, 1), 1, 0, q(0), q(-9, -9),
+                         q(-9, -9), q(-9, -9)),
+        # k below 1, t below 0 and t above k, on buffers the call could run on
+        "max_flow-k": (2, q(0, 1, 2), q(0, 1), q(1, 0), 0, 0, q(0), q(-9, -9), q(-9, -9),
+                       q(-9, -9)),
+        "max_flow-t": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, -1, q(0), q(-9, -9), q(-9, -9),
+                       q(-9, -9)),
+        "max_flow-t-above-k": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, 2, q(0), q(-9, -9),
+                               q(-9, -9), q(-9, -9)),
     }
 
 
@@ -194,9 +206,10 @@ def test_a_buffer_shorter_than_its_count_never_reaches_the_loop(name):
 
 def test_buffers_of_exactly_the_counted_size_are_taken():
     lib = _native.load_library()
-    values = q(1, 1, 1, 1, 1)
-    lib.covprune_add(3, values, 5)  # items 0, 2 and 4
-    assert values.tolist() == [6, 1, 6, 1, 6]
+    flow = q(0)  # one pair of arcs, one flow: the source's arc, capacity k = 3
+    assert lib.covprune_max_flow(2, q(0, 1, 2), q(0, 1), q(1, 0), 3, 0, flow, q(-9, -9),
+                                 q(-9, -9), q(-9, -9)) == 1
+    assert flow.tolist() == [3]
     assert lib.covprune_lines(1, array("B", [1]), q(0), q(4), 4, b"0 1\n") == b"0 1\n"
 
 

@@ -1,16 +1,17 @@
 import random
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from covprune import IntervalSet, build_network, decide
+from covprune import IntervalSet, build_network, decide, solve_exact
 from covprune import flow
-from covprune.flow import Chain, FlowAssignment
+from covprune.flow import FlowAssignment, max_flow_augmenting
 
 from conftest import (clipped_instance, iset, maxcov, mincov_over, pairs_of, random_instance,
                       interval_pairs, subset)
-from reference_kernels import cold_decide, cold_max_flow
+from reference_kernels import cold_decide, cold_max_flow, residual, warm_max_flow
 
 
 def assert_valid_flow(s, k, t, fa):
@@ -35,28 +36,32 @@ def assert_valid_flow(s, k, t, fa):
         assert inflow == outflow, f"conservation broken at vertex {v}"
 
 
-def first_probe(monkeypatch, s, k, t, warm_start):
-    """The capacities of the (k, t) network of `s` and the flow a Chain's
-    first probe at t starts from, or with `warm_start` false the zero
-    flow of the reference, both read off the residual it hands to
-    `max_flow_augmenting`, each as (backbone arcs, interval arcs)."""
+def capacities(s, k, t):
+    """The capacity of each arc of the (k, t) network of `s` by the
+    reference's residual rule, its forward residual at zero flow, as
+    (backbone arcs, interval arcs)."""
+    net = build_network(s)
+    zero = [0] * (len(net.to) // 2)
+    caps = [residual(2 * a, net.nv, k, t, zero) for a in range(len(zero))]
+    return caps[:net.num_backbone_arcs], caps[net.num_backbone_arcs:]
+
+
+def first_probe(monkeypatch, run):
+    """The floor of the first probe `run()` makes and the flow it starts
+    from on the backbone arcs and on the interval arcs, read off what it
+    hands to `max_flow_augmenting`."""
     starts = []
     augment = flow.max_flow_augmenting
 
-    def spy(net, res):
-        starts.append((np.array(res), net.num_backbone_arcs))
-        return augment(net, res)
+    def spy(net, k_, t_, held):
+        starts.append((t_, held[:net.num_backbone_arcs].tolist(),
+                       held[net.num_backbone_arcs:].tolist()))
+        return augment(net, k_, t_, held)
 
     with monkeypatch.context() as m:
         m.setattr(flow, "max_flow_augmenting", spy)
-        if warm_start:
-            Chain(s, k).max_flow(t)
-        else:
-            cold_max_flow(s, k, t)
-    res, nb = starts[0]
-    caps = res[0::2] + res[1::2]  # forward plus reverse residual
-    return ((caps[:nb].tolist(), caps[nb:].tolist()),
-            (res[1:2 * nb:2].tolist(), res[2 * nb + 1::2].tolist()))
+        run()
+    return starts[0]
 
 
 def test_build_network_demo(demo):
@@ -86,46 +91,42 @@ def test_build_network_lists_arcs_by_falling_head(pairs):
         assert (np.diff(arcs)[heads == 0] > 0).all()  # parallel arcs in construction order
 
 
-def test_build_network_zero_interior_capacity(monkeypatch):
+def test_build_network_zero_interior_capacity():
     s = iset([(0, 5)])
     assert build_network(s).interval_arcs.tolist() == [[1, 2]]
-    for warm_start in (True, False):
-        caps, _ = first_probe(monkeypatch, s, k=1, t=1, warm_start=warm_start)
-        assert caps == ([1, 0, 1], [1])
+    assert capacities(s, k=1, t=1) == ([1, 0, 1], [1])
+    # the one flow of value 1 takes the read around the closed interior
+    result = cold_max_flow(s, 1, 1)
+    assert (result.backbone_flow.tolist(), result.interval_flow.tolist()) == ([1, 0, 1], [1])
 
 
-def test_build_network_t_equals_k(monkeypatch, demo):
-    for warm_start in (True, False):
-        caps, _ = first_probe(monkeypatch, demo, k=3, t=3, warm_start=warm_start)
-        assert caps == ([3, 0, 0, 0, 0, 0, 0, 0, 3], [1] * 6)
+def test_build_network_t_equals_k(demo):
+    assert capacities(demo, k=3, t=3) == ([3, 0, 0, 0, 0, 0, 0, 0, 3], [1] * 6)
+    assert_valid_flow(demo, 3, 3, cold_max_flow(demo, 3, 3))
 
 
 def test_build_network_rejects_bad_instances(demo):
-    chain = Chain(demo, 3)
-    with pytest.raises(ValueError):
-        chain.max_flow(4)
-    with pytest.raises(ValueError):
-        chain.max_flow(-1)
-    with pytest.raises(ValueError):
-        Chain(demo, 0)
+    net = build_network(demo)
+    for k, t in ((3, 4), (3, -1), (0, 0)):
+        with pytest.raises(ValueError):
+            max_flow_augmenting(net, k, t, array("q", [0]) * (len(net.to) // 2))
     with pytest.raises(ValueError):
         build_network(IntervalSet())
 
 
 def test_backbone_initial_flow(monkeypatch, demo):
-    # capacities k at the ends and k - t inside, warm or cold
-    for warm_start, start in ((True, 2), (False, 0)):
-        caps, fa = first_probe(monkeypatch, demo, k=3, t=1, warm_start=warm_start)
-        assert caps == ([3, 2, 2, 2, 2, 2, 2, 2, 3], [1] * 6)
-        assert fa == ([start] * 9, [0] * 6)
-        assert_valid_flow(demo, 3, 1, FlowAssignment(*map(tuple, fa)))
-    # the warm start carries k - t: nothing at t = k, the whole cap at t = 0
-    assert first_probe(monkeypatch, demo, 3, 3, True)[1][0] == [0] * 9
-    assert first_probe(monkeypatch, demo, 3, 0, True)[1][0] == [3] * 9
+    # capacities k at the ends and k - t inside
+    assert capacities(demo, k=3, t=1) == ([3, 2, 2, 2, 2, 2, 2, 2, 3], [1] * 6)
+    # the search starts from the backbone flow k - t at its first floor
+    assert first_probe(monkeypatch, lambda: decide(demo, 3, 1)) == (1, [2] * 9, [0] * 6)
+    assert_valid_flow(demo, 3, 1, FlowAssignment([2] * 9, [0] * 6))
+    # nothing at t = k: the bound min(k, mincov) is k = 2 here
+    assert first_probe(monkeypatch, lambda: solve_exact(demo, 2)) == (2, [0] * 9, [0] * 6)
 
 
 def test_backbone_flow_at_t0_is_already_maximum(demo):
-    result = Chain(demo, 3).max_flow(0)
+    net = build_network(demo)
+    result = max_flow_augmenting(net, 3, 0, array("q", [3]) * 9 + array("q", [0]) * 6)
     assert result.value == 3
     assert result.augmentations == 0
 
@@ -137,10 +138,11 @@ def test_max_flow_demo_cold(demo):
 
 
 def test_max_flow_demo_warm_single_augmentation(demo):
-    result = Chain(demo, 3).max_flow(1)
+    result = warm_max_flow(demo, 3, 1)
     assert result.value == 3
     assert result.augmentations == 1
     assert_valid_flow(demo, 3, 1, result)
+    assert decide(demo, 3, 1).work["augmentations"] == 1
 
 
 def test_decide_demo_feasible(demo):
@@ -171,8 +173,8 @@ def test_decide_t_above_k_infeasible(demo):
 
 
 def test_decide_under_the_cap_keeps_every_read_at_huge_k():
-    # k = 2**63 is beyond the int64 residual; an input under the cap
-    # never reaches a Chain
+    # k = 2**63 is beyond the int64 flow; an input under the cap never
+    # reaches the flow
     s = iset([(0, 5), (0, 5), (2, 7)])
     sol = decide(s, 2**63, 1)
     assert (sol.kept.tolist(), sol.achieved_mincov, sol.achieved_maxcov) == ([0, 1, 2], 1, 3)
@@ -240,7 +242,7 @@ def test_warm_and_cold_agree_on_value():
         k = rng.randint(1, 5)
         t = rng.randint(0, k)
         cold = cold_max_flow(s, k, t)
-        warm = Chain(s, k).max_flow(t)
+        warm = warm_max_flow(s, k, t)
         assert cold.value == warm.value
         assert warm.augmentations <= t
         assert cold.augmentations <= k
@@ -256,7 +258,7 @@ def test_coverage_identity_on_extracted_witness():
         s = random_instance(rng, rng.randint(1, 16))
         k = rng.randint(1, 5)
         t = rng.randint(0, k)
-        fa = Chain(s, k).max_flow(t)
+        fa = warm_max_flow(s, k, t)
         if fa.value < k:
             continue
         kept = [i for i, f in enumerate(fa.interval_flow) if f == 1]
@@ -309,9 +311,11 @@ def test_kept_flow_matches_scipy_along_the_descent():
                   for _ in range(20)]
     probes = 0
     for s, k in instances:
-        chain, t = Chain(s, k), k
+        # one flow carried down, from the start at t = k: no flow at all
+        net, t = build_network(s), k
+        held = array("q", [0]) * (len(net.to) // 2)
         while t >= 0:
-            fa = chain.max_flow(t)
+            fa = max_flow_augmenting(net, k, t, held)
             assert fa.value == scipy_max_flow_value(s, k, t)
             assert_valid_flow(s, k, t, fa)
             probes += 1

@@ -1,8 +1,9 @@
-"""The compiled max-flow on a `Chain` against its Python reference
-`augment_python` on the same arrays, probe by probe from the warm start
-and along a descent that keeps its flow; both called directly on a path
-through every vertex and on the cut their last search leaves, and the
-compiled one refused a network of one vertex."""
+"""The compiled max-flow through `max_flow_augmenting` against its Python
+reference `augment_python` on the same arrays, probe by probe from the
+warm start and along a descent that keeps its flow; both called directly
+on a path through every vertex and on the cut their last search leaves,
+and the compiled one refused a network of one vertex, and an arc, a head
+or an arc range out of bounds, or more paths than k."""
 
 import random
 from array import array
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from covprune import IntervalSet, _native, build_network
-from covprune.flow import Chain
+from covprune.flow import max_flow_augmenting
 
 from conftest import clipped_instance, iset, pairs_of, random_instance
 from reference_kernels import augment_python
@@ -25,14 +26,12 @@ def kernel(name):
     return _native.load_library().covprune_max_flow if name == "c" else augment_python
 
 
-def warm_residual(net, k, t):
-    """The residual a `Chain`'s first probe at floor t starts from."""
-    nb = net.num_backbone_arcs
-    res = np.zeros(len(net.to), np.int64)
-    res[2 * nb::2] = 1
-    res[1:2 * nb:2] = k - t
-    res[0] = res[2 * nb - 2] = t
-    return res
+def warm_flow(net, k, t):
+    """The flow the exact search's first probe at floor t starts from:
+    k - t on each backbone arc, none on the reads."""
+    flow = np.zeros(len(net.to) // 2, np.int64)
+    flow[:net.num_backbone_arcs] = k - t
+    return flow
 
 
 def seeded_instances():
@@ -60,61 +59,70 @@ def seeded_instances():
 
 
 def reference_descent(net, k, floors):
-    """Each floor of a descent through `floors`, the residual after its
-    probe and the probe's path count, by `augment_python` from the warm
-    start."""
-    nb = net.num_backbone_arcs
-    res = last = None
+    """Each floor of a descent through `floors`, the flow after its probe
+    and the probe's path count, by `augment_python` from the warm start;
+    a lower floor needs no update, since only the capacities rise."""
+    flow = None
     for t in floors:
-        if res is None:
-            res = warm_residual(net, k, t)
-        else:
-            res[2:2 * nb - 2:2] += last - t  # interior capacity rises
-        last = t
-        yield t, res, augment_python(net.nv, net.first, net.adj, net.to, res,
-                                     *np.empty((3, net.nv), np.int64))
+        if flow is None:
+            flow = warm_flow(net, k, t)
+        yield t, flow, augment_python(net.nv, net.first, net.adj, net.to, k, t, flow,
+                                      *np.empty((3, net.nv), np.int64))
 
 
-def same_flow(flow, res, augmentations) -> bool:
-    """A `FlowAssignment` is the flow of the residual `res`, arc for arc,
-    found by as many paths."""
-    nb = len(flow.backbone_flow)
-    return (np.array_equal(flow.backbone_flow, res[1:2 * nb:2])
-            and np.array_equal(flow.interval_flow, res[2 * nb + 1::2])
-            and flow.augmentations == augmentations)
+def same_flow(assignment, flow, augmentations) -> bool:
+    """A `FlowAssignment` is the flow `flow`, arc for arc, found by as
+    many paths."""
+    nb = len(assignment.backbone_flow)
+    return (np.array_equal(assignment.backbone_flow, flow[:nb])
+            and np.array_equal(assignment.interval_flow, flow[nb:])
+            and assignment.augmentations == augmentations)
 
 
 def test_native_flow_matches_reference():
     probes = augmented = 0
     for s, k in seeded_instances():
+        net = build_network(s)
         for t in range(k + 1):
-            chain = Chain(s, k)
-            (_, res, count), = reference_descent(chain.net, k, [t])
-            assert same_flow(chain.max_flow(t), res, count)
+            (_, flow, count), = reference_descent(net, k, [t])
+            assert same_flow(max_flow_augmenting(net, k, t, array("q", warm_flow(net, k, t))),
+                             flow, count)
             probes += 1
             augmented += count > 1
-        # one descent k -> 0, the chain and the reference each carrying its own flow
-        chain = Chain(s, k)
-        for t, res, count in reference_descent(chain.net, k, range(k, -1, -1)):
-            assert same_flow(chain.max_flow(t), res, count)
-            assert (chain.res == res).all()
+        # one descent k -> 0, the kernel and the reference each carrying its own flow
+        held = array("q", warm_flow(net, k, k))
+        for t, flow, count in reference_descent(net, k, range(k, -1, -1)):
+            assert same_flow(max_flow_augmenting(net, k, t, held), flow, count)
+            assert (np.asarray(held) == flow).all()
     assert probes > 2000 and augmented > 300
 
 
 def test_chain_rejects_bad_probes():
-    s = iset([(0, 5), (2, 8)])
-    chain = Chain(s, 3)
-    for t in (-1, 4):
-        with pytest.raises(ValueError):
-            chain.max_flow(t)
-    chain.max_flow(1)
+    """k below 1, t outside [0, k] and a flow one item short raise
+    ValueError before the kernel runs, the flow untouched; an empty set
+    has no network."""
+    net = build_network(iset([(0, 5), (2, 8)]))
+    for k, t, short in ((3, -1, 0), (3, 4, 0), (0, 0, 0), (-1, 0, 0), (3, 1, 1)):
+        flow = array("q", [1]) * (len(net.to) // 2 - short)
+        with pytest.raises(ValueError, match="count out of range"):
+            max_flow_augmenting(net, k, t, flow)
+        assert flow.tolist() == [1] * (len(net.to) // 2 - short)
     with pytest.raises(ValueError):
-        chain.max_flow(2)  # the floor may only fall
-    for k in (0, -1):
-        with pytest.raises(ValueError):
-            Chain(s, k)
-    with pytest.raises(ValueError):
-        Chain(IntervalSet(), 3)
+        build_network(IntervalSet())
+
+
+def residuals(net, k, t, flow):
+    """Each residual arc's capacity, from the capacities of the (k, t)
+    network written out: k on the two end backbone arcs, k - t inside,
+    1 on each read's arc; arc 2a has what logical arc a has left, arc
+    2a + 1 its flow."""
+    nb = net.num_backbone_arcs
+    cap = np.ones(len(flow), np.int64)
+    cap[:nb] = k - t
+    cap[0] = cap[nb - 1] = k
+    res = np.empty(2 * len(flow), np.int64)
+    res[0::2], res[1::2] = cap - flow, flow
+    return res
 
 
 @pytest.mark.parametrize("backend", KERNELS)
@@ -125,15 +133,15 @@ def test_a_path_through_every_vertex(backend):
     limit.  The compiled search's stack fills its nv entries exactly."""
     starts = np.tile(np.arange(50_000, dtype=np.uint64), 2)
     net = build_network(IntervalSet(starts, starts + 1))
-    res = warm_residual(net, 1, 1)
+    flow = warm_flow(net, 1, 1)
     scratch = np.full((3, net.nv + 1), -7, np.int64)  # a guard entry after each row
     parent_arc, stack, next_arc = (row[:net.nv] for row in scratch)
-    assert kernel(backend)(net.nv, net.first, net.adj, net.to, res, parent_arc, stack,
+    assert kernel(backend)(net.nv, net.first, net.adj, net.to, 1, 1, flow, parent_arc, stack,
                            next_arc) == 1
     assert (scratch[:, -1] == -7).all()
     if backend == "c":  # the reference reads its stack from a list
         assert stack.tolist() == list(range(net.nv))  # the path, source to sink
-    kept = np.flatnonzero(res[2 * net.num_backbone_arcs + 1::2])
+    kept = np.flatnonzero(flow[net.num_backbone_arcs:])
     assert sorted(starts[kept].tolist()) == list(range(50_000))  # one read per segment
 
 
@@ -148,36 +156,66 @@ def test_the_last_search_marks_the_residual_reach(backend):
     for _ in range(300):
         s = random_instance(rng, rng.randint(1, 40), max_coord=rng.choice((12, 60)))
         k = rng.randint(1, 6)
+        t = rng.randint(1, k)
         net = build_network(s)
-        res = warm_residual(net, k, rng.randint(1, k))
+        flow = warm_flow(net, k, t)
         parent_arc, stack, next_arc = np.empty((3, net.nv), np.int64)
-        kernel(backend)(net.nv, net.first, net.adj, net.to, res, parent_arc, stack, next_arc)
+        kernel(backend)(net.nv, net.first, net.adj, net.to, k, t, flow, parent_arc, stack,
+                        next_arc)
         graph = nx.DiGraph()
         graph.add_nodes_from(range(net.nv))
-        live = np.flatnonzero(res > 0)  # residual arc a runs from to[a ^ 1] to to[a]
+        # residual arc a runs from to[a ^ 1] to to[a]
+        live = np.flatnonzero(residuals(net, k, t, flow) > 0)
         to = np.asarray(net.to)
         graph.add_edges_from(zip(to[live ^ 1].tolist(), to[live].tolist()))
         reach = nx.descendants(graph, 0) | {0}
         assert set(np.flatnonzero(parent_arc != -1).tolist()) == reach
         assert net.nv - 1 not in reach
-        infeasible += res[1] < k  # the flow on the source's arc is the value
+        infeasible += flow[0] < k  # the flow on the source's arc is the value
     assert infeasible > 50
 
 
 def test_the_flow_runs_between_two_vertices():
     """The source is vertex 0 and the sink vertex nv - 1.  At nv = 1 they
     would be one vertex, found at once, and the path's last arc would be
-    read from the item two before `res`, here 5, which the flow never
-    used up: the module refuses nv = 1 before the kernel runs.  At nv = 2
-    without an arc no path exists, and the source alone is marked."""
+    read from the item before `flow`, here 5: the module refuses nv = 1
+    before the kernel runs.  At nv = 2 without an arc no path exists, and
+    the source alone is marked."""
     lib = _native.load_library()
-    backing = array("q", [5, 0, 7])
-    res = memoryview(backing)[2:]
+    backing = array("q", [5, 7])
+    flow = memoryview(backing)[1:]
     scratch = [array("q", [-9]) for _ in range(3)]
     with pytest.raises(ValueError, match="count out of range"):
-        lib.covprune_max_flow(1, array("q", [0, 0]), array("q"), array("q"), res, *scratch)
-    assert backing.tolist() == [5, 0, 7] and [s.tolist() for s in scratch] == [[-9]] * 3
+        lib.covprune_max_flow(1, array("q", [0, 0]), array("q"), array("q"), 9, 0, flow,
+                              *scratch)
+    assert backing.tolist() == [5, 7] and [s.tolist() for s in scratch] == [[-9]] * 3
     parent_arc, stack, next_arc = (array("q", [-9, -9]) for _ in range(3))
-    assert lib.covprune_max_flow(2, array("q", [0, 0, 0]), array("q"), array("q"), array("q"),
-                                 parent_arc, stack, next_arc) == 0
+    assert lib.covprune_max_flow(2, array("q", [0, 0, 0]), array("q"), array("q"), 1, 0,
+                                 array("q"), parent_arc, stack, next_arc) == 0
     assert parent_arc.tolist() == [-2, -1]
+
+
+@pytest.mark.parametrize("first, adj, to", [
+    ([0, 2, 2], [0, 1], [5, 0]),
+    ([0, 2, 2], [0, 1], [-1, 0]),
+    ([0, 2, 2], [0, 1], [1, 1]),
+    ([2, 0, 2], [0, 1], [1, 0]),
+    ([-1, 2, 2], [0, 1], [1, 0]),
+    ([0, 3, 2], [1, 1], [0, 0]),
+    ([0, 2, 2], [2, 0], [1, 0]),
+    ([0, 2, 2], [-1, 0], [1, 0]),
+], ids=["head-past-nv", "head-negative", "reverse-not-back", "first-falls", "first-negative",
+        "range-past-arcs", "arc-past-arcs", "arc-negative"])
+def test_the_search_checks_what_it_follows(first, adj, to):
+    """Buffers of the sizes the rule asks, nv = 2 and k = 1, whose
+    indices do not hold a network: the search refuses a head at or past
+    nv, which it would mark past `parent_arc`'s two entries (here into a
+    guard behind them), an arc range or an arc outside `adj` and `to`,
+    and more augmenting paths than k, which a reverse arc that does not
+    lead back makes without end."""
+    backing = array("q", [-9]) * 8
+    with pytest.raises(ValueError, match="out of bounds"):
+        _native.load_library().covprune_max_flow(
+            2, array("q", first), array("q", adj), array("q", to), 1, 0, array("q", [0]),
+            memoryview(backing)[:2], array("q", [-9, -9]), array("q", [-9, -9]))
+    assert backing[2:].tolist() == [-9] * 6

@@ -9,7 +9,8 @@ their buffers: the reading kernels', the approx sweep's, under either
 store, and those of the profile, the network layout, the max-flow, the
 recount, the split per chromosome and the small loops of `_arrays.c`,
 each checked against a list scan, and calls whose counts exceed a buffer
-by one, which the module refuses.  Any sanitizer report stops the
+by one, which the module refuses, and the max-flow's search on indices
+that hold no network, which it refuses.  Any sanitizer report stops the
 child."""
 
 import os
@@ -332,30 +333,21 @@ refused(lib.covprune_scatter, 1, ints([1]), 1, ints([0]), 1, array("B", [0]))  #
 refused(lib.covprune_scatter, 1, ints([0]), 1, ints([1]), 1, array("B", [0]))  # map past mask
 
 
-# every other item of values raised by delta, n of them, values holding
-# exactly the 2n - 1 items the last one needs
-def add(values, n, delta):
-    items = ints(values)
-    lib.covprune_add(n, items, delta)
-    assert items.tolist() == [v + delta * (j % 2 == 0) for j, v in enumerate(values)], items
-
-
-add([], 0, 5)
-add([1], 1, -3)
-add([1, 2, 3, 4, 5], 3, 2**40)
-refused(lib.covprune_add, 3, ints([1] * 4), 1)
-refused(lib.covprune_add, -1, ints([1]), 1)
-refused(lib.covprune_add, -2**63, ints([1]), 1)
-
-
-# the max-flow from vertex 0 to vertex nv - 1 on a residual res, every
-# buffer at its exact size: its value against augmenting paths found by
-# breadth-first search, and the last search's marks against the vertices
-# the source reaches in the residual it leaves; returns the path count
-def max_flow(nv, first, adj, to, res):
-    after, scratch = ints(res), [ints([-9] * nv) for _ in range(3)]
-    count = lib.covprune_max_flow(nv, ints(first), ints(adj), ints(to), after, *scratch)
+# the max-flow from vertex 0 to vertex nv - 1 of the (k, t) network from
+# the feasible flow given, every buffer at its exact size: its value
+# against augmenting paths found by breadth-first search on the
+# residuals, each arc's capacity written out (k on the end backbone arcs,
+# k - t inside, 1 on a read's), and the last search's marks against the
+# vertices the source reaches in the residual it leaves; returns the
+# path count
+def max_flow(nv, first, adj, to, k, t, flow):
+    after, scratch = ints(flow), [ints([-9] * nv) for _ in range(3)]
+    count = lib.covprune_max_flow(nv, ints(first), ints(adj), ints(to), k, t, after, *scratch)
     tail = [to[a ^ 1] for a in range(len(to))]
+    cap = [1 if a >= nv - 1 else k if a in (0, nv - 2) else k - t for a in range(len(flow))]
+
+    def residuals(f):
+        return [f[a // 2] if a % 2 else cap[a // 2] - f[a // 2] for a in range(len(to))]
 
     def search(r):
         parent, queue = {0: None}, [0]
@@ -366,7 +358,7 @@ def max_flow(nv, first, adj, to, res):
                     queue.append(to[a])
         return parent
 
-    r, value = list(res), 0
+    r, value = residuals(flow), 0
     while nv - 1 in (parent := search(r)):
         path, v = [], nv - 1
         while v:
@@ -377,17 +369,19 @@ def max_flow(nv, first, adj, to, res):
             r[a] -= pushed
             r[a ^ 1] += pushed
         value += pushed
-    got = after.tolist()
-    assert sum(res[a] - got[a] for a in range(len(to)) if tail[a] == 0) == value, (got, value)
+    got = residuals(after.tolist())
+    start = residuals(flow)
+    assert sum(start[a] - got[a] for a in range(len(to)) if tail[a] == 0) == value, (got, value)
     marks = {v for v, arc in enumerate(scratch[0]) if arc != -1}
     assert marks == set(search(got)) and nv - 1 not in marks, (marks, got)
     assert (count > 0) == (value > 0)
     return count
 
 
-assert max_flow(2, [0, 0, 0], [], [], []) == 0  # no arc
-assert max_flow(2, [0, 1, 2], [0, 1], [1, 0], [3, 0]) == 1  # one arc, pushed whole
-# a chain 0 -> 1 -> ... -> nv - 1: the one path runs through every vertex
+assert max_flow(2, [0, 0, 0], [], [], 1, 0, []) == 0  # no arc
+assert max_flow(2, [0, 1, 2], [0, 1], [1, 0], 3, 0, [0]) == 1  # one arc, pushed whole
+# a chain 0 -> 1 -> ... -> nv - 1, every arc a backbone arc of capacity
+# k = 2: the one path runs through every vertex
 for nv in (3, 9):
     arcs = [(u, u + 1) for u in range(nv - 1)]
     out = {u: [] for u in range(nv)}
@@ -397,9 +391,9 @@ for nv in (3, 9):
     adj = [a for u in range(nv) for a in sorted(out[u], key=lambda a: -(a % 2 == 0))]
     first = [sum(len(out[w]) for w in range(u)) for u in range(nv + 1)]
     to = [w for u, v in arcs for w in (v, u)]
-    assert max_flow(nv, first, adj, to, [2, 0] * (nv - 1)) == 1
-# chain networks at random floors: failing searches that mark every
-# vertex but those past a saturated cut
+    assert max_flow(nv, first, adj, to, 2, 0, [0] * (nv - 1)) == 1
+# chain networks at every floor from the warm start: failing searches
+# that mark every vertex but those past a saturated cut
 for m, lo, hi in ((2, [0], [1]), (5, [0, 2, 1, 0, 3], [4, 3, 4, 1, 4]),
                   (4, [0, 1, 1, 2, 0, 2], [2, 3, 2, 3, 1, 3])):
     n, nv = len(lo), m + 2
@@ -408,25 +402,44 @@ for m, lo, hi in ((2, [0], [1]), (5, [0, 2, 1, 0, 3], [4, 3, 4, 1, 4]),
                                 ints([0] * (4 * nv + n))) == 0
     for k in (1, 2, 3):
         for t in range(k + 1):
-            nb = m + 1
-            res = [0] * len(to)
-            res[2 * nb::2] = [1] * n
-            res[1:2 * nb:2] = [k - t] * nb
-            res[0] = res[2 * nb - 2] = t
-            max_flow(nv, first.tolist(), adj.tolist(), to.tolist(), res)
-# each count exceeding its buffer by one: first, then adj, to and res on
+            max_flow(nv, first.tolist(), adj.tolist(), to.tolist(), k, t,
+                     [k - t] * (m + 1) + [0] * n)
+# each count exceeding its buffer by one: first, then adj, to and flow on
 # a search that reads every arc, then the search scratch on one that
-# fills its stack; and one vertex, a source that is the sink
-scan = ([0, 2, 2], [0, 1], [1, 1], [0, 0])
-path = ([0, 1, 2], [0, 1], [1, 0], [1, 0])
-for nv, (first, adj, to, res), short in ((2, scan, 0), (2, scan, 1), (2, scan, 2), (2, scan, 3),
-                                         (2, path, 4), (2, path, 5), (2, path, 6)):
-    args = [first, adj, to, res, [-9] * nv, [-9] * nv, [-9] * nv]
+# fills its stack; k and t out of range; an odd arc count, whose last
+# arc would read the flow's missing item; and one vertex, a source that
+# is the sink
+scan = ([0, 2, 2], [0, 1], [1, 0], [0])
+path = ([0, 1, 2], [0, 1], [1, 0], [0])
+for nv, (first, adj, to, flow), short in ((2, scan, 0), (2, scan, 1), (2, scan, 2),
+                                          (2, scan, 3), (2, path, 4), (2, path, 5),
+                                          (2, path, 6)):
+    args = [first, adj, to, flow, [-9] * nv, [-9] * nv, [-9] * nv]
     args[short] = args[short][:-1]
-    refused(lib.covprune_max_flow, nv, *map(ints, args))
-behind = ints([0, 0, 7])
-refused(lib.covprune_max_flow, 1, ints([0, 0]), ints([]), ints([]), memoryview(behind)[2:],
-        *(ints([-9]) for _ in range(3)))
+    refused(lib.covprune_max_flow, nv, *map(ints, args[:3]), 1, 0, *map(ints, args[3:]))
+for k, t in ((0, 0), (-2**63, 0), (1, -1), (1, 2), (3, -2**63)):
+    refused(lib.covprune_max_flow, 2, *map(ints, scan[:3]), k, t, ints([0]),
+            *(ints([-9] * 2) for _ in range(3)))
+refused(lib.covprune_max_flow, 2, ints([0, 3, 3]), ints([2, 0, 1]), ints([1, 0, 1]), 1, 0,
+        ints([0]), *(ints([-9] * 2) for _ in range(3)))
+behind = ints([5, 0])
+refused(lib.covprune_max_flow, 1, ints([0, 0]), ints([]), ints([]), 9, 0,
+        memoryview(behind)[1:], *(ints([-9]) for _ in range(3)))
+# indices that hold no network, on buffers of the sizes the rule asks: a
+# head at or past nv, a negative head, a reverse arc that does not lead
+# back (more paths than k), a first that falls, a negative first, an arc
+# range past the arcs, an arc past them and a negative arc, each refused
+# by the search before it follows the index
+for first, adj, to in (([0, 2, 2], [0, 1], [5, 0]), ([0, 2, 2], [0, 1], [-1, 0]),
+                       ([0, 2, 2], [0, 1], [1, 1]), ([2, 0, 2], [0, 1], [1, 0]),
+                       ([-1, 2, 2], [0, 1], [1, 0]), ([0, 3, 2], [1, 1], [0, 0]),
+                       ([0, 2, 2], [2, 0], [1, 0]), ([0, 2, 2], [-1, 0], [1, 0])):
+    try:
+        lib.covprune_max_flow(2, ints(first), ints(adj), ints(to), 1, 0, ints([0]),
+                              *(ints([-9] * 2) for _ in range(3)))
+        raise AssertionError(f"the max-flow followed {first}, {adj}, {to}")
+    except ValueError:
+        pass
 
 print("clean")
 """

@@ -28,6 +28,19 @@ def test_solve_demo_probe_sequence(demo):
     assert sol.work["probes"] == 1
 
 
+def test_more_paths_than_the_first_floor_fail_the_self_check(demo, monkeypatch):
+    """The flow value starts at k minus the first floor, here 2, and each
+    path adds at least 1: the demo's descent takes exactly 2 paths, and a
+    probe reporting 3 raises AssertionError (exit 3 in the CLI)."""
+    from covprune import flow
+    assert solve_exact(demo, 3).work["augmentations"] == 2
+    augment = flow.max_flow_augmenting
+    monkeypatch.setattr(flow, "max_flow_augmenting",
+                        lambda *args: augment(*args)._replace(augmentations=3))
+    with pytest.raises(AssertionError, match="3 augmentations from the start at t=2"):
+        solve_exact(demo, 3)
+
+
 def test_known_optimal_subset_is_optimal(demo):
     # keeping A, B, E, F achieves mincov 2 under cap 3
     sub = subset(demo, [0, 1, 4, 5])

@@ -1,6 +1,7 @@
 """The benchmark's tracer, `bench/tracing.py`, wraps covprune functions
 by name and reads counts off their results.  A traced run must still
-work, and the coverage profile must be counted once per chromosome."""
+work, the coverage profile must be counted once per chromosome, and a
+traced `solve` must count its flow layer's paths, arcs and probes."""
 
 import importlib.util
 import os
@@ -37,3 +38,7 @@ def test_traced_run_counts_one_profile_per_chromosome(tmp_path, command):
     metrics = load_tracing().layer_metrics(str(spans))
     assert metrics["intervals.profile_calls"] == 2
     assert metrics["intervals.segments"] > 0
+    if command == "solve":  # the wrapped flow layer still sees the descent
+        assert metrics["flow.augmentations"] > 0
+        assert metrics["flow.arcs"] > 0
+        assert metrics["search.probes"] > 0
