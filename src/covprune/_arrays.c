@@ -118,28 +118,33 @@ static int64_t covprune_scatter(int64_t nidx, const int64_t *idx, int64_t nmap, 
 /* Copy into out, in order, the lines of data that mask marks among n,
  * line i being the line_len[i] bytes at line_at[i]; a newline follows
  * the last one when it ends in neither '\n' nor '\r'.  Returns the
- * number of bytes, which out must hold; with out NULL, only counts them.
- * Returns -1 when a line leaves the size bytes of data. */
+ * number of bytes, which out must hold; with out NULL, only counts them,
+ * without a branch on the mask, which a mixed mask would mispredict.
+ * Returns -1 when a line leaves the size bytes of data; the bounds are
+ * compared unsigned, so that no sum overflows and a negative start or
+ * a length below 1 is refused too. */
 static int64_t covprune_lines(int64_t n, const uint8_t *mask, const int64_t *line_at,
                               const int64_t *line_len, int64_t size, const uint8_t *data,
                               uint8_t *out)
 {
-    int64_t total = 0, end = 0;
+    uint64_t total = 0, outside = 0, bytes = (uint64_t)size;
     for (int64_t i = 0; i < n; i++) {
-        if (!mask[i])
-            continue;
-        int64_t at = line_at[i], len = line_len[i];
-        if (at < 0 || len < 1 || at > size - len)
-            return -1;
-        if (out)
-            memcpy(out + total, data + at, (size_t)len);
-        total += len;
-        end = at + len;
+        uint64_t keep = mask[i] != 0, at = (uint64_t)line_at[i], len = (uint64_t)line_len[i];
+        outside |= keep & ((at > bytes) | (len - 1 >= bytes - at));
+        if (out && keep && !outside)
+            memcpy(out + total, data + at, len);
+        total += len & -keep;
     }
+    if (outside)
+        return -1;
+    int64_t last = n;
+    while (last > 0 && !mask[last - 1])
+        last--;
+    int64_t end = last ? line_at[last - 1] + line_len[last - 1] : 0;
     if (total && data[end - 1] != '\n' && data[end - 1] != '\r') {
         if (out)
             out[total] = '\n';
         total++;
     }
-    return total;
+    return (int64_t)total;
 }

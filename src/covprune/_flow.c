@@ -20,19 +20,21 @@
 #include <stdint.h>
 #include <string.h>
 
-/* The residual capacity of residual arc r in the (k, t) chain network on
- * nv vertices carrying flow: logical arc a = r / 2 below nv - 1 is
- * backbone arc a, of capacity k at the two ends and k - t inside, and
- * the rest are reads, of capacity 1.  Arc 2a has the capacity left, arc
- * 2a + 1 the flow, which it can cancel. */
+/* The capacity of logical arc a in the (k, t) chain network on nv
+ * vertices: a below nv - 1 is backbone arc a, of capacity k at the two
+ * ends and k - t inside, and the rest are reads, of capacity 1. */
+static inline int64_t capacity(int64_t a, int64_t nv, int64_t k, int64_t t)
+{
+    return a >= nv - 1 ? 1 : a == 0 || a == nv - 2 ? k : k - t;
+}
+
+/* The residual capacity of residual arc r carrying flow: arc 2a has the
+ * capacity of logical arc a left, arc 2a + 1 its flow, which it can
+ * cancel. */
 static inline int64_t residual(int64_t r, int64_t nv, int64_t k, int64_t t, const int64_t *flow)
 {
     int64_t a = r >> 1;
-    if (r & 1)
-        return flow[a];
-    if (a >= nv - 1)
-        return 1 - flow[a];
-    return (a == 0 || a == nv - 2 ? k : k - t) - flow[a];
+    return r & 1 ? flow[a] : capacity(a, nv, k, t) - flow[a];
 }
 
 /* One depth-first augmenting path from the source, vertex 0, to the
@@ -97,15 +99,19 @@ static int64_t dfs_augment(int64_t nv, const int64_t *first, const int64_t *adj,
 /* Augment the feasible flow of the (k, t) network, one item per logical
  * arc, first[nv] / 2 of them, from vertex 0 to vertex nv - 1, nv >= 2,
  * to a maximum flow, in place; returns the number of augmenting paths,
- * or -1 when the search meets an index out of bounds or the paths
- * exceed k, which no chain network reaches: the source's one arc has
- * capacity k, and each path adds at least 1.  parent_arc, stack and
- * next_arc are scratch space of nv entries each; parent_arc is left
- * holding the last, failing search's marks. */
+ * or -1, before it writes anything, when a flow item lies outside [0,
+ * its arc's capacity], and later when the search meets an index out of
+ * bounds or the paths exceed k, which no chain network reaches: the
+ * source's one arc has capacity k, and each path adds at least 1.
+ * parent_arc, stack and next_arc are scratch space of nv entries each;
+ * parent_arc is left holding the last, failing search's marks. */
 static int64_t covprune_max_flow(int64_t nv, const int64_t *first, const int64_t *adj,
                                  const int64_t *to, int64_t k, int64_t t, int64_t *flow,
                                  int64_t *parent_arc, int64_t *stack, int64_t *next_arc)
 {
+    for (int64_t a = 0; a < first[nv] / 2; a++)
+        if (flow[a] < 0 || flow[a] > capacity(a, nv, k, t))
+            return -1;
     int64_t augmentations = 0, pushed;
     while ((pushed = dfs_augment(nv, first, adj, to, k, t, flow, parent_arc, stack,
                                  next_arc)) > 0)

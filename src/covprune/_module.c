@@ -204,11 +204,11 @@ KERNEL(parse, "Bnnn Q!Q!q!q!q!q!", HOLDS(0, INT(1)) && HOLDS(4, INT(3)) && HOLDS
                                I64(8), I64(9)))
 KERNEL(profile, "nQQ Q!q!q!q!q!", INT(0) >= 1 && HOLDS(1, INT(0)) && HOLDS(2, INT(0))
        && holds(&views[3], INT(0), 2, 0) && HOLDS(4, INT(0)) && HOLDS(5, INT(0))
-       && holds(&views[6], INT(0), 2, 0) && HOLDS(7, 3), VALUE, 8,
+       && holds(&views[6], INT(0), 2, 0) && HOLDS(7, 3), VALUE, 6,
        result = covprune_profile(INT(0), U64(1), U64(2), U64(3), I64(4), I64(5), I64(6), I64(7),
                                  s))
 KERNEL(sweep, "nqqnqnn q!q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
-       && HOLDS(7, INT(0)) && HOLDS(8, 4), STATUS, 5, result = sweep(a, s))
+       && HOLDS(7, INT(0)) && HOLDS(8, 4), STATUS, 4, result = sweep(a, s))
 /* n and m bounded by lo and first first, so that m + 1 + n cannot overflow */
 KERNEL(network, "nnqq q!q!q!q!", HOLDS(2, INT(0)) && HOLDS(3, INT(0))
        && holds(&views[4], INT(1), 1, 3) && holds(&views[5], INT(1) + 1 + INT(0), 2, 0)

@@ -23,11 +23,13 @@
 /* Order keys[0..n) by a stable radix argsort of 11-bit digits, taking
  * only the digits up to the largest key's top bit and skipping a digit
  * every key shares.  *key gets the keys in order and *idx their input
- * positions; both point into key_buf/idx_buf (2n entries, two halves
- * used in turn), or *key is keys itself and *idx NULL, the identity,
- * when keys is in order already.  count is scratch of RADIX entries. */
-static void radix_argsort(int64_t n, const uint64_t *keys, uint64_t *key_buf,
-                          int64_t *idx_buf, int64_t *count, const uint64_t **key,
+ * positions; both point into the halves key_half[h] and idx_half[h] (n
+ * entries each) of the last pass, h = 0 or 1 in turn from the first
+ * pass on, or *key is keys itself and *idx NULL, the identity, when keys
+ * is in order already.  key_half[1] may be keys, which only the first
+ * pass reads.  count is scratch of RADIX entries. */
+static void radix_argsort(int64_t n, const uint64_t *keys, uint64_t *const key_half[2],
+                          int64_t *const idx_half[2], int64_t *count, const uint64_t **key,
                           const int64_t **idx)
 {
     uint64_t bits = n ? keys[0] : 0;
@@ -54,8 +56,8 @@ static void radix_argsort(int64_t n, const uint64_t *keys, uint64_t *key_buf,
             count[d] = at;
             at += c;
         }
-        uint64_t *dst = key_buf + half * n;
-        int64_t *dst_idx = idx_buf + half * n;
+        uint64_t *dst = key_half[half];
+        int64_t *dst_idx = idx_half[half];
         for (int64_t i = 0; i < n; i++) {
             int64_t at = count[(src[i] >> shift) & (RADIX - 1)]++;
             dst[at] = src[i];
@@ -75,17 +77,22 @@ static void radix_argsort(int64_t n, const uint64_t *keys, uint64_t *key_buf,
  * profile).  summary gets the profile's least and largest coverage and
  * its sum, which is also the sum of hi[i] - lo[i], the segments the
  * reads span.  delimiters and segment_cov have 2n entries, lo and hi n
- * each, summary 3 and scratch 8n + RADIX (2048). */
+ * each, summary 3 and scratch 6n + RADIX (2048): the starts' order
+ * takes two halves of n keys and two of n positions, and the ends' order
+ * reuses the one of each it leaves free. */
 static int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_t *ends,
                                 uint64_t *delimiters, int64_t *lo, int64_t *hi,
                                 int64_t *segment_cov, int64_t *summary, int64_t *scratch)
 {
-    uint64_t *key_buf = (uint64_t *)scratch;
-    int64_t *idx_buf = scratch + 4 * n, *count = scratch + 8 * n;
+    uint64_t *keys = (uint64_t *)scratch;
+    int64_t *pos = scratch + 3 * n, *count = scratch + 6 * n;
     const uint64_t *sk, *ek;
     const int64_t *si, *ei;
-    radix_argsort(n, starts, key_buf, idx_buf, count, &sk, &si);
-    radix_argsort(n, ends, key_buf + 2 * n, idx_buf + 2 * n, count, &ek, &ei);
+    radix_argsort(n, starts, (uint64_t *[2]){keys, keys + n}, (int64_t *[2]){pos, pos + n},
+                  count, &sk, &si);
+    int64_t left = sk == keys ? n : 0; /* the half the starts' order left free */
+    radix_argsort(n, ends, (uint64_t *[2]){keys + left, keys + 2 * n},
+                  (int64_t *[2]){pos + left, pos + 2 * n}, count, &ek, &ei);
 
     /* every start lies below its own end, so the last delimiter is an
      * end and the merge runs until the ends are used up; the segment
@@ -119,8 +126,9 @@ static int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_
  * coordinates do.  Each key lo * (nseg + 1) + hi fits 64 bits for
  * 0 <= lo[i] < hi[i] <= nseg, which covprune_sweep checks first.
  * Returns the read at each place, in scratch, or NULL, the identity,
- * when the reads are in order already; scratch has 5n + RADIX (2048)
- * entries. */
+ * when the reads are in order already; scratch has 4n + RADIX (2048)
+ * entries: the keys, whose n entries serve as a half once the first
+ * pass has read them, one more half of keys and two of positions. */
 static const int64_t *covprune_order(int64_t n, const int64_t *lo, const int64_t *hi,
                                      int64_t nseg, int64_t *scratch)
 {
@@ -129,6 +137,7 @@ static const int64_t *covprune_order(int64_t n, const int64_t *lo, const int64_t
     const int64_t *idx;
     for (int64_t i = 0; i < n; i++)
         keys[i] = (uint64_t)lo[i] * (uint64_t)(nseg + 1) + (uint64_t)hi[i];
-    radix_argsort(n, keys, keys + n, scratch + 3 * n, scratch + 5 * n, &key, &idx);
+    radix_argsort(n, keys, (uint64_t *[2]){keys + n, keys},
+                  (int64_t *[2]){scratch + 2 * n, scratch + 3 * n}, scratch + 4 * n, &key, &idx);
     return idx;
 }

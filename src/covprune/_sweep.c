@@ -162,7 +162,7 @@ static void lift(Store *c, int64_t a, int64_t b, int64_t delta)
 
 /* Sweep and refill the n reads over the segment coverage cov[0..nseg),
  * kept in val (nseg cells) with flat, else in mn/mx/bal (2 * cap items
- * each, cap the least power of 2 >= nseg); scratch has 5n + RADIX items.
+ * each, cap the least power of 2 >= nseg); scratch has 4n + RADIX items.
  * Writes the kept reads, rising, to kept and returns their number, and
  * counts gets {nodes_touched or segments_scanned, candidates,
  * blocked_crucial, refilled}.  Before it writes either, returns -1 when

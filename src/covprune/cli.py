@@ -6,14 +6,15 @@ Kept intervals go to stdout as their input lines, in input order;
 per-chromosome solver statistics go to stderr or to --stats FILE as JSON
 lines with a fixed schema, each written and flushed as its chromosome
 finishes; `stats` writes its coverage lines to stdout or to --stats FILE.
-Both are written here, byte for byte as `json.dumps` writes them by
-default, so that no run imports `json`, or `re` through it.  A
-chromosome's kept set reaches the output as the int64 buffer of indices
-its solver produced.  Exit codes: 0 success/feasible, 1 decide found no
-solution, 2 usage error or bad input (a parse error, an unreadable
-file, a name that is not UTF-8), 3 internal error
-(anything else: a failed self-check, a kernel's refusal, a bug), 4 no
-compiled library: the kernels could not be built with the C compiler.
+Each schema is written here from one fixed template, byte for byte as
+`json.dumps` writes it by default, so that no run imports `json`, or
+`re` through it.  A chromosome's kept set reaches the output as the
+int64 buffer of indices its solver produced.  Exit codes: 0
+success/feasible, 1 decide found no solution, 2 usage error or bad input
+(a parse error, an unreadable file, a name that is not UTF-8), 3
+internal error (anything else: a failed self-check, a kernel's refusal,
+a bug), 4 no compiled library: the kernels could not be built with the
+C compiler.
 """
 
 from __future__ import annotations
@@ -50,34 +51,31 @@ def _char(ch: str) -> str:
     return f"\\u{code:04x}"
 
 
-def _string(text: str) -> str:
+def _string(text: str | None) -> str:
+    """`text` as a JSON string, None as null."""
+    if text is None:
+        return "null"
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
     return f'"{"".join(map(_char, text))}"'
 
 
-def _json(value) -> str:
-    """`value`, None, a bool, an int, a finite float, a str or a dict of
-    str to these, as `json.dumps(value)` writes it."""
-    kind = type(value)
-    if kind is int or kind is float:
-        return repr(value)
-    if kind is str:
-        return _string(value)
-    if kind is dict:
-        return "{" + ", ".join([f"{_string(key)}: {_json(item)}"
-                                for key, item in value.items()]) + "}"
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
-    raise TypeError(f"no JSON form for {kind.__name__}")
-
-
 def _stats_line(chrom, n, kept, mincov, maxcov_before, maxcov_after,
                 method, feasible, work, wall_time) -> str:
-    return _json({"schema": STATS_SCHEMA, "chrom": chrom, "n": n, "kept": kept,
-                  "removed": n - kept, "mincov": mincov, "maxcov_before": maxcov_before,
-                  "maxcov_after": maxcov_after, "method": method, "feasible": feasible,
-                  "work": work, "wall_time_s": round(wall_time, 6)})
+    counters = ", ".join([f"{_string(key)}: {value}" for key, value in work.items()])
+    return (f'{{"schema": "{STATS_SCHEMA}", "chrom": {_string(chrom)}, "n": {n}, '
+            f'"kept": {kept}, "removed": {n - kept}, "mincov": {mincov}, '
+            f'"maxcov_before": {maxcov_before}, "maxcov_after": {maxcov_after}, '
+            f'"method": {_string(method)}, "feasible": {"true" if feasible else "false"}, '
+            f'"work": {{{counters}}}, "wall_time_s": {round(wall_time, 6)!r}}}')
+
+
+def _coverage_line(chrom, n, mincov, maxcov, span_start, span_end) -> str:
+    """A span bound of None, an empty set's, as null."""
+    return (f'{{"schema": "{COVERAGE_SCHEMA}", "chrom": {_string(chrom)}, "n": {n}, '
+            f'"mincov": {mincov}, "maxcov": {maxcov}, '
+            f'"span_start": {"null" if span_start is None else span_start}, '
+            f'"span_end": {"null" if span_end is None else span_end}}}')
 
 
 def _stats_file(args, default):
@@ -157,9 +155,8 @@ def cmd_stats(args) -> int:
     with _stats_file(args, sys.stdout) as out:
         for chrom, (ivs, _) in _groups(instance):
             span = ivs.span or (None, None)
-            out.write(_json({"schema": COVERAGE_SCHEMA, "chrom": chrom, "n": len(ivs),
-                             "mincov": ivs.compressed.mincov, "maxcov": ivs.compressed.maxcov,
-                             "span_start": span[0], "span_end": span[1]}) + "\n")
+            out.write(_coverage_line(chrom, len(ivs), ivs.compressed.mincov,
+                                     ivs.compressed.maxcov, *span) + "\n")
     return 0
 
 

@@ -146,19 +146,21 @@ def _read(data: bytes) -> InstanceFile:
     for column in (starts, ends, line_at, line_len):
         del column[n:]
     del runs[3 * nruns:]
+    # the names as bytes, each decoded once: UTF-8 sorts as its code points do
+    names = [data[at:at + size] for at, size in zip(runs[1::3], runs[2::3])] or [None] * (n > 0)
+    keys = sorted(set(names))
     try:
-        names = [data[at:at + size].decode() for at, size in zip(runs[1::3], runs[2::3])]
+        chroms = tuple(key and key.decode() for key in keys) or (None,)
     except UnicodeDecodeError:
         data.decode()  # the error at the file's first byte that is not UTF-8
         raise
-    chroms, run_at = tuple(sorted(set(names))) or (None,), runs[0::3]
-    if names and any(name.split() != [name] for name in chroms):  # a Unicode blank, as U+00A0
-        r = next(r for r, name in enumerate(names) if name.split() != [name])
+    blank = {key for key, name in zip(keys, chroms) if name and name.split() != [name]}
+    if blank:  # a Unicode blank, as U+00A0, or a line break
+        r = next(r for r, name in enumerate(names) if name in blank)
         raise ParseError(_lines(data, line_at[runs[3 * r]]),
-                         f"name {names[r]!r} holds a blank or a line break")
-    if not names:  # plain: its records, if any, are one run
-        names, run_at = [None] * (n > 0), array("q", [0] * (n > 0))
-    run_code = array("q", map(dict(zip(chroms, range(len(chroms)))).__getitem__, names))
+                         f"name {names[r].decode()!r} holds a blank or a line break")
+    run_at = runs[0::3] if nruns else array("q", [0] * (n > 0))  # plain: one run, if any
+    run_code = array("q", map(dict(zip(keys, range(len(keys)))).__getitem__, names))
     return InstanceFile(chroms, run_at, run_code, starts, ends, data, line_at, line_len)
 
 

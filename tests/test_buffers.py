@@ -136,7 +136,7 @@ def test_a_recount_takes_rising_indices_only():
 
 
 def test_radix_scratch_beyond_memory_raises_memory_error():
-    # the module allocates the sweep's radix scratch, 5n + 2048 items
+    # the module allocates the sweep's radix scratch, 4n + 2048 items
     # here, and asks for none it could not address
     kept, counts = array("q", SENTINEL), array("q", SENTINEL * 2)
     with pytest.raises(MemoryError):
@@ -225,6 +225,21 @@ def test_the_kept_lines_come_back_as_one_bytearray(data, mask, want):
     got = _native.load_library().covprune_lines(
         len(mask), array("B", mask), at, array("q", map(len, lines)), len(data), data)
     assert type(got) is bytearray and got == want
+
+
+@pytest.mark.parametrize("at, size", [(-1, 4), (0, 0), (0, -2**63), (1, 4), (2**63 - 1, 1),
+                                      (-2**63, 2**63 - 1)],
+                         ids=["start-negative", "empty", "length-most-negative", "past-the-end",
+                              "start-far-past", "wraps-around"])
+def test_a_kept_line_outside_the_data_is_refused(at, size):
+    """The second of two kept lines of b"0 1\\n", a line of `size` bytes at
+    `at`, leaves the data: ValueError, with or without a first line
+    counted; the same line unkept is never read."""
+    lib = _native.load_library()
+    for mask in ([1, 1], [0, 1]):
+        with pytest.raises(ValueError, match="out of bounds"):
+            lib.covprune_lines(2, array("B", mask), q(0, at), q(4, size), 4, b"0 1\n")
+    assert lib.covprune_lines(2, array("B", [1, 0]), q(0, at), q(4, size), 4, b"0 1\n") == b"0 1\n"
 
 
 def test_the_reader_stops_at_its_record_columns():

@@ -213,7 +213,7 @@ def test_the_stats_lines_are_what_json_dumps_writes(chrom, n, mincov, feasible, 
                                "work": work, "wall_time_s": round(wall, 6)})
     coverage = {"schema": cli.COVERAGE_SCHEMA, "chrom": chrom, "n": n, "mincov": mincov,
                 "maxcov": n, "span_start": span_start, "span_end": span_start}
-    assert cli._json(coverage) == json.dumps(coverage)
+    assert cli._coverage_line(chrom, n, mincov, n, span_start, span_start) == json.dumps(coverage)
 
 
 def test_bed3_per_chromosome_independence(tmp_path, capsys):

@@ -3,7 +3,8 @@ reference `augment_python` on the same arrays, probe by probe from the
 warm start and along a descent that keeps its flow; both called directly
 on a path through every vertex and on the cut their last search leaves,
 and the compiled one refused a network of one vertex, and an arc, a head
-or an arc range out of bounds, or more paths than k."""
+or an arc range out of bounds, more paths than k, or a flow item outside
+[0, its arc's capacity]."""
 
 import random
 from array import array
@@ -219,3 +220,23 @@ def test_the_search_checks_what_it_follows(first, adj, to):
             2, array("q", first), array("q", adj), array("q", to), 1, 0, array("q", [0]),
             memoryview(backing)[:2], array("q", [-9, -9]), array("q", [-9, -9]))
     assert backing[2:].tolist() == [-9] * 6
+
+
+@pytest.mark.parametrize("nv, first, adj, to, flow", [
+    (2, [0, 1, 2], [0, 1], [1, 0], [-2**63]),
+    (2, [0, 1, 2], [0, 1], [1, 0], [4]),
+    (2, [0, 2, 4], [0, 2, 1, 3], [1, 1, 0, 0], [0, 2]),
+    (2, [0, 2, 4], [0, 2, 1, 3], [1, 1, 0, 0], [0, -1]),
+    (4, [0, 1, 3, 5, 6], [0, 2, 1, 4, 3, 5], [1, 0, 2, 1, 3, 2], [0, 3, 0]),
+], ids=["far-below-0", "end-arc-above-k", "read-above-1", "read-below-0", "inside-above-k-t"])
+def test_the_kernel_checks_the_flow_it_is_given(nv, first, adj, to, flow):
+    """At k = 3 and t = 1 a flow item outside [0, its arc's capacity] (k
+    on the two end backbone arcs, k - t inside, 1 on a read's arc) is
+    refused before the search runs, every buffer untouched: far below 0,
+    `capacity - flow` would overflow."""
+    flow, scratch = array("q", flow), [array("q", [-9]) * nv for _ in range(3)]
+    before = [flow.tolist()] + [row.tolist() for row in scratch]
+    with pytest.raises(ValueError, match="out of bounds"):
+        _native.load_library().covprune_max_flow(nv, array("q", first), array("q", adj),
+                                                 array("q", to), 3, 1, flow, *scratch)
+    assert [flow.tolist()] + [row.tolist() for row in scratch] == before

@@ -10,8 +10,8 @@ store, and those of the profile, the network layout, the max-flow, the
 recount, the split per chromosome and the small loops of `_arrays.c`,
 each checked against a list scan, and calls whose counts exceed a buffer
 by one, which the module refuses, and the max-flow's search on indices
-that hold no network, which it refuses.  Any sanitizer report stops the
-child."""
+that hold no network or a flow outside its capacities, which it
+refuses.  Any sanitizer report stops the child."""
 
 import os
 import subprocess
@@ -96,6 +96,13 @@ except ValueError:
 # the kept-line gather at n = 0 and n = 1, an unterminated line
 assert lib.covprune_lines(0, array("B"), array("q"), array("q"), 0, b"") == b""
 assert lib.covprune_lines(1, array("B", [1]), one("q"), array("q", [3]), 3, b"0 1") == b"0 1\\n"
+# a kept line of the most negative length, whose end would overflow
+try:
+    lib.covprune_lines(2, array("B", [1, 1]), array("q", [0, 1]), array("q", [3, -2**63]), 3,
+                       b"0 1")
+    raise AssertionError("the gather took a line outside the data")
+except ValueError:
+    pass
 
 
 # int64 items at exactly their number
@@ -422,6 +429,9 @@ for k, t in ((0, 0), (-2**63, 0), (1, -1), (1, 2), (3, -2**63)):
             *(ints([-9] * 2) for _ in range(3)))
 refused(lib.covprune_max_flow, 2, ints([0, 3, 3]), ints([2, 0, 1]), ints([1, 0, 1]), 1, 0,
         ints([0]), *(ints([-9] * 2) for _ in range(3)))
+# a flow item far below 0, whose residual capacity - flow would overflow
+refused(lib.covprune_max_flow, 2, ints([0, 1, 2]), ints([0, 1]), ints([1, 0]), 3, 0,
+        ints([-2**63]), *(ints([-9] * 2) for _ in range(3)))
 behind = ints([5, 0])
 refused(lib.covprune_max_flow, 1, ints([0, 0]), ints([]), ints([]), 9, 0,
         memoryview(behind)[1:], *(ints([-9]) for _ in range(3)))
