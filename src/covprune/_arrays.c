@@ -21,15 +21,6 @@ static int64_t covprune_select(int64_t n, const int64_t *values, int64_t want, i
     return count;
 }
 
-/* The first i < n with starts[i] >= ends[i], or -1 when there is none. */
-static int64_t covprune_unordered(int64_t n, const uint64_t *starts, const uint64_t *ends)
-{
-    for (int64_t i = 0; i < n; i++)
-        if (starts[i] >= ends[i])
-            return i;
-    return -1;
-}
-
 /* The coverage of the m - 1 segments between m delimiters by the reads
  * idx[0..nidx), each spanning delimiter indices [lo[i], hi[i]), into
  * cov[0..m - 1), and its least and largest value into extremes[0] and

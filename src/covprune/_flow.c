@@ -103,18 +103,18 @@ static int64_t dfs_augment(int64_t nv, const int64_t *first, const int64_t *adj,
  * its arc's capacity], and later when the search meets an index out of
  * bounds or the paths exceed k, which no chain network reaches: the
  * source's one arc has capacity k, and each path adds at least 1.
- * parent_arc, stack and next_arc are scratch space of nv entries each;
- * parent_arc is left holding the last, failing search's marks. */
+ * parent_arc, of nv entries, is left holding the last, failing search's
+ * marks; scratch, 2nv entries, holds the search's stack and next_arc. */
 static int64_t covprune_max_flow(int64_t nv, const int64_t *first, const int64_t *adj,
                                  const int64_t *to, int64_t k, int64_t t, int64_t *flow,
-                                 int64_t *parent_arc, int64_t *stack, int64_t *next_arc)
+                                 int64_t *parent_arc, int64_t *scratch)
 {
     for (int64_t a = 0; a < first[nv] / 2; a++)
         if (flow[a] < 0 || flow[a] > capacity(a, nv, k, t))
             return -1;
     int64_t augmentations = 0, pushed;
-    while ((pushed = dfs_augment(nv, first, adj, to, k, t, flow, parent_arc, stack,
-                                 next_arc)) > 0)
+    while ((pushed = dfs_augment(nv, first, adj, to, k, t, flow, parent_arc, scratch,
+                                 scratch + nv)) > 0)
         if (++augmentations > k)
             return -1;
     return pushed < 0 ? -1 : augmentations;
@@ -131,7 +131,7 @@ static int64_t covprune_max_flow(int64_t nv, const int64_t *first, const int64_t
  * backbone arc u -> u - 1, then the reverse interval arcs into u by
  * falling lo, ties going by arc index as in the stable sort; so two
  * counting sorts of the reads, each placed in one pass, give the same
- * first and adj in O(n + m).  scratch holds 4(m + 2) + n entries.
+ * first and adj in O(n + m).  scratch holds 3(m + 2) + n entries.
  * Returns 0, or -1, before it writes anything, unless 0 <= lo[i] < hi[i]
  * <= m - 1 for every read, so that every head lies on the chain. */
 static int64_t covprune_network(int64_t n, int64_t m, const int64_t *lo, const int64_t *hi,
@@ -142,10 +142,11 @@ static int64_t covprune_network(int64_t n, int64_t m, const int64_t *lo, const i
             return -1;
     int64_t nb = m + 1, nv = m + 2;
     /* per vertex: interval arcs out, those spanning two or more segments,
-     * interval arcs in, a cursor; then the reads in one order */
+     * interval arcs in; then the reads in one order.  A cursor per vertex
+     * takes the place of the second once the backbone arcs are laid. */
     int64_t *out = scratch;
     memset(out, 0, 3 * nv * sizeof *out);
-    int64_t *multi = out + nv, *in = multi + nv, *at = in + nv, *order = at + nv;
+    int64_t *multi = out + nv, *in = multi + nv, *at = multi, *order = in + nv;
     for (int64_t i = 0; i < n; i++) {
         out[lo[i] + 1]++;
         multi[lo[i] + 1] += hi[i] > lo[i] + 1;

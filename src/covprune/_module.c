@@ -13,10 +13,11 @@
  * items they imply, or raises ValueError, again before the kernel runs.
  * A kernel that checks its indices returns a negative status, raised
  * here as ValueError, as is parse's -3, a record past its columns; the
- * others' results, parse's -1 and -2 among them, go back to the caller.
- * The radix scratch of profile and sweep, and the sweep's store, are
- * allocated here and left uninitialized, so the passes a sorted column
- * skips never touch them.
+ * others' results, parse's -1 and -2 and profile's -1 among them, go
+ * back to the caller.  No kernel takes scratch from Python: every
+ * kernel's scratch, and the sweep's store, are allocated here, once the
+ * rule has bounded the counts they are sized by, and left uninitialized,
+ * so that the passes a sorted column skips never touch them.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -116,13 +117,13 @@ static int take(const char *name, const char *spec, PyObject *const *args, Py_ss
     return -1;
 }
 
-/* per_read * n + plus items of size bytes, uninitialized; NULL with
- * MemoryError when they cannot be had. */
-static void *scratch(int64_t n, int64_t per_read, int64_t plus, int64_t size)
+/* items items of size bytes, uninitialized; NULL with MemoryError when
+ * they cannot be had. */
+static void *scratch(int64_t items, int64_t size)
 {
     void *s = NULL;
-    if (n >= 0 && n <= (PY_SSIZE_T_MAX / size - plus) / per_read)
-        s = PyMem_Malloc((size_t)((per_read * n + plus) * size));
+    if (items >= 0 && items <= PY_SSIZE_T_MAX / size)
+        s = PyMem_Malloc((size_t)(items * size));
     if (!s)
         PyErr_NoMemory();
     return s;
@@ -155,7 +156,7 @@ static int64_t sweep(const Arg *a, int64_t *s)
     int64_t cap = nseg > 0 ? (int64_t)1 << bit_length(nseg - 1) : 1; /* leaves: 2^j >= nseg */
     void *piece[3] = {NULL, NULL, NULL};
     int got = 0, pieces = flat ? 1 : 3;
-    while (got < pieces && (piece[got] = flat ? scratch(nseg, 1, 0, 4) : scratch(cap, 2, 0, 8)))
+    while (got < pieces && (piece[got] = flat ? scratch(nseg, 4) : scratch(2 * cap, 8)))
         got++;
     if (got == pieces)
         result = covprune_sweep(INT(0), I64(1), I64(2), nseg, I64(4), INT(5), flat, I64(7),
@@ -165,12 +166,11 @@ static int64_t sweep(const Arg *a, int64_t *s)
     return result;
 }
 
-/* py_<name>: takes the arguments by spec, with per_read > 0 allocates
- * scratch s of per_read * n + RADIX items for n the first argument,
- * refuses the call unless it has s and fits, the counts' rule for the
- * buffers' sizes, holds, runs call, which may set result, and returns it
- * as kind says */
-#define KERNEL(name, spec, fits, kind, per_read, call)                                        \
+/* py_<name>: takes the arguments by spec, refuses the call unless fits,
+ * the counts' rule for the buffers' sizes, holds, allocates scratch s of
+ * items int64 items when items, which the rule has bounded, is not 0,
+ * runs call, which may set result, and returns it as kind says */
+#define KERNEL(name, spec, fits, kind, items, call)                                           \
     static PyObject *py_##name(PyObject *self, PyObject *const *args, Py_ssize_t nargs)       \
     {                                                                                         \
         Arg a[MAX_ARGS];                                                                      \
@@ -179,10 +179,8 @@ static int64_t sweep(const Arg *a, int64_t *s)
         (void)self;                                                                           \
         if (take("covprune_" #name, spec, args, nargs, a, views) < 0)                         \
             return NULL;                                                                      \
-        if (per_read)                                                                         \
-            s = scratch(INT(0), per_read, RADIX, 8);                                          \
         int fit = fits;                                                                       \
-        if (fit && (s || !per_read))                                                          \
+        if (fit && ((items) == 0 || (s = scratch(items, 8))))                                 \
             call;                                                                             \
         PyMem_Free(s);                                                                        \
         release(views, nargs);                                                                \
@@ -204,31 +202,28 @@ KERNEL(parse, "Bnnn Q!Q!q!q!q!q!", HOLDS(0, INT(1)) && HOLDS(4, INT(3)) && HOLDS
                                I64(8), I64(9)))
 KERNEL(profile, "nQQ Q!q!q!q!q!", INT(0) >= 1 && HOLDS(1, INT(0)) && HOLDS(2, INT(0))
        && holds(&views[3], INT(0), 2, 0) && HOLDS(4, INT(0)) && HOLDS(5, INT(0))
-       && holds(&views[6], INT(0), 2, 0) && HOLDS(7, 3), VALUE, 6,
+       && holds(&views[6], INT(0), 2, 0) && HOLDS(7, 3), VALUE, 6 * INT(0) + RADIX,
        result = covprune_profile(INT(0), U64(1), U64(2), U64(3), I64(4), I64(5), I64(6), I64(7),
                                  s))
 KERNEL(sweep, "nqqnqnn q!q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
-       && HOLDS(7, INT(0)) && HOLDS(8, 4), STATUS, 4, result = sweep(a, s))
-/* n and m bounded by lo and first first, so that m + 1 + n cannot overflow */
-KERNEL(network, "nnqq q!q!q!q!", HOLDS(2, INT(0)) && HOLDS(3, INT(0))
+       && HOLDS(7, INT(0)) && HOLDS(8, 4), STATUS, 4 * INT(0) + RADIX, result = sweep(a, s))
+/* n and m bounded by lo and first first, so that m + 1 + n and the
+ * scratch's 3(m + 2) + n cannot overflow */
+KERNEL(network, "nnqq q!q!q!", HOLDS(2, INT(0)) && HOLDS(3, INT(0))
        && holds(&views[4], INT(1), 1, 3) && holds(&views[5], INT(1) + 1 + INT(0), 2, 0)
-       && holds(&views[6], INT(1) + 1 + INT(0), 2, 0)
-       && holds(&views[7], INT(1) + 2, 4, INT(0)), STATUS, 0,
-       result = covprune_network(INT(0), INT(1), I64(2), I64(3), I64(4), I64(5), I64(6),
-                                 I64(7)))
+       && holds(&views[6], INT(1) + 1 + INT(0), 2, 0), STATUS, 3 * (INT(1) + 2) + INT(0),
+       result = covprune_network(INT(0), INT(1), I64(2), I64(3), I64(4), I64(5), I64(6), s))
 /* a source and a sink apart, arcs in pairs, adj and to an entry per
  * residual arc, first[nv] of them, flow one per pair, and 0 <= t <= k
  * with k >= 1 */
-KERNEL(max_flow, "nqqqnn q!q!q!q!", INT(0) >= 2 && holds(&views[1], INT(0), 1, 1)
+KERNEL(max_flow, "nqqqnn q!q!", INT(0) >= 2 && holds(&views[1], INT(0), 1, 1)
        && I64(1)[INT(0)] % 2 == 0 && HOLDS(2, I64(1)[INT(0)]) && HOLDS(3, I64(1)[INT(0)])
        && INT(4) >= 1 && INT(5) >= 0 && INT(5) <= INT(4) && HOLDS(6, I64(1)[INT(0)] / 2)
-       && HOLDS(7, INT(0)) && HOLDS(8, INT(0)) && HOLDS(9, INT(0)), STATUS, 0,
+       && HOLDS(7, INT(0)), STATUS, 2 * INT(0),
        result = covprune_max_flow(INT(0), I64(1), I64(2), I64(3), INT(4), INT(5), I64(6),
-                                  I64(7), I64(8), I64(9)))
+                                  I64(7), s))
 KERNEL(select, "nqn q!", HOLDS(1, INT(0)) && HOLDS(3, INT(0)), VALUE, 0,
        result = covprune_select(INT(0), I64(1), INT(2), I64(3)))
-KERNEL(unordered, "nQQ", HOLDS(1, INT(0)) && HOLDS(2, INT(0)), VALUE, 0,
-       result = covprune_unordered(INT(0), U64(1), U64(2)))
 KERNEL(recount, "nqnqqn q!q!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(4, INT(2))
        && HOLDS(6, INT(5)) && HOLDS(7, 2), STATUS, 0,
        result = covprune_recount(INT(0), I64(1), INT(2), I64(3), I64(4), INT(5), I64(6), I64(7)))
@@ -266,9 +261,8 @@ static PyObject *py_lines(PyObject *self, PyObject *const *args, Py_ssize_t narg
 #define ENTRY(name) {"covprune_" #name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
-    ENTRY(parse),  ENTRY(profile), ENTRY(sweep),     ENTRY(network), ENTRY(max_flow),
-    ENTRY(select), ENTRY(recount), ENTRY(unordered), ENTRY(group),   ENTRY(scatter),
-    ENTRY(lines),
+    ENTRY(parse),  ENTRY(profile), ENTRY(sweep), ENTRY(network), ENTRY(max_flow),
+    ENTRY(select), ENTRY(recount), ENTRY(group), ENTRY(scatter), ENTRY(lines),
     {NULL, NULL, 0, NULL},
 };
 

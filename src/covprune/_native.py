@@ -21,8 +21,6 @@ on which the CLI exits 4.
 The functions at the end are the Python faces of `_arrays.c`'s loops.
 """
 
-from __future__ import annotations
-
 import contextlib
 import functools
 import os

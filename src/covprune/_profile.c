@@ -9,9 +9,10 @@
  * one merge of the two orders writes the delimiters, lo, hi and segment
  * coverage.  Coordinates are compared as unsigned 64-bit values.
  * coverage_profile calls it only for n >= 1, with the contiguous uint64
- * endpoints of an IntervalSet, which checked start < end in every pair
- * when it was built, and allocates the outputs and the scratch at the
- * sizes given below.  The order sorts the same way, one key per read.
+ * endpoints of an IntervalSet, and allocates the outputs at the sizes
+ * given below; the module allocates the scratch.  A read with start >=
+ * end is refused before anything is written.  The order sorts the same
+ * way, one key per read.
  */
 
 #include <stdint.h>
@@ -74,7 +75,8 @@ static void radix_argsort(int64_t n, const uint64_t *keys, uint64_t *const key_h
  * delimiter indices to lo and hi, and the coverage of the segment after
  * delimiter j to segment_cov[j]; returns the number of delimiters m
  * (segment_cov's last entry, j = m - 1, is 0 and not part of the
- * profile).  summary gets the profile's least and largest coverage and
+ * profile), or -1, before it writes anything, unless starts[i] < ends[i]
+ * for every read.  summary gets the profile's least and largest coverage and
  * its sum, which is also the sum of hi[i] - lo[i], the segments the
  * reads span.  delimiters and segment_cov have 2n entries, lo and hi n
  * each, summary 3 and scratch 6n + RADIX (2048): the starts' order
@@ -84,6 +86,11 @@ static int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_
                                 uint64_t *delimiters, int64_t *lo, int64_t *hi,
                                 int64_t *segment_cov, int64_t *summary, int64_t *scratch)
 {
+    int unordered = 0; /* or-ed without a branch, so that the check vectorizes */
+    for (int64_t i = 0; i < n; i++)
+        unordered |= starts[i] >= ends[i];
+    if (unordered)
+        return -1;
     uint64_t *keys = (uint64_t *)scratch;
     int64_t *pos = scratch + 3 * n, *count = scratch + 6 * n;
     const uint64_t *sk, *ek;

@@ -28,8 +28,6 @@ segments per read per bit of nseg the vectorized flat scan costs about
 what the tree does (15k reads of 0.5-1.5 kb at depth 400-600).
 """
 
-from __future__ import annotations
-
 from ._native import load_library, zeros
 from .intervals import IntervalSet
 from .solution import Solution, score_subset

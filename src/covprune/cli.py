@@ -17,8 +17,6 @@ a bug), 4 no compiled library: the kernels could not be built with the
 C compiler.
 """
 
-from __future__ import annotations
-
 import contextlib
 import gc
 import sys
@@ -129,8 +127,12 @@ def _run(args, solver) -> int:
     with _stats_file(args, sys.stderr) as out:
         kept, feasible = _solve_instance(instance, solver, out)
     if feasible:
-        # as text, since a caller's stdout may have no `.buffer`; the input is UTF-8
-        sys.stdout.write(instance.kept_lines(kept).decode())
+        lines = instance.kept_lines(kept)
+        if hasattr(sys.stdout, "buffer"):  # the bytes as read, after what the text layer holds
+            sys.stdout.flush()
+            sys.stdout.buffer.write(lines)
+        else:  # an in-process caller's text stream; the input is UTF-8
+            sys.stdout.write(lines.decode())
     return 0 if feasible else 1
 
 

@@ -25,8 +25,6 @@ two boundary paths.  The shared top of the two paths, above
 their lowest common ancestor, is walked once.
 """
 
-from __future__ import annotations
-
 from .intervals import IntervalSet
 
 _INF = 1 << 62

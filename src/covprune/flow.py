@@ -19,8 +19,6 @@ by `covprune_max_flow`.  `decide` runs the exact search
 (`search.descend`) at its one floor t.
 """
 
-from __future__ import annotations
-
 from array import array
 from collections import namedtuple
 
@@ -88,7 +86,7 @@ def build_network(intervals: IntervalSet) -> FlowNetwork:
         raise ValueError("lo and hi differ in length")
     first, adj, to = zeros("q", nv + 1), zeros("q", 2 * (m + 1 + n)), zeros("q", 2 * (m + 1 + n))
     # it checks every read's span first: one off the chain raises ValueError
-    _native.load_library().covprune_network(n, m, lo, hi, first, adj, to, zeros("q", 4 * nv + n))
+    _native.load_library().covprune_network(n, m, lo, hi, first, adj, to)
     return FlowNetwork(nv, m + 1, *(memoryview(a).toreadonly() for a in (first, adj, to)))
 
 
@@ -97,9 +95,9 @@ def max_flow_augmenting(net: FlowNetwork, k: int, t: int, flow) -> FlowAssignmen
     int64 per logical arc in an `array.array`, to a maximum flow, in
     place, by depth-first augmenting paths.  The returned assignment
     records how many paths were needed."""
-    # scratch for the search: parent_arc, stack and next_arc
+    # parent_arc: the last search's marks, which no caller reads yet
     augmentations = _native.load_library().covprune_max_flow(
-        net.nv, net.first, net.adj, net.to, k, t, flow, *(zeros("q", net.nv) for _ in range(3)))
+        net.nv, net.first, net.adj, net.to, k, t, flow, zeros("q", net.nv))
     nb = net.num_backbone_arcs
     # copies: the next, lower floor goes on augmenting `flow`
     return FlowAssignment(flow[:nb], flow[nb:], augmentations)

@@ -12,8 +12,6 @@ columns, and every array here is a read-only `memoryview` of an
 safe to share between threads.
 """
 
-from __future__ import annotations
-
 from array import array
 from collections import namedtuple
 from functools import cached_property
@@ -35,10 +33,10 @@ class IntervalSet:
     def __init__(self, starts=b"", ends=b""):
         """The set of the given columns, by default empty: buffers of
         unsigned integers only, a read-only contiguous uint64 view shared,
-        others copied."""
+        others copied.  A pair with start >= end is refused when the set
+        is first profiled (`compressed`), as every solver does."""
         self.starts, self.ends = _uint64(starts), _uint64(ends)
-        n = len(self.starts)
-        if n != len(self.ends) or _kernels().covprune_unordered(n, self.starts, self.ends) >= 0:
+        if len(self.starts) != len(self.ends):
             raise ValueError("every interval needs start < end")
 
     @classmethod
@@ -53,7 +51,7 @@ class IntervalSet:
         return cls(memoryview(starts).toreadonly(), memoryview(ends).toreadonly())
 
     @cached_property
-    def compressed(self) -> CoverageProfile:
+    def compressed(self) -> "CoverageProfile":
         """The set's coverage profile, computed once."""
         return coverage_profile(self)
 
@@ -109,6 +107,8 @@ def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
     if n:  # the kernel reads a first endpoint
         m = _kernels().covprune_profile(n, intervals.starts, intervals.ends, delims, lo, hi, cov,
                                         summary)
+        if m < 0:  # a pair with start >= end, refused before any write
+            raise ValueError("every interval needs start < end")
         del delims[m:], cov[m - 1:]
     return CoverageProfile(*(memoryview(a).toreadonly() for a in (delims, lo, hi, cov)), *summary)
 

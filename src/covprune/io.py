@@ -14,8 +14,6 @@ re-formatted from their numbers, and its runs of one name are what the
 split per chromosome (`covprune_group`) reads.
 """
 
-from __future__ import annotations
-
 from array import array
 from collections import namedtuple
 from functools import cached_property

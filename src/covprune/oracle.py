@@ -1,8 +1,6 @@
 """Brute-force references for validating the real solvers at desk scale:
 library only, with numpy (the `test` extra), which no CLI run loads."""
 
-from __future__ import annotations
-
 from ._native import select
 from .intervals import IntervalSet
 from .solution import Solution, score_subset

@@ -13,8 +13,6 @@ is the one body of both exact entry points: `solve_exact` runs it over
 every floor from the bound down, and `flow.decide` over its one floor t.
 """
 
-from __future__ import annotations
-
 from array import array
 
 from . import flow

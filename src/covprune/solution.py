@@ -1,7 +1,5 @@
 """Solver output: the kept subset plus the coverage it achieves."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from ._native import select, zeros

@@ -135,11 +135,13 @@ def flat_python(order, lo, hi, cov, k: int):
     return deleted, (scanned, candidates, blocked, refilled)
 
 
-def augment_python(nv, first, adj, to, k, t, flow, parent_arc, stack, next_arc) -> int:
+def augment_python(nv, first, adj, to, k, t, flow, parent_arc) -> int:
     """`covprune_max_flow` line for line, run on lists read from the same
     arrays, since indexing a list is many times faster than indexing
-    numpy; `flow` and `parent_arc` get the final lists back."""
-    lists = [a.tolist() for a in (first, adj, to, flow, parent_arc, stack, next_arc)]
+    numpy; `flow` and `parent_arc` get the final lists back, and the
+    search's stack and next_arc are lists of its own, as the kernel's are
+    the module's."""
+    lists = [a.tolist() for a in (first, adj, to, flow, parent_arc)] + [[0] * nv, [0] * nv]
     augmentations = 0
     while dfs_augment(nv, k, t, *lists) > 0:
         augmentations += 1

@@ -135,11 +135,13 @@ def test_a_recount_takes_rising_indices_only():
         segment_cov(lo, array("q", [2, 2, 3]), 3, array("q", [0, 1, 2]))  # past the last one
 
 
-def test_radix_scratch_beyond_memory_raises_memory_error():
-    # the module allocates the sweep's radix scratch, 4n + 2048 items
-    # here, and asks for none it could not address
+def test_scratch_is_sized_by_counts_the_rule_has_bounded():
+    """The module sizes a kernel's scratch by its counts only once the
+    rule has checked them against the buffers: a count of 2**61 reads,
+    whose 4n + 2048 items of sweep scratch no memory holds, is refused
+    as a count out of range, never asked of the allocator."""
     kept, counts = array("q", SENTINEL), array("q", SENTINEL * 2)
-    with pytest.raises(MemoryError):
+    with pytest.raises(ValueError, match="count out of range"):
         _native.load_library().covprune_sweep(2**61, array("q", [0]), array("q", [1]), 1,
                                               array("q", [5]), 1, 1, kept, counts)
     assert list(kept) == SENTINEL and list(counts) == SENTINEL * 2
@@ -158,11 +160,10 @@ def short_buffer_calls():
         # three summary slots of which the buffer holds two
         "profile-summary": (1, array("Q", [0]), array("Q", [1]), array("Q", [9, 9]), q(-9),
                             q(-9), q(-9, -9), q(-9, -9)),
-        "network": (2, 3, q(0, 1), q(2), q(-9) * 6, q(-9) * 12, q(-9) * 12, q(0) * 22),
+        "network": (2, 3, q(0, 1), q(2), q(-9) * 6, q(-9) * 12, q(-9) * 12),
         # kept holds one of the two reads; then counts three of four slots
         "sweep": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 1, q(-9), q(-9) * 4),
         "sweep-counts": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 0, q(-9, -9), q(-9) * 3),
-        "unordered": (3, array("Q", [0, 1, 2]), array("Q", [1, 2])),
         "recount": (2, q(0, 1), 2, q(0, 1), q(1, 2), 3, q(-9, -9), q(-9, -9)),
         "recount-extremes": (2, q(0, 1), 2, q(0, 1), q(1, 2), 3, q(-9) * 3, q(-9)),
         "recount-negative": (0, q(), 0, q(), q(), -1, q(-9), q(-9, -9)),
@@ -175,22 +176,17 @@ def short_buffer_calls():
         # record columns of two items where the count, max_records, says three
         "parse": (b"0 1\n", 4, 1, 3, array("Q", [9] * 3), array("Q", [9] * 2), q(-9) * 3,
                   q(-9) * 6, q(-9) * 3, q(-9) * 3),
-        # first holds two of its nv + 1 entries; then a search scratch one of two
-        "max_flow": (2, q(0, 0), q(), q(), 1, 0, q(), q(-9, -9), q(-9, -9), q(-9, -9)),
-        "max_flow-scratch": (2, q(0, 0, 0), q(), q(), 1, 0, q(), q(-9, -9), q(-9), q(-9, -9)),
+        # first holds two of its nv + 1 entries; then parent_arc one of two
+        "max_flow": (2, q(0, 0), q(), q(), 1, 0, q(), q(-9, -9)),
+        "max_flow-marks": (2, q(0, 0, 0), q(), q(), 1, 0, q(), q(-9)),
         # flow holds none of the one pair's items; then an odd arc count, 3
         # arcs whose last pair would need the flow's missing second item
-        "max_flow-flow": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, 0, q(), q(-9, -9), q(-9, -9),
-                          q(-9, -9)),
-        "max_flow-odd": (2, q(0, 3, 3), q(2, 0, 1), q(1, 0, 1), 1, 0, q(0), q(-9, -9),
-                         q(-9, -9), q(-9, -9)),
+        "max_flow-flow": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, 0, q(), q(-9, -9)),
+        "max_flow-odd": (2, q(0, 3, 3), q(2, 0, 1), q(1, 0, 1), 1, 0, q(0), q(-9, -9)),
         # k below 1, t below 0 and t above k, on buffers the call could run on
-        "max_flow-k": (2, q(0, 1, 2), q(0, 1), q(1, 0), 0, 0, q(0), q(-9, -9), q(-9, -9),
-                       q(-9, -9)),
-        "max_flow-t": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, -1, q(0), q(-9, -9), q(-9, -9),
-                       q(-9, -9)),
-        "max_flow-t-above-k": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, 2, q(0), q(-9, -9),
-                               q(-9, -9), q(-9, -9)),
+        "max_flow-k": (2, q(0, 1, 2), q(0, 1), q(1, 0), 0, 0, q(0), q(-9, -9)),
+        "max_flow-t": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, -1, q(0), q(-9, -9)),
+        "max_flow-t-above-k": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, 2, q(0), q(-9, -9)),
     }
 
 
@@ -207,8 +203,7 @@ def test_a_buffer_shorter_than_its_count_never_reaches_the_loop(name):
 def test_buffers_of_exactly_the_counted_size_are_taken():
     lib = _native.load_library()
     flow = q(0)  # one pair of arcs, one flow: the source's arc, capacity k = 3
-    assert lib.covprune_max_flow(2, q(0, 1, 2), q(0, 1), q(1, 0), 3, 0, flow, q(-9, -9),
-                                 q(-9, -9), q(-9, -9)) == 1
+    assert lib.covprune_max_flow(2, q(0, 1, 2), q(0, 1), q(1, 0), 3, 0, flow, q(-9, -9)) == 1
     assert flow.tolist() == [3]
     assert lib.covprune_lines(1, array("B", [1]), q(0), q(4), 4, b"0 1\n") == b"0 1\n"
 

@@ -1,8 +1,9 @@
 import contextlib
 import json
 import re
+import tempfile
 from array import array
-from io import StringIO
+from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
 from unittest import mock
 
@@ -385,6 +386,66 @@ def test_interleaved_names_split_as_a_grouped_file(tmp_path, capsys, monkeypatch
         assert results[0][0] == 0 and len(results[0][2]) == 3
     assert spy.covprune_group.call_count == 6  # once per run
     assert spy.covprune_group.call_args_list[0].args[0] == n  # nruns of the mixed file
+
+
+@st.composite
+def bed3_orders(draw):
+    """The lines of a small BED3 file in five orders: as drawn, reversed
+    and three drawn permutations.  1-3 chromosomes, each of up to 30 reads
+    drawn from a pool of a few spans over [0, 12), so that reads repeat
+    and share starts and ends, and a chromosome of a few reads stays under
+    most caps."""
+    names = draw(st.lists(st.sampled_from(["chr1", "chr2", "chrX"]), min_size=1, max_size=3,
+                          unique=True))
+    lines = []
+    for name in names:
+        pool = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 4)), min_size=1,
+                             max_size=6))
+        reads = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+        lines += [f"{name}\t{start}\t{start + size}\n" for start, size in reads]
+    return [lines, lines[::-1], *(draw(st.permutations(lines)) for _ in range(3))]
+
+
+def run_bytes(*argv):
+    """The exit code and the stdout bytes of an in-process run, on a text
+    stream over a byte buffer, as a program's stdout is."""
+    out = TextIOWrapper(BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    out.flush()
+    return code, out.buffer.getvalue()
+
+
+def _both_ways(*lines):
+    return [list(lines), list(lines[::-1])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bed3_orders(), st.integers(1, 4))
+# two files whose reversal keeps another read under approx visiting the
+# reads by start alone, and under exact trying a vertex's arcs by index
+@example(_both_ways("chr1\t0\t1\n", "chr2\t0\t1\n", "chr2\t0\t1\n", "chr2\t0\t2\n"), 1)
+@example(_both_ways("chr1\t0\t1\n", "chr2\t8\t9\n", "chr2\t9\t11\n", "chr2\t8\t10\n"), 1)
+def test_the_answer_does_not_depend_on_the_read_order(orders, k):
+    """Every order of a file's lines gives the same multiset of kept lines
+    and the same stats lines, but for `wall_time_s`, under approx and
+    solve: the sweep visits the reads by (lo, hi, i), the network orders
+    the arcs out of a vertex by falling head and parallel arcs by index,
+    and reads that tie there are the same read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, stats = Path(tmp) / "reads.bed", Path(tmp) / "stats.jsonl"
+        for command in ("approx", "solve"):
+            results = []
+            for lines in orders:
+                path.write_text("".join(lines))
+                code, out = run_bytes(command, str(path), "--k", str(k), "--stats", str(stats))
+                records = [json.loads(line) for line in stats.read_text().splitlines()]
+                for record in records:
+                    del record["wall_time_s"]
+                results.append((code, sorted(out.splitlines(keepends=True)), records))
+            assert all(result == results[0] for result in results)
+            chroms = {line.split()[0] for line in orders[0]}
+            assert results[0][0] == 0 and len(results[0][2]) == len(chroms)
 
 
 def _segment_cov(delims, starts, ends):

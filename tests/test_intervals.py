@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from covprune import IntervalSet, coverage_profile, score_subset
+from covprune import (IntervalSet, approx_prune, coverage_profile, decide, score_subset,
+                      solve_exact)
 from covprune.intervals import MAX_COORD, segment_cov
 
 from conftest import (DEMO_PAIRS, iset, count_cover, interval_pairs, pairs_of, reference_profile,
@@ -188,8 +189,17 @@ def test_a_set_takes_unsigned_ordered_pairs_only():
     for starts in (np.array([0, 3]), array("q", [0, 3]), [0, 3], np.array([0.0, 3.0])):
         with pytest.raises(TypeError):  # signed, not a buffer, or not integers
             IntervalSet(starts, np.array([5, 4], np.uint64))
-    for starts in (np.array([0, 4], np.uint64), np.array([5, 3], np.uint32), array("Q", [0])):
-        with pytest.raises(ValueError, match="start < end"):
-            IntervalSet(starts, np.array([5, 4], np.uint64))
+    with pytest.raises(ValueError, match="start < end"):  # columns of two lengths
+        IntervalSet(array("Q", [0]), np.array([5, 4], np.uint64))
+    # a bad pair, first or last, is refused when the set is first profiled
+    for starts in (np.array([0, 4], np.uint64), np.array([5, 3], np.uint32)):
+        s = IntervalSet(starts, np.array([5, 4], np.uint64))
+        for profiled in ("compressed", "span", "compressed"):  # never cached
+            with pytest.raises(ValueError, match="^every interval needs start < end$"):
+                getattr(s, profiled)
+        for solve in (lambda: solve_exact(s, 3), lambda: approx_prune(s, 3),
+                      lambda: decide(s, 3, 1)):
+            with pytest.raises(ValueError, match="^every interval needs start < end$"):
+                solve()
     s = IntervalSet(np.array([0, 3], np.uint8), array("Q", [5, MAX_COORD]))
     assert pairs_of(s) == [(0, 5), (3, MAX_COORD)]

@@ -68,7 +68,7 @@ def reference_descent(net, k, floors):
         if flow is None:
             flow = warm_flow(net, k, t)
         yield t, flow, augment_python(net.nv, net.first, net.adj, net.to, k, t, flow,
-                                      *np.empty((3, net.nv), np.int64))
+                                      np.empty(net.nv, np.int64))
 
 
 def same_flow(assignment, flow, augmentations) -> bool:
@@ -131,17 +131,16 @@ def test_a_path_through_every_vertex(backend):
     """Two copies of a tiling by 50,000 unit reads at k = t = 1: the warm
     start leaves the interior backbone no capacity, so the one augmenting
     path runs through all nv vertices, far deeper than Python's recursion
-    limit.  The compiled search's stack fills its nv entries exactly."""
+    limit.  The search's stack, the module's own, fills its nv entries
+    exactly (the sanitizer child checks its bounds); parent_arc stays
+    within its nv, and the final search reaches the source alone."""
     starts = np.tile(np.arange(50_000, dtype=np.uint64), 2)
     net = build_network(IntervalSet(starts, starts + 1))
     flow = warm_flow(net, 1, 1)
-    scratch = np.full((3, net.nv + 1), -7, np.int64)  # a guard entry after each row
-    parent_arc, stack, next_arc = (row[:net.nv] for row in scratch)
-    assert kernel(backend)(net.nv, net.first, net.adj, net.to, 1, 1, flow, parent_arc, stack,
-                           next_arc) == 1
-    assert (scratch[:, -1] == -7).all()
-    if backend == "c":  # the reference reads its stack from a list
-        assert stack.tolist() == list(range(net.nv))  # the path, source to sink
+    guarded = np.full(net.nv + 1, -7, np.int64)  # a guard entry after parent_arc
+    assert kernel(backend)(net.nv, net.first, net.adj, net.to, 1, 1, flow,
+                           guarded[:net.nv]) == 1
+    assert guarded[-1] == -7 and np.flatnonzero(guarded[:net.nv] != -1).tolist() == [0]
     kept = np.flatnonzero(flow[net.num_backbone_arcs:])
     assert sorted(starts[kept].tolist()) == list(range(50_000))  # one read per segment
 
@@ -160,9 +159,8 @@ def test_the_last_search_marks_the_residual_reach(backend):
         t = rng.randint(1, k)
         net = build_network(s)
         flow = warm_flow(net, k, t)
-        parent_arc, stack, next_arc = np.empty((3, net.nv), np.int64)
-        kernel(backend)(net.nv, net.first, net.adj, net.to, k, t, flow, parent_arc, stack,
-                        next_arc)
+        parent_arc = np.empty(net.nv, np.int64)
+        kernel(backend)(net.nv, net.first, net.adj, net.to, k, t, flow, parent_arc)
         graph = nx.DiGraph()
         graph.add_nodes_from(range(net.nv))
         # residual arc a runs from to[a ^ 1] to to[a]
@@ -185,14 +183,14 @@ def test_the_flow_runs_between_two_vertices():
     lib = _native.load_library()
     backing = array("q", [5, 7])
     flow = memoryview(backing)[1:]
-    scratch = [array("q", [-9]) for _ in range(3)]
+    parent_arc = array("q", [-9])
     with pytest.raises(ValueError, match="count out of range"):
         lib.covprune_max_flow(1, array("q", [0, 0]), array("q"), array("q"), 9, 0, flow,
-                              *scratch)
-    assert backing.tolist() == [5, 7] and [s.tolist() for s in scratch] == [[-9]] * 3
-    parent_arc, stack, next_arc = (array("q", [-9, -9]) for _ in range(3))
+                              parent_arc)
+    assert backing.tolist() == [5, 7] and parent_arc.tolist() == [-9]
+    parent_arc = array("q", [-9, -9])
     assert lib.covprune_max_flow(2, array("q", [0, 0, 0]), array("q"), array("q"), 1, 0,
-                                 array("q"), parent_arc, stack, next_arc) == 0
+                                 array("q"), parent_arc) == 0
     assert parent_arc.tolist() == [-2, -1]
 
 
@@ -218,7 +216,7 @@ def test_the_search_checks_what_it_follows(first, adj, to):
     with pytest.raises(ValueError, match="out of bounds"):
         _native.load_library().covprune_max_flow(
             2, array("q", first), array("q", adj), array("q", to), 1, 0, array("q", [0]),
-            memoryview(backing)[:2], array("q", [-9, -9]), array("q", [-9, -9]))
+            memoryview(backing)[:2])
     assert backing[2:].tolist() == [-9] * 6
 
 
@@ -234,9 +232,9 @@ def test_the_kernel_checks_the_flow_it_is_given(nv, first, adj, to, flow):
     on the two end backbone arcs, k - t inside, 1 on a read's arc) is
     refused before the search runs, every buffer untouched: far below 0,
     `capacity - flow` would overflow."""
-    flow, scratch = array("q", flow), [array("q", [-9]) * nv for _ in range(3)]
-    before = [flow.tolist()] + [row.tolist() for row in scratch]
+    flow, parent_arc = array("q", flow), array("q", [-9]) * nv
+    before = [flow.tolist(), parent_arc.tolist()]
     with pytest.raises(ValueError, match="out of bounds"):
         _native.load_library().covprune_max_flow(nv, array("q", first), array("q", adj),
-                                                 array("q", to), 3, 1, flow, *scratch)
-    assert [flow.tolist()] + [row.tolist() for row in scratch] == before
+                                                 array("q", to), 3, 1, flow, parent_arc)
+    assert [flow.tolist(), parent_arc.tolist()] == before

@@ -112,6 +112,5 @@ def test_build_network_rejects_a_bad_profile(lo, hi):
         arcs = 2 * (m + 1 + n)
         first, adj, to = (array("q", [-9]) * size for size in (m + 3, arcs, arcs))
         with pytest.raises(ValueError, match="out of bounds"):
-            lib.covprune_network(n, m, array("q", lo), array("q", hi), first, adj, to,
-                                 array("q", [0]) * (4 * (m + 2) + n))
+            lib.covprune_network(n, m, array("q", lo), array("q", hi), first, adj, to)
         assert {*first, *adj, *to} == {-9}

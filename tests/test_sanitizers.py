@@ -9,9 +9,11 @@ their buffers: the reading kernels', the approx sweep's, under either
 store, and those of the profile, the network layout, the max-flow, the
 recount, the split per chromosome and the small loops of `_arrays.c`,
 each checked against a list scan, and calls whose counts exceed a buffer
-by one, which the module refuses, and the max-flow's search on indices
-that hold no network or a flow outside its capacities, which it
-refuses.  Any sanitizer report stops the child."""
+by one, which the module refuses, the profile on a read with start >=
+end, and the max-flow's search on indices that hold no network or a flow
+outside its capacities, which they refuse.  Every kernel's scratch is the
+module's, allocated at exactly its size, so a search that fills its stack
+is checked too.  Any sanitizer report stops the child."""
 
 import os
 import subprocess
@@ -217,6 +219,12 @@ profile([0], [2**64 - 1])
 # unsorted keys, past one radix digit and with a shared one
 profile([7, 0, 2**40 + 3, 0, 4096], [9, 4, 2**40 + 12, 2, 2**64 - 1])
 profile([2**64 - 3, 1, 1], [2**64 - 1, 3, 2**64 - 2])
+# a read with start >= end, alone or in last place: -1 before any write
+for starts, ends in (([1], [1]), ([0, 5, 9], [1, 6, 8]), ([0, 5, 2**64 - 1], [1, 6, 2**64 - 1])):
+    n = len(starts)
+    outputs = [u64([7] * 2 * n), ints([7] * n), ints([7] * n), ints([7] * 2 * n), ints([7] * 3)]
+    assert lib.covprune_profile(n, u64(starts), u64(ends), *outputs) == -1, (starts, ends)
+    assert [a.tolist() for a in outputs] == [[7] * len(a) for a in outputs], outputs
 
 
 # the chain network's first, adj and to, against one stable sort of the
@@ -224,8 +232,7 @@ profile([2**64 - 3, 1, 1], [2**64 - 1, 3, 2**64 - 2])
 def network(m, lo, hi):
     n, nv = len(lo), m + 2
     first, adj, to = (ints([-9] * size) for size in (nv + 1, 2 * (m + 1 + n), 2 * (m + 1 + n)))
-    assert lib.covprune_network(n, m, ints(lo), ints(hi), first, adj, to,
-                                ints([-9] * (4 * nv + n))) == 0
+    assert lib.covprune_network(n, m, ints(lo), ints(hi), first, adj, to) == 0
     tails, heads = [*range(m + 1), *(a + 1 for a in lo)], [*range(1, m + 2), *(b + 1 for b in hi)]
     origin = [u for pair in zip(tails, heads) for u in pair]
     want_to = [u for pair in zip(heads, tails) for u in pair]
@@ -240,7 +247,7 @@ network(5, [0, 2, 1, 0, 3], [4, 3, 4, 1, 4])
 # reads off the chain, refused before any write
 for m, lo, hi in ((2, [0], [2]), (2, [-1], [1]), (3, [1], [1]), (4, [0, 2], [3, 4])):
     n = len(lo)
-    sizes = (m + 3, 2 * (m + 1 + n), 2 * (m + 1 + n), 4 * m + 8 + n)  # first, adj, to, scratch
+    sizes = (m + 3, 2 * (m + 1 + n), 2 * (m + 1 + n))  # first, adj, to
     refused(lib.covprune_network, n, m, ints(lo), ints(hi), *(ints([-9] * k) for k in sizes))
 
 
@@ -304,19 +311,6 @@ refused(lib.covprune_select, 3, ints([3, 3]), 3, ints([-9] * 3))
 refused(lib.covprune_select, 3, ints([3] * 3), 3, ints([-9] * 2))
 
 
-# the first read with start >= end, or -1, against a list scan
-def unordered(starts, ends):
-    got = lib.covprune_unordered(len(starts), u64(starts), u64(ends))
-    assert got == next((i for i, (a, b) in enumerate(zip(starts, ends)) if a >= b), -1), got
-
-
-for starts, ends in (([], []), ([0], [1]), ([1], [1]), ([0, 5, 2**64 - 2], [1, 6, 2**64 - 1]),
-                     ([0, 5, 9], [1, 6, 9]), ([2, 7, 9], [1, 6, 8])):
-    unordered(starts, ends)
-refused(lib.covprune_unordered, 2, u64([0]), u64([1, 2]))
-refused(lib.covprune_unordered, 2, u64([0, 1]), u64([1]))
-
-
 # the mask of map[idx[j]] for each j, against a list scan, the mask
 # coming in with a 2 that stays
 def scatter(idx, mapping, m):
@@ -348,8 +342,8 @@ refused(lib.covprune_scatter, 1, ints([0]), 1, ints([1]), 1, array("B", [0]))  #
 # vertices the source reaches in the residual it leaves; returns the
 # path count
 def max_flow(nv, first, adj, to, k, t, flow):
-    after, scratch = ints(flow), [ints([-9] * nv) for _ in range(3)]
-    count = lib.covprune_max_flow(nv, ints(first), ints(adj), ints(to), k, t, after, *scratch)
+    after, parent_arc = ints(flow), ints([-9] * nv)
+    count = lib.covprune_max_flow(nv, ints(first), ints(adj), ints(to), k, t, after, parent_arc)
     tail = [to[a ^ 1] for a in range(len(to))]
     cap = [1 if a >= nv - 1 else k if a in (0, nv - 2) else k - t for a in range(len(flow))]
 
@@ -379,7 +373,7 @@ def max_flow(nv, first, adj, to, k, t, flow):
     got = residuals(after.tolist())
     start = residuals(flow)
     assert sum(start[a] - got[a] for a in range(len(to)) if tail[a] == 0) == value, (got, value)
-    marks = {v for v, arc in enumerate(scratch[0]) if arc != -1}
+    marks = {v for v, arc in enumerate(parent_arc) if arc != -1}
     assert marks == set(search(got)) and nv - 1 not in marks, (marks, got)
     assert (count > 0) == (value > 0)
     return count
@@ -405,36 +399,32 @@ for m, lo, hi in ((2, [0], [1]), (5, [0, 2, 1, 0, 3], [4, 3, 4, 1, 4]),
                   (4, [0, 1, 1, 2, 0, 2], [2, 3, 2, 3, 1, 3])):
     n, nv = len(lo), m + 2
     first, adj, to = (ints([0] * size) for size in (nv + 1, 2 * (m + 1 + n), 2 * (m + 1 + n)))
-    assert lib.covprune_network(n, m, ints(lo), ints(hi), first, adj, to,
-                                ints([0] * (4 * nv + n))) == 0
+    assert lib.covprune_network(n, m, ints(lo), ints(hi), first, adj, to) == 0
     for k in (1, 2, 3):
         for t in range(k + 1):
             max_flow(nv, first.tolist(), adj.tolist(), to.tolist(), k, t,
                      [k - t] * (m + 1) + [0] * n)
 # each count exceeding its buffer by one: first, then adj, to and flow on
-# a search that reads every arc, then the search scratch on one that
-# fills its stack; k and t out of range; an odd arc count, whose last
-# arc would read the flow's missing item; and one vertex, a source that
-# is the sink
+# a search that reads every arc, then parent_arc on one that marks the
+# sink; k and t out of range; an odd arc count, whose last arc would
+# read the flow's missing item; and one vertex, a source that is the sink
 scan = ([0, 2, 2], [0, 1], [1, 0], [0])
 path = ([0, 1, 2], [0, 1], [1, 0], [0])
 for nv, (first, adj, to, flow), short in ((2, scan, 0), (2, scan, 1), (2, scan, 2),
-                                          (2, scan, 3), (2, path, 4), (2, path, 5),
-                                          (2, path, 6)):
-    args = [first, adj, to, flow, [-9] * nv, [-9] * nv, [-9] * nv]
+                                          (2, scan, 3), (2, path, 4)):
+    args = [first, adj, to, flow, [-9] * nv]
     args[short] = args[short][:-1]
     refused(lib.covprune_max_flow, nv, *map(ints, args[:3]), 1, 0, *map(ints, args[3:]))
 for k, t in ((0, 0), (-2**63, 0), (1, -1), (1, 2), (3, -2**63)):
-    refused(lib.covprune_max_flow, 2, *map(ints, scan[:3]), k, t, ints([0]),
-            *(ints([-9] * 2) for _ in range(3)))
+    refused(lib.covprune_max_flow, 2, *map(ints, scan[:3]), k, t, ints([0]), ints([-9] * 2))
 refused(lib.covprune_max_flow, 2, ints([0, 3, 3]), ints([2, 0, 1]), ints([1, 0, 1]), 1, 0,
-        ints([0]), *(ints([-9] * 2) for _ in range(3)))
+        ints([0]), ints([-9] * 2))
 # a flow item far below 0, whose residual capacity - flow would overflow
 refused(lib.covprune_max_flow, 2, ints([0, 1, 2]), ints([0, 1]), ints([1, 0]), 3, 0,
-        ints([-2**63]), *(ints([-9] * 2) for _ in range(3)))
+        ints([-2**63]), ints([-9] * 2))
 behind = ints([5, 0])
 refused(lib.covprune_max_flow, 1, ints([0, 0]), ints([]), ints([]), 9, 0,
-        memoryview(behind)[1:], *(ints([-9]) for _ in range(3)))
+        memoryview(behind)[1:], ints([-9]))
 # indices that hold no network, on buffers of the sizes the rule asks: a
 # head at or past nv, a negative head, a reverse arc that does not lead
 # back (more paths than k), a first that falls, a negative first, an arc
@@ -446,7 +436,7 @@ for first, adj, to in (([0, 2, 2], [0, 1], [5, 0]), ([0, 2, 2], [0, 1], [-1, 0])
                        ([0, 2, 2], [2, 0], [1, 0]), ([0, 2, 2], [-1, 0], [1, 0])):
     try:
         lib.covprune_max_flow(2, ints(first), ints(adj), ints(to), 1, 0, ints([0]),
-                              *(ints([-9] * 2) for _ in range(3)))
+                              ints([-9] * 2))
         raise AssertionError(f"the max-flow followed {first}, {adj}, {to}")
     except ValueError:
         pass
