@@ -29,7 +29,9 @@ def main():
     net = build_network(s)
     print(f"\nflow network: {net.nv} vertices, source 0, sink {net.nv - 1}, "
           f"{net.num_backbone_arcs} backbone arcs")
-    print(f"  interval arcs (start, end vertex): {net.interval_arcs.tolist()}")
+    chain = "".join(names[i] for i in s.compressed.order)
+    print(f"  interval arcs (start, end vertex), in chain order {chain}: "
+          f"{net.interval_arcs.tolist()}")
     # residual arc 2a runs along logical arc a, 2a + 1 against it
     print("  residual arcs leaving vertex u: adj[first[u]:first[u + 1]], with")
     print(f"    first = {net.first.tolist()}")
@@ -43,7 +45,7 @@ def main():
     print(f"  max-flow value {warm.value} ({warm.augmentations} augmentations from the "
           f"backbone flow {K - t})")
     print(f"  flow per backbone arc: {warm.backbone_flow.tolist()}")
-    print(f"  flow per interval arc: {warm.interval_flow.tolist()}")
+    print(f"  flow per interval arc ({chain}): {warm.interval_flow.tolist()}")
 
     sol = decide(s, K, t)
     kept = "".join(names[i] for i in sol.kept)

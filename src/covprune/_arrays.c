@@ -22,22 +22,35 @@ static int64_t covprune_select(int64_t n, const int64_t *values, int64_t want, i
 }
 
 /* The coverage of the m - 1 segments between m delimiters by the reads
- * idx[0..nidx), each spanning delimiter indices [lo[i], hi[i]), into
- * cov[0..m - 1), and its least and largest value into extremes[0] and
- * extremes[1], both 0 when m < 2; cov has m entries, and cov[m - 1]
- * gets 0.  Returns 0, or -1 unless idx rises within [0, n) and 0 <=
- * lo[i] < hi[i] < m for each read. */
+ * idx[0..nidx), place p of the chain holding read order[p] and spanning
+ * delimiter indices [lo[p], hi[p]), into cov[0..m - 1), its least and
+ * largest value into extremes[0] and extremes[1], both 0 when m < 2;
+ * cov has m entries, and cov[m - 1] gets 0, and mark is n bytes of
+ * scratch.  Returns 0, or -1, before it writes anything, unless idx
+ * rises within [0, n), order holds each read once, and every place has
+ * 0 <= lo[p] < hi[p] < m. */
 static int64_t covprune_recount(int64_t nidx, const int64_t *idx, int64_t n, const int64_t *lo,
-                                const int64_t *hi, int64_t m, int64_t *cov, int64_t *extremes)
+                                const int64_t *hi, const int64_t *order, int64_t m, int64_t *cov,
+                                int64_t *extremes, uint8_t *mark)
 {
-    memset(cov, 0, (size_t)m * sizeof *cov);
+    for (int64_t i = 0; i < n; i++) /* no memset: with n = 0, mark is NULL */
+        mark[i] = 0;
     for (int64_t j = 0; j < nidx; j++) {
-        int64_t i = idx[j];
-        if (i < 0 || i >= n || (j && idx[j - 1] >= i) || lo[i] < 0 || lo[i] >= hi[i]
-            || hi[i] >= m)
+        if (idx[j] < 0 || idx[j] >= n || (j && idx[j - 1] >= idx[j]))
             return -1;
-        cov[lo[i]]++;
-        cov[hi[i]]--;
+        mark[idx[j]] = 1;
+    }
+    for (int64_t p = 0; p < n; p++) { /* 2 marks a read that a place holds */
+        if (order[p] < 0 || order[p] >= n || mark[order[p]] > 1 || lo[p] < 0 || lo[p] >= hi[p]
+            || hi[p] >= m)
+            return -1;
+        mark[order[p]] += 2;
+    }
+    memset(cov, 0, (size_t)m * sizeof *cov);
+    for (int64_t p = 0; p < n; p++) { /* branch-free: the marks are mixed */
+        int64_t keep = mark[order[p]] & 1;
+        cov[lo[p]] += keep;
+        cov[hi[p]] -= keep;
     }
     int64_t mn = m > 1 ? cov[0] : 0, mx = mn;
     for (int64_t j = 1; j < m - 1; j++) {
@@ -49,6 +62,26 @@ static int64_t covprune_recount(int64_t nidx, const int64_t *idx, int64_t n, con
         cov[m - 1] = 0; /* every read's rise and fall have cancelled */
     extremes[0] = mn;
     extremes[1] = mx;
+    return 0;
+}
+
+/* The reads that the places idx[0..nidx) of the chain hold, place p
+ * holding read order[p], rising, into reads[0..nidx); mark is n bytes of
+ * scratch.  Returns 0, or -1, before it writes anything, unless each
+ * place is within [0, n) and holds a read within [0, n) that no other of
+ * them holds. */
+static int64_t covprune_reads(int64_t nidx, const int64_t *idx, int64_t n, const int64_t *order,
+                              int64_t *reads, uint8_t *mark)
+{
+    for (int64_t i = 0; i < n; i++) /* no memset: with n = 0, mark is NULL */
+        mark[i] = 0;
+    for (int64_t j = 0; j < nidx; j++)
+        if (idx[j] < 0 || idx[j] >= n || order[idx[j]] < 0 || order[idx[j]] >= n
+            || mark[order[idx[j]]]++)
+            return -1;
+    for (int64_t i = 0, count = 0; i < n; i++)
+        if (mark[i])
+            reads[count++] = i;
     return 0;
 }
 

@@ -120,39 +120,44 @@ static int64_t covprune_max_flow(int64_t nv, const int64_t *first, const int64_t
     return pushed < 0 ? -1 : augmentations;
 }
 
-/* The chain network that flow.build_network lays out: writes each arc's
- * head to to (j + 1 and j for backbone arc j, hi + 1 and lo + 1 for the
- * interval arcs) and the CSR adjacency first/adj.  The order is that of
- * one stable argsort of every arc by the vertex it leaves, then by
- * falling head (tests/reference_kernels.py's reference), and here it
- * follows from the chain's structure.  The arcs leaving
- * vertex u are the interval arcs out of u by falling hi, the backbone
- * arc u -> u + 1, the single-segment interval arcs out of u, the
+/* The chain network that flow.build_network lays out over the reads in
+ * chain order, place p spanning delimiter indices [lo[p], hi[p]): writes
+ * each arc's head to to (j + 1 and j for backbone arc j, hi[p] + 1 and
+ * lo[p] + 1 for interval arc m + 1 + p) and the CSR adjacency
+ * first/adj.  The order is that of one stable argsort of every arc by
+ * the vertex it leaves, then by falling head (tests/reference_kernels.py's
+ * reference), and here it follows from the chain's structure.  The arcs
+ * leaving vertex u are the interval arcs out of u by falling hi, the
+ * backbone arc u -> u + 1, the single-segment interval arcs out of u, the
  * backbone arc u -> u - 1, then the reverse interval arcs into u by
- * falling lo, ties going by arc index as in the stable sort; so two
- * counting sorts of the reads, each placed in one pass, give the same
- * first and adj in O(n + m).  scratch holds 3(m + 2) + n entries.
- * Returns 0, or -1, before it writes anything, unless 0 <= lo[i] < hi[i]
- * <= m - 1 for every read, so that every head lies on the chain. */
+ * falling lo, ties going by arc index as in the stable sort.  So with lo
+ * and hi in chain order, by (lo, hi, p), the runs of equal (lo, hi) taken
+ * from the last, each from its first place, give both lists in one pass,
+ * with no sort, in O(n + m).  scratch holds 3(m + 2) entries.  Returns
+ * 0, or -1, before it writes anything, unless 0 <= lo[p] < hi[p] <= m - 1
+ * for every read, so that every head lies on the chain, and (lo, hi)
+ * never falls from one place to the next, so that no slot is laid twice. */
 static int64_t covprune_network(int64_t n, int64_t m, const int64_t *lo, const int64_t *hi,
                                 int64_t *first, int64_t *adj, int64_t *to, int64_t *scratch)
 {
-    for (int64_t i = 0; i < n; i++)
-        if (lo[i] < 0 || lo[i] >= hi[i] || hi[i] > m - 1)
+    for (int64_t p = 0; p < n; p++)
+        if (lo[p] < 0 || lo[p] >= hi[p] || hi[p] > m - 1
+            || (p && (lo[p - 1] > lo[p] || (lo[p - 1] == lo[p] && hi[p - 1] > hi[p]))))
             return -1;
     int64_t nb = m + 1, nv = m + 2;
     /* per vertex: interval arcs out, those spanning two or more segments,
-     * interval arcs in; then the reads in one order.  A cursor per vertex
-     * takes the place of the second once the backbone arcs are laid. */
+     * interval arcs in; then a cursor for the arcs out and one for those
+     * in take the place of the last two, vertex by vertex as the backbone
+     * arcs are laid: all but the sink, m + 1, where no read's arc ends. */
     int64_t *out = scratch;
     memset(out, 0, 3 * nv * sizeof *out);
-    int64_t *multi = out + nv, *in = multi + nv, *at = multi, *order = in + nv;
-    for (int64_t i = 0; i < n; i++) {
-        out[lo[i] + 1]++;
-        multi[lo[i] + 1] += hi[i] > lo[i] + 1;
-        in[hi[i] + 1]++;
-        to[2 * (nb + i)] = hi[i] + 1;
-        to[2 * (nb + i) + 1] = lo[i] + 1;
+    int64_t *multi = out + nv, *in = multi + nv, *ahead = multi, *back = in;
+    for (int64_t p = 0; p < n; p++) {
+        out[lo[p] + 1]++;
+        multi[lo[p] + 1] += hi[p] > lo[p] + 1;
+        in[hi[p] + 1]++;
+        to[2 * (nb + p)] = hi[p] + 1;
+        to[2 * (nb + p) + 1] = lo[p] + 1;
     }
     first[0] = 0;
     for (int64_t u = 0; u < nv; u++)
@@ -162,31 +167,18 @@ static int64_t covprune_network(int64_t n, int64_t m, const int64_t *lo, const i
         to[2 * j + 1] = j;
         adj[first[j] + multi[j]] = 2 * j;
         adj[first[j + 1] + (j + 1 <= m) + out[j + 1]] = 2 * j + 1;
+        ahead[j] = first[j];
+        back[j] = first[j] + out[j] + 2; /* after both backbone arcs */
     }
-
-    /* the reads by falling hi, then their arcs placed by tail; a
-     * single-segment arc goes one slot on, after the backbone arc */
-    for (int64_t v = nv - 1, s = 0; v >= 0; s += in[v--])
-        at[v] = s;
-    for (int64_t i = 0; i < n; i++)
-        order[at[hi[i] + 1]++] = i;
-    for (int64_t u = 0; u < nv; u++)
-        at[u] = first[u];
-    for (int64_t j = 0; j < n; j++) {
-        int64_t i = order[j];
-        adj[at[lo[i] + 1]++ + (hi[i] == lo[i] + 1)] = 2 * (nb + i);
-    }
-    /* the reads by falling lo, then their reverse arcs placed by head,
-     * after both backbone arcs */
-    for (int64_t v = nv - 1, s = 0; v >= 0; s += out[v--])
-        at[v] = s;
-    for (int64_t i = 0; i < n; i++)
-        order[at[lo[i] + 1]++] = i;
-    for (int64_t u = 0; u < nv; u++)
-        at[u] = first[u] + (u <= m) + out[u] + 1;
-    for (int64_t j = 0; j < n; j++) {
-        int64_t i = order[j];
-        adj[at[hi[i] + 1]++] = 2 * (nb + i) + 1;
+    /* a single-segment arc goes one slot on, after the backbone arc */
+    for (int64_t end = n, start; end > 0; end = start) {
+        for (start = end - 1; start > 0 && lo[start - 1] == lo[end - 1]
+                              && hi[start - 1] == hi[end - 1]; start--)
+            ;
+        for (int64_t p = start; p < end; p++) {
+            adj[ahead[lo[p] + 1]++ + (hi[p] == lo[p] + 1)] = 2 * (nb + p);
+            adj[back[hi[p] + 1]++] = 2 * (nb + p) + 1;
+        }
     }
     return 0;
 }

@@ -145,12 +145,11 @@ static int holds(const Py_buffer *view, int64_t count, int64_t times, int64_t pl
 /* buffer argument i holds count items */
 #define HOLDS(i, count) holds(&views[i], count, 1, 0)
 
-/* covprune_sweep with its store in pieces of their exact sizes, apart
- * from the radix scratch: nseg int32 cells with flat, else the tree's
- * three arrays of 2 * cap items (one block of them all would pass
- * glibc's mmap threshold and be mapped afresh on every call); MemoryError
- * when a piece cannot be had */
-static int64_t sweep(const Arg *a, int64_t *s)
+/* covprune_sweep with its store in pieces of their exact sizes: nseg
+ * int32 cells with flat, else the tree's three arrays of 2 * cap items
+ * (one block of them all would pass glibc's mmap threshold and be mapped
+ * afresh on every call); MemoryError when a piece cannot be had */
+static int64_t sweep(const Arg *a)
 {
     int64_t nseg = INT(3), flat = INT(6), result = 0;
     int64_t cap = nseg > 0 ? (int64_t)1 << bit_length(nseg - 1) : 1; /* leaves: 2^j >= nseg */
@@ -160,7 +159,7 @@ static int64_t sweep(const Arg *a, int64_t *s)
         got++;
     if (got == pieces)
         result = covprune_sweep(INT(0), I64(1), I64(2), nseg, I64(4), INT(5), flat, I64(7),
-                                I64(8), s, piece[0], cap, piece[0], piece[1], piece[2]);
+                                I64(8), piece[0], cap, piece[0], piece[1], piece[2]);
     while (got)
         PyMem_Free(piece[--got]);
     return result;
@@ -200,18 +199,18 @@ KERNEL(parse, "Bnnn Q!Q!q!q!q!q!", HOLDS(0, INT(1)) && HOLDS(4, INT(3)) && HOLDS
        && HOLDS(9, INT(3)), RECORDS, 0,
        result = covprune_parse(U8(0), INT(1), INT(2), INT(3), U64(4), U64(5), I64(6), I64(7),
                                I64(8), I64(9)))
-KERNEL(profile, "nQQ Q!q!q!q!q!", INT(0) >= 1 && HOLDS(1, INT(0)) && HOLDS(2, INT(0))
+KERNEL(profile, "nQQ Q!q!q!q!q!q!", INT(0) >= 1 && HOLDS(1, INT(0)) && HOLDS(2, INT(0))
        && holds(&views[3], INT(0), 2, 0) && HOLDS(4, INT(0)) && HOLDS(5, INT(0))
-       && holds(&views[6], INT(0), 2, 0) && HOLDS(7, 3), VALUE, 6 * INT(0) + RADIX,
-       result = covprune_profile(INT(0), U64(1), U64(2), U64(3), I64(4), I64(5), I64(6), I64(7),
-                                 s))
+       && HOLDS(6, INT(0)) && holds(&views[7], INT(0), 2, 0) && HOLDS(8, 3), VALUE,
+       6 * INT(0) + RADIX, result = covprune_profile(INT(0), U64(1), U64(2), U64(3), I64(4),
+                                                     I64(5), I64(6), I64(7), I64(8), s))
 KERNEL(sweep, "nqqnqnn q!q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, INT(3))
-       && HOLDS(7, INT(0)) && HOLDS(8, 4), STATUS, 4 * INT(0) + RADIX, result = sweep(a, s))
+       && HOLDS(7, INT(0)) && HOLDS(8, 4), STATUS, 0, result = sweep(a))
 /* n and m bounded by lo and first first, so that m + 1 + n and the
- * scratch's 3(m + 2) + n cannot overflow */
+ * scratch's 3(m + 2) cannot overflow */
 KERNEL(network, "nnqq q!q!q!", HOLDS(2, INT(0)) && HOLDS(3, INT(0))
        && holds(&views[4], INT(1), 1, 3) && holds(&views[5], INT(1) + 1 + INT(0), 2, 0)
-       && holds(&views[6], INT(1) + 1 + INT(0), 2, 0), STATUS, 3 * (INT(1) + 2) + INT(0),
+       && holds(&views[6], INT(1) + 1 + INT(0), 2, 0), STATUS, 3 * (INT(1) + 2),
        result = covprune_network(INT(0), INT(1), I64(2), I64(3), I64(4), I64(5), I64(6), s))
 /* a source and a sink apart, arcs in pairs, adj and to an entry per
  * residual arc, first[nv] of them, flow one per pair, and 0 <= t <= k
@@ -224,9 +223,14 @@ KERNEL(max_flow, "nqqqnn q!q!", INT(0) >= 2 && holds(&views[1], INT(0), 1, 1)
                                   I64(7), s))
 KERNEL(select, "nqn q!", HOLDS(1, INT(0)) && HOLDS(3, INT(0)), VALUE, 0,
        result = covprune_select(INT(0), I64(1), INT(2), I64(3)))
-KERNEL(recount, "nqnqqn q!q!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(4, INT(2))
-       && HOLDS(6, INT(5)) && HOLDS(7, 2), STATUS, 0,
-       result = covprune_recount(INT(0), I64(1), INT(2), I64(3), I64(4), INT(5), I64(6), I64(7)))
+/* the recount's and the reads' marks: n bytes, in (n + 7) / 8 items */
+KERNEL(recount, "nqnqqqn q!q!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(4, INT(2))
+       && HOLDS(5, INT(2)) && HOLDS(7, INT(6)) && HOLDS(8, 2), STATUS, (INT(2) + 7) / 8,
+       result = covprune_recount(INT(0), I64(1), INT(2), I64(3), I64(4), I64(5), INT(6),
+                                 I64(7), I64(8), (uint8_t *)s))
+KERNEL(reads, "nqnq q!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(4, INT(0)), STATUS,
+       (INT(2) + 7) / 8, result = covprune_reads(INT(0), I64(1), INT(2), I64(3), I64(4),
+                                                 (uint8_t *)s))
 KERNEL(group, "nqqnnQQ q!q!Q!Q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(5, INT(3))
        && HOLDS(6, INT(3)) && holds(&views[7], INT(4), 1, 1) && HOLDS(8, INT(3))
        && HOLDS(9, INT(3)) && HOLDS(10, INT(3)), STATUS, 0,
@@ -262,7 +266,7 @@ static PyObject *py_lines(PyObject *self, PyObject *const *args, Py_ssize_t narg
 
 static PyMethodDef methods[] = {
     ENTRY(parse),  ENTRY(profile), ENTRY(sweep), ENTRY(network), ENTRY(max_flow),
-    ENTRY(select), ENTRY(recount), ENTRY(group), ENTRY(scatter), ENTRY(lines),
+    ENTRY(select), ENTRY(recount), ENTRY(reads), ENTRY(group), ENTRY(scatter), ENTRY(lines),
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,18 +1,17 @@
 /* The coverage profile that intervals.coverage_profile calls, with the
- * summary every solver reads (min and max coverage, segments spanned),
- * and covprune_order, the read order covprune_sweep (_sweep.c) takes for
- * itself.
+ * summary every solver reads (min and max coverage, segments spanned)
+ * and the chain order every other kernel reads the reads in.
  *
  * The starts and the ends are ordered apart, each by a stable LSD radix
  * argsort that is O(n) a pass for any input and skips its passes when
  * the keys are in order already (the starts of a sorted BED file), and
- * one merge of the two orders writes the delimiters, lo, hi and segment
- * coverage.  Coordinates are compared as unsigned 64-bit values.
- * coverage_profile calls it only for n >= 1, with the contiguous uint64
- * endpoints of an IntervalSet, and allocates the outputs at the sizes
- * given below; the module allocates the scratch.  A read with start >=
- * end is refused before anything is written.  The order sorts the same
- * way, one key per read.
+ * one merge of the two orders writes the delimiters, the segment
+ * coverage and the chain order with each place's lo and hi.
+ * Coordinates are compared as unsigned 64-bit values.  coverage_profile
+ * calls it only for n >= 1, with the contiguous uint64 endpoints of an
+ * IntervalSet, and allocates the outputs at the sizes given below; the
+ * module allocates the scratch.  A read with start >= end is refused
+ * before anything is written.
  */
 
 #include <stdint.h>
@@ -27,8 +26,7 @@
  * positions; both point into the halves key_half[h] and idx_half[h] (n
  * entries each) of the last pass, h = 0 or 1 in turn from the first
  * pass on, or *key is keys itself and *idx NULL, the identity, when keys
- * is in order already.  key_half[1] may be keys, which only the first
- * pass reads.  count is scratch of RADIX entries. */
+ * is in order already.  count is scratch of RADIX entries. */
 static void radix_argsort(int64_t n, const uint64_t *keys, uint64_t *const key_half[2],
                           int64_t *const idx_half[2], int64_t *count, const uint64_t **key,
                           const int64_t **idx)
@@ -71,19 +69,21 @@ static void radix_argsort(int64_t n, const uint64_t *keys, uint64_t *const key_h
 }
 
 /* The coverage profile of [starts[i], ends[i]) for i < n: writes the
- * distinct endpoints in increasing order to delimiters, each interval's
- * delimiter indices to lo and hi, and the coverage of the segment after
- * delimiter j to segment_cov[j]; returns the number of delimiters m
- * (segment_cov's last entry, j = m - 1, is 0 and not part of the
- * profile), or -1, before it writes anything, unless starts[i] < ends[i]
- * for every read.  summary gets the profile's least and largest coverage and
- * its sum, which is also the sum of hi[i] - lo[i], the segments the
- * reads span.  delimiters and segment_cov have 2n entries, lo and hi n
- * each, summary 3 and scratch 6n + RADIX (2048): the starts' order
- * takes two halves of n keys and two of n positions, and the ends' order
- * reuses the one of each it leaves free. */
+ * distinct endpoints in increasing order to delimiters, the coverage of
+ * the segment after delimiter j to segment_cov[j], and the reads in
+ * chain order, by (start, end, i), to order, place p holding read
+ * order[p], whose delimiter indices go to lo[p] and hi[p]; returns the
+ * number of delimiters m (segment_cov's last entry, j = m - 1, is 0 and
+ * not part of the profile), or -1, before it writes anything, unless
+ * starts[i] < ends[i] for every read.  summary gets the profile's least
+ * and largest coverage and its sum, which is also the sum of hi[p] -
+ * lo[p], the segments the reads span.  delimiters and segment_cov have
+ * 2n entries, lo, hi and order n each, summary 3 and scratch 6n + RADIX
+ * (2048): the starts' order takes two halves of n keys and two of n
+ * positions, the ends' order reuses the one of each it leaves free, and
+ * the merge takes the one the ends leave free. */
 static int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_t *ends,
-                                uint64_t *delimiters, int64_t *lo, int64_t *hi,
+                                uint64_t *delimiters, int64_t *lo, int64_t *hi, int64_t *order,
                                 int64_t *segment_cov, int64_t *summary, int64_t *scratch)
 {
     int unordered = 0; /* or-ed without a branch, so that the check vectorizes */
@@ -100,20 +100,31 @@ static int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_
     int64_t left = sk == keys ? n : 0; /* the half the starts' order left free */
     radix_argsort(n, ends, (uint64_t *[2]){keys + left, keys + 2 * n},
                   (int64_t *[2]){pos + left, pos + 2 * n}, count, &ek, &ei);
+    int64_t spare = ei == pos + 2 * n ? left : 2 * n; /* the half the ends' order left free */
+    /* the reads of one start take the places from the first, g, on; each
+     * read's group[i] is its g, and next[g] the place its next end takes */
+    int64_t *group = pos + spare, *next = (int64_t *)(keys + spare);
 
     /* every start lies below its own end, so the last delimiter is an
      * end and the merge runs until the ends are used up; the segment
-     * after it, the last one written, is left out of the summary */
+     * after it, the last one written, is left out of the summary.  The
+     * ends come by (end, i), so each start's places fill by (end, i) */
     int64_t m = 0, cov = 0, mn = INT64_MAX, mx = 0, spanned = 0;
     for (int64_t i = 0, e = 0; e < n; m++) {
         uint64_t v = ek[e];
         if (i < n && sk[i] <= v) { /* a start at or before the next end comes first */
             v = sk[i];
-            for (; i < n && sk[i] == v; i++, cov++)
-                lo[si ? si[i] : i] = m;
+            next[i] = i;
+            for (int64_t g = i; i < n && sk[i] == v; i++, cov++) {
+                group[si ? si[i] : i] = g;
+                lo[i] = m;
+            }
         }
-        for (; e < n && ek[e] == v; e++, cov--)
-            hi[ei ? ei[e] : e] = m;
+        for (; e < n && ek[e] == v; e++, cov--) {
+            int64_t read = ei ? ei[e] : e, p = next[group[read]]++;
+            order[p] = read;
+            hi[p] = m;
+        }
         delimiters[m] = v;
         segment_cov[m] = cov;
         if (e < n) {
@@ -126,25 +137,4 @@ static int64_t covprune_profile(int64_t n, const uint64_t *starts, const uint64_
     summary[1] = mx;
     summary[2] = spanned;
     return m;
-}
-
-/* The stable order of the reads by (lo, hi), the sweep's: equal to
- * sorted((start, end, i)), since delimiter indices order reads as their
- * coordinates do.  Each key lo * (nseg + 1) + hi fits 64 bits for
- * 0 <= lo[i] < hi[i] <= nseg, which covprune_sweep checks first.
- * Returns the read at each place, in scratch, or NULL, the identity,
- * when the reads are in order already; scratch has 4n + RADIX (2048)
- * entries: the keys, whose n entries serve as a half once the first
- * pass has read them, one more half of keys and two of positions. */
-static const int64_t *covprune_order(int64_t n, const int64_t *lo, const int64_t *hi,
-                                     int64_t nseg, int64_t *scratch)
-{
-    uint64_t *keys = (uint64_t *)scratch;
-    const uint64_t *key;
-    const int64_t *idx;
-    for (int64_t i = 0; i < n; i++)
-        keys[i] = (uint64_t)lo[i] * (uint64_t)(nseg + 1) + (uint64_t)hi[i];
-    radix_argsort(n, keys, (uint64_t *[2]){keys + n, keys},
-                  (int64_t *[2]){scratch + 2 * n, scratch + 3 * n}, scratch + 4 * n, &key, &idx);
-    return idx;
 }

@@ -2,8 +2,8 @@
  * approx.py states the rule, its guarantee and the flat rule that picks
  * the store.
  *
- * Both loops visit the reads in the order of covprune_order (_profile.c,
- * which _module.c includes first), by (lo, hi, i), and read and shift
+ * Both loops visit the reads place by place, in the chain order the
+ * profile (_profile.c) gives them, by (lo, hi, i), and read and shift
  * the segment coverage through one Store, which keeps it either
  *  - in a lazy min/max tree, O(log nseg) nodes per read.  CoverageTree
  *    (coverage_tree.py) is its Python reference: the same perfect binary
@@ -160,23 +160,24 @@ static void lift(Store *c, int64_t a, int64_t b, int64_t delta)
     c->work += b - a;
 }
 
-/* Sweep and refill the n reads over the segment coverage cov[0..nseg),
- * kept in val (nseg cells) with flat, else in mn/mx/bal (2 * cap items
- * each, cap the least power of 2 >= nseg); scratch has 4n + RADIX items.
- * Writes the kept reads, rising, to kept and returns their number, and
- * counts gets {nodes_touched or segments_scanned, candidates,
- * blocked_crucial, refilled}.  Before it writes either, returns -1 when
- * a read's span leaves [0, nseg) and, with flat, -2 when a coverage
- * count is outside [0, 2^31).  No cell overflows: a read is deleted only
- * under a cell above k, so with k >= 2^31 - 1 none is, and a refill
- * lifts cells below k to at most k. */
+/* Sweep and refill the n reads at places 0..n-1, place p spanning
+ * segments [lo[p], hi[p]), over the segment coverage cov[0..nseg), kept
+ * in val (nseg cells) with flat, else in mn/mx/bal (2 * cap items each,
+ * cap the least power of 2 >= nseg).  Writes the places of the kept
+ * reads, rising, to kept and returns their number, and counts gets
+ * {nodes_touched or segments_scanned, candidates, blocked_crucial,
+ * refilled}.  Before it writes either, returns -1 when a read's span
+ * leaves [0, nseg) and, with flat, -2 when a coverage count is outside
+ * [0, 2^31).  No cell overflows: a read is deleted only under a cell
+ * above k, so with k >= 2^31 - 1 none is, and a refill lifts cells below
+ * k to at most k. */
 static int64_t covprune_sweep(int64_t n, const int64_t *lo, const int64_t *hi, int64_t nseg,
                               const int64_t *cov, int64_t k, int64_t flat, int64_t *kept,
-                              int64_t *counts, int64_t *scratch, int32_t *val, int64_t cap,
-                              int64_t *mn, int64_t *mx, int64_t *bal)
+                              int64_t *counts, int32_t *val, int64_t cap, int64_t *mn,
+                              int64_t *mx, int64_t *bal)
 {
-    for (int64_t i = 0; i < n; i++)
-        if (lo[i] < 0 || lo[i] >= hi[i] || hi[i] > nseg)
+    for (int64_t p = 0; p < n; p++)
+        if (lo[p] < 0 || lo[p] >= hi[p] || hi[p] > nseg)
             return -1;
     Store c = {flat, cap, 0, mn, mx, bal, val};
     if (flat) {
@@ -197,12 +198,11 @@ static int64_t covprune_sweep(int64_t n, const int64_t *lo, const int64_t *hi, i
             repair(v, mn, mx, bal);
     }
 
-    const int64_t *order = covprune_order(n, lo, hi, nseg, scratch);
     int64_t half = k / 2, candidates = 0, blocked = 0, refilled = 0;
-    for (int64_t j = 0; j < n; j++) {
-        int64_t i = order ? order[j] : j, qmn, qmx;
-        kept[i] = 0; /* 1 while the read is deleted */
-        span(&c, lo[i], hi[i], &qmn, &qmx);
+    for (int64_t p = 0; p < n; p++) {
+        int64_t qmn, qmx;
+        kept[p] = 0; /* 1 while the read is deleted */
+        span(&c, lo[p], hi[p], &qmn, &qmx);
         if (qmx <= k)
             continue;
         candidates++;
@@ -210,21 +210,20 @@ static int64_t covprune_sweep(int64_t n, const int64_t *lo, const int64_t *hi, i
             blocked++;
             continue;
         }
-        kept[i] = 1;
-        lift(&c, lo[i], hi[i], -1);
+        kept[p] = 1;
+        lift(&c, lo[p], hi[p], -1);
     }
-    for (int64_t j = 0; j < n; j++) {
-        int64_t i = order ? order[j] : j;
-        if (!kept[i] || !below(&c, lo[i], hi[i], k))
+    for (int64_t p = 0; p < n; p++) {
+        if (!kept[p] || !below(&c, lo[p], hi[p], k))
             continue;
-        kept[i] = 0;
+        kept[p] = 0;
         refilled++;
-        lift(&c, lo[i], hi[i], 1);
+        lift(&c, lo[p], hi[p], 1);
     }
     int64_t m = 0;
-    for (int64_t i = 0; i < n; i++) { /* branch-free: the mask is mixed */
-        int64_t deleted = kept[i];
-        kept[m] = i;
+    for (int64_t p = 0; p < n; p++) { /* branch-free: the mask is mixed */
+        int64_t deleted = kept[p];
+        kept[m] = p;
         m += !deleted;
     }
     counts[0] = c.work;

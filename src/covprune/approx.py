@@ -17,15 +17,15 @@ read it refuses never fits later, since coverage only rises, so the kept
 set is maximal: no deleted read fits under the cap.
 
 The sweep, the refill included, runs as one C call, `covprune_sweep`
-(`_sweep.c`, loaded by `_native`), which sorts the reads itself and
-keeps the current segment coverage in one of two stores that make the
-same decisions.  The flat rule, stated here only: when the coverage
-stays below 2**31 and the spans sum to at most 40 * n * bit_length(nseg)
-segments, a flat int32 copy scanned span by span, at most four times
-that sum with the refill, so O(n log n) too, and cheaper on short reads;
-else the lazy coverage tree, O(log nseg) nodes per read.  Near 40
-segments per read per bit of nseg the vectorized flat scan costs about
-what the tree does (15k reads of 0.5-1.5 kb at depth 400-600).
+(`_sweep.c`, loaded by `_native`), which reads the profile's columns in
+their chain order and keeps the current segment coverage in one of two
+stores that make the same decisions.  The flat rule, stated here only:
+when the coverage stays below 2**31 and the spans sum to at most 40 * n
+* bit_length(nseg) segments, a flat int32 copy scanned span by span, at
+most four times that sum with the refill, so O(n log n) too, and cheaper
+on short reads; else the lazy coverage tree, O(log nseg) nodes per read.
+Near 40 segments per read per bit of nseg the vectorized flat scan costs
+about what the tree does (15k reads of 0.5-1.5 kb at depth 400-600).
 """
 
 from ._native import load_library, zeros
@@ -56,7 +56,7 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
         raise ValueError(f"k must be >= 1, got {k}")
     work = {"tree_nodes_touched": 0, "segments_scanned": 0, "candidates": 0,
             "blocked_crucial": 0, "refilled": 0, "native_sweep": 0}
-    _, lo, hi, cov, low, top, spanned = intervals.compressed
+    _, lo, hi, cov, low, top, spanned, _ = intervals.compressed
     if top <= k:
         # removals never help: keeping everything, an empty set too, is already optimal
         return score_subset(intervals, None, k, "approx", work)
@@ -68,8 +68,8 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
     visited, work["candidates"], work["blocked_crucial"], work["refilled"] = counts
     work["native_sweep"] = 1
     work["segments_scanned" if flat else "tree_nodes_touched"] = visited
-    # the scorer recounts the kept reads from scratch, never from the sweep's state
-    sol = score_subset(intervals, kept, k, "approx", work)
+    # the reads the kept places hold, recounted from scratch, never from the sweep's state
+    sol = score_subset(intervals, intervals.compressed.reads(kept), k, "approx", work)
     if sol.achieved_mincov < min(low, k // 2):
         raise AssertionError(f"approx kept a set of mincov {sol.achieved_mincov} "
                              f"< min(input mincov {low}, k//2={k // 2})")

@@ -35,7 +35,7 @@ class FlowNetwork(namedtuple("FlowNetwork", "nv num_backbone_arcs first adj to")
     endpoints 1..nv-2 in increasing order, sink nv-1.  Residual arc 2a
     runs along logical arc a and arc 2a+1 against it; logical arc j <
     `num_backbone_arcs` joins vertex j to vertex j+1, and the rest are
-    the interval arcs in input order.  Arc a ends at `to[a]`, and the
+    the interval arcs in chain order.  Arc a ends at `to[a]`, and the
     arcs leaving vertex u are `adj[first[u]:first[u + 1]]`, by falling
     head, parallel arcs in construction order.  The arrays are read-only
     int64 buffers.  At (k, t) a backbone arc has capacity k at the two
@@ -46,8 +46,8 @@ class FlowNetwork(namedtuple("FlowNetwork", "nv num_backbone_arcs first adj to")
 
     @property
     def interval_arcs(self) -> memoryview:
-        """The (start vertex, end vertex) of each interval, an n x 2 view
-        made on access from the heads of its two residual arcs in `to`."""
+        """The (start vertex, end vertex) of each interval by place, an n x
+        2 view made on access from the heads of its residual arcs in `to`."""
         pairs = array("q", self.to[2 * self.num_backbone_arcs:].tobytes())  # (end, start)
         pairs[0::2], pairs[1::2] = pairs[1::2], pairs[0::2]
         return memoryview(pairs).cast("B").cast("q", (len(pairs) // 2, 2))
@@ -56,7 +56,8 @@ class FlowNetwork(namedtuple("FlowNetwork", "nv num_backbone_arcs first adj to")
 class FlowAssignment(namedtuple("FlowAssignment", "backbone_flow interval_flow augmentations",
                                  defaults=(0,))):
     """An integral flow on a FlowNetwork, one int64 value per arc, and
-    the number of augmenting paths that made it."""
+    the number of augmenting paths that made it.  Its columns view the
+    live flow: a later probe on the same flow changes them."""
 
     __slots__ = ()
 
@@ -67,7 +68,7 @@ class FlowAssignment(namedtuple("FlowAssignment", "backbone_flow interval_flow a
 
     @property
     def kept(self) -> array:
-        """The witness: the intervals whose arcs carry flow."""
+        """The witness: the chain places whose interval arcs carry flow."""
         return _native.select(self.interval_flow, 1)
 
 
@@ -94,13 +95,12 @@ def max_flow_augmenting(net: FlowNetwork, k: int, t: int, flow) -> FlowAssignmen
     """Augment the feasible flow `flow` of the (k, t) network `net`, one
     int64 per logical arc in an `array.array`, to a maximum flow, in
     place, by depth-first augmenting paths.  The returned assignment
-    records how many paths were needed."""
+    records how many paths were needed, and views `flow` itself."""
     # parent_arc: the last search's marks, which no caller reads yet
     augmentations = _native.load_library().covprune_max_flow(
         net.nv, net.first, net.adj, net.to, k, t, flow, zeros("q", net.nv))
-    nb = net.num_backbone_arcs
-    # copies: the next, lower floor goes on augmenting `flow`
-    return FlowAssignment(flow[:nb], flow[nb:], augmentations)
+    nb, view = net.num_backbone_arcs, memoryview(flow).toreadonly()
+    return FlowAssignment(view[:nb], view[nb:], augmentations)
 
 
 def decide(intervals: IntervalSet, k: int, t: int) -> Solution | None:

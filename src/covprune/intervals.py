@@ -3,13 +3,13 @@
 Coverage of a point p is the number of intervals [start, end) with
 start <= p < end: a step function over the sorted distinct endpoints
 (delimiters), so coordinates may be arbitrarily large and sparse.
-`IntervalSet.compressed` caches it, with its least and largest value and
-its sum, as `coverage_profile` computes them in one pass of
-`covprune_profile` (`_profile.c`): the one coverage form every solver
-reads.  A set holds no object per interval, only its two endpoint
-columns, and every array here is a read-only `memoryview` of an
-`array.array` buffer, so everything is immutable after construction and
-safe to share between threads.
+`IntervalSet.compressed` caches it, with its least and largest value,
+its sum and the reads' chain order, as `coverage_profile` computes them
+in one pass of `covprune_profile` (`_profile.c`): the one coverage form
+every solver reads.  A set holds no object per interval, only its two
+endpoint columns, and every array here is a read-only `memoryview` of
+an `array.array` buffer, so everything is immutable after construction
+and safe to share between threads.
 """
 
 from array import array
@@ -26,9 +26,9 @@ def _kernels():
 
 class IntervalSet:
     """The intervals [starts[i], ends[i]), held as read-only uint64
-    buffers `starts` and `ends`.  The position of an interval is its
-    stable identity: solutions refer to intervals by these indices.
-    Duplicates are kept distinct."""
+    buffers `starts` and `ends`.  The index i of an interval, its read
+    index, is its stable identity: solutions refer to intervals by these
+    indices.  Duplicates are kept distinct."""
 
     def __init__(self, starts=b"", ends=b""):
         """The set of the given columns, by default empty: buffers of
@@ -80,16 +80,17 @@ def _uint64(values) -> memoryview:
 
 
 class CoverageProfile(namedtuple("CoverageProfile",
-                                 "delimiters lo hi segment_cov mincov maxcov spanned")):
+                                 "delimiters lo hi segment_cov mincov maxcov spanned order")):
     """Coverage as a step function over delimiter segments.
 
     `delimiters` are the distinct endpoints in increasing order, uint64
-    because coordinates reach MAX_COORD = 2**64 - 1, beyond int64.
-    Interval i spans segments [lo[i], hi[i]), and `segment_cov[j]` is
-    the coverage of every point in [delimiters[j], delimiters[j+1]).
-    These are read-only buffers, int64 but for `delimiters`; the ints
-    `mincov`, `maxcov` and `spanned` are the min, max and sum of
-    `segment_cov` (spanned = the sum of hi[i] - lo[i]), 0 when empty.
+    because coordinates reach MAX_COORD = 2**64 - 1, beyond int64.  Place
+    p of the chain, by (start, end, read index), holds read `order[p]` and
+    spans segments [lo[p], hi[p]); `segment_cov[j]` is the coverage of
+    every point in [delimiters[j], delimiters[j+1]).  These are read-only
+    buffers, int64 but for `delimiters`; the ints `mincov`, `maxcov` and
+    `spanned` are the min, max and sum of `segment_cov` (spanned = the sum
+    of hi[p] - lo[p]), 0 when empty.
     """
 
     __slots__ = ()
@@ -98,29 +99,35 @@ class CoverageProfile(namedtuple("CoverageProfile",
     def num_segments(self) -> int:
         return len(self.segment_cov)
 
+    def reads(self, places) -> array:
+        """The reads that the int64 chain places `places` hold, rising."""
+        reads = array("q", [0]) * len(places)
+        _kernels().covprune_reads(len(places), places, len(self.order), self.order, reads)
+        return reads
+
 
 def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
     """The exact coverage step function of the set, from its endpoint arrays."""
     n = len(intervals)
     delims, cov = array("Q", [0]) * 2 * n, array("q", [0]) * 2 * n
-    lo, hi, summary = array("q", [0]) * n, array("q", [0]) * n, array("q", [0]) * 3
+    lo, hi, order, summary = (array("q", [0]) * size for size in (n, n, n, 3))
     if n:  # the kernel reads a first endpoint
-        m = _kernels().covprune_profile(n, intervals.starts, intervals.ends, delims, lo, hi, cov,
-                                        summary)
+        m = _kernels().covprune_profile(n, intervals.starts, intervals.ends, delims, lo, hi,
+                                        order, cov, summary)
         if m < 0:  # a pair with start >= end, refused before any write
             raise ValueError("every interval needs start < end")
         del delims[m:], cov[m - 1:]
-    return CoverageProfile(*(memoryview(a).toreadonly() for a in (delims, lo, hi, cov)), *summary)
+    return CoverageProfile(*(memoryview(a).toreadonly() for a in (delims, lo, hi, cov)), *summary,
+                           memoryview(order).toreadonly())
 
 
-def segment_cov(lo, hi, ndelims: int, kept) -> tuple[array, int, int]:
-    """Coverage of each segment between consecutive delimiters by the
-    intervals at the rising int64 indices `kept` among those spanning
-    delimiter indices [lo, hi), gaps counting as 0, with its least and
-    largest value (0 and 0 without a segment)."""
-    cov, extremes = array("q", [0]) * ndelims, array("q", [0]) * 2
-    if len(lo) != len(hi):
-        raise ValueError("lo and hi differ in length")
-    _kernels().covprune_recount(len(kept), kept, len(lo), lo, hi, ndelims, cov, extremes)
+def recount(profile: CoverageProfile, kept) -> tuple[array, int, int]:
+    """Coverage of each segment of `profile` by the reads at the rising
+    int64 indices `kept`, gaps counting as 0, with its least and largest
+    value (0 and 0 without a segment)."""
+    n, m = len(profile.lo), len(profile.delimiters)
+    cov, extremes = array("q", [0]) * m, array("q", [0]) * 2
+    _kernels().covprune_recount(len(kept), kept, n, profile.lo, profile.hi, profile.order, m,
+                                cov, extremes)
     del cov[-1:]
     return cov, *extremes

@@ -27,11 +27,11 @@ def brute_force_opt(intervals: IntervalSet, k: int) -> Solution:
         return score_subset(intervals, None, k, "oracle", {"subsets": 1})
     import numpy as np  # a desk-scale tool: no solver run loads numpy
 
-    _, lo, hi, cov = intervals.compressed[:4]
+    _, lo, hi, cov, *_, order = intervals.compressed
     nseg = len(cov)
     # rows: per-interval 0/1 indicator over the full segmentation
     rows = np.zeros((n, nseg), dtype=np.int16)
-    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+    for i, a, b in zip(order.tolist(), lo.tolist(), hi.tolist()):
         rows[i, a:b] = 1
 
     best_min = -1

@@ -47,11 +47,11 @@ def descend(intervals: IntervalSet, k: int, t: int | None,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    low, top = intervals.compressed.mincov, intervals.compressed.maxcov
+    profile = intervals.compressed
     # no floor above the bound holds, so none is probed; an empty set holds them all
-    bound = min(k, low) if len(intervals) or t is None else t
+    bound = min(k, profile.mincov) if len(intervals) or t is None else t
     floors = range(bound, -1, -1) if t is None else [t] if t <= bound else []
-    if floors and top <= k:
+    if floors and profile.maxcov <= k:
         # removals never help, and k >= 2**63 stays out of int64 capacities
         return score_subset(intervals, None, k, METHOD, work)
     net = None
@@ -74,6 +74,7 @@ def descend(intervals: IntervalSet, k: int, t: int | None,
         if work["augmentations"] > floors[0]:
             raise AssertionError(f"{work['augmentations']} augmentations "
                                  f"from the start at t={floors[0]}")
+        # the value and the witness view `held`: read before the next probe
         if result.value == k:
-            return score_subset(intervals, result.kept, k, METHOD, work)
+            return score_subset(intervals, profile.reads(result.kept), k, METHOD, work)
     return None

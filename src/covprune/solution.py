@@ -3,7 +3,7 @@
 from collections import namedtuple
 
 from ._native import select, zeros
-from .intervals import IntervalSet, segment_cov
+from .intervals import IntervalSet, recount
 
 
 class Solution(namedtuple("Solution", "kept achieved_mincov achieved_maxcov method work")):
@@ -36,9 +36,8 @@ def score_subset(intervals: IntervalSet, kept, k: int, method: str,
     a count above k raises AssertionError: the solver that chose the set
     is at fault.
     """
-    delims, lo, hi = intervals.compressed[:3]
-    kept = memoryview(select(zeros("q", len(lo)), 0) if kept is None else kept).toreadonly()
-    _, mn, mx = segment_cov(lo, hi, len(delims), kept)
+    kept = memoryview(select(zeros("q", len(intervals)), 0) if kept is None else kept).toreadonly()
+    _, mn, mx = recount(intervals.compressed, kept)
     if mx > k:
         raise AssertionError(f"{method} kept a set of maxcov {mx} > k={k}")
     return Solution(kept, mn, mx, method, dict(work or {}))

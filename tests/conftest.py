@@ -147,17 +147,17 @@ interval_pairs = st.lists(
 
 def c_sweep(flat: bool):
     """`covprune_sweep` with or without `flat`, called as `sweep_python`
-    is; it takes no order and sorts the reads itself, and its kept reads
-    come back as the deleted mask."""
+    is; it reads each read's lo and hi at its place in `order`, and its
+    kept places come back as the deleted mask of the reads they hold."""
     from covprune import _native
 
     def sweep(order, lo, hi, cov, k):
         n = len(lo)
         kept, counts = _native.zeros("q", n), _native.zeros("q", 4)
-        del kept[_native.load_library().covprune_sweep(n, lo, hi, len(cov), cov, k, flat, kept,
-                                                       counts):]
+        del kept[_native.load_library().covprune_sweep(n, lo[order], hi[order], len(cov), cov, k,
+                                                       flat, kept, counts):]
         deleted = np.ones(n, bool)
-        deleted[kept] = False
+        deleted[order[kept]] = False
         return deleted, tuple(counts)
     return sweep
 

@@ -9,7 +9,7 @@ min, max and sum;
 `sweep_python` and `flat_python` the deletions, after the refill, and
 the counts of `covprune_sweep` (`_sweep.c`) under its tree store and
 its flat one, over `CoverageTree` and over a list, visiting the reads in
-the order they are given where the kernel sorts them itself;
+the order they are given where the kernel reads its columns in theirs;
 `augment_python` the flow, the last search's marks and the path count
 of `covprune_max_flow` (`_flow.c`), line for line but for the index
 checks, which Python's own indexing stands in for, and `residual` its
@@ -37,7 +37,8 @@ from covprune.solution import Solution, score_subset
 
 def argsort_profile(intervals) -> CoverageProfile:
     """The coverage profile from one argsort of all the endpoints, the
-    coverage a cumulative sum of each read's rise at lo and fall at hi."""
+    coverage a cumulative sum of each read's rise at lo and fall at hi,
+    and the chain order a stable argsort of the reads by (lo, hi)."""
     both = np.concatenate((intervals.starts, intervals.ends))
     # sort and drop repeats: np.unique takes a slower hash path on uint64
     order = np.argsort(both)
@@ -54,7 +55,8 @@ def argsort_profile(intervals) -> CoverageProfile:
     spanned = int((hi - lo).sum())
     assert spanned == int(cov.sum())  # every read adds 1 to each segment it spans
     extremes = (int(cov.min()), int(cov.max())) if len(cov) else (0, 0)
-    return CoverageProfile(delims, lo, hi, cov, *extremes, spanned)
+    order = np.lexsort((hi, lo))
+    return CoverageProfile(delims, lo[order], hi[order], cov, *extremes, spanned, order)
 
 
 def argsort_network(profile: CoverageProfile) -> FlowNetwork:
@@ -224,7 +226,8 @@ def cold_decide(intervals, k: int, t: int) -> Solution | None:
     result = cold_max_flow(intervals, k, t)
     if result.value < k:
         return None
-    return score_subset(intervals, result.kept, k, "cold-reference", {})
+    return score_subset(intervals, intervals.compressed.reads(result.kept), k, "cold-reference",
+                        {})
 
 
 def _instance(names: list[str], run_at, starts, ends, data: bytes, line_at,

@@ -14,7 +14,7 @@ import numpy as np
 from covprune import (IntervalSet, decide, solve_exact, approx_prune,
                       brute_force_opt, build_tree)
 from covprune.flow import build_network, max_flow_augmenting
-from covprune.intervals import segment_cov
+from covprune.intervals import recount
 
 from conftest import (clipped_instance, count_cover, generate_instance, iset, maxcov,
                       mincov_over, naive_range_min_max, pairs_of, random_instance,
@@ -85,8 +85,9 @@ def test_criterion_4_flow_coverage_identity():
         if flow.value < k:
             continue
         witnesses += 1
+        # the interval arcs follow the chain: place p holds read order[p]
         kept = [(int(s.starts[i]), int(s.ends[i]))
-                for i, f in enumerate(flow.interval_flow) if f == 1]
+                for i, f in zip(s.compressed.order, flow.interval_flow) if f == 1]
         coords = s.compressed[0].tolist()
         for j in range(1, len(coords)):
             expected = k - flow.backbone_flow[j]
@@ -99,7 +100,7 @@ def test_criterion_4_flow_coverage_identity_at_full_scale():
     # n = 10^5 edge-clipped reads of up to 400 bp at depth about 40, k = 30
     n, k = 100_000, 30
     s = clipped_instance(random.Random(1044), n, 500_000, 400)
-    delims, lo, hi, cov = s.compressed[:4]
+    cov = s.compressed.segment_cov
     # the descent solve_exact runs, one flow carried down from the bound;
     # its first feasible floor is OPT
     net, bound = build_network(s), min(k, int(np.asarray(cov).min()))
@@ -109,8 +110,8 @@ def test_criterion_4_flow_coverage_identity_at_full_scale():
         if flow.value == k:
             break
     assert flow.value == k and 0 < opt < k
-    kept = np.array(flow.kept)
-    witness = np.asarray(segment_cov(lo, hi, len(delims), kept)[0])
+    kept = s.compressed.reads(flow.kept)
+    witness = np.asarray(recount(s.compressed, kept)[0])
     interior = np.array(flow.backbone_flow[1:-1])
     assert (flow.backbone_flow[0], flow.backbone_flow[-1]) == (k, k)
     assert (interior == k - witness).all()

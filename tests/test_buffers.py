@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from covprune import _native
-from covprune.intervals import segment_cov
+from covprune.intervals import CoverageProfile, recount
 
 SENTINEL = [-9, -9, -9]
 
@@ -76,7 +76,8 @@ def test_no_kernel_takes_none():
     recount's reads too, which once stood for every read."""
     lib, cov, extremes = _native.load_library(), array("q", [9, 9, 9]), array("q", [9, 9])
     with pytest.raises(TypeError):
-        lib.covprune_recount(2, None, 2, array("q", [0, 1]), array("q", [2, 2]), 3, cov, extremes)
+        lib.covprune_recount(2, None, 2, array("q", [0, 1]), array("q", [2, 2]),
+                             array("q", [0, 1]), 3, cov, extremes)
     assert (cov.tolist(), extremes.tolist()) == ([9, 9, 9], [9, 9])
     calls = short_buffer_calls()
     assert {name.split("-")[0] for name in calls} == {
@@ -102,7 +103,7 @@ def test_the_general_loops_check_their_indices():
     assert mask.tolist() == [1, 0, 1]
     assert _native.select(array("q", [0, 3, 0, 3]), 3).tolist() == [1, 3]
     # no read and no segment: the extremes are 0 and 0
-    assert segment_cov(array("q"), array("q"), 1, array("q")) == (array("q"), 0, 0)
+    assert recount(chain([], [], 1), array("q")) == (array("q"), 0, 0)
 
 
 def test_the_sweep_checks_its_spans_and_cells():
@@ -125,26 +126,58 @@ def test_the_sweep_checks_its_spans_and_cells():
                               0, kept, counts) == 0
 
 
+def chain(lo, hi, m, order=None) -> CoverageProfile:
+    """A hand-built profile over m delimiters of reads spanning delimiter
+    indices [lo, hi), place p holding read order[p], by default p."""
+    order = range(len(lo)) if order is None else order
+    return CoverageProfile(array("Q", range(m)), array("q", lo), array("q", hi), None, 0, 0, 0,
+                           array("q", order))
+
+
 def test_a_recount_takes_rising_indices_only():
-    lo, hi = array("q", [0, 1, 0]), array("q", [2, 2, 1])
-    assert segment_cov(lo, hi, 3, array("q", [0, 2])) == (array("q", [2, 1]), 1, 2)
+    """The recount of the kept reads refuses reads that do not rise
+    within [0, n), a span past the last delimiter, and an order that
+    holds a read out of range or one read at two places."""
+    profile = chain([0, 1, 0], [2, 2, 1], 3, [2, 0, 1])
+    # read 0 spans [1, 2) and read 2 [0, 2)
+    assert recount(profile, array("q", [0, 2])) == (array("q", [1, 2]), 1, 2)
     for kept in ([2, 0], [1, 1], [3], [-1]):
         with pytest.raises(ValueError, match="out of bounds"):
-            segment_cov(lo, hi, 3, array("q", kept))
-    with pytest.raises(ValueError, match="out of bounds"):
-        segment_cov(lo, array("q", [2, 2, 3]), 3, array("q", [0, 1, 2]))  # past the last one
+            recount(profile, array("q", kept))
+    # a span past the last delimiter, then reads past n, negative and held twice
+    for bad in (chain([0, 1, 0], [2, 2, 3], 3), chain([0, 1, 0], [2, 2, 1], 3, [0, 3, 1]),
+                chain([0, 1, 0], [2, 2, 1], 3, [0, -1, 1]),
+                chain([0, 1, 0], [2, 2, 1], 3, [1, 0, 1])):
+        with pytest.raises(ValueError, match="out of bounds"):
+            recount(bad, array("q", [0, 1, 2]))
+
+
+def test_the_reads_that_chain_places_hold():
+    """The reads that chain places hold come out rising, whatever the
+    order of the places; a place or a read out of range and a read held
+    twice are refused before the reads are written."""
+    profile = chain([0, 1, 0], [2, 2, 1], 3, [2, 0, 1])
+    assert profile.reads(array("q", [2, 0])).tolist() == [1, 2]
+    assert profile.reads(array("q")).tolist() == []
+    for places, order in (([3], [2, 0, 1]), ([-1], [2, 0, 1]), ([0, 0], [2, 0, 1]),
+                          ([0], [3, 0, 1]), ([0], [-1, 0, 1]), ([1, 2], [2, 0, 0])):
+        reads = array("q", [-9]) * len(places)
+        with pytest.raises(ValueError, match="out of bounds"):
+            _native.load_library().covprune_reads(len(places), array("q", places), 3,
+                                                  array("q", order), reads)
+        assert reads.tolist() == [-9] * len(places)
 
 
 def test_scratch_is_sized_by_counts_the_rule_has_bounded():
     """The module sizes a kernel's scratch by its counts only once the
     rule has checked them against the buffers: a count of 2**61 reads,
-    whose 4n + 2048 items of sweep scratch no memory holds, is refused
+    whose 6n + 2048 items of profile scratch no memory holds, is refused
     as a count out of range, never asked of the allocator."""
-    kept, counts = array("q", SENTINEL), array("q", SENTINEL * 2)
+    outputs = [array("Q", [9] * 3), *(array("q", SENTINEL) for _ in range(5))]
     with pytest.raises(ValueError, match="count out of range"):
-        _native.load_library().covprune_sweep(2**61, array("q", [0]), array("q", [1]), 1,
-                                              array("q", [5]), 1, 1, kept, counts)
-    assert list(kept) == SENTINEL and list(counts) == SENTINEL * 2
+        _native.load_library().covprune_profile(2**61, array("Q", [0]), array("Q", [1]),
+                                                *outputs)
+    assert list(outputs[0]) == [9] * 3 and all(list(a) == SENTINEL for a in outputs[1:])
 
 
 def q(*values):
@@ -157,16 +190,24 @@ def short_buffer_calls():
     count; and the max-flow's k and t out of range."""
     return {
         "select": (3, q(0, 1, 0), 0, q(-9, -9)),
-        # three summary slots of which the buffer holds two
+        # three summary slots of which the buffer holds two; then no order
         "profile-summary": (1, array("Q", [0]), array("Q", [1]), array("Q", [9, 9]), q(-9),
-                            q(-9), q(-9, -9), q(-9, -9)),
+                            q(-9), q(-9), q(-9, -9), q(-9, -9)),
+        "profile-order": (1, array("Q", [0]), array("Q", [1]), array("Q", [9, 9]), q(-9),
+                          q(-9), q(), q(-9, -9), q(-9) * 3),
         "network": (2, 3, q(0, 1), q(2), q(-9) * 6, q(-9) * 12, q(-9) * 12),
         # kept holds one of the two reads; then counts three of four slots
         "sweep": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 1, q(-9), q(-9) * 4),
         "sweep-counts": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 0, q(-9, -9), q(-9) * 3),
-        "recount": (2, q(0, 1), 2, q(0, 1), q(1, 2), 3, q(-9, -9), q(-9, -9)),
-        "recount-extremes": (2, q(0, 1), 2, q(0, 1), q(1, 2), 3, q(-9) * 3, q(-9)),
-        "recount-negative": (0, q(), 0, q(), q(), -1, q(-9), q(-9, -9)),
+        # cov two of three delimiters, extremes one of two, the order one
+        # of two places
+        "recount": (2, q(0, 1), 2, q(0, 1), q(1, 2), q(0, 1), 3, q(-9, -9), q(-9, -9)),
+        "recount-extremes": (2, q(0, 1), 2, q(0, 1), q(1, 2), q(0, 1), 3, q(-9) * 3, q(-9)),
+        "recount-order": (2, q(0, 1), 2, q(0, 1), q(1, 2), q(0), 3, q(-9) * 3, q(-9, -9)),
+        "recount-negative": (0, q(), 0, q(), q(), q(), -1, q(-9), q(-9, -9)),
+        # the reads one of two kept; then the order one of two places
+        "reads": (2, q(0, 1), 2, q(1, 0), q(-9)),
+        "reads-order": (2, q(0, 1), 2, q(1), q(-9, -9)),
         "group": (1, q(0), q(0), 2, 1, array("Q", [0, 1]), array("Q", [1, 2]), q(-9), q(-9, -9),
                   array("Q", [9, 9]), array("Q", [9, 9])),
         "group-runs": (2, q(0, 1), q(0), 2, 1, array("Q", [0, 1]), array("Q", [1, 2]),

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import random
 import re
 import tempfile
 from array import array
@@ -446,6 +447,52 @@ def test_the_answer_does_not_depend_on_the_read_order(orders, k):
             assert all(result == results[0] for result in results)
             chroms = {line.split()[0] for line in orders[0]}
             assert results[0][0] == 0 and len(results[0][2]) == len(chroms)
+
+
+@pytest.mark.parametrize("command, k, want", [
+    ("approx", 1, b"0\t4\n"), ("approx", 2, b"0 4 \n0\t4\n"),
+    ("solve", 1, b"0 4\n"), ("solve", 2, b"0 4\n0  4\n"),
+], ids=["approx-1", "approx-2", "solve-1", "solve-2"])
+def test_each_solver_keeps_its_own_copies_of_a_read(tmp_path, command, k, want):
+    """Four copies of the read [0, 4) whose lines differ in whitespace
+    alone, echoed byte for byte: the sweep visits equal reads in file
+    order and deletes the first while their span is over the cap, and the
+    search tries parallel arcs by index, so the flow keeps the first; a
+    flipped tie rule in either shows in the bytes."""
+    path, stats = tmp_path / "reads.txt", tmp_path / "stats.jsonl"
+    path.write_bytes(b"0 4\n0  4\n0 4 \n0\t4\n")
+    assert run_bytes(command, str(path), "--k", str(k), "--stats", str(stats)) == (0, want)
+
+
+def test_a_shuffled_file_of_five_thousand_reads_gives_the_same_answer(tmp_path):
+    """About 5,000 seeded reads on 3 chromosomes, edge-clipped to a 20 kb
+    window past 2**22, so that the profile's radix sorts take more than
+    one digit, and a third of them copies piled on others: the file
+    shuffled gives the same multiset of kept lines and the same stats
+    lines, but for `wall_time_s`, under approx and solve."""
+    rng = random.Random(3301)
+    lines = []
+    for c, name in enumerate(("chr1", "chr2", "chr3")):
+        base = 2**22 * (c + 1) + rng.randrange(2**20)
+        fresh = []
+        for _ in range(1100):
+            size = rng.randint(50, 400)
+            start = rng.randrange(1 - size, 20_000)
+            fresh.append(f"{name}\t{base + max(start, 0)}\t{base + min(start + size, 20_000)}\n")
+        lines += fresh + [rng.choice(fresh) for _ in range(550)]
+    shuffled = lines[:]
+    rng.shuffle(shuffled)
+    path, stats = tmp_path / "reads.bed", tmp_path / "stats.jsonl"
+    for command in ("approx", "solve"):
+        results = []
+        for order in (lines, shuffled):
+            path.write_text("".join(order))
+            code, out = run_bytes(command, str(path), "--k", "8", "--stats", str(stats))
+            records = [re.sub(r'"wall_time_s": [^}]*', "", line)
+                       for line in stats.read_text().splitlines()]
+            results.append((code, sorted(out.splitlines(keepends=True)), records))
+        assert results[0] == results[1] and results[0][0] == 0, command
+        assert len(results[0][2]) == 3 and 0 < len(results[0][1]) < len(lines)
 
 
 def _segment_cov(delims, starts, ends):

@@ -16,7 +16,7 @@ from reference_kernels import cold_decide, cold_max_flow, residual, warm_max_flo
 
 def assert_valid_flow(s, k, t, fa):
     """Capacity and conservation checks straight from the definitions of
-    the (k, t) network of `s`."""
+    the (k, t) network of `s`, whose interval arcs follow the chain."""
     coords = sorted({c for pair in pairs_of(s) for c in pair})
     vertex = {c: j + 1 for j, c in enumerate(coords)}
     m = len(coords)
@@ -28,12 +28,17 @@ def assert_valid_flow(s, k, t, fa):
     for v in range(1, m + 1):  # interior chain vertices
         inflow = fa.backbone_flow[v - 1]
         outflow = fa.backbone_flow[v]
-        for (start, end), f in zip(pairs_of(s), fa.interval_flow):
+        for (start, end), f in zip(chain_pairs(s), fa.interval_flow):
             if vertex[end] == v:
                 inflow += f
             if vertex[start] == v:
                 outflow += f
         assert inflow == outflow, f"conservation broken at vertex {v}"
+
+
+def chain_pairs(s):
+    """The (start, end) of the read at each place of the chain."""
+    return [pairs_of(s)[i] for i in s.compressed.order]
 
 
 def capacities(s, k, t):
@@ -68,14 +73,15 @@ def test_build_network_demo(demo):
     net = build_network(demo)
     assert net.nv == 10  # the 8 distinct endpoints, source and sink
     assert net.num_backbone_arcs == 9
-    # one unit arc per interval, start vertex -> end vertex (chain ids)
-    assert net.interval_arcs.tolist() == [[1, 7], [1, 3], [3, 6], [2, 4], [2, 8], [5, 8]]
+    # one unit arc per interval, start vertex -> end vertex (chain ids), in
+    # the chain order B, A, D, E, C, F
+    assert net.interval_arcs.tolist() == [[1, 3], [1, 7], [2, 4], [2, 8], [3, 6], [5, 8]]
     # residual arc 2a runs along logical arc a, 2a + 1 against it
     assert net.to[:18:2].tolist() == list(range(1, 10))
     assert net.to[1:18:2].tolist() == list(range(9))
-    # vertex 1 (coordinate 0) lists its arcs by falling head: A (to 7),
-    # B (to 3), then its backbone arcs to 2 and back to 0
-    assert net.adj[net.first[1]:net.first[2]].tolist() == [18, 20, 2, 1]
+    # vertex 1 (coordinate 0) lists its arcs by falling head: A (to 7,
+    # place 1), B (to 3, place 0), then its backbone arcs to 2 and back to 0
+    assert net.adj[net.first[1]:net.first[2]].tolist() == [20, 18, 2, 1]
     assert net.first[-1] == len(net.to) == 2 * (9 + 6)
 
 
@@ -261,8 +267,7 @@ def test_coverage_identity_on_extracted_witness():
         fa = warm_max_flow(s, k, t)
         if fa.value < k:
             continue
-        kept = [i for i, f in enumerate(fa.interval_flow) if f == 1]
-        sub = subset(s, kept)
+        sub = subset(s, [s.compressed.order[p] for p in fa.kept])
         coords = s.compressed[0].tolist()
         for j in range(1, len(coords)):
             p = coords[j - 1]  # any point of segment j works: coverage is constant

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from covprune import (IntervalSet, approx_prune, coverage_profile, decide, score_subset,
                       solve_exact)
-from covprune.intervals import MAX_COORD, segment_cov
+from covprune.intervals import MAX_COORD, recount
 
 from conftest import (DEMO_PAIRS, iset, count_cover, interval_pairs, pairs_of, reference_profile,
                       subset)
@@ -38,6 +38,10 @@ def test_profile_demo(demo):
     prof = coverage_profile(demo)
     assert prof.delimiters.tolist() == [0, 1, 2, 3, 4, 6, 8, 10]
     assert prof.segment_cov.tolist() == [2, 4, 4, 3, 4, 3, 2]
+    # the chain B, A, D, E, C, F: by start, then end, then read index
+    assert prof.order.tolist() == [1, 0, 3, 4, 2, 5]
+    assert (prof.lo.tolist(), prof.hi.tolist()) == ([0, 0, 1, 1, 2, 4], [2, 6, 3, 7, 5, 7])
+    assert prof.reads(array("q", [5, 3, 0, 1])).tolist() == [0, 1, 4, 5]  # F, E, B, A
     # cross-check every segment against direct counting
     assert_segments_match_point_count(prof, DEMO_PAIRS)
     # the set computes its profile once
@@ -91,9 +95,9 @@ def test_cov_at(demo):
 def test_mincov_over_windows(demo):
     # a window is a run of segments; a subset scored on its parent's
     # segments has coverage 0 wherever it leaves the parent's span bare
-    delims, lo, hi, cov = coverage_profile(demo)[:4]
-    assert np.asarray(cov[1:4]).min() == 3  # the points [1, 4)
-    only_e = segment_cov(lo, hi, len(delims), array("q", [4]))  # E = [1, 10)
+    prof = coverage_profile(demo)
+    assert np.asarray(prof.segment_cov[1:4]).min() == 3  # the points [1, 4)
+    only_e = recount(prof, array("q", [4]))  # E = [1, 10)
     assert only_e[0].tolist() == [0, 1, 1, 1, 1, 1, 1]
     assert score_subset(demo, array("q", [4]), 1, "E").achieved_mincov == 0
 
@@ -134,11 +138,12 @@ def test_mincov_le_maxcov(pairs):
 @given(interval_pairs, st.data())
 def test_removal_lowers_coverage_exactly_on_span(pairs, data):
     idx = data.draw(st.integers(0, len(pairs) - 1))
-    delims, lo, hi, cov = coverage_profile(iset(pairs))[:4]
+    prof = coverage_profile(iset(pairs))
     rest = np.flatnonzero(np.arange(len(pairs)) != idx)
-    rest_cov = segment_cov(lo, hi, len(delims), rest)[0]
-    drop = np.asarray(cov) - rest_cov
-    assert drop.tolist() == [int(lo[idx] <= j < hi[idx]) for j in range(len(cov))]
+    rest_cov = recount(prof, rest)[0]
+    drop = np.asarray(prof.segment_cov) - rest_cov
+    p = prof.order.tolist().index(idx)  # the place of read idx
+    assert drop.tolist() == [int(prof.lo[p] <= j < prof.hi[p]) for j in range(len(rest_cov))]
 
 
 def compress_cases():
@@ -163,11 +168,13 @@ def test_compress_and_segment_cov_match_profile():
     for pairs in compress_cases():
         s = iset(pairs)
         ref_delims, ref_cov = reference_profile(s)
-        delims, lo, hi, cov = coverage_profile(s)[:4]
+        delims, lo, hi, cov, *_, order = coverage_profile(s)
         assert np.asarray(delims).dtype == np.uint64
         assert delims.tolist() == ref_delims
-        assert [int(delims[j]) for j in lo] == [a for a, _ in pairs]
-        assert [int(delims[j]) for j in hi] == [b for _, b in pairs]
+        # the chain: the reads by start, then end, then read index
+        assert order.tolist() == sorted(range(len(pairs)), key=lambda i: (pairs[i], i))
+        assert [int(delims[j]) for j in lo] == [pairs[i][0] for i in order]
+        assert [int(delims[j]) for j in hi] == [pairs[i][1] for i in order]
         assert cov.tolist() == ref_cov
 
 

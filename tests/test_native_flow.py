@@ -135,13 +135,14 @@ def test_a_path_through_every_vertex(backend):
     exactly (the sanitizer child checks its bounds); parent_arc stays
     within its nv, and the final search reaches the source alone."""
     starts = np.tile(np.arange(50_000, dtype=np.uint64), 2)
-    net = build_network(IntervalSet(starts, starts + 1))
+    s = IntervalSet(starts, starts + 1)
+    net = build_network(s)
     flow = warm_flow(net, 1, 1)
     guarded = np.full(net.nv + 1, -7, np.int64)  # a guard entry after parent_arc
     assert kernel(backend)(net.nv, net.first, net.adj, net.to, 1, 1, flow,
                            guarded[:net.nv]) == 1
     assert guarded[-1] == -7 and np.flatnonzero(guarded[:net.nv] != -1).tolist() == [0]
-    kept = np.flatnonzero(flow[net.num_backbone_arcs:])
+    kept = np.asarray(s.compressed.order)[np.flatnonzero(flow[net.num_backbone_arcs:])]
     assert sorted(starts[kept].tolist()) == list(range(50_000))  # one read per segment
 
 

@@ -43,10 +43,13 @@ def seeded_instances():
 
 
 def sweep_args(s, k):
-    """(order, lo, hi, cov, k) of `approx_prune`'s sweep, the reads
-    sorted by (start, end, index) in numpy, apart from the order the
-    kernel computes for itself and the references take from here."""
-    _, lo, hi, cov = map(np.asarray, s.compressed[:4])
+    """(order, lo, hi, cov, k) of `approx_prune`'s sweep: each read's lo
+    and hi at its read index, and the reads sorted by (start, end, index)
+    in numpy, apart from the profile's chain order, which the references
+    visit the reads in and the kernel reads its columns in."""
+    profile = s.compressed
+    lo, hi, cov = np.empty(len(s), np.int64), np.empty(len(s), np.int64), np.asarray(profile[3])
+    lo[profile.order], hi[profile.order] = profile.lo, profile.hi
     return np.argsort(lo * (len(cov) + 1) + hi, kind="stable"), lo, hi, cov, k
 
 

@@ -7,13 +7,16 @@ makes one small run of each subcommand, the reading kernels handed
 exact-size copies of the input, and the kernel calls at the edges of
 their buffers: the reading kernels', the approx sweep's, under either
 store, and those of the profile, the network layout, the max-flow, the
-recount, the split per chromosome and the small loops of `_arrays.c`,
-each checked against a list scan, and calls whose counts exceed a buffer
-by one, which the module refuses, the profile on a read with start >=
-end, and the max-flow's search on indices that hold no network or a flow
-outside its capacities, which they refuse.  Every kernel's scratch is the
-module's, allocated at exactly its size, so a search that fills its stack
-is checked too.  Any sanitizer report stops the child."""
+recount, the reads of chain places, the split per chromosome and the
+small loops of `_arrays.c`, each checked against a list scan, and calls
+whose counts exceed a buffer by one, which the module refuses, the
+profile on a read with start >= end, the network on reads out of chain
+order, the recount and the reads of places on an order holding a read
+out of range or at two places, and the max-flow's search on indices that
+hold no network or a flow outside its capacities, which they refuse.
+Every kernel's scratch is the module's, allocated at exactly its size,
+so a search that fills its stack is checked too.  Any sanitizer report
+stops the child."""
 
 import os
 import subprocess
@@ -149,14 +152,17 @@ def reference(cov, lo, hi, k):
 
 
 # the sweep, refill included, under both stores over segment coverage cov
-# at cap k, every buffer at exactly its size and kept coming in dirty:
-# the kept reads and the decision counts, which must match the reference
+# at cap k, every buffer at exactly its size and kept coming in dirty, the
+# reads handed over in their chain order, by (lo, hi, i): the reads its
+# kept places hold and the decision counts, which must match the reference
 def sweep(cov, lo, hi, k):
     n, got = len(lo), []
+    chain = sorted(range(n), key=lambda i: (lo[i], hi[i], i))
     for flat in (1, 0):
         kept, counts = ints([7] * n), ints([-1] * 4)
-        m = lib.covprune_sweep(n, ints(lo), ints(hi), len(cov), ints(cov), k, flat, kept, counts)
-        got.append((kept.tolist()[:m], counts.tolist()[1:]))
+        m = lib.covprune_sweep(n, ints([lo[i] for i in chain]), ints([hi[i] for i in chain]),
+                               len(cov), ints(cov), k, flat, kept, counts)
+        got.append((sorted(chain[p] for p in kept.tolist()[:m]), counts.tolist()[1:]))
     assert got[0] == got[1] == reference(cov, lo, hi, k), (got, reference(cov, lo, hi, k))
     return got[0]
 
@@ -169,7 +175,7 @@ assert sweep([3, 3], [0], [2], 3) == ([0], [0, 0, 0])  # coverage exactly k
 assert sweep([4], [0, 0], [1, 1], 2) == ([], [2, 0, 0])  # nseg = 1, a pile
 # every read deleted, then every one but the last refilled: the last
 # deletion leaves its span at k or more, and the refill only raises;
-# given out of order, so that a radix pass runs
+# given out of order, so that the chain is not the read order
 assert sweep([4, 4, 4], [0, 0, 0], [3, 1, 2], 3) == ([1, 2], [3, 0, 2])
 # int32 cells at the top: deleted down and refilled up near 2**31 - 1
 assert sweep([top - 1, top], [0, 0], [1, 2], top - 2) == ([0], [2, 0, 1])
@@ -180,7 +186,7 @@ refused(lib.covprune_sweep, 1, ints([0]), ints([1]), 1, ints([top + 1]), 1, 1, i
         ints([0] * 4))
 # nseg at a power of 2, the tree's leaves filled up to its last, and one
 # past it; reads out of order, one over every segment and one over the
-# last, and at nseg 65 keys past one radix digit, so that two passes run
+# last
 rng = random.Random(7)
 for nseg in sorted({2**j + d for j in range(7) for d in (0, 1)}):
     for k in (1, 2, 3, 5):
@@ -199,18 +205,20 @@ def u64(values):
     return items
 
 
-# the profile: its delimiters, lo, hi, coverage and (mincov, maxcov,
-# spanned), from exact-size buffers, against a count per segment
+# the profile: its delimiters, chain order, each place's lo and hi,
+# coverage and (mincov, maxcov, spanned), from exact-size buffers, against
+# a sort of the reads and a count per segment
 def profile(starts, ends):
     n = len(starts)
     delims, cov, summary = u64([7] * 2 * n), ints([7] * 2 * n), ints([7] * 3)
-    lo, hi = ints([7] * n), ints([7] * n)
-    m = lib.covprune_profile(n, u64(starts), u64(ends), delims, lo, hi, cov, summary)
+    lo, hi, order = ints([7] * n), ints([7] * n), ints([7] * n)
+    m = lib.covprune_profile(n, u64(starts), u64(ends), delims, lo, hi, order, cov, summary)
     d = sorted({*starts, *ends})
     want_lo, want_hi = [d.index(x) for x in starts], [d.index(x) for x in ends]
     want = [sum(a <= j < b for a, b in zip(want_lo, want_hi)) for j in range(len(d) - 1)]
-    assert (delims.tolist()[:m], lo.tolist(), hi.tolist(), cov.tolist()[:m]) == \
-        (d, want_lo, want_hi, want + [0])
+    chain = sorted(range(n), key=lambda i: (starts[i], ends[i], i))
+    assert (delims.tolist()[:m], order.tolist(), lo.tolist(), hi.tolist(), cov.tolist()[:m]) == \
+        (d, chain, [want_lo[i] for i in chain], [want_hi[i] for i in chain], want + [0])
     assert summary.tolist() == [min(want), max(want), sum(want)], summary
 
 
@@ -219,16 +227,21 @@ profile([0], [2**64 - 1])
 # unsorted keys, past one radix digit and with a shared one
 profile([7, 0, 2**40 + 3, 0, 4096], [9, 4, 2**40 + 12, 2, 2**64 - 1])
 profile([2**64 - 3, 1, 1], [2**64 - 1, 3, 2**64 - 2])
+# sorted starts and ends, and piles of one start with ends out of order
+profile([0, 1, 2], [3, 4, 5])
+profile([4, 4, 0, 4, 0, 4], [9, 6, 2, 9, 1, 5])
 # a read with start >= end, alone or in last place: -1 before any write
 for starts, ends in (([1], [1]), ([0, 5, 9], [1, 6, 8]), ([0, 5, 2**64 - 1], [1, 6, 2**64 - 1])):
     n = len(starts)
-    outputs = [u64([7] * 2 * n), ints([7] * n), ints([7] * n), ints([7] * 2 * n), ints([7] * 3)]
+    outputs = [u64([7] * 2 * n), ints([7] * n), ints([7] * n), ints([7] * n), ints([7] * 2 * n),
+               ints([7] * 3)]
     assert lib.covprune_profile(n, u64(starts), u64(ends), *outputs) == -1, (starts, ends)
     assert [a.tolist() for a in outputs] == [[7] * len(a) for a in outputs], outputs
 
 
 # the chain network's first, adj and to, against one stable sort of the
-# arcs by the vertex they leave, then by falling head
+# arcs by the vertex they leave, then by falling head, the reads given in
+# chain order
 def network(m, lo, hi):
     n, nv = len(lo), m + 2
     first, adj, to = (ints([-9] * size) for size in (nv + 1, 2 * (m + 1 + n), 2 * (m + 1 + n)))
@@ -243,22 +256,29 @@ def network(m, lo, hi):
 
 network(2, [0], [1])  # n = 1, m = 2: one read over the one segment
 network(2, [], [])
-network(5, [0, 2, 1, 0, 3], [4, 3, 4, 1, 4])
-# reads off the chain, refused before any write
-for m, lo, hi in ((2, [0], [2]), (2, [-1], [1]), (3, [1], [1]), (4, [0, 2], [3, 4])):
+network(5, [0, 0, 1, 2, 3], [1, 4, 4, 3, 4])
+network(4, [0, 0, 0, 1, 1, 1, 2], [1, 3, 3, 2, 2, 3, 3])  # runs of parallel arcs
+# reads off the chain or out of chain order, refused before any write
+for m, lo, hi in ((2, [0], [2]), (2, [-1], [1]), (3, [1], [1]), (4, [0, 2], [3, 4]),
+                  (3, [0, 0], [2, 1]), (3, [1, 0], [2, 2])):
     n = len(lo)
     sizes = (m + 3, 2 * (m + 1 + n), 2 * (m + 1 + n))  # first, adj, to
     refused(lib.covprune_network, n, m, ints(lo), ints(hi), *(ints([-9] * k) for k in sizes))
 
 
-# the recount of the reads idx and its extremes, against a count per segment
+# the recount of the reads idx, place p holding read n - 1 - p, and its
+# extremes, against a count per segment; then the reads the places idx hold
 def recount(idx, lo, hi, m):
     n = len(lo)
-    cov, extremes = ints([7] * m), ints([7, 7])
-    assert lib.covprune_recount(len(idx), ints(idx), n, ints(lo), ints(hi), m, cov, extremes) == 0
-    want = [sum(lo[i] <= j < hi[i] for i in idx) for j in range(m - 1)]
+    cov, extremes, reads = ints([7] * m), ints([7, 7]), ints([7] * len(idx))
+    order = ints(range(n - 1, -1, -1))
+    assert lib.covprune_recount(len(idx), ints(idx), n, ints(lo), ints(hi), order, m, cov,
+                                extremes) == 0
+    want = [sum(lo[n - 1 - i] <= j < hi[n - 1 - i] for i in idx) for j in range(m - 1)]
     assert cov.tolist() == want + [0] * (m > 0), (cov, want)
     assert extremes.tolist() == ([min(want), max(want)] if want else [0, 0]), extremes
+    assert lib.covprune_reads(len(idx), ints(idx), n, order, reads) == 0
+    assert reads.tolist() == sorted(n - 1 - p for p in idx), reads
 
 
 recount([], [], [], 1)  # m = 1: no segment
@@ -267,6 +287,11 @@ recount([1], [0, 0], [1, 1], 2)
 recount([], [0], [1], 2)
 recount([0, 1, 2], [0, 2, 1], [3, 3, 2], 4)
 recount([0, 2], [0, 2, 1, 0], [1, 3, 3, 3], 4)  # a gap at segment 1
+# an order that holds a read out of range, or one read at two places
+for order in ([0, 2], [-1, 0], [1, 1]):
+    refused(lib.covprune_recount, 2, ints([0, 1]), 2, ints([0, 0]), ints([1, 1]), ints(order), 2,
+            ints([7, 7]), ints([7, 7]))
+    refused(lib.covprune_reads, 2, ints([0, 1]), 2, ints(order), ints([7, 7]))
 
 
 # the split of n records by their runs, against a stable sort of each
@@ -393,10 +418,11 @@ for nv in (3, 9):
     first = [sum(len(out[w]) for w in range(u)) for u in range(nv + 1)]
     to = [w for u, v in arcs for w in (v, u)]
     assert max_flow(nv, first, adj, to, 2, 0, [0] * (nv - 1)) == 1
-# chain networks at every floor from the warm start: failing searches
-# that mark every vertex but those past a saturated cut
-for m, lo, hi in ((2, [0], [1]), (5, [0, 2, 1, 0, 3], [4, 3, 4, 1, 4]),
-                  (4, [0, 1, 1, 2, 0, 2], [2, 3, 2, 3, 1, 3])):
+# chain networks, the reads in chain order, at every floor from the warm
+# start: failing searches that mark every vertex but those past a
+# saturated cut
+for m, lo, hi in ((2, [0], [1]), (5, [0, 0, 1, 2, 3], [1, 4, 4, 3, 4]),
+                  (4, [0, 0, 1, 1, 2, 2], [1, 2, 2, 3, 3, 3])):
     n, nv = len(lo), m + 2
     first, adj, to = (ints([0] * size) for size in (nv + 1, 2 * (m + 1 + n), 2 * (m + 1 + n)))
     assert lib.covprune_network(n, m, ints(lo), ints(hi), first, adj, to) == 0
