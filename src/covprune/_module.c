@@ -208,19 +208,20 @@ KERNEL(sweep, "nqqnqnn q!q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(4, I
        && HOLDS(7, INT(0)) && HOLDS(8, 4), STATUS, 0, result = sweep(a))
 /* n and m bounded by lo and first first, so that m + 1 + n and the
  * scratch's 3(m + 2) cannot overflow */
-KERNEL(network, "nnqq q!q!q!", HOLDS(2, INT(0)) && HOLDS(3, INT(0))
-       && holds(&views[4], INT(1), 1, 3) && holds(&views[5], INT(1) + 1 + INT(0), 2, 0)
-       && holds(&views[6], INT(1) + 1 + INT(0), 2, 0), STATUS, 3 * (INT(1) + 2),
-       result = covprune_network(INT(0), INT(1), I64(2), I64(3), I64(4), I64(5), I64(6), s))
-/* a source and a sink apart, arcs in pairs, adj and to an entry per
- * residual arc, first[nv] of them, flow one per pair, and 0 <= t <= k
- * with k >= 1 */
-KERNEL(max_flow, "nqqqnn q!q!", INT(0) >= 2 && holds(&views[1], INT(0), 1, 1)
-       && I64(1)[INT(0)] % 2 == 0 && HOLDS(2, I64(1)[INT(0)]) && HOLDS(3, I64(1)[INT(0)])
-       && INT(4) >= 1 && INT(5) >= 0 && INT(5) <= INT(4) && HOLDS(6, I64(1)[INT(0)] / 2)
-       && HOLDS(7, INT(0)), STATUS, 2 * INT(0),
-       result = covprune_max_flow(INT(0), I64(1), I64(2), I64(3), INT(4), INT(5), I64(6),
-                                  I64(7), s))
+KERNEL(network, "nnqq q!q!", HOLDS(2, INT(0)) && HOLDS(3, INT(0)) && holds(&views[4], INT(1), 1, 3)
+       && holds(&views[5], INT(1) + 1 + INT(0), 2, 0), STATUS, 3 * (INT(1) + 2),
+       result = covprune_network(INT(0), INT(1), I64(2), I64(3), I64(4), I64(5), s))
+/* a source and a sink apart, arcs in pairs, adj an entry per residual
+ * arc, first[nv] of them, flow one per pair, lo and hi one per pair past
+ * the nv - 1 backbone arcs, and 0 <= t <= k with k >= 1 */
+KERNEL(max_flow, "nqqqqnn q!q!", INT(0) >= 2 && holds(&views[1], INT(0), 1, 1)
+       && I64(1)[INT(0)] % 2 == 0 && HOLDS(2, I64(1)[INT(0)])
+       && holds(&views[3], I64(1)[INT(0)] / 2, 1, 1 - INT(0))
+       && holds(&views[4], I64(1)[INT(0)] / 2, 1, 1 - INT(0))
+       && INT(5) >= 1 && INT(6) >= 0 && INT(6) <= INT(5) && HOLDS(7, I64(1)[INT(0)] / 2)
+       && HOLDS(8, INT(0)), STATUS, 2 * INT(0),
+       result = covprune_max_flow(INT(0), I64(1), I64(2), I64(3), I64(4), INT(5), INT(6),
+                                  I64(7), I64(8), s))
 KERNEL(select, "nqn q!", HOLDS(1, INT(0)) && HOLDS(3, INT(0)), VALUE, 0,
        result = covprune_select(INT(0), I64(1), INT(2), I64(3)))
 /* the recount's and the reads' marks: n bytes, in (n + 7) / 8 items */

@@ -12,7 +12,7 @@ coverage of its segment, so its capacity k - t forces coverage >= t.
 
 `build_network` lays the network out in int64 buffers once per interval
 set, by `covprune_network` (`_flow.c`, loaded by `_native`); it holds no
-capacity, since each follows from (k, t) and the arc's index.
+capacity or head: each follows from the arc's index and (k, t), or lo and hi.
 `max_flow_augmenting` takes a flow, one int64 per arc, and augments it at
 (k, t) along depth-first paths that try the farthest-reaching arc first,
 by `covprune_max_flow`.  `decide` runs the exact search
@@ -28,15 +28,16 @@ from .intervals import IntervalSet
 from .solution import Solution
 
 
-class FlowNetwork(namedtuple("FlowNetwork", "nv num_backbone_arcs first adj to")):
+class FlowNetwork(namedtuple("FlowNetwork", "nv num_backbone_arcs first adj lo hi")):
     """The reduction graph of one interval set, for any (k, t).
 
     Vertices are numbered along the chain source 0, the distinct
     endpoints 1..nv-2 in increasing order, sink nv-1.  Residual arc 2a
     runs along logical arc a and arc 2a+1 against it; logical arc j <
     `num_backbone_arcs` joins vertex j to vertex j+1, and the rest are
-    the interval arcs in chain order.  Arc a ends at `to[a]`, and the
-    arcs leaving vertex u are `adj[first[u]:first[u + 1]]`, by falling
+    the interval arcs in chain order, that of place p from lo[p] + 1 to
+    hi[p] + 1: `lo` and `hi` are the profile's chain columns, uncopied.
+    The arcs leaving vertex u are `adj[first[u]:first[u + 1]]`, by falling
     head, parallel arcs in construction order.  The arrays are read-only
     int64 buffers.  At (k, t) a backbone arc has capacity k at the two
     ends of the chain and k - t inside, and an interval arc 1.
@@ -47,17 +48,16 @@ class FlowNetwork(namedtuple("FlowNetwork", "nv num_backbone_arcs first adj to")
     @property
     def interval_arcs(self) -> memoryview:
         """The (start vertex, end vertex) of each interval by place, an n x
-        2 view made on access from the heads of its residual arcs in `to`."""
-        pairs = array("q", self.to[2 * self.num_backbone_arcs:].tobytes())  # (end, start)
-        pairs[0::2], pairs[1::2] = pairs[1::2], pairs[0::2]
+        2 view made on access from `lo` and `hi`."""
+        pairs = array("q", [v + 1 for place in zip(self.lo, self.hi) for v in place])
         return memoryview(pairs).cast("B").cast("q", (len(pairs) // 2, 2))
 
 
 class FlowAssignment(namedtuple("FlowAssignment", "backbone_flow interval_flow augmentations",
                                  defaults=(0,))):
-    """An integral flow on a FlowNetwork, one int64 value per arc, and
-    the number of augmenting paths that made it.  Its columns view the
-    live flow: a later probe on the same flow changes them."""
+    """An integral flow on a FlowNetwork, one int64 per logical arc (the
+    interval arcs' by chain place), and the number of augmenting paths that
+    made it.  Its columns view the live flow, which a later probe changes."""
 
     __slots__ = ()
 
@@ -85,10 +85,10 @@ def build_network(intervals: IntervalSet) -> FlowNetwork:
     nv = m + 2  # coords plus the source 0 and the sink m + 1
     if len(hi) != n:
         raise ValueError("lo and hi differ in length")
-    first, adj, to = zeros("q", nv + 1), zeros("q", 2 * (m + 1 + n)), zeros("q", 2 * (m + 1 + n))
+    first, adj = zeros("q", nv + 1), zeros("q", 2 * (m + 1 + n))
     # it checks every read's span first: one off the chain raises ValueError
-    _native.load_library().covprune_network(n, m, lo, hi, first, adj, to)
-    return FlowNetwork(nv, m + 1, *(memoryview(a).toreadonly() for a in (first, adj, to)))
+    _native.load_library().covprune_network(n, m, lo, hi, first, adj)
+    return FlowNetwork(nv, m + 1, *(memoryview(a).toreadonly() for a in (first, adj, lo, hi)))
 
 
 def max_flow_augmenting(net: FlowNetwork, k: int, t: int, flow) -> FlowAssignment:
@@ -98,7 +98,7 @@ def max_flow_augmenting(net: FlowNetwork, k: int, t: int, flow) -> FlowAssignmen
     records how many paths were needed, and views `flow` itself."""
     # parent_arc: the last search's marks, which no caller reads yet
     augmentations = _native.load_library().covprune_max_flow(
-        net.nv, net.first, net.adj, net.to, k, t, flow, zeros("q", net.nv))
+        net.nv, net.first, net.adj, net.lo, net.hi, k, t, flow, zeros("q", net.nv))
     nb, view = net.num_backbone_arcs, memoryview(flow).toreadonly()
     return FlowAssignment(view[:nb], view[nb:], augmentations)
 

@@ -12,10 +12,12 @@ its flat one, over `CoverageTree` and over a list, visiting the reads in
 the order they are given where the kernel reads its columns in theirs;
 `augment_python` the flow, the last search's marks and the path count
 of `covprune_max_flow` (`_flow.c`), line for line but for the index
-checks, which Python's own indexing stands in for, and `residual` its
-capacities; `cold_max_flow` and `cold_decide` the maximum flow, and the
-answer, of the exact search's first probe, from zero flow in place of
-the backbone flow, and `warm_max_flow` that probe's flow itself; and
+checks, which Python's own indexing stands in for, `head` its arcs'
+heads and `residual` their capacities; `arc_ends` every arc's ends,
+written out with numpy, for the network's reference and the tests;
+`cold_max_flow` and `cold_decide` the maximum flow, and the answer, of
+the exact search's first probe, from zero flow in place of the backbone
+flow, and `warm_max_flow` that probe's flow itself; and
 `parse_lines` the instance, or the error, of `covprune_parse`
 (`_parse.c`) as `io.parse_instance` reads it, from `str.splitlines`,
 `str.split` and `int` on the decoded text: the line parser covprune read
@@ -59,22 +61,30 @@ def argsort_profile(intervals) -> CoverageProfile:
     return CoverageProfile(delims, lo[order], hi[order], cov, *extremes, spanned, order)
 
 
+def arc_ends(m, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex each residual arc of the chain network over m
+    delimiters leaves and the one it enters, written out with numpy:
+    backbone arc j joins j and j + 1, the arc of place p lo[p] + 1 and
+    hi[p] + 1, and arc 2a + 1 runs back along arc 2a."""
+    tail = np.concatenate((np.arange(m + 1), np.asarray(lo) + 1))
+    head = np.concatenate((np.arange(1, m + 2), np.asarray(hi) + 1))
+    origin, reach = np.empty((2, 2 * len(tail)), np.int64)
+    origin[0::2], origin[1::2] = tail, head
+    reach[0::2], reach[1::2] = head, tail
+    return origin, reach
+
+
 def argsort_network(profile: CoverageProfile) -> FlowNetwork:
     """The chain network of a profile from one stable argsort of the arcs."""
     coords, lo, hi = map(np.asarray, profile[:3])
     m = len(coords)
     nv = m + 2
-    tail = np.concatenate((np.arange(m + 1), lo + 1))
-    head = np.concatenate((np.arange(1, m + 2), hi + 1))
-    origin = np.empty(2 * len(tail), np.int64)  # the vertex each arc leaves
-    origin[0::2], origin[1::2] = tail, head
-    to = np.empty_like(origin)
-    to[0::2], to[1::2] = head, tail
+    origin, reach = arc_ends(m, lo, hi)
     # each vertex lists its arcs by falling head, the search's order;
     # stable, so parallel arcs keep construction order
-    adj = np.argsort(origin * nv + (nv - 1 - to), kind="stable")
+    adj = np.argsort(origin * nv + (nv - 1 - reach), kind="stable")
     first = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=nv))))
-    return FlowNetwork(nv, m + 1, first, adj, to)
+    return FlowNetwork(nv, m + 1, first, adj, lo, hi)
 
 
 def sweep_python(order, lo, hi, cov, k: int):
@@ -137,18 +147,29 @@ def flat_python(order, lo, hi, cov, k: int):
     return deleted, (scanned, candidates, blocked, refilled)
 
 
-def augment_python(nv, first, adj, to, k, t, flow, parent_arc) -> int:
+def augment_python(nv, first, adj, lo, hi, k, t, flow, parent_arc) -> int:
     """`covprune_max_flow` line for line, run on lists read from the same
     arrays, since indexing a list is many times faster than indexing
     numpy; `flow` and `parent_arc` get the final lists back, and the
     search's stack and next_arc are lists of its own, as the kernel's are
     the module's."""
-    lists = [a.tolist() for a in (first, adj, to, flow, parent_arc)] + [[0] * nv, [0] * nv]
+    lists = [a.tolist() for a in (first, adj, lo, hi, flow, parent_arc)] + [[0] * nv, [0] * nv]
     augmentations = 0
     while dfs_augment(nv, k, t, *lists) > 0:
         augmentations += 1
-    flow[:], parent_arc[:] = lists[3], lists[4]
+    flow[:], parent_arc[:] = lists[4], lists[5]
     return augmentations
+
+
+def head(r, nv, lo, hi) -> int:
+    """The head of residual arc r in the chain network on nv vertices:
+    backbone arc j runs from j to j + 1, the arc of chain place p from
+    lo[p] + 1 to hi[p] + 1, and arc 2a + 1 back along arc 2a."""
+    a = r >> 1
+    p = a - (nv - 1)
+    if p < 0:
+        return a + (not r & 1)
+    return (lo[p] if r & 1 else hi[p]) + 1
 
 
 def residual(r, nv, k, t, flow) -> int:
@@ -164,7 +185,7 @@ def residual(r, nv, k, t, flow) -> int:
     return (k if a in (0, nv - 2) else k - t) - flow[a]
 
 
-def dfs_augment(nv, k, t, first, adj, to, flow, parent_arc, stack, next_arc) -> int:
+def dfs_augment(nv, k, t, first, adj, lo, hi, flow, parent_arc, stack, next_arc) -> int:
     """One depth-first augmenting path from the source, vertex 0, to the
     sink, vertex nv - 1; returns the amount pushed, 0 when the sink cannot
     be reached.  A failing search leaves marked in `parent_arc` exactly
@@ -178,14 +199,14 @@ def dfs_augment(nv, k, t, first, adj, to, flow, parent_arc, stack, next_arc) -> 
     while depth >= 0 and parent_arc[sink] == -1:
         u = stack[depth]
         p, end = next_arc[u], first[u + 1]
-        while p < end and (parent_arc[to[adj[p]]] != -1
+        while p < end and (parent_arc[head(adj[p], nv, lo, hi)] != -1
                            or residual(adj[p], nv, k, t, flow) <= 0):
             p += 1
         if p == end:
             depth -= 1  # every arc of u tried: back up
         else:
             a = adj[p]
-            v = to[a]
+            v = head(a, nv, lo, hi)
             next_arc[u] = p + 1
             parent_arc[v] = a
             depth += 1
@@ -205,7 +226,7 @@ def cold_max_flow(intervals, k: int, t: int) -> FlowAssignment:
     """The maximum flow of the (k, t) network of `intervals`, augmented
     by `flow.max_flow_augmenting` from zero flow."""
     net = flow.build_network(intervals)
-    result = flow.max_flow_augmenting(net, k, t, array("q", [0]) * (len(net.to) // 2))
+    result = flow.max_flow_augmenting(net, k, t, array("q", [0]) * (len(net.adj) // 2))
     # each path adds at least 1 to a value that starts at 0
     assert result.augmentations <= k, result.augmentations
     return result

@@ -195,7 +195,7 @@ def short_buffer_calls():
                             q(-9), q(-9), q(-9, -9), q(-9, -9)),
         "profile-order": (1, array("Q", [0]), array("Q", [1]), array("Q", [9, 9]), q(-9),
                           q(-9), q(), q(-9, -9), q(-9) * 3),
-        "network": (2, 3, q(0, 1), q(2), q(-9) * 6, q(-9) * 12, q(-9) * 12),
+        "network": (2, 3, q(0, 1), q(2), q(-9) * 6, q(-9) * 12),
         # kept holds one of the two reads; then counts three of four slots
         "sweep": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 1, q(-9), q(-9) * 4),
         "sweep-counts": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 0, q(-9, -9), q(-9) * 3),
@@ -218,16 +218,16 @@ def short_buffer_calls():
         "parse": (b"0 1\n", 4, 1, 3, array("Q", [9] * 3), array("Q", [9] * 2), q(-9) * 3,
                   q(-9) * 6, q(-9) * 3, q(-9) * 3),
         # first holds two of its nv + 1 entries; then parent_arc one of two
-        "max_flow": (2, q(0, 0), q(), q(), 1, 0, q(), q(-9, -9)),
-        "max_flow-marks": (2, q(0, 0, 0), q(), q(), 1, 0, q(), q(-9)),
+        "max_flow": (2, q(0, 0), q(), q(), q(), 1, 0, q(), q(-9, -9)),
+        "max_flow-marks": (2, q(0, 0, 0), q(), q(), q(), 1, 0, q(), q(-9)),
         # flow holds none of the one pair's items; then an odd arc count, 3
         # arcs whose last pair would need the flow's missing second item
-        "max_flow-flow": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, 0, q(), q(-9, -9)),
-        "max_flow-odd": (2, q(0, 3, 3), q(2, 0, 1), q(1, 0, 1), 1, 0, q(0), q(-9, -9)),
+        "max_flow-flow": (2, q(0, 1, 2), q(0, 1), q(), q(), 1, 0, q(), q(-9, -9)),
+        "max_flow-odd": (2, q(0, 3, 3), q(2, 0, 1), q(), q(), 1, 0, q(0), q(-9, -9)),
         # k below 1, t below 0 and t above k, on buffers the call could run on
-        "max_flow-k": (2, q(0, 1, 2), q(0, 1), q(1, 0), 0, 0, q(0), q(-9, -9)),
-        "max_flow-t": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, -1, q(0), q(-9, -9)),
-        "max_flow-t-above-k": (2, q(0, 1, 2), q(0, 1), q(1, 0), 1, 2, q(0), q(-9, -9)),
+        "max_flow-k": (2, q(0, 1, 2), q(0, 1), q(), q(), 0, 0, q(0), q(-9, -9)),
+        "max_flow-t": (2, q(0, 1, 2), q(0, 1), q(), q(), 1, -1, q(0), q(-9, -9)),
+        "max_flow-t-above-k": (2, q(0, 1, 2), q(0, 1), q(), q(), 1, 2, q(0), q(-9, -9)),
     }
 
 
@@ -244,7 +244,7 @@ def test_a_buffer_shorter_than_its_count_never_reaches_the_loop(name):
 def test_buffers_of_exactly_the_counted_size_are_taken():
     lib = _native.load_library()
     flow = q(0)  # one pair of arcs, one flow: the source's arc, capacity k = 3
-    assert lib.covprune_max_flow(2, q(0, 1, 2), q(0, 1), q(1, 0), 3, 0, flow, q(-9, -9)) == 1
+    assert lib.covprune_max_flow(2, q(0, 1, 2), q(0, 1), q(), q(), 3, 0, flow, q(-9, -9)) == 1
     assert flow.tolist() == [3]
     assert lib.covprune_lines(1, array("B", [1]), q(0), q(4), 4, b"0 1\n") == b"0 1\n"
 

@@ -11,13 +11,15 @@ from covprune.flow import FlowAssignment, max_flow_augmenting
 
 from conftest import (clipped_instance, iset, maxcov, mincov_over, pairs_of, random_instance,
                       interval_pairs, subset)
-from reference_kernels import cold_decide, cold_max_flow, residual, warm_max_flow
+from reference_kernels import arc_ends, cold_decide, cold_max_flow, residual, warm_max_flow
 
 
 def assert_valid_flow(s, k, t, fa):
     """Capacity and conservation checks straight from the definitions of
     the (k, t) network of `s`, whose interval arcs follow the chain."""
-    coords = sorted({c for pair in pairs_of(s) for c in pair})
+    pairs = pairs_of(s)
+    chain = [pairs[i] for i in s.compressed.order]  # the (start, end) at each place
+    coords = sorted({c for pair in pairs for c in pair})
     vertex = {c: j + 1 for j, c in enumerate(coords)}
     m = len(coords)
     assert len(fa.backbone_flow) == m + 1 and len(fa.interval_flow) == len(s)
@@ -28,7 +30,7 @@ def assert_valid_flow(s, k, t, fa):
     for v in range(1, m + 1):  # interior chain vertices
         inflow = fa.backbone_flow[v - 1]
         outflow = fa.backbone_flow[v]
-        for (start, end), f in zip(chain_pairs(s), fa.interval_flow):
+        for (start, end), f in zip(chain, fa.interval_flow):
             if vertex[end] == v:
                 inflow += f
             if vertex[start] == v:
@@ -36,17 +38,12 @@ def assert_valid_flow(s, k, t, fa):
         assert inflow == outflow, f"conservation broken at vertex {v}"
 
 
-def chain_pairs(s):
-    """The (start, end) of the read at each place of the chain."""
-    return [pairs_of(s)[i] for i in s.compressed.order]
-
-
 def capacities(s, k, t):
     """The capacity of each arc of the (k, t) network of `s` by the
     reference's residual rule, its forward residual at zero flow, as
     (backbone arcs, interval arcs)."""
     net = build_network(s)
-    zero = [0] * (len(net.to) // 2)
+    zero = [0] * (len(net.adj) // 2)
     caps = [residual(2 * a, net.nv, k, t, zero) for a in range(len(zero))]
     return caps[:net.num_backbone_arcs], caps[net.num_backbone_arcs:]
 
@@ -76,23 +73,21 @@ def test_build_network_demo(demo):
     # one unit arc per interval, start vertex -> end vertex (chain ids), in
     # the chain order B, A, D, E, C, F
     assert net.interval_arcs.tolist() == [[1, 3], [1, 7], [2, 4], [2, 8], [3, 6], [5, 8]]
-    # residual arc 2a runs along logical arc a, 2a + 1 against it
-    assert net.to[:18:2].tolist() == list(range(1, 10))
-    assert net.to[1:18:2].tolist() == list(range(9))
     # vertex 1 (coordinate 0) lists its arcs by falling head: A (to 7,
     # place 1), B (to 3, place 0), then its backbone arcs to 2 and back to 0
     assert net.adj[net.first[1]:net.first[2]].tolist() == [20, 18, 2, 1]
-    assert net.first[-1] == len(net.to) == 2 * (9 + 6)
+    assert net.first[-1] == len(net.adj) == 2 * (9 + 6)
 
 
 @given(interval_pairs)
 @settings(max_examples=100)
 def test_build_network_lists_arcs_by_falling_head(pairs):
     net = build_network(iset(pairs))
+    origin, reach = arc_ends(net.nv - 2, net.lo, net.hi)
     for u in range(net.nv):
         arcs = np.asarray(net.adj[net.first[u]:net.first[u + 1]])
-        assert (np.asarray(net.to)[arcs ^ 1] == u).all()  # each arc leaves u
-        heads = np.diff(np.asarray(net.to)[arcs])
+        assert (origin[arcs] == u).all()  # each arc leaves u
+        heads = np.diff(reach[arcs])
         assert (heads <= 0).all()
         assert (np.diff(arcs)[heads == 0] > 0).all()  # parallel arcs in construction order
 
@@ -115,7 +110,7 @@ def test_build_network_rejects_bad_instances(demo):
     net = build_network(demo)
     for k, t in ((3, 4), (3, -1), (0, 0)):
         with pytest.raises(ValueError):
-            max_flow_augmenting(net, k, t, array("q", [0]) * (len(net.to) // 2))
+            max_flow_augmenting(net, k, t, array("q", [0]) * (len(net.adj) // 2))
     with pytest.raises(ValueError):
         build_network(IntervalSet())
 
@@ -318,7 +313,7 @@ def test_kept_flow_matches_scipy_along_the_descent():
     for s, k in instances:
         # one flow carried down, from the start at t = k: no flow at all
         net, t = build_network(s), k
-        held = array("q", [0]) * (len(net.to) // 2)
+        held = array("q", [0]) * (len(net.adj) // 2)
         while t >= 0:
             fa = max_flow_augmenting(net, k, t, held)
             assert fa.value == scipy_max_flow_value(s, k, t)

@@ -1,7 +1,8 @@
 """`scripts/genome.py`, the genome-scale input's generator, at a small
 size: two runs write the same bytes, both orders hold the same
 lines, clipped to the chromosome, and `--sorted` sorts each chromosome
-by start."""
+by start; and `scripts/compare.py`, which measures two checkouts on such
+an input, finds this checkout's outputs identical to its own."""
 
 import os
 import subprocess
@@ -30,3 +31,16 @@ def test_the_genome_input_at_a_small_size(tmp_path):
     assert max(end - start for _, start, end in rows) == 300  # the longest length is drawn
     starts = [int(line.split()[1]) for line in ordered]
     assert all(starts[i:i + 300] == sorted(starts[i:i + 300]) for i in range(0, 1200, 300))
+
+
+def test_a_checkout_compared_with_itself(tmp_path):
+    genome(tmp_path)
+    path = tmp_path / "genome0.bed"  # the file that first call writes
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare.py"), str(ROOT),
+                           str(ROOT), str(path), "--pairs", "2"],
+                          capture_output=True, text=True, env=dict(os.environ), timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = done.stdout.splitlines()
+    assert rows[0] == f"solve --k 30 on {path}, 2 pairs"
+    assert [row.split()[0] for row in rows[2:4]] == ["parent", "change"]
+    assert rows[-1].startswith("outputs identical: yes")

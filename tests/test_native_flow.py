@@ -2,9 +2,10 @@
 reference `augment_python` on the same arrays, probe by probe from the
 warm start and along a descent that keeps its flow; both called directly
 on a path through every vertex and on the cut their last search leaves,
-and the compiled one refused a network of one vertex, and an arc, a head
-or an arc range out of bounds, more paths than k, or a flow item outside
-[0, its arc's capacity]."""
+and the compiled one refused a network of one vertex, chain columns
+shorter than its interval arcs, an arc, a head or an arc range out of
+bounds, more paths than k, or a flow item outside [0, its arc's
+capacity]."""
 
 import random
 from array import array
@@ -16,7 +17,7 @@ from covprune import IntervalSet, _native, build_network
 from covprune.flow import max_flow_augmenting
 
 from conftest import clipped_instance, iset, pairs_of, random_instance
-from reference_kernels import augment_python
+from reference_kernels import arc_ends, augment_python
 
 MAX_COORD = 2**64 - 1
 # the compiled max-flow and its Python reference, called directly
@@ -30,7 +31,7 @@ def kernel(name):
 def warm_flow(net, k, t):
     """The flow the exact search's first probe at floor t starts from:
     k - t on each backbone arc, none on the reads."""
-    flow = np.zeros(len(net.to) // 2, np.int64)
+    flow = np.zeros(len(net.adj) // 2, np.int64)
     flow[:net.num_backbone_arcs] = k - t
     return flow
 
@@ -67,7 +68,7 @@ def reference_descent(net, k, floors):
     for t in floors:
         if flow is None:
             flow = warm_flow(net, k, t)
-        yield t, flow, augment_python(net.nv, net.first, net.adj, net.to, k, t, flow,
+        yield t, flow, augment_python(net.nv, net.first, net.adj, net.lo, net.hi, k, t, flow,
                                       np.empty(net.nv, np.int64))
 
 
@@ -104,10 +105,10 @@ def test_chain_rejects_bad_probes():
     has no network."""
     net = build_network(iset([(0, 5), (2, 8)]))
     for k, t, short in ((3, -1, 0), (3, 4, 0), (0, 0, 0), (-1, 0, 0), (3, 1, 1)):
-        flow = array("q", [1]) * (len(net.to) // 2 - short)
+        flow = array("q", [1]) * (len(net.adj) // 2 - short)
         with pytest.raises(ValueError, match="count out of range"):
             max_flow_augmenting(net, k, t, flow)
-        assert flow.tolist() == [1] * (len(net.to) // 2 - short)
+        assert flow.tolist() == [1] * (len(net.adj) // 2 - short)
     with pytest.raises(ValueError):
         build_network(IntervalSet())
 
@@ -139,7 +140,7 @@ def test_a_path_through_every_vertex(backend):
     net = build_network(s)
     flow = warm_flow(net, 1, 1)
     guarded = np.full(net.nv + 1, -7, np.int64)  # a guard entry after parent_arc
-    assert kernel(backend)(net.nv, net.first, net.adj, net.to, 1, 1, flow,
+    assert kernel(backend)(net.nv, net.first, net.adj, net.lo, net.hi, 1, 1, flow,
                            guarded[:net.nv]) == 1
     assert guarded[-1] == -7 and np.flatnonzero(guarded[:net.nv] != -1).tolist() == [0]
     kept = np.asarray(s.compressed.order)[np.flatnonzero(flow[net.num_backbone_arcs:])]
@@ -161,13 +162,12 @@ def test_the_last_search_marks_the_residual_reach(backend):
         net = build_network(s)
         flow = warm_flow(net, k, t)
         parent_arc = np.empty(net.nv, np.int64)
-        kernel(backend)(net.nv, net.first, net.adj, net.to, k, t, flow, parent_arc)
+        kernel(backend)(net.nv, net.first, net.adj, net.lo, net.hi, k, t, flow, parent_arc)
         graph = nx.DiGraph()
         graph.add_nodes_from(range(net.nv))
-        # residual arc a runs from to[a ^ 1] to to[a]
         live = np.flatnonzero(residuals(net, k, t, flow) > 0)
-        to = np.asarray(net.to)
-        graph.add_edges_from(zip(to[live ^ 1].tolist(), to[live].tolist()))
+        tails, heads = arc_ends(net.nv - 2, net.lo, net.hi)
+        graph.add_edges_from(zip(tails[live].tolist(), heads[live].tolist()))
         reach = nx.descendants(graph, 0) | {0}
         assert set(np.flatnonzero(parent_arc != -1).tolist()) == reach
         assert net.nv - 1 not in reach
@@ -186,49 +186,78 @@ def test_the_flow_runs_between_two_vertices():
     flow = memoryview(backing)[1:]
     parent_arc = array("q", [-9])
     with pytest.raises(ValueError, match="count out of range"):
-        lib.covprune_max_flow(1, array("q", [0, 0]), array("q"), array("q"), 9, 0, flow,
-                              parent_arc)
+        lib.covprune_max_flow(1, array("q", [0, 0]), array("q"), array("q"), array("q"), 9, 0,
+                              flow, parent_arc)
     assert backing.tolist() == [5, 7] and parent_arc.tolist() == [-9]
     parent_arc = array("q", [-9, -9])
-    assert lib.covprune_max_flow(2, array("q", [0, 0, 0]), array("q"), array("q"), 1, 0,
-                                 array("q"), parent_arc) == 0
+    assert lib.covprune_max_flow(2, array("q", [0, 0, 0]), array("q"), array("q"), array("q"),
+                                 1, 0, array("q"), parent_arc) == 0
     assert parent_arc.tolist() == [-2, -1]
 
 
-@pytest.mark.parametrize("first, adj, to", [
-    ([0, 2, 2], [0, 1], [5, 0]),
-    ([0, 2, 2], [0, 1], [-1, 0]),
-    ([0, 2, 2], [0, 1], [1, 1]),
-    ([2, 0, 2], [0, 1], [1, 0]),
-    ([-1, 2, 2], [0, 1], [1, 0]),
-    ([0, 3, 2], [1, 1], [0, 0]),
-    ([0, 2, 2], [2, 0], [1, 0]),
-    ([0, 2, 2], [-1, 0], [1, 0]),
-], ids=["head-past-nv", "head-negative", "reverse-not-back", "first-falls", "first-negative",
-        "range-past-arcs", "arc-past-arcs", "arc-negative"])
-def test_the_search_checks_what_it_follows(first, adj, to):
+@pytest.mark.parametrize("first, adj, lo, hi", [
+    ([0, 2, 4], [2, 0, 3, 1], [-1], [1]),
+    ([0, 2, 4], [2, 0, 3, 1], [-1], [-2]),
+    ([0, 2, 4], [3, 0, 2, 1], [1], [0]),
+    ([0, 2, 4], [3, 0, 2, 1], [-2], [0]),
+    ([2, 0, 2], [0, 1], [], []),
+    ([-1, 2, 2], [0, 1], [], []),
+    ([0, 3, 2], [1, 1], [], []),
+    ([0, 2, 2], [2, 0], [], []),
+    ([0, 2, 2], [-1, 0], [], []),
+], ids=["head-past-nv", "head-negative", "lo-head-past-nv", "lo-head-negative", "first-falls",
+        "first-negative", "range-past-arcs", "arc-past-arcs", "arc-negative"])
+def test_the_search_checks_what_it_follows(first, adj, lo, hi):
     """Buffers of the sizes the rule asks, nv = 2 and k = 1, whose
-    indices do not hold a network: the search refuses a head at or past
-    nv, which it would mark past `parent_arc`'s two entries (here into a
-    guard behind them), an arc range or an arc outside `adj` and `to`,
-    and more augmenting paths than k, which a reverse arc that does not
-    lead back makes without end."""
+    indices do not hold a network: the search refuses a place whose `hi`
+    or `lo` puts its arc's head at or past nv or below 0, which it would
+    mark past `parent_arc`'s two entries (here into a guard behind them),
+    and an arc range or an arc outside `adj`.  The lo cases list the
+    read's reverse arc under the source, so that the search follows it."""
     backing = array("q", [-9]) * 8
     with pytest.raises(ValueError, match="out of bounds"):
         _native.load_library().covprune_max_flow(
-            2, array("q", first), array("q", adj), array("q", to), 1, 0, array("q", [0]),
-            memoryview(backing)[:2])
+            2, array("q", first), array("q", adj), array("q", lo), array("q", hi), 1, 0,
+            array("q", [0]) * (first[-1] // 2), memoryview(backing)[:2])
     assert backing[2:].tolist() == [-9] * 6
 
 
-@pytest.mark.parametrize("nv, first, adj, to, flow", [
-    (2, [0, 1, 2], [0, 1], [1, 0], [-2**63]),
-    (2, [0, 1, 2], [0, 1], [1, 0], [4]),
-    (2, [0, 2, 4], [0, 2, 1, 3], [1, 1, 0, 0], [0, 2]),
-    (2, [0, 2, 4], [0, 2, 1, 3], [1, 1, 0, 0], [0, -1]),
-    (4, [0, 1, 3, 5, 6], [0, 2, 1, 4, 3, 5], [1, 0, 2, 1, 3, 2], [0, 3, 0]),
+@pytest.mark.parametrize("lo, hi", [([], [0]), ([-1], [])], ids=["lo-short", "hi-short"])
+def test_the_chain_columns_hold_every_interval_arc(lo, hi):
+    """nv = 2 and first[nv] = 4: one backbone arc and one interval arc,
+    whose place 0 `lo` or `hi` lacks; the rule refuses the call before
+    the search reads past the column, `parent_arc`'s guard untouched."""
+    backing = array("q", [-9]) * 8
+    with pytest.raises(ValueError, match="shorter than the counts imply"):
+        _native.load_library().covprune_max_flow(
+            2, array("q", [0, 2, 4]), array("q", [2, 0, 3, 1]), array("q", lo), array("q", hi),
+            1, 0, array("q", [0, 0]), memoryview(backing)[:2])
+    assert backing.tolist() == [-9] * 8
+
+
+def test_the_path_cap_ends_a_search_that_gains_nothing():
+    """An `adj` that lists an arc under a vertex other than its tail: on
+    three vertices, vertex 0 lists arc 3, backbone arc 1 run backwards
+    (head 1), and vertex 1 lists arc 2, the same arc forwards (head 2,
+    the sink).  Each path cancels on arc 3 what it pushes on arc 2, so
+    the flow never changes and the sink stays in reach: the search stops
+    after k paths and refuses the call, the guard untouched."""
+    backing, flow = array("q", [-9]) * 8, array("q", [0, 1])
+    with pytest.raises(ValueError, match="out of bounds"):
+        _native.load_library().covprune_max_flow(
+            3, array("q", [0, 1, 4, 4]), array("q", [3, 2, 0, 1]), array("q"), array("q"), 2, 0,
+            flow, memoryview(backing)[:3])
+    assert backing[3:].tolist() == [-9] * 5 and flow.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("nv, first, adj, lo, hi, flow", [
+    (2, [0, 1, 2], [0, 1], [], [], [-2**63]),
+    (2, [0, 1, 2], [0, 1], [], [], [4]),
+    (2, [0, 2, 4], [0, 2, 1, 3], [-1], [0], [0, 2]),
+    (2, [0, 2, 4], [0, 2, 1, 3], [-1], [0], [0, -1]),
+    (4, [0, 1, 3, 5, 6], [0, 2, 1, 4, 3, 5], [], [], [0, 3, 0]),
 ], ids=["far-below-0", "end-arc-above-k", "read-above-1", "read-below-0", "inside-above-k-t"])
-def test_the_kernel_checks_the_flow_it_is_given(nv, first, adj, to, flow):
+def test_the_kernel_checks_the_flow_it_is_given(nv, first, adj, lo, hi, flow):
     """At k = 3 and t = 1 a flow item outside [0, its arc's capacity] (k
     on the two end backbone arcs, k - t inside, 1 on a read's arc) is
     refused before the search runs, every buffer untouched: far below 0,
@@ -237,5 +266,6 @@ def test_the_kernel_checks_the_flow_it_is_given(nv, first, adj, to, flow):
     before = [flow.tolist(), parent_arc.tolist()]
     with pytest.raises(ValueError, match="out of bounds"):
         _native.load_library().covprune_max_flow(nv, array("q", first), array("q", adj),
-                                                 array("q", to), 3, 1, flow, parent_arc)
+                                                 array("q", lo), array("q", hi), 3, 1, flow,
+                                                 parent_arc)
     assert [flow.tolist(), parent_arc.tolist()] == before

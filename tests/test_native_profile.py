@@ -33,7 +33,7 @@ def assert_kernels_match_references(s: IntervalSet):
     assert_identical(s.compressed, profile)
     net = build_network(s)
     assert_identical(net, argsort_network(profile))
-    # the interval arcs, made on access from `to`, run from lo + 1 to hi + 1
+    # the interval arcs, made on access from `lo` and `hi`, run from lo + 1 to hi + 1
     assert np.array_equal(net.interval_arcs, np.column_stack((profile.lo + 1, profile.hi + 1)))
 
 
@@ -109,8 +109,7 @@ def test_build_network_rejects_a_bad_profile(lo, hi):
     assert spy.covprune_network.call_count == 1 + (len(lo) == len(hi))
     if len(lo) == len(hi):  # called directly, the kernel writes nothing before it refuses
         lib, n, m = _native.load_library(), 2, 3
-        arcs = 2 * (m + 1 + n)
-        first, adj, to = (array("q", [-9]) * size for size in (m + 3, arcs, arcs))
+        first, adj = array("q", [-9]) * (m + 3), array("q", [-9]) * 2 * (m + 1 + n)
         with pytest.raises(ValueError, match="out of bounds"):
-            lib.covprune_network(n, m, array("q", lo), array("q", hi), first, adj, to)
-        assert {*first, *adj, *to} == {-9}
+            lib.covprune_network(n, m, array("q", lo), array("q", hi), first, adj)
+        assert {*first, *adj} == {-9}

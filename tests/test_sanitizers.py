@@ -13,7 +13,8 @@ whose counts exceed a buffer by one, which the module refuses, the
 profile on a read with start >= end, the network on reads out of chain
 order, the recount and the reads of places on an order holding a read
 out of range or at two places, and the max-flow's search on indices that
-hold no network or a flow outside its capacities, which they refuse.
+hold no network, chain columns that put a head off the chain, or a flow
+outside its capacities, which they refuse.
 Every kernel's scratch is the module's, allocated at exactly its size,
 so a search that fills its stack is checked too.  Any sanitizer report
 stops the child."""
@@ -239,19 +240,27 @@ for starts, ends in (([1], [1]), ([0, 5, 9], [1, 6, 8]), ([0, 5, 2**64 - 1], [1,
     assert [a.tolist() for a in outputs] == [[7] * len(a) for a in outputs], outputs
 
 
-# the chain network's first, adj and to, against one stable sort of the
-# arcs by the vertex they leave, then by falling head, the reads given in
+# the vertices each residual arc of the chain network on nv vertices
+# leaves and enters, from the reads' places lo and hi: backbone arc j
+# joins j and j + 1, a read's arc lo + 1 and hi + 1, and arc 2a + 1 runs
+# back along arc 2a
+def arc_ends(nv, lo, hi):
+    tails, heads = [*range(nv - 1), *(a + 1 for a in lo)], [*range(1, nv), *(b + 1 for b in hi)]
+    return ([u for pair in zip(tails, heads) for u in pair],
+            [u for pair in zip(heads, tails) for u in pair])
+
+
+# the chain network's first and adj, against one stable sort of the arcs
+# by the vertex they leave, then by falling head, the reads given in
 # chain order
 def network(m, lo, hi):
     n, nv = len(lo), m + 2
-    first, adj, to = (ints([-9] * size) for size in (nv + 1, 2 * (m + 1 + n), 2 * (m + 1 + n)))
-    assert lib.covprune_network(n, m, ints(lo), ints(hi), first, adj, to) == 0
-    tails, heads = [*range(m + 1), *(a + 1 for a in lo)], [*range(1, m + 2), *(b + 1 for b in hi)]
-    origin = [u for pair in zip(tails, heads) for u in pair]
-    want_to = [u for pair in zip(heads, tails) for u in pair]
-    want_adj = sorted(range(len(origin)), key=lambda a: (origin[a], -want_to[a]))
+    first, adj = ints([-9] * (nv + 1)), ints([-9] * 2 * (m + 1 + n))
+    assert lib.covprune_network(n, m, ints(lo), ints(hi), first, adj) == 0
+    origin, reach = arc_ends(nv, lo, hi)
+    want_adj = sorted(range(len(origin)), key=lambda a: (origin[a], -reach[a]))
     want_first = [sum(o < u for o in origin) for u in range(nv + 1)]
-    assert (first.tolist(), adj.tolist(), to.tolist()) == (want_first, want_adj, want_to)
+    assert (first.tolist(), adj.tolist()) == (want_first, want_adj)
 
 
 network(2, [0], [1])  # n = 1, m = 2: one read over the one segment
@@ -262,7 +271,7 @@ network(4, [0, 0, 0, 1, 1, 1, 2], [1, 3, 3, 2, 2, 3, 3])  # runs of parallel arc
 for m, lo, hi in ((2, [0], [2]), (2, [-1], [1]), (3, [1], [1]), (4, [0, 2], [3, 4]),
                   (3, [0, 0], [2, 1]), (3, [1, 0], [2, 2])):
     n = len(lo)
-    sizes = (m + 3, 2 * (m + 1 + n), 2 * (m + 1 + n))  # first, adj, to
+    sizes = (m + 3, 2 * (m + 1 + n))  # first, adj
     refused(lib.covprune_network, n, m, ints(lo), ints(hi), *(ints([-9] * k) for k in sizes))
 
 
@@ -362,14 +371,15 @@ refused(lib.covprune_scatter, 1, ints([0]), 1, ints([1]), 1, array("B", [0]))  #
 # the max-flow from vertex 0 to vertex nv - 1 of the (k, t) network from
 # the feasible flow given, every buffer at its exact size: its value
 # against augmenting paths found by breadth-first search on the
-# residuals, each arc's capacity written out (k on the end backbone arcs,
-# k - t inside, 1 on a read's), and the last search's marks against the
-# vertices the source reaches in the residual it leaves; returns the
-# path count
-def max_flow(nv, first, adj, to, k, t, flow):
+# residuals, each arc's capacity and ends written out (k on the end
+# backbone arcs, k - t inside, 1 on a read's), and the last search's
+# marks against the vertices the source reaches in the residual it
+# leaves; returns the path count
+def max_flow(nv, first, adj, lo, hi, k, t, flow):
     after, parent_arc = ints(flow), ints([-9] * nv)
-    count = lib.covprune_max_flow(nv, ints(first), ints(adj), ints(to), k, t, after, parent_arc)
-    tail = [to[a ^ 1] for a in range(len(to))]
+    count = lib.covprune_max_flow(nv, ints(first), ints(adj), ints(lo), ints(hi), k, t, after,
+                                  parent_arc)
+    tail, to = (ends[:len(adj)] for ends in arc_ends(nv, lo, hi))
     cap = [1 if a >= nv - 1 else k if a in (0, nv - 2) else k - t for a in range(len(flow))]
 
     def residuals(f):
@@ -404,8 +414,8 @@ def max_flow(nv, first, adj, to, k, t, flow):
     return count
 
 
-assert max_flow(2, [0, 0, 0], [], [], 1, 0, []) == 0  # no arc
-assert max_flow(2, [0, 1, 2], [0, 1], [1, 0], 3, 0, [0]) == 1  # one arc, pushed whole
+assert max_flow(2, [0, 0, 0], [], [], [], 1, 0, []) == 0  # no arc
+assert max_flow(2, [0, 1, 2], [0, 1], [], [], 3, 0, [0]) == 1  # one arc, pushed whole
 # a chain 0 -> 1 -> ... -> nv - 1, every arc a backbone arc of capacity
 # k = 2: the one path runs through every vertex
 for nv in (3, 9):
@@ -416,54 +426,63 @@ for nv in (3, 9):
         out[v].append(2 * a + 1)
     adj = [a for u in range(nv) for a in sorted(out[u], key=lambda a: -(a % 2 == 0))]
     first = [sum(len(out[w]) for w in range(u)) for u in range(nv + 1)]
-    to = [w for u, v in arcs for w in (v, u)]
-    assert max_flow(nv, first, adj, to, 2, 0, [0] * (nv - 1)) == 1
+    assert max_flow(nv, first, adj, [], [], 2, 0, [0] * (nv - 1)) == 1
 # chain networks, the reads in chain order, at every floor from the warm
 # start: failing searches that mark every vertex but those past a
 # saturated cut
 for m, lo, hi in ((2, [0], [1]), (5, [0, 0, 1, 2, 3], [1, 4, 4, 3, 4]),
                   (4, [0, 0, 1, 1, 2, 2], [1, 2, 2, 3, 3, 3])):
     n, nv = len(lo), m + 2
-    first, adj, to = (ints([0] * size) for size in (nv + 1, 2 * (m + 1 + n), 2 * (m + 1 + n)))
-    assert lib.covprune_network(n, m, ints(lo), ints(hi), first, adj, to) == 0
+    first, adj = ints([0] * (nv + 1)), ints([0] * 2 * (m + 1 + n))
+    assert lib.covprune_network(n, m, ints(lo), ints(hi), first, adj) == 0
     for k in (1, 2, 3):
         for t in range(k + 1):
-            max_flow(nv, first.tolist(), adj.tolist(), to.tolist(), k, t,
-                     [k - t] * (m + 1) + [0] * n)
-# each count exceeding its buffer by one: first, then adj, to and flow on
-# a search that reads every arc, then parent_arc on one that marks the
-# sink; k and t out of range; an odd arc count, whose last arc would
-# read the flow's missing item; and one vertex, a source that is the sink
-scan = ([0, 2, 2], [0, 1], [1, 0], [0])
-path = ([0, 1, 2], [0, 1], [1, 0], [0])
-for nv, (first, adj, to, flow), short in ((2, scan, 0), (2, scan, 1), (2, scan, 2),
-                                          (2, scan, 3), (2, path, 4)):
-    args = [first, adj, to, flow, [-9] * nv]
+            max_flow(nv, first.tolist(), adj.tolist(), lo, hi, k, t, [k - t] * (m + 1) + [0] * n)
+# each count exceeding its buffer by one: first, then adj and flow on a
+# search that reads every arc, lo and hi on a network with one read's
+# arc, then parent_arc on one that marks the sink; k and t out of range;
+# an odd arc count, whose last arc would read the flow's missing item;
+# and one vertex, a source that is the sink
+scan = ([0, 2, 2], [0, 1], [], [], [0])
+read = ([0, 2, 4], [2, 0, 3, 1], [-1], [0], [0, 0])
+path = ([0, 1, 2], [0, 1], [], [], [0])
+for nv, (first, adj, lo, hi, flow), short in ((2, scan, 0), (2, scan, 1), (2, read, 2),
+                                              (2, read, 3), (2, scan, 4), (2, path, 5)):
+    args = [first, adj, lo, hi, flow, [-9] * nv]
     args[short] = args[short][:-1]
-    refused(lib.covprune_max_flow, nv, *map(ints, args[:3]), 1, 0, *map(ints, args[3:]))
+    refused(lib.covprune_max_flow, nv, *map(ints, args[:4]), 1, 0, *map(ints, args[4:]))
 for k, t in ((0, 0), (-2**63, 0), (1, -1), (1, 2), (3, -2**63)):
-    refused(lib.covprune_max_flow, 2, *map(ints, scan[:3]), k, t, ints([0]), ints([-9] * 2))
-refused(lib.covprune_max_flow, 2, ints([0, 3, 3]), ints([2, 0, 1]), ints([1, 0, 1]), 1, 0,
+    refused(lib.covprune_max_flow, 2, *map(ints, scan[:4]), k, t, ints([0]), ints([-9] * 2))
+refused(lib.covprune_max_flow, 2, ints([0, 3, 3]), ints([2, 0, 1]), ints([]), ints([]), 1, 0,
         ints([0]), ints([-9] * 2))
 # a flow item far below 0, whose residual capacity - flow would overflow
-refused(lib.covprune_max_flow, 2, ints([0, 1, 2]), ints([0, 1]), ints([1, 0]), 3, 0,
+refused(lib.covprune_max_flow, 2, ints([0, 1, 2]), ints([0, 1]), ints([]), ints([]), 3, 0,
         ints([-2**63]), ints([-9] * 2))
 behind = ints([5, 0])
-refused(lib.covprune_max_flow, 1, ints([0, 0]), ints([]), ints([]), 9, 0,
+refused(lib.covprune_max_flow, 1, ints([0, 0]), ints([]), ints([]), ints([]), 9, 0,
         memoryview(behind)[1:], ints([-9]))
 # indices that hold no network, on buffers of the sizes the rule asks: a
-# head at or past nv, a negative head, a reverse arc that does not lead
-# back (more paths than k), a first that falls, a negative first, an arc
-# range past the arcs, an arc past them and a negative arc, each refused
-# by the search before it follows the index
-for first, adj, to in (([0, 2, 2], [0, 1], [5, 0]), ([0, 2, 2], [0, 1], [-1, 0]),
-                       ([0, 2, 2], [0, 1], [1, 1]), ([2, 0, 2], [0, 1], [1, 0]),
-                       ([-1, 2, 2], [0, 1], [1, 0]), ([0, 3, 2], [1, 1], [0, 0]),
-                       ([0, 2, 2], [2, 0], [1, 0]), ([0, 2, 2], [-1, 0], [1, 0])):
+# read's place whose hi or lo puts its head at or past nv or below 0 (the
+# lo ones list the reverse arc under the source), or whose hi or lo is
+# the largest int64, where hi + 1 would overflow, a first that falls, a
+# negative first, an arc range past the arcs, an arc past them and a
+# negative arc, each refused by the search before it follows the index;
+# and an adj that lists a backbone arc's reverse under the source, whose
+# paths push nothing: refused after k = 2 paths
+for nv, first, adj, lo, hi, flow in (
+        (2, [0, 2, 4], [2, 0, 3, 1], [-1], [1], [0, 0]),
+        (2, [0, 2, 4], [2, 0, 3, 1], [-1], [-2], [0, 0]),
+        (2, [0, 2, 4], [3, 0, 2, 1], [1], [0], [0, 0]),
+        (2, [0, 2, 4], [3, 0, 2, 1], [-2], [0], [0, 0]),
+        (2, [0, 2, 4], [2, 0, 3, 1], [-1], [2**63 - 1], [0, 0]),
+        (2, [0, 2, 4], [3, 0, 2, 1], [2**63 - 1], [0], [0, 0]),
+        (2, [2, 0, 2], [0, 1], [], [], [0]), (2, [-1, 2, 2], [0, 1], [], [], [0]),
+        (2, [0, 3, 2], [1, 1], [], [], [0]), (2, [0, 2, 2], [2, 0], [], [], [0]),
+        (2, [0, 2, 2], [-1, 0], [], [], [0]), (3, [0, 1, 4, 4], [3, 2, 0, 1], [], [], [0, 1])):
     try:
-        lib.covprune_max_flow(2, ints(first), ints(adj), ints(to), 1, 0, ints([0]),
-                              ints([-9] * 2))
-        raise AssertionError(f"the max-flow followed {first}, {adj}, {to}")
+        lib.covprune_max_flow(nv, ints(first), ints(adj), ints(lo), ints(hi), 2, 0, ints(flow),
+                              ints([-9] * nv))
+        raise AssertionError(f"the max-flow followed {first}, {adj}, {lo}, {hi}")
     except ValueError:
         pass
 
