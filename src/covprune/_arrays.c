@@ -3,54 +3,45 @@
  * runs in Python.  Each checks the indices it follows and returns a
  * negative code, before writing anything out of bounds, when one is
  * outside its buffer; _module.c wraps them.  The split per chromosome
- * reads the reader's runs as they are, and a recount gives its extremes.
+ * reads the reader's runs as they are, and every solver's answer, a keep
+ * column over the chain, is scored by one call: its kept reads and the
+ * coverage they give, with its extremes.
  */
 
 #include <stdint.h>
 #include <string.h>
 
-/* Write to out the positions j < n, increasing, where values[j] ==
- * want; returns how many.  out has n entries. */
-static int64_t covprune_select(int64_t n, const int64_t *values, int64_t want, int64_t *out)
-{
-    int64_t count = 0;
-    for (int64_t j = 0; j < n; j++) {
-        out[count] = j;
-        count += values[j] == want;
-    }
-    return count;
-}
-
-/* The coverage of the m - 1 segments between m delimiters by the reads
- * idx[0..nidx), place p of the chain holding read order[p] and spanning
- * delimiter indices [lo[p], hi[p]), into cov[0..m - 1), its least and
- * largest value into extremes[0] and extremes[1], both 0 when m < 2;
- * cov has m entries, and cov[m - 1] gets 0, and mark is n bytes of
- * scratch.  Returns 0, or -1, before it writes anything, unless idx
- * rises within [0, n), order holds each read once, and every place has
+/* The answer of a keep column over the chain of n places, place p holding
+ * read order[p], spanning delimiter indices [lo[p], hi[p]) and kept when
+ * keep[p] is 1.  Writes the kept reads, rising, into reads, which has n
+ * entries, and returns their number; writes the coverage of the m - 1
+ * segments between m delimiters by the kept places into cov[0..m - 1),
+ * and cov[m - 1] gets 0, with its least and largest value in
+ * extremes[0] and extremes[1], both 0 when m < 2.  mark is n bytes of
+ * scratch.  Returns -1, before it writes anything, unless every keep[p]
+ * is 0 or 1, order holds each read of [0, n) once, and every place has
  * 0 <= lo[p] < hi[p] < m. */
-static int64_t covprune_recount(int64_t nidx, const int64_t *idx, int64_t n, const int64_t *lo,
-                                const int64_t *hi, const int64_t *order, int64_t m, int64_t *cov,
-                                int64_t *extremes, uint8_t *mark)
+static int64_t covprune_score(int64_t n, const int64_t *keep, const int64_t *order,
+                              const int64_t *lo, const int64_t *hi, int64_t m, int64_t *reads,
+                              int64_t *cov, int64_t *extremes, uint8_t *mark)
 {
     for (int64_t i = 0; i < n; i++) /* no memset: with n = 0, mark is NULL */
         mark[i] = 0;
-    for (int64_t j = 0; j < nidx; j++) {
-        if (idx[j] < 0 || idx[j] >= n || (j && idx[j - 1] >= idx[j]))
+    for (int64_t p = 0; p < n; p++) { /* 1 marks a read that a place holds, 2 a kept one */
+        if (keep[p] < 0 || keep[p] > 1 || order[p] < 0 || order[p] >= n || mark[order[p]]
+            || lo[p] < 0 || lo[p] >= hi[p] || hi[p] >= m)
             return -1;
-        mark[idx[j]] = 1;
+        mark[order[p]] = (uint8_t)(1 + keep[p]);
     }
-    for (int64_t p = 0; p < n; p++) { /* 2 marks a read that a place holds */
-        if (order[p] < 0 || order[p] >= n || mark[order[p]] > 1 || lo[p] < 0 || lo[p] >= hi[p]
-            || hi[p] >= m)
-            return -1;
-        mark[order[p]] += 2;
+    int64_t count = 0;
+    for (int64_t i = 0; i < n; i++) { /* branch-free: the marks are mixed */
+        reads[count] = i;
+        count += mark[i] - 1;
     }
     memset(cov, 0, (size_t)m * sizeof *cov);
-    for (int64_t p = 0; p < n; p++) { /* branch-free: the marks are mixed */
-        int64_t keep = mark[order[p]] & 1;
-        cov[lo[p]] += keep;
-        cov[hi[p]] -= keep;
+    for (int64_t p = 0; p < n; p++) {
+        cov[lo[p]] += keep[p];
+        cov[hi[p]] -= keep[p];
     }
     int64_t mn = m > 1 ? cov[0] : 0, mx = mn;
     for (int64_t j = 1; j < m - 1; j++) {
@@ -59,30 +50,10 @@ static int64_t covprune_recount(int64_t nidx, const int64_t *idx, int64_t n, con
         mx = cov[j] > mx ? cov[j] : mx;
     }
     if (m)
-        cov[m - 1] = 0; /* every read's rise and fall have cancelled */
+        cov[m - 1] = 0; /* every kept place's rise and fall have cancelled */
     extremes[0] = mn;
     extremes[1] = mx;
-    return 0;
-}
-
-/* The reads that the places idx[0..nidx) of the chain hold, place p
- * holding read order[p], rising, into reads[0..nidx); mark is n bytes of
- * scratch.  Returns 0, or -1, before it writes anything, unless each
- * place is within [0, n) and holds a read within [0, n) that no other of
- * them holds. */
-static int64_t covprune_reads(int64_t nidx, const int64_t *idx, int64_t n, const int64_t *order,
-                              int64_t *reads, uint8_t *mark)
-{
-    for (int64_t i = 0; i < n; i++) /* no memset: with n = 0, mark is NULL */
-        mark[i] = 0;
-    for (int64_t j = 0; j < nidx; j++)
-        if (idx[j] < 0 || idx[j] >= n || order[idx[j]] < 0 || order[idx[j]] >= n
-            || mark[order[idx[j]]]++)
-            return -1;
-    for (int64_t i = 0, count = 0; i < n; i++)
-        if (mark[i])
-            reads[count++] = i;
-    return 0;
+    return count;
 }
 
 /* Group n records by the runs of one code the reader found, in a stable

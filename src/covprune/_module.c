@@ -222,16 +222,11 @@ KERNEL(max_flow, "nqqqqnn q!q!", INT(0) >= 2 && holds(&views[1], INT(0), 1, 1)
        && HOLDS(8, INT(0)), STATUS, 2 * INT(0),
        result = covprune_max_flow(INT(0), I64(1), I64(2), I64(3), I64(4), INT(5), INT(6),
                                   I64(7), I64(8), s))
-KERNEL(select, "nqn q!", HOLDS(1, INT(0)) && HOLDS(3, INT(0)), VALUE, 0,
-       result = covprune_select(INT(0), I64(1), INT(2), I64(3)))
-/* the recount's and the reads' marks: n bytes, in (n + 7) / 8 items */
-KERNEL(recount, "nqnqqqn q!q!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(4, INT(2))
-       && HOLDS(5, INT(2)) && HOLDS(7, INT(6)) && HOLDS(8, 2), STATUS, (INT(2) + 7) / 8,
-       result = covprune_recount(INT(0), I64(1), INT(2), I64(3), I64(4), I64(5), INT(6),
-                                 I64(7), I64(8), (uint8_t *)s))
-KERNEL(reads, "nqnq q!", HOLDS(1, INT(0)) && HOLDS(3, INT(2)) && HOLDS(4, INT(0)), STATUS,
-       (INT(2) + 7) / 8, result = covprune_reads(INT(0), I64(1), INT(2), I64(3), I64(4),
-                                                 (uint8_t *)s))
+/* the score's marks: n bytes, in (n + 7) / 8 items */
+KERNEL(score, "nqqqqn q!q!q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(3, INT(0))
+       && HOLDS(4, INT(0)) && HOLDS(6, INT(0)) && HOLDS(7, INT(5)) && HOLDS(8, 2), STATUS,
+       (INT(0) + 7) / 8, result = covprune_score(INT(0), I64(1), I64(2), I64(3), I64(4), INT(5),
+                                                 I64(6), I64(7), I64(8), (uint8_t *)s))
 KERNEL(group, "nqqnnQQ q!q!Q!Q!", HOLDS(1, INT(0)) && HOLDS(2, INT(0)) && HOLDS(5, INT(3))
        && HOLDS(6, INT(3)) && holds(&views[7], INT(4), 1, 1) && HOLDS(8, INT(3))
        && HOLDS(9, INT(3)) && HOLDS(10, INT(3)), STATUS, 0,
@@ -266,8 +261,8 @@ static PyObject *py_lines(PyObject *self, PyObject *const *args, Py_ssize_t narg
 #define ENTRY(name) {"covprune_" #name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
-    ENTRY(parse),  ENTRY(profile), ENTRY(sweep), ENTRY(network), ENTRY(max_flow),
-    ENTRY(select), ENTRY(recount), ENTRY(reads), ENTRY(group), ENTRY(scatter), ENTRY(lines),
+    ENTRY(parse), ENTRY(profile), ENTRY(sweep),   ENTRY(network), ENTRY(max_flow),
+    ENTRY(score), ENTRY(group),   ENTRY(scatter), ENTRY(lines),
     {NULL, NULL, 0, NULL},
 };
 

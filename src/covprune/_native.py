@@ -18,7 +18,7 @@ temporary directory for this process only.  Every kernel is required:
 when no module loads or builds, `load_library` raises `CompilerError`,
 on which the CLI exits 4.
 
-The functions at the end are the Python faces of `_arrays.c`'s loops.
+`zeros` at the end allocates the columns the kernels write.
 """
 
 import contextlib
@@ -155,11 +155,3 @@ def load_library():
 def zeros(code: str, n: int) -> array:
     """n zero items of the `array` type `code`, allocated once."""
     return array(code, [0]) * n
-
-
-def select(values, want: int) -> array:
-    """The positions, rising, where the int64 buffer `values` holds `want`."""
-    out = zeros("q", len(values))
-    del out[load_library().covprune_select(len(values), values, want, out):]
-    return out
-

@@ -163,16 +163,16 @@ static void lift(Store *c, int64_t a, int64_t b, int64_t delta)
 /* Sweep and refill the n reads at places 0..n-1, place p spanning
  * segments [lo[p], hi[p]), over the segment coverage cov[0..nseg), kept
  * in val (nseg cells) with flat, else in mn/mx/bal (2 * cap items each,
- * cap the least power of 2 >= nseg).  Writes the places of the kept
- * reads, rising, to kept and returns their number, and counts gets
+ * cap the least power of 2 >= nseg).  Writes the keep column, keep[p]
+ * = 1 for each kept place and 0 for each deleted one, and counts gets
  * {nodes_touched or segments_scanned, candidates, blocked_crucial,
- * refilled}.  Before it writes either, returns -1 when a read's span
- * leaves [0, nseg) and, with flat, -2 when a coverage count is outside
- * [0, 2^31).  No cell overflows: a read is deleted only under a cell
+ * refilled}, and returns 0.  Before it writes either, returns -1 when a
+ * read's span leaves [0, nseg) and, with flat, -2 when a coverage count
+ * is outside [0, 2^31).  No cell overflows: a read is deleted only under a cell
  * above k, so with k >= 2^31 - 1 none is, and a refill lifts cells below
  * k to at most k. */
 static int64_t covprune_sweep(int64_t n, const int64_t *lo, const int64_t *hi, int64_t nseg,
-                              const int64_t *cov, int64_t k, int64_t flat, int64_t *kept,
+                              const int64_t *cov, int64_t k, int64_t flat, int64_t *keep,
                               int64_t *counts, int32_t *val, int64_t cap, int64_t *mn,
                               int64_t *mx, int64_t *bal)
 {
@@ -201,7 +201,7 @@ static int64_t covprune_sweep(int64_t n, const int64_t *lo, const int64_t *hi, i
     int64_t half = k / 2, candidates = 0, blocked = 0, refilled = 0;
     for (int64_t p = 0; p < n; p++) {
         int64_t qmn, qmx;
-        kept[p] = 0; /* 1 while the read is deleted */
+        keep[p] = 1; /* 0 while the read is deleted */
         span(&c, lo[p], hi[p], &qmn, &qmx);
         if (qmx <= k)
             continue;
@@ -210,25 +210,19 @@ static int64_t covprune_sweep(int64_t n, const int64_t *lo, const int64_t *hi, i
             blocked++;
             continue;
         }
-        kept[p] = 1;
+        keep[p] = 0;
         lift(&c, lo[p], hi[p], -1);
     }
     for (int64_t p = 0; p < n; p++) {
-        if (!kept[p] || !below(&c, lo[p], hi[p], k))
+        if (keep[p] || !below(&c, lo[p], hi[p], k))
             continue;
-        kept[p] = 0;
+        keep[p] = 1;
         refilled++;
         lift(&c, lo[p], hi[p], 1);
-    }
-    int64_t m = 0;
-    for (int64_t p = 0; p < n; p++) { /* branch-free: the mask is mixed */
-        int64_t deleted = kept[p];
-        kept[m] = p;
-        m += !deleted;
     }
     counts[0] = c.work;
     counts[1] = candidates;
     counts[2] = blocked;
     counts[3] = refilled;
-    return m;
+    return 0;
 }

@@ -19,11 +19,13 @@ set is maximal: no deleted read fits under the cap.
 The sweep, the refill included, runs as one C call, `covprune_sweep`
 (`_sweep.c`, loaded by `_native`), which reads the profile's columns in
 their chain order and keeps the current segment coverage in one of two
-stores that make the same decisions.  The flat rule, stated here only:
-when the coverage stays below 2**31 and the spans sum to at most 40 * n
-* bit_length(nseg) segments, a flat int32 copy scanned span by span, at
-most four times that sum with the refill, so O(n log n) too, and cheaper
-on short reads; else the lazy coverage tree, O(log nseg) nodes per read.
+stores that make the same decisions.  It leaves a keep column by chain
+place, 1 where a read stays, which `score_subset` scores as it is.  The
+flat rule, stated here only: when the coverage stays below 2**31 and the
+spans sum to at most 40 * n * bit_length(nseg) segments, a flat int32
+copy scanned span by span, at most four times that sum with the refill,
+so O(n log n) too, and cheaper on short reads; else the lazy coverage
+tree, O(log nseg) nodes per read.
 Near 40 segments per read per bit of nseg the vectorized flat scan costs
 about what the tree does (15k reads of 0.5-1.5 kb at depth 400-600).
 """
@@ -63,13 +65,13 @@ def approx_prune(intervals: IntervalSet, k: int) -> Solution:
 
     n, nseg = len(lo), len(cov)
     flat = top < 2**31 and spanned <= 40 * n * nseg.bit_length()
-    kept, counts = zeros("q", n), zeros("q", 4)
-    del kept[load_library().covprune_sweep(n, lo, hi, nseg, cov, k, flat, kept, counts):]
+    keep, counts = zeros("q", n), zeros("q", 4)
+    load_library().covprune_sweep(n, lo, hi, nseg, cov, k, flat, keep, counts)
     visited, work["candidates"], work["blocked_crucial"], work["refilled"] = counts
     work["native_sweep"] = 1
     work["segments_scanned" if flat else "tree_nodes_touched"] = visited
-    # the reads the kept places hold, recounted from scratch, never from the sweep's state
-    sol = score_subset(intervals, intervals.compressed.reads(kept), k, "approx", work)
+    # the sweep's keep column, recounted from scratch, never from the sweep's cells
+    sol = score_subset(intervals, keep, k, "approx", work)
     if sol.achieved_mincov < min(low, k // 2):
         raise AssertionError(f"approx kept a set of mincov {sol.achieved_mincov} "
                              f"< min(input mincov {low}, k//2={k // 2})")

@@ -10,8 +10,9 @@ Each schema is written here from one fixed template, byte for byte as
 `json.dumps` writes it by default, so that no run imports `json`, or
 `re` through it.  A chromosome's kept set reaches the output as the
 int64 buffer of indices its solver produced.  Exit codes: 0
-success/feasible, 1 decide found no solution, 2 usage error or bad input
-(a parse error, an unreadable file, a name that is not UTF-8), 3
+success/feasible, 1 decide found no solution, 2 usage error, bad input
+(a parse error, an unreadable file, a name that is not UTF-8) or an
+output that cannot be written (a full device, a closed pipe), 3
 internal error (anything else: a failed self-check, a kernel's refusal,
 a bug), 4 no compiled library: the kernels could not be built with the
 C compiler.
@@ -91,9 +92,11 @@ def _groups(instance: io.InstanceFile):
 
 
 def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[array, bool]:
-    """Run `solver(chrom, intervals)` per chromosome, in name order,
+    """Run `solver(intervals, work)` per chromosome, in name order,
     writing and flushing each chromosome's stats line to `out` as soon
     as it finishes, so a later failure keeps the lines already written.
+    An infeasible chromosome's line carries the counters the solver left
+    in `work`, a new dict per chromosome.
 
     Returns the uint8 mask of kept records (file order) and whether every
     chromosome was feasible.
@@ -103,12 +106,13 @@ def _solve_instance(instance: io.InstanceFile, solver, out) -> tuple[array, bool
     all_feasible = True
     for chrom, (ivs, record_indices) in _groups(instance):
         before = ivs.compressed.maxcov
+        work = {}
         t0 = time.perf_counter()
-        sol = solver(chrom, ivs)
+        sol = solver(ivs, work)
         wall = time.perf_counter() - t0
         if sol is None:
             all_feasible = False
-            line = _stats_line(chrom, len(ivs), 0, 0, before, 0, "infeasible", False, {}, wall)
+            line = _stats_line(chrom, len(ivs), 0, 0, before, 0, "infeasible", False, work, wall)
         else:
             load_library().covprune_scatter(sol.num_kept, sol.kept, len(record_indices),
                                             record_indices, len(kept_records), kept_records)
@@ -139,17 +143,17 @@ def _run(args, solver) -> int:
 # each subcommand imports only its own solver, which a run of another never loads
 def cmd_decide(args) -> int:
     from .flow import decide
-    return _run(args, lambda chrom, ivs: decide(ivs, args.k, args.t))
+    return _run(args, lambda ivs, work: decide(ivs, args.k, args.t, work))
 
 
 def cmd_solve(args) -> int:
     from .search import solve_exact
-    return _run(args, lambda chrom, ivs: solve_exact(ivs, args.k))
+    return _run(args, lambda ivs, work: solve_exact(ivs, args.k))
 
 
 def cmd_approx(args) -> int:
     from .approx import approx_prune
-    return _run(args, lambda chrom, ivs: approx_prune(ivs, args.k))
+    return _run(args, lambda ivs, work: approx_prune(ivs, args.k))
 
 
 def cmd_stats(args) -> int:

@@ -15,7 +15,8 @@ set, by `covprune_network` (`_flow.c`, loaded by `_native`); it holds no
 capacity or head: each follows from the arc's index and (k, t), or lo and hi.
 `max_flow_augmenting` takes a flow, one int64 per arc, and augments it at
 (k, t) along depth-first paths that try the farthest-reaching arc first,
-by `covprune_max_flow`.  `decide` runs the exact search
+by `covprune_max_flow`; its flow on the interval arcs, by chain place, is
+the witness's keep column.  `decide` runs the exact search
 (`search.descend`) at its one floor t.
 """
 
@@ -57,7 +58,9 @@ class FlowAssignment(namedtuple("FlowAssignment", "backbone_flow interval_flow a
                                  defaults=(0,))):
     """An integral flow on a FlowNetwork, one int64 per logical arc (the
     interval arcs' by chain place), and the number of augmenting paths that
-    made it.  Its columns view the live flow, which a later probe changes."""
+    made it.  Its columns view the live flow, which a later probe changes.
+    At value k, `interval_flow` is the witness's keep column: 1 on the arc
+    of each kept read, 0 elsewhere, as `score_subset` takes it."""
 
     __slots__ = ()
 
@@ -65,11 +68,6 @@ class FlowAssignment(namedtuple("FlowAssignment", "backbone_flow interval_flow a
     def value(self) -> int:
         # all flow leaves the source through the first backbone arc
         return self.backbone_flow[0]
-
-    @property
-    def kept(self) -> array:
-        """The witness: the chain places whose interval arcs carry flow."""
-        return _native.select(self.interval_flow, 1)
 
 
 def build_network(intervals: IntervalSet) -> FlowNetwork:
@@ -103,13 +101,18 @@ def max_flow_augmenting(net: FlowNetwork, k: int, t: int, flow) -> FlowAssignmen
     return FlowAssignment(view[:nb], view[nb:], augmentations)
 
 
-def decide(intervals: IntervalSet, k: int, t: int) -> Solution | None:
+def decide(intervals: IntervalSet, k: int, t: int,
+           work: dict[str, int] | None = None) -> Solution | None:
     """Find a subset with maxcov <= k and mincov >= t over the span.
 
     Returns None when no such subset exists (a normal outcome, not an
     error).  This is the descent of `search.descend` over the one floor
     t: the solver begins from the backbone flow of value k - t and needs
-    at most t augmentations.
+    at most t augmentations.  It counts `flow_solves`, `augmentations`
+    and `native_flow` (1 when a compiled flow ran) in `work`, a new dict
+    unless one is given, which then holds them when the answer is None.
     """
     from .search import descend  # search builds on this module
-    return descend(intervals, k, t, {"flow_solves": 0, "augmentations": 0, "native_flow": 0})
+    work = {} if work is None else work
+    work.update(flow_solves=0, augmentations=0, native_flow=0)
+    return descend(intervals, k, t, work)

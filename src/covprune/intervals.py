@@ -99,12 +99,6 @@ class CoverageProfile(namedtuple("CoverageProfile",
     def num_segments(self) -> int:
         return len(self.segment_cov)
 
-    def reads(self, places) -> array:
-        """The reads that the int64 chain places `places` hold, rising."""
-        reads = array("q", [0]) * len(places)
-        _kernels().covprune_reads(len(places), places, len(self.order), self.order, reads)
-        return reads
-
 
 def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
     """The exact coverage step function of the set, from its endpoint arrays."""
@@ -121,13 +115,14 @@ def coverage_profile(intervals: IntervalSet) -> CoverageProfile:
                            memoryview(order).toreadonly())
 
 
-def recount(profile: CoverageProfile, kept) -> tuple[array, int, int]:
-    """Coverage of each segment of `profile` by the reads at the rising
-    int64 indices `kept`, gaps counting as 0, with its least and largest
-    value (0 and 0 without a segment)."""
+def recount(profile: CoverageProfile, keep) -> tuple[array, array, int, int]:
+    """The answer of the int64 keep column `keep`, 1 at each kept chain
+    place and 0 at the others: the reads the kept places hold, rising,
+    the coverage of each segment of `profile` by them, gaps counting as
+    0, and its least and largest value (0 and 0 without a segment)."""
     n, m = len(profile.lo), len(profile.delimiters)
-    cov, extremes = array("q", [0]) * m, array("q", [0]) * 2
-    _kernels().covprune_recount(len(kept), kept, n, profile.lo, profile.hi, profile.order, m,
-                                cov, extremes)
+    reads, cov, extremes = array("q", [0]) * n, array("q", [0]) * m, array("q", [0]) * 2
+    del reads[_kernels().covprune_score(n, keep, profile.order, profile.lo, profile.hi, m, reads,
+                                        cov, extremes):]
     del cov[-1:]
-    return cov, *extremes
+    return reads, cov, *extremes

@@ -1,7 +1,6 @@
 """Brute-force references for validating the real solvers at desk scale:
 library only, with numpy (the `test` extra), which no CLI run loads."""
 
-from ._native import select
 from .intervals import IntervalSet
 from .solution import Solution, score_subset
 
@@ -54,9 +53,9 @@ def brute_force_opt(intervals: IntervalSet, k: int) -> Solution:
             candidates.append(masks[mins == best_min])
     # the empty subset is always feasible, so best_min >= 0
     witness = _lex_min_subset(np.concatenate(candidates), n)
-    # its mincov is best_min, recounted
-    kept = select((witness >> np.arange(n)) & 1, 1)
-    return score_subset(intervals, kept, k, "oracle", {"subsets": total})
+    # its mincov is best_min, recounted from its keep column by chain place
+    keep = (witness >> np.asarray(order)) & 1
+    return score_subset(intervals, keep, k, "oracle", {"subsets": total})
 
 
 def _lex_min_subset(masks, n: int) -> int:

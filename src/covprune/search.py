@@ -8,9 +8,11 @@ network is built once per interval set and one flow is carried from one
 floor to the next, because a maximum flow at t is still feasible at
 t - 1.  The flow value starts at k - bound and each augmenting path
 raises it, so the whole descent costs at most `bound` augmentations,
-run in C (`covprune_max_flow`).  Only the witness is scored.  `descend`
-is the one body of both exact entry points: `solve_exact` runs it over
-every floor from the bound down, and `flow.decide` over its one floor t.
+run in C (`covprune_max_flow`).  Only the witness is scored, from the
+flow on the reads' arcs as it stands: a 0/1 keep column by chain place.
+`descend` is the one body of both exact entry points: `solve_exact`
+runs it over every floor from the bound down, and `flow.decide` over its
+one floor t.
 """
 
 from array import array
@@ -75,6 +77,6 @@ def descend(intervals: IntervalSet, k: int, t: int | None,
             raise AssertionError(f"{work['augmentations']} augmentations "
                                  f"from the start at t={floors[0]}")
         # the value and the witness view `held`: read before the next probe
-        if result.value == k:
-            return score_subset(intervals, profile.reads(result.kept), k, METHOD, work)
+        if result.value == k:  # the flow on the reads' arcs is the witness's keep column
+            return score_subset(intervals, result.interval_flow, k, METHOD, work)
     return None

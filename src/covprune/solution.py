@@ -1,8 +1,8 @@
 """Solver output: the kept subset plus the coverage it achieves."""
 
+from array import array
 from collections import namedtuple
 
-from ._native import select, zeros
 from .intervals import IntervalSet, recount
 
 
@@ -25,19 +25,20 @@ class Solution(namedtuple("Solution", "kept achieved_mincov achieved_maxcov meth
         return len(self.kept)
 
 
-def score_subset(intervals: IntervalSet, kept, k: int, method: str,
+def score_subset(intervals: IntervalSet, keep, k: int, method: str,
                  work: dict[str, int] | None = None) -> Solution:
-    """The Solution keeping the reads at the rising int64 indices `kept`,
-    or every read (the positions of n zeros) when it is None, under cap k.
+    """The Solution of the int64 keep column `keep`, 1 at each kept place
+    of the set's chain and 0 at the others (`CoverageProfile.order` maps
+    a place to its read), or of every read when it is None, under cap k.
 
-    Every solver's answer is built here.  The coverage numbers always
-    come from an independent count of the kept subset on the set's own
-    segments, which tile its span, never from solver-internal state, and
-    a count above k raises AssertionError: the solver that chose the set
-    is at fault.
+    Every solver's answer is built here, from the 0/1 column it ends
+    with.  The kept reads and the coverage numbers come from one count of
+    the kept places' spans on the set's own segments, which tile its
+    span, never from solver-internal state, and a count above k raises
+    AssertionError: the solver that chose the set is at fault.
     """
-    kept = memoryview(select(zeros("q", len(intervals)), 0) if kept is None else kept).toreadonly()
-    _, mn, mx = recount(intervals.compressed, kept)
+    keep = array("q", [1]) * len(intervals) if keep is None else keep
+    reads, _, mn, mx = recount(intervals.compressed, keep)
     if mx > k:
         raise AssertionError(f"{method} kept a set of maxcov {mx} > k={k}")
-    return Solution(kept, mn, mx, method, dict(work or {}))
+    return Solution(memoryview(reads).toreadonly(), mn, mx, method, dict(work or {}))

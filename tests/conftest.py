@@ -148,16 +148,16 @@ interval_pairs = st.lists(
 def c_sweep(flat: bool):
     """`covprune_sweep` with or without `flat`, called as `sweep_python`
     is; it reads each read's lo and hi at its place in `order`, and its
-    kept places come back as the deleted mask of the reads they hold."""
+    keep column comes back as the deleted mask of the reads it marks."""
     from covprune import _native
 
     def sweep(order, lo, hi, cov, k):
         n = len(lo)
-        kept, counts = _native.zeros("q", n), _native.zeros("q", 4)
-        del kept[_native.load_library().covprune_sweep(n, lo[order], hi[order], len(cov), cov, k,
-                                                       flat, kept, counts):]
+        keep, counts = _native.zeros("q", n), _native.zeros("q", 4)
+        assert _native.load_library().covprune_sweep(n, lo[order], hi[order], len(cov), cov, k,
+                                                     flat, keep, counts) == 0
         deleted = np.ones(n, bool)
-        deleted[order[kept]] = False
+        deleted[order[np.asarray(keep) == 1]] = False
         return deleted, tuple(counts)
     return sweep
 

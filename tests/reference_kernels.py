@@ -5,7 +5,9 @@ Each takes the arrays its kernel takes and gives what the kernel gives:
 `argsort_profile` and `argsort_network` the arrays of `covprune_profile`
 and `covprune_network` (`_profile.c`, `_flow.c`), from general argsorts,
 the profile's coverage and its summary from numpy's cumulative sum,
-min, max and sum;
+min, max and sum; `score_numpy` the kept reads and the coverage of
+`covprune_score` (`_arrays.c`), from a by-read mask and the cumulative
+sum of the kept places' rises and falls;
 `sweep_python` and `flat_python` the deletions, after the refill, and
 the counts of `covprune_sweep` (`_sweep.c`) under its tree store and
 its flat one, over `CoverageTree` and over a list, visiting the reads in
@@ -59,6 +61,22 @@ def argsort_profile(intervals) -> CoverageProfile:
     extremes = (int(cov.min()), int(cov.max())) if len(cov) else (0, 0)
     order = np.lexsort((hi, lo))
     return CoverageProfile(delims, lo[order], hi[order], cov, *extremes, spanned, order)
+
+
+def score_numpy(profile: CoverageProfile, keep) -> tuple[list, list, int, int]:
+    """The answer of a 0/1 keep column by chain place: the kept reads,
+    the nonzero positions of the by-read mask, and the segment coverage,
+    a cumulative sum of each kept place's rise at lo and fall at hi, with
+    its min and max (0 and 0 without a segment)."""
+    keep, m = np.asarray(keep, np.int64), len(profile.delimiters)
+    by_read = np.zeros(len(keep), bool)
+    by_read[np.asarray(profile.order)] = keep == 1
+    steps = np.zeros(m + 1, np.int64)
+    np.add.at(steps, np.asarray(profile.lo), keep)
+    np.subtract.at(steps, np.asarray(profile.hi), keep)
+    cov = np.cumsum(steps)[:max(m - 1, 0)]
+    extremes = (int(cov.min()), int(cov.max())) if len(cov) else (0, 0)
+    return np.flatnonzero(by_read).tolist(), cov.tolist(), *extremes
 
 
 def arc_ends(m, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +265,7 @@ def cold_decide(intervals, k: int, t: int) -> Solution | None:
     result = cold_max_flow(intervals, k, t)
     if result.value < k:
         return None
-    return score_subset(intervals, intervals.compressed.reads(result.kept), k, "cold-reference",
-                        {})
+    return score_subset(intervals, result.interval_flow, k, "cold-reference", {})
 
 
 def _instance(names: list[str], run_at, starts, ends, data: bytes, line_at,

@@ -110,8 +110,7 @@ def test_criterion_4_flow_coverage_identity_at_full_scale():
         if flow.value == k:
             break
     assert flow.value == k and 0 < opt < k
-    kept = s.compressed.reads(flow.kept)
-    witness = np.asarray(recount(s.compressed, kept)[0])
+    witness = np.asarray(recount(s.compressed, flow.interval_flow)[1])
     interior = np.array(flow.backbone_flow[1:-1])
     assert (flow.backbone_flow[0], flow.backbone_flow[-1]) == (k, k)
     assert (interior == k - witness).all()

@@ -17,68 +17,76 @@ from covprune.intervals import CoverageProfile, recount
 SENTINEL = [-9, -9, -9]
 
 
-def select(values, out):
-    """The positions where `values` holds 2, by covprune_select, which
-    writes out[0] whenever it runs on a value."""
-    return _native.load_library().covprune_select(len(values), values, 2, out)
+def score_args(keep=None, reads=None):
+    """covprune_score's arguments over three places, place p holding read
+    (2, 0, 1)[p] over the one segment of two delimiters, the column
+    `keep` keeping places 0 and 2 by default, and every output SENTINEL
+    but `reads` when given: the kernel writes reads[0] whenever it runs
+    on a read."""
+    return (3, array("q", [1, 0, 1]) if keep is None else keep, array("q", [2, 0, 1]),
+            array("q", [0, 0, 0]), array("q", [1, 1, 1]), 2,
+            array("q", SENTINEL) if reads is None else reads, array("q", SENTINEL),
+            array("q", SENTINEL))
 
 
 # numpy's int64 exports the item format 'l', array's 'q'
-@pytest.mark.parametrize("values", [array("q", [5, 2, 7]), memoryview(array("q", [5, 2, 7])),
-                                    memoryview(array("q", [5, 2, 7])).toreadonly(),
-                                    np.array([5, 2, 7]), np.array([5, 2, 7], np.int64)],
+@pytest.mark.parametrize("keep", [array("q", [1, 0, 1]), memoryview(array("q", [1, 0, 1])),
+                                  memoryview(array("q", [1, 0, 1])).toreadonly(),
+                                  np.array([1, 0, 1]), np.array([1, 0, 1], np.int64)],
                          ids=["array", "memoryview", "read-only", "numpy", "numpy-int64"])
-def test_any_contiguous_int64_buffer_is_taken(values):
+def test_any_contiguous_int64_buffer_is_taken(keep):
     for out in (array("q", SENTINEL), np.array(SENTINEL)):
-        assert select(values, out) == 1
-        assert out.tolist() == [1, 2, -9]  # a candidate slot past the one found
+        assert _native.load_library().covprune_score(*score_args(keep, out)) == 2
+        assert out.tolist() == [1, 2, -9]  # places 0 and 2 hold reads 2 and 1
 
 
-@pytest.mark.parametrize("values, out", [
-    (array("i", [5, 2, 7]), array("q", SENTINEL)),  # 32-bit items where 64-bit ones go
-    (array("Q", [5, 2, 7]), array("q", SENTINEL)),  # unsigned where signed ones go
-    (memoryview(array("q", [5, 0, 2, 0, 7]))[::2], array("q", SENTINEL)),  # strided
-    (np.arange(6)[::2], array("q", SENTINEL)),  # strided numpy
-    ([5, 2, 7], array("q", SENTINEL)),  # no buffer at all
-    (array("q", [5, 2, 7]), memoryview(array("q", SENTINEL)).toreadonly()),  # read-only output
-    (array("q", [5, 2, 7]), np.array(SENTINEL, np.int32)),  # an output of another type
+@pytest.mark.parametrize("keep, out", [
+    (array("i", [1, 0, 1]), array("q", SENTINEL)),  # 32-bit items where 64-bit ones go
+    (array("Q", [1, 0, 1]), array("q", SENTINEL)),  # unsigned where signed ones go
+    (memoryview(array("q", [1, 0, 0, 0, 1]))[::2], array("q", SENTINEL)),  # strided
+    (np.array([1, 0, 0, 0, 1])[::2], array("q", SENTINEL)),  # strided numpy
+    ([1, 0, 1], array("q", SENTINEL)),  # no buffer at all
+    (array("q", [1, 0, 1]), memoryview(array("q", SENTINEL)).toreadonly()),  # read-only output
+    (array("q", [1, 0, 1]), np.array(SENTINEL, np.int32)),  # an output of another type
 ], ids=["int32", "uint64", "strided", "strided-numpy", "list", "read-only-out", "int32-out"])
-def test_a_refused_buffer_never_reaches_the_kernel(values, out):
-    # the kernel always writes its output: an untouched one shows it never ran
+def test_a_refused_buffer_never_reaches_the_kernel(keep, out):
+    # the kernel always writes its outputs: untouched ones show it never ran
+    args = score_args(keep, out)
     with pytest.raises(TypeError):
-        select(values, out)
-    assert list(out) == SENTINEL
+        _native.load_library().covprune_score(*args)
+    assert all(list(a) == SENTINEL for a in args[6:])
 
 
 @pytest.mark.parametrize("out", [bytes(16), None], ids=["bytes", "none"])
 def test_an_output_takes_a_writable_buffer_only(out):
+    args = (*score_args()[:6], out, *score_args()[7:])
     with pytest.raises(TypeError):
-        select(array("q", [5, 2, 7]), out)
+        _native.load_library().covprune_score(*args)
 
 
 @pytest.mark.parametrize("args", [
-    (3, array("q", [5, 2, 7]), 2),  # too few
-    (3, array("q", [5, 2, 7]), 2, array("q", SENTINEL), 0),  # too many
-    (2**63, array("q", [5, 2, 7]), 2, array("q", SENTINEL)),  # beyond int64
-    (-2**63 - 1, array("q", [5, 2, 7]), 2, array("q", SENTINEL)),
-    (3.0, array("q", [5, 2, 7]), 2, array("q", SENTINEL)),  # not an integer
-    ("3", array("q", [5, 2, 7]), 2, array("q", SENTINEL)),
+    score_args()[:-1],  # too few
+    (*score_args(), 0),  # too many
+    (2**63, *score_args()[1:]),  # beyond int64
+    (-2**63 - 1, *score_args()[1:]),
+    (3.0, *score_args()[1:]),  # not an integer
+    ("3", *score_args()[1:]),
 ], ids=["too-few", "too-many", "above-int64", "below-int64", "float", "str"])
 def test_a_bad_argument_list_never_reaches_the_kernel(args):
     with pytest.raises((TypeError, OverflowError)):
-        _native.load_library().covprune_select(*args)
-    assert all(list(a) == SENTINEL for a in args[3:4])
+        _native.load_library().covprune_score(*args)
+    assert all(list(a) == SENTINEL for a in args[6:9])
 
 
 def test_no_kernel_takes_none():
     """No buffer is optional: None in place of any buffer argument of any
     kernel raises TypeError and leaves every buffer untouched, the
-    recount's reads too, which once stood for every read."""
-    lib, cov, extremes = _native.load_library(), array("q", [9, 9, 9]), array("q", [9, 9])
+    score's keep column too, for which `score_subset` takes None as
+    every read."""
+    lib, args = _native.load_library(), score_args()
     with pytest.raises(TypeError):
-        lib.covprune_recount(2, None, 2, array("q", [0, 1]), array("q", [2, 2]),
-                             array("q", [0, 1]), 3, cov, extremes)
-    assert (cov.tolist(), extremes.tolist()) == ([9, 9, 9], [9, 9])
+        lib.covprune_score(3, None, *args[2:])
+    assert all(list(a) == SENTINEL for a in args[6:])
     calls = short_buffer_calls()
     assert {name.split("-")[0] for name in calls} == {
         name[len("covprune_"):] for name in dir(lib) if name.startswith("covprune_")}
@@ -101,29 +109,29 @@ def test_the_general_loops_check_their_indices():
     assert mask.tolist() == [0, 0, 0]
     assert lib.covprune_scatter(2, array("q", [0, 1]), 2, array("q", [2, 0]), 3, mask) == 0
     assert mask.tolist() == [1, 0, 1]
-    assert _native.select(array("q", [0, 3, 0, 3]), 3).tolist() == [1, 3]
     # no read and no segment: the extremes are 0 and 0
-    assert recount(chain([], [], 1), array("q")) == (array("q"), 0, 0)
+    assert recount(chain([], [], 1), array("q")) == (array("q"), array("q"), 0, 0)
 
 
 def test_the_sweep_checks_its_spans_and_cells():
     """The sweep refuses a span outside its segments, under either store,
     and a coverage count beyond the flat store's int32 cells, before it
-    writes its kept reads or its counts; each buffer holds one valid
+    writes its keep column or its counts; each buffer holds one valid
     entry more than the kernel may read."""
     lib = _native.load_library()
     refused = [(lo, hi, [5, 5], flat) for lo, hi in (([1, 0], [1, 1]), ([0, 0], [3, 1]),
                                                     ([-1, 0], [1, 1])) for flat in (0, 1)]
     refused.append(([0, 0], [1, 1], [2**31, 5], 1))
     for lo, hi, cov, flat in refused:
-        kept, counts = array("q", [-9, -9]), array("q", [-9] * 4)
+        keep, counts = array("q", [-9, -9]), array("q", [-9] * 4)
         with pytest.raises(ValueError, match="out of bounds"):
             lib.covprune_sweep(1, array("q", lo), array("q", hi), 2, array("q", cov), 1, flat,
-                               kept, counts)
-        assert kept.tolist() == [-9, -9] and counts.tolist() == [-9] * 4
-    # the same count of 2**31 passes the tree
+                               keep, counts)
+        assert keep.tolist() == [-9, -9] and counts.tolist() == [-9] * 4
+    # the same count of 2**31 passes the tree, which deletes the read
     assert lib.covprune_sweep(1, array("q", [0]), array("q", [1]), 2, array("q", [2**31, 5]), 1,
-                              0, kept, counts) == 0
+                              0, keep, counts) == 0
+    assert keep.tolist() == [0, -9]
 
 
 def chain(lo, hi, m, order=None) -> CoverageProfile:
@@ -134,38 +142,41 @@ def chain(lo, hi, m, order=None) -> CoverageProfile:
                            array("q", order))
 
 
-def test_a_recount_takes_rising_indices_only():
-    """The recount of the kept reads refuses reads that do not rise
-    within [0, n), a span past the last delimiter, and an order that
-    holds a read out of range or one read at two places."""
+def test_a_recount_takes_a_0_1_keep_column_only():
+    """The score of a keep column refuses a value other than 0 and 1, a
+    span past the last delimiter, and an order that holds a read out of
+    range or one read at two places, before it writes anything."""
     profile = chain([0, 1, 0], [2, 2, 1], 3, [2, 0, 1])
-    # read 0 spans [1, 2) and read 2 [0, 2)
-    assert recount(profile, array("q", [0, 2])) == (array("q", [1, 2]), 1, 2)
-    for kept in ([2, 0], [1, 1], [3], [-1]):
+    # places 0 and 1 hold read 2, over [0, 2), and read 0, over [1, 2)
+    assert recount(profile, array("q", [1, 1, 0])) == (array("q", [0, 2]), array("q", [1, 2]),
+                                                       1, 2)
+    for keep in ([2, 0, 0], [1, -1, 1], [0, 0, 2**63 - 1]):
         with pytest.raises(ValueError, match="out of bounds"):
-            recount(profile, array("q", kept))
+            recount(profile, array("q", keep))
     # a span past the last delimiter, then reads past n, negative and held twice
     for bad in (chain([0, 1, 0], [2, 2, 3], 3), chain([0, 1, 0], [2, 2, 1], 3, [0, 3, 1]),
                 chain([0, 1, 0], [2, 2, 1], 3, [0, -1, 1]),
                 chain([0, 1, 0], [2, 2, 1], 3, [1, 0, 1])):
         with pytest.raises(ValueError, match="out of bounds"):
-            recount(bad, array("q", [0, 1, 2]))
+            recount(bad, array("q", [1, 1, 1]))
 
 
 def test_the_reads_that_chain_places_hold():
-    """The reads that chain places hold come out rising, whatever the
-    order of the places; a place or a read out of range and a read held
-    twice are refused before the reads are written."""
+    """The reads that the kept chain places hold come out rising, whatever
+    the order of the places; a read out of range or held twice is refused
+    before the reads are written, kept or not."""
     profile = chain([0, 1, 0], [2, 2, 1], 3, [2, 0, 1])
-    assert profile.reads(array("q", [2, 0])).tolist() == [1, 2]
-    assert profile.reads(array("q")).tolist() == []
-    for places, order in (([3], [2, 0, 1]), ([-1], [2, 0, 1]), ([0, 0], [2, 0, 1]),
-                          ([0], [3, 0, 1]), ([0], [-1, 0, 1]), ([1, 2], [2, 0, 0])):
-        reads = array("q", [-9]) * len(places)
+    assert recount(profile, array("q", [1, 0, 1]))[0].tolist() == [1, 2]
+    assert recount(profile, array("q", [0, 0, 0]))[0].tolist() == []
+    for keep, order in (([1, 0, 0], [3, 0, 1]), ([1, 0, 0], [-1, 0, 1]), ([0, 0, 0], [2, 0, 0]),
+                        ([0, 1, 1], [2, 0, 0])):
+        reads = array("q", [-9]) * 3
         with pytest.raises(ValueError, match="out of bounds"):
-            _native.load_library().covprune_reads(len(places), array("q", places), 3,
-                                                  array("q", order), reads)
-        assert reads.tolist() == [-9] * len(places)
+            _native.load_library().covprune_score(3, array("q", keep), array("q", order),
+                                                  array("q", [0, 1, 0]), array("q", [2, 2, 1]),
+                                                  3, reads, array("q", [-9] * 3),
+                                                  array("q", [-9] * 2))
+        assert reads.tolist() == [-9] * 3
 
 
 def test_scratch_is_sized_by_counts_the_rule_has_bounded():
@@ -189,25 +200,25 @@ def short_buffer_calls():
     it holds, the output among them where the loop has one; a negative
     count; and the max-flow's k and t out of range."""
     return {
-        "select": (3, q(0, 1, 0), 0, q(-9, -9)),
         # three summary slots of which the buffer holds two; then no order
         "profile-summary": (1, array("Q", [0]), array("Q", [1]), array("Q", [9, 9]), q(-9),
                             q(-9), q(-9), q(-9, -9), q(-9, -9)),
         "profile-order": (1, array("Q", [0]), array("Q", [1]), array("Q", [9, 9]), q(-9),
                           q(-9), q(), q(-9, -9), q(-9) * 3),
         "network": (2, 3, q(0, 1), q(2), q(-9) * 6, q(-9) * 12),
-        # kept holds one of the two reads; then counts three of four slots
+        # keep holds one of the two places; then counts three of four slots
         "sweep": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 1, q(-9), q(-9) * 4),
         "sweep-counts": (2, q(0, 1), q(1, 2), 2, q(5, 5), 1, 0, q(-9, -9), q(-9) * 3),
-        # cov two of three delimiters, extremes one of two, the order one
-        # of two places
-        "recount": (2, q(0, 1), 2, q(0, 1), q(1, 2), q(0, 1), 3, q(-9, -9), q(-9, -9)),
-        "recount-extremes": (2, q(0, 1), 2, q(0, 1), q(1, 2), q(0, 1), 3, q(-9) * 3, q(-9)),
-        "recount-order": (2, q(0, 1), 2, q(0, 1), q(1, 2), q(0), 3, q(-9) * 3, q(-9, -9)),
-        "recount-negative": (0, q(), 0, q(), q(), q(), -1, q(-9), q(-9, -9)),
-        # the reads one of two kept; then the order one of two places
-        "reads": (2, q(0, 1), 2, q(1, 0), q(-9)),
-        "reads-order": (2, q(0, 1), 2, q(1), q(-9, -9)),
+        # the keep column one of two places, then the order, the reads one
+        # of two, cov two of three delimiters, extremes one of two; then
+        # a negative m
+        "score": (2, q(1), q(0, 1), q(0, 1), q(1, 2), 3, q(-9, -9), q(-9) * 3, q(-9, -9)),
+        "score-order": (2, q(1, 1), q(0), q(0, 1), q(1, 2), 3, q(-9, -9), q(-9) * 3, q(-9, -9)),
+        "score-reads": (2, q(1, 1), q(0, 1), q(0, 1), q(1, 2), 3, q(-9), q(-9) * 3, q(-9, -9)),
+        "score-cov": (2, q(1, 1), q(0, 1), q(0, 1), q(1, 2), 3, q(-9, -9), q(-9, -9), q(-9, -9)),
+        "score-extremes": (2, q(1, 1), q(0, 1), q(0, 1), q(1, 2), 3, q(-9, -9), q(-9) * 3,
+                           q(-9)),
+        "score-negative": (0, q(), q(), q(), q(), -1, q(), q(-9), q(-9, -9)),
         "group": (1, q(0), q(0), 2, 1, array("Q", [0, 1]), array("Q", [1, 2]), q(-9), q(-9, -9),
                   array("Q", [9, 9]), array("Q", [9, 9])),
         "group-runs": (2, q(0, 1), q(0), 2, 1, array("Q", [0, 1]), array("Q", [1, 2]),
@@ -306,3 +317,12 @@ def test_the_readme_tables_name_exactly_the_kernels():
     named = [name for row in rows for name in re.findall(r"`(covprune_\w+)`", row)]
     kernels = [name for name in dir(_native.load_library()) if name.startswith("covprune_")]
     assert sorted(named) == sorted(kernels)
+
+
+def test_the_readme_names_only_kernels_the_module_exports():
+    """Every `covprune_*` name anywhere in README, tables and prose, is a
+    function of the module, and each of them is named, so that a removed
+    kernel does not stay documented."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    kernels = {name for name in dir(_native.load_library()) if name.startswith("covprune_")}
+    assert set(re.findall(r"\bcovprune_\w+", text)) == kernels

@@ -1,7 +1,10 @@
 import contextlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from array import array
 from io import BytesIO, StringIO, TextIOWrapper
@@ -132,6 +135,42 @@ def test_decide_empty_file_reports_flow_work(tmp_path, capsys):
     record = json.loads(err.strip())
     assert (record["n"], record["feasible"], record["method"]) == (0, True, "exact-tailored")
     assert record["work"] == {"flow_solves": 0, "augmentations": 0, "native_flow": 0}
+
+
+def test_an_infeasible_decide_reports_its_flow_work(demo_file, tmp_path, capsys):
+    """A chromosome that fails its floor still ran the flow: its stats line
+    carries the counters, as a feasible one does.  Two overlapping reads
+    have OPT 0 under k = 1, below the bound 1, so t = 1 runs one probe
+    and fails."""
+    from reference_kernels import warm_max_flow
+    path = tmp_path / "two.txt"
+    path.write_text("0 10\n5 15\n")
+    code, out, err = run(capsys, "decide", str(path), "--k", "1", "--t", "1")
+    record = json.loads(err)
+    assert (code, out, record["feasible"], record["method"]) == (1, "", False, "infeasible")
+    paths = warm_max_flow(parse_instance(path.read_text()).chromosomes()[None][0], 1, 1)
+    assert record["work"] == {"flow_solves": 1, "augmentations": paths.augmentations,
+                              "native_flow": 1}
+    code, _, err = run(capsys, "decide", demo_file, "--k", "3", "--t", "2")
+    record = json.loads(err)
+    assert (code, record["feasible"], record["method"]) == (0, True, "exact-tailored")
+    assert list(record["work"]) == ["flow_solves", "augmentations", "native_flow"]
+    assert record["work"]["flow_solves"] == 1
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+def test_an_output_that_cannot_be_written_exits_2(demo_file):
+    """The kept lines written to a full device: exit 2, with the error
+    after the stats line."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")))))
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "covprune.cli", "approx", demo_file, "--k",
+                               "3"], stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[-1] == "covprune: [Errno 28] No space left on device"
 
 
 @pytest.mark.parametrize("text, k, kept", [
@@ -306,10 +345,10 @@ def test_a_kernel_refusal_exits_3(demo_file, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [["solve"], ["decide", "--t", "1"]], ids=["solve", "decide"])
 def test_an_exact_witness_over_the_cap_exits_3(demo_file, capsys, monkeypatch, argv):
     """The scorer recounts every exact witness: one that breaks the cap,
-    here every read, is never printed."""
+    here a flow column that keeps every read, is never printed."""
     from covprune import flow
-    every = property(lambda fa: _native.select(_native.zeros("q", len(fa.interval_flow)), 0))
-    monkeypatch.setattr(flow.FlowAssignment, "kept", every)
+    every = property(lambda fa: array("q", [1]) * len(fa[1]))  # fa[1]: the flow column
+    monkeypatch.setattr(flow.FlowAssignment, "interval_flow", every)
     code, out, err = run(capsys, argv[0], demo_file, "--k", "3", *argv[1:])
     assert (code, out) == (3, "")
     assert err.startswith("covprune: internal error: AssertionError: ")

@@ -262,7 +262,7 @@ def test_coverage_identity_on_extracted_witness():
         fa = warm_max_flow(s, k, t)
         if fa.value < k:
             continue
-        sub = subset(s, [s.compressed.order[p] for p in fa.kept])
+        sub = subset(s, [i for i, f in zip(s.compressed.order, fa.interval_flow) if f == 1])
         coords = s.compressed[0].tolist()
         for j in range(1, len(coords)):
             p = coords[j - 1]  # any point of segment j works: coverage is constant

@@ -10,6 +10,7 @@ from covprune.intervals import MAX_COORD, recount
 
 from conftest import (DEMO_PAIRS, iset, count_cover, interval_pairs, pairs_of, reference_profile,
                       subset)
+from reference_kernels import score_numpy
 
 
 def test_interval_rejects_degenerate():
@@ -41,7 +42,8 @@ def test_profile_demo(demo):
     # the chain B, A, D, E, C, F: by start, then end, then read index
     assert prof.order.tolist() == [1, 0, 3, 4, 2, 5]
     assert (prof.lo.tolist(), prof.hi.tolist()) == ([0, 0, 1, 1, 2, 4], [2, 6, 3, 7, 5, 7])
-    assert prof.reads(array("q", [5, 3, 0, 1])).tolist() == [0, 1, 4, 5]  # F, E, B, A
+    # the places 0, 1, 3 and 5 kept hold B, A, E and F, read back rising
+    assert recount(prof, array("q", [1, 1, 0, 1, 0, 1]))[0].tolist() == [0, 1, 4, 5]
     # cross-check every segment against direct counting
     assert_segments_match_point_count(prof, DEMO_PAIRS)
     # the set computes its profile once
@@ -97,21 +99,21 @@ def test_mincov_over_windows(demo):
     # segments has coverage 0 wherever it leaves the parent's span bare
     prof = coverage_profile(demo)
     assert np.asarray(prof.segment_cov[1:4]).min() == 3  # the points [1, 4)
-    only_e = recount(prof, array("q", [4]))  # E = [1, 10)
-    assert only_e[0].tolist() == [0, 1, 1, 1, 1, 1, 1]
-    assert score_subset(demo, array("q", [4]), 1, "E").achieved_mincov == 0
+    only_e = array("q", [0, 0, 0, 1, 0, 0])  # E = [1, 10), at place 3
+    assert recount(prof, only_e)[1].tolist() == [0, 1, 1, 1, 1, 1, 1]
+    assert score_subset(demo, only_e, 1, "E").achieved_mincov == 0
 
 
 def test_score_subset_checks_the_cap(demo):
-    """The one scorer of every answer recounts the kept set and refuses
-    one over the cap; None keeps every read."""
+    """The one scorer of every answer recounts the kept set, a keep column
+    by chain place, and refuses one over the cap; None keeps every read."""
     sol = score_subset(demo, None, 4, "all", {"probes": 1})
     assert sol.kept.tolist() == list(range(6)) and sol.kept.readonly
     assert (sol.achieved_mincov, sol.achieved_maxcov, sol.work) == (2, 4, {"probes": 1})
     with pytest.raises(AssertionError, match="maxcov 4 > k=3"):
         score_subset(demo, None, 3, "all")
-    kept = array("q", [0, 1, 4, 5])
-    assert score_subset(demo, kept, 3, "some").kept.tolist() == [0, 1, 4, 5]
+    keep = array("q", [1, 1, 0, 1, 0, 1])  # the places of B, A, E and F
+    assert score_subset(demo, keep, 3, "some").kept.tolist() == [0, 1, 4, 5]
 
 
 def test_span(demo):
@@ -139,11 +141,24 @@ def test_mincov_le_maxcov(pairs):
 def test_removal_lowers_coverage_exactly_on_span(pairs, data):
     idx = data.draw(st.integers(0, len(pairs) - 1))
     prof = coverage_profile(iset(pairs))
-    rest = np.flatnonzero(np.arange(len(pairs)) != idx)
-    rest_cov = recount(prof, rest)[0]
+    rest = (np.asarray(prof.order) != idx).astype(np.int64)  # every place but idx's
+    rest_cov = recount(prof, rest)[1]
     drop = np.asarray(prof.segment_cov) - rest_cov
     p = prof.order.tolist().index(idx)  # the place of read idx
     assert drop.tolist() == [int(prof.lo[p] <= j < prof.hi[p]) for j in range(len(rest_cov))]
+
+
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(1, 30)), max_size=200), st.data())
+def test_a_score_matches_its_numpy_reference(pairs, data):
+    """`recount` (`covprune_score`) on a random 0/1 keep column of a set
+    with duplicates and gaps: the kept reads are `np.flatnonzero` of the
+    by-read mask, and the coverage, min and max those of the cumulative
+    sum of the kept places' rises at lo and falls at hi."""
+    prof = coverage_profile(iset([(start, start + size) for start, size in pairs]))
+    keep = array("q", data.draw(st.lists(st.integers(0, 1), min_size=len(pairs),
+                                         max_size=len(pairs))))
+    reads, cov, low, top = recount(prof, keep)
+    assert (reads.tolist(), cov.tolist(), low, top) == score_numpy(prof, keep)
 
 
 def compress_cases():

@@ -7,14 +7,15 @@ makes one small run of each subcommand, the reading kernels handed
 exact-size copies of the input, and the kernel calls at the edges of
 their buffers: the reading kernels', the approx sweep's, under either
 store, and those of the profile, the network layout, the max-flow, the
-recount, the reads of chain places, the split per chromosome and the
-small loops of `_arrays.c`, each checked against a list scan, and calls
-whose counts exceed a buffer by one, which the module refuses, the
-profile on a read with start >= end, the network on reads out of chain
-order, the recount and the reads of places on an order holding a read
-out of range or at two places, and the max-flow's search on indices that
-hold no network, chain columns that put a head off the chain, or a flow
-outside its capacities, which they refuse.
+score of a keep column, the split per chromosome and the small loops of
+`_arrays.c`, each checked against a list scan, and calls whose counts
+exceed a buffer by one, which the module refuses, the profile on a read
+with start >= end, the network on reads out of chain order, the score
+on a keep value outside {0, 1}, an order holding a read out of range or
+at two places and a span at fewer than two delimiters, and the
+max-flow's search on indices that hold no network, chain columns that
+put a head off the chain, or a flow outside its capacities, which they
+refuse.
 Every kernel's scratch is the module's, allocated at exactly its size,
 so a search that fills its stack is checked too.  Any sanitizer report
 stops the child."""
@@ -153,17 +154,18 @@ def reference(cov, lo, hi, k):
 
 
 # the sweep, refill included, under both stores over segment coverage cov
-# at cap k, every buffer at exactly its size and kept coming in dirty, the
+# at cap k, every buffer at exactly its size and keep coming in dirty, the
 # reads handed over in their chain order, by (lo, hi, i): the reads its
-# kept places hold and the decision counts, which must match the reference
+# keep column marks and the decision counts, which must match the reference
 def sweep(cov, lo, hi, k):
     n, got = len(lo), []
     chain = sorted(range(n), key=lambda i: (lo[i], hi[i], i))
     for flat in (1, 0):
-        kept, counts = ints([7] * n), ints([-1] * 4)
-        m = lib.covprune_sweep(n, ints([lo[i] for i in chain]), ints([hi[i] for i in chain]),
-                               len(cov), ints(cov), k, flat, kept, counts)
-        got.append((sorted(chain[p] for p in kept.tolist()[:m]), counts.tolist()[1:]))
+        keep, counts = ints([7] * n), ints([-1] * 4)
+        assert lib.covprune_sweep(n, ints([lo[i] for i in chain]), ints([hi[i] for i in chain]),
+                                  len(cov), ints(cov), k, flat, keep, counts) == 0
+        assert set(keep.tolist()) <= {0, 1}, keep
+        got.append((sorted(chain[p] for p in range(n) if keep[p]), counts.tolist()[1:]))
     assert got[0] == got[1] == reference(cov, lo, hi, k), (got, reference(cov, lo, hi, k))
     return got[0]
 
@@ -275,32 +277,42 @@ for m, lo, hi in ((2, [0], [2]), (2, [-1], [1]), (3, [1], [1]), (4, [0, 2], [3, 
     refused(lib.covprune_network, n, m, ints(lo), ints(hi), *(ints([-9] * k) for k in sizes))
 
 
-# the recount of the reads idx, place p holding read n - 1 - p, and its
-# extremes, against a count per segment; then the reads the places idx hold
-def recount(idx, lo, hi, m):
+# the score of the keep column keep, place p holding read n - 1 - p: its
+# kept reads against a list scan, and the coverage and its extremes
+# against a count per segment
+def score(keep, lo, hi, m):
     n = len(lo)
-    cov, extremes, reads = ints([7] * m), ints([7, 7]), ints([7] * len(idx))
-    order = ints(range(n - 1, -1, -1))
-    assert lib.covprune_recount(len(idx), ints(idx), n, ints(lo), ints(hi), order, m, cov,
-                                extremes) == 0
-    want = [sum(lo[n - 1 - i] <= j < hi[n - 1 - i] for i in idx) for j in range(m - 1)]
+    reads, cov, extremes = ints([7] * n), ints([7] * m), ints([7, 7])
+    count = lib.covprune_score(n, ints(keep), ints(range(n - 1, -1, -1)), ints(lo), ints(hi), m,
+                               reads, cov, extremes)
+    assert reads.tolist()[:count] == sorted(n - 1 - p for p in range(n) if keep[p]), reads
+    want = [sum(keep[p] for p in range(n) if lo[p] <= j < hi[p]) for j in range(m - 1)]
     assert cov.tolist() == want + [0] * (m > 0), (cov, want)
     assert extremes.tolist() == ([min(want), max(want)] if want else [0, 0]), extremes
-    assert lib.covprune_reads(len(idx), ints(idx), n, order, reads) == 0
-    assert reads.tolist() == sorted(n - 1 - p for p in idx), reads
 
 
-recount([], [], [], 1)  # m = 1: no segment
-recount([0, 1], [0, 0], [1, 1], 2)
-recount([1], [0, 0], [1, 1], 2)
-recount([], [0], [1], 2)
-recount([0, 1, 2], [0, 2, 1], [3, 3, 2], 4)
-recount([0, 2], [0, 2, 1, 0], [1, 3, 3, 3], 4)  # a gap at segment 1
-# an order that holds a read out of range, or one read at two places
-for order in ([0, 2], [-1, 0], [1, 1]):
-    refused(lib.covprune_recount, 2, ints([0, 1]), 2, ints([0, 0]), ints([1, 1]), ints(order), 2,
-            ints([7, 7]), ints([7, 7]))
-    refused(lib.covprune_reads, 2, ints([0, 1]), 2, ints(order), ints([7, 7]))
+score([], [], [], 0)  # the empty set: no delimiter
+score([], [], [], 1)  # m = 1: no segment
+score([0, 0], [0, 0], [1, 1], 2)  # all 0
+score([1, 1], [0, 0], [1, 1], 2)  # all 1
+score([0, 1], [0, 0], [1, 1], 2)
+score([1, 1, 1], [0, 2, 1], [3, 3, 2], 4)
+score([1, 0, 1, 0], [0, 2, 1, 0], [1, 3, 3, 3], 4)  # a gap at segment 1
+# a keep value of 2 or -1, an order that holds a read out of range or one
+# read at two places, and a span at m < 2, refused before any write
+for keep, order, lo, hi, m in (([2, 0], [1, 0], [0, 0], [1, 1], 2),
+                               ([1, -1], [1, 0], [0, 0], [1, 1], 2),
+                               ([1, 1], [0, 2], [0, 0], [1, 1], 2),
+                               ([1, 1], [-1, 0], [0, 0], [1, 1], 2),
+                               ([0, 0], [1, 1], [0, 0], [1, 1], 2),
+                               ([1], [0], [0], [1], 1), ([1], [0], [0], [0], 0)):
+    refused(lib.covprune_score, len(keep), ints(keep), ints(order), ints(lo), ints(hi), m,
+            ints([7] * len(keep)), ints([7] * m), ints([7, 7]))
+# the keep column, then the reads and cov, one item short of the counts
+one = (ints([1, 1]), ints([1, 0]), ints([0, 0]), ints([1, 1]), 2, ints([7, 7]), ints([7, 7]))
+refused(lib.covprune_score, 2, ints([1]), *one[1:], ints([7, 7]))
+refused(lib.covprune_score, 2, *one[:5], ints([7]), one[6], ints([7, 7]))
+refused(lib.covprune_score, 2, *one[:6], ints([7]), ints([7, 7]))
 
 
 # the split of n records by their runs, against a stable sort of each
@@ -330,19 +342,6 @@ for run_at, run_code, n in (([0, 2], [0, 0], 2), ([0, 3], [0, 0], 2), ([1], [0],
     except ValueError:
         pass
     assert order.tolist() == [-9] * n
-
-
-# the positions where values holds want, against a list scan
-def select(values, want):
-    out = ints([-9] * len(values))
-    count = lib.covprune_select(len(values), ints(values), want, out)
-    assert out.tolist()[:count] == [j for j, v in enumerate(values) if v == want], (values, out)
-
-
-for values in ([], [3], [4], [4, 3, 3], [3, 3, 3], [1, 2, 3]):
-    select(values, 3)
-refused(lib.covprune_select, 3, ints([3, 3]), 3, ints([-9] * 3))
-refused(lib.covprune_select, 3, ints([3] * 3), 3, ints([-9] * 2))
 
 
 # the mask of map[idx[j]] for each j, against a list scan, the mask
